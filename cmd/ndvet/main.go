@@ -1,6 +1,7 @@
 // Command ndvet runs the repo's custom Go invariant lints (see
-// internal/govet): atomic-counter discipline and the parallel-worker
-// interner-capture check. It is stdlib-only — the usual
+// internal/govet): atomic-counter discipline, the parallel-worker
+// interner-capture check, and the fence that keeps package unsafe
+// inside internal/val/val.go. It is stdlib-only — the usual
 // golang.org/x/tools analysis driver is not vendored in this build
 // environment, so internal/govet provides the framework.
 //
@@ -53,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ndvet:", err)
 		return 1
 	}
-	diags := govet.Run(fset, pkgs, []*govet.Analyzer{govet.AtomicCounter, govet.InternerCapture})
+	diags := govet.Run(fset, pkgs, govet.All)
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}

@@ -188,6 +188,7 @@ type Node struct {
 	// aggHeadScratch backs aggHead instantiation.
 	aggKeyScratch  []val.Value
 	aggHeadScratch []val.Value
+	aggRun         aggRun
 
 	// journal, when set, observes every processed delta whose predicate
 	// is part of the node's recoverable state (see SetJournal); journaled
@@ -935,7 +936,7 @@ func (n *Node) storeInsertD(t val.Tuple, stamp uint64) (val.Tuple, bool, bool) {
 	if res.Status == table.StatusDuplicate && val.InternWorthy(res.Dup.Tuple.Fields) {
 		if n.arena != nil {
 			res.Dup.Tuple = n.arena.InternH(tbl.NameHash(), res.Dup.Tuple)
-		} else if ep := n.in.Epoch(); !res.Dup.Pooled || ep-res.Dup.PooledEpoch >= 2 {
+		} else if ep := int32(n.in.Epoch()); !res.Dup.Pooled || ep-res.Dup.PooledEpoch >= 2 {
 			// Not pooled yet, or pooled long enough ago that two
 			// generation flips may have evicted the canonical: (re)intern
 			// so hot rows stay resolvable on long-running nodes.
@@ -1084,9 +1085,9 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 	if !ok {
 		return
 	}
-	entries := c.idx.Match(groupKey)
-	// Sort for determinism (Match order is map-derived).
-	sorted := append([]*table.Entry(nil), entries...)
+	// Match returns a fresh slice; sort it so the choice does not depend
+	// on bucket order.
+	sorted := c.idx.Match(groupKey)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Stamp < sorted[j].Stamp })
 	for _, e := range sorted {
 		if e.Adv && e.Tuple.Fields[c.sel.ValueCol].Equal(best) {
@@ -1166,81 +1167,113 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 	if sign < 0 {
 		ctx = n.resetCtx(noLimit, noLimit, &t)
 	}
+	ar := &n.aggRun
+	if ar.emit == nil {
+		ar.emit = n.aggEmit
+	}
+	ar.sign, ar.improving, ar.contributed = sign, false, false
 	for _, st := range strands {
 		if !st.isAgg {
 			continue
 		}
-		state := n.aggs[st.rule]
-		// Net the group changes across this trigger's whole join before
-		// emitting. One delta can touch a group several times (a max
-		// walking up through the join results, one Add at a time); if
-		// every intermediate value were routed as its own delete+insert
-		// pair, each pair would fire the downstream strands — and in a
-		// recursive program (Chord's lookup forwarding) re-trigger the
-		// same chatter at the next hop, with a fan-out per hop equal to
-		// the number of intermediate steps. That cascade is supercritical
-		// on lossy or churning runs and melts a node inside one drain.
-		// Only the first old -> last new transition per group is real.
-		var pend []aggNetChange
-		err := st.run(ctx, t, func(d derived) {
-			contributed = true
-			fields := d.tuple.Fields
-			n.aggKeyScratch = aggKeyVals(fields, st.aggIdx, n.aggKeyScratch[:0])
-			groupKey := n.aggKeyScratch
-			value := fields[st.aggIdx]
-			var ch table.Change
-			if sign > 0 {
-				ch = state.agg.Add(groupKey, value)
-			} else {
-				ch = state.agg.Remove(groupKey, value)
-			}
-			// The group's post-change aggregate is ch.New; the delta
-			// "improves" its group when it became that value.
-			if sign > 0 && ch.HasNew && ch.New.Equal(value) {
-				improving = improving || ch.Changed()
-			}
-			if !ch.Changed() {
-				return
-			}
-			for i := range pend {
-				if sameVals(pend[i].group, groupKey) {
-					pend[i].hasNew, pend[i].newV = ch.HasNew, ch.New
-					return
-				}
-			}
-			pend = append(pend, aggNetChange{
-				group:  append([]val.Value(nil), groupKey...),
-				fields: append([]val.Value(nil), fields...),
-				pred:   d.tuple.Pred,
-				loc:    d.loc,
-				hadOld: ch.HadOld, oldV: ch.Old,
-				hasNew: ch.HasNew, newV: ch.New,
-			})
-		})
-		if err != nil {
+		ar.st, ar.agg = st, n.aggs[st.rule].agg
+		ar.pend, ar.fields = ar.pend[:0], ar.fields[:0]
+		if err := st.run(ctx, t, ar.emit); err != nil {
 			panic(fmt.Sprintf("engine: aggregate rule %s: %v", st.rule.Label, err))
 		}
-		for _, p := range pend {
+		nf := len(st.code.head)
+		for i, p := range ar.pend {
 			if p.hadOld && p.hasNew && p.oldV.Equal(p.newV) {
 				continue // round trip: the group ended where it started
 			}
+			fields := ar.fields[i*nf : (i+1)*nf]
 			if p.hadOld {
-				n.route(derived{tuple: n.aggHead(st, p.pred, p.fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
+				n.route(derived{tuple: n.aggHead(st, p.pred, fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
 			}
 			if p.hasNew {
-				n.route(derived{tuple: n.aggHead(st, p.pred, p.fields, p.newV), loc: p.loc}, +1, st.rule.Label)
+				n.route(derived{tuple: n.aggHead(st, p.pred, fields, p.newV), loc: p.loc}, +1, st.rule.Label)
 			}
 		}
 	}
-	return improving, contributed
+	return ar.improving, ar.contributed
+}
+
+// aggRun is the node-owned scratch of runAggStrands: the strand being
+// run, the running verdicts, and the net group changes of the current
+// trigger delta. The emit callback is bound once per node and reads the
+// run through this struct, so an aggregate strand run allocates neither
+// a closure nor its captured variables.
+type aggRun struct {
+	emit func(derived)
+	st   *strand
+	agg  *table.GroupAgg
+	sign int8
+
+	improving, contributed bool
+
+	// pend nets the group changes across one trigger's whole join before
+	// anything is emitted. One delta can touch a group several times (a
+	// max walking up through the join results, one Add at a time); if
+	// every intermediate value were routed as its own delete+insert
+	// pair, each pair would fire the downstream strands — and in a
+	// recursive program (Chord's lookup forwarding) re-trigger the same
+	// chatter at the next hop, with a fan-out per hop equal to the number
+	// of intermediate steps. That cascade is supercritical on lossy or
+	// churning runs and melts a node inside one drain. Only the first old
+	// -> last new transition per group is real.
+	pend []aggNetChange
+	// fields holds, back to back, the head fields of the derivation that
+	// first changed each pend entry's group (entry i owns fields
+	// [i*arity, (i+1)*arity)); the group key is those fields minus the
+	// aggregate position.
+	fields []val.Value
+}
+
+// aggEmit consumes one derivation of the aggregate strand n.aggRun.st.
+// d.tuple.Fields is the strand's head scratch (see instantiateHead):
+// everything kept past this call is copied out of it.
+func (n *Node) aggEmit(d derived) {
+	ar := &n.aggRun
+	ar.contributed = true
+	fields := d.tuple.Fields
+	aggIdx := ar.st.aggIdx
+	n.aggKeyScratch = aggKeyVals(fields, aggIdx, n.aggKeyScratch[:0])
+	groupKey := n.aggKeyScratch
+	value := fields[aggIdx]
+	var ch table.Change
+	if ar.sign > 0 {
+		ch = ar.agg.Add(groupKey, value)
+	} else {
+		ch = ar.agg.Remove(groupKey, value)
+	}
+	if !ch.Changed() {
+		return
+	}
+	// The group's post-change aggregate is ch.New; the delta "improves"
+	// its group when it became that value.
+	if ar.sign > 0 && ch.HasNew && ch.New.Equal(value) {
+		ar.improving = true
+	}
+	nf := len(fields)
+	for i := range ar.pend {
+		if sameGroup(ar.fields[i*nf:(i+1)*nf], fields, aggIdx) {
+			ar.pend[i].hasNew, ar.pend[i].newV = ch.HasNew, ch.New
+			return
+		}
+	}
+	ar.fields = append(ar.fields, fields...)
+	ar.pend = append(ar.pend, aggNetChange{
+		pred:   d.tuple.Pred,
+		loc:    d.loc,
+		hadOld: ch.HadOld, oldV: ch.Old,
+		hasNew: ch.HasNew, newV: ch.New,
+	})
 }
 
 // aggNetChange accumulates one aggregate group's net transition while a
 // single trigger delta runs through an aggregate strand: the value
 // before the first change and the value after the last one.
 type aggNetChange struct {
-	group  []val.Value
-	fields []val.Value
 	pred   string
 	loc    string
 	hadOld bool
@@ -1249,12 +1282,11 @@ type aggNetChange struct {
 	newV   val.Value
 }
 
-func sameVals(a, b []val.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
+// sameGroup reports whether two head rows of one aggregate rule fall in
+// the same group: equal everywhere but the aggregate position.
+func sameGroup(a, b []val.Value, aggIdx int) bool {
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if i != aggIdx && !a[i].Equal(b[i]) {
 			return false
 		}
 	}

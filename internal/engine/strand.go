@@ -527,7 +527,9 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		} else {
 			ix = tbl.EnsureIndex(s.probeCols[idx])
 		}
-		for _, e := range ix.Bucket(h.Sum()) {
+		b := ix.Bucket(h.Sum())
+		for i, n := 0, b.Len(); i < n; i++ {
+			e := b.At(i)
 			if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
 				return err
 			}
@@ -620,6 +622,12 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 			return val.Tuple{}, fmt.Errorf("rule %s head: %w", s.rule.Label, err)
 		}
 		fields[i] = v
+	}
+	if s.isAgg {
+		// Aggregate heads go only to Node.aggEmit, which folds the row
+		// into its group and copies what it keeps before the next
+		// instantiation: hand it the scratch itself.
+		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
 	if ctx.in != nil && val.InternWorthy(fields) {
 		// Resolve, not intern: most instantiated heads are explored once

@@ -51,6 +51,10 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
+// All lists every analyzer of the repo, in the order cmd/ndvet and the
+// repo-is-clean test run them.
+var All = []*Analyzer{AtomicCounter, InternerCapture, UnsafeImport}
+
 // Pass carries the loaded program and the reporting sink for one
 // analyzer invocation.
 type Pass struct {

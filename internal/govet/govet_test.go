@@ -143,6 +143,39 @@ func coldPath() {
 	}
 }
 
+// TestUnsafeImportFence: a planted import "unsafe" is flagged in any
+// file but internal/val/val.go — including another file of package val
+// and a renamed import — and the home file itself passes.
+func TestUnsafeImportFence(t *testing.T) {
+	const planted = `package val
+
+import (
+	"fmt"
+	u "unsafe"
+)
+
+var _ = fmt.Sprint(u.Sizeof(0))
+`
+	fset := token.NewFileSet()
+	valPkg := loadSrc(t, fset, "../../internal/val", map[string]string{
+		"val.go":    "package val\n\nimport \"unsafe\"\n\nvar _ unsafe.Pointer\n",
+		"encode.go": planted,
+	})
+	other := loadSrc(t, fset, "internal/table", map[string]string{
+		"val.go": "package table\n\nimport \"unsafe\"\n\nvar _ unsafe.Pointer\n",
+	})
+	diags := Run(fset, []*Package{valPkg, other}, []*Analyzer{UnsafeImport})
+	if len(diags) != 2 {
+		t.Fatalf("want 2 findings (val/encode.go, table/val.go), got %d: %v", len(diags), diags)
+	}
+	if !strings.HasSuffix(diags[0].Pos.Filename, "internal/val/encode.go") || diags[0].Pos.Line != 5 {
+		t.Errorf("first finding at %s:%d, want internal/val/encode.go:5", diags[0].Pos.Filename, diags[0].Pos.Line)
+	}
+	if !strings.HasSuffix(diags[1].Pos.Filename, "internal/table/val.go") {
+		t.Errorf("second finding at %s, want internal/table/val.go", diags[1].Pos.Filename)
+	}
+}
+
 // TestExpandPatterns: dir/... walks recursively and skips testdata.
 func TestExpandPatterns(t *testing.T) {
 	dirs, err := ExpandPatterns([]string{"../../internal/..."})
@@ -165,10 +198,10 @@ func TestExpandPatterns(t *testing.T) {
 	}
 }
 
-// TestRepoIsVetClean pins the invariant the CI job enforces: the
-// repo's own internal packages carry no unsuppressed findings.
+// TestRepoIsVetClean pins the invariant the CI job enforces: no
+// package of the repository carries an unsuppressed finding.
 func TestRepoIsVetClean(t *testing.T) {
-	dirs, err := ExpandPatterns([]string{"../../internal/..."})
+	dirs, err := ExpandPatterns([]string{"../../..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +210,7 @@ func TestRepoIsVetClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(fset, pkgs, []*Analyzer{AtomicCounter, InternerCapture}) {
+	for _, d := range Run(fset, pkgs, All) {
 		t.Errorf("unsuppressed finding: %s", d)
 	}
 }

@@ -989,7 +989,8 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 }
 
 // countSent records one outbound datagram in the ledger, including the
-// per-destination tally.
+// per-destination tally. The total is bumped first: see SentTo for the
+// read order that makes the two comparable.
 func (r *Runner) countSent(dstID string, bytes int64) {
 	r.sentB.Add(bytes)
 	r.sentM.Add(1)
@@ -1004,6 +1005,12 @@ func (r *Runner) countSent(dstID string, bytes int64) {
 // SentTo snapshots the per-destination datagram counts. Keys are NDlog
 // node IDs; the control plane folds them onto owning shards to find
 // which shard's receive ledger is short after loss.
+//
+// Every datagram is counted in Stats().SentMessages before it is counted
+// here, so a concurrent reader that wants "sum of tallies <= total sent"
+// must call SentTo first and Stats second; the other order can observe
+// tallies the earlier total snapshot has not seen. At quiescence the two
+// are equal in either order.
 func (r *Runner) SentTo() map[string]int64 {
 	r.sentToMu.Lock()
 	defer r.sentToMu.Unlock()

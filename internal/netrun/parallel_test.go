@@ -98,14 +98,19 @@ func TestStatsHammer(t *testing.T) {
 					return
 				default:
 				}
+				// countSent bumps the total before the per-destination
+				// tally, so "tallies <= total" holds for a reader that
+				// snapshots SentTo first and Stats second — not the
+				// other way round (sends between the two reads would
+				// land in the tallies only).
+				var total int64
+				for _, n := range r.SentTo() {
+					total += n
+				}
 				s := r.Stats()
 				if s.SentMessages < 0 || s.RecvMessages < 0 {
 					t.Error("negative counter snapshot")
 					return
-				}
-				var total int64
-				for _, n := range r.SentTo() {
-					total += n
 				}
 				if total > s.SentMessages {
 					t.Errorf("per-destination tallies (%d) exceed total sent (%d)",

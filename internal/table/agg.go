@@ -11,18 +11,22 @@ import (
 // Section 4, citing Ramakrishnan et al. [27]).
 //
 // Groups are keyed by the hash of their key values (val.HashValues),
-// with collision chains resolved by structural equality — no value is
-// formatted into a string on this path. For min/max, each group keeps a
-// multiset of contributing values; a deletion of the current extreme
-// triggers a rescan of the group (the O(n)-space / cheap-recompute
-// strategy the paper cites).
+// with collisions chained through the groups themselves and resolved by
+// structural equality — no value is formatted into a string on this
+// path. Each group keeps the multiset of its contributing values as a
+// flat slice of (value, multiplicity) pairs, searched linearly: the
+// distinct values of one group are few (the costs of the alternative
+// paths to one destination), so a scan of adjacent 32-byte pairs beats
+// hashing the value, and an Add allocates only when the slice grows. A
+// deletion of the current min/max rescans the group (the O(n)-space /
+// cheap-recompute strategy the paper cites).
 type GroupAgg struct {
 	fn     ast.AggFunc
-	groups map[uint64][]*aggGroup
-	n      int // live (non-empty) group count
+	groups map[uint64]*aggGroup // key hash -> collision chain (aggGroup.next)
+	n      int                  // live (non-empty) group count
 	// empties counts retained empty groups: a group whose last value is
 	// removed keeps its shell so churny workloads (delete + re-derive
-	// cycles) don't reallocate the key copy and multiset map every round.
+	// cycles) don't reallocate the key copy and multiset every round.
 	// A sweep reclaims them if they ever dominate.
 	empties int
 	// in, when set, resolves retained group keys to their canonical
@@ -30,15 +34,19 @@ type GroupAgg struct {
 	// shares that tuple's field storage instead of copying it, and
 	// key-equality checks hit the shared-storage fast path.
 	in *val.Interner
+	// post is the test hook that truncates group-key hashes to force
+	// collision chains; nil in production.
+	post func(uint64) uint64
 }
 
 type aggGroup struct {
 	// key holds the group's canonical key values, for collision
-	// resolution within a hash bucket.
-	key []val.Value
-	// values is the multiset of contributing values, keyed by value hash
-	// with chains resolved by Value.Equal.
-	values map[uint64][]*aggVal
+	// resolution within a hash chain.
+	key  []val.Value
+	next *aggGroup
+	// values is the multiset of contributing values: distinct values in
+	// first-contribution order, swap-removed when their count reaches 0.
+	values []aggVal
 	n      int     // total multiplicity (for count)
 	sum    float64 // running sum (for sum)
 	sumInt int64
@@ -54,7 +62,7 @@ type aggVal struct {
 
 // NewGroupAgg creates an incremental aggregate for fn.
 func NewGroupAgg(fn ast.AggFunc) *GroupAgg {
-	return &GroupAgg{fn: fn, groups: map[uint64][]*aggGroup{}}
+	return &GroupAgg{fn: fn, groups: map[uint64]*aggGroup{}}
 }
 
 // SetInterner makes the aggregate resolve retained group keys through
@@ -86,8 +94,16 @@ func (c Change) Changed() bool {
 	return !c.Old.Equal(c.New)
 }
 
+func (g *GroupAgg) keyHash(key []val.Value) uint64 {
+	h := val.HashValues(key)
+	if g.post != nil {
+		h = g.post(h)
+	}
+	return h
+}
+
 func (g *GroupAgg) lookup(h uint64, key []val.Value) *aggGroup {
-	for _, gr := range g.groups[h] {
+	for gr := g.groups[h]; gr != nil; gr = gr.next {
 		if val.ValuesEqual(gr.key, key) {
 			return gr
 		}
@@ -109,19 +125,15 @@ func (g *GroupAgg) group(h uint64, key []val.Value) *aggGroup {
 	} else {
 		kcp = append([]val.Value(nil), key...)
 	}
-	gr := &aggGroup{
-		key:    kcp,
-		values: map[uint64][]*aggVal{},
-		allInt: true,
-	}
-	g.groups[h] = append(g.groups[h], gr)
+	gr := &aggGroup{key: kcp, next: g.groups[h], allInt: true}
+	g.groups[h] = gr
 	g.n++
 	return gr
 }
 
 // drop empties a group but keeps its shell for reuse; a sweep reclaims
 // shells when they outnumber the live groups.
-func (g *GroupAgg) drop(h uint64, gr *aggGroup) {
+func (g *GroupAgg) drop(gr *aggGroup) {
 	gr.valid = false
 	gr.sum, gr.sumInt, gr.allInt = 0, 0, true
 	gr.cur = val.Nil
@@ -134,14 +146,17 @@ func (g *GroupAgg) drop(h uint64, gr *aggGroup) {
 
 // sweep discards all retained empty group shells.
 func (g *GroupAgg) sweep() {
-	for h, chain := range g.groups {
-		live := chain[:0]
-		for _, gr := range chain {
+	for h, head := range g.groups {
+		var live *aggGroup
+		for gr := head; gr != nil; {
+			next := gr.next
 			if gr.n > 0 {
-				live = append(live, gr)
+				gr.next = live
+				live = gr
 			}
+			gr = next
 		}
-		if len(live) == 0 {
+		if live == nil {
 			delete(g.groups, h)
 		} else {
 			g.groups[h] = live
@@ -150,25 +165,25 @@ func (g *GroupAgg) sweep() {
 	g.empties = 0
 }
 
-func (gr *aggGroup) valFor(v val.Value) *aggVal {
-	for _, av := range gr.values[v.Hash()] {
-		if av.v.Equal(v) {
-			return av
+// find returns the position of v in the group's multiset, or -1.
+func (gr *aggGroup) find(v val.Value) int {
+	for i := range gr.values {
+		if gr.values[i].v.Equal(v) {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Add inserts one occurrence of v into the group keyed by key. The key
 // slice is copied on first use, so callers may reuse scratch storage.
 func (g *GroupAgg) Add(key []val.Value, v val.Value) Change {
-	gr := g.group(val.HashValues(key), key)
+	gr := g.group(g.keyHash(key), key)
 	ch := Change{HadOld: gr.valid, Old: gr.cur}
-	if av := gr.valFor(v); av != nil {
-		av.count++
+	if i := gr.find(v); i >= 0 {
+		gr.values[i].count++
 	} else {
-		h := v.Hash()
-		gr.values[h] = append(gr.values[h], &aggVal{v: v, count: 1})
+		gr.values = append(gr.values, aggVal{v: v, count: 1})
 	}
 	gr.n++
 	if v.Kind() == val.KindInt {
@@ -187,32 +202,22 @@ func (g *GroupAgg) Add(key []val.Value, v val.Value) Change {
 // Remove deletes one occurrence of v from the group. Removing a value
 // that is not present is a no-op reporting no change.
 func (g *GroupAgg) Remove(key []val.Value, v val.Value) Change {
-	h := val.HashValues(key)
-	gr := g.lookup(h, key)
+	gr := g.lookup(g.keyHash(key), key)
 	if gr == nil {
 		return Change{}
 	}
-	av := gr.valFor(v)
-	if av == nil {
+	i := gr.find(v)
+	if i < 0 {
 		return Change{HadOld: gr.valid, Old: gr.cur, HasNew: gr.valid, New: gr.cur}
 	}
 	ch := Change{HadOld: gr.valid, Old: gr.cur}
-	av.count--
-	if av.count == 0 {
-		vh := v.Hash()
-		chain := gr.values[vh]
-		for i := range chain {
-			if chain[i] == av {
-				chain[i] = chain[len(chain)-1]
-				chain = chain[:len(chain)-1]
-				break
-			}
-		}
-		if len(chain) == 0 {
-			delete(gr.values, vh)
-		} else {
-			gr.values[vh] = chain
-		}
+	gr.values[i].count--
+	gone := gr.values[i].count == 0
+	if gone {
+		last := len(gr.values) - 1
+		gr.values[i] = gr.values[last]
+		gr.values[last] = aggVal{}
+		gr.values = gr.values[:last]
 	}
 	gr.n--
 	if v.Kind() == val.KindInt {
@@ -222,17 +227,17 @@ func (g *GroupAgg) Remove(key []val.Value, v val.Value) Change {
 		gr.sum -= v.Float()
 	}
 	if gr.n == 0 {
-		g.drop(h, gr)
+		g.drop(gr)
 		return Change{HadOld: ch.HadOld, Old: ch.Old}
 	}
-	g.recompute(gr)
+	g.recompute(gr, gone && v.Equal(gr.cur))
 	ch.HasNew, ch.New = gr.valid, gr.cur
 	return ch
 }
 
 // Current returns the group's aggregate value, if it has one.
 func (g *GroupAgg) Current(key []val.Value) (val.Value, bool) {
-	gr := g.lookup(val.HashValues(key), key)
+	gr := g.lookup(g.keyHash(key), key)
 	if gr == nil || !gr.valid {
 		return val.Nil, false
 	}
@@ -262,42 +267,28 @@ func (g *GroupAgg) recomputeCheap(gr *aggGroup, v val.Value) {
 	gr.valid = true
 }
 
-// recompute rebuilds the aggregate after a deletion. Count and sum stay
-// incremental; min/max rescan the group's multiset only when needed.
-func (g *GroupAgg) recompute(gr *aggGroup) {
+// recompute rebuilds the aggregate after a deletion from a group that
+// still has values. Count and sum stay incremental; min/max rescan the
+// group's multiset only when the last occurrence of the current extreme
+// was the value removed (lostCur).
+func (g *GroupAgg) recompute(gr *aggGroup, lostCur bool) {
 	switch g.fn {
 	case ast.AggCount:
 		gr.cur = val.NewInt(int64(gr.n))
-		gr.valid = true
-		return
 	case ast.AggSum:
 		gr.cur = gr.sumValue()
-		gr.valid = true
-		return
-	}
-	// min/max: if the removed value was not the current extreme, nothing
-	// changed; Remove callers cannot tell us that cheaply, so check
-	// whether the current extreme is still present before rescanning.
-	if gr.valid {
-		if av := gr.valFor(gr.cur); av != nil && av.count > 0 {
+	default:
+		if !lostCur {
 			return
 		}
-	}
-	first := true
-	for _, chain := range gr.values {
-		for _, av := range chain {
-			if first {
-				gr.cur = av.v
-				first = false
-				continue
-			}
+		gr.cur = gr.values[0].v
+		for _, av := range gr.values[1:] {
 			c := av.v.Compare(gr.cur)
 			if (g.fn == ast.AggMin && c < 0) || (g.fn == ast.AggMax && c > 0) {
 				gr.cur = av.v
 			}
 		}
 	}
-	gr.valid = !first
 }
 
 func (gr *aggGroup) sumValue() val.Value {

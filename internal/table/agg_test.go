@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -139,48 +140,82 @@ func TestGroupAggRemoveAbsent(t *testing.T) {
 
 // TestGroupAggMatchesRecompute is a property test: a random interleaving
 // of adds and removes must always leave the incremental aggregate equal
-// to recomputing from the surviving multiset.
+// to recomputing from the surviving multiset. The variants cover the
+// flat multiset at both ends — a few distinct values, and groups that
+// grow to ~100 distinct values and drain back to empty — and several
+// groups whose key hashes are truncated into one collision chain
+// (including the empty-shell sweep when most of them drain).
 func TestGroupAggMatchesRecompute(t *testing.T) {
-	for _, fn := range []ast.AggFunc{ast.AggMin, ast.AggMax, ast.AggCount, ast.AggSum} {
-		r := rand.New(rand.NewSource(int64(fn) + 99))
-		g := NewGroupAgg(fn)
-		live := map[int64]int{} // value -> multiplicity
-		for step := 0; step < 5000; step++ {
-			v := int64(r.Intn(40))
-			if r.Intn(3) > 0 || len(live) == 0 {
-				g.Add(gkey("k"), val.NewInt(v))
-				live[v]++
-			} else {
-				// Remove a random live value (or occasionally an absent one).
-				if r.Intn(10) == 0 {
-					g.Remove(gkey("k"), val.NewInt(1000)) // absent
+	variants := []struct {
+		name    string
+		values  int // distinct values drawn
+		groups  int
+		collide bool
+	}{
+		{"small", 40, 1, false},
+		{"wide", 400, 1, false},
+		{"chained", 40, 6, true},
+		{"chained-wide", 400, 80, true},
+	}
+	for _, vr := range variants {
+		for _, fn := range []ast.AggFunc{ast.AggMin, ast.AggMax, ast.AggCount, ast.AggSum} {
+			r := rand.New(rand.NewSource(int64(fn) + 99))
+			g := NewGroupAgg(fn)
+			if vr.collide {
+				g.post = func(h uint64) uint64 { return h & 1 }
+			}
+			live := make([]map[int64]int, vr.groups) // per group: value -> multiplicity
+			for i := range live {
+				live[i] = map[int64]int{}
+			}
+			for step := 0; step < 6000; step++ {
+				gi := r.Intn(vr.groups)
+				key, lv := gkey(fmt.Sprintf("k%d", gi)), live[gi]
+				// Alternate growing and draining phases.
+				grow := (step/1500)%2 == 0
+				if (r.Intn(10) < 8) == grow || len(lv) == 0 {
+					v := int64(r.Intn(vr.values))
+					g.Add(key, val.NewInt(v))
+					lv[v]++
+				} else if r.Intn(10) == 0 {
+					g.Remove(key, val.NewInt(1000)) // absent
 				} else {
-					for lv := range live {
-						g.Remove(gkey("k"), val.NewInt(lv))
-						live[lv]--
-						if live[lv] == 0 {
-							delete(live, lv)
+					for v := range lv {
+						g.Remove(key, val.NewInt(v))
+						lv[v]--
+						if lv[v] == 0 {
+							delete(lv, v)
 						}
 						break
 					}
 				}
+				checkAgainstRecompute(t, vr.name, fn, g, key, lv)
 			}
-			checkAgainstRecompute(t, fn, g, live)
+			nonEmpty := 0
+			for gi, lv := range live {
+				checkAgainstRecompute(t, vr.name, fn, g, gkey(fmt.Sprintf("k%d", gi)), lv)
+				if len(lv) > 0 {
+					nonEmpty++
+				}
+			}
+			if g.Groups() != nonEmpty {
+				t.Fatalf("%s/%v: Groups() = %d, model has %d", vr.name, fn, g.Groups(), nonEmpty)
+			}
 		}
 	}
 }
 
-func checkAgainstRecompute(t *testing.T, fn ast.AggFunc, g *GroupAgg, live map[int64]int) {
+func checkAgainstRecompute(t *testing.T, name string, fn ast.AggFunc, g *GroupAgg, key []val.Value, live map[int64]int) {
 	t.Helper()
-	got, ok := g.Current(gkey("k"))
+	got, ok := g.Current(key)
 	if len(live) == 0 {
 		if ok {
-			t.Fatalf("%v: aggregate %v on empty multiset", fn, got)
+			t.Fatalf("%s/%v: aggregate %v on empty multiset", name, fn, got)
 		}
 		return
 	}
 	if !ok {
-		t.Fatalf("%v: no aggregate for non-empty multiset", fn)
+		t.Fatalf("%s/%v: no aggregate for non-empty multiset", name, fn)
 	}
 	var want int64
 	first := true
@@ -204,6 +239,42 @@ func checkAgainstRecompute(t *testing.T, fn ast.AggFunc, g *GroupAgg, live map[i
 		want = sum
 	}
 	if got.Int() != want {
-		t.Fatalf("%v: incremental %d != recomputed %d (multiset %v)", fn, got.Int(), want, live)
+		t.Fatalf("%s/%v: incremental %d != recomputed %d (multiset %v)", name, fn, got.Int(), want, live)
+	}
+}
+
+// TestGroupAggSweepKeepsLiveGroups drains most groups of a collision
+// chain so the empty-shell sweep runs, and checks it unlinks exactly
+// the empty shells: live groups keep their aggregates, drained ones are
+// gone, and a drained key can be used again.
+func TestGroupAggSweepKeepsLiveGroups(t *testing.T) {
+	g := NewGroupAgg(ast.AggMin)
+	g.post = func(h uint64) uint64 { return h & 1 }
+	const groups = 200
+	key := func(i int) []val.Value { return gkey(fmt.Sprintf("g%d", i)) }
+	for i := 0; i < groups; i++ {
+		g.Add(key(i), val.NewInt(int64(i)))
+		g.Add(key(i), val.NewInt(int64(i+1000)))
+	}
+	for i := 0; i < groups; i++ {
+		if i%4 != 0 { // drain three groups in four
+			g.Remove(key(i), val.NewInt(int64(i)))
+			g.Remove(key(i), val.NewInt(int64(i+1000)))
+		}
+	}
+	if g.empties > 64 && g.empties > g.n {
+		t.Fatalf("sweep did not run: %d empty shells beside %d live groups", g.empties, g.n)
+	}
+	if g.Groups() != groups/4 {
+		t.Fatalf("Groups() = %d, want %d", g.Groups(), groups/4)
+	}
+	for i := 0; i < groups; i++ {
+		cur, ok := g.Current(key(i))
+		if live := i%4 == 0; ok != live || (live && cur.Int() != int64(i)) {
+			t.Fatalf("group %d after sweep: current %v ok=%v", i, cur, ok)
+		}
+	}
+	if ch := g.Add(key(1), val.NewInt(7)); ch.HadOld || !ch.HasNew || ch.New.Int() != 7 {
+		t.Fatalf("re-adding to a swept group: %+v", ch)
 	}
 }

@@ -159,24 +159,36 @@ func sameTupleSet(a, b []val.Tuple) bool {
 // TestTableMatchesReferenceModel drives the hash-keyed Table and the
 // string-keyed reference model with one random stream of inserts,
 // deletes, key-deletes, and expiries, asserting identical statuses,
-// displaced tuples, and table contents throughout.
+// displaced tuples, and table contents throughout. Index buckets here
+// hold up to 18 rows (four values of the indexed column), and the
+// "collide" variants truncate every hash to two bits, so row chains and
+// index buckets also carry structurally distinct keys that only
+// equality can tell apart.
 func TestTableMatchesReferenceModel(t *testing.T) {
-	configs := []struct {
+	type config struct {
 		name    string
 		keys    []int
 		ttl     float64
 		maxSize int
-	}{
-		{"keyed-hard", []int{0, 1}, -1, 0},
-		{"wholerow-hard", nil, -1, 0},
-		{"keyed-soft", []int{0, 1}, 5, 0},
-		{"keyed-bounded", []int{0, 1}, -1, 8},
-		{"wholerow-bounded-soft", nil, 3, 6},
+		post    func(uint64) uint64
+	}
+	configs := []config{
+		{"keyed-hard", []int{0, 1}, -1, 0, nil},
+		{"wholerow-hard", nil, -1, 0, nil},
+		{"keyed-soft", []int{0, 1}, 5, 0, nil},
+		{"keyed-bounded", []int{0, 1}, -1, 8, nil},
+		{"wholerow-bounded-soft", nil, 3, 6, nil},
+	}
+	for _, cfg := range configs[:5] {
+		cfg.name += "-collide"
+		cfg.post = func(h uint64) uint64 { return h & 3 }
+		configs = append(configs, cfg)
 	}
 	for ci, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(ci) + 7))
 			tb := New("p", cfg.keys, cfg.ttl, cfg.maxSize)
+			tb.post = cfg.post
 			ref := newRef(cfg.keys, cfg.ttl, cfg.maxSize)
 			idx := tb.EnsureIndex([]int{1})
 

@@ -5,10 +5,13 @@
 // semi-naïve evaluation, and soft-state TTL expiry.
 //
 // Rows and indexes are keyed by 64-bit hashes of the key columns
-// (val.Tuple.HashOn), with short collision buckets resolved by
-// structural equality. Nothing on the insert/lookup/delete path formats
-// a value into a string; val.Tuple.Key and KeyOn exist only for display
-// and deterministic test output.
+// (val.Tuple.HashOn), with collisions resolved by structural equality.
+// Neither allocates a bucket per key (DESIGN.md §12): rows with one
+// primary-key hash chain through the entries themselves, and an index
+// bucket keeps its first entry inline in the map. Nothing on the
+// insert/lookup/delete path formats a value into a string;
+// val.Tuple.Key and KeyOn exist only for display and deterministic test
+// output.
 //
 // Ownership: tables are single-owner (one engine node each, no internal
 // locking). A stored Entry and its Tuple belong to the table; callers
@@ -26,9 +29,16 @@ import (
 	"ndlog/internal/val"
 )
 
-// Entry is a stored tuple plus engine bookkeeping.
+// Entry is a stored tuple plus engine bookkeeping. The field order packs
+// it into the 96-byte allocation class with the row chain link included
+// (pinned by TestLayoutSizes); pointers come first so the collector's
+// scan stops early.
 type Entry struct {
 	Tuple val.Tuple
+	// next chains the entries stored under one primary-key hash
+	// (Table.rows): the row map holds the chain head, so a row costs no
+	// bucket allocation of its own.
+	next *Entry
 	// Count is the number of outstanding derivations of this exact tuple
 	// (the count algorithm). The tuple is removed when Count reaches 0.
 	Count int
@@ -39,6 +49,11 @@ type Entry struct {
 	// Expires is the virtual time at which this entry dies (soft state);
 	// negative means never (hard state).
 	Expires float64
+	// pkHash is the primary-key hash the entry is stored under; cached so
+	// deletes and index maintenance never rehash the tuple.
+	pkHash uint64
+	// PooledEpoch is the interner epoch at pooling time (see Pooled).
+	PooledEpoch int32
 	// Adv records whether the engine has run this tuple's trigger strands
 	// (its "advertisement"). The aggregate-selection optimization defers
 	// or suppresses trigger strands for tuples that do not improve their
@@ -46,15 +61,9 @@ type Entry struct {
 	Adv bool
 	// Pooled records that the engine has interned this row (second-touch
 	// pooling): further duplicate inserts skip the pool probe entirely.
-	// PooledEpoch is the interner epoch at pooling time; once the pool
-	// has flipped twice since, the canonical may have been evicted and
-	// the engine re-interns on the next duplicate.
-	Pooled      bool
-	PooledEpoch int
-
-	// pkHash is the primary-key hash the entry is stored under; cached so
-	// deletes and index maintenance never rehash the tuple.
-	pkHash uint64
+	// Once the pool has flipped twice since PooledEpoch, the canonical may
+	// have been evicted and the engine re-interns on the next duplicate.
+	Pooled bool
 	// dead marks an entry removed from rows that may still sit in the
 	// FIFO eviction list awaiting compaction.
 	dead bool
@@ -94,8 +103,8 @@ type Table struct {
 	ttl      float64
 	maxSize  int
 
-	rows map[uint64][]*Entry // pk hash -> collision bucket
-	n    int                 // live row count
+	rows map[uint64]*Entry // pk hash -> collision chain (Entry.next)
+	n    int               // live row count
 
 	// FIFO eviction list, maintained only for bounded tables
 	// (maxSize > 0). head indexes the oldest candidate; dead counts
@@ -108,6 +117,11 @@ type Table struct {
 
 	indexes map[string]*Index
 	idxList []*Index
+
+	// post, when non-nil, maps every primary-key and index hash before
+	// bucket lookup. Tests inject truncating maps to force structurally
+	// distinct keys into one bucket; production tables leave it nil.
+	post func(uint64) uint64
 }
 
 // Index is a secondary index over a fixed column set, keyed by the hash
@@ -116,35 +130,67 @@ type Table struct {
 // the caller (the join path re-checks every field via unification).
 type Index struct {
 	cols []int
-	m    map[uint64][]*Entry
+	m    map[uint64]Bucket
+	post func(uint64) uint64 // the owning table's test hook
+}
+
+// Bucket is the ordered sequence of entries stored under one index hash.
+// The first entry lives inline in the index map's value, so the common
+// one-entry bucket allocates nothing; later entries overflow into rest.
+// The sequence [first, rest...] is maintained exactly like a slice under
+// append and swap-remove, so iteration order — which decides the order a
+// join emits its derivations in — does not depend on the layout.
+type Bucket struct {
+	first *Entry
+	rest  []*Entry
+}
+
+// Len returns the number of entries in the bucket.
+func (b Bucket) Len() int {
+	if b.first == nil {
+		return 0
+	}
+	return 1 + len(b.rest)
+}
+
+// At returns the i'th entry, 0 <= i < Len().
+func (b Bucket) At(i int) *Entry {
+	if i == 0 {
+		return b.first
+	}
+	return b.rest[i-1]
 }
 
 // Cols returns the indexed columns. Callers must not mutate the slice.
 func (ix *Index) Cols() []int { return ix.cols }
 
+func (ix *Index) slot(h uint64) uint64 {
+	if ix.post != nil {
+		return ix.post(h)
+	}
+	return h
+}
+
 // Bucket returns the raw collision bucket for hash h. Entries whose
 // projection merely collides with the probe are included; callers must
 // verify matches (e.g. by unifying every bound column).
-func (ix *Index) Bucket(h uint64) []*Entry { return ix.m[h] }
+func (ix *Index) Bucket(h uint64) Bucket { return ix.m[ix.slot(h)] }
 
 // Match returns the entries whose projection onto the index columns
-// equals vals. In the common collision-free case it returns the bucket
-// without copying.
+// equals vals, in bucket order, as a fresh slice the caller owns.
 func (ix *Index) Match(vals []val.Value) []*Entry {
-	bucket := ix.m[val.HashValues(vals)]
-	for i, e := range bucket {
-		if !ix.matches(e, vals) {
-			// Rare collision: build a filtered copy.
-			out := append([]*Entry(nil), bucket[:i]...)
-			for _, e2 := range bucket[i+1:] {
-				if ix.matches(e2, vals) {
-					out = append(out, e2)
-				}
-			}
-			return out
+	b := ix.Bucket(val.HashValues(vals))
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]*Entry, 0, n)
+	for i := 0; i < n; i++ {
+		if e := b.At(i); ix.matches(e, vals) {
+			out = append(out, e)
 		}
 	}
-	return bucket
+	return out
 }
 
 func (ix *Index) matches(e *Entry, vals []val.Value) bool {
@@ -160,28 +206,45 @@ func (ix *Index) matches(e *Entry, vals []val.Value) bool {
 	return true
 }
 
-func (ix *Index) key(e *Entry) uint64 { return e.Tuple.HashOn(ix.cols) }
+func (ix *Index) key(e *Entry) uint64 { return ix.slot(e.Tuple.HashOn(ix.cols)) }
 
 func (ix *Index) add(e *Entry) {
 	k := ix.key(e)
-	ix.m[k] = append(ix.m[k], e)
+	b := ix.m[k]
+	if b.first == nil {
+		b.first = e
+	} else {
+		b.rest = append(b.rest, e)
+	}
+	ix.m[k] = b
 }
 
+// remove swap-removes e from its bucket: the last entry of the sequence
+// takes e's position.
 func (ix *Index) remove(e *Entry) {
 	k := ix.key(e)
-	list := ix.m[k]
-	for i := range list {
-		if list[i] == e {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			break
+	b := ix.m[k]
+	last := len(b.rest) - 1
+	switch {
+	case b.first == e:
+		if last < 0 {
+			delete(ix.m, k)
+			return
 		}
+		b.first = b.rest[last]
+	default:
+		i := 0
+		for i <= last && b.rest[i] != e {
+			i++
+		}
+		if i > last {
+			return
+		}
+		b.rest[i] = b.rest[last]
 	}
-	if len(list) == 0 {
-		delete(ix.m, k)
-	} else {
-		ix.m[k] = list
-	}
+	b.rest[last] = nil
+	b.rest = b.rest[:last]
+	ix.m[k] = b
 }
 
 // New creates a table. keys lists primary-key columns (0-based); empty
@@ -194,7 +257,7 @@ func New(name string, keys []int, ttl float64, maxSize int) *Table {
 		keys:     append([]int(nil), keys...),
 		ttl:      ttl,
 		maxSize:  maxSize,
-		rows:     map[uint64][]*Entry{},
+		rows:     map[uint64]*Entry{},
 		indexes:  map[string]*Index{},
 	}
 }
@@ -216,10 +279,16 @@ func (t *Table) TTL() float64 { return t.ttl }
 func (t *Table) Len() int { return t.n }
 
 func (t *Table) pkHash(tp val.Tuple) uint64 {
+	var h uint64
 	if len(t.keys) == 0 {
-		return tp.Hash()
+		h = tp.Hash()
+	} else {
+		h = tp.HashOn(t.keys)
 	}
-	return tp.HashOn(t.keys)
+	if t.post != nil {
+		h = t.post(h)
+	}
+	return h
 }
 
 // pkEqual reports whether two tuples share a primary key.
@@ -245,7 +314,12 @@ func (t *Table) pkEqual(a, b val.Tuple) bool {
 
 // find returns the entry whose primary key matches tp under hash h.
 func (t *Table) find(h uint64, tp val.Tuple) *Entry {
-	for _, e := range t.rows[h] {
+	return t.findIn(t.rows[h], tp)
+}
+
+// findIn is find over a chain the caller already looked up.
+func (t *Table) findIn(head *Entry, tp val.Tuple) *Entry {
+	for e := head; e != nil; e = e.next {
 		if t.pkEqual(e.Tuple, tp) {
 			return e
 		}
@@ -257,19 +331,21 @@ func (t *Table) find(h uint64, tp val.Tuple) *Entry {
 // the caller already consumed e from the FIFO order window; otherwise e
 // keeps a dead marker there until compaction.
 func (t *Table) removeRow(e *Entry, popped bool) {
-	bucket := t.rows[e.pkHash]
-	for i := range bucket {
-		if bucket[i] == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
+	if head := t.rows[e.pkHash]; head == e {
+		if e.next == nil {
+			delete(t.rows, e.pkHash)
+		} else {
+			t.rows[e.pkHash] = e.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == e {
+				p.next = e.next
+				break
+			}
 		}
 	}
-	if len(bucket) == 0 {
-		delete(t.rows, e.pkHash)
-	} else {
-		t.rows[e.pkHash] = bucket
-	}
+	e.next = nil
 	t.n--
 	t.removeFromIndexes(e)
 	if t.maxSize > 0 {
@@ -348,7 +424,8 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 	if t.ttl >= 0 {
 		expires = now + t.ttl
 	}
-	if e := t.find(h, tp); e != nil {
+	head := t.rows[h]
+	if e := t.findIn(head, tp); e != nil {
 		if e.Tuple.Equal(tp) {
 			// Hard state counts derivations; soft state instead treats a
 			// duplicate insert as a refresh (the paper's soft-state
@@ -374,8 +451,8 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 		return InsertResult{Status: StatusReplaced, Replaced: old,
 			ReplacedAdv: oldAdv, ReplacedStamp: oldStamp}
 	}
-	e := &Entry{Tuple: tp, Count: 1, Stamp: stamp, Expires: expires, pkHash: h}
-	t.rows[h] = append(t.rows[h], e)
+	e := &Entry{Tuple: tp, next: head, Count: 1, Stamp: stamp, Expires: expires, pkHash: h}
+	t.rows[h] = e
 	t.n++
 	t.addToIndexes(e)
 	res := InsertResult{Status: StatusNew}
@@ -463,8 +540,8 @@ func (t *Table) Count(tp val.Tuple) int {
 
 // Scan visits every live entry; return false from fn to stop early.
 func (t *Table) Scan(fn func(*Entry) bool) {
-	for _, bucket := range t.rows {
-		for _, e := range bucket {
+	for _, head := range t.rows {
+		for e := head; e != nil; e = e.next {
 			if !fn(e) {
 				return
 			}
@@ -475,11 +552,10 @@ func (t *Table) Scan(fn func(*Entry) bool) {
 // Tuples returns all live tuples in deterministic (Tuple.Compare) order.
 func (t *Table) Tuples() []val.Tuple {
 	out := make([]val.Tuple, 0, t.n)
-	for _, bucket := range t.rows {
-		for _, e := range bucket {
-			out = append(out, e.Tuple)
-		}
-	}
+	t.Scan(func(e *Entry) bool {
+		out = append(out, e.Tuple)
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -503,12 +579,11 @@ func (t *Table) EnsureIndex(cols []int) *Index {
 	if ix, ok := t.indexes[sig]; ok {
 		return ix
 	}
-	ix := &Index{cols: append([]int(nil), cols...), m: map[uint64][]*Entry{}}
-	for _, bucket := range t.rows {
-		for _, e := range bucket {
-			ix.add(e)
-		}
-	}
+	ix := &Index{cols: append([]int(nil), cols...), m: map[uint64]Bucket{}, post: t.post}
+	t.Scan(func(e *Entry) bool {
+		ix.add(e)
+		return true
+	})
 	t.indexes[sig] = ix
 	t.idxList = append(t.idxList, ix)
 	return ix
@@ -533,13 +608,12 @@ func (t *Table) ExpireBefore(now float64) []val.Tuple {
 		return nil
 	}
 	var dead []*Entry
-	for _, bucket := range t.rows {
-		for _, e := range bucket {
-			if e.Expires >= 0 && e.Expires <= now {
-				dead = append(dead, e)
-			}
+	t.Scan(func(e *Entry) bool {
+		if e.Expires >= 0 && e.Expires <= now {
+			dead = append(dead, e)
 		}
-	}
+		return true
+	})
 	var expired []val.Tuple
 	for _, e := range dead {
 		expired = append(expired, e.Tuple)

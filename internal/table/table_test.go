@@ -148,7 +148,7 @@ func TestIndexMatchVerifies(t *testing.T) {
 	if got := idx.Match([]val.Value{val.NewString("b")}); len(got) != 0 {
 		t.Errorf("Match(string b) = %v", got)
 	}
-	if got := idx.Bucket(val.HashValues([]val.Value{val.NewAddr("zzz")})); len(got) != 0 {
+	if got := idx.Bucket(val.HashValues([]val.Value{val.NewAddr("zzz")})); got.Len() != 0 {
 		t.Errorf("Bucket(zzz) = %v", got)
 	}
 	// A probe of the wrong width matches nothing.

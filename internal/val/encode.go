@@ -26,21 +26,23 @@ var ErrCorrupt = errors.New("val: corrupt encoding")
 // AppendValue appends the wire encoding of v to dst and returns the
 // extended slice.
 func AppendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	dst = append(dst, byte(k))
+	switch k {
 	case KindNil:
 	case KindAddr, KindString:
-		dst = appendString(dst, v.s)
+		dst = appendString(dst, v.str())
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, v.i64())
 	case KindBool:
-		dst = append(dst, byte(v.i))
+		dst = append(dst, byte(v.word()))
 	case KindFloat:
-		dst = binary.AppendUvarint(dst, math.Float64bits(v.f))
+		dst = binary.AppendUvarint(dst, v.word())
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.l)))
-		for i := range v.l {
-			dst = AppendValue(dst, v.l[i])
+		l := v.list()
+		dst = binary.AppendUvarint(dst, uint64(len(l)))
+		for i := range l {
+			dst = AppendValue(dst, l[i])
 		}
 	}
 	return dst
@@ -136,7 +138,7 @@ func decodeValueIn(b []byte, in *Interner) (Value, int, error) {
 			vs = append(vs, v)
 			n += m
 		}
-		return NewList(vs...), n, nil
+		return listOf(vs), n, nil
 	}
 	return Nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
 }
@@ -250,19 +252,20 @@ func EncodedSize(t Tuple) int {
 
 func valueSize(v Value) int {
 	n := 1
-	switch v.kind {
+	switch v.Kind() {
 	case KindAddr, KindString:
-		n += uvarintLen(uint64(len(v.s))) + len(v.s)
+		n += uvarintLen(v.word()) + int(v.word())
 	case KindInt:
-		n += varintLen(v.i)
+		n += varintLen(v.i64())
 	case KindBool:
 		n++
 	case KindFloat:
-		n += uvarintLen(math.Float64bits(v.f))
+		n += uvarintLen(v.word())
 	case KindList:
-		n += uvarintLen(uint64(len(v.l)))
-		for i := range v.l {
-			n += valueSize(v.l[i])
+		l := v.list()
+		n += uvarintLen(uint64(len(l)))
+		for i := range l {
+			n += valueSize(l[i])
 		}
 	}
 	return n

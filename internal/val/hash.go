@@ -1,7 +1,5 @@
 package val
 
-import "math"
-
 // Streaming 64-bit FNV-1a folding, shared by every hash in the engine.
 // The storage layer keys its row and index maps by these hashes (with
 // structural equality resolving collisions), so the same byte sequence
@@ -87,21 +85,22 @@ func (h Hash64) AddBytes(b []byte) Hash64 {
 // AddValue folds one value: kind tag, then the payload in its native
 // binary form (no decimal formatting).
 func (h Hash64) AddValue(v Value) Hash64 {
-	h = h.addByte(byte(v.kind))
-	switch v.kind {
+	k := v.Kind()
+	h = h.addByte(byte(k))
+	switch k {
 	case KindAddr, KindString:
-		h = h.AddString(v.s)
-	case KindInt, KindBool:
-		h = h.addUint64(uint64(v.i))
-	case KindFloat:
-		h = h.addUint64(math.Float64bits(v.f))
+		h = h.AddString(v.str())
+	case KindInt, KindBool, KindFloat:
+		// The payload word: the int, 0/1, or the canonical float bits.
+		h = h.addUint64(v.word())
 	case KindList:
 		// Fold the length, then the list's own whole hash: composing the
 		// sub-hash (instead of splicing element folds) lets callers that
 		// already hashed a list reuse that hash when folding an
 		// enclosing key (see Interner.hashList).
-		h = h.addUint64(uint64(len(v.l)))
-		h = h.addUint64(HashValues(v.l))
+		l := v.list()
+		h = h.addUint64(uint64(len(l)))
+		h = h.addUint64(HashValues(l))
 	}
 	return h
 }

@@ -252,7 +252,7 @@ func InternWorthy(fields []Value) bool {
 		return true
 	}
 	for i := range fields {
-		if fields[i].kind == KindList {
+		if fields[i].Kind() == KindList {
 			return true
 		}
 	}
@@ -271,12 +271,14 @@ func HashPredicate(pred string) Hash64 { return NewHash().AddString(pred) }
 // this splice is exact.
 func (in *Interner) tupleKey(ph Hash64, fields []Value) uint64 {
 	for i := range fields {
-		f := &fields[i]
-		if f.kind == KindList && len(f.l) > 0 && &f.l[0] == in.memoPtr && len(f.l) == in.memoLen {
-			ph = ph.addByte(byte(KindList)).addUint64(uint64(len(f.l))).addUint64(in.memoHash)
-			continue
+		f := fields[i]
+		if f.Kind() == KindList {
+			if l := f.list(); len(l) > 0 && &l[0] == in.memoPtr && len(l) == in.memoLen {
+				ph = ph.addByte(byte(KindList)).addUint64(uint64(len(l))).addUint64(in.memoHash)
+				continue
+			}
 		}
-		ph = ph.AddValue(*f)
+		ph = ph.AddValue(f)
 	}
 	k := ph.Sum()
 	if in.post != nil {
@@ -429,18 +431,21 @@ func (in *Interner) internKeyed(h uint64, t Tuple) Tuple {
 	// fields slice instead.
 	var fs []Value
 	for i := range t.Fields {
-		f := t.Fields[i]
-		if f.kind != KindList || len(f.l) == 0 {
+		if t.Fields[i].Kind() != KindList {
 			continue
 		}
-		cl := in.adoptValues(f.l)
-		if &cl[0] == &f.l[0] {
+		l := t.Fields[i].list()
+		if len(l) == 0 {
+			continue
+		}
+		cl := in.adoptValues(l)
+		if &cl[0] == &l[0] {
 			continue // pool adopted t's own storage; nothing to rewrite
 		}
 		if fs == nil {
 			fs = append([]Value(nil), t.Fields...)
 		}
-		fs[i] = Value{kind: KindList, l: cl}
+		fs[i] = listOf(cl)
 	}
 	if fs != nil {
 		t = Tuple{Pred: t.Pred, Fields: fs}
@@ -623,21 +628,21 @@ func (in *Interner) resolveList(vs []Value) Value {
 		c, ok := s.in.findListH(in.listKey(raw), vs)
 		s.mu.Unlock()
 		if ok {
-			return Value{kind: KindList, l: c}
+			return listOf(c)
 		}
 		cp := make([]Value, len(vs))
 		copy(cp, vs)
-		return Value{kind: KindList, l: cp}
+		return listOf(cp)
 	}
 	h := in.listKey(raw)
 	if c, ok := in.findListH(h, vs); ok {
 		in.memoize(c, raw)
-		return Value{kind: KindList, l: c}
+		return listOf(c)
 	}
 	cp := make([]Value, len(vs))
 	copy(cp, vs)
 	in.memoize(cp, raw)
-	return Value{kind: KindList, l: cp}
+	return listOf(cp)
 }
 
 // InternString returns the canonical copy of s.

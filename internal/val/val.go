@@ -6,6 +6,13 @@
 // Values are immutable once constructed. Lists share backing storage, so
 // callers must not mutate the slice passed to NewList after construction.
 //
+// A Value is three words (DESIGN.md §12): a kind tag, one 64-bit payload
+// word and one pointer. Strings and lists keep only their data pointer
+// and length; the accessors rebuild the Go string or slice on demand.
+// This file is the only one in the repository that imports unsafe
+// (cmd/ndvet's unsafeimport pass enforces it); the rest of the package
+// reads values through the unexported accessors below, never the fields.
+//
 // Two more invariants anchor the rest of the system: wire decoding
 // copies — a decoded value or tuple never aliases the input buffer, so
 // transports may reuse receive buffers — and interning (Interner)
@@ -16,9 +23,11 @@ package val
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates the dynamic type of a Value.
@@ -58,12 +67,19 @@ func (k Kind) String() string {
 }
 
 // Value is a single NDlog field value. The zero Value is Nil.
+//
+// Soundness of the pointer word: p is only ever taken from a live Go
+// string or []Value (unsafe.StringData / unsafe.SliceData in the two
+// constructors below) and n is that object's length, so the garbage
+// collector sees an ordinary pointer into the backing array and
+// unsafe.String / unsafe.Slice rebuild exactly the header the
+// constructor was given (minus spare capacity). p is nil whenever the
+// length is zero and for every scalar kind, which makes (kind, n, p)
+// equality a sufficient test for Equal.
 type Value struct {
+	p    unsafe.Pointer // string bytes, or first element of a list
+	n    uint64         // int, bool (0/1), float bits, or len of string/list
 	kind Kind
-	i    int64   // int and bool (0/1)
-	f    float64 // float
-	s    string  // string and addr
-	l    []Value // list
 }
 
 // Nil is the absent value.
@@ -71,29 +87,68 @@ var Nil = Value{}
 
 // NewAddr returns an address value. Addresses identify network locations
 // and are the type carried by location-specifier attributes.
-func NewAddr(a string) Value { return Value{kind: KindAddr, s: a} }
+func NewAddr(a string) Value { return stringOf(KindAddr, a) }
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
-// NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+// canonNaN is the one NaN bit pattern a float Value can hold.
+const canonNaN = 0x7FF8000000000001
+
+// NewFloat returns a float value. Floats are canonicalised so that Equal
+// values have equal payload words — and therefore equal hashes and wire
+// bytes: -0 becomes +0 and every NaN becomes one quiet NaN.
+func NewFloat(v float64) Value {
+	switch {
+	case v == 0:
+		return Value{kind: KindFloat}
+	case v != v:
+		return Value{kind: KindFloat, n: canonNaN}
+	}
+	return Value{kind: KindFloat, n: math.Float64bits(v)}
+}
 
 // NewString returns a string value.
-func NewString(v string) Value { return Value{kind: KindString, s: v} }
+func NewString(v string) Value { return stringOf(KindString, v) }
 
 // NewBool returns a boolean value.
 func NewBool(v bool) Value {
-	var i int64
 	if v {
-		i = 1
+		return Value{kind: KindBool, n: 1}
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool}
 }
 
 // NewList returns a list value wrapping vs. The caller must not mutate vs
 // afterwards.
-func NewList(vs ...Value) Value { return Value{kind: KindList, l: vs} }
+func NewList(vs ...Value) Value { return listOf(vs) }
+
+func stringOf(k Kind, s string) Value {
+	if len(s) == 0 {
+		return Value{kind: k}
+	}
+	return Value{kind: k, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+}
+
+// listOf is NewList without the variadic call shape.
+func listOf(vs []Value) Value {
+	if len(vs) == 0 {
+		return Value{kind: KindList}
+	}
+	return Value{kind: KindList, n: uint64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+}
+
+// Unchecked payload accessors for the rest of the package: the caller
+// has already switched on Kind.
+
+func (v Value) str() string   { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) list() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+func (v Value) i64() int64    { return int64(v.n) }
+func (v Value) f64() float64  { return math.Float64frombits(v.n) }
+
+// word is the payload word: the int, bool or float bits of a scalar, the
+// length of a string or list.
+func (v Value) word() uint64 { return v.n }
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -106,7 +161,7 @@ func (v Value) Addr() string {
 	if v.kind != KindAddr {
 		panic("val: Addr on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
 
 // Int returns the integer payload. It panics if v is not an int.
@@ -114,7 +169,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic("val: Int on " + v.kind.String())
 	}
-	return v.i
+	return v.i64()
 }
 
 // Float returns the float payload, converting from int if necessary.
@@ -122,9 +177,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f64()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i64())
 	}
 	panic("val: Float on " + v.kind.String())
 }
@@ -134,7 +189,7 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic("val: Str on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
 
 // Bool returns the boolean payload. It panics if v is not a bool.
@@ -142,7 +197,7 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic("val: Bool on " + v.kind.String())
 	}
-	return v.i != 0
+	return v.n != 0
 }
 
 // List returns the list payload. It panics if v is not a list. Callers
@@ -151,37 +206,32 @@ func (v Value) List() []Value {
 	if v.kind != KindList {
 		panic("val: List on " + v.kind.String())
 	}
-	return v.l
+	return v.list()
 }
 
 // IsNumeric reports whether v is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Equal reports deep equality of two values. Ints and floats are equal
-// only if both kind and numeric value match (1 != 1.0), keeping equality
-// consistent with Hash.
+// only if both kind and numeric value match (1 != 1.0), and floats
+// compare by their canonical payload word (NaN equals NaN, see
+// NewFloat), keeping equality consistent with Hash.
 func (v Value) Equal(o Value) bool {
-	if v.kind != o.kind {
+	if v.kind != o.kind || v.n != o.n {
 		return false
 	}
-	switch v.kind {
-	case KindNil:
+	if v.p == o.p {
+		// Scalars (p is nil, the word is the whole value) and shared
+		// canonical storage (interned strings and lists).
 		return true
+	}
+	switch v.kind {
 	case KindAddr, KindString:
-		return v.s == o.s
-	case KindInt, KindBool:
-		return v.i == o.i
-	case KindFloat:
-		return v.f == o.f
+		return v.str() == o.str()
 	case KindList:
-		if len(v.l) != len(o.l) {
-			return false
-		}
-		if len(v.l) > 0 && &v.l[0] == &o.l[0] {
-			return true // shared canonical storage (interned lists)
-		}
-		for i := range v.l {
-			if !v.l[i].Equal(o.l[i]) {
+		vl, ol := v.list(), o.list()
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -193,14 +243,15 @@ func (v Value) Equal(o Value) bool {
 // Compare orders values. Values of different kinds order by kind; within a
 // kind the natural order applies; lists order lexicographically. The result
 // is -1, 0, or +1. Numeric cross-kind comparison (int vs float) compares by
-// numeric value first and breaks ties by kind so that Compare remains a
-// total order consistent with Equal.
+// numeric value first and breaks ties by kind, and NaN sorts below every
+// other number, so that Compare remains a total order consistent with
+// Equal.
 func (v Value) Compare(o Value) int {
 	if v.kind == KindInt && o.kind == KindInt {
 		// Compare ints exactly: the float path below would collapse
 		// distinct values beyond 2^53, breaking the total order Tuples()
 		// ordering depends on.
-		return cmpInt(v.i, o.i)
+		return cmpInt(v.i64(), o.i64())
 	}
 	vn, on := v.IsNumeric(), o.IsNumeric()
 	if vn && on {
@@ -210,6 +261,16 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case vf > of:
 			return 1
+		case vf != vf || of != of:
+			// Only floats are NaN, and there is one NaN: it equals itself
+			// and is smaller than anything else.
+			switch {
+			case vf == vf:
+				return 1
+			case of == of:
+				return -1
+			}
+			return 0
 		}
 		return cmpInt(int64(v.kind), int64(o.kind))
 	}
@@ -220,20 +281,18 @@ func (v Value) Compare(o Value) int {
 	case KindNil:
 		return 0
 	case KindAddr, KindString:
-		return strings.Compare(v.s, o.s)
+		return strings.Compare(v.str(), o.str())
 	case KindBool:
-		return cmpInt(v.i, o.i)
+		return cmpInt(v.i64(), o.i64())
 	case KindList:
-		n := len(v.l)
-		if len(o.l) < n {
-			n = len(o.l)
-		}
+		vl, ol := v.list(), o.list()
+		n := min(len(vl), len(ol))
 		for i := 0; i < n; i++ {
-			if c := v.l[i].Compare(o.l[i]); c != 0 {
+			if c := vl[i].Compare(ol[i]); c != 0 {
 				return c
 			}
 		}
-		return cmpInt(int64(len(v.l)), int64(len(o.l)))
+		return cmpInt(int64(len(vl)), int64(len(ol)))
 	}
 	return 0
 }
@@ -255,26 +314,26 @@ func (v Value) String() string {
 	case KindNil:
 		return "nil"
 	case KindAddr:
-		return v.s
+		return v.str()
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i64(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f64(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
 	case KindList:
 		var b strings.Builder
 		b.WriteByte('[')
-		for i := range v.l {
+		for i, e := range v.list() {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(v.l[i].String())
+			b.WriteString(e.String())
 		}
 		b.WriteByte(']')
 		return b.String()

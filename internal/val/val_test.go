@@ -192,13 +192,27 @@ func TestSortValues(t *testing.T) {
 	}
 }
 
+// edgeValues are the payloads the compact layout could get wrong: zero
+// lengths (nil pointer word), both zeros, NaNs of different payloads,
+// infinities, and the integer extremes.
+var edgeValues = []Value{
+	NewString(""), NewAddr(""), NewList(), NewList(NewList(), NewString("")),
+	NewFloat(0), NewFloat(math.Copysign(0, -1)),
+	NewFloat(math.NaN()), NewFloat(math.Float64frombits(0xFFF0000000000BAD)),
+	NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)),
+	NewInt(math.MinInt64), NewInt(math.MaxInt64), NewInt(0),
+	NewFloat(float64(math.MaxInt64)), NewFloat(1 << 53), NewInt(1<<53 + 1),
+}
+
 // randomValue builds a random value of bounded depth for property tests.
 func randomValue(r *rand.Rand, depth int) Value {
-	k := r.Intn(7)
+	k := r.Intn(8)
 	if depth <= 0 && k == 6 {
 		k = r.Intn(6)
 	}
 	switch k {
+	case 7:
+		return edgeValues[r.Intn(len(edgeValues))]
 	case 0:
 		return Nil
 	case 1:
