@@ -54,7 +54,6 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "convergence timeout for -shards")
 	latency := flag.Duration("latency", 10*time.Millisecond, "link latency for distributed execution")
 	aggsel := flag.Bool("aggsel", true, "enable aggregate selections")
-	arena := flag.Bool("arena", false, "per-drain arena interning for transient tuples (long-running forwarding workloads)")
 	psnBatch := flag.Int("psn-batch", 0, "batch-at-a-time PSN: flush trigger strands every N deltas (0 or 1: tuple-at-a-time; fixpoints are byte-identical either way)")
 	sharedSockets := flag.Bool("shared-sockets", false, "with -shards: route each worker's nodes through a shared socket set drained by a bounded demux pool instead of one socket+goroutine per node")
 	groupCommit := flag.Bool("group-commit", false, "with -shards -data: one shard-wide WAL per worker (one fsync per drain instead of one per node)")
@@ -76,7 +75,7 @@ func main() {
 		fail(err)
 	}
 
-	opts := engine.Options{AggSel: *aggsel, ArenaIntern: *arena, PSNBatch: *psnBatch}
+	opts := engine.Options{AggSel: *aggsel, PSNBatch: *psnBatch}
 	if *trace && len(prog.Watches) > 0 {
 		watched := map[string]bool{}
 		for _, w := range prog.Watches {
@@ -105,7 +104,7 @@ func main() {
 			fail(err)
 		}
 		sOpts := shard.Options{
-			AggSel: *aggsel, ArenaIntern: *arena, DataDir: *data,
+			AggSel: *aggsel, DataDir: *data,
 			Parallelism: max(*parallel, 0), PSNBatch: *psnBatch,
 			SharedSockets: *sharedSockets, GroupCommit: *groupCommit,
 		}
@@ -115,9 +114,9 @@ func main() {
 		}
 	} else if *parallel != 0 {
 		// In-process parallel executor: one runtime per node address,
-		// independent nodes drained concurrently on a bounded worker pool
-		// sharing a concurrent interner. Real concurrency, no modeled
-		// latency — the multi-core counterpart of -dist.
+		// independent nodes drained concurrently on a bounded worker
+		// pool. Real concurrency, no modeled latency — the multi-core
+		// counterpart of -dist.
 		if *parallel > 0 {
 			opts.Parallelism = *parallel
 		} // negative: leave 0, which resolves to GOMAXPROCS

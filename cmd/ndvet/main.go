@@ -1,7 +1,6 @@
 // Command ndvet runs the repo's custom Go invariant lints (see
-// internal/govet): atomic-counter discipline, the parallel-worker
-// interner-capture check, and the fence that keeps package unsafe
-// inside internal/val/val.go. It is stdlib-only — the usual
+// internal/govet): atomic-counter discipline and the fence that keeps
+// package unsafe inside internal/val/val.go. It is stdlib-only — the usual
 // golang.org/x/tools analysis driver is not vendored in this build
 // environment, so internal/govet provides the framework.
 //

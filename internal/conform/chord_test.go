@@ -58,7 +58,7 @@ func verifyLookups(t *testing.T, r *ChordRun, count int) {
 // again.
 func TestChordConformance(t *testing.T) {
 	o := DefaultChordOpts(42)
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes, o.Reserve = 25, 4
 	}
 	r, err := NewChordRun(o)
@@ -72,7 +72,7 @@ func TestChordConformance(t *testing.T) {
 	// tail, so bring-up convergence grows with n. 25 nodes settle around
 	// t=70; 100 need a few hundred virtual seconds.
 	deadline := 400.0
-	if testing.Short() {
+	if !*fullSoak {
 		deadline = 120
 	}
 	r.RunUntil(30)
@@ -84,7 +84,7 @@ func TestChordConformance(t *testing.T) {
 
 	churnStart := r.Net.Sim.Now() + 2
 	leaves := 6
-	if testing.Short() {
+	if !*fullSoak {
 		leaves = 4
 	}
 	r.Churn(churnStart, 10, r.Opts.Reserve, leaves)

@@ -30,7 +30,7 @@ func awaitFresh(t *testing.T, r *GossipRun, scope []string, maxRounds int) {
 // and a late joiner's counter disseminates within the bound again.
 func TestGossipConformance(t *testing.T) {
 	o := DefaultGossipOpts(5)
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes = 20
 	}
 	r, err := NewGossipRun(o)
@@ -75,7 +75,7 @@ func TestGossipPartition(t *testing.T) {
 	o := DefaultGossipOpts(9)
 	o.Loss = 0.05
 	o.Jitter = 0.01
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes = 20
 	}
 	r, err := NewGossipRun(o)

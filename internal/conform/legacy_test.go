@@ -57,7 +57,7 @@ func churnEpisodes(g *graphRun, episodes int, maxCost int64, settle func()) {
 func TestPathVectorConformance(t *testing.T) {
 	o := DefaultPathVectorOpts(21)
 	episodes := 4
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes, o.Chords = 10, 4
 		episodes = 2
 	}
@@ -82,7 +82,7 @@ func TestPathVectorConformance(t *testing.T) {
 func TestMulticastConformance(t *testing.T) {
 	o := DefaultMulticastOpts(33)
 	episodes := 4
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes, o.Chords, o.Members = 12, 4, 4
 		episodes = 2
 	}
@@ -108,7 +108,7 @@ func TestMulticastConformance(t *testing.T) {
 func TestDSRConformance(t *testing.T) {
 	o := DefaultDSROpts(55)
 	episodes := 3
-	if testing.Short() {
+	if !*fullSoak {
 		episodes = 2
 	}
 	r, err := NewDSRRun(o)

@@ -30,7 +30,7 @@ func awaitRoutes(t *testing.T, r *LinkStateRun, deadline float64) {
 // new oracle.
 func TestLinkStateConformance(t *testing.T) {
 	o := DefaultLinkStateOpts(11)
-	if testing.Short() {
+	if !*fullSoak {
 		o.Nodes, o.Chords = 10, 4
 	}
 	r, err := NewLinkStateRun(o)
@@ -42,7 +42,7 @@ func TestLinkStateConformance(t *testing.T) {
 	t.Logf("initial routes converged by t=%.1f", r.Net.Sim.Now())
 
 	episodes := 6
-	if testing.Short() {
+	if !*fullSoak {
 		episodes = 3
 	}
 	var downA, downB string

@@ -14,30 +14,23 @@ type Central struct {
 	prog *program
 }
 
-// NewCentral compiles prog for single-site evaluation. The central node
-// keeps one interner shared by every predicate and every evaluation
-// round: all derived, decoded, and stored tuples of the whole run
-// resolve to single canonical copies.
+// NewCentral compiles prog for single-site evaluation.
 //
 // With Options.Parallelism resolving above 1 (the default tracks
 // GOMAXPROCS), the node evaluates semi-naïve rounds and rederivation
 // sweeps on an intra-node worker pool — rule strands over the round's
-// accepted inserts run concurrently against a sharded concurrent
-// interner, with a barrier between rounds and derivations merged in
-// insert order, so the fixpoint is identical to a sequential run's.
-// PSN drains fan out the same way when Options.PSNBatch batches enough
-// deltas per flush (tuple-at-a-time otherwise); per-derivation hooks
-// (StrandFilter, OnDerive) or ArenaIntern force sequential evaluation.
+// accepted inserts run concurrently over tables frozen for the round,
+// with a barrier between rounds and derivations merged in insert order,
+// so the fixpoint is identical to a sequential run's. PSN drains fan
+// out the same way when Options.PSNBatch batches enough deltas per flush
+// (tuple-at-a-time otherwise); per-derivation hooks (StrandFilter,
+// OnDerive) force sequential evaluation.
 func NewCentral(prog *ast.Program, opts Options) (*Central, error) {
 	p, err := compile(prog)
 	if err != nil {
 		return nil, err
 	}
-	var cfg nodeCfg
-	if w := opts.parallelism(); w > 1 && !opts.ArenaIntern {
-		cfg = nodeCfg{shared: val.NewConcurrentInterner(), innerPar: w}
-	}
-	n := newNodeCfg("central", p, opts, cfg)
+	n := newNode("central", p, opts, opts.parallelism())
 	n.central = true
 	return &Central{node: n, prog: p}, nil
 }
@@ -53,7 +46,7 @@ func NewNode(id string, prog *ast.Program, opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newNode(id, p, opts), nil
+	return newNode(id, p, opts, 1), nil
 }
 
 // HomeFacts returns the subset of a program's base facts whose location

@@ -54,12 +54,10 @@ type Cluster struct {
 	// outbound messages depart serialized ProcDelay apart.
 	sendFree map[string]float64
 
-	// outBuf/outOrder are sendBatched's reusable per-pump-round scratch:
-	// the simulator is single-threaded, so one set serves every node.
-	// Slices are emptied (and their delta elements cleared, releasing
-	// the tuple references) after each round instead of reallocated.
-	outBuf   map[string][]Delta
-	outOrder []string
+	// decodeBuf is HandleMessage's reusable decode batch: the simulator
+	// is single-threaded, so one serves every node. It is cleared after
+	// use, so it pins no tuples between events.
+	decodeBuf []Delta
 	// dstScratch is flushShare's reusable sorted-destination scratch.
 	dstScratch []string
 
@@ -92,13 +90,12 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 		shareBuf:     map[string]map[string][]Delta{},
 		sharePending: map[string]int{},
 		sendFree:     map[string]float64{},
-		outBuf:       map[string][]Delta{},
 	}, nil
 }
 
 // AddNode registers a node with both the simulator and the cluster.
 func (c *Cluster) AddNode(id simnet.NodeID) *Node {
-	n := newNode(string(id), c.prog, c.opts)
+	n := newNode(string(id), c.prog, c.opts, 1)
 	c.nodes[string(id)] = n
 	c.sim.AddNode(id, &clusterHandler{c: c, n: n})
 	return n
@@ -182,15 +179,19 @@ type clusterHandler struct {
 
 func (h *clusterHandler) HandleMessage(now float64, from simnet.NodeID, payload []byte) {
 	h.n.SetNow(now)
-	// Decode against the receiving node's interner: a tuple this node has
-	// seen (stored, derived, or previously received) decodes to its
-	// canonical copy without allocating.
-	deltas, err := DecodeMessageIn(payload, h.n.Interner())
+	// Decode into the cluster's scratch, strings resolved through the
+	// receiving node's table: each tuple is its own allocation, the batch
+	// around them is not.
+	deltas, err := DecodeMessageInto(payload, h.n.Interner(), h.c.decodeBuf[:0])
 	if err != nil {
 		panic(fmt.Sprintf("engine: node %s: %v", h.n.id, err))
 	}
 	for _, d := range deltas {
 		h.n.Push(d)
+	}
+	clear(deltas)
+	if cap(deltas) <= keepCap {
+		h.c.decodeBuf = deltas[:0]
 	}
 	if h.c.opts.Mode == BSN && h.c.cfg.BSNDelay > 0 {
 		// Buffer: process after the batching delay.
@@ -238,6 +239,8 @@ func (c *Cluster) pump(n *Node) {
 		} else {
 			c.sendBatched(n, outs)
 		}
+		// Every delta is now encoded or copied into the share buffer.
+		n.Recycle(outs)
 	}
 	if n.PendingGroups() > 0 && !c.aggselArmed[n.id] && c.opts.AggSelPeriod > 0 {
 		c.aggselArmed[n.id] = true
@@ -245,29 +248,18 @@ func (c *Cluster) pump(n *Node) {
 	}
 }
 
-// sendBatched groups one pump round's outbound deltas by destination
-// (first-appearance order, for determinism) and sends one plain message
-// per destination. The grouping map and order slice are the cluster's
-// reusable scratch: encode copies every tuple into the payload, so the
-// buffers are emptied — not reallocated — after the round, and the
-// delta elements cleared so the scratch pins no tuples between rounds.
+// sendBatched sends one plain message per destination of a pump round.
+// Drain output is sorted by destination, so each destination is one
+// contiguous run, encoded straight from the drain result.
 func (c *Cluster) sendBatched(n *Node, outs []OutDelta) {
-	byDst := c.outBuf
-	order := c.outOrder[:0]
-	for _, o := range outs {
-		ds := byDst[o.Dst]
-		if len(ds) == 0 {
-			order = append(order, o.Dst)
+	for i := 0; i < len(outs); {
+		j := i
+		for j < len(outs) && outs[j].Dst == outs[i].Dst {
+			j++
 		}
-		byDst[o.Dst] = append(ds, o.Delta)
+		c.sendNow(n, outs[i].Dst, AppendOutDeltas(nil, outs[i:j]))
+		i = j
 	}
-	for _, dst := range order {
-		ds := byDst[dst]
-		c.sendNow(n, dst, EncodeDeltas(ds))
-		clear(ds)
-		byDst[dst] = ds[:0]
-	}
-	c.outOrder = order[:0]
 }
 
 // bufferOut holds a delta in the share/batch buffer until the flush

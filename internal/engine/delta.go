@@ -9,12 +9,13 @@
 //
 // Ownership: a Node is single-threaded — drivers (Cluster, netrun, the
 // shard worker) must serialize SetNow/Push/Drain/Tuples per node, and
-// the node's interner is part of that state (decode through it only
-// under the same discipline). Tuples are immutable; a decoded tuple
-// never aliases the wire buffer it came from (copy-on-decode), and
-// OutDeltas returned by Drain are owned by the caller. Encoded message
-// payloads are freshly allocated per message and may be retained by
-// transports.
+// the node's string table is part of that state (decode through it only
+// under the same discipline). Tuples are immutable and allocated once,
+// by whoever keeps them (DESIGN.md §3): a decoded tuple never aliases
+// the wire buffer it came from (copy-on-decode), and OutDeltas returned
+// by Drain are owned by the caller until it chooses to Recycle them.
+// Encoded message payloads are freshly allocated per message and may be
+// retained by transports.
 package engine
 
 import (
@@ -59,38 +60,63 @@ func EncodeDeltas(ds []Delta) []byte { return AppendDeltas(nil, ds) }
 // AppendDeltas appends the encoded delta batch to dst and returns the
 // extended buffer — transports that frame the payload (netrun's epoch
 // envelope) build prefix and message in one buffer instead of copying
-// the whole payload into place. The buffer is grown at most once,
-// presized for the common case (short tuples), so the append chain
-// doesn't reallocate several times per message.
+// the whole payload into place. The buffer is grown at most once, to
+// the exact encoded size, so the append chain never reallocates.
 func AppendDeltas(dst []byte, ds []Delta) []byte {
-	size := 11
-	for _, d := range ds {
-		size += 12 + len(d.Tuple.Pred) + 12*len(d.Tuple.Fields)
+	size := 0
+	for i := range ds {
+		size += 1 + val.EncodedSize(ds[i].Tuple)
 	}
+	buf := appendBatchHeader(dst, len(ds), size)
+	for i := range ds {
+		buf = appendDelta(buf, ds[i])
+	}
+	return buf
+}
+
+// AppendOutDeltas is AppendDeltas over a run of one drain's output — the
+// deltas bound for one destination, which Drain returns contiguous — so
+// a driver encodes straight from the drain result without first copying
+// the run into a []Delta.
+func AppendOutDeltas(dst []byte, outs []OutDelta) []byte {
+	size := 0
+	for i := range outs {
+		size += 1 + val.EncodedSize(outs[i].Delta.Tuple)
+	}
+	buf := appendBatchHeader(dst, len(outs), size)
+	for i := range outs {
+		buf = appendDelta(buf, outs[i].Delta)
+	}
+	return buf
+}
+
+// appendBatchHeader grows dst once for a batch of n deltas encoding to
+// size bytes, and appends the kind byte and the count.
+func appendBatchHeader(dst []byte, n, size int) []byte {
+	size += 1 + binary.MaxVarintLen64
 	if cap(dst)-len(dst) < size {
 		grown := make([]byte, len(dst), len(dst)+size)
 		copy(grown, dst)
 		dst = grown
 	}
-	buf := append(dst, byte(msgDeltas))
-	buf = binary.AppendUvarint(buf, uint64(len(ds)))
-	for _, d := range ds {
-		if d.Sign >= 0 {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = val.AppendTuple(buf, d.Tuple)
+	return binary.AppendUvarint(append(dst, byte(msgDeltas)), uint64(n))
+}
+
+func appendDelta(buf []byte, d Delta) []byte {
+	if d.Sign >= 0 {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
 	}
-	return buf
+	return val.AppendTuple(buf, d.Tuple)
 }
 
 // DecodeDeltas unmarshals a plain delta batch (caller checks the kind).
 func DecodeDeltas(b []byte) ([]Delta, error) { return DecodeDeltasIn(b, nil) }
 
-// DecodeDeltasIn is DecodeDeltas resolving every decoded tuple through
-// the receiving node's interner (nil skips interning). Decoded tuples
-// never alias b, so callers may reuse the read buffer.
+// DecodeDeltasIn is DecodeDeltas resolving strings through the receiving
+// node's string table (nil copies them). Decoded tuples never alias b,
+// so callers may reuse the read buffer.
 func DecodeDeltasIn(b []byte, in *val.Interner) ([]Delta, error) {
 	return DecodeDeltasInto(b, in, nil)
 }

@@ -99,10 +99,8 @@ func (c *Central) DeleteDRed(t val.Tuple) error {
 	removed := tupleSet{}
 	queue := []val.Tuple{t}
 	// One context (and its slot environment) serves the whole walk; only
-	// the deleted-tuple fields change per queue item. Heads resolve
-	// through the node's persistent interner, so the over-delete queue
-	// and the rederivation sets compare canonical tuples by pointer.
-	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res, in: n.in}
+	// the deleted tuple changes per queue item.
+	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res, hasDeleted: true}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -119,7 +117,7 @@ func (c *Central) DeleteDRed(t val.Tuple) error {
 		if !u.Equal(t) {
 			overdeleted.add(u)
 		}
-		ctx.deleted, ctx.deletedPred = &u, u.Pred
+		ctx.deleted = u
 		for _, st := range n.prog.strands[u.Pred] {
 			if st.isAgg {
 				continue

@@ -1,0 +1,233 @@
+package engine
+
+import (
+	"bytes"
+	"testing"
+
+	"ndlog/internal/simnet"
+	"ndlog/internal/val"
+)
+
+// Tests for the tuple lifecycle rule (DESIGN.md §3): a derived tuple is
+// allocated once, by whoever will keep it, and nothing else on the
+// per-delta or per-drain path allocates. The budgets are exact, so a
+// regression fails here before it shows in the benchmark.
+
+func pathDelta(cost float64) Delta {
+	return Insert(val.NewTuple("path", val.NewAddr("a"), val.NewAddr("d"), val.NewAddr("b"),
+		val.NewList(val.NewAddr("a"), val.NewAddr("b"), val.NewAddr("c"), val.NewAddr("d")),
+		val.NewFloat(cost)))
+}
+
+// TestDecodeAllocBudget: a path(@S,D,Z,[…],C) delta decoded into a
+// reused batch through a warm string table is one object — the array
+// holding its fields and its path vector.
+func TestDecodeAllocBudget(t *testing.T) {
+	in := val.NewInterner()
+	msg := EncodeDeltas([]Delta{pathDelta(2.5)})
+	scratch, err := DecodeMessageInto(msg, in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(100, func() {
+		scratch, _ = DecodeMessageInto(msg, in, scratch[:0])
+	})
+	if got != 1 {
+		t.Errorf("decoding one path delta allocates %v objects, want 1", got)
+	}
+}
+
+// TestDecodeSurvivesBufferAndScratchReuse extends the copy-on-decode
+// test to the whole receive path: tuples taken out of a decoded batch
+// stay intact when the read buffer is scribbled over and the decode
+// scratch is zeroed and reused for another message — for lists mid-row,
+// last in the row, empty, and nested.
+func TestDecodeSurvivesBufferAndScratchReuse(t *testing.T) {
+	tuples := []val.Tuple{
+		pathDelta(2.5).Tuple,
+		val.NewTuple("tail", val.NewAddr("a"), val.NewList(val.NewString("last"), val.NewString("field"))),
+		val.NewTuple("empty", val.NewAddr("a"), val.NewList(), val.NewString("after")),
+		val.NewTuple("nested", val.NewAddr("a"),
+			val.NewList(val.NewList(val.NewAddr("x"), val.NewList()), val.NewString("mid"), val.NewList(val.NewInt(9)))),
+		val.NewTuple("flat", val.NewAddr("a"), val.NewInt(7), val.NewBool(true)),
+	}
+	var want []Delta
+	for i, tp := range tuples {
+		want = append(want, Delta{Sign: int8(1 - 2*(i%2)), Tuple: tp})
+	}
+	msg := EncodeDeltas(want)
+	other := EncodeDeltas([]Delta{Insert(val.NewTuple("zzzz", val.NewAddr("qqqq"),
+		val.NewList(val.NewAddr("rrrr"), val.NewAddr("ssss"), val.NewAddr("tttt"), val.NewAddr("uuuu"))))})
+
+	in := val.NewInterner()
+	buf := append([]byte(nil), msg...)
+	scratch, err := DecodeMessageInto(buf, in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := append([]Delta(nil), scratch...) // what Push does: copy the Delta, share the tuple
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	clear(scratch)
+	if scratch, err = DecodeMessageInto(other, in, scratch[:0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range kept {
+		if d.Sign != want[i].Sign || !d.Tuple.Equal(want[i].Tuple) {
+			t.Errorf("delta %d corrupted by buffer/scratch reuse: %v, want %v", i, d, want[i])
+		}
+	}
+	if re := EncodeDeltas(kept); !bytes.Equal(re, msg) {
+		t.Error("kept deltas do not re-encode to the original message")
+	}
+}
+
+// TestClusterPumpDuplicateMessageAllocBudget: in steady state a message
+// whose deltas are all duplicates of stored hard state costs exactly its
+// payload — one array per decoded tuple. The decoded batch, the node's
+// queue and the drain's (empty) output are all reused.
+func TestClusterPumpDuplicateMessageAllocBudget(t *testing.T) {
+	_, cl := figure2Cluster(t, Options{}, ClusterConfig{})
+	runCluster(t, cl)
+	n := cl.Node("a")
+	stored := n.Tuples("path")
+	if len(stored) < 3 {
+		t.Fatalf("node a stores %d path tuples, want >= 3", len(stored))
+	}
+	var ds []Delta
+	for _, tp := range stored[:3] {
+		ds = append(ds, Insert(tp))
+	}
+	msg := EncodeDeltas(ds)
+	h := &clusterHandler{c: cl, n: n}
+	before := cl.sim.Messages()
+	got := testing.AllocsPerRun(50, func() {
+		h.HandleMessage(cl.sim.Now(), simnet.NodeID("b"), msg)
+	})
+	if want := float64(len(ds)); got != want {
+		t.Errorf("duplicate-only message of %d deltas allocates %v objects, want %v", len(ds), got, want)
+	}
+	if cl.sim.Messages() != before {
+		t.Error("duplicate-only message must not derive anything")
+	}
+}
+
+// TestDrainRecyclesOutput: a driver that hands its Drain result back
+// gets the same array on the next drain, cleared of tuple references.
+func TestDrainRecyclesOutput(t *testing.T) {
+	prog := mustParse(t, `
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(out, infinity, infinity, keys(1,2)).
+r1 out(@Y,@X) :- #link(@X,@Y).
+`)
+	n, err := NewNode("a", prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Push(Insert(val.NewTuple("link", val.NewAddr("a"), val.NewAddr("b"))))
+	first := n.Drain()
+	if len(first) != 1 || first[0].Dst != "b" {
+		t.Fatalf("first drain = %v, want one delta for b", first)
+	}
+	n.Recycle(first)
+	if first[0].Dst != "" || first[0].Delta.Tuple.Fields != nil {
+		t.Error("Recycle must clear the deltas it takes back")
+	}
+	n.Push(Insert(val.NewTuple("link", val.NewAddr("a"), val.NewAddr("c"))))
+	second := n.Drain()
+	if len(second) != 1 || second[0].Dst != "c" {
+		t.Fatalf("second drain = %v, want one delta for c", second)
+	}
+	if &second[0] != &first[0] {
+		t.Error("second drain did not reuse the recycled array")
+	}
+	// A burst's buffer is not kept.
+	n.Recycle(make([]OutDelta, 0, keepCap+1))
+	if cap(n.out) > keepCap {
+		t.Errorf("Recycle kept a %d-delta buffer, bound is %d", cap(n.out), keepCap)
+	}
+}
+
+// TestStrandRunsKeepTriggerOffHeap: running a delta through aggregate
+// and deletion strands allocates nothing when nothing is derived — in
+// particular no heap copy of the trigger tuple (the join context holds
+// it by value).
+func TestStrandRunsKeepTriggerOffHeap(t *testing.T) {
+	c := central(t, `
+materialize(path, infinity, infinity, keys(1,2,3)).
+materialize(best, infinity, infinity, keys(1,2)).
+materialize(other, infinity, infinity, keys(1,2)).
+materialize(joined, infinity, infinity, keys(1,2)).
+a1 best(@S,D,min<C>) :- path(@S,D,C).
+j1 joined(@S,D) :- path(@S,D,C), other(@S,D).
+`, Options{})
+	c.Insert(val.NewTuple("path", val.NewAddr("a"), val.NewAddr("b"), val.NewInt(5)))
+	n := c.Node()
+	worse := val.NewTuple("path", val.NewAddr("a"), val.NewAddr("b"), val.NewInt(7))
+	agg := testing.AllocsPerRun(100, func() {
+		// Add then remove a value that is never the group minimum: the
+		// aggregate output does not change, so nothing is routed.
+		n.runAggStrands(+1, worse, noLimit, noLimit)
+		n.runAggStrands(-1, worse, noLimit, noLimit)
+	})
+	if agg != 0 {
+		t.Errorf("aggregate strand runs allocate %v objects, want 0", agg)
+	}
+	del := testing.AllocsPerRun(100, func() {
+		// Deletion strands with an empty join partner derive nothing.
+		n.runNormalStrands(-1, worse, noLimit, noLimit)
+	})
+	if del != 0 {
+		t.Errorf("deletion strand run allocates %v objects, want 0", del)
+	}
+	if got := c.Tuples("best"); len(got) != 1 || got[0].Fields[2].Int() != 5 {
+		t.Errorf("best = %v, want the untouched minimum 5", got)
+	}
+}
+
+// TestQueueRetentionBounded: the delta queue's backing array tracks
+// pending work, not processed work, and a burst's array is dropped.
+func TestQueueRetentionBounded(t *testing.T) {
+	// A long run with little pending: every pop is followed by a push,
+	// as in a derivation chain, 100k times over.
+	var q deltaQueue
+	d := Insert(val.NewTuple("p", val.NewAddr("a")))
+	const pending = 10
+	for i := 0; i < pending; i++ {
+		q.push(d)
+	}
+	maxCap := 0
+	for i := 0; i < 100_000; i++ {
+		q.pop()
+		q.push(d)
+		maxCap = max(maxCap, cap(q.buf))
+	}
+	if q.len() != pending {
+		t.Fatalf("queue holds %d deltas, want %d", q.len(), pending)
+	}
+	if maxCap > 4*pending {
+		t.Errorf("backing array grew to %d deltas with %d pending", maxCap, pending)
+	}
+	for i, e := range q.buf[:q.head] {
+		if e.Tuple.Pred != "" {
+			t.Fatalf("processed slot %d still references its tuple", i)
+		}
+	}
+
+	// A burst through one node: 100k deltas queued at once, drained to
+	// the end. Nothing of the burst's array may be kept.
+	c := central(t, "materialize(p, infinity, infinity, keys(1,2)).\n", Options{})
+	n := c.Node()
+	for i := 0; i < 100_000; i++ {
+		n.Push(Insert(val.NewTuple("p", val.NewAddr("a"), val.NewInt(int64(i)))))
+	}
+	c.Fixpoint()
+	if got := n.Catalog().Get("p").Len(); got != 100_000 {
+		t.Fatalf("stored %d rows, want 100000", got)
+	}
+	if n.QueueLen() != 0 || n.queue.head != 0 || cap(n.queue.buf) > keepCap {
+		t.Errorf("after the burst the queue keeps a %d-delta array (head %d), bound is %d",
+			cap(n.queue.buf), n.queue.head, keepCap)
+	}
+}

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -90,15 +92,6 @@ type Options struct {
 	// OnDerive observes every derived head tuple before routing, with
 	// the label of the deriving rule. Used by watch(...) tracing.
 	OnDerive func(nodeID, ruleLabel string, d Delta)
-	// ArenaIntern switches the node's tuple pool to a per-drain arena:
-	// wire decode, head instantiation, and second-touch store pooling
-	// all go through an interner that is dropped wholesale after every
-	// Drain. Repeats within one pump unify; nothing is retained across
-	// drains, so long-running forwarding workloads hold no pool state at
-	// all between pumps. Off by default: the persistent interner is
-	// bounded anyway, and cross-drain sharing is worth more on most
-	// workloads.
-	ArenaIntern bool
 	// PSNBatch batches pipelined drains: up to PSNBatch deliverable
 	// deltas are stored per step — stamps assigned in arrival order,
 	// exactly as tuple-at-a-time would — before their trigger strands
@@ -168,7 +161,7 @@ type Node struct {
 	now   float64
 	iter  uint64 // SN iteration counter
 
-	queue []Delta
+	queue deltaQueue
 	out   []OutDelta
 
 	aggs map[*ast.Rule]*aggState
@@ -184,11 +177,9 @@ type Node struct {
 	// engine is single-threaded per node, so one context serves every
 	// strand run.
 	jc joinCtx
-	// aggKeyScratch backs aggKeyVals between aggregate emits;
-	// aggHeadScratch backs aggHead instantiation.
-	aggKeyScratch  []val.Value
-	aggHeadScratch []val.Value
-	aggRun         aggRun
+	// aggKeyScratch backs aggKeyVals between aggregate emits.
+	aggKeyScratch []val.Value
+	aggRun        aggRun
 
 	// journal, when set, observes every processed delta whose predicate
 	// is part of the node's recoverable state (see SetJournal); journaled
@@ -196,15 +187,10 @@ type Node struct {
 	journal   func(d Delta)
 	journaled map[string]bool
 
-	// in is the node's persistent tuple interner: rows that repeat
-	// resolve to one canonical copy, making equality a pointer compare
-	// downstream. arena, when ArenaIntern is set, replaces it as the
-	// tuple pool for decode, heads, and store pooling; Drain resets it
-	// (aggregate group keys still intern into in — they are long-lived
-	// regardless). Under the Parallel executor, in is a concurrent
-	// sharded interner shared by every node of the process.
-	in    *val.Interner
-	arena *val.Interner
+	// in is the node's string table: wire decode resolves predicate
+	// names, addresses and string payloads through it (see Interner), so
+	// a received tuple with known strings costs one allocation.
+	in *val.Interner
 
 	// par, when non-nil, enables intra-node parallel evaluation: the
 	// normal (non-aggregate) strands of a semi-naïve round's accepted
@@ -212,8 +198,7 @@ type Node struct {
 	// worker pool with per-worker join contexts, their derivations
 	// merged back in job order so the result is identical to the
 	// sequential walk; rederivation sweeps chunk the same way. Set
-	// only when the node's interner is concurrent (head resolution is
-	// the shared hot path) and no per-derivation hooks are installed.
+	// only when no per-derivation hooks are installed.
 	par *nodePar
 
 	// psnActs is the reusable deferred-action buffer of batched PSN
@@ -235,31 +220,27 @@ const (
 	actEvent
 )
 
-// psnAction is one deferred post-store step: the tuple plus the stamp
-// it was assigned at store time, which bounds its joins exactly as
-// tuple-at-a-time processing would.
+// psnAction is one deferred post-store step: the tuple, the row it was
+// stored in (nil for events), and the stamp it was assigned at store
+// time, which bounds its joins exactly as tuple-at-a-time processing
+// would.
 type psnAction struct {
 	kind  psnActKind
 	t     val.Tuple
+	e     *table.Entry
 	stamp uint64
 }
 
-// nodeCfg carries the construction knobs newNode's callers thread in:
-// a process-shared concurrent interner, and the intra-node worker count.
-type nodeCfg struct {
-	// shared, when non-nil, becomes the node's interner instead of a
-	// private one. Sharing requires a concurrent interner (see
-	// val.NewConcurrentInterner).
-	shared *val.Interner
-	// innerPar > 1 enables parallel semi-naïve rounds and rederivation
-	// sweeps inside this node, with that many workers.
-	innerPar int
+// storedRow is an accepted insert awaiting its post-store work: the
+// tuple and the row that held it when it was stored.
+type storedRow struct {
+	t val.Tuple
+	e *table.Entry
 }
 
 // nodePar is the intra-node worker-pool state: one join context per
 // worker (environment, trail, head buffer — everything a strand run
-// mutates), sharing the node's catalog, resolved handles, and
-// concurrent interner.
+// mutates), sharing the node's catalog and resolved handles.
 type nodePar struct {
 	workers int
 	ctxs    []joinCtx
@@ -350,13 +331,10 @@ func projectVals(t val.Tuple, cols []int) []val.Value {
 	return out
 }
 
-// newNode builds a node for a compiled program.
-func newNode(id string, prog *program, opts Options) *Node {
-	return newNodeCfg(id, prog, opts, nodeCfg{})
-}
-
-// newNodeCfg is newNode with the executor-level construction knobs.
-func newNodeCfg(id string, prog *program, opts Options, cfg nodeCfg) *Node {
+// newNode builds a node for a compiled program. innerPar > 1 enables
+// parallel semi-naïve rounds, batched PSN flushes and rederivation
+// sweeps inside this node, with that many workers.
+func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 	n := &Node{
 		id:   id,
 		prog: prog,
@@ -364,18 +342,7 @@ func newNodeCfg(id string, prog *program, opts Options, cfg nodeCfg) *Node {
 		cat:  table.NewCatalog(),
 		aggs: map[*ast.Rule]*aggState{},
 		sels: map[string][]*selControl{},
-		in:   cfg.shared,
-	}
-	if n.in == nil {
-		// Single-node fallback: Parallel always passes its shared
-		// concurrent interner via cfg.shared, so this branch only runs
-		// for standalone nodes owned by one goroutine.
-		n.in = val.NewInterner() //ndvet:ok nil-guard for non-parallel construction
-	}
-	if opts.ArenaIntern {
-		// The arena is per-node scratch drained under the node's own
-		// lock; it is never shared across workers.
-		n.arena = val.NewInterner() //ndvet:ok per-node scratch, drained under node lock
+		in:   val.NewInterner(),
 	}
 	for name, d := range prog.decls {
 		n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize)
@@ -408,15 +375,12 @@ func newNodeCfg(id string, prog *program, opts Options, cfg nodeCfg) *Node {
 			agg := st.rule.Head.Args[st.aggIdx].(*ast.Agg)
 			n.aggs[st.rule] = &aggState{
 				st:  st,
-				agg: table.NewGroupAgg(agg.Func).SetInterner(n.in),
+				agg: table.NewGroupAgg(agg.Func),
 			}
 		}
 	}
 	n.jc.cat = n.cat
 	n.jc.res = n.res
-	// Derived heads are transient until stored: resolve them through the
-	// arena when one is configured, the persistent pool otherwise.
-	n.jc.in = n.transientIn()
 	// One slot environment sized for the widest rule serves every strand
 	// run at this node (the engine is single-threaded per node).
 	n.jc.env = funcs.NewSlotEnv(prog.maxSlots)
@@ -445,18 +409,14 @@ func newNodeCfg(id string, prog *program, opts Options, cfg nodeCfg) *Node {
 			n.sels[sel.SrcPred] = append(n.sels[sel.SrcPred], ctrl)
 		}
 	}
-	if cfg.innerPar > 1 && n.in.Concurrent() && !opts.ArenaIntern {
-		// Per-derivation hooks observe evaluation order and run user
-		// code; a node with hooks stays sequential. The arena interner
-		// is single-owner, so arena mode stays sequential too.
-		if opts.StrandFilter == nil && opts.OnDerive == nil {
-			p := &nodePar{workers: cfg.innerPar, ctxs: make([]joinCtx, cfg.innerPar)}
-			for i := range p.ctxs {
-				p.ctxs[i] = joinCtx{cat: n.cat, res: n.res, in: n.in,
-					env: funcs.NewSlotEnv(prog.maxSlots)}
-			}
-			n.par = p
+	// Per-derivation hooks observe evaluation order and run user code; a
+	// node with hooks stays sequential.
+	if innerPar > 1 && opts.StrandFilter == nil && opts.OnDerive == nil {
+		p := &nodePar{workers: innerPar, ctxs: make([]joinCtx, innerPar)}
+		for i := range p.ctxs {
+			p.ctxs[i] = joinCtx{cat: n.cat, res: n.res, env: funcs.NewSlotEnv(prog.maxSlots)}
 		}
+		n.par = p
 	}
 	return n
 }
@@ -477,20 +437,11 @@ func (n *Node) ID() string { return n.id }
 // reserved for tests and cache hooks).
 func (n *Node) Catalog() *table.Catalog { return n.cat }
 
-// transientIn is the interner transient tuples (wire decode, head
-// instantiation) resolve through: the per-drain arena when configured,
-// else the persistent pool.
-func (n *Node) transientIn() *val.Interner {
-	if n.arena != nil {
-		return n.arena
-	}
-	return n.in
-}
-
-// Interner returns the interner that wire decoders feeding this node
-// should resolve incoming tuples through (see DecodeMessageIn). Drivers
-// must call it under the same single-threading discipline as Push/Drain.
-func (n *Node) Interner() *val.Interner { return n.transientIn() }
+// Interner returns the string table that wire decoders feeding this
+// node should resolve incoming tuples through (see DecodeMessageInto).
+// Drivers must call it under the same single-threading discipline as
+// Push/Drain.
+func (n *Node) Interner() *val.Interner { return n.in }
 
 // SetNow advances the node's virtual clock (driver responsibility).
 func (n *Node) SetNow(now float64) { n.now = now }
@@ -499,7 +450,7 @@ func (n *Node) SetNow(now float64) { n.now = now }
 func (n *Node) Now() float64 { return n.now }
 
 // Push enqueues a delta for processing.
-func (n *Node) Push(d Delta) { n.queue = append(n.queue, d) }
+func (n *Node) Push(d Delta) { n.queue.push(d) }
 
 // SetJournal installs fn as the node's durability tap: every delta the
 // evaluator processes on a recoverable predicate — soft state of any
@@ -529,12 +480,13 @@ func (n *Node) journalDelta(d Delta) {
 }
 
 // QueueLen returns the number of pending deltas.
-func (n *Node) QueueLen() int { return len(n.queue) }
+func (n *Node) QueueLen() int { return n.queue.len() }
 
 // Drain processes the queue to a local fixpoint and returns the deltas
 // destined for other nodes. PSN processes tuple-at-a-time (or in
 // stamp-preserving batches when Options.PSNBatch is set); SN/BSN run
-// batched local iterations.
+// batched local iterations. The caller owns the result until it hands
+// it back with Recycle, which it need not do.
 func (n *Node) Drain() []OutDelta {
 	switch n.opts.Mode {
 	case SN, BSN:
@@ -554,23 +506,27 @@ func (n *Node) Drain() []OutDelta {
 	// job-ordered derivation buffers produce byte-identical batches and
 	// drivers can group contiguous runs per destination without a map.
 	if len(out) > 1 {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Dst < out[j].Dst })
-	}
-	if n.arena != nil {
-		// Per-drain arena mode: the pool from this drain is no longer
-		// needed once the queue is empty — stored rows own their tuples,
-		// outbound deltas are owned by out. Dropping the arena is always
-		// safe (it is a cache, not an owner).
-		n.arena.Reset()
+		slices.SortStableFunc(out, func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
 	}
 	return out
 }
 
+// Recycle hands a Drain result back once the caller is done with it —
+// every delta encoded or copied elsewhere — so the next drain appends
+// into the same array instead of growing a new one. Only a driver that
+// consumes one drain's output before it starts the next drain may
+// recycle; one that sends after releasing the node (netrun) keeps its
+// slices.
+func (n *Node) Recycle(outs []OutDelta) {
+	if len(n.out) == 0 && cap(outs) <= keepCap {
+		clear(outs)
+		n.out = outs[:0]
+	}
+}
+
 func (n *Node) drainPSN() {
-	for len(n.queue) > 0 {
-		d := n.queue[0]
-		n.queue = n.queue[1:]
-		n.process(d)
+	for n.queue.len() > 0 {
+		n.process(n.queue.pop())
 	}
 }
 
@@ -594,7 +550,7 @@ func (n *Node) drainPSNBatched(batch int) {
 	// trigger strands refill the queue with derived deltas, which the
 	// next pass consumes — the drain is done only when the queue is
 	// empty AND no actions are pending.
-	for len(n.queue) > 0 {
+	for n.queue.len() > 0 {
 		n.drainPSNBatchedPass(batch)
 		n.flushPSN()
 	}
@@ -603,9 +559,8 @@ func (n *Node) drainPSNBatched(batch int) {
 // drainPSNBatchedPass consumes the current queue, storing eagerly and
 // deferring trigger work into psnActs (flushing every `batch` actions).
 func (n *Node) drainPSNBatchedPass(batch int) {
-	for len(n.queue) > 0 {
-		d := n.queue[0]
-		n.queue = n.queue[1:]
+	for n.queue.len() > 0 {
+		d := n.queue.pop()
 		n.journalDelta(d)
 		switch {
 		case n.prog.events[d.Tuple.Pred]:
@@ -623,10 +578,10 @@ func (n *Node) drainPSNBatchedPass(batch int) {
 			}
 			n.stamp++
 			stamp := n.stamp
-			if t, ok, refresh := n.storeInsertD(d.Tuple, stamp); ok {
-				n.psnActs = append(n.psnActs, psnAction{kind: actInsert, t: t, stamp: stamp})
+			if e, ok, refresh := n.storeInsertD(d.Tuple, stamp); ok {
+				n.psnActs = append(n.psnActs, psnAction{kind: actInsert, t: d.Tuple, e: e, stamp: stamp})
 			} else if refresh {
-				n.psnActs = append(n.psnActs, psnAction{kind: actRefresh, t: d.Tuple, stamp: stamp})
+				n.psnActs = append(n.psnActs, psnAction{kind: actRefresh, t: d.Tuple, e: e, stamp: stamp})
 			}
 		default:
 			n.flushPSN()
@@ -658,9 +613,9 @@ func (n *Node) flushPSN() {
 	for _, a := range acts {
 		switch a.kind {
 		case actInsert:
-			n.afterInsert(a.t, a.stamp, int64(a.stamp), int64(a.stamp))
+			n.afterInsert(a.t, a.e, int64(a.stamp), int64(a.stamp))
 		case actRefresh:
-			n.refreshAdvertise(a.t, a.stamp)
+			n.refreshAdvertise(a.t, a.e, a.stamp)
 		case actEvent:
 			n.eventStrands(a.t, a.stamp)
 		}
@@ -681,20 +636,22 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 	p := n.par
 	jobs := p.jobs[:0]
 	segs := p.segs[:0]
-	baseQ, baseOut := len(n.queue), len(n.out)
+	// Queue positions are counted in pending deltas: the pre-pass pushes,
+	// and a push may slide the queue down its backing array.
+	baseQ, baseOut := n.queue.len(), len(n.out)
 	for _, a := range acts {
-		q0, o0 := len(n.queue), len(n.out)
+		q0, o0 := n.queue.len(), len(n.out)
 		job := -1
 		bound := int64(a.stamp)
 		switch a.kind {
 		case actInsert:
 			if n.afterInsertPre(a.t, bound, bound) {
-				n.markAdv(a.t)
+				markAdv(a.e, a.t)
 				job = len(jobs)
 				jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
 			}
 		case actRefresh:
-			n.markAdv(a.t)
+			markAdv(a.e, a.t)
 			job = len(jobs)
 			jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
 		case actEvent:
@@ -704,7 +661,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 			job = len(jobs)
 			jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
 		}
-		segs = append(segs, psnSeg{q0: q0 - baseQ, q1: len(n.queue) - baseQ,
+		segs = append(segs, psnSeg{q0: q0 - baseQ, q1: n.queue.len() - baseQ,
 			o0: o0 - baseOut, o1: len(n.out) - baseOut, job: job})
 	}
 	p.jobs, p.segs = jobs, segs
@@ -715,7 +672,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 		jb := &jobs[0]
 		ctx := &p.ctxs[0]
 		ctx.ltBefore, ctx.leAfter = jb.lt, jb.le
-		ctx.deleted, ctx.deletedPred = nil, ""
+		ctx.hasDeleted = false
 		n.runJob(ctx, jb)
 	} else {
 		workers := min(p.workers, len(jobs))
@@ -725,7 +682,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 			wg.Add(1)
 			go func(ctx *joinCtx) {
 				defer wg.Done()
-				ctx.deleted, ctx.deletedPred = nil, ""
+				ctx.hasDeleted = false
 				for {
 					j := int(next.Add(1)) - 1
 					if j >= len(jobs) {
@@ -741,12 +698,12 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 	// Splice merge: pull the pre-pass's aggregate tails off queue/out,
 	// then rebuild them with each action's segment followed by its job's
 	// derivations — the exact order the sequential flush produces.
-	p.qTail = append(p.qTail[:0], n.queue[baseQ:]...)
+	p.qTail = append(p.qTail[:0], n.queue.pending()[baseQ:]...)
 	p.outTail = append(p.outTail[:0], n.out[baseOut:]...)
-	n.queue = n.queue[:baseQ]
+	n.queue.truncate(baseQ)
 	n.out = n.out[:baseOut]
 	for _, s := range segs {
-		n.queue = append(n.queue, p.qTail[s.q0:s.q1]...)
+		n.queue.pushAll(p.qTail[s.q0:s.q1])
 		n.out = append(n.out, p.outTail[s.o0:s.o1]...)
 		if s.job < 0 {
 			continue
@@ -755,7 +712,7 @@ func (n *Node) flushPSNPar(acts []psnAction) {
 		if jb.err != nil {
 			panic(fmt.Sprintf("engine: %v", jb.err))
 		}
-		n.queue = append(n.queue, jb.queue...)
+		n.queue.pushAll(jb.queue)
 		n.out = append(n.out, jb.out...)
 	}
 }
@@ -766,24 +723,23 @@ func (n *Node) eventStrands(t val.Tuple, stamp uint64) {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Insert(t), n.now)
 	}
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp), nil)
+	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
 }
 
 // drainSN implements Algorithm 1: repeatedly flush the delta buffer,
 // insert the whole batch with one iteration stamp, then execute all rule
 // strands over the batch.
 func (n *Node) drainSN() {
-	for len(n.queue) > 0 {
+	for n.queue.len() > 0 {
 		n.iter++
-		batch := n.queue
-		n.queue = nil
+		batch := n.queue.take()
 
-		var inserts []val.Tuple
+		var inserts []storedRow
 		for _, d := range batch {
 			n.journalDelta(d)
 			if d.Sign > 0 {
-				if t, ok := n.storeInsert(d.Tuple, n.iter); ok {
-					inserts = append(inserts, t)
+				if e, ok := n.storeInsert(d.Tuple, n.iter); ok {
+					inserts = append(inserts, storedRow{d.Tuple, e})
 				}
 			} else {
 				n.processDelete(d.Tuple)
@@ -794,8 +750,8 @@ func (n *Node) drainSN() {
 			n.roundPar(inserts, bound)
 			continue
 		}
-		for _, t := range inserts {
-			n.afterInsert(t, n.iter, bound, bound)
+		for _, r := range inserts {
+			n.afterInsert(r.t, r.e, bound, bound)
 		}
 	}
 }
@@ -809,12 +765,12 @@ func (n *Node) drainSN() {
 // the job-order merge make the resulting queue identical to the
 // sequential walk's up to the interleaving of derivations between
 // inserts, which the next round consumes as an unordered batch.
-func (n *Node) roundPar(inserts []val.Tuple, bound int64) {
+func (n *Node) roundPar(inserts []storedRow, bound int64) {
 	jobs := n.par.jobs[:0]
-	for _, t := range inserts {
-		if n.afterInsertPre(t, bound, bound) {
-			n.markAdv(t)
-			jobs = append(jobs, parJob{t: t, lt: bound, le: bound})
+	for _, r := range inserts {
+		if n.afterInsertPre(r.t, bound, bound) {
+			markAdv(r.e, r.t)
+			jobs = append(jobs, parJob{t: r.t, lt: bound, le: bound})
 		}
 	}
 	n.par.jobs = jobs
@@ -828,7 +784,7 @@ func (n *Node) roundPar(inserts []val.Tuple, bound int64) {
 		wg.Add(1)
 		go func(ctx *joinCtx) {
 			defer wg.Done()
-			ctx.deleted, ctx.deletedPred = nil, ""
+			ctx.hasDeleted = false
 			for {
 				j := int(next.Add(1)) - 1
 				if j >= len(jobs) {
@@ -845,7 +801,7 @@ func (n *Node) roundPar(inserts []val.Tuple, bound int64) {
 		if jb.err != nil {
 			panic(fmt.Sprintf("engine: %v", jb.err))
 		}
-		n.queue = append(n.queue, jb.queue...)
+		n.queue.pushAll(jb.queue)
 		n.out = append(n.out, jb.out...)
 	}
 }
@@ -907,87 +863,67 @@ func (n *Node) processEvent(t val.Tuple) {
 
 // storeInsert applies the table effects of an insertion: duplicate
 // counting, primary-key replacement (update = delete + insert), and
-// eviction. It returns false when the tuple is a duplicate; a
-// soft-state duplicate's re-advertisement runs inline.
-func (n *Node) storeInsert(t val.Tuple, stamp uint64) (val.Tuple, bool) {
-	stored, ok, refresh := n.storeInsertD(t, stamp)
+// eviction. It returns the row now holding the tuple, and false when the
+// tuple was a duplicate; a soft-state duplicate's re-advertisement runs
+// inline.
+func (n *Node) storeInsert(t val.Tuple, stamp uint64) (*table.Entry, bool) {
+	e, ok, refresh := n.storeInsertD(t, stamp)
 	if refresh {
-		n.refreshAdvertise(t, stamp)
+		n.refreshAdvertise(t, e, stamp)
 	}
-	return stored, ok
+	return e, ok
 }
 
 // storeInsertD is storeInsert with the soft-state duplicate refresh
 // deferred to the caller (refresh=true): batched PSN drains run it when
 // the batch flushes, preserving arrival order.
-func (n *Node) storeInsertD(t val.Tuple, stamp uint64) (val.Tuple, bool, bool) {
+func (n *Node) storeInsertD(t val.Tuple, stamp uint64) (e *table.Entry, ok, refresh bool) {
 	tbl := n.cat.Get(t.Pred)
 	res := tbl.Insert(t, stamp, n.now)
-	// Pool intern-worthy rows on their second touch: a duplicate insert
-	// proves the tuple repeats, and the stored copy (res.Dup) becomes
-	// the canonical one that wire decode and head instantiation resolve
-	// later re-arrivals and re-derivations onto. Rows inserted once and
-	// never touched again — the bulk of a convergence run — never pay
-	// pool bookkeeping, which keeps the pool small and hit-dense; the
-	// Pooled flag makes the probe itself once-per-row. In arena mode the
-	// pool is the per-drain arena (the resolve side reads the same
-	// arena), so Pooled — which would outlive the arena's reset — is not
-	// used to short-circuit.
-	if res.Status == table.StatusDuplicate && val.InternWorthy(res.Dup.Tuple.Fields) {
-		if n.arena != nil {
-			res.Dup.Tuple = n.arena.InternH(tbl.NameHash(), res.Dup.Tuple)
-		} else if ep := int32(n.in.Epoch()); !res.Dup.Pooled || ep-res.Dup.PooledEpoch >= 2 {
-			// Not pooled yet, or pooled long enough ago that two
-			// generation flips may have evicted the canonical: (re)intern
-			// so hot rows stay resolvable on long-running nodes.
-			res.Dup.Tuple = n.in.InternH(tbl.NameHash(), res.Dup.Tuple)
-			res.Dup.Pooled, res.Dup.PooledEpoch = true, ep
-		}
-	}
 	switch res.Status {
 	case table.StatusReplaced:
 		// The displaced row's advertisement state rides along in the
 		// result, so no pre-insert lookup is needed.
 		n.afterDelete(res.Replaced, res.ReplacedAdv, res.ReplacedStamp)
-		return t, true, false
+		return res.Entry, true, false
 	case table.StatusDuplicate:
 		// Soft-state refresh semantics (Section 4.2): re-inserting a
 		// soft-state tuple re-advertises it so downstream soft state is
 		// refreshed in turn. Hard-state duplicates only bump the count.
-		return val.Tuple{}, false, tbl.TTL() >= 0
+		return res.Entry, false, tbl.TTL() >= 0
 	case table.StatusNew:
 		for _, ev := range res.Evicted {
 			if !ev.Equal(t) {
 				n.afterDelete(ev, true, stamp)
 			}
 		}
-		return t, true, false
+		return res.Entry, true, false
 	}
-	return val.Tuple{}, false, false
+	return nil, false, false
 }
 
 func (n *Node) processInsert(t val.Tuple) {
 	n.stamp++
 	stamp := n.stamp
-	if _, ok := n.storeInsert(t, stamp); !ok {
+	e, ok := n.storeInsert(t, stamp)
+	if !ok {
 		return
 	}
 	// PSN bounds: pre-trigger atoms see strictly older tuples, post-trigger
 	// atoms see up to and including this stamp — so a tuple joining itself
 	// (self-join rules) derives each pair exactly once (Theorem 2).
-	n.afterInsert(t, stamp, int64(stamp), int64(stamp))
+	n.afterInsert(t, e, int64(stamp), int64(stamp))
 }
 
 // afterInsert runs aggregate maintenance and (unless suppressed by
-// aggregate selections) the trigger strands for a newly stored tuple.
-// ltBefore/leAfter are the join stamp bounds (see joinCtx).
-func (n *Node) afterInsert(t val.Tuple, stamp uint64, ltBefore, leAfter int64) {
-	_ = stamp
+// aggregate selections) the trigger strands for a tuple newly stored in
+// row e. ltBefore/leAfter are the join stamp bounds (see joinCtx).
+func (n *Node) afterInsert(t val.Tuple, e *table.Entry, ltBefore, leAfter int64) {
 	if !n.afterInsertPre(t, ltBefore, leAfter) {
 		return
 	}
-	n.markAdv(t)
-	n.runNormalStrands(+1, t, ltBefore, leAfter, nil)
+	markAdv(e, t)
+	n.runNormalStrands(+1, t, ltBefore, leAfter)
 }
 
 // afterInsertPre is the sequential half of post-insert processing:
@@ -1021,13 +957,18 @@ func (n *Node) afterInsertPre(t val.Tuple, ltBefore, leAfter int64) bool {
 // (refresh replaces counting there); this is the trade-off the paper
 // names for the soft-state model — recomputation instead of precise
 // incremental deltas.
-func (n *Node) refreshAdvertise(t val.Tuple, stamp uint64) {
-	n.markAdv(t)
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp), nil)
+func (n *Node) refreshAdvertise(t val.Tuple, e *table.Entry, stamp uint64) {
+	markAdv(e, t)
+	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
 }
 
-func (n *Node) markAdv(t val.Tuple) {
-	if e, ok := n.cat.Get(t.Pred).Get(t); ok && e.Tuple.Equal(t) {
+// markAdv records that t's trigger strands have run, on the row t was
+// stored in — the table hashed the tuple once, at Insert, and handed the
+// row back. A row since reused by a key replacement holds another tuple,
+// whose own advertisement decision sets the flag; a row since deleted
+// is out of every index and the write is moot.
+func markAdv(e *table.Entry, t val.Tuple) {
+	if e.Tuple.Equal(t) {
 		e.Adv = true
 	}
 }
@@ -1063,7 +1004,7 @@ func (n *Node) afterDelete(t val.Tuple, wasAdv bool, stamp uint64) {
 	// their derivation. wasAdv is not consulted here; it only guards
 	// double re-advertisement.
 	_ = wasAdv
-	n.runNormalStrands(-1, t, noLimit, noLimit, &t)
+	n.runNormalStrands(-1, t, noLimit, noLimit)
 
 	// Aggregate-selection fallback: the group's best may now be a stored
 	// tuple that was never advertised.
@@ -1102,7 +1043,7 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 		// Original stamp bounds: later-arriving partners already joined
 		// this tuple when they were deltas, so replaying with the old
 		// bounds derives each pair exactly once.
-		n.runNormalStrands(+1, e.Tuple, int64(e.Stamp), int64(e.Stamp), nil)
+		n.runNormalStrands(+1, e.Tuple, int64(e.Stamp), int64(e.Stamp))
 		return
 	}
 }
@@ -1163,10 +1104,7 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 	if !hasAgg {
 		return false, false
 	}
-	ctx := n.resetCtx(ltBefore, leAfter, nil)
-	if sign < 0 {
-		ctx = n.resetCtx(noLimit, noLimit, &t)
-	}
+	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
 	ar := &n.aggRun
 	if ar.emit == nil {
 		ar.emit = n.aggEmit
@@ -1188,10 +1126,10 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 			}
 			fields := ar.fields[i*nf : (i+1)*nf]
 			if p.hadOld {
-				n.route(derived{tuple: n.aggHead(st, p.pred, fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
 			}
 			if p.hasNew {
-				n.route(derived{tuple: n.aggHead(st, p.pred, fields, p.newV), loc: p.loc}, +1, st.rule.Label)
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.newV), loc: p.loc}, +1, st.rule.Label)
 			}
 		}
 	}
@@ -1309,42 +1247,34 @@ func aggKeyVals(fields []val.Value, aggIdx int, dst []val.Value) []val.Value {
 	return dst
 }
 
-// aggHead rebuilds an aggregate head tuple with the aggregate value
-// substituted at aggIdx, resolved through the interner: the substitution
-// runs in reusable scratch and only never-seen aggregate outputs copy
-// out of it.
-func (n *Node) aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value) val.Tuple {
-	buf := append(n.aggHeadScratch[:0], fields...)
-	buf[st.aggIdx] = aggVal
-	n.aggHeadScratch = buf[:0]
-	if !val.InternWorthy(buf) {
-		return val.NewTuple(pred, append([]val.Value(nil), buf...)...)
-	}
-	// Resolve, not intern: superseded aggregate outputs are one-shot
-	// (each improvement obsoletes the last); stored ones are pooled by
-	// storeInsert and resolve canonically on the next rebuild.
-	return n.transientIn().ResolveH(st.code.headPredHash, pred, buf)
+// aggHead builds an aggregate head tuple: the head fields of the
+// derivation that changed the group, with the aggregate value
+// substituted at aggIdx — the one allocation the routed delta keeps.
+func aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value) val.Tuple {
+	fs := append([]val.Value(nil), fields...)
+	fs[st.aggIdx] = aggVal
+	return val.Tuple{Pred: pred, Fields: fs}
 }
 
-// resetCtx prepares the node's reusable join context for one delta.
-func (n *Node) resetCtx(ltBefore, leAfter int64, deleted *val.Tuple) *joinCtx {
-	n.jc.ltBefore = ltBefore
-	n.jc.leAfter = leAfter
-	n.jc.deleted = deleted
-	n.jc.deletedPred = ""
-	if deleted != nil {
-		n.jc.deletedPred = deleted.Pred
+// resetCtx prepares the node's reusable join context for one delta:
+// insertions join under the caller's stamp bounds, deletions join
+// unrestricted and carry the retracted tuple for the self-join
+// correction. The context holds a copy of t, not its address, so the
+// caller's tuple stays off the heap.
+func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCtx {
+	n.jc.ltBefore, n.jc.leAfter = ltBefore, leAfter
+	n.jc.hasDeleted = sign < 0
+	if sign < 0 {
+		n.jc.ltBefore, n.jc.leAfter = noLimit, noLimit
+		n.jc.deleted = t
 	}
 	return &n.jc
 }
 
 // runNormalStrands executes the non-aggregate trigger strands for a
-// delta. deleted is non-nil for retractions (self-join correction).
-func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64, deleted *val.Tuple) {
-	ctx := n.resetCtx(ltBefore, leAfter, nil)
-	if sign < 0 {
-		ctx = n.resetCtx(noLimit, noLimit, deleted)
-	}
+// delta.
+func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) {
+	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
 	d := Delta{Sign: sign, Tuple: t}
 	for _, st := range n.prog.strands[t.Pred] {
 		if st.isAgg {
@@ -1370,7 +1300,7 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 		n.opts.OnDerive(n.id, ruleLabel, delta)
 	}
 	if n.central || d.loc == n.id {
-		n.queue = append(n.queue, delta)
+		n.queue.push(delta)
 		return
 	}
 	n.out = append(n.out, OutDelta{Dst: d.loc, Delta: delta})
@@ -1385,14 +1315,14 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 // tuple anyway would emit a retraction wave that the queued insertion
 // immediately re-derives — and because soft-state duplicates refresh
 // instead of counting, the interleaved +insert / -delete can cancel a
-// freshly re-derived downstream row outright (a double-delete) and
-// churn the canonical interned rows. The sweep therefore treats a
-// pending insertion as the refresh it is about to become: the entry
-// survives, and the queued delta renews its TTL when the queue drains.
+// freshly re-derived downstream row outright (a double-delete). The
+// sweep therefore treats a pending insertion as the refresh it is about
+// to become: the entry survives, and the queued delta renews its TTL
+// when the queue drains.
 func (n *Node) ExpireSoftState() {
 	// Index the queued insertions of soft-state predicates once per sweep.
 	var pending tupleSet
-	for _, d := range n.queue {
+	for _, d := range n.queue.pending() {
 		if d.Sign > 0 && n.cat.Get(d.Tuple.Pred).TTL() >= 0 {
 			if pending == nil {
 				pending = tupleSet{}

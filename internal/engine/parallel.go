@@ -31,11 +31,9 @@ import (
 // workers. Workers therefore need no locks around Push/Drain, and all
 // single-threaded engine invariants hold per node.
 //
-// Tuples cross nodes by reference (no wire encode/decode): canonical
-// objects are immutable, and every node shares one concurrent sharded
-// interner (val.NewConcurrentInterner), so a tuple derived at one node
-// and stored at another still collapses onto a single canonical copy
-// and equality stays a pointer compare fleet-wide.
+// Tuples cross nodes by reference (no wire encode/decode): tuples are
+// immutable, so the array a head was instantiated into at one node is
+// the one the receiving node's table stores.
 //
 // Quiescence is exact: a pending counter tracks scheduled-or-running
 // nodes, every delivery happens from a counted worker (or from seeding
@@ -46,10 +44,8 @@ type Parallel struct {
 	prog    *program
 	opts    Options
 	workers int
-	// in is the process-wide concurrent interner every node shares.
-	in    *val.Interner
-	nodes map[string]*pnode
-	order []string
+	nodes   map[string]*pnode
+	order   []string
 
 	ready   chan *pnode
 	pending atomic.Int64
@@ -91,18 +87,16 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 		prog:    p,
 		opts:    opts,
 		workers: opts.parallelism(),
-		in:      val.NewConcurrentInterner(),
 		nodes:   map[string]*pnode{},
 		quiet:   make(chan struct{}, 1),
 	}, nil
 }
 
-// AddNode registers a node runtime. All nodes share the executor's
-// concurrent interner; each node's evaluation itself stays sequential
-// (one worker owns it at a time), so per-node hooks and arena mode
-// work unchanged.
+// AddNode registers a node runtime. Each node's evaluation stays
+// sequential (one worker owns it at a time), so per-node hooks work
+// unchanged.
 func (p *Parallel) AddNode(id string) *Node {
-	n := newNodeCfg(id, p.prog, p.opts, nodeCfg{shared: p.in})
+	n := newNode(id, p.prog, p.opts, 1)
 	pn := &pnode{n: n}
 	p.nodes[id] = pn
 	p.order = append(p.order, id)
@@ -202,7 +196,9 @@ func (p *Parallel) work(pn *pnode) {
 		for _, d := range batch {
 			pn.n.Push(d)
 		}
-		p.dispatch(pn.n.Drain())
+		outs := pn.n.Drain()
+		p.dispatch(outs)
+		pn.n.Recycle(outs)
 		pn.mu.Lock()
 		if len(pn.inbox) > 0 {
 			// New deltas arrived during the drain; keep ownership and

@@ -167,7 +167,7 @@ func readShareString(b []byte, in *val.Interner) (string, int, error) {
 		return "", 0, fmt.Errorf("engine: corrupt shared string")
 	}
 	if in != nil {
-		return in.InternString(string(b[n : n+int(l)])), n + int(l), nil
+		return in.InternBytes(b[n : n+int(l)]), n + int(l), nil
 	}
 	return string(b[n : n+int(l)]), n + int(l), nil
 }
@@ -175,8 +175,8 @@ func readShareString(b []byte, in *val.Interner) (string, int, error) {
 // DecodeShared expands a share-combined message back into its deltas.
 func DecodeShared(b []byte) ([]Delta, error) { return DecodeSharedIn(b, nil) }
 
-// DecodeSharedIn is DecodeShared resolving every expanded tuple through
-// the receiving node's interner (nil skips interning).
+// DecodeSharedIn is DecodeShared resolving strings through the receiving
+// node's string table (nil copies them).
 func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 	if len(b) == 0 || msgKind(b[0]) != msgShared {
 		return nil, fmt.Errorf("engine: not a shared message")
@@ -247,11 +247,7 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 					fields[col] = v
 				}
 			}
-			t := val.NewTuple(pred, fields...)
-			if in != nil && val.InternWorthy(fields) {
-				t = in.ResolveTuple(t)
-			}
-			out = append(out, Delta{Sign: esign, Tuple: t})
+			out = append(out, Delta{Sign: esign, Tuple: val.Tuple{Pred: pred, Fields: fields}})
 		}
 	}
 	return out, nil
@@ -260,8 +256,8 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 // DecodeMessage dispatches on the message kind byte.
 func DecodeMessage(b []byte) ([]Delta, error) { return DecodeMessageIn(b, nil) }
 
-// DecodeMessageIn is DecodeMessage resolving decoded tuples through the
-// receiving node's interner (nil skips interning).
+// DecodeMessageIn is DecodeMessage resolving strings through the
+// receiving node's string table (nil copies them).
 func DecodeMessageIn(b []byte, in *val.Interner) ([]Delta, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("engine: empty message")

@@ -141,7 +141,7 @@ func (n *Node) sweepDerivable(fn func(d derived)) {
 		n.sweepDerivablePar(fn)
 		return
 	}
-	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res, in: n.in}
+	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res}
 	for _, sts := range n.prog.strands {
 		for _, st := range sts {
 			if st.isAgg || st.trigger != 0 {
@@ -202,7 +202,7 @@ func (n *Node) sweepDerivablePar(fn func(d derived)) {
 		go func(ctx *joinCtx) {
 			defer wg.Done()
 			ctx.ltBefore, ctx.leAfter = noLimit, noLimit
-			ctx.deleted, ctx.deletedPred = nil, ""
+			ctx.hasDeleted = false
 			for {
 				j := int(next.Add(1)) - 1
 				if j >= len(jobs) {

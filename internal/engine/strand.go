@@ -45,10 +45,6 @@ type strand struct {
 // environment maps survive on the join or head-instantiation path.
 type ruleCode struct {
 	nslots int
-	// headPredHash is the head predicate's cached hash state: the fixed
-	// prefix of every instantiated head's intern key, folded once at
-	// compile time instead of per derivation.
-	headPredHash val.Hash64
 	// args[i] are the lowered arguments of body atom i: each a constant
 	// or an environment slot. Shared by every strand of the rule (arg
 	// lowering does not depend on the trigger position).
@@ -105,7 +101,7 @@ type probeArg struct {
 // compileRule lowers a localized rule to its slot-addressed form.
 func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 	sm := planner.AssignSlots(r)
-	code := &ruleCode{nslots: sm.Len(), headPredHash: val.HashPredicate(r.Head.Pred)}
+	code := &ruleCode{nslots: sm.Len()}
 
 	code.args = make([][]slotArg, len(atoms))
 	for i, a := range atoms {
@@ -421,11 +417,13 @@ type joinCtx struct {
 	ltBefore int64
 	// leAfter bounds atoms at positions > trigger: Stamp <= leAfter.
 	leAfter int64
-	// deleted is the tuple being retracted (deletions only). For
-	// counting correctness in self-joins, atoms after the trigger with
-	// the same predicate also match the deleted tuple itself.
-	deleted     *val.Tuple
-	deletedPred string
+	// deleted is the tuple being retracted, valid when hasDeleted is set
+	// (deletions only). For counting correctness in self-joins, atoms
+	// after the trigger with the same predicate also match the deleted
+	// tuple itself. Held by value: a pointer would move every caller's
+	// tuple to the heap.
+	deleted    val.Tuple
+	hasDeleted bool
 	// res resolves a strand's per-atom table and index handles at this
 	// node (strands are shared across nodes; tables are not). nil falls
 	// back to Catalog.Get / EnsureIndex per probe.
@@ -436,11 +434,9 @@ type joinCtx struct {
 	// (slot indices to unbind); run resets them per delta.
 	env *funcs.SlotEnv
 	tr  []int32
-	// in, when non-nil, resolves instantiated head tuples to their
-	// canonical interned copy; headBuf is the reusable instantiation
-	// buffer that makes repeated derivations allocation-free (the
-	// interner copies it only for tuples never seen before).
-	in      *val.Interner
+	// headBuf is the reusable head instantiation buffer: a derived head
+	// is copied out of it exactly once, into the array the routed delta
+	// (and then the table that stores it) keeps.
 	headBuf []val.Value
 }
 
@@ -550,8 +546,8 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 
 	// Deletion self-join correction: the retracted tuple still counts as
 	// a join partner for later occurrences of its own predicate.
-	if ctx.deleted != nil && s.atoms[idx].Pred == ctx.deletedPred && idx > s.trigger {
-		if err := tryEntry(*ctx.deleted, -1); err != nil {
+	if ctx.hasDeleted && s.atoms[idx].Pred == ctx.deleted.Pred && idx > s.trigger {
+		if err := tryEntry(ctx.deleted, -1); err != nil {
 			return err
 		}
 	}
@@ -590,13 +586,12 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 	return nil
 }
 
-// instantiateHead builds the head tuple from the slot environment,
-// resolved through the context's interner: the fields are evaluated into
-// the reusable headBuf and only tuples never derived before copy out of
-// it, so re-derivations (semi-naïve rounds, soft-state refreshes, count
-// cancellations) allocate nothing here. For aggregate rules, the
-// aggregate position receives the raw aggregated variable's value; the
-// caller replaces it with the group aggregate.
+// instantiateHead builds the head tuple from the slot environment: the
+// fields are evaluated into the reusable headBuf and copied out once —
+// the derived tuple's single allocation, owned from here on by whoever
+// keeps the delta (DESIGN.md §3). For aggregate rules, the aggregate
+// position receives the raw aggregated variable's value; the caller
+// replaces it with the group aggregate.
 func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 	n := len(s.code.head)
 	if cap(ctx.headBuf) < n {
@@ -629,13 +624,5 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 		// instantiation: hand it the scratch itself.
 		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
-	if ctx.in != nil && val.InternWorthy(fields) {
-		// Resolve, not intern: most instantiated heads are explored once
-		// (then pruned or replaced); only tuples that enter a table are
-		// added to the pool (storeInsert), and re-derivations of those
-		// resolve to the canonical copy here without allocating. Small
-		// flat heads skip the probe — copying beats hashing for them.
-		return ctx.in.ResolveH(s.code.headPredHash, s.rule.Head.Pred, fields), nil
-	}
-	return val.NewTuple(s.rule.Head.Pred, append([]val.Value(nil), fields...)...), nil
+	return val.Tuple{Pred: s.rule.Head.Pred, Fields: append([]val.Value(nil), fields...)}, nil
 }

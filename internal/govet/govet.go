@@ -53,7 +53,7 @@ type Analyzer struct {
 
 // All lists every analyzer of the repo, in the order cmd/ndvet and the
 // repo-is-clean test run them.
-var All = []*Analyzer{AtomicCounter, InternerCapture, UnsafeImport}
+var All = []*Analyzer{AtomicCounter, UnsafeImport}
 
 // Pass carries the loaded program and the reporting sink for one
 // analyzer invocation.

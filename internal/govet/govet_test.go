@@ -99,50 +99,6 @@ type collector struct {
 	}
 }
 
-// TestInternerCaptureFlagsReachableConstruction: a val.NewInterner
-// call is flagged when a parallel*.go function in package engine
-// reaches it through the call graph — including across packages and
-// through method calls — and not flagged otherwise.
-func TestInternerCaptureFlagsReachableConstruction(t *testing.T) {
-	fset := token.NewFileSet()
-	engine := loadSrc(t, fset, "engine", map[string]string{
-		"parallel.go": `package engine
-
-func runWorkers() {
-	n := &node{}
-	n.setup()
-}
-`,
-		"node.go": `package engine
-
-type node struct{}
-
-func (n *node) setup() { helperMake() }
-
-func helperMake() {
-	_ = val.NewInterner()
-}
-
-func coldPath() {
-	_ = val.NewInterner() // unreachable from parallel.go: must not be flagged
-}
-`,
-	})
-	diags := Run(fset, []*Package{engine}, []*Analyzer{InternerCapture})
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 finding, got %d: %v", len(diags), diags)
-	}
-	d := diags[0]
-	if !strings.Contains(d.Pos.Filename, "node.go") || d.Pos.Line != 8 {
-		t.Errorf("finding at %s:%d, want node.go:8", d.Pos.Filename, d.Pos.Line)
-	}
-	for _, via := range []string{"engine.runWorkers", "engine.helperMake"} {
-		if !strings.Contains(d.Message, via) {
-			t.Errorf("witness chain should mention %s: %s", via, d.Message)
-		}
-	}
-}
-
 // TestUnsafeImportFence: a planted import "unsafe" is flagged in any
 // file but internal/val/val.go — including another file of package val
 // and a renamed import — and the home file itself passes.

@@ -24,9 +24,12 @@
 // nodes are single-threaded, so every Push/Drain/Tuples access happens
 // under the per-node mutex; the receive loops rely on the engine's
 // copy-on-decode invariant (decoded tuples never alias the read buffer)
-// to reuse one buffer per loop. The address book and the node set are
-// guarded separately so remote entries and live adoptions can land
-// while the loops are running.
+// to reuse one buffer per loop. A drain's datagrams leave under the
+// node's send lock, taken before the node lock is released, so each
+// link carries a node's drains in the order they ran (PSN assumes FIFO
+// links) without the node lock being held across socket writes. The
+// address book and the node set are guarded separately so remote entries
+// and live adoptions can land while the loops are running.
 //
 // The default runner binds loopback addresses, so tests exercise
 // genuine socket I/O without leaving the machine. Message loss and
@@ -38,7 +41,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,6 +96,12 @@ type Runner struct {
 	// enabled; durGroup is the shard-wide log all local stores share.
 	groupCommit bool
 	durGroup    *durable.Group
+
+	// sweepMu serializes drainDispatch sweeps under group commit, the one
+	// path that holds several nodes' send locks at once (across the shared
+	// commit): two such sweeps could otherwise each hold a send lock the
+	// other is waiting for.
+	sweepMu sync.Mutex
 
 	// durDir/durOpts configure per-node durable stores (EnableDurability);
 	// "" means in-memory only.
@@ -156,6 +167,12 @@ type netNode struct {
 	// (used for sends and the address book) and stays the runner's.
 	ownsConn bool
 	mu       sync.Mutex // guards node (engine nodes are single-threaded)
+	// sendMu orders this node's outbound datagrams: whoever drained the
+	// node takes it while still holding mu and releases it after
+	// dispatching, so sends happen in drain order while the next drain
+	// already runs. Ordered strictly after mu; nothing is locked under it
+	// but the book and ledger leaves dispatch takes.
+	sendMu sync.Mutex
 	// closed marks a released node: its receive loop exits on the next
 	// read error instead of treating the closed socket as transient.
 	closed atomic.Bool
@@ -470,9 +487,8 @@ func (r *Runner) ImportNode(id string, state []byte) error {
 	nn.node.Rederive()
 	outs = append(outs, nn.node.Drain()...)
 	r.commitDurable(nn)
-	nn.mu.Unlock()
 	r.activity.Add(1)
-	r.dispatch(nn, outs)
+	r.unlockAndDispatch(nn, outs)
 	return nil
 }
 
@@ -688,10 +704,7 @@ func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
 			nn.mu.Lock()
 			outs := drain(nn)
 			r.commitDurable(nn)
-			nn.mu.Unlock()
-			if len(outs) > 0 {
-				r.dispatch(nn, outs)
-			}
+			r.unlockAndDispatch(nn, outs)
 		})
 		return
 	}
@@ -699,16 +712,22 @@ func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
 		nn   *netNode
 		outs []engine.OutDelta
 	}
+	r.sweepMu.Lock()
+	defer r.sweepMu.Unlock()
 	var mu sync.Mutex
 	var all []drained
 	r.forEachLocal(func(nn *netNode) {
 		nn.mu.Lock()
 		outs := drain(nn)
 		r.appendDurable(nn)
-		nn.mu.Unlock()
 		if len(outs) == 0 {
+			nn.mu.Unlock()
 			return
 		}
+		// The node's later drains queue behind this one's datagrams, which
+		// wait for the shared commit.
+		nn.sendMu.Lock()
+		nn.mu.Unlock()
 		mu.Lock()
 		all = append(all, drained{nn: nn, outs: outs})
 		mu.Unlock()
@@ -716,7 +735,22 @@ func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
 	r.durGroup.Commit()
 	for _, d := range all {
 		r.dispatch(d.nn, d.outs)
+		d.nn.sendMu.Unlock()
 	}
+}
+
+// unlockAndDispatch ends a drain: it releases the node lock the caller
+// holds and sends the drain's output, handing over to the node's send
+// lock in between so that no later drain's datagrams can overtake these.
+func (r *Runner) unlockAndDispatch(nn *netNode, outs []engine.OutDelta) {
+	if len(outs) == 0 {
+		nn.mu.Unlock()
+		return
+	}
+	nn.sendMu.Lock()
+	nn.mu.Unlock()
+	r.dispatch(nn, outs)
+	nn.sendMu.Unlock()
 }
 
 // Envelope magics. Every data datagram opens with one; the bytes are
@@ -804,7 +838,7 @@ func (r *Runner) receiveLoop(nn *netNode) {
 // one dispatch — regardless of how many datagrams the batch coalesced.
 // The payloads may alias the caller's read buffer (decode copies).
 func (r *Runner) processFrames(nn *netNode, frames []inFrame) {
-	// Decode under the node lock: the interner is node state, and the
+	// Decode under the node lock: the string table is node state, and the
 	// copy-on-decode invariant (decoded tuples never alias the buffer)
 	// is what lets receive paths reuse read buffers and this scratch.
 	nn.mu.Lock()
@@ -836,9 +870,8 @@ func (r *Runner) processFrames(nn *netNode, frames []inFrame) {
 	// derived datagram leaves, so a crash right here cannot have
 	// advertised state it will not remember.
 	r.commitDurable(nn)
-	nn.mu.Unlock()
 	r.activity.Add(1)
-	r.dispatch(nn, outs)
+	r.unlockAndDispatch(nn, outs)
 }
 
 // demuxLoop is one shared-socket receive worker: it reads frames for
@@ -919,9 +952,8 @@ func (r *Runner) Inject(id string, d engine.Delta) error {
 	nn.node.Push(d)
 	outs := nn.node.Drain()
 	r.commitDurable(nn)
-	nn.mu.Unlock()
 	r.activity.Add(1)
-	r.dispatch(nn, outs)
+	r.unlockAndDispatch(nn, outs)
 	return nil
 }
 
@@ -933,34 +965,34 @@ const dispatchMaxPayload = 32 << 10
 // datagram carries every tuple bound for the same peer, mirroring the
 // simulator's per-pump batching — chunked so no datagram exceeds
 // dispatchMaxPayload. Destinations absent from the book count as
-// dropped.
+// dropped. The caller holds the node's send lock.
 func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
-	byDst := map[string][]engine.Delta{}
-	var order []string
-	r.bookMu.RLock()
-	for _, o := range outs {
-		if _, ok := r.book[o.Dst]; !ok {
-			r.dropped.Add(1)
+	// A drain's output is sorted by destination, so each peer is one
+	// contiguous run; the recovery paths hand in several drains (or a
+	// sweep's output) end to end, which a stable sort brings to the same
+	// shape with every peer's deltas still in order.
+	byDst := func(a, b engine.OutDelta) int { return strings.Compare(a.Dst, b.Dst) }
+	if !slices.IsSortedFunc(outs, byDst) {
+		slices.SortStableFunc(outs, byDst)
+	}
+	epoch := r.epoch.Load()
+	for len(outs) > 0 {
+		dstID := outs[0].Dst
+		end := 1
+		for end < len(outs) && outs[end].Dst == dstID {
+			end++
+		}
+		deltas := outs[:end]
+		outs = outs[end:]
+		dst := r.Addr(dstID)
+		if dst == nil {
+			r.dropped.Add(int64(len(deltas)))
 			continue
 		}
-		if _, ok := byDst[o.Dst]; !ok {
-			order = append(order, o.Dst)
-		}
-		byDst[o.Dst] = append(byDst[o.Dst], o.Delta)
-	}
-	addrs := make([]*net.UDPAddr, len(order))
-	for i, dstID := range order {
-		addrs[i] = r.book[dstID]
-	}
-	r.bookMu.RUnlock()
-	epoch := r.epoch.Load()
-	for i, dstID := range order {
-		dst := addrs[i]
-		deltas := byDst[dstID]
 		for len(deltas) > 0 {
 			n, size := 0, 0
 			for n < len(deltas) {
-				size += 1 + val.EncodedSize(deltas[n].Tuple)
+				size += 1 + val.EncodedSize(deltas[n].Delta.Tuple)
 				if n > 0 && size > dispatchMaxPayload {
 					break
 				}
@@ -973,7 +1005,7 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 			frame := binary.AppendUvarint([]byte{envMagicDst}, epoch)
 			frame = binary.AppendUvarint(frame, uint64(len(dstID)))
 			frame = append(frame, dstID...)
-			frame = engine.AppendDeltas(frame, deltas[:n])
+			frame = engine.AppendOutDeltas(frame, deltas[:n])
 			deltas = deltas[n:]
 			if r.lossBudget.Load() > 0 && r.lossBudget.Add(-1) >= 0 {
 				// Injected loss: the datagram is counted as sent (the

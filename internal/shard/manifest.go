@@ -45,8 +45,6 @@ type Options struct {
 	AggSelPreds []string `json:"aggsel_preds,omitempty"`
 	// AggSelPeriod enables periodic aggregate selections (seconds).
 	AggSelPeriod float64 `json:"aggsel_period,omitempty"`
-	// ArenaIntern switches nodes to per-drain arena interning.
-	ArenaIntern bool `json:"arena,omitempty"`
 	// LossFirst > 0 makes each worker drop its first N outbound data
 	// datagrams while still counting them as sent — deterministic fault
 	// injection for exercising the coordinator's unbalanced-ledger
@@ -90,6 +88,23 @@ type Options struct {
 	GroupCommit bool `json:"group_commit,omitempty"`
 }
 
+// UnmarshalJSON rejects the one option key this format used to carry
+// and no longer does, instead of letting encoding/json drop it silently:
+// a deployment that asks for a removed behaviour should hear about it.
+func (o *Options) UnmarshalJSON(b []byte) error {
+	var removed struct {
+		Arena json.RawMessage `json:"arena"`
+	}
+	if err := json.Unmarshal(b, &removed); err != nil {
+		return err
+	}
+	if removed.Arena != nil {
+		return fmt.Errorf(`option "arena" was removed (the engine no longer pools tuples, so there is no arena to select): delete the key`)
+	}
+	type plain Options
+	return json.Unmarshal(b, (*plain)(o))
+}
+
 // Durable converts the manifest's durability stanza to the durable
 // package's options. An empty returned dir means durability is off.
 func (o Options) Durable() (string, durable.Options, error) {
@@ -118,7 +133,6 @@ func (o Options) Engine() (engine.Options, error) {
 		AggSel:       o.AggSel,
 		AggSelPreds:  o.AggSelPreds,
 		AggSelPeriod: o.AggSelPeriod,
-		ArenaIntern:  o.ArenaIntern,
 		Parallelism:  o.Parallelism,
 		PSNBatch:     o.PSNBatch,
 	}, nil

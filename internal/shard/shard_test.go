@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ndlog/internal/durable"
@@ -78,6 +81,20 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	}
 	if opts.Parallelism != 4 || opts.Workers() != 4 {
 		t.Errorf("parallelism not threaded through: %+v", opts)
+	}
+
+	// A manifest written for the removed arena mode fails loudly, naming
+	// the key, instead of loading with the option silently dropped.
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(t.TempDir(), "stale.json")
+	if err := os.WriteFile(stale, bytes.Replace(b, []byte(`"mode":`), []byte(`"arena": true, "mode":`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"arena"`) {
+		t.Errorf("manifest carrying the removed arena key: err = %v, want one naming \"arena\"", err)
 	}
 
 	bad := []*Manifest{

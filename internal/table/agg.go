@@ -29,11 +29,6 @@ type GroupAgg struct {
 	// cycles) don't reallocate the key copy and multiset every round.
 	// A sweep reclaims them if they ever dominate.
 	empties int
-	// in, when set, resolves retained group keys to their canonical
-	// interned slice: a group keyed by a projection of an interned tuple
-	// shares that tuple's field storage instead of copying it, and
-	// key-equality checks hit the shared-storage fast path.
-	in *val.Interner
 	// post is the test hook that truncates group-key hashes to force
 	// collision chains; nil in production.
 	post func(uint64) uint64
@@ -63,14 +58,6 @@ type aggVal struct {
 // NewGroupAgg creates an incremental aggregate for fn.
 func NewGroupAgg(fn ast.AggFunc) *GroupAgg {
 	return &GroupAgg{fn: fn, groups: map[uint64]*aggGroup{}}
-}
-
-// SetInterner makes the aggregate resolve retained group keys through
-// in (callers may still pass scratch keys; interning replaces the
-// private copy). Returns g for construction chaining.
-func (g *GroupAgg) SetInterner(in *val.Interner) *GroupAgg {
-	g.in = in
-	return g
 }
 
 // Change describes how a group's aggregate moved after an Add or Remove.
@@ -119,13 +106,7 @@ func (g *GroupAgg) group(h uint64, key []val.Value) *aggGroup {
 		}
 		return gr
 	}
-	var kcp []val.Value
-	if g.in != nil {
-		kcp = g.in.InternValues(key)
-	} else {
-		kcp = append([]val.Value(nil), key...)
-	}
-	gr := &aggGroup{key: kcp, next: g.groups[h], allInt: true}
+	gr := &aggGroup{key: append([]val.Value(nil), key...), next: g.groups[h], allInt: true}
 	g.groups[h] = gr
 	g.n++
 	return gr

@@ -14,11 +14,12 @@
 // output.
 //
 // Ownership: tables are single-owner (one engine node each, no internal
-// locking). A stored Entry and its Tuple belong to the table; callers
-// may hold the Tuple (tuples are immutable) but must treat Entry fields
-// other than the advertisement/pooling flags as read-only — indexes
-// alias the same Entry pointers, so replacing an Entry's Tuple wholesale
-// is reserved for the interning hooks that preserve structural equality.
+// locking). A stored Entry belongs to the table, and the table is what
+// hashes a tuple — once, at Insert, with the hash cached on the entry.
+// Callers may hold the Tuple (tuples are immutable) and the *Entry an
+// Insert handed back, but must treat every Entry field other than the
+// advertisement flag as read-only: indexes alias the same Entry
+// pointers.
 package table
 
 import (
@@ -52,18 +53,11 @@ type Entry struct {
 	// pkHash is the primary-key hash the entry is stored under; cached so
 	// deletes and index maintenance never rehash the tuple.
 	pkHash uint64
-	// PooledEpoch is the interner epoch at pooling time (see Pooled).
-	PooledEpoch int32
 	// Adv records whether the engine has run this tuple's trigger strands
 	// (its "advertisement"). The aggregate-selection optimization defers
 	// or suppresses trigger strands for tuples that do not improve their
 	// group aggregate; Adv prevents double advertisement.
 	Adv bool
-	// Pooled records that the engine has interned this row (second-touch
-	// pooling): further duplicate inserts skip the pool probe entirely.
-	// Once the pool has flipped twice since PooledEpoch, the canonical may
-	// have been evicted and the engine re-interns on the next duplicate.
-	Pooled bool
 	// dead marks an entry removed from rows that may still sit in the
 	// FIFO eviction list awaiting compaction.
 	dead bool
@@ -97,11 +91,10 @@ func (s Status) String() string {
 
 // Table is one materialized relation at one node.
 type Table struct {
-	name     string
-	nameHash val.Hash64 // cached HashPredicate(name), for intern keys
-	keys     []int      // primary-key columns; empty means the whole row
-	ttl      float64
-	maxSize  int
+	name    string
+	keys    []int // primary-key columns; empty means the whole row
+	ttl     float64
+	maxSize int
 
 	rows map[uint64]*Entry // pk hash -> collision chain (Entry.next)
 	n    int               // live row count
@@ -252,22 +245,17 @@ func (ix *Index) remove(e *Entry) {
 // means unbounded.
 func New(name string, keys []int, ttl float64, maxSize int) *Table {
 	return &Table{
-		name:     name,
-		nameHash: val.HashPredicate(name),
-		keys:     append([]int(nil), keys...),
-		ttl:      ttl,
-		maxSize:  maxSize,
-		rows:     map[uint64]*Entry{},
-		indexes:  map[string]*Index{},
+		name:    name,
+		keys:    append([]int(nil), keys...),
+		ttl:     ttl,
+		maxSize: maxSize,
+		rows:    map[uint64]*Entry{},
+		indexes: map[string]*Index{},
 	}
 }
 
 // Name returns the relation name.
 func (t *Table) Name() string { return t.name }
-
-// NameHash returns the cached hash state of the relation name — the
-// fixed prefix of this table's tuples' intern keys (val.HashPredicate).
-func (t *Table) NameHash() val.Hash64 { return t.nameHash }
 
 // Keys returns the primary-key columns (nil = whole row).
 func (t *Table) Keys() []int { return t.keys }
@@ -381,13 +369,11 @@ func (t *Table) compactOrder() {
 type InsertResult struct {
 	Status   Status
 	Replaced val.Tuple // valid when Status == StatusReplaced
-	// Dup is the stored row when Status == StatusDuplicate: its tuple is
-	// the canonical copy of the one the caller tried to insert. The
-	// engine pools it on this second touch (tuples that repeat are the
-	// ones worth interning; single-touch rows never pay pool
-	// bookkeeping) and marks it Pooled so later duplicates skip the
-	// probe.
-	Dup *Entry
+	// Entry is the row that now holds the inserted tuple: the new row, the
+	// existing row of a duplicate, or the reused row of a replacement.
+	// Callers that must touch the row after the insert (the engine's
+	// advertisement flag) keep it instead of looking the tuple up again.
+	Entry *Entry
 	// ReplacedAdv and ReplacedStamp snapshot the displaced entry's
 	// advertisement flag and timestamp, so the engine can propagate the
 	// deletion without a second lookup.
@@ -434,7 +420,7 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 				e.Count++
 			}
 			e.Expires = expires // re-insertion refreshes the TTL
-			return InsertResult{Status: StatusDuplicate, Dup: e}
+			return InsertResult{Status: StatusDuplicate, Entry: e}
 		}
 		old := e.Tuple
 		oldAdv, oldStamp := e.Adv, e.Stamp
@@ -443,19 +429,15 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 		e.Count = 1
 		e.Stamp = stamp
 		e.Expires = expires
-		// The entry now holds a different tuple: the displaced value's
-		// pooled state must not stick to it, or the new value would never
-		// be interned on its second touch.
-		e.Pooled, e.PooledEpoch = false, 0
 		t.addToIndexes(e)
-		return InsertResult{Status: StatusReplaced, Replaced: old,
+		return InsertResult{Status: StatusReplaced, Entry: e, Replaced: old,
 			ReplacedAdv: oldAdv, ReplacedStamp: oldStamp}
 	}
 	e := &Entry{Tuple: tp, next: head, Count: 1, Stamp: stamp, Expires: expires, pkHash: h}
 	t.rows[h] = e
 	t.n++
 	t.addToIndexes(e)
-	res := InsertResult{Status: StatusNew}
+	res := InsertResult{Status: StatusNew, Entry: e}
 	if t.maxSize > 0 {
 		t.order = append(t.order, e)
 		res.Evicted = t.evictOverflow()

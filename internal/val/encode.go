@@ -57,13 +57,11 @@ func appendString(dst []byte, s string) []byte {
 // number of bytes consumed. Decoded strings never alias b: they are
 // copied (or resolved to an interned copy), so callers may reuse or
 // scribble over the buffer once decoding returns.
-func DecodeValue(b []byte) (Value, int, error) { return decodeValueIn(b, nil) }
+func DecodeValue(b []byte) (Value, int, error) { return DecodeValueIn(b, nil) }
 
-// DecodeValueIn is DecodeValue resolving strings and list payloads
-// through in (nil behaves like DecodeValue).
-func DecodeValueIn(b []byte, in *Interner) (Value, int, error) { return decodeValueIn(b, in) }
-
-func decodeValueIn(b []byte, in *Interner) (Value, int, error) {
+// DecodeValueIn is DecodeValue resolving strings through in's string
+// table (nil behaves like DecodeValue).
+func DecodeValueIn(b []byte, in *Interner) (Value, int, error) {
 	if len(b) == 0 {
 		return Nil, 0, ErrCorrupt
 	}
@@ -77,11 +75,7 @@ func decodeValueIn(b []byte, in *Interner) (Value, int, error) {
 		if err != nil {
 			return Nil, 0, err
 		}
-		n += m
-		if k == KindAddr {
-			return NewAddr(s), n, nil
-		}
-		return NewString(s), n, nil
+		return stringOf(k, s), n + m, nil
 	case KindInt:
 		i, m := binary.Varint(b[n:])
 		if m <= 0 {
@@ -105,33 +99,12 @@ func decodeValueIn(b []byte, in *Interner) (Value, int, error) {
 			return Nil, 0, ErrCorrupt
 		}
 		n += m
-		if in != nil {
-			// Decode the elements into the interner's scratch arena and
-			// resolve the completed list against the canonical pool: a
-			// path vector belonging to any stored tuple costs no
-			// allocation, a one-shot list costs the same copy as the
-			// plain path (the pool is populated at table-insert time, not
-			// here — see Interner.Resolve).
-			mark := len(in.scratch)
-			for i := uint64(0); i < cnt; i++ {
-				v, m, err := decodeValueIn(b[n:], in)
-				if err != nil {
-					in.scratch = in.scratch[:mark]
-					return Nil, 0, err
-				}
-				in.scratch = append(in.scratch, v)
-				n += m
-			}
-			lv := in.resolveList(in.scratch[mark:])
-			in.scratch = in.scratch[:mark]
-			return lv, n, nil
-		}
 		// Cap preallocation by the remaining payload (each element takes
 		// at least one byte): a corrupt length must fail on truncation,
 		// not allocate first.
 		vs := make([]Value, 0, min(cnt, uint64(len(b)-n)))
 		for i := uint64(0); i < cnt; i++ {
-			v, m, err := decodeValueIn(b[n:], nil)
+			v, m, err := DecodeValueIn(b[n:], in)
 			if err != nil {
 				return Nil, 0, err
 			}
@@ -141,6 +114,57 @@ func decodeValueIn(b []byte, in *Interner) (Value, int, error) {
 		return listOf(vs), n, nil
 	}
 	return Nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
+}
+
+// skipValue returns the encoded length of the value at the head of b
+// without building it — the sizing pass of DecodeTupleIn. It accepts
+// exactly the structure DecodeValueIn accepts.
+func skipValue(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, ErrCorrupt
+	}
+	k := Kind(b[0])
+	n := 1
+	switch k {
+	case KindNil:
+		return n, nil
+	case KindAddr, KindString:
+		l, m := binary.Uvarint(b[n:])
+		if m <= 0 || uint64(len(b)-n-m) < l {
+			return 0, ErrCorrupt
+		}
+		return n + m + int(l), nil
+	case KindInt:
+		if _, m := binary.Varint(b[n:]); m > 0 {
+			return n + m, nil
+		}
+		return 0, ErrCorrupt
+	case KindBool:
+		if len(b) < n+1 {
+			return 0, ErrCorrupt
+		}
+		return n + 1, nil
+	case KindFloat:
+		if _, m := binary.Uvarint(b[n:]); m > 0 {
+			return n + m, nil
+		}
+		return 0, ErrCorrupt
+	case KindList:
+		cnt, m := binary.Uvarint(b[n:])
+		if m <= 0 {
+			return 0, ErrCorrupt
+		}
+		n += m
+		for i := uint64(0); i < cnt; i++ {
+			m, err := skipValue(b[n:])
+			if err != nil {
+				return 0, err
+			}
+			n += m
+		}
+		return n, nil
+	}
+	return 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, k)
 }
 
 // decodeStringIn decodes a length-prefixed string. The result never
@@ -153,7 +177,7 @@ func decodeStringIn(b []byte, in *Interner) (string, int, error) {
 	}
 	bs := b[m : m+int(l)]
 	if in != nil {
-		return in.internBytes(bs), m + int(l), nil
+		return in.InternBytes(bs), m + int(l), nil
 	}
 	return string(bs), m + int(l), nil
 }
@@ -182,10 +206,13 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 // consumed. The tuple owns its storage: no field retains a view of b.
 func DecodeTuple(b []byte) (Tuple, int, error) { return DecodeTupleIn(b, nil) }
 
-// DecodeTupleIn is DecodeTuple resolving the decoded tuple — and its
-// predicate name, strings, and list values — through in, so a tuple the
-// receiving node has stored decodes to its canonical copy without
-// allocating. nil behaves like DecodeTuple. Either way the result never
+// DecodeTupleIn is DecodeTuple resolving the predicate name and every
+// string through in's string table (nil copies them). The tuple's fields
+// and the elements of its top-level lists share one freshly allocated
+// backing array — a path tuple with known strings costs one allocation —
+// which a sizing pass over the bytes measures before anything is built,
+// so a corrupt count fails on truncation instead of allocating. Lists
+// nested inside lists allocate their own arrays. The result never
 // aliases b.
 func DecodeTupleIn(b []byte, in *Interner) (Tuple, int, error) {
 	pred, n, err := decodeStringIn(b, in)
@@ -197,46 +224,52 @@ func DecodeTupleIn(b []byte, in *Interner) (Tuple, int, error) {
 		return Tuple{}, 0, ErrCorrupt
 	}
 	n += m
-	if in != nil {
-		// Fields go through the scratch arena and the completed tuple
-		// resolves against the pool: decoding a tuple this node has
-		// stored allocates nothing, a never-stored tuple costs the same
-		// copy as the plain path. Small flat tuples skip the probe
-		// (InternWorthy) — copying them is cheaper than hashing them.
-		mark := len(in.scratch)
-		for i := uint64(0); i < cnt; i++ {
-			v, m, err := decodeValueIn(b[n:], in)
-			if err != nil {
-				in.scratch = in.scratch[:mark]
-				return Tuple{}, 0, err
+
+	// Sizing pass: every field and every top-level list element occupies
+	// at least one byte of b, so total is bounded by len(b).
+	total := cnt
+	for i, p := uint64(0), n; i < cnt; i++ {
+		if p < len(b) && Kind(b[p]) == KindList {
+			if lc, m := binary.Uvarint(b[p+1:]); m > 0 {
+				total += lc
 			}
-			in.scratch = append(in.scratch, v)
-			n += m
 		}
-		fields := in.scratch[mark:]
-		var t Tuple
-		if InternWorthy(fields) {
-			t = in.Resolve(pred, fields)
-		} else {
-			fs := make([]Value, len(fields))
-			copy(fs, fields)
-			t = Tuple{Pred: pred, Fields: fs}
-		}
-		in.scratch = in.scratch[:mark]
-		return t, n, nil
-	}
-	// Cap preallocation by the remaining payload, as in DecodeValue: a
-	// corrupt field count fails on truncation instead of allocating.
-	fs := make([]Value, 0, min(cnt, uint64(len(b)-n)))
-	for i := uint64(0); i < cnt; i++ {
-		v, m, err := decodeValueIn(b[n:], nil)
+		m, err := skipValue(b[p:])
 		if err != nil {
 			return Tuple{}, 0, err
 		}
-		fs = append(fs, v)
-		n += m
+		p += m
 	}
-	return Tuple{Pred: pred, Fields: fs}, n, nil
+
+	vs := make([]Value, total)
+	// Full slice expressions: an append to Fields must never grow into
+	// the list elements behind it.
+	fields, rest := vs[:cnt:cnt], vs[cnt:]
+	for i := range fields {
+		if Kind(b[n]) != KindList {
+			v, m, err := DecodeValueIn(b[n:], in)
+			if err != nil {
+				return Tuple{}, 0, err
+			}
+			fields[i] = v
+			n += m
+			continue
+		}
+		lc, m := binary.Uvarint(b[n+1:])
+		n += 1 + m
+		elems := rest[:lc:lc]
+		rest = rest[lc:]
+		for j := range elems {
+			v, m, err := DecodeValueIn(b[n:], in)
+			if err != nil {
+				return Tuple{}, 0, err
+			}
+			elems[j] = v
+			n += m
+		}
+		fields[i] = listOf(elems)
+	}
+	return Tuple{Pred: pred, Fields: fields}, n, nil
 }
 
 // EncodedSize returns the wire size of t in bytes without allocating the

@@ -61,27 +61,6 @@ func (h Hash64) AddString(s string) Hash64 {
 	return h
 }
 
-// AddBytes folds a byte slice exactly as AddString folds the equal
-// string, so routing and bucketing computed over wire views agree with
-// hashes computed over the retained strings.
-func (h Hash64) AddBytes(b []byte) Hash64 {
-	h = h.addUint64(uint64(len(b)))
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		x := uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-			uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-		h = h.addUint64(x)
-	}
-	if i < len(b) {
-		var x uint64
-		for j := 0; i < len(b); i, j = i+1, j+8 {
-			x |= uint64(b[i]) << j
-		}
-		h = h.addUint64(x)
-	}
-	return h
-}
-
 // AddValue folds one value: kind tag, then the payload in its native
 // binary form (no decimal formatting).
 func (h Hash64) AddValue(v Value) Hash64 {
@@ -94,10 +73,8 @@ func (h Hash64) AddValue(v Value) Hash64 {
 		// The payload word: the int, 0/1, or the canonical float bits.
 		h = h.addUint64(v.word())
 	case KindList:
-		// Fold the length, then the list's own whole hash: composing the
-		// sub-hash (instead of splicing element folds) lets callers that
-		// already hashed a list reuse that hash when folding an
-		// enclosing key (see Interner.hashList).
+		// Fold the length, then the list's own whole hash, so a list
+		// field hashes the same wherever its elements are stored.
 		l := v.list()
 		h = h.addUint64(uint64(len(l)))
 		h = h.addUint64(HashValues(l))
@@ -132,7 +109,7 @@ func ValuesEqual(a, b []Value) bool {
 		return false
 	}
 	if len(a) > 0 && &a[0] == &b[0] {
-		return true // shared canonical storage (interned slices)
+		return true // shared storage
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {

@@ -8,6 +8,8 @@ import (
 // FuzzIntern drives random tuple batches through encode → decode →
 // intern and checks the interner's contracts:
 //
+//   - decoding through the string table accepts exactly what the plain
+//     decode accepts, and consumes the same bytes;
 //   - structural-equal inputs map to the identical canonical object
 //     (shared field storage);
 //   - interned tuples round-trip Encode byte-for-byte with their plain

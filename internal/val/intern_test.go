@@ -2,7 +2,9 @@ package val
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 )
 
 func internTuples() []Tuple {
@@ -35,32 +37,28 @@ func TestInternCanonicalIdentity(t *testing.T) {
 		if !sameStorage(c1, c2) {
 			t.Errorf("Intern(%v): clones did not unify onto one canonical tuple", tp)
 		}
-		c3 := in.InternFields(tp.Pred, append([]Value(nil), tp.Fields...))
-		if !sameStorage(c1, c3) {
-			t.Errorf("InternFields(%v): did not resolve to the canonical tuple", tp)
-		}
-		r := in.Resolve(tp.Pred, tp.Fields)
-		if !sameStorage(c1, r) {
-			t.Errorf("Resolve(%v): did not resolve to the canonical tuple", tp)
-		}
+	}
+	if got, want := in.Len(), len(internTuples()); got != want {
+		t.Errorf("Len = %d, want %d (one entry per distinct tuple)", got, want)
 	}
 }
 
-func TestResolveDoesNotRetain(t *testing.T) {
-	in := NewInterner()
-	tp := internTuples()[0]
-	r1 := in.Resolve(tp.Pred, tp.Fields)
-	r2 := in.Resolve(tp.Pred, tp.Fields)
-	if sameStorage(r1, r2) {
-		t.Fatal("Resolve misses must not populate the pool")
-	}
-	if !r1.Equal(tp) || !r2.Equal(tp) {
-		t.Fatal("Resolve miss must return a structural copy")
-	}
-	// After an explicit intern, Resolve returns the canonical copy.
-	c := in.Intern(tp)
-	if r := in.Resolve(tp.Pred, tp.Fields); !sameStorage(c, r) {
-		t.Fatal("Resolve after Intern must hit the canonical tuple")
+// aliasingTuples are the shapes the single-backing decode lays out
+// differently: no list, a list mid-row, a list as the last field, an
+// empty list, two lists, and lists nested inside a list.
+func aliasingTuples() []Tuple {
+	return []Tuple{
+		NewTuple("path", NewAddr("node-one"), NewAddr("node-two"),
+			NewList(NewAddr("node-one"), NewAddr("mid"), NewAddr("node-two")),
+			NewString("metadata"), NewFloat(7.25)),
+		NewTuple("tail", NewAddr("node-one"), NewInt(3),
+			NewList(NewString("last"), NewString("field"))),
+		NewTuple("empty", NewAddr("node-one"), NewList(), NewString("after")),
+		NewTuple("two", NewList(NewInt(1), NewInt(2)), NewAddr("between"), NewList(NewAddr("z"))),
+		NewTuple("nested", NewAddr("node-one"),
+			NewList(NewList(NewAddr("inner-a"), NewList()), NewString("mid"), NewList(NewList(NewInt(9))))),
+		NewTuple("flat", NewAddr("node-one"), NewString("hello"), NewBool(true), Nil),
+		NewTuple("nofields"),
 	}
 }
 
@@ -69,60 +67,100 @@ func TestResolveDoesNotRetain(t *testing.T) {
 // buffer, and verify the decoded tuples are intact. Any string or list
 // field retaining a view of the buffer fails this.
 func TestDecodeDoesNotAliasBuffer(t *testing.T) {
-	orig := NewTuple("path", NewAddr("node-one"), NewAddr("node-two"),
-		NewList(NewAddr("node-one"), NewAddr("mid"), NewAddr("node-two")),
-		NewString("metadata"), NewFloat(7.25))
-	enc := AppendTuple(nil, orig)
-
-	buf := append([]byte(nil), enc...)
-	plain, n1, err := DecodeTuple(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := NewInterner()
-	interned, n2, err := DecodeTupleIn(buf, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != len(enc) || n2 != len(enc) {
-		t.Fatalf("consumed %d/%d bytes, want %d", n1, n2, len(enc))
-	}
-
-	// Scribble: simulate the datagram loop reusing its read buffer.
-	for i := range buf {
-		buf[i] = 0xFF
-	}
-
-	for name, got := range map[string]Tuple{"plain": plain, "interned": interned} {
-		if !got.Equal(orig) {
-			t.Errorf("%s decode corrupted by buffer reuse: %v", name, got)
+	for _, orig := range aliasingTuples() {
+		enc := AppendTuple(nil, orig)
+		buf := append([]byte(nil), enc...)
+		plain, n1, err := DecodeTuple(buf)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if re := AppendTuple(nil, got); !bytes.Equal(re, enc) {
-			t.Errorf("%s decode does not re-encode identically after scribble", name)
+		interned, n2, err := DecodeTupleIn(buf, in)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		// A second decode through the now-warm string table: its strings
+		// are the retained copies, which the scribble must not reach.
+		warm, _, err := DecodeTupleIn(buf, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n1 != len(enc) || n2 != len(enc) {
+			t.Fatalf("consumed %d/%d bytes, want %d", n1, n2, len(enc))
+		}
 
-	// Same property when the tuple resolves to an already-interned
-	// canonical: decode from a second buffer, scribble it, and check the
-	// canonical tuple (shared with earlier references) is untouched.
-	in.Intern(interned)
-	buf2 := append([]byte(nil), enc...)
-	canon, _, err := DecodeTupleIn(buf2, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range buf2 {
-		buf2[i] = 0xAA
-	}
-	if !canon.Equal(orig) {
-		t.Errorf("canonical tuple corrupted by buffer reuse: %v", canon)
+		// Scribble: simulate the datagram loop reusing its read buffer.
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+
+		for name, got := range map[string]Tuple{"plain": plain, "interned": interned, "warm": warm} {
+			if !got.Equal(orig) {
+				t.Errorf("%s decode corrupted by buffer reuse: %v", name, got)
+			}
+			if re := AppendTuple(nil, got); !bytes.Equal(re, enc) {
+				t.Errorf("%s decode does not re-encode identically after scribble", name)
+			}
+		}
 	}
 }
 
-// TestInternHashCollision forces structurally-distinct tuples (and
-// lists) into one 64-bit bucket via a truncating key map and asserts
-// the interner keeps them apart — hash-equal must never be treated as
-// equal.
+// TestDecodeTupleSingleBacking pins the decode layout: fields and the
+// elements of top-level lists are one allocation, and neither slice can
+// grow into the other.
+func TestDecodeTupleSingleBacking(t *testing.T) {
+	in := NewInterner()
+	for _, orig := range aliasingTuples() {
+		enc := AppendTuple(nil, orig)
+		if _, _, err := DecodeTupleIn(enc, in); err != nil { // warm the string table
+			t.Fatal(err)
+		}
+		nested := 0
+		for _, f := range orig.Fields {
+			if f.Kind() == KindList {
+				for _, e := range f.List() {
+					if e.Kind() == KindList {
+						nested++
+					}
+				}
+			}
+		}
+		if nested == 0 {
+			want := 1.0
+			if len(orig.Fields) == 0 {
+				want = 0
+			}
+			if got := testing.AllocsPerRun(100, func() { DecodeTupleIn(enc, in) }); got != want {
+				t.Errorf("%s: decode with warm strings allocates %v objects, want %v", orig.Pred, got, want)
+			}
+		}
+
+		got, _, err := DecodeTupleIn(enc, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.Fields) != len(got.Fields) {
+			t.Errorf("%s: Fields has spare capacity %d: an append would overwrite list elements",
+				orig.Pred, cap(got.Fields)-len(got.Fields))
+		}
+		grown := append(got.Fields, NewString("appended"))
+		_ = grown
+		for i, f := range got.Fields {
+			if f.Kind() == KindList {
+				if l := f.List(); cap(l) != len(l) {
+					t.Errorf("%s field %d: list has spare capacity", orig.Pred, i)
+				}
+			}
+		}
+		if !got.Equal(orig) {
+			t.Errorf("%s: append to Fields corrupted the tuple: %v", orig.Pred, got)
+		}
+	}
+}
+
+// TestInternHashCollision forces structurally-distinct tuples into one
+// 64-bit bucket via a truncating key map and asserts the interner keeps
+// them apart — hash-equal must never be treated as equal.
 func TestInternHashCollision(t *testing.T) {
 	in := newInterner(DefaultInternLimit, func(h uint64) uint64 { return 42 })
 	tps := internTuples()
@@ -141,83 +179,28 @@ func TestInternHashCollision(t *testing.T) {
 			}
 		}
 	}
-	// Lists collide into one bucket too.
-	l1 := []Value{NewAddr("a"), NewAddr("b")}
-	l2 := []Value{NewInt(1), NewInt(2), NewInt(3)}
-	c1 := in.InternValues(l1)
-	c2 := in.InternValues(l2)
-	if !ValuesEqual(c1, l1) || !ValuesEqual(c2, l2) {
-		t.Fatal("colliding lists corrupted")
-	}
-	if r := in.InternValues(append([]Value(nil), l1...)); &r[0] != &c1[0] {
-		t.Error("collision bucket lost list l1")
-	}
-	if r := in.InternValues(append([]Value(nil), l2...)); &r[0] != &c2[0] {
-		t.Error("collision bucket lost list l2")
-	}
 }
 
-// TestInternGenerationBound pins the two-generation aging: the pool
-// never exceeds two generations of the limit, and hot entries survive a
-// flip through promotion.
+// TestInternGenerationBound pins the two-generation aging: the table
+// never exceeds two generations of the limit — whether it is fed tuples
+// or decoded strings — and hot entries survive a flip through promotion.
 func TestInternGenerationBound(t *testing.T) {
 	const limit = 8
 	in := newInterner(limit, nil)
 	hot := in.Intern(NewTuple("hot", NewAddr("x"), NewList(NewInt(0))))
+	hotStr := in.InternBytes([]byte("hot-string"))
 	for i := 0; i < 10*limit; i++ {
 		in.Intern(NewTuple("cold", NewInt(int64(i)), NewList(NewInt(int64(i)))))
-		// Touch the hot tuple every round so promotion keeps it alive.
+		in.InternBytes([]byte(fmt.Sprintf("cold-%d", i)))
+		// Touch the hot entries every round so promotion keeps them alive.
 		if got := in.Intern(NewTuple("hot", NewAddr("x"), NewList(NewInt(0)))); !sameStorage(hot, got) {
 			t.Fatalf("hot tuple lost identity after %d cold interns", i)
 		}
-		if in.Len() > 2*limit+2 {
-			t.Fatalf("pool exceeded two generations: %d entries", in.Len())
+		if got := in.InternBytes([]byte("hot-string")); unsafe.StringData(got) != unsafe.StringData(hotStr) {
+			t.Fatalf("hot string lost identity after %d cold interns", i)
 		}
-	}
-	// Reset is always safe and empties the pool.
-	in.Reset()
-	if in.Len() != 0 {
-		t.Fatalf("Reset left %d entries", in.Len())
-	}
-	if got := in.Intern(NewTuple("hot", NewAddr("x"), NewList(NewInt(0)))); sameStorage(hot, got) {
-		t.Fatal("Reset must mint a fresh canonical")
-	}
-}
-
-// TestInternWorthy pins the pooling policy boundary.
-func TestInternWorthy(t *testing.T) {
-	if InternWorthy([]Value{NewAddr("a"), NewInt(1)}) {
-		t.Error("small flat tuple should not be intern-worthy")
-	}
-	if !InternWorthy([]Value{NewList(NewAddr("a"))}) {
-		t.Error("list-bearing tuple should be intern-worthy")
-	}
-	wide := []Value{NewInt(1), NewInt(2), NewInt(3), NewInt(4), NewInt(5), NewInt(6)}
-	if !InternWorthy(wide) {
-		t.Error("wide tuple should be intern-worthy")
-	}
-}
-
-// TestDecodeTupleInResolvesCanonical verifies the decode path returns
-// the canonical copy for pooled tuples and fresh storage otherwise.
-func TestDecodeTupleInResolvesCanonical(t *testing.T) {
-	tp := internTuples()[0]
-	enc := AppendTuple(nil, tp)
-	in := NewInterner()
-
-	d1, _, err := DecodeTupleIn(enc, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d1.Equal(tp) {
-		t.Fatalf("decode mismatch: %v", d1)
-	}
-	c := in.Intern(d1)
-	d2, _, err := DecodeTupleIn(enc, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameStorage(c, d2) {
-		t.Error("decode of a pooled tuple must resolve to its canonical copy")
+		if in.Len() > 2*limit+2 {
+			t.Fatalf("table exceeded two generations: %d entries", in.Len())
+		}
 	}
 }

@@ -27,14 +27,14 @@ func (t Tuple) Arity() int { return len(t.Fields) }
 func (t Tuple) Loc() string { return t.Fields[0].Addr() }
 
 // Equal reports whether two tuples have the same predicate and fields.
-// Tuples resolved through the same Interner share field storage, so the
-// comparison short-circuits to a pointer check on the hot path.
+// A stored tuple compared with itself (the common case on the engine's
+// store path) short-circuits to a pointer check.
 func (t Tuple) Equal(o Tuple) bool {
 	if t.Pred != o.Pred || len(t.Fields) != len(o.Fields) {
 		return false
 	}
 	if len(t.Fields) > 0 && &t.Fields[0] == &o.Fields[0] {
-		return true // same canonical storage (values are immutable)
+		return true // same storage (values are immutable)
 	}
 	for i := range t.Fields {
 		if !t.Fields[i].Equal(o.Fields[i]) {

@@ -15,10 +15,11 @@
 //
 // Two more invariants anchor the rest of the system: wire decoding
 // copies — a decoded value or tuple never aliases the input buffer, so
-// transports may reuse receive buffers — and interning (Interner)
-// resolves structurally equal tuples to one canonical object, making
-// pointer equality a sound fast path for Equal but never a substitute
-// (hash-equal values are re-checked structurally).
+// transports may reuse receive buffers — and shared storage (a stored
+// tuple's fields reused by the tuples derived from it, strings resolved
+// through an Interner) makes pointer equality a sound fast path for
+// Equal but never a substitute: hash-equal values are re-checked
+// structurally.
 package val
 
 import (
@@ -222,7 +223,7 @@ func (v Value) Equal(o Value) bool {
 	}
 	if v.p == o.p {
 		// Scalars (p is nil, the word is the whole value) and shared
-		// canonical storage (interned strings and lists).
+		// storage (interned strings, lists passed along by reference).
 		return true
 	}
 	switch v.kind {
