@@ -15,6 +15,7 @@
 //	ndlog -shards 3 prog.ndl          # 3 worker processes over UDP
 //	ndlog -shards 3 -data ./state prog.ndl   # durable workers (WAL + snapshots)
 //	ndlog -dump path,shortestPath prog.ndl
+//	ndlog -explain prog.ndl           # print the access-path plan, evaluate nothing
 package main
 
 import (
@@ -59,6 +60,7 @@ func main() {
 	groupCommit := flag.Bool("group-commit", false, "with -shards -data: one shard-wide WAL per worker (one fsync per drain instead of one per node)")
 	dump := flag.String("dump", "", "comma-separated extra predicates to print")
 	trace := flag.Bool("trace", false, "trace derivations of watched predicates")
+	explain := flag.Bool("explain", false, "print the compiled access-path plan (per rule and trigger, how each other body atom is probed; per predicate, the indexes a node maintains) and exit without evaluating")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -73,6 +75,15 @@ func main() {
 	prog, err := parser.Parse(string(src))
 	if err != nil {
 		fail(err)
+	}
+
+	if *explain {
+		plan, err := engine.Explain(prog)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(plan)
+		return
 	}
 
 	opts := engine.Options{AggSel: *aggsel, PSNBatch: *psnBatch}

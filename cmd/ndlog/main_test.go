@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"ndlog/internal/engine"
 	"ndlog/internal/parser"
 )
 
@@ -66,5 +67,26 @@ short(a).
 	pairs := linkPairs(prog)
 	if len(pairs) != 1 || pairs[0] != [2]string{"a", "b"} {
 		t.Errorf("pairs = %v", pairs)
+	}
+}
+
+// TestExplainMatchesGolden keeps `ndlog -explain testdata/shortestpath.ndl`
+// equal to testdata/shortestpath.plan, the file CI diffs the command
+// against.
+func TestExplainMatchesGolden(t *testing.T) {
+	prog, err := parser.Parse(loadTestProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.Explain(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../testdata/shortestpath.plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("plan changed; regenerate with `go run ./cmd/ndlog -explain testdata/shortestpath.ndl > testdata/shortestpath.plan` and review:\n%s", got)
 	}
 }

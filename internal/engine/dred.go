@@ -100,7 +100,7 @@ func (c *Central) DeleteDRed(t val.Tuple) error {
 	queue := []val.Tuple{t}
 	// One context (and its slot environment) serves the whole walk; only
 	// the deleted tuple changes per queue item.
-	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res, hasDeleted: true}
+	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res, hasDeleted: true}
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]

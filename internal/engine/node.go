@@ -153,6 +153,9 @@ type Node struct {
 	prog *program
 	opts Options
 	cat  *table.Catalog
+	// soft lists the soft-state tables in name order — the tables, and the
+	// order, an expiry sweep visits. Only declared tables can be soft.
+	soft []*table.Table
 	// central loops every derived tuple back to this node regardless of
 	// its location specifier (single-site evaluation).
 	central bool
@@ -345,11 +348,22 @@ func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 		in:   val.NewInterner(),
 	}
 	for name, d := range prog.decls {
-		n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize)
+		if tbl := n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize); tbl.TTL() >= 0 {
+			n.soft = append(n.soft, tbl)
+		}
 	}
-	// Resolve every strand's per-atom table and index handles against
-	// this node's tables up front: the join path then probes by hash
-	// directly, with no per-probe name resolution or signature lookup.
+	slices.SortFunc(n.soft, func(a, b *table.Table) int { return strings.Compare(a.Name(), b.Name()) })
+	// Instantiate the plan's indexes, then resolve every strand's per-atom
+	// table and index handles against this node's tables up front: the
+	// join path then probes by hash directly, with no per-probe name
+	// resolution or column-set lookup.
+	indexes := map[string][]*table.Index{}
+	for pred, specs := range prog.indexes {
+		tbl := n.cat.Get(pred)
+		for _, spec := range specs {
+			indexes[pred] = append(indexes[pred], tbl.EnsureIndex(spec.cols))
+		}
+	}
 	n.res = map[*strand]*strandRes{}
 	for _, sts := range prog.strands {
 		for _, st := range sts {
@@ -360,8 +374,8 @@ func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 				}
 				for i, a := range st.atoms {
 					r.tbl[i] = n.cat.Get(a.Pred)
-					if i != st.trigger && len(st.probeCols[i]) > 0 {
-						r.idx[i] = r.tbl[i].EnsureIndex(st.probeCols[i])
+					if path := st.paths[i]; path.kind == accessIndex {
+						r.idx[i] = indexes[a.Pred][path.index]
 					}
 				}
 				n.res[st] = r
@@ -379,7 +393,6 @@ func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 			}
 		}
 	}
-	n.jc.cat = n.cat
 	n.jc.res = n.res
 	// One slot environment sized for the widest rule serves every strand
 	// run at this node (the engine is single-threaded per node).
@@ -414,7 +427,7 @@ func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 	if innerPar > 1 && opts.StrandFilter == nil && opts.OnDerive == nil {
 		p := &nodePar{workers: innerPar, ctxs: make([]joinCtx, innerPar)}
 		for i := range p.ctxs {
-			p.ctxs[i] = joinCtx{cat: n.cat, res: n.res, env: funcs.NewSlotEnv(prog.maxSlots)}
+			p.ctxs[i] = joinCtx{res: n.res, env: funcs.NewSlotEnv(prog.maxSlots)}
 		}
 		n.par = p
 	}
@@ -1319,43 +1332,40 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 // sweep therefore treats a pending insertion as the refresh it is about
 // to become: the entry survives, and the queued delta renews its TTL
 // when the queue drains.
+//
+// A table whose earliest expiry is still ahead is not scanned at all, and
+// the lapsed rows of one that is leave in Stamp order (table.Expired), so
+// the retractions a sweep emits do not depend on map iteration.
 func (n *Node) ExpireSoftState() {
-	// Index the queued insertions of soft-state predicates once per sweep.
 	var pending tupleSet
-	for _, d := range n.queue.pending() {
-		if d.Sign > 0 && n.cat.Get(d.Tuple.Pred).TTL() >= 0 {
-			if pending == nil {
-				pending = tupleSet{}
-			}
-			pending.add(d.Tuple)
-		}
-	}
-	for _, name := range n.cat.Names() {
-		tbl := n.cat.Get(name)
-		if tbl.TTL() < 0 {
+	indexed := false
+	for _, tbl := range n.soft {
+		if !tbl.ExpiryDue(n.now) {
 			continue
 		}
-		// Capture Adv flags before expiry removes entries.
-		type dead struct {
-			t      val.Tuple
-			wasAdv bool
-			stamp  uint64
-		}
-		var deads []dead
-		tbl.Scan(func(e *table.Entry) bool {
-			if e.Expires >= 0 && e.Expires <= n.now && !pending.has(e.Tuple) {
-				deads = append(deads, dead{t: e.Tuple, wasAdv: e.Adv, stamp: e.Stamp})
+		if !indexed {
+			// Index the queued insertions of soft-state predicates once
+			// per sweep that has a table to scan.
+			indexed = true
+			for _, d := range n.queue.pending() {
+				if d.Sign > 0 && n.cat.Get(d.Tuple.Pred).TTL() >= 0 {
+					if pending == nil {
+						pending = tupleSet{}
+					}
+					pending.add(d.Tuple)
+				}
 			}
-			return true
-		})
-		// Remove exactly the captured entries (not a blanket
-		// ExpireBefore): entries spared by a pending refresh must survive
-		// with their row and index state intact.
-		for _, d := range deads {
-			tbl.DeleteByKey(d.t)
 		}
-		for _, d := range deads {
-			n.afterDelete(d.t, d.wasAdv, d.stamp)
+		// Remove exactly the rows the sweep reports (not a blanket
+		// ExpireBefore): entries spared by a pending refresh must survive
+		// with their row and index state intact. A removed entry keeps its
+		// fields, so its Adv flag and stamp are still there to propagate.
+		due := tbl.Expired(n.now, pending.has)
+		for _, e := range due {
+			tbl.DeleteByKey(e.Tuple)
+		}
+		for _, e := range due {
+			n.afterDelete(e.Tuple, e.Adv, e.Stamp)
 		}
 	}
 }

@@ -157,10 +157,10 @@ func TestStrandCodeShape(t *testing.T) {
 	// The non-trigger atom has a probe plan with every bound value
 	// sourced from a slot or a constant.
 	other := 1 - join.trigger
-	if len(join.probes[other]) == 0 {
+	if len(join.paths[other].hash) == 0 {
 		t.Errorf("atom %d should have a probe plan", other)
 	}
-	for _, pa := range join.probes[other] {
+	for _, pa := range join.paths[other].hash {
 		if pa.slot < 0 && pa.constVal.IsNil() {
 			t.Errorf("probe arg %+v has neither slot nor constant", pa)
 		}

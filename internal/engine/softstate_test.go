@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"ndlog/internal/programs"
@@ -216,5 +217,41 @@ v1 view(@D,@S) :- #link(@S,@D,C).
 	}
 	if rounds < 2 {
 		t.Errorf("expected several refresh rounds under loss, got %d", rounds)
+	}
+}
+
+// TestExpirySweepRetractsInStampOrder: rows that lapse in one sweep are
+// retracted in the order they were stored, whatever order the row map
+// yields them in — a sweep's output is a function of the node's history.
+func TestExpirySweepRetractsInStampOrder(t *testing.T) {
+	src := `
+materialize(beacon, 5, infinity, keys(1,2)).
+materialize(seen, 5, infinity, keys(1,2)).
+r1 seen(@S,N) :- beacon(@S,N).
+`
+	var retracted []int64
+	c := central(t, src, Options{OnStore: func(nodeID string, d Delta, now float64) {
+		if d.Sign < 0 && d.Tuple.Pred == "beacon" {
+			retracted = append(retracted, d.Tuple.Fields[1].Int())
+		}
+	}})
+	c.Node().SetNow(0)
+	arrival := []int64{41, 7, 23, 99, 3, 58, 12, 86, 64, 30, 75, 19}
+	for _, n := range arrival {
+		c.Insert(val.NewTuple("beacon", val.NewAddr("a"), val.NewInt(n)))
+	}
+	c.Node().SetNow(4)
+	c.Node().ExpireSoftState() // nothing due: bound is t=5
+	if len(retracted) != 0 {
+		t.Fatalf("sweep before any expiry retracted %v", retracted)
+	}
+	c.Node().SetNow(6)
+	c.Node().ExpireSoftState()
+	c.Fixpoint()
+	if !slices.Equal(retracted, arrival) {
+		t.Errorf("retraction order %v, want arrival (stamp) order %v", retracted, arrival)
+	}
+	if len(c.Tuples("beacon")) != 0 || len(c.Tuples("seen")) != 0 {
+		t.Errorf("expiry must empty both tables: beacon=%v seen=%v", c.Tuples("beacon"), c.Tuples("seen"))
 	}
 }

@@ -126,7 +126,7 @@ func (n *Node) ApplyImportedTTLs(st *NodeState) {
 			continue
 		}
 		if exp := n.now + et.Remaining; e.Expires < 0 || exp < e.Expires {
-			e.Expires = exp
+			tbl.SetExpires(e, exp)
 		}
 	}
 }
@@ -141,7 +141,7 @@ func (n *Node) sweepDerivable(fn func(d derived)) {
 		n.sweepDerivablePar(fn)
 		return
 	}
-	ctx := &joinCtx{cat: n.cat, ltBefore: noLimit, leAfter: noLimit, res: n.res}
+	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res}
 	for _, sts := range n.prog.strands {
 		for _, st := range sts {
 			if st.isAgg || st.trigger != 0 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"ndlog/internal/ast"
 	"ndlog/internal/funcs"
@@ -26,17 +27,49 @@ type strand struct {
 	// incremental GroupAgg machinery instead of join output.
 	isAgg  bool
 	aggIdx int // head aggregate argument position (isAgg only)
-	// probes[i] is the precomputed index-probe plan for atom i: which
-	// columns are bound when the join reaches that atom, and where each
-	// bound value comes from (a constant or an environment slot).
-	// Bound-ness is structural — it depends only on the trigger position
-	// and earlier atoms — so it is computed once at compile time instead
-	// of per delta. Empty for the trigger and for atoms with no bound
-	// columns (those fall back to a scan).
-	probes [][]probeArg
-	// probeCols[i] is the column list of probes[i], in probe order; it is
-	// the column set the per-node secondary index for atom i is built on.
-	probeCols [][]int
+	// paths[i] is the access path through which the join reaches the
+	// stored rows of atom i (program.planAccess); unused for the trigger.
+	paths []accessPath
+}
+
+// accessKind is how a strand reaches the stored rows of a body atom.
+type accessKind uint8
+
+const (
+	accessScan  accessKind = iota // no bound column: walk the whole table
+	accessPK                      // walk the primary-key collision chain
+	accessIndex                   // walk a secondary-index bucket
+)
+
+// accessPath is the compiled access path of one non-trigger body atom:
+// which of the atom's bound columns are hashed, and which of the table's
+// structures the hash is looked up in. The bound columns it does not hash
+// (residual) are left to unifyTr, which re-checks every column of every
+// candidate anyway to filter hash collisions.
+type accessPath struct {
+	kind accessKind
+	// seed is the hash state before the first column: empty, except that
+	// a whole-row primary key folds the predicate name first (Tuple.Hash).
+	seed val.Hash64
+	// hash lists the hashed columns in the order the table hashes them
+	// (key order, group-column order, or column order for an index of the
+	// probe's own), with where each bound value comes from.
+	hash []probeArg
+	// index is the position of an accessIndex path's index in
+	// program.indexes[pred]; group marks an aggregate selection's group
+	// index.
+	index int
+	group bool
+	// residual lists the bound columns the path does not hash.
+	residual []int
+}
+
+// indexSpec is one secondary index every node maintains on a predicate.
+type indexSpec struct {
+	cols []int
+	// group marks an aggregate selection's group index, which exists
+	// whether or not a probe rides it.
+	group bool
 }
 
 // ruleCode is the compiled, slot-addressed form of one localized rule.
@@ -172,38 +205,35 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 	return code, nil
 }
 
-// computeProbes fills in the strand's probe plans. A column of atom i is
+// planAccess fills in the strand's access paths. A column of atom i is
 // bound iff its argument is a constant or a variable (slot) that already
-// appears in the trigger atom or an earlier non-trigger atom.
-func (s *strand) computeProbes() {
+// appears in the trigger atom or an earlier non-trigger atom; bound-ness
+// depends only on the trigger position and earlier atoms, so the paths
+// are chosen once at compile time instead of per delta.
+func (p *program) planAccess(s *strand) {
 	bound := make([]bool, s.code.nslots)
 	for _, arg := range s.code.args[s.trigger] {
 		if arg.kind == argSlot {
 			bound[arg.slot] = true
 		}
 	}
-	s.probes = make([][]probeArg, len(s.atoms))
-	s.probeCols = make([][]int, len(s.atoms))
-	for i := range s.atoms {
+	s.paths = make([]accessPath, len(s.atoms))
+	for i, a := range s.atoms {
 		if i == s.trigger {
 			continue
 		}
 		var probe []probeArg
-		var cols []int
 		for col, arg := range s.code.args[i] {
 			switch arg.kind {
 			case argSlot:
 				if bound[arg.slot] {
 					probe = append(probe, probeArg{col: col, slot: arg.slot})
-					cols = append(cols, col)
 				}
 			case argConst:
 				probe = append(probe, probeArg{col: col, slot: -1, constVal: arg.constVal})
-				cols = append(cols, col)
 			}
 		}
-		s.probes[i] = probe
-		s.probeCols[i] = cols
+		s.paths[i] = p.choosePath(a.Pred, len(a.Args), probe)
 		for _, arg := range s.code.args[i] {
 			if arg.kind == argSlot {
 				bound[arg.slot] = true
@@ -212,14 +242,89 @@ func (s *strand) computeProbes() {
 	}
 }
 
+// choosePath picks the access path for a probe of pred with the given
+// bound columns (in column order). Every table has mandatory paths it
+// maintains whatever the rules look like: the primary-key row map and,
+// under a prunable aggregate selection, the index on the selection's
+// group columns. A probe whose bound columns cover a mandatory path's
+// columns rides it — the one with the most columns, the primary key
+// first — and only a probe no mandatory path covers gets an index of its
+// own, shared with every other probe of the same columns. The rule is
+// structural: a primary-key probe finds at most one row, and a group
+// bucket is the set the aggregate already ranges over.
+func (p *program) choosePath(pred string, arity int, probe []probeArg) accessPath {
+	if len(probe) == 0 {
+		return accessPath{kind: accessScan}
+	}
+	// cover returns the probe's arguments for cols, in cols order, or nil
+	// when some column is unbound.
+	cover := func(cols []int) []probeArg {
+		out := make([]probeArg, 0, len(cols))
+		for _, c := range cols {
+			i := slices.IndexFunc(probe, func(pa probeArg) bool { return pa.col == c })
+			if i < 0 {
+				return nil
+			}
+			out = append(out, probe[i])
+		}
+		return out
+	}
+	path := accessPath{seed: val.NewHash()}
+	if d := p.decls[pred]; d != nil && len(d.Keys) > 0 {
+		if h := cover(d.Keys); h != nil {
+			path.kind, path.hash = accessPK, h
+		}
+	} else if len(probe) == arity {
+		// Whole-row key: every column bound is the row itself, which the
+		// table hashes with the predicate name first (Tuple.Hash).
+		path.kind, path.hash, path.seed = accessPK, probe, path.seed.AddString(pred)
+	}
+	for i, ix := range p.indexes[pred] {
+		if !ix.group {
+			break // group indexes come first
+		}
+		if h := cover(ix.cols); len(h) > len(path.hash) {
+			path = accessPath{kind: accessIndex, seed: val.NewHash(), hash: h, index: i, group: true}
+		}
+	}
+	if path.kind == accessScan {
+		cols := make([]int, len(probe))
+		for i, pa := range probe {
+			cols[i] = pa.col
+		}
+		path.kind, path.hash, path.index = accessIndex, probe, p.ensureIndex(pred, indexSpec{cols: cols})
+	}
+	for _, pa := range probe {
+		if !slices.ContainsFunc(path.hash, func(h probeArg) bool { return h.col == pa.col }) {
+			path.residual = append(path.residual, pa.col)
+		}
+	}
+	return path
+}
+
+// ensureIndex registers an index on pred (once per column list) and
+// returns its position in p.indexes[pred].
+func (p *program) ensureIndex(pred string, spec indexSpec) int {
+	for i, ix := range p.indexes[pred] {
+		if slices.Equal(ix.cols, spec.cols) {
+			return i
+		}
+	}
+	p.indexes[pred] = append(p.indexes[pred], spec)
+	return len(p.indexes[pred]) - 1
+}
+
 // program is a compiled NDlog program, shared (immutable) by all nodes.
 type program struct {
 	source  *ast.Program         // localized program
 	strands map[string][]*strand // trigger pred -> strands
 	aggSels []planner.AggSelection
 	decls   map[string]*ast.TableDecl
-	// aggSelByPred indexes prunable aggregate selections by source pred.
-	aggSelByPred map[string][]planner.AggSelection
+	// indexes is the access-path plan's storage side: the secondary
+	// indexes every node maintains per predicate — the group index of each
+	// prunable aggregate selection first, then one index per distinct
+	// column set that no mandatory path covers (see choosePath).
+	indexes map[string][]indexSpec
 	// maxSlots is the largest slot count of any rule; nodes size their
 	// reusable slot environment to it once.
 	maxSlots int
@@ -247,12 +352,12 @@ func compile(prog *ast.Program) (*program, error) {
 		return nil, err
 	}
 	p := &program{
-		source:       local,
-		strands:      map[string][]*strand{},
-		decls:        map[string]*ast.TableDecl{},
-		aggSelByPred: map[string][]planner.AggSelection{},
-		derived:      map[string]bool{},
-		events:       map[string]bool{},
+		source:  local,
+		strands: map[string][]*strand{},
+		decls:   map[string]*ast.TableDecl{},
+		indexes: map[string][]indexSpec{},
+		derived: map[string]bool{},
+		events:  map[string]bool{},
 	}
 	for _, d := range local.Materialized {
 		p.decls[d.Name] = d
@@ -263,7 +368,7 @@ func compile(prog *ast.Program) (*program, error) {
 	p.aggSels = planner.DetectAggSelections(local)
 	for _, s := range p.aggSels {
 		if s.Prunable() {
-			p.aggSelByPred[s.SrcPred] = append(p.aggSelByPred[s.SrcPred], s)
+			p.ensureIndex(s.SrcPred, indexSpec{cols: s.GroupCols, group: true})
 		}
 	}
 	for _, r := range local.Rules {
@@ -305,7 +410,7 @@ func compile(prog *ast.Program) (*program, error) {
 				isAgg:   aggIdx >= 0,
 				aggIdx:  aggIdx,
 			}
-			st.computeProbes()
+			p.planAccess(st)
 			p.strands[atoms[i].Pred] = append(p.strands[atoms[i].Pred], st)
 		}
 	}
@@ -412,7 +517,6 @@ type derived struct {
 //   - Deletions: no bounds (both maxed); every live derivation that used
 //     the retracted tuple must be cancelled.
 type joinCtx struct {
-	cat *table.Catalog
 	// ltBefore bounds atoms at positions < trigger: Stamp < ltBefore.
 	ltBefore int64
 	// leAfter bounds atoms at positions > trigger: Stamp <= leAfter.
@@ -425,8 +529,7 @@ type joinCtx struct {
 	deleted    val.Tuple
 	hasDeleted bool
 	// res resolves a strand's per-atom table and index handles at this
-	// node (strands are shared across nodes; tables are not). nil falls
-	// back to Catalog.Get / EnsureIndex per probe.
+	// node (strands are shared across nodes; tables are not).
 	res map[*strand]*strandRes
 	// cur is the resolution for the strand currently running.
 	cur *strandRes
@@ -440,9 +543,8 @@ type joinCtx struct {
 	headBuf []val.Value
 }
 
-// strandRes is one node's resolved handles for one strand: the table
-// and (where the probe plan has bound columns) the secondary index of
-// each body atom.
+// strandRes is one node's resolved handles for one strand: the table of
+// each body atom and, where its access path is an index, that index.
 type strandRes struct {
 	tbl []*table.Table
 	idx []*table.Index
@@ -460,10 +562,7 @@ func (s *strand) run(ctx *joinCtx, delta val.Tuple, emit func(derived)) error {
 	}
 	ctx.env.Reset()
 	ctx.tr = ctx.tr[:0]
-	ctx.cur = nil
-	if ctx.res != nil {
-		ctx.cur = ctx.res[s]
-	}
+	ctx.cur = ctx.res[s]
 	if !unifySlots(s.code.args[s.trigger], delta, ctx.env) {
 		return nil
 	}
@@ -480,12 +579,6 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		return s.joinFrom(ctx, idx+1, emit)
 	}
 	args := s.code.args[idx]
-	var tbl *table.Table
-	if ctx.cur != nil {
-		tbl = ctx.cur.tbl[idx]
-	} else {
-		tbl = ctx.cat.Get(s.atoms[idx].Pred)
-	}
 
 	tryEntry := func(t val.Tuple, stamp int64) error {
 		if idx < s.trigger {
@@ -505,34 +598,10 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		return err
 	}
 
-	if probe := s.probes[idx]; len(probe) > 0 {
-		// Hash the bound columns and walk the matching index bucket. A
-		// hash collision admits a non-matching entry, but unifyTr checks
-		// every bound column again, so collisions are filtered here.
-		h := val.NewHash()
-		for _, p := range probe {
-			if p.slot >= 0 {
-				h = h.AddValue(ctx.env.Value(int(p.slot)))
-			} else {
-				h = h.AddValue(p.constVal)
-			}
-		}
-		var ix *table.Index
-		if ctx.cur != nil && ctx.cur.idx[idx] != nil {
-			ix = ctx.cur.idx[idx]
-		} else {
-			ix = tbl.EnsureIndex(s.probeCols[idx])
-		}
-		b := ix.Bucket(h.Sum())
-		for i, n := 0, b.Len(); i < n; i++ {
-			e := b.At(i)
-			if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
-				return err
-			}
-		}
-	} else {
+	path := &s.paths[idx]
+	if path.kind == accessScan {
 		var scanErr error
-		tbl.Scan(func(e *table.Entry) bool {
+		ctx.cur.tbl[idx].Scan(func(e *table.Entry) bool {
 			if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
 				scanErr = err
 				return false
@@ -541,6 +610,35 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		})
 		if scanErr != nil {
 			return scanErr
+		}
+	} else {
+		// Hash the path's columns and walk what the table stores under
+		// that hash. A hash collision — or a row that differs in a bound
+		// column the path does not hash — admits a non-matching entry, but
+		// unifyTr checks every bound column again, so both are filtered
+		// there.
+		h := path.seed
+		for _, p := range path.hash {
+			if p.slot >= 0 {
+				h = h.AddValue(ctx.env.Value(int(p.slot)))
+			} else {
+				h = h.AddValue(p.constVal)
+			}
+		}
+		if path.kind == accessPK {
+			for e := ctx.cur.tbl[idx].KeyChain(h.Sum()); e != nil; e = e.Next() {
+				if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
+					return err
+				}
+			}
+		} else {
+			b := ctx.cur.idx[idx].Bucket(h.Sum())
+			for i, n := 0, b.Len(); i < n; i++ {
+				e := b.At(i)
+				if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
+					return err
+				}
+			}
 		}
 	}
 

@@ -137,9 +137,9 @@ type Runner struct {
 	dropped  atomic.Int64 // deltas bound for nodes absent from the book
 	fenced   atomic.Int64 // datagrams dropped for carrying a stale epoch
 
-	// sentTo counts datagrams per destination node ID — the
-	// per-destination half of the sent==recv ledger, which lets a
-	// control plane attribute loss to the shard that failed to receive.
+	// sentTo holds the per-destination datagram tallies of nodes that
+	// have left this runner (dropNodeLocked folds a node's netNode.sentTo
+	// in here), so SentTo keeps counting what they sent.
 	sentToMu sync.Mutex
 	sentTo   map[string]int64
 
@@ -173,6 +173,13 @@ type netNode struct {
 	// already runs. Ordered strictly after mu; nothing is locked under it
 	// but the book and ledger leaves dispatch takes.
 	sendMu sync.Mutex
+	// sentTo counts the datagrams this node sent per destination node ID
+	// — the per-destination half of the sent==recv ledger, which lets a
+	// control plane attribute loss to the shard that failed to receive.
+	// Guarded by sendMu, which every dispatch already holds; sentGone
+	// marks a dropped node whose tally has moved to Runner.sentTo.
+	sentTo   map[string]int64
+	sentGone bool
 	// closed marks a released node: its receive loop exits on the next
 	// read error instead of treating the closed socket as transient.
 	closed atomic.Bool
@@ -401,6 +408,17 @@ func (r *Runner) dropNodeLocked(nn *netNode) {
 	r.bookMu.Lock()
 	delete(r.book, nn.id)
 	r.bookMu.Unlock()
+	nn.sendMu.Lock()
+	r.sentToMu.Lock()
+	if r.sentTo == nil {
+		r.sentTo = map[string]int64{}
+	}
+	for id, n := range nn.sentTo {
+		r.sentTo[id] += n
+	}
+	r.sentToMu.Unlock()
+	nn.sentTo, nn.sentGone = nil, true
+	nn.sendMu.Unlock()
 	nn.mu.Lock()
 	if nn.dur != nil {
 		nn.node.SetJournal(nil)
@@ -1010,28 +1028,34 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 			if r.lossBudget.Load() > 0 && r.lossBudget.Add(-1) >= 0 {
 				// Injected loss: the datagram is counted as sent (the
 				// ledger must see it) but never hits the wire.
-				r.countSent(dstID, int64(len(frame)))
+				r.countSent(nn, dstID, int64(len(frame)))
 				continue
 			}
 			if _, err := nn.conn.WriteToUDP(frame, dst); err == nil {
-				r.countSent(dstID, int64(len(frame)))
+				r.countSent(nn, dstID, int64(len(frame)))
 			}
 		}
 	}
 }
 
-// countSent records one outbound datagram in the ledger, including the
-// per-destination tally. The total is bumped first: see SentTo for the
-// read order that makes the two comparable.
-func (r *Runner) countSent(dstID string, bytes int64) {
+// countSent records one datagram nn sent in the ledger, including the
+// per-destination tally on the sending node (the caller holds its send
+// lock). The total is bumped first: see SentTo for the read order that
+// makes the two comparable.
+func (r *Runner) countSent(nn *netNode, dstID string, bytes int64) {
 	r.sentB.Add(bytes)
 	r.sentM.Add(1)
-	r.sentToMu.Lock()
-	if r.sentTo == nil {
-		r.sentTo = map[string]int64{}
+	if nn.sentGone {
+		// A drain that outlived its node's removal: its tally already moved.
+		r.sentToMu.Lock()
+		r.sentTo[dstID]++
+		r.sentToMu.Unlock()
+		return
 	}
-	r.sentTo[dstID]++
-	r.sentToMu.Unlock()
+	if nn.sentTo == nil {
+		nn.sentTo = map[string]int64{}
+	}
+	nn.sentTo[dstID]++
 }
 
 // SentTo snapshots the per-destination datagram counts. Keys are NDlog
@@ -1044,12 +1068,23 @@ func (r *Runner) countSent(dstID string, bytes int64) {
 // tallies the earlier total snapshot has not seen. At quiescence the two
 // are equal in either order.
 func (r *Runner) SentTo() map[string]int64 {
-	r.sentToMu.Lock()
-	defer r.sentToMu.Unlock()
-	out := make(map[string]int64, len(r.sentTo))
-	for id, n := range r.sentTo {
-		out[id] = n
+	// The node set is held still for the whole merge: a node dropped
+	// half-way would be counted twice or not at all.
+	r.nodesMu.RLock()
+	defer r.nodesMu.RUnlock()
+	out := map[string]int64{}
+	for _, nn := range r.nodes {
+		nn.sendMu.Lock()
+		for id, n := range nn.sentTo {
+			out[id] += n
+		}
+		nn.sendMu.Unlock()
 	}
+	r.sentToMu.Lock()
+	for id, n := range r.sentTo {
+		out[id] += n
+	}
+	r.sentToMu.Unlock()
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -284,6 +285,21 @@ func TestShutdownHungWorker(t *testing.T) {
 	pid := coord.cmds[0].Process.Pid
 	if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
+	}
+	// SIGSTOP is delivered asynchronously: until every thread of the
+	// worker has parked, one of them can still answer the stop frame and
+	// exit cleanly. Wait for the kernel to report the process stopped.
+	stopped := false
+	for i := 0; i < 200 && !stopped; i++ {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/stat", pid))
+		if err != nil {
+			break // no procfs: proceed as before
+		}
+		// "pid (comm) state ...": the state follows the last ')'.
+		if j := strings.LastIndexByte(string(stat), ')'); j >= 0 && j+2 < len(stat) && stat[j+2] == 'T' {
+			stopped = true
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	start := time.Now()

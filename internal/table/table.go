@@ -23,9 +23,11 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"strings"
 
 	"ndlog/internal/val"
 )
@@ -108,8 +110,13 @@ type Table struct {
 	head  int
 	dead  int
 
-	indexes map[string]*Index
 	idxList []*Index
+
+	// nextExpiry is a lower bound on the Expires of every live row of a
+	// soft-state table (+Inf while it holds none): a sweep at an earlier
+	// time has nothing to find and returns before scanning. Inserts,
+	// refreshes and SetExpires lower it; only a sweep's scan raises it.
+	nextExpiry float64
 
 	// post, when non-nil, maps every primary-key and index hash before
 	// bucket lookup. Tests inject truncating maps to force structurally
@@ -245,12 +252,12 @@ func (ix *Index) remove(e *Entry) {
 // means unbounded.
 func New(name string, keys []int, ttl float64, maxSize int) *Table {
 	return &Table{
-		name:    name,
-		keys:    append([]int(nil), keys...),
-		ttl:     ttl,
-		maxSize: maxSize,
-		rows:    map[uint64]*Entry{},
-		indexes: map[string]*Index{},
+		name:       name,
+		keys:       append([]int(nil), keys...),
+		ttl:        ttl,
+		maxSize:    maxSize,
+		rows:       map[uint64]*Entry{},
+		nextExpiry: math.Inf(1),
 	}
 }
 
@@ -409,6 +416,7 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 	expires := -1.0
 	if t.ttl >= 0 {
 		expires = now + t.ttl
+		t.nextExpiry = min(t.nextExpiry, expires)
 	}
 	head := t.rows[h]
 	if e := t.findIn(head, tp); e != nil {
@@ -511,6 +519,22 @@ func (t *Table) Get(tp val.Tuple) (*Entry, bool) {
 	return e, e != nil
 }
 
+// KeyChain returns the head of the collision chain stored under
+// primary-key hash h — the hash of the key columns in Keys order, or
+// Tuple.Hash for a whole-row key; walk it with Entry.Next. It holds the
+// at most one row with a given key plus any rows whose keys merely
+// collide, so callers must verify matches, as with Index.Bucket.
+// Read-only: the chain is the table's own row storage.
+func (t *Table) KeyChain(h uint64) *Entry {
+	if t.post != nil {
+		h = t.post(h)
+	}
+	return t.rows[h]
+}
+
+// Next returns the entry after e on its primary-key collision chain.
+func (e *Entry) Next() *Entry { return e.next }
+
 // Count returns the derivation count of the exact tuple (0 if absent).
 func (t *Table) Count(tp val.Tuple) int {
 	e := t.find(t.pkHash(tp), tp)
@@ -542,34 +566,27 @@ func (t *Table) Tuples() []val.Tuple {
 	return out
 }
 
-func indexSig(cols []int) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", c)
-	}
-	return b.String()
-}
-
 // EnsureIndex builds (or reuses) a secondary index over cols and returns
 // its handle for Bucket/Match lookups. Handles stay valid for the life
 // of the table, so callers resolve an index once instead of per probe.
 func (t *Table) EnsureIndex(cols []int) *Index {
-	sig := indexSig(cols)
-	if ix, ok := t.indexes[sig]; ok {
-		return ix
+	for _, ix := range t.idxList {
+		if slices.Equal(ix.cols, cols) {
+			return ix
+		}
 	}
 	ix := &Index{cols: append([]int(nil), cols...), m: map[uint64]Bucket{}, post: t.post}
 	t.Scan(func(e *Entry) bool {
 		ix.add(e)
 		return true
 	})
-	t.indexes[sig] = ix
 	t.idxList = append(t.idxList, ix)
 	return ix
 }
+
+// Indexes returns the secondary indexes the table maintains, in creation
+// order. Callers must not mutate the slice.
+func (t *Table) Indexes() []*Index { return t.idxList }
 
 func (t *Table) addToIndexes(e *Entry) {
 	for _, ix := range t.idxList {
@@ -583,21 +600,55 @@ func (t *Table) removeFromIndexes(e *Entry) {
 	}
 }
 
-// ExpireBefore removes and returns all soft-state tuples whose TTL has
-// lapsed at virtual time now.
-func (t *Table) ExpireBefore(now float64) []val.Tuple {
-	if t.ttl < 0 {
+// ExpiryDue reports whether a sweep at virtual time now could find a
+// lapsed row: false for hard state and whenever now is still below the
+// table's earliest-expiry bound.
+func (t *Table) ExpiryDue(now float64) bool { return t.ttl >= 0 && now >= t.nextExpiry }
+
+// Expired returns the soft-state rows whose TTL has lapsed at virtual
+// time now and that spare (when non-nil) does not claim, ordered by Stamp
+// (ties by Tuple.Compare) so a sweep's order does not depend on map
+// iteration. The caller removes the rows it is handed: the scan
+// recomputes the earliest-expiry bound over the rows it does not report —
+// spared ones included, so the next sweep looks at them again.
+func (t *Table) Expired(now float64, spare func(val.Tuple) bool) []*Entry {
+	if !t.ExpiryDue(now) {
 		return nil
 	}
-	var dead []*Entry
+	var due []*Entry
+	next := math.Inf(1)
 	t.Scan(func(e *Entry) bool {
-		if e.Expires >= 0 && e.Expires <= now {
-			dead = append(dead, e)
+		switch {
+		case e.Expires < 0: // never expires
+		case e.Expires <= now && (spare == nil || !spare(e.Tuple)):
+			due = append(due, e)
+		default:
+			next = min(next, e.Expires)
 		}
 		return true
 	})
+	t.nextExpiry = next
+	slices.SortFunc(due, func(a, b *Entry) int {
+		if c := cmp.Compare(a.Stamp, b.Stamp); c != 0 {
+			return c
+		}
+		return a.Tuple.Compare(b.Tuple)
+	})
+	return due
+}
+
+// SetExpires moves a stored soft-state row's expiry to at (migration
+// clamps imported lifetimes this way), keeping the sweep bound honest.
+func (t *Table) SetExpires(e *Entry, at float64) {
+	e.Expires = at
+	t.nextExpiry = min(t.nextExpiry, at)
+}
+
+// ExpireBefore removes and returns all soft-state tuples whose TTL has
+// lapsed at virtual time now.
+func (t *Table) ExpireBefore(now float64) []val.Tuple {
 	var expired []val.Tuple
-	for _, e := range dead {
+	for _, e := range t.Expired(now, nil) {
 		expired = append(expired, e.Tuple)
 		t.removeRow(e, false)
 	}
