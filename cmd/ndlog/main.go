@@ -55,7 +55,6 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "convergence timeout for -shards")
 	latency := flag.Duration("latency", 10*time.Millisecond, "link latency for distributed execution")
 	aggsel := flag.Bool("aggsel", true, "enable aggregate selections")
-	psnBatch := flag.Int("psn-batch", 0, "batch-at-a-time PSN: flush trigger strands every N deltas (0 or 1: tuple-at-a-time; fixpoints are byte-identical either way)")
 	sharedSockets := flag.Bool("shared-sockets", false, "with -shards: route each worker's nodes through a shared socket set drained by a bounded demux pool instead of one socket+goroutine per node")
 	groupCommit := flag.Bool("group-commit", false, "with -shards -data: one shard-wide WAL per worker (one fsync per drain instead of one per node)")
 	dump := flag.String("dump", "", "comma-separated extra predicates to print")
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 
-	opts := engine.Options{AggSel: *aggsel, PSNBatch: *psnBatch}
+	opts := engine.Options{AggSel: *aggsel}
 	if *trace && len(prog.Watches) > 0 {
 		watched := map[string]bool{}
 		for _, w := range prog.Watches {
@@ -115,8 +114,7 @@ func main() {
 			fail(err)
 		}
 		sOpts := shard.Options{
-			AggSel: *aggsel, DataDir: *data,
-			Parallelism: max(*parallel, 0), PSNBatch: *psnBatch,
+			AggSel: *aggsel, DataDir: *data, Parallelism: max(*parallel, 0),
 			SharedSockets: *sharedSockets, GroupCommit: *groupCommit,
 		}
 		results, cleanup, err = runSharded(string(src), prog, *shards, migs, sOpts, *idle, *timeout)

@@ -43,7 +43,6 @@ func main() {
 	coordTimeout := flag.Duration("coord-timeout", 0, "max coordinator silence before exiting (0: 60s default)")
 	data := flag.String("data", "", "override the manifest's data directory (WAL + snapshots; empty: use manifest)")
 	parallel := flag.Int("parallel", -1, "override the manifest's parallelism: per-node worker pool for seeds and rederivation sweeps (0: GOMAXPROCS, 1: sequential; negative: use manifest)")
-	psnBatch := flag.Int("psn-batch", -1, "override the manifest's psn_batch: flush PSN trigger strands every N deltas (0 or 1: tuple-at-a-time; negative: use manifest)")
 	sharedSockets := flag.Bool("shared-sockets", false, "force the shared-socket receive path (small socket set + bounded demux pool) regardless of the manifest")
 	groupCommit := flag.Bool("group-commit", false, "force one shard-wide WAL (single fsync per drain) regardless of the manifest")
 	verbose := flag.Bool("v", false, "log shard lifecycle to stderr")
@@ -63,9 +62,6 @@ func main() {
 	}
 	if *parallel >= 0 {
 		m.Options.Parallelism = *parallel
-	}
-	if *psnBatch >= 0 {
-		m.Options.PSNBatch = *psnBatch
 	}
 	if *sharedSockets {
 		m.Options.SharedSockets = true

@@ -14,23 +14,15 @@ type Central struct {
 	prog *program
 }
 
-// NewCentral compiles prog for single-site evaluation.
-//
-// With Options.Parallelism resolving above 1 (the default tracks
-// GOMAXPROCS), the node evaluates semi-naïve rounds and rederivation
-// sweeps on an intra-node worker pool — rule strands over the round's
-// accepted inserts run concurrently over tables frozen for the round,
-// with a barrier between rounds and derivations merged in insert order,
-// so the fixpoint is identical to a sequential run's. PSN drains fan
-// out the same way when Options.PSNBatch batches enough deltas per flush
-// (tuple-at-a-time otherwise); per-derivation hooks (StrandFilter,
-// OnDerive) force sequential evaluation.
+// NewCentral compiles prog for single-site evaluation: one node, one
+// thread. Options.Parallelism counts nodes drained at once, so it has
+// no effect here.
 func NewCentral(prog *ast.Program, opts Options) (*Central, error) {
 	p, err := compile(prog)
 	if err != nil {
 		return nil, err
 	}
-	n := newNode("central", p, opts, opts.parallelism())
+	n := newNode("central", p, opts)
 	n.central = true
 	return &Central{node: n, prog: p}, nil
 }
@@ -46,7 +38,7 @@ func NewNode(id string, prog *ast.Program, opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newNode(id, p, opts, 1), nil
+	return newNode(id, p, opts), nil
 }
 
 // HomeFacts returns the subset of a program's base facts whose location

@@ -95,7 +95,7 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 
 // AddNode registers a node with both the simulator and the cluster.
 func (c *Cluster) AddNode(id simnet.NodeID) *Node {
-	n := newNode(string(id), c.prog, c.opts, 1)
+	n := newNode(string(id), c.prog, c.opts)
 	c.nodes[string(id)] = n
 	c.sim.AddNode(id, &clusterHandler{c: c, n: n})
 	return n

@@ -95,6 +95,43 @@ func TestClusterPeriodicAggSel(t *testing.T) {
 	runCluster(t, cl)
 	checkCosts(t, spCosts(cl.QueryResults()), floyd(figure2), "periodic")
 	_ = sim
+
+	// Two selections over two source predicates at one node: a flush
+	// advertises them in predicate-name order whatever order they became
+	// pending in (a map-ordered walk flips about every other run).
+	prog := mustParse(t, `
+materialize(pa, infinity, infinity, keys(1,2,3)).
+materialize(pb, infinity, infinity, keys(1,2,3)).
+materialize(bestA, infinity, infinity, keys(1,2)).
+materialize(bestB, infinity, infinity, keys(1,2)).
+materialize(advA, infinity, infinity, keys(1,2,3)).
+materialize(advB, infinity, infinity, keys(1,2,3)).
+a1 bestA(@N,G,min<C>) :- pa(@N,G,C).
+a2 advA(@N,G,C) :- pa(@N,G,C).
+b1 bestB(@N,G,min<C>) :- pb(@N,G,C).
+b2 advB(@N,G,C) :- pb(@N,G,C).
+`)
+	for i := 0; i < 64; i++ {
+		n, err := NewNode("n", prog, Options{AggSel: true, AggSelPeriod: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pred := range []string{"pb", "pa"} {
+			n.Push(Insert(val.NewTuple(pred, val.NewAddr("n"), val.NewInt(7), val.NewInt(1))))
+		}
+		n.Drain()
+		if n.PendingGroups() != 2 || n.QueueLen() != 0 {
+			t.Fatalf("after drain: %d pending groups, %d queued; want 2, 0", n.PendingGroups(), n.QueueLen())
+		}
+		n.FlushPending()
+		var got []string
+		for _, d := range n.queue.pending() {
+			got = append(got, d.Tuple.Pred)
+		}
+		if fmt.Sprint(got) != "[advA advB]" {
+			t.Fatalf("flush %d queued %v, want [advA advB]", i+1, got)
+		}
+	}
 }
 
 func TestClusterMatchesCentral(t *testing.T) {

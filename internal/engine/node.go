@@ -2,12 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"ndlog/internal/ast"
 	"ndlog/internal/funcs"
@@ -92,58 +91,25 @@ type Options struct {
 	// OnDerive observes every derived head tuple before routing, with
 	// the label of the deriving rule. Used by watch(...) tracing.
 	OnDerive func(nodeID, ruleLabel string, d Delta)
-	// PSNBatch batches pipelined drains: up to PSNBatch deliverable
-	// deltas are stored per step — stamps assigned in arrival order,
-	// exactly as tuple-at-a-time would — before their trigger strands
-	// run, in the same order. Because PSN joins are bounded by each
-	// delta's own stamp, later-batched stores are invisible to earlier
-	// deltas' joins, so the fixpoint (and every intermediate queue) is
-	// byte-identical to tuple-at-a-time evaluation; deletions and
-	// displacing inserts (key replacement, eviction) flush the batch
-	// first and take the reference path. Batches large enough fan their
-	// strands out over the Parallelism pool when one is configured.
-	// 0 or 1 means tuple-at-a-time — the reference semantics. Only PSN
-	// mode consults this knob.
-	PSNBatch int
-	// Parallelism bounds the evaluator's worker pool: the number of
-	// nodes the in-process Parallel executor drains concurrently, and
-	// the number of workers Central uses inside a semi-naïve round
-	// (per-insert rule strands run concurrently, with a barrier between
-	// rounds) and inside DRed/rederivation sweeps. 0 means GOMAXPROCS;
-	// 1 forces fully sequential evaluation. Per-node ownership is
-	// preserved at every setting: a node is owned by exactly one worker
-	// at a time, so Push/Drain need no locks of their own. The simnet
-	// Cluster ignores this knob — virtual time is single-threaded by
-	// construction.
+	// Parallelism is the number of nodes drained at once: the worker
+	// count of the in-process Parallel executor, and (through Workers) of
+	// netrun's per-node Seed and RederiveFor walks. 0 means GOMAXPROCS; 1
+	// forces sequential evaluation. A node itself is single-threaded — it
+	// is owned by exactly one worker at a time, so Push/Drain need no
+	// locks of their own — which makes the knob inert for Central (one
+	// node) and for the simnet Cluster (virtual time is single-threaded by
+	// construction).
 	Parallelism int
 }
 
 // Workers resolves the Parallelism option to the worker-pool size it
 // implies: 0 defaults to GOMAXPROCS, anything below 1 clamps to 1.
-// Exported for drivers (netrun, shard) that bound their own per-node
-// fan-out by the same knob.
-func (o Options) Workers() int { return o.parallelism() }
-
-// psnBatch resolves the PSNBatch option: anything below 2 means
-// tuple-at-a-time.
-func (o Options) psnBatch() int {
-	if o.PSNBatch < 2 {
-		return 1
+// Drivers (netrun, shard) bound their own per-node fan-out by it.
+func (o Options) Workers() int {
+	if o.Parallelism == 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return o.PSNBatch
-}
-
-// parallelism resolves the Parallelism option: 0 defaults to
-// GOMAXPROCS, anything below 1 clamps to 1.
-func (o Options) parallelism() int {
-	p := o.Parallelism
-	if p == 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return max(o.Parallelism, 1)
 }
 
 // Node is one NDlog runtime instance: the tables, aggregate state, and
@@ -194,44 +160,6 @@ type Node struct {
 	// names, addresses and string payloads through it (see Interner), so
 	// a received tuple with known strings costs one allocation.
 	in *val.Interner
-
-	// par, when non-nil, enables intra-node parallel evaluation: the
-	// normal (non-aggregate) strands of a semi-naïve round's accepted
-	// inserts — or a batched PSN flush's deferred actions — run on a
-	// worker pool with per-worker join contexts, their derivations
-	// merged back in job order so the result is identical to the
-	// sequential walk; rederivation sweeps chunk the same way. Set
-	// only when no per-derivation hooks are installed.
-	par *nodePar
-
-	// psnActs is the reusable deferred-action buffer of batched PSN
-	// drains (Options.PSNBatch > 1): stores happen eagerly in arrival
-	// order, their trigger strands run when the batch flushes.
-	psnActs []psnAction
-}
-
-// psnActKind tags one deferred post-store step of a batched PSN drain.
-type psnActKind uint8
-
-const (
-	// actInsert: a newly stored tuple awaiting aggregate maintenance,
-	// the advertisement decision, and its trigger strands.
-	actInsert psnActKind = iota
-	// actRefresh: a soft-state duplicate awaiting its re-advertisement.
-	actRefresh
-	// actEvent: an event tuple (never stored) awaiting its strands.
-	actEvent
-)
-
-// psnAction is one deferred post-store step: the tuple, the row it was
-// stored in (nil for events), and the stamp it was assigned at store
-// time, which bounds its joins exactly as tuple-at-a-time processing
-// would.
-type psnAction struct {
-	kind  psnActKind
-	t     val.Tuple
-	e     *table.Entry
-	stamp uint64
 }
 
 // storedRow is an accepted insert awaiting its post-store work: the
@@ -239,48 +167,6 @@ type psnAction struct {
 type storedRow struct {
 	t val.Tuple
 	e *table.Entry
-}
-
-// nodePar is the intra-node worker-pool state: one join context per
-// worker (environment, trail, head buffer — everything a strand run
-// mutates), sharing the node's catalog and resolved handles.
-type nodePar struct {
-	workers int
-	ctxs    []joinCtx
-	jobs    []parJob // reusable per-round job buffer
-	// segs, qTail, outTail are the batched-PSN flush's merge scratch:
-	// per-action aggregate-delta segments and the snapshots of the
-	// queue/out tails they index, reused across flushes.
-	segs    []psnSeg
-	qTail   []Delta
-	outTail []OutDelta
-}
-
-// psnSeg records, for one flushed PSN action, the segment of
-// aggregate-derived deltas its sequential pre-pass appended to the
-// node's queue/out (relative to the flush base), plus the index of the
-// parallel job that runs its trigger strands (-1 when suppressed). The
-// merge interleaves segment and job output per action, reproducing the
-// sequential flush byte for byte.
-type psnSeg struct {
-	q0, q1 int
-	o0, o1 int
-	job    int
-}
-
-// parJob is one unit of a parallel round: the trigger tuple plus the
-// job-local derivation buffers the worker fills. Buffers are merged
-// into the node's queue/out in job order after the round's barrier, so
-// the queue a parallel round produces is a deterministic function of
-// the job list, independent of worker scheduling. lt/le are the job's
-// join stamp bounds: SN rounds share one iteration bound, batched PSN
-// flushes carry each delta's own stamp.
-type parJob struct {
-	t      val.Tuple
-	lt, le int64
-	queue  []Delta
-	out    []OutDelta
-	err    error
 }
 
 // OutDelta is a derived delta bound for another node, returned by
@@ -334,10 +220,8 @@ func projectVals(t val.Tuple, cols []int) []val.Value {
 	return out
 }
 
-// newNode builds a node for a compiled program. innerPar > 1 enables
-// parallel semi-naïve rounds, batched PSN flushes and rederivation
-// sweeps inside this node, with that many workers.
-func newNode(id string, prog *program, opts Options, innerPar int) *Node {
+// newNode builds a node for a compiled program.
+func newNode(id string, prog *program, opts Options) *Node {
 	n := &Node{
 		id:   id,
 		prog: prog,
@@ -422,15 +306,6 @@ func newNode(id string, prog *program, opts Options, innerPar int) *Node {
 			n.sels[sel.SrcPred] = append(n.sels[sel.SrcPred], ctrl)
 		}
 	}
-	// Per-derivation hooks observe evaluation order and run user code; a
-	// node with hooks stays sequential.
-	if innerPar > 1 && opts.StrandFilter == nil && opts.OnDerive == nil {
-		p := &nodePar{workers: innerPar, ctxs: make([]joinCtx, innerPar)}
-		for i := range p.ctxs {
-			p.ctxs[i] = joinCtx{res: n.res, env: funcs.NewSlotEnv(prog.maxSlots)}
-		}
-		n.par = p
-	}
 	return n
 }
 
@@ -496,8 +371,7 @@ func (n *Node) journalDelta(d Delta) {
 func (n *Node) QueueLen() int { return n.queue.len() }
 
 // Drain processes the queue to a local fixpoint and returns the deltas
-// destined for other nodes. PSN processes tuple-at-a-time (or in
-// stamp-preserving batches when Options.PSNBatch is set); SN/BSN run
+// destined for other nodes. PSN processes tuple-at-a-time; SN/BSN run
 // batched local iterations. The caller owns the result until it hands
 // it back with Recycle, which it need not do.
 func (n *Node) Drain() []OutDelta {
@@ -505,19 +379,13 @@ func (n *Node) Drain() []OutDelta {
 	case SN, BSN:
 		n.drainSN()
 	default:
-		if b := n.opts.psnBatch(); b > 1 {
-			n.drainPSNBatched(b)
-		} else {
-			n.drainPSN()
-		}
+		n.drainPSN()
 	}
 	out := n.out
 	n.out = nil
-	// Stable-sort by destination: one drain's outbound batch becomes a
-	// deterministic function of the derivations alone (per-destination
-	// relative order preserved), so parallel executions that merge
-	// job-ordered derivation buffers produce byte-identical batches and
-	// drivers can group contiguous runs per destination without a map.
+	// Stable-sort by destination (per-destination relative order
+	// preserved), so drivers can group contiguous runs per destination
+	// without a map.
 	if len(out) > 1 {
 		slices.SortStableFunc(out, func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
 	}
@@ -543,202 +411,6 @@ func (n *Node) drainPSN() {
 	}
 }
 
-// drainPSNBatched is drainPSN with batch-at-a-time store/trigger
-// pipelining (Options.PSNBatch): deliverable deltas are stored eagerly
-// as they are popped — journal taps fire and stamps are assigned in
-// arrival order, exactly as tuple-at-a-time — while the post-store work
-// (aggregate maintenance, advertisement, trigger strands) is deferred
-// into psnActs and flushed, still in arrival order, once the batch
-// fills. PSN's stamp bounds make the deferral invisible: a delta's
-// joins see only entries with stamps up to its own, so later-batched
-// stores cannot leak into earlier deltas' derivations, and the queue
-// the flush produces is byte-identical to the reference walk's.
-//
-// Deltas whose processing must observe fully advertised state — every
-// deletion, and inserts that displace rows (primary-key replacement or
-// eviction, probed with table.InsertBarrier before storing) — flush the
-// pending batch and then take the exact tuple-at-a-time path.
-func (n *Node) drainPSNBatched(batch int) {
-	// The outer loop re-enters after a trailing flush: the flush's
-	// trigger strands refill the queue with derived deltas, which the
-	// next pass consumes — the drain is done only when the queue is
-	// empty AND no actions are pending.
-	for n.queue.len() > 0 {
-		n.drainPSNBatchedPass(batch)
-		n.flushPSN()
-	}
-}
-
-// drainPSNBatchedPass consumes the current queue, storing eagerly and
-// deferring trigger work into psnActs (flushing every `batch` actions).
-func (n *Node) drainPSNBatchedPass(batch int) {
-	for n.queue.len() > 0 {
-		d := n.queue.pop()
-		n.journalDelta(d)
-		switch {
-		case n.prog.events[d.Tuple.Pred]:
-			// Events are never stored: deletions are dropped (see
-			// process), insertions defer their strands with a fresh stamp.
-			if d.Sign > 0 {
-				n.stamp++
-				n.psnActs = append(n.psnActs, psnAction{kind: actEvent, t: d.Tuple, stamp: n.stamp})
-			}
-		case d.Sign > 0:
-			if n.cat.Get(d.Tuple.Pred).InsertBarrier(d.Tuple) {
-				n.flushPSN()
-				n.processInsert(d.Tuple)
-				continue
-			}
-			n.stamp++
-			stamp := n.stamp
-			if e, ok, refresh := n.storeInsertD(d.Tuple, stamp); ok {
-				n.psnActs = append(n.psnActs, psnAction{kind: actInsert, t: d.Tuple, e: e, stamp: stamp})
-			} else if refresh {
-				n.psnActs = append(n.psnActs, psnAction{kind: actRefresh, t: d.Tuple, e: e, stamp: stamp})
-			}
-		default:
-			n.flushPSN()
-			n.processDelete(d.Tuple)
-			continue
-		}
-		if len(n.psnActs) >= batch {
-			n.flushPSN()
-		}
-	}
-	n.flushPSN()
-}
-
-// flushPSN runs the deferred post-store actions of a batched PSN drain
-// in arrival order. With a worker pool configured and more than one
-// action pending, the trigger strands fan out (flushPSNPar); the
-// sequential walk below is the reference the parallel merge reproduces
-// exactly.
-func (n *Node) flushPSN() {
-	acts := n.psnActs
-	if len(acts) == 0 {
-		return
-	}
-	if n.par != nil && len(acts) > 1 {
-		n.flushPSNPar(acts)
-		n.psnActs = acts[:0]
-		return
-	}
-	for _, a := range acts {
-		switch a.kind {
-		case actInsert:
-			n.afterInsert(a.t, a.e, int64(a.stamp), int64(a.stamp))
-		case actRefresh:
-			n.refreshAdvertise(a.t, a.e, a.stamp)
-		case actEvent:
-			n.eventStrands(a.t, a.stamp)
-		}
-	}
-	n.psnActs = acts[:0]
-}
-
-// flushPSNPar is flushPSN on the intra-node worker pool. The mutating
-// half of every action — store observation, aggregate maintenance,
-// advertisement decisions — runs sequentially in arrival order, each
-// action's aggregate-derived deltas recorded as a queue/out segment;
-// the trigger strands then run concurrently into job-local buffers with
-// each job bounded by its delta's own stamp. The merge interleaves
-// segments and job outputs per action, so the resulting queue and out
-// are byte-identical to the sequential flush (and therefore to
-// tuple-at-a-time evaluation).
-func (n *Node) flushPSNPar(acts []psnAction) {
-	p := n.par
-	jobs := p.jobs[:0]
-	segs := p.segs[:0]
-	// Queue positions are counted in pending deltas: the pre-pass pushes,
-	// and a push may slide the queue down its backing array.
-	baseQ, baseOut := n.queue.len(), len(n.out)
-	for _, a := range acts {
-		q0, o0 := n.queue.len(), len(n.out)
-		job := -1
-		bound := int64(a.stamp)
-		switch a.kind {
-		case actInsert:
-			if n.afterInsertPre(a.t, bound, bound) {
-				markAdv(a.e, a.t)
-				job = len(jobs)
-				jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
-			}
-		case actRefresh:
-			markAdv(a.e, a.t)
-			job = len(jobs)
-			jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
-		case actEvent:
-			if n.opts.OnStore != nil {
-				n.opts.OnStore(n.id, Insert(a.t), n.now)
-			}
-			job = len(jobs)
-			jobs = append(jobs, parJob{t: a.t, lt: bound, le: bound})
-		}
-		segs = append(segs, psnSeg{q0: q0 - baseQ, q1: n.queue.len() - baseQ,
-			o0: o0 - baseOut, o1: len(n.out) - baseOut, job: job})
-	}
-	p.jobs, p.segs = jobs, segs
-	if len(jobs) == 0 {
-		return // only aggregate deltas: already appended in order
-	}
-	if len(jobs) == 1 {
-		jb := &jobs[0]
-		ctx := &p.ctxs[0]
-		ctx.ltBefore, ctx.leAfter = jb.lt, jb.le
-		ctx.hasDeleted = false
-		n.runJob(ctx, jb)
-	} else {
-		workers := min(p.workers, len(jobs))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(ctx *joinCtx) {
-				defer wg.Done()
-				ctx.hasDeleted = false
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(jobs) {
-						return
-					}
-					ctx.ltBefore, ctx.leAfter = jobs[j].lt, jobs[j].le
-					n.runJob(ctx, &jobs[j])
-				}
-			}(&p.ctxs[i])
-		}
-		wg.Wait()
-	}
-	// Splice merge: pull the pre-pass's aggregate tails off queue/out,
-	// then rebuild them with each action's segment followed by its job's
-	// derivations — the exact order the sequential flush produces.
-	p.qTail = append(p.qTail[:0], n.queue.pending()[baseQ:]...)
-	p.outTail = append(p.outTail[:0], n.out[baseOut:]...)
-	n.queue.truncate(baseQ)
-	n.out = n.out[:baseOut]
-	for _, s := range segs {
-		n.queue.pushAll(p.qTail[s.q0:s.q1])
-		n.out = append(n.out, p.outTail[s.o0:s.o1]...)
-		if s.job < 0 {
-			continue
-		}
-		jb := &p.jobs[s.job]
-		if jb.err != nil {
-			panic(fmt.Sprintf("engine: %v", jb.err))
-		}
-		n.queue.pushAll(jb.queue)
-		n.out = append(n.out, jb.out...)
-	}
-}
-
-// eventStrands runs an event tuple's trigger strands under its assigned
-// stamp — the shared tail of processEvent and a deferred actEvent.
-func (n *Node) eventStrands(t val.Tuple, stamp uint64) {
-	if n.opts.OnStore != nil {
-		n.opts.OnStore(n.id, Insert(t), n.now)
-	}
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
-}
-
 // drainSN implements Algorithm 1: repeatedly flush the delta buffer,
 // insert the whole batch with one iteration stamp, then execute all rule
 // strands over the batch.
@@ -759,85 +431,8 @@ func (n *Node) drainSN() {
 			}
 		}
 		bound := int64(n.iter)
-		if n.par != nil && len(inserts) > 1 {
-			n.roundPar(inserts, bound)
-			continue
-		}
 		for _, r := range inserts {
 			n.afterInsert(r.t, r.e, bound, bound)
-		}
-	}
-}
-
-// roundPar runs one semi-naïve round's post-insert work on the
-// intra-node worker pool. The mutating half stays sequential —
-// aggregate maintenance, advertisement decisions, Adv marking all
-// touch shared per-node state — then the advertised inserts' normal
-// strands (pure reads over tables frozen for the round) run
-// concurrently into job-local buffers. The round barrier (wg.Wait) and
-// the job-order merge make the resulting queue identical to the
-// sequential walk's up to the interleaving of derivations between
-// inserts, which the next round consumes as an unordered batch.
-func (n *Node) roundPar(inserts []storedRow, bound int64) {
-	jobs := n.par.jobs[:0]
-	for _, r := range inserts {
-		if n.afterInsertPre(r.t, bound, bound) {
-			markAdv(r.e, r.t)
-			jobs = append(jobs, parJob{t: r.t, lt: bound, le: bound})
-		}
-	}
-	n.par.jobs = jobs
-	if len(jobs) == 0 {
-		return
-	}
-	workers := min(n.par.workers, len(jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(ctx *joinCtx) {
-			defer wg.Done()
-			ctx.hasDeleted = false
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				ctx.ltBefore, ctx.leAfter = jobs[j].lt, jobs[j].le
-				n.runJob(ctx, &jobs[j])
-			}
-		}(&n.par.ctxs[i])
-	}
-	wg.Wait()
-	for i := range jobs {
-		jb := &jobs[i]
-		if jb.err != nil {
-			panic(fmt.Sprintf("engine: %v", jb.err))
-		}
-		n.queue.pushAll(jb.queue)
-		n.out = append(n.out, jb.out...)
-	}
-}
-
-// runJob executes the non-aggregate trigger strands of one parallel
-// job into the job's buffers — the parallel counterpart of
-// runNormalStrands for insertions, hookless by the par gate.
-func (n *Node) runJob(ctx *joinCtx, jb *parJob) {
-	for _, st := range n.prog.strands[jb.t.Pred] {
-		if st.isAgg {
-			continue
-		}
-		err := st.run(ctx, jb.t, func(dr derived) {
-			d := Delta{Sign: +1, Tuple: dr.tuple}
-			if n.central || dr.loc == n.id {
-				jb.queue = append(jb.queue, d)
-			} else {
-				jb.out = append(jb.out, OutDelta{Dst: dr.loc, Delta: d})
-			}
-		})
-		if err != nil {
-			jb.err = fmt.Errorf("rule %s: %v", st.rule.Label, err)
-			return
 		}
 	}
 }
@@ -871,26 +466,17 @@ func (n *Node) process(d Delta) {
 // rejects aggregates over events) and no advertisement state.
 func (n *Node) processEvent(t val.Tuple) {
 	n.stamp++
-	n.eventStrands(t, n.stamp)
+	if n.opts.OnStore != nil {
+		n.opts.OnStore(n.id, Insert(t), n.now)
+	}
+	n.runNormalStrands(+1, t, int64(n.stamp), int64(n.stamp))
 }
 
 // storeInsert applies the table effects of an insertion: duplicate
 // counting, primary-key replacement (update = delete + insert), and
 // eviction. It returns the row now holding the tuple, and false when the
-// tuple was a duplicate; a soft-state duplicate's re-advertisement runs
-// inline.
+// tuple was a duplicate (a soft-state duplicate is re-advertised here).
 func (n *Node) storeInsert(t val.Tuple, stamp uint64) (*table.Entry, bool) {
-	e, ok, refresh := n.storeInsertD(t, stamp)
-	if refresh {
-		n.refreshAdvertise(t, e, stamp)
-	}
-	return e, ok
-}
-
-// storeInsertD is storeInsert with the soft-state duplicate refresh
-// deferred to the caller (refresh=true): batched PSN drains run it when
-// the batch flushes, preserving arrival order.
-func (n *Node) storeInsertD(t val.Tuple, stamp uint64) (e *table.Entry, ok, refresh bool) {
 	tbl := n.cat.Get(t.Pred)
 	res := tbl.Insert(t, stamp, n.now)
 	switch res.Status {
@@ -898,21 +484,28 @@ func (n *Node) storeInsertD(t val.Tuple, stamp uint64) (e *table.Entry, ok, refr
 		// The displaced row's advertisement state rides along in the
 		// result, so no pre-insert lookup is needed.
 		n.afterDelete(res.Replaced, res.ReplacedAdv, res.ReplacedStamp)
-		return res.Entry, true, false
+		return res.Entry, true
 	case table.StatusDuplicate:
 		// Soft-state refresh semantics (Section 4.2): re-inserting a
-		// soft-state tuple re-advertises it so downstream soft state is
-		// refreshed in turn. Hard-state duplicates only bump the count.
-		return res.Entry, false, tbl.TTL() >= 0
+		// soft-state tuple re-runs its trigger strands so downstream soft
+		// state is refreshed in turn (downstream tables should themselves
+		// be soft state — the paper's trade-off for this model is
+		// recomputation instead of precise incremental deltas). Hard-state
+		// duplicates only bump the count.
+		if tbl.TTL() >= 0 {
+			markAdv(res.Entry, t)
+			n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
+		}
+		return res.Entry, false
 	case table.StatusNew:
 		for _, ev := range res.Evicted {
 			if !ev.Equal(t) {
 				n.afterDelete(ev, true, stamp)
 			}
 		}
-		return res.Entry, true, false
+		return res.Entry, true
 	}
-	return nil, false, false
+	return nil, false
 }
 
 func (n *Node) processInsert(t val.Tuple) {
@@ -932,47 +525,25 @@ func (n *Node) processInsert(t val.Tuple) {
 // aggregate selections) the trigger strands for a tuple newly stored in
 // row e. ltBefore/leAfter are the join stamp bounds (see joinCtx).
 func (n *Node) afterInsert(t val.Tuple, e *table.Entry, ltBefore, leAfter int64) {
-	if !n.afterInsertPre(t, ltBefore, leAfter) {
-		return
-	}
-	markAdv(e, t)
-	n.runNormalStrands(+1, t, ltBefore, leAfter)
-}
-
-// afterInsertPre is the sequential half of post-insert processing:
-// store observation, aggregate maintenance, and the aggregate-selection
-// advertisement decision. It reports whether the tuple's normal trigger
-// strands should run (and be marked advertised).
-func (n *Node) afterInsertPre(t val.Tuple, ltBefore, leAfter int64) bool {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Insert(t), n.now)
 	}
 	improving, contributed := n.runAggStrands(+1, t, ltBefore, leAfter)
 
-	ctrls := n.sels[t.Pred]
-	advertise := true
-	if len(ctrls) > 0 && contributed {
+	if ctrls := n.sels[t.Pred]; len(ctrls) > 0 && contributed {
 		if n.opts.AggSelPeriod > 0 {
 			// Periodic mode: defer everything to the flush timer.
 			for _, c := range ctrls {
 				c.addPending(t)
 			}
-			advertise = false
-		} else {
-			advertise = improving
+			return
+		}
+		if !improving {
+			return
 		}
 	}
-	return advertise
-}
-
-// refreshAdvertise re-runs the trigger strands of a refreshed
-// soft-state tuple. Downstream tables should themselves be soft state
-// (refresh replaces counting there); this is the trade-off the paper
-// names for the soft-state model — recomputation instead of precise
-// incremental deltas.
-func (n *Node) refreshAdvertise(t val.Tuple, e *table.Entry, stamp uint64) {
 	markAdv(e, t)
-	n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
+	n.runNormalStrands(+1, t, ltBefore, leAfter)
 }
 
 // markAdv records that t's trigger strands have run, on the row t was
@@ -1063,11 +634,12 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 
 // FlushPending advertises the current best of every pending group
 // (periodic aggregate selections). The driver calls it on a timer.
-// Groups flush in sorted hash order (hashing is deterministic, so runs
-// are reproducible).
+// Source predicates flush in name order and each control's groups in
+// sorted hash order (hashing is deterministic), so the deltas a flush
+// queues are the same on every run.
 func (n *Node) FlushPending() {
-	for _, ctrls := range n.sels {
-		for _, c := range ctrls {
+	for _, pred := range slices.Sorted(maps.Keys(n.sels)) {
+		for _, c := range n.sels[pred] {
 			hashes := make([]uint64, 0, len(c.pending))
 			for h := range c.pending {
 				hashes = append(hashes, h)

@@ -86,7 +86,7 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 	return &Parallel{
 		prog:    p,
 		opts:    opts,
-		workers: opts.parallelism(),
+		workers: opts.Workers(),
 		nodes:   map[string]*pnode{},
 		quiet:   make(chan struct{}, 1),
 	}, nil
@@ -96,7 +96,7 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 // sequential (one worker owns it at a time), so per-node hooks work
 // unchanged.
 func (p *Parallel) AddNode(id string) *Node {
-	n := newNode(id, p.prog, p.opts, 1)
+	n := newNode(id, p.prog, p.opts)
 	pn := &pnode{n: n}
 	p.nodes[id] = pn
 	p.order = append(p.order, id)

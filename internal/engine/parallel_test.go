@@ -178,53 +178,3 @@ func TestParallelInject(t *testing.T) {
 		}
 	}
 }
-
-// TestCentralInnerParallelEquivalence drives Central's intra-node
-// worker pool (parallel semi-naïve rounds) and asserts the fixpoint is
-// byte-identical to the sequential evaluator on a randomized graph —
-// including after DRed deletions, which exercise the parallel
-// rederivation sweep.
-func TestCentralInnerParallelEquivalence(t *testing.T) {
-	const nNodes = 16
-	for trial := 0; trial < 3; trial++ {
-		rng := rand.New(rand.NewSource(int64(2000 + trial)))
-		var edges [][2]string
-		seen := map[[2]string]bool{}
-		for len(edges) < 48 {
-			a := fmt.Sprintf("v%d", rng.Intn(nNodes))
-			b := fmt.Sprintf("v%d", rng.Intn(nNodes))
-			if a == b || seen[[2]string{a, b}] {
-				continue
-			}
-			seen[[2]string{a, b}] = true
-			edges = append(edges, [2]string{a, b})
-		}
-		run := func(par int) ([]byte, []byte) {
-			c, err := NewCentral(mustParse(t, tcSrc), Options{Mode: SN, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range edges {
-				c.node.Push(Insert(edge(e[0], e[1])))
-			}
-			c.Fixpoint()
-			full := encodeFixpoint(c.Tuples("reach"))
-			// Delete a base edge with DRed: phase 2's rederivation sweep
-			// runs on the worker pool when par > 1.
-			if err := c.DeleteDRed(edge(edges[0][0], edges[0][1])); err != nil {
-				t.Fatal(err)
-			}
-			return full, encodeFixpoint(c.Tuples("reach"))
-		}
-		seqFull, seqDel := run(1)
-		for _, par := range []int{2, 8} {
-			parFull, parDel := run(par)
-			if !bytes.Equal(seqFull, parFull) {
-				t.Fatalf("trial %d: parallelism=%d SN fixpoint differs from sequential", trial, par)
-			}
-			if !bytes.Equal(seqDel, parDel) {
-				t.Fatalf("trial %d: parallelism=%d post-DRed fixpoint differs from sequential", trial, par)
-			}
-		}
-	}
-}

@@ -43,12 +43,6 @@ func (q *deltaQueue) push(d Delta) {
 	q.buf = append(q.buf, d)
 }
 
-func (q *deltaQueue) pushAll(ds []Delta) {
-	for _, d := range ds {
-		q.push(d)
-	}
-}
-
 // pop removes and returns the oldest delta; the queue must not be empty.
 // The last pop rewinds the queue onto the front of its backing array.
 func (q *deltaQueue) pop() Delta {
@@ -72,10 +66,4 @@ func (q *deltaQueue) take() []Delta {
 	batch := q.buf[q.head:]
 	q.buf, q.head = nil, 0
 	return batch
-}
-
-// truncate drops every pending delta after the first n.
-func (q *deltaQueue) truncate(n int) {
-	clear(q.buf[q.head+n:])
-	q.buf = q.buf[:q.head+n]
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ndlog/internal/table"
 	"ndlog/internal/val"
@@ -134,93 +132,14 @@ func (n *Node) ApplyImportedTTLs(st *NodeState) {
 // sweepDerivable evaluates every non-aggregate rule once over the
 // node's stored state — the full-evaluation sweep of DRed's
 // re-derivation phase — invoking fn for each derivable head (with its
-// location). Evaluation errors skip the binding, as the insert path
-// would. fn must not mutate the node's tables; queueing deltas is fine.
+// location), rule by rule in the program's fixed sweep order. Evaluation
+// errors skip the binding, as the insert path would. fn must not mutate
+// the node's tables; queueing deltas is fine.
 func (n *Node) sweepDerivable(fn func(d derived)) {
-	if n.par != nil {
-		n.sweepDerivablePar(fn)
-		return
-	}
 	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res}
-	for _, sts := range n.prog.strands {
-		for _, st := range sts {
-			if st.isAgg || st.trigger != 0 {
-				continue // one full evaluation per rule: trigger atom 0
-			}
-			trigger := n.cat.Get(st.atoms[0].Pred)
-			for _, tu := range trigger.Tuples() {
-				_ = st.run(ctx, tu, fn)
-			}
-		}
-	}
-}
-
-// sweepChunk bounds the trigger tuples of one parallel sweep job: big
-// enough to amortize job claiming, small enough to balance skewed
-// trigger tables across the pool.
-const sweepChunk = 128
-
-// sweepDerivablePar is sweepDerivable on the intra-node worker pool:
-// jobs are (strand, trigger-tuple chunk) pairs in deterministic order
-// (sorted trigger predicates), workers evaluate them into job-local
-// derivation buffers over per-worker contexts, and fn — whose contract
-// allows arbitrary single-threaded mutation — runs over the merged
-// buffers in job order after the barrier.
-func (n *Node) sweepDerivablePar(fn func(d derived)) {
-	type sweepJob struct {
-		st  *strand
-		tus []val.Tuple
-		out []derived
-	}
-	preds := make([]string, 0, len(n.prog.strands))
-	for pred := range n.prog.strands {
-		preds = append(preds, pred)
-	}
-	sort.Strings(preds)
-	var jobs []sweepJob
-	for _, pred := range preds {
-		for _, st := range n.prog.strands[pred] {
-			if st.isAgg || st.trigger != 0 {
-				continue // one full evaluation per rule: trigger atom 0
-			}
-			tus := n.cat.Get(st.atoms[0].Pred).Tuples()
-			for len(tus) > 0 {
-				c := min(sweepChunk, len(tus))
-				jobs = append(jobs, sweepJob{st: st, tus: tus[:c]})
-				tus = tus[c:]
-			}
-		}
-	}
-	if len(jobs) == 0 {
-		return
-	}
-	workers := min(n.par.workers, len(jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(ctx *joinCtx) {
-			defer wg.Done()
-			ctx.ltBefore, ctx.leAfter = noLimit, noLimit
-			ctx.hasDeleted = false
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				jb := &jobs[j]
-				for _, tu := range jb.tus {
-					_ = jb.st.run(ctx, tu, func(d derived) {
-						jb.out = append(jb.out, d)
-					})
-				}
-			}
-		}(&n.par.ctxs[i])
-	}
-	wg.Wait()
-	for i := range jobs {
-		for _, d := range jobs[i].out {
-			fn(d)
+	for _, st := range n.prog.sweep {
+		for _, tu := range n.cat.Get(st.atoms[0].Pred).Tuples() {
+			_ = st.run(ctx, tu, fn)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"testing"
 
 	"ndlog/internal/parser"
+	"ndlog/internal/programs"
 	"ndlog/internal/val"
 )
 
@@ -244,6 +246,41 @@ func TestRederiveFor(t *testing.T) {
 	}
 	if got := n.RederiveFor(nil); got != nil {
 		t.Fatalf("empty dst set emitted %d deltas", len(got))
+	}
+}
+
+// TestRederiveForDeterministic: a sweep walks the program's rules in one
+// fixed order, so repeated sweeps of the same state return the same
+// deltas in the same order. The Figure 1 program's swept rules start
+// from more than one predicate, which is what a map-ordered walk
+// shuffles (Go re-randomizes every map range).
+func TestRederiveForDeterministic(t *testing.T) {
+	ring := []string{"a", "b", "c", "d"}
+	prog := mustParse(t, programs.ShortestPath(""))
+	for i, a := range ring {
+		b := ring[(i+1)%len(ring)]
+		prog.Facts = append(prog.Facts,
+			programs.LinkFact("link", a, b, 1), programs.LinkFact("link", b, a, 1))
+	}
+	p, err := NewParallel(prog, Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ring {
+		p.AddNode(id)
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n, dsts := p.Node("a"), map[string]bool{"b": true, "c": true, "d": true}
+	want := AppendOutDeltas(nil, n.RederiveFor(dsts))
+	if len(want) == 0 {
+		t.Fatal("sweep returned nothing")
+	}
+	for i := 0; i < 128; i++ {
+		if got := AppendOutDeltas(nil, n.RederiveFor(dsts)); !bytes.Equal(got, want) {
+			t.Fatalf("sweep %d returned its deltas in a different order", i+1)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"ndlog/internal/ast"
 	"ndlog/internal/funcs"
@@ -318,6 +319,11 @@ func (p *program) ensureIndex(pred string, spec indexSpec) int {
 type program struct {
 	source  *ast.Program         // localized program
 	strands map[string][]*strand // trigger pred -> strands
+	// sweep lists the strands a rederivation sweep walks (see
+	// Node.sweepDerivable): one full evaluation per non-aggregate rule,
+	// started from body atom 0, ordered by that atom's predicate name and
+	// then rule order — a fixed order, so a sweep's output is too.
+	sweep   []*strand
 	aggSels []planner.AggSelection
 	decls   map[string]*ast.TableDecl
 	// indexes is the access-path plan's storage side: the secondary
@@ -412,8 +418,14 @@ func compile(prog *ast.Program) (*program, error) {
 			}
 			p.planAccess(st)
 			p.strands[atoms[i].Pred] = append(p.strands[atoms[i].Pred], st)
+			if i == 0 && !st.isAgg {
+				p.sweep = append(p.sweep, st)
+			}
 		}
 	}
+	slices.SortStableFunc(p.sweep, func(a, b *strand) int {
+		return strings.Compare(a.atoms[0].Pred, b.atoms[0].Pred)
+	})
 	return p, nil
 }
 

@@ -38,7 +38,7 @@ func buildConfigured(t *testing.T, cfg Config, opts engine.Options) *Runner {
 // shared-socket receive path: a fixed socket set drained by the demux
 // pool must reach the same answers the per-node loops do.
 func TestSharedSocketShortestPath(t *testing.T) {
-	r := buildConfigured(t, Config{SharedSockets: true}, engine.Options{AggSel: true, PSNBatch: 64})
+	r := buildConfigured(t, Config{SharedSockets: true}, engine.Options{AggSel: true})
 	defer r.Close()
 	r.Start()
 	if !r.WaitQuiescent(300*time.Millisecond, 15*time.Second) {

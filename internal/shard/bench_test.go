@@ -40,62 +40,36 @@ func fig7Workload() (string, []string) {
 
 // BenchmarkNetrunFig7 converges the Fig 7 workload in a single process:
 // every node its own UDP socket, one OS process — the PR 3 baseline
-// netrun deployment. Compare with BenchmarkSharded3Fig7 (BENCH_PR4) and
-// the batched-pipeline variants below (BENCH_PR10).
+// netrun deployment. Compare with BenchmarkSharded3Fig7.
 func BenchmarkNetrunFig7(b *testing.B) {
-	benchNetrunFig7(b, 1, false, true, "", 300*time.Millisecond)
+	benchNetrunFig7(b, false, true, "", 300*time.Millisecond)
 }
 
-// BenchmarkNetrunFig7Batched is the tentpole configuration sweep:
-// batch-at-a-time PSN drains over the shared-socket receive path, at
-// the BENCH_PR10 batch sizes. batch=1 isolates the shared-socket +
-// pooled-receive effect; 64 and 256 add the batched evaluate→journal
-// pipeline. Fixpoints are byte-identical to the baseline's at every
-// setting.
-func BenchmarkNetrunFig7Batched(b *testing.B) {
-	for _, batch := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			benchNetrunFig7(b, batch, true, true, "", 300*time.Millisecond)
-		})
-	}
-}
-
-// BenchmarkNetrunFig7NoPrune is the drain-bound variant: aggregate
-// selections off, so every node's queue carries the full unpruned path
-// exploration (~17k datagrams vs ~350 pruned) and PSN drains actually
-// reach the batch size. This is the workload where batch-at-a-time
-// earns its keep — the pruned convergence runs above are dominated by
-// fixed setup and quiescence-poll latency, with drains too shallow to
-// fill a batch. The idle window shrinks to 100 ms: this workload's
-// traffic is continuous (no sub-millisecond gaps until the true
-// fixpoint), and the shorter quiescence tail keeps the fixed
-// detection cost from washing out the per-tuple delta being measured.
+// BenchmarkNetrunFig7NoPrune is the drain-bound variant over shared
+// sockets: aggregate selections off, so every node's queue carries the
+// full unpruned path exploration (~17k datagrams vs ~350 pruned). The
+// idle window shrinks to 100 ms: this workload's traffic is continuous
+// (no sub-millisecond gaps until the true fixpoint), and the shorter
+// quiescence tail keeps the fixed detection cost from washing out the
+// per-tuple cost being measured.
 func BenchmarkNetrunFig7NoPrune(b *testing.B) {
-	for _, batch := range []int{1, 64, 256} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			benchNetrunFig7(b, batch, true, false, "", 100*time.Millisecond)
-		})
-	}
+	benchNetrunFig7(b, true, false, "", 100*time.Millisecond)
 }
 
 // BenchmarkNetrunFig7Durable runs the same convergence with a WAL
-// under every node (fsync-on-commit). The first row is the PR 9-era
-// head configuration — tuple-at-a-time PSN, one socket + goroutine per
-// node, one private WAL per node; the middle row turns on batching and
-// shared sockets but keeps private WALs; the last is the full PR 10
-// pipeline with shard-wide group commit. fsyncs/run is the collapsed
-// figure; commits/run approximates drains, so fsyncs÷commits is the
-// fsyncs-per-drain ratio the group log drives to 1. The head→pipeline
-// delta is the BENCH_PR10 headline: the durable deployment is where
-// the batched pipeline pays on a single-core runner, because every
-// drain's journal work collapses onto one commit point.
+// under every node (fsync-on-commit). The first row is one socket +
+// goroutine per node with one private WAL per node; the middle row
+// turns on shared sockets but keeps private WALs; the last adds
+// shard-wide group commit. fsyncs/run is the collapsed figure;
+// commits/run approximates drains, so fsyncs÷commits is the
+// fsyncs-per-drain ratio the group log drives to 1.
 func BenchmarkNetrunFig7Durable(b *testing.B) {
-	b.Run("batch=1+per-node", func(b *testing.B) { benchNetrunFig7(b, 1, false, true, "pernode", 300*time.Millisecond) })
-	b.Run("batch=64+per-node", func(b *testing.B) { benchNetrunFig7(b, 64, true, true, "pernode", 300*time.Millisecond) })
-	b.Run("batch=64+group", func(b *testing.B) { benchNetrunFig7(b, 64, true, true, "group", 300*time.Millisecond) })
+	b.Run("per-node", func(b *testing.B) { benchNetrunFig7(b, false, true, "pernode", 300*time.Millisecond) })
+	b.Run("shared+per-node", func(b *testing.B) { benchNetrunFig7(b, true, true, "pernode", 300*time.Millisecond) })
+	b.Run("shared+group", func(b *testing.B) { benchNetrunFig7(b, true, true, "group", 300*time.Millisecond) })
 }
 
-func benchNetrunFig7(b *testing.B, psnBatch int, shared, aggSel bool, durableMode string, idle time.Duration) {
+func benchNetrunFig7(b *testing.B, shared, aggSel bool, durableMode string, idle time.Duration) {
 	src, ids := fig7Workload()
 	wantResults := len(ids) * (len(ids) - 1)
 	b.ReportAllocs()
@@ -106,7 +80,7 @@ func benchNetrunFig7(b *testing.B, psnBatch int, shared, aggSel bool, durableMod
 		}
 		r, err := netrun.NewConfigured(prog, localMap(ids),
 			netrun.Config{SharedSockets: shared, GroupCommit: durableMode == "group"},
-			engine.Options{AggSel: aggSel, PSNBatch: psnBatch})
+			engine.Options{AggSel: aggSel})
 		if err != nil {
 			b.Fatal(err)
 		}

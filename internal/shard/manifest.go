@@ -71,12 +71,6 @@ type Options struct {
 	// already one goroutine per node). 0 means GOMAXPROCS, 1 forces
 	// sequential walks; negative values are rejected at validation.
 	Parallelism int `json:"parallelism,omitempty"`
-	// PSNBatch makes every node's PSN drains batch-at-a-time: deltas
-	// are stored eagerly and their trigger strands flushed every this
-	// many actions (engine Options.PSNBatch). 0 or 1 keep the reference
-	// tuple-at-a-time pipeline; the fixpoints are byte-identical either
-	// way. Negative values are rejected at validation.
-	PSNBatch int `json:"psn_batch,omitempty"`
 	// SharedSockets routes each worker's nodes through a small shared
 	// socket set drained by a bounded demux pool instead of one socket
 	// and goroutine per node (netrun Config.SharedSockets). Requires
@@ -88,18 +82,22 @@ type Options struct {
 	GroupCommit bool `json:"group_commit,omitempty"`
 }
 
-// UnmarshalJSON rejects the one option key this format used to carry
-// and no longer does, instead of letting encoding/json drop it silently:
+// UnmarshalJSON rejects the option keys this format used to carry and
+// no longer does, instead of letting encoding/json drop them silently:
 // a deployment that asks for a removed behaviour should hear about it.
 func (o *Options) UnmarshalJSON(b []byte) error {
 	var removed struct {
-		Arena json.RawMessage `json:"arena"`
+		Arena    json.RawMessage `json:"arena"`
+		PSNBatch json.RawMessage `json:"psn_batch"`
 	}
 	if err := json.Unmarshal(b, &removed); err != nil {
 		return err
 	}
 	if removed.Arena != nil {
 		return fmt.Errorf(`option "arena" was removed (the engine no longer pools tuples, so there is no arena to select): delete the key`)
+	}
+	if removed.PSNBatch != nil {
+		return fmt.Errorf(`option "psn_batch" was removed (batched PSN drains measured no faster than tuple-at-a-time on any workload, so the engine has one pipeline): delete the key`)
 	}
 	type plain Options
 	return json.Unmarshal(b, (*plain)(o))
@@ -134,7 +132,6 @@ func (o Options) Engine() (engine.Options, error) {
 		AggSelPreds:  o.AggSelPreds,
 		AggSelPeriod: o.AggSelPeriod,
 		Parallelism:  o.Parallelism,
-		PSNBatch:     o.PSNBatch,
 	}, nil
 }
 
@@ -222,9 +219,6 @@ func (m *Manifest) Validate() error {
 	}
 	if m.Options.Parallelism < 0 {
 		return fmt.Errorf("negative parallelism %d", m.Options.Parallelism)
-	}
-	if m.Options.PSNBatch < 0 {
-		return fmt.Errorf("negative psn_batch %d", m.Options.PSNBatch)
 	}
 	ids := map[int]bool{}
 	owner := map[string]int{}

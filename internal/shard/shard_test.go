@@ -83,18 +83,21 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		t.Errorf("parallelism not threaded through: %+v", opts)
 	}
 
-	// A manifest written for the removed arena mode fails loudly, naming
-	// the key, instead of loading with the option silently dropped.
+	// A manifest written for a removed option fails loudly, naming the
+	// key, instead of loading with the option silently dropped.
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(t.TempDir(), "stale.json")
-	if err := os.WriteFile(stale, bytes.Replace(b, []byte(`"mode":`), []byte(`"arena": true, "mode":`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"arena"`) {
-		t.Errorf("manifest carrying the removed arena key: err = %v, want one naming \"arena\"", err)
+	for _, key := range []string{"arena", "psn_batch"} {
+		stale := filepath.Join(t.TempDir(), "stale.json")
+		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
+		if err := os.WriteFile(stale, with, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("manifest carrying the removed %s key: err = %v, want one naming %q", key, err, key)
+		}
 	}
 
 	bad := []*Manifest{

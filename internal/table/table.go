@@ -389,24 +389,6 @@ type InsertResult struct {
 	Evicted       []val.Tuple
 }
 
-// InsertBarrier reports whether inserting tp now would displace stored
-// rows — a primary-key replacement or a size eviction. Displacements
-// propagate deletions with unrestricted join bounds, so batched drains
-// must flush deferred trigger work before such an insert. Unkeyed,
-// unbounded tables (the common case) never barrier, and the probe costs
-// nothing there.
-func (t *Table) InsertBarrier(tp val.Tuple) bool {
-	if len(t.keys) == 0 && t.maxSize <= 0 {
-		return false
-	}
-	if e := t.find(t.pkHash(tp), tp); e != nil {
-		// Same primary key: an identical tuple is a count/refresh
-		// duplicate (no displacement); a different one replaces the row.
-		return !e.Tuple.Equal(tp)
-	}
-	return t.maxSize > 0 && t.n+1 > t.maxSize
-}
-
 // Insert adds tp with the given logical stamp at virtual time now.
 // Duplicate tuples bump the derivation count. A tuple with an existing
 // primary key but different fields replaces the old row; the displaced
