@@ -55,8 +55,6 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "convergence timeout for -shards")
 	latency := flag.Duration("latency", 10*time.Millisecond, "link latency for distributed execution")
 	aggsel := flag.Bool("aggsel", true, "enable aggregate selections")
-	sharedSockets := flag.Bool("shared-sockets", false, "with -shards: route each worker's nodes through a shared socket set drained by a bounded demux pool instead of one socket+goroutine per node")
-	groupCommit := flag.Bool("group-commit", false, "with -shards -data: one shard-wide WAL per worker (one fsync per drain instead of one per node)")
 	dump := flag.String("dump", "", "comma-separated extra predicates to print")
 	trace := flag.Bool("trace", false, "trace derivations of watched predicates")
 	explain := flag.Bool("explain", false, "print the compiled access-path plan (per rule and trigger, how each other body atom is probed; per predicate, the indexes a node maintains) and exit without evaluating")
@@ -113,10 +111,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		sOpts := shard.Options{
-			AggSel: *aggsel, DataDir: *data, Parallelism: max(*parallel, 0),
-			SharedSockets: *sharedSockets, GroupCommit: *groupCommit,
-		}
+		sOpts := shard.Options{AggSel: *aggsel, DataDir: *data, Parallelism: max(*parallel, 0)}
 		results, cleanup, err = runSharded(string(src), prog, *shards, migs, sOpts, *idle, *timeout)
 		if err != nil {
 			fail(err)

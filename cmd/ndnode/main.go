@@ -43,8 +43,6 @@ func main() {
 	coordTimeout := flag.Duration("coord-timeout", 0, "max coordinator silence before exiting (0: 60s default)")
 	data := flag.String("data", "", "override the manifest's data directory (WAL + snapshots; empty: use manifest)")
 	parallel := flag.Int("parallel", -1, "override the manifest's parallelism: per-node worker pool for seeds and rederivation sweeps (0: GOMAXPROCS, 1: sequential; negative: use manifest)")
-	sharedSockets := flag.Bool("shared-sockets", false, "force the shared-socket receive path (small socket set + bounded demux pool) regardless of the manifest")
-	groupCommit := flag.Bool("group-commit", false, "force one shard-wide WAL (single fsync per drain) regardless of the manifest")
 	verbose := flag.Bool("v", false, "log shard lifecycle to stderr")
 	flag.Parse()
 
@@ -62,12 +60,6 @@ func main() {
 	}
 	if *parallel >= 0 {
 		m.Options.Parallelism = *parallel
-	}
-	if *sharedSockets {
-		m.Options.SharedSockets = true
-	}
-	if *groupCommit {
-		m.Options.GroupCommit = true
 	}
 	cfg := shard.WorkerConfig{Manifest: m, ShardID: *shardID, Coord: *coord, CoordTimeout: *coordTimeout}
 	if *verbose {

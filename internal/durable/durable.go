@@ -30,6 +30,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -366,9 +367,8 @@ func (s *Store) Commits() uint64 {
 	return s.commits
 }
 
-// Syncs returns the number of fsyncs issued against the live WAL — the
-// quantity group commit collapses: without it a shard pays one per node
-// per drain, with it one per shard per drain.
+// Syncs returns the number of fsyncs issued against the live WAL: under
+// SyncCommit, one per Commit that had something to make durable.
 func (s *Store) Syncs() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,7 +394,9 @@ func (s *Store) ShouldSnapshot() bool {
 // Snapshot persists a full-state blob and rolls the WAL: the snapshot
 // is written atomically (tmp + rename + sync), a fresh empty log opens
 // the next generation, and the superseded generation is deleted. Any
-// records still pending are dropped — the snapshot subsumes them.
+// records still pending are dropped — the snapshot subsumes them. On
+// error the store stays on its current generation, pending records
+// included, and nothing of the next one is left on disk.
 func (s *Store) Snapshot(state []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,14 +429,19 @@ func (s *Store) Snapshot(state []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	wal, err := os.OpenFile(filepath.Join(s.dir, genName(walPrefix, next)),
-		os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	// The snapshot goes in first: a crash from here on reopens at next
+	// with everything up to now in the snapshot, whereas a wal-<next>
+	// without its snapshot would reopen empty. A failure from here on must
+	// take generation next back out, because the store keeps appending to
+	// s.gen, which the next Open would otherwise delete as stale.
+	walPath := filepath.Join(s.dir, genName(walPrefix, next))
+	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return errors.Join(err, os.Remove(snapPath))
 	}
 	if err := syncDir(s.dir); err != nil {
 		wal.Close()
-		return err
+		return errors.Join(err, os.Remove(walPath), os.Remove(snapPath))
 	}
 	old := s.gen
 	s.wal.Close()

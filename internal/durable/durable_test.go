@@ -318,3 +318,42 @@ func TestDecodeBundleCorrupt(t *testing.T) {
 		t.Error("huge record count decoded")
 	}
 }
+
+// TestFailedSnapshotKeepsLaterCommits: a Snapshot that fails after its
+// snapshot file is in place must leave nothing of the next generation
+// behind. The store keeps appending to the current one; a leftover
+// snap-<G+1> would make the next Open start there and delete those
+// records as stale.
+func TestFailedSnapshotKeepsLaterCommits(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openT(t, dir, Options{})
+	s.Append([]byte("before"))
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the next log belongs makes opening it fail.
+	blocker := filepath.Join(dir, genName(walPrefix, 2))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot([]byte("state")); err == nil {
+		t.Fatal("Snapshot succeeded with the next log's name taken")
+	}
+	s.Append([]byte("after"))
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec := openT(t, dir, Options{})
+	defer s2.Close()
+	want := [][]byte{[]byte("before"), []byte("after")}
+	if rec.Snapshot != nil || !reflect.DeepEqual(rec.Records, want) {
+		t.Fatalf("recovered snapshot=%q records=%q, want no snapshot and %q", rec.Snapshot, rec.Records, want)
+	}
+}

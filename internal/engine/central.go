@@ -11,34 +11,30 @@ import (
 // cluster is validated against (Theorems 1 and 3).
 type Central struct {
 	node *Node
-	prog *program
+	prog *Program
 }
 
 // NewCentral compiles prog for single-site evaluation: one node, one
 // thread. Options.Parallelism counts nodes drained at once, so it has
 // no effect here.
 func NewCentral(prog *ast.Program, opts Options) (*Central, error) {
-	p, err := compile(prog)
+	p, err := Compile(prog)
 	if err != nil {
 		return nil, err
 	}
-	n := newNode("central", p, opts)
+	n := p.NewNode("central", opts)
 	n.central = true
 	return &Central{node: n, prog: p}, nil
 }
 
-// NewNode compiles prog and returns a standalone runtime for one network
-// node. The caller owns the message loop: feed arriving deltas with
-// Push, call Drain for the outbound deltas, and route them to their
-// destinations (see internal/netrun for a UDP-based driver). The
-// program's base facts are NOT loaded automatically; push the ones
-// homed at this node.
+// NewNode is Compile followed by Program.NewNode, for a driver that
+// hosts a single node; one that hosts several compiles once.
 func NewNode(id string, prog *ast.Program, opts Options) (*Node, error) {
-	p, err := compile(prog)
+	p, err := Compile(prog)
 	if err != nil {
 		return nil, err
 	}
-	return newNode(id, p, opts), nil
+	return p.NewNode(id, opts), nil
 }
 
 // HomeFacts returns the subset of a program's base facts whose location

@@ -35,7 +35,7 @@ type ClusterConfig struct {
 // as messages.
 type Cluster struct {
 	sim   *simnet.Sim
-	prog  *program
+	prog  *Program
 	opts  Options
 	cfg   ClusterConfig
 	nodes map[string]*Node
@@ -68,7 +68,7 @@ type Cluster struct {
 // registered in sim... nodes must be added to the cluster (AddNode), not
 // the simulator directly, so the cluster can install its handlers.
 func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterConfig) (*Cluster, error) {
-	p, err := compile(prog)
+	p, err := Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 
 // AddNode registers a node with both the simulator and the cluster.
 func (c *Cluster) AddNode(id simnet.NodeID) *Node {
-	n := newNode(string(id), c.prog, c.opts)
+	n := c.prog.NewNode(string(id), c.opts)
 	c.nodes[string(id)] = n
 	c.sim.AddNode(id, &clusterHandler{c: c, n: n})
 	return n

@@ -12,10 +12,10 @@ import (
 // rule and trigger, the path through which the join reaches each other
 // body atom, and per predicate the secondary indexes every node
 // maintains. Columns are 0-based. The text is what the nodes execute —
-// the strands and index list printed here are the ones newNode
+// the strands and index list printed here are the ones Program.NewNode
 // instantiates — and is stable for a given program, so it can be diffed.
 func Explain(prog *ast.Program) (string, error) {
-	p, err := compile(prog)
+	p, err := Compile(prog)
 	if err != nil {
 		return "", err
 	}

@@ -116,7 +116,7 @@ func (o Options) Workers() int {
 // delta queue of a single network node.
 type Node struct {
 	id   string
-	prog *program
+	prog *Program
 	opts Options
 	cat  *table.Catalog
 	// soft lists the soft-state tables in name order — the tables, and the
@@ -220,8 +220,13 @@ func projectVals(t val.Tuple, cols []int) []val.Value {
 	return out
 }
 
-// newNode builds a node for a compiled program.
-func newNode(id string, prog *program, opts Options) *Node {
+// NewNode returns a standalone runtime for one network node of the
+// compiled program. The caller owns the message loop: feed arriving
+// deltas with Push, call Drain for the outbound deltas, and route them
+// to their destinations (see internal/netrun for a UDP-based driver).
+// The program's base facts are NOT loaded automatically; push the ones
+// homed at this node.
+func (prog *Program) NewNode(id string, opts Options) *Node {
 	n := &Node{
 		id:   id,
 		prog: prog,

@@ -41,7 +41,7 @@ import (
 // counter hit zero — at that instant every inbox is empty and every
 // queue drained, which is the distributed fixpoint.
 type Parallel struct {
-	prog    *program
+	prog    *Program
 	opts    Options
 	workers int
 	nodes   map[string]*pnode
@@ -76,7 +76,7 @@ const (
 // must be added with AddNode before Run. SN is treated as BSN, as in
 // the distributed cluster (no global iteration barrier across nodes).
 func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
-	p, err := compile(prog)
+	p, err := Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 // sequential (one worker owns it at a time), so per-node hooks work
 // unchanged.
 func (p *Parallel) AddNode(id string) *Node {
-	n := newNode(id, p.prog, p.opts)
+	n := p.prog.NewNode(id, p.opts)
 	pn := &pnode{n: n}
 	p.nodes[id] = pn
 	p.order = append(p.order, id)

@@ -9,9 +9,9 @@ import (
 
 // compileOne compiles a one-rule program and returns the strand
 // triggered by pred.
-func compileOne(t *testing.T, src, pred string) (*program, *strand) {
+func compileOne(t *testing.T, src, pred string) (*Program, *strand) {
 	t.Helper()
-	p, err := compile(mustParse(t, src))
+	p, err := Compile(mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSelectionPrunesViaCompiledTail(t *testing.T) {
 // Localization may rewrite the source rule, so the join rule is found
 // by its shape (two body atoms, assignment + selection tail).
 func TestStrandCodeShape(t *testing.T) {
-	p, err := compile(mustParse(t, slotTestProg))
+	p, err := Compile(mustParse(t, slotTestProg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,7 +211,7 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 // appears in the trigger atom or an earlier non-trigger atom; bound-ness
 // depends only on the trigger position and earlier atoms, so the paths
 // are chosen once at compile time instead of per delta.
-func (p *program) planAccess(s *strand) {
+func (p *Program) planAccess(s *strand) {
 	bound := make([]bool, s.code.nslots)
 	for _, arg := range s.code.args[s.trigger] {
 		if arg.kind == argSlot {
@@ -253,7 +253,7 @@ func (p *program) planAccess(s *strand) {
 // own, shared with every other probe of the same columns. The rule is
 // structural: a primary-key probe finds at most one row, and a group
 // bucket is the set the aggregate already ranges over.
-func (p *program) choosePath(pred string, arity int, probe []probeArg) accessPath {
+func (p *Program) choosePath(pred string, arity int, probe []probeArg) accessPath {
 	if len(probe) == 0 {
 		return accessPath{kind: accessScan}
 	}
@@ -305,7 +305,7 @@ func (p *program) choosePath(pred string, arity int, probe []probeArg) accessPat
 
 // ensureIndex registers an index on pred (once per column list) and
 // returns its position in p.indexes[pred].
-func (p *program) ensureIndex(pred string, spec indexSpec) int {
+func (p *Program) ensureIndex(pred string, spec indexSpec) int {
 	for i, ix := range p.indexes[pred] {
 		if slices.Equal(ix.cols, spec.cols) {
 			return i
@@ -315,8 +315,9 @@ func (p *program) ensureIndex(pred string, spec indexSpec) int {
 	return len(p.indexes[pred]) - 1
 }
 
-// program is a compiled NDlog program, shared (immutable) by all nodes.
-type program struct {
+// Program is a compiled NDlog program: checked, localized and planned
+// once, then shared (immutable) by every node instantiated from it.
+type Program struct {
 	source  *ast.Program         // localized program
 	strands map[string][]*strand // trigger pred -> strands
 	// sweep lists the strands a rederivation sweep walks (see
@@ -348,8 +349,8 @@ type program struct {
 	events map[string]bool
 }
 
-// compile checks, localizes and compiles prog into strands.
-func compile(prog *ast.Program) (*program, error) {
+// Compile checks, localizes and compiles prog into strands.
+func Compile(prog *ast.Program) (*Program, error) {
 	if err := planner.Check(prog); err != nil {
 		return nil, err
 	}
@@ -357,7 +358,7 @@ func compile(prog *ast.Program) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &program{
+	p := &Program{
 		source:  local,
 		strands: map[string][]*strand{},
 		decls:   map[string]*ast.TableDecl{},

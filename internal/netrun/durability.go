@@ -4,7 +4,7 @@ package netrun
 // under <dir>/<nodeID>. The engine's journal tap collects every
 // processed recoverable delta during a drain; commitDurable frames the
 // batch as one WAL record — stamped with the node's virtual clock —
-// and group-commits it BEFORE the drain's outbound datagrams are
+// and commits it BEFORE the drain's outbound datagrams are
 // dispatched, so a kill -9 can never have advertised state it will not
 // remember. When the WAL outgrows Options.SnapshotBytes the node's
 // exported state replaces it as a fresh snapshot generation.
@@ -32,38 +32,11 @@ import (
 	"ndlog/internal/val"
 )
 
-// nodeStore is the persistence surface a netNode drains into — either
-// a private durable.Store, or its member view of the shard-wide group
-// log (durable.GroupStore) when the runner was configured with
-// Config.GroupCommit. The runner is agnostic: append, commit, snapshot
-// and migrate work identically; only where the fsyncs land differs.
-type nodeStore interface {
-	Append(payload []byte) error
-	Commit() error
-	WALBytes() int64
-	ShouldSnapshot() bool
-	Snapshot(state []byte) error
-	Bundle() ([]byte, error)
-	Close() error
-	Destroy() error
-	Commits() uint64
-	Syncs() uint64
-}
-
-var (
-	_ nodeStore = (*durable.Store)(nil)
-	_ nodeStore = (*durable.GroupStore)(nil)
-)
-
 // EnableDurability attaches a durable store to every local node,
 // recovering whatever a previous incarnation persisted under dir. It
 // must be called after construction and before Start (the node set is
 // quiet). Returns the number of nodes that recovered non-empty state.
 // Nodes adopted later (AddNode) get stores automatically.
-//
-// With Config.GroupCommit the nodes share one shard-wide log
-// (durable.Group) under dir instead of one WAL per node, so a drain
-// sweeping the whole local set costs a single fsync.
 func (r *Runner) EnableDurability(dir string, opts durable.Options) (int, error) {
 	if dir == "" {
 		return 0, fmt.Errorf("netrun: empty durability dir")
@@ -100,28 +73,12 @@ func sortedNodeIDs(nodes map[string]*netNode) []string {
 	return out
 }
 
-// attachStore opens the node's store — private, or a member view of
-// the shard's group log — replays recovered state into the engine
-// (unless discard is set — adopted nodes get their state from a
+// attachStore opens the node's store, replays recovered state into the
+// engine (unless discard is set — adopted nodes get their state from a
 // migration bundle instead), takes a fresh post-recovery snapshot, and
 // installs the journal tap. Reports whether recovery found state.
 func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
-	var (
-		store nodeStore
-		rec   durable.Recovered
-		err   error
-	)
-	if r.groupCommit {
-		if r.durGroup == nil {
-			r.durGroup, err = durable.OpenGroup(r.durDir, r.durOpts)
-			if err != nil {
-				return false, err
-			}
-		}
-		store, rec, err = r.durGroup.Attach(nn.id)
-	} else {
-		store, rec, err = durable.Open(filepath.Join(r.durDir, nn.id), r.durOpts)
-	}
+	store, rec, err := durable.Open(filepath.Join(r.durDir, nn.id), r.durOpts)
 	if err != nil {
 		return false, err
 	}
@@ -181,13 +138,15 @@ func replayRecovered(n *engine.Node, rec durable.Recovered) error {
 	return nil
 }
 
-// appendDurable folds the deltas journaled during one drain into a
-// single WAL record and appends it (no commit) — the half of the
-// persistence step drainDispatch runs per node before issuing the
-// shard-wide group commit. The snapshot check also lives here: both
-// store kinds subsume still-uncommitted records in the snapshot they
-// take, so rolling before the commit is safe. Caller holds nn.mu.
-func (r *Runner) appendDurable(nn *netNode) {
+// commitDurable folds the deltas journaled during one drain into a
+// single WAL record, appends it and makes it durable per the sync
+// policy; a WAL past its size bound is first replaced by a snapshot
+// (which subsumes the still-uncommitted record). Caller holds nn.mu.
+// No-op without durability. Persistence errors are deliberately
+// non-fatal to the data path (the node keeps serving; the next commit
+// retries), matching UDP's own stance that the ledger, not
+// per-operation success, is the consistency check.
+func (r *Runner) commitDurable(nn *netNode) {
 	if nn.dur == nil {
 		return
 	}
@@ -201,32 +160,12 @@ func (r *Runner) appendDurable(nn *netNode) {
 	if nn.dur.ShouldSnapshot() {
 		nn.dur.Snapshot(engine.EncodeState(nn.node.Export()))
 	}
-}
-
-// commitDurable is appendDurable plus the commit: one WAL record for
-// the drain, made durable per the sync policy. Caller holds nn.mu.
-// No-op without durability. Persistence errors are deliberately
-// non-fatal to the data path (the node keeps serving; the next commit
-// retries), matching UDP's own stance that the ledger, not
-// per-operation success, is the consistency check. Under group commit
-// the Commit lands on the shared log, where concurrent committers
-// collapse onto one leader's fsync.
-func (r *Runner) commitDurable(nn *netNode) {
-	if nn.dur == nil {
-		return
-	}
-	r.appendDurable(nn)
 	nn.dur.Commit()
 }
 
 // DurableCommits returns the total WAL commit batches this runner's
-// persistence layer wrote: the shared log's counter under group
-// commit, the sum across per-node stores otherwise. Zero without
-// durability.
+// per-node stores wrote. Zero without durability.
 func (r *Runner) DurableCommits() uint64 {
-	if r.durGroup != nil {
-		return r.durGroup.Commits()
-	}
 	var total uint64
 	for _, nn := range r.localNodes() {
 		nn.mu.Lock()
@@ -238,13 +177,9 @@ func (r *Runner) DurableCommits() uint64 {
 	return total
 }
 
-// DurableSyncs returns the total fsyncs the persistence layer issued —
-// the figure group commit collapses from one per node per drain to one
-// per shard per drain.
+// DurableSyncs returns the total fsyncs this runner's per-node stores
+// issued.
 func (r *Runner) DurableSyncs() uint64 {
-	if r.durGroup != nil {
-		return r.durGroup.Syncs()
-	}
 	var total uint64
 	for _, nn := range r.localNodes() {
 		nn.mu.Lock()

@@ -180,7 +180,7 @@ func TestExportBundleMigration(t *testing.T) {
 	}
 
 	dir2 := t.TempDir()
-	r2, err := NewSharded(prog, map[string]string{}, engine.Options{})
+	r2, err := NewConfigured(prog, map[string]string{}, Config{}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestBindHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewShardedHost(prog, map[string]string{"a": ""}, "127.0.0.1", engine.Options{})
+	r, err := NewConfigured(prog, map[string]string{"a": ""}, Config{BindHost: "127.0.0.1"}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestBindHost(t *testing.T) {
 		t.Fatalf("node on explicit host not serving: %v", got)
 	}
 
-	if _, err := NewShardedHost(prog, map[string]string{"a": ""}, "no.such.host.invalid", engine.Options{}); err == nil {
+	if _, err := NewConfigured(prog, map[string]string{"a": ""}, Config{BindHost: "no.such.host.invalid"}, engine.Options{}); err == nil {
 		t.Fatal("invalid bind host accepted")
 	}
 }
@@ -292,5 +292,26 @@ func TestSentToLedger(t *testing.T) {
 	}
 	if got := r.Stats().SentMessages; got != total {
 		t.Fatalf("sentTo sums to %d, ledger says %d", total, got)
+	}
+}
+
+// TestSeedSweepFsyncPerNode: WAL-before-wire is paid per node. A Seed
+// sweep over the five Figure 2 nodes (each owns link facts) commits one
+// record per node, so it costs exactly five fsyncs under SyncCommit.
+func TestSeedSweepFsyncPerNode(t *testing.T) {
+	r, err := New(mustProg(t), []string{"a", "b", "c", "d", "e"}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.EnableDurability(t.TempDir(), durable.Options{Sync: durable.SyncCommit}); err != nil {
+		t.Fatal(err)
+	}
+	// Seed without Start: one deterministic drain per node, no receive
+	// traffic to blur the count.
+	base := r.DurableSyncs()
+	r.Seed()
+	if got := r.DurableSyncs() - base; got != 5 {
+		t.Errorf("five-node seed sweep cost %d fsyncs, want 5", got)
 	}
 }

@@ -54,54 +54,30 @@ import (
 	"ndlog/internal/val"
 )
 
-// Config tunes a runner's transport and persistence topology beyond
-// the per-node engine options. The zero value reproduces the classic
-// layout: one socket and one receive goroutine per node, one WAL per
-// node.
+// Config is where a runner's sockets bind. Every local node has one
+// socket, one receive goroutine and (with durability) one WAL; there is
+// no other layout.
 type Config struct {
 	// BindHost is the host ephemeral node sockets bind when a node's
 	// manifest address is "" — loopback by default, a LAN interface for
 	// multi-machine runs.
 	BindHost string
-	// SharedSockets replaces the socket-per-node receive path with a
-	// small fixed socket set drained by a demux pool bounded by
-	// Options.Workers(): a runner hosting hundreds of nodes runs O(pool)
-	// receive goroutines instead of O(nodes), and datagram bursts at one
-	// node coalesce into single drains. Nodes cannot pin per-node bind
-	// addresses in this mode (the sockets are shared).
-	SharedSockets bool
-	// GroupCommit folds every co-resident node's WAL into one shared
-	// log (durable.Group): a drain that touches N local nodes costs one
-	// fsync instead of N. Takes effect when EnableDurability is called.
-	GroupCommit bool
 }
 
-// Runner drives the local slice of an NDlog deployment over UDP.
+// Runner drives the local slice of an NDlog deployment over UDP: one
+// socket, one receive loop and one durable store per local node.
 type Runner struct {
 	prog *ast.Program
 	opts engine.Options
+
+	// compiled is prog checked, localized and planned once; every local
+	// node is instantiated from it.
+	compiled *engine.Program
 
 	// bindHost is the host ephemeral node sockets bind when a node's
 	// manifest address is "" — loopback by default, a LAN interface for
 	// multi-machine runs (manifest Host knob).
 	bindHost string
-
-	// sharedMode + sharedConns implement Config.SharedSockets: every
-	// local node maps (by stable hash) onto one of these runner-owned
-	// sockets, drained by demuxLoop workers instead of per-node loops.
-	sharedMode  bool
-	sharedConns []*net.UDPConn
-
-	// groupCommit selects the shared-log layout when durability is
-	// enabled; durGroup is the shard-wide log all local stores share.
-	groupCommit bool
-	durGroup    *durable.Group
-
-	// sweepMu serializes drainDispatch sweeps under group commit, the one
-	// path that holds several nodes' send locks at once (across the shared
-	// commit): two such sweeps could otherwise each hold a send lock the
-	// other is waiting for.
-	sweepMu sync.Mutex
 
 	// durDir/durOpts configure per-node durable stores (EnableDurability);
 	// "" means in-memory only.
@@ -162,11 +138,7 @@ type netNode struct {
 	id   string
 	node *engine.Node
 	conn *net.UDPConn
-	// ownsConn marks a per-node socket, closed when the node drops; in
-	// shared-socket mode conn aliases one of the runner's shared sockets
-	// (used for sends and the address book) and stays the runner's.
-	ownsConn bool
-	mu       sync.Mutex // guards node (engine nodes are single-threaded)
+	mu   sync.Mutex // guards node (engine nodes are single-threaded)
 	// sendMu orders this node's outbound datagrams: whoever drained the
 	// node takes it while still holding mu and releases it after
 	// dispatching, so sends happen in drain order while the next drain
@@ -184,36 +156,19 @@ type netNode struct {
 	// read error instead of treating the closed socket as transient.
 	closed atomic.Bool
 
-	// scratch is the node's reusable decode buffer: receive paths decode
-	// each datagram into it (engine.DecodeMessageInto) instead of
-	// allocating a fresh batch per message. Guarded by mu; safe to reuse
-	// because decoded tuples never alias either the read buffer or this
-	// slice once pushed.
+	// scratch is the node's reusable decode buffer: receive decodes each
+	// datagram into it (engine.DecodeMessageInto) instead of allocating a
+	// fresh batch per message. Guarded by mu; safe to reuse because
+	// decoded tuples never alias either the read buffer or this slice
+	// once pushed.
 	scratch []engine.Delta
 
-	// inMu/busy/backlog coalesce shared-socket bursts: while one demux
-	// worker owns the node's drain (busy), frames arriving for the same
-	// node queue on backlog, and the owner folds the whole pile into one
-	// drain + one commit + one dispatch. inMu is ordered strictly before
-	// mu and is never held across engine work.
-	inMu    sync.Mutex
-	busy    bool
-	backlog []inFrame
-
-	// dur is the node's durable store (nil without durability) — a
-	// private WAL, or its member view of the shard-wide group log;
-	// pending collects the deltas the engine journal tap emits during a
-	// drain, committed as one WAL record before the drain's outbound
-	// datagrams are dispatched. Both are guarded by mu.
-	dur     nodeStore
+	// dur is the node's durable store (nil without durability); pending
+	// collects the deltas the engine journal tap emits during a drain,
+	// committed as one WAL record before the drain's outbound datagrams
+	// are dispatched. Both are guarded by mu.
+	dur     *durable.Store
 	pending []engine.Delta
-}
-
-// inFrame is one backlogged datagram: its payload (copied out of the
-// demux worker's read buffer) and its wire size for the receive ledger.
-type inFrame struct {
-	payload []byte
-	wire    int64
 }
 
 // New creates a runner hosting every id locally. Each node binds an
@@ -223,44 +178,28 @@ func New(prog *ast.Program, ids []string, opts engine.Options) (*Runner, error) 
 	for _, id := range ids {
 		local[id] = ""
 	}
-	return NewSharded(prog, local, opts)
+	return NewConfigured(prog, local, Config{}, opts)
 }
 
-// NewSharded creates a runner hosting only the nodes in local, mapping
-// each to its bind address ("" binds an ephemeral localhost port; a
-// "host:port" string pins the socket, for static multi-machine
-// manifests). Nodes of the program that live elsewhere are reached
-// through remote book entries installed with SetRemote.
-func NewSharded(prog *ast.Program, local map[string]string, opts engine.Options) (*Runner, error) {
-	return NewShardedHost(prog, local, "", opts)
-}
-
-// NewShardedHost is NewSharded with a default bind host: nodes whose
-// manifest address is "" bind an ephemeral port on bindHost instead of
-// loopback, so a shard can serve a LAN interface without pinning every
-// node's port. "" keeps the loopback default.
-func NewShardedHost(prog *ast.Program, local map[string]string, bindHost string, opts engine.Options) (*Runner, error) {
-	return NewConfigured(prog, local, Config{BindHost: bindHost}, opts)
-}
-
-// NewConfigured is the fully-general constructor: NewSharded plus the
-// transport/persistence topology knobs of Config.
+// NewConfigured creates a runner hosting only the nodes in local,
+// mapping each to its bind address: a "host:port" string pins the
+// socket (static multi-machine manifests), "" binds an ephemeral port
+// on cfg.BindHost (loopback when that is "" too). Nodes of the program
+// that live elsewhere are reached through remote book entries installed
+// with SetRemote.
 func NewConfigured(prog *ast.Program, local map[string]string, cfg Config, opts engine.Options) (*Runner, error) {
-	r := &Runner{
-		prog:        prog,
-		opts:        opts,
-		bindHost:    cfg.BindHost,
-		sharedMode:  cfg.SharedSockets,
-		groupCommit: cfg.GroupCommit,
-		nodes:       map[string]*netNode{},
-		book:        map[string]*net.UDPAddr{},
-		stop:        make(chan struct{}),
+	compiled, err := engine.Compile(prog)
+	if err != nil {
+		return nil, err
 	}
-	if r.sharedMode {
-		if err := r.bindShared(); err != nil {
-			r.Close()
-			return nil, err
-		}
+	r := &Runner{
+		prog:     prog,
+		opts:     opts,
+		compiled: compiled,
+		bindHost: cfg.BindHost,
+		nodes:    map[string]*netNode{},
+		book:     map[string]*net.UDPAddr{},
+		stop:     make(chan struct{}),
 	}
 	for id, bind := range local {
 		if _, err := r.bindNode(id, bind); err != nil {
@@ -271,80 +210,29 @@ func NewConfigured(prog *ast.Program, local map[string]string, cfg Config, opts 
 	return r, nil
 }
 
-// bindShared opens the runner's shared socket set: one socket for a
-// sequential runner, two when the demux pool has real parallelism (so
-// readers don't all contend one kernel queue), each with an enlarged
-// receive buffer because a burst across hundreds of nodes now funnels
-// into these few queues.
-func (r *Runner) bindShared() error {
-	n := 1
-	if r.opts.Workers() > 1 {
-		n = 2
-	}
-	for i := 0; i < n; i++ {
-		laddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
-		if r.bindHost != "" {
-			var err error
-			laddr, err = net.ResolveUDPAddr("udp", net.JoinHostPort(r.bindHost, "0"))
-			if err != nil {
-				return fmt.Errorf("netrun: shared bind host: %w", err)
-			}
-		}
-		conn, err := net.ListenUDP("udp", laddr)
-		if err != nil {
-			return fmt.Errorf("netrun: shared socket: %w", err)
-		}
-		conn.SetReadBuffer(1 << 20) // best-effort; default is sized per-node
-		r.sharedConns = append(r.sharedConns, conn)
-	}
-	return nil
-}
-
-// sharedIndex stably maps a node id onto the shared socket set (FNV-1a).
-func sharedIndex(id string, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
 // bindNode creates the engine node and socket for one local node and
-// installs both. In shared-socket mode no socket is bound: the node is
-// assigned one of the runner's shared sockets for sends and its book
-// entry. Callers hold no locks (construction) or nodesMu (AddNode).
+// installs both. Callers hold no locks (construction) or nodesMu
+// (AddNode).
 func (r *Runner) bindNode(id, bind string) (*netNode, error) {
-	n, err := engine.NewNode(id, r.prog, r.opts)
-	if err != nil {
-		return nil, err
+	laddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	if bind == "" && r.bindHost != "" {
+		bind = net.JoinHostPort(r.bindHost, "0")
 	}
-	var nn *netNode
-	if r.sharedMode {
-		if bind != "" {
-			return nil, fmt.Errorf("netrun: shared sockets: node %s cannot pin bind address %q", id, bind)
-		}
-		conn := r.sharedConns[sharedIndex(id, len(r.sharedConns))]
-		nn = &netNode{id: id, node: n, conn: conn}
-	} else {
-		laddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
-		if bind == "" && r.bindHost != "" {
-			bind = net.JoinHostPort(r.bindHost, "0")
-		}
-		if bind != "" {
-			laddr, err = net.ResolveUDPAddr("udp", bind)
-			if err != nil {
-				return nil, fmt.Errorf("netrun: bind address for %s: %w", id, err)
-			}
-		}
-		conn, err := net.ListenUDP("udp", laddr)
+	if bind != "" {
+		var err error
+		laddr, err = net.ResolveUDPAddr("udp", bind)
 		if err != nil {
-			return nil, fmt.Errorf("netrun: bind %s: %w", id, err)
+			return nil, fmt.Errorf("netrun: bind address for %s: %w", id, err)
 		}
-		nn = &netNode{id: id, node: n, conn: conn, ownsConn: true}
 	}
+	conn, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		return nil, fmt.Errorf("netrun: bind %s: %w", id, err)
+	}
+	nn := &netNode{id: id, node: r.compiled.NewNode(id, r.opts), conn: conn}
 	r.nodes[id] = nn
 	r.bookMu.Lock()
-	r.book[id] = nn.conn.LocalAddr().(*net.UDPAddr)
+	r.book[id] = conn.LocalAddr().(*net.UDPAddr)
 	r.bookMu.Unlock()
 	return nn, nil
 }
@@ -371,7 +259,7 @@ func (r *Runner) AddNode(id, bind string) error {
 			return err
 		}
 	}
-	if r.started && !r.sharedMode {
+	if r.started {
 		r.wg.Add(1)
 		go r.receiveLoop(nn)
 	}
@@ -401,9 +289,7 @@ func (r *Runner) RemoveNode(id string) error {
 // must not resurrect on the next restart. Caller holds nodesMu.
 func (r *Runner) dropNodeLocked(nn *netNode) {
 	nn.closed.Store(true)
-	if nn.ownsConn {
-		nn.conn.Close()
-	}
+	nn.conn.Close()
 	delete(r.nodes, nn.id)
 	r.bookMu.Lock()
 	delete(r.book, nn.id)
@@ -663,30 +549,14 @@ func (r *Runner) Stats() Stats {
 	}
 }
 
-// Start launches the receive path — per-node loops, or the bounded
-// demux pool in shared-socket mode — and seeds every local node with
-// its home base facts.
+// Start launches one receive loop per local node and seeds every local
+// node with its home base facts.
 func (r *Runner) Start() {
 	r.nodesMu.Lock()
 	r.started = true
-	if r.sharedMode {
-		// O(pool) receive goroutines regardless of how many nodes this
-		// runner hosts; workers beyond the socket count share sockets
-		// (the kernel delivers each datagram to exactly one reader).
-		workers := r.opts.Workers()
-		if workers < len(r.sharedConns) {
-			workers = len(r.sharedConns)
-		}
-		for i := 0; i < workers; i++ {
-			conn := r.sharedConns[i%len(r.sharedConns)]
-			r.wg.Add(1)
-			go r.demuxLoop(conn)
-		}
-	} else {
-		for _, nn := range r.nodes {
-			r.wg.Add(1)
-			go r.receiveLoop(nn)
-		}
+	for _, nn := range r.nodes {
+		r.wg.Add(1)
+		go r.receiveLoop(nn)
 	}
 	r.nodesMu.Unlock()
 	r.Seed()
@@ -710,51 +580,15 @@ func (r *Runner) Seed() {
 }
 
 // drainDispatch runs drain (called with the node lock held) over every
-// local node on the worker pool and dispatches each drain's output.
-// Under group commit the walk is phased: every node drains and appends
-// its WAL record first, ONE shared-log commit makes the whole sweep
-// durable, and only then do any datagrams leave — N nodes cost one
-// fsync while WAL-before-wire still holds for every one of them.
-// Without a group the classic per-node commit happens inline.
+// local node on the worker pool, commits each node's WAL record and
+// dispatches its output.
 func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
-	if r.durGroup == nil {
-		r.forEachLocal(func(nn *netNode) {
-			nn.mu.Lock()
-			outs := drain(nn)
-			r.commitDurable(nn)
-			r.unlockAndDispatch(nn, outs)
-		})
-		return
-	}
-	type drained struct {
-		nn   *netNode
-		outs []engine.OutDelta
-	}
-	r.sweepMu.Lock()
-	defer r.sweepMu.Unlock()
-	var mu sync.Mutex
-	var all []drained
 	r.forEachLocal(func(nn *netNode) {
 		nn.mu.Lock()
 		outs := drain(nn)
-		r.appendDurable(nn)
-		if len(outs) == 0 {
-			nn.mu.Unlock()
-			return
-		}
-		// The node's later drains queue behind this one's datagrams, which
-		// wait for the shared commit.
-		nn.sendMu.Lock()
-		nn.mu.Unlock()
-		mu.Lock()
-		all = append(all, drained{nn: nn, outs: outs})
-		mu.Unlock()
+		r.commitDurable(nn)
+		r.unlockAndDispatch(nn, outs)
 	})
-	r.durGroup.Commit()
-	for _, d := range all {
-		r.dispatch(d.nn, d.outs)
-		d.nn.sendMu.Unlock()
-	}
 }
 
 // unlockAndDispatch ends a drain: it releases the node lock the caller
@@ -771,48 +605,26 @@ func (r *Runner) unlockAndDispatch(nn *netNode, outs []engine.OutDelta) {
 	nn.sendMu.Unlock()
 }
 
-// Envelope magics. Every data datagram opens with one; the bytes are
-// disjoint from the engine's message kinds and the shard control-plane
-// kinds, so a frame delivered to the wrong socket is rejected as
-// corrupt rather than misread.
+// envMagic opens every data datagram:
 //
-//	0x7E epoch(uvarint) payload                          — legacy form
-//	0x7D epoch(uvarint) idlen(uvarint) id payload        — addressed form
+//	0x7E epoch(uvarint) payload
 //
-// The addressed form carries its destination node id so a shared socket
-// can demultiplex; dispatch always emits it, and both receive paths
-// accept both (the per-node path ignores the id — its socket already
-// identifies the node).
-const (
-	envMagic    = 0x7E
-	envMagicDst = 0x7D
-)
+// The byte is disjoint from the engine's message kinds and the shard
+// control-plane kinds, so a frame delivered to the wrong socket is
+// rejected as corrupt rather than misread.
+const envMagic = 0x7E
 
-// parseEnvelope splits one inbound frame: epoch, destination id ("" for
-// the legacy form), and payload. ok is false for anything that is not a
-// data envelope.
-func parseEnvelope(b []byte) (epoch uint64, id []byte, payload []byte, ok bool) {
-	if len(b) < 2 {
-		return 0, nil, nil, false
+// parseEnvelope splits one inbound frame into epoch and payload. ok is
+// false for anything that is not a data envelope.
+func parseEnvelope(b []byte) (epoch uint64, payload []byte, ok bool) {
+	if len(b) < 2 || b[0] != envMagic {
+		return 0, nil, false
 	}
-	magic := b[0]
-	b = b[1:]
-	e, sz := binary.Uvarint(b)
+	e, sz := binary.Uvarint(b[1:])
 	if sz <= 0 {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
-	b = b[sz:]
-	switch magic {
-	case envMagic:
-		return e, nil, b, true
-	case envMagicDst:
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || n > uint64(len(b)-sz) {
-			return 0, nil, nil, false
-		}
-		return e, b[sz : sz+int(n)], b[sz+int(n):], true
-	}
-	return 0, nil, nil, false
+	return e, b[1+sz:], true
 }
 
 func (r *Runner) receiveLoop(nn *netNode) {
@@ -833,7 +645,7 @@ func (r *Runner) receiveLoop(nn *netNode) {
 			}
 			continue // deadline or transient error; keep serving
 		}
-		epoch, _, payload, ok := parseEnvelope(buf[:n])
+		epoch, payload, ok := parseEnvelope(buf[:n])
 		if !ok {
 			continue // not a data envelope: drop, like any UDP protocol
 		}
@@ -847,34 +659,30 @@ func (r *Runner) receiveLoop(nn *netNode) {
 			r.recvM.Add(1)
 			continue
 		}
-		r.processFrames(nn, []inFrame{{payload: payload, wire: int64(n)}})
+		r.receive(nn, payload, int64(n))
 	}
 }
 
-// processFrames decodes a batch of same-node frames and runs ONE drain
-// over their combined deltas: one engine round-trip, one WAL commit,
-// one dispatch — regardless of how many datagrams the batch coalesced.
-// The payloads may alias the caller's read buffer (decode copies).
-func (r *Runner) processFrames(nn *netNode, frames []inFrame) {
+// receive decodes one datagram (wire bytes on the socket) and drains the
+// node over its deltas. The payload may alias the caller's read buffer
+// (decode copies).
+func (r *Runner) receive(nn *netNode, payload []byte, wire int64) {
 	// Decode under the node lock: the string table is node state, and the
 	// copy-on-decode invariant (decoded tuples never alias the buffer)
-	// is what lets receive paths reuse read buffers and this scratch.
+	// is what lets the receive loop reuse its read buffer and this scratch.
 	nn.mu.Lock()
-	deltas := nn.scratch[:0]
-	for _, f := range frames {
-		next, err := engine.DecodeMessageInto(f.payload, nn.node.Interner(), deltas)
-		if err != nil {
-			continue // corrupt datagram: drop, like any UDP protocol
-		}
-		deltas = next
-		// Count only decodable datagrams: the receive ledger must mirror
-		// the send ledger (which counts engine messages), so a stray or
-		// corrupt datagram cannot unbalance cross-process quiescence
-		// accounting forever.
-		r.recvB.Add(f.wire)
-		r.recvM.Add(1)
+	deltas, err := engine.DecodeMessageInto(payload, nn.node.Interner(), nn.scratch[:0])
+	if err != nil {
+		nn.mu.Unlock()
+		return // corrupt datagram: drop, like any UDP protocol
 	}
 	nn.scratch = deltas[:0]
+	// Count only decodable datagrams: the receive ledger must mirror
+	// the send ledger (which counts engine messages), so a stray or
+	// corrupt datagram cannot unbalance cross-process quiescence
+	// accounting forever.
+	r.recvB.Add(wire)
+	r.recvM.Add(1)
 	if len(deltas) == 0 {
 		nn.mu.Unlock()
 		return
@@ -890,72 +698,6 @@ func (r *Runner) processFrames(nn *netNode, frames []inFrame) {
 	r.commitDurable(nn)
 	r.activity.Add(1)
 	r.unlockAndDispatch(nn, outs)
-}
-
-// demuxLoop is one shared-socket receive worker: it reads frames for
-// any local node, routes them by the envelope's destination id, and
-// coalesces per-node bursts through deliver.
-func (r *Runner) demuxLoop(conn *net.UDPConn) {
-	defer r.wg.Done()
-	buf := make([]byte, 64<<10)
-	for {
-		conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		n, _, err := conn.ReadFromUDP(buf)
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		if err != nil {
-			continue // deadline or transient error; sockets live with the runner
-		}
-		epoch, id, payload, ok := parseEnvelope(buf[:n])
-		if !ok || id == nil {
-			continue // legacy frames cannot be routed on a shared socket
-		}
-		if epoch != r.epoch.Load() {
-			r.fenced.Add(1)
-			r.recvB.Add(int64(n))
-			r.recvM.Add(1)
-			continue
-		}
-		nn, ok := r.node(string(id))
-		if !ok {
-			continue // not hosted here (stale route): dropped like lost UDP
-		}
-		r.deliver(nn, payload, int64(n))
-	}
-}
-
-// deliver hands one frame to its node, coalescing concurrent arrivals:
-// the first worker to reach an idle node becomes its drain owner and
-// processes in place; frames landing while it works pile onto the
-// backlog, and the owner folds each pile into a single batched drain
-// before releasing the node. A k-datagram burst costs ~1 drain, 1
-// commit, and 1 dispatch instead of k.
-func (r *Runner) deliver(nn *netNode, payload []byte, wire int64) {
-	nn.inMu.Lock()
-	if nn.busy {
-		// The owner's read buffer isn't ours to retain: copy the payload.
-		nn.backlog = append(nn.backlog, inFrame{payload: append([]byte(nil), payload...), wire: wire})
-		nn.inMu.Unlock()
-		return
-	}
-	nn.busy = true
-	nn.inMu.Unlock()
-	r.processFrames(nn, []inFrame{{payload: payload, wire: wire}})
-	for {
-		nn.inMu.Lock()
-		if len(nn.backlog) == 0 {
-			nn.busy = false
-			nn.inMu.Unlock()
-			return
-		}
-		batch := nn.backlog
-		nn.backlog = nil
-		nn.inMu.Unlock()
-		r.processFrames(nn, batch)
-	}
 }
 
 // Inject delivers a delta to a local node from outside (e.g. a link
@@ -1016,13 +758,9 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 				}
 				n++
 			}
-			// Envelope: epoch tag and destination id first, engine payload
-			// appended in place (no second copy of the payload). The
-			// addressed form lets shared-socket receivers demultiplex;
-			// per-node receivers accept it too.
-			frame := binary.AppendUvarint([]byte{envMagicDst}, epoch)
-			frame = binary.AppendUvarint(frame, uint64(len(dstID)))
-			frame = append(frame, dstID...)
+			// Envelope: epoch tag first, engine payload appended in place
+			// (no second copy of the payload).
+			frame := binary.AppendUvarint([]byte{envMagic}, epoch)
 			frame = engine.AppendOutDeltas(frame, deltas[:n])
 			deltas = deltas[n:]
 			if r.lossBudget.Load() > 0 && r.lossBudget.Add(-1) >= 0 {
@@ -1163,12 +901,7 @@ func (r *Runner) Close() {
 		close(r.stop)
 	}
 	for _, nn := range r.localNodes() {
-		if nn.ownsConn && nn.conn != nil {
-			nn.conn.Close()
-		}
-	}
-	for _, c := range r.sharedConns {
-		c.Close()
+		nn.conn.Close()
 	}
 	r.wg.Wait()
 	for _, nn := range r.localNodes() {
@@ -1179,9 +912,5 @@ func (r *Runner) Close() {
 			nn.dur = nil
 		}
 		nn.mu.Unlock()
-	}
-	if r.durGroup != nil {
-		r.durGroup.Close()
-		r.durGroup = nil
 	}
 }

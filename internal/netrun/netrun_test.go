@@ -139,12 +139,12 @@ func TestShardedRunners(t *testing.T) {
 			programs.LinkFact("link", l.b, l.a, l.cost))
 	}
 	opts := engine.Options{AggSel: true}
-	r1, err := NewSharded(prog, map[string]string{"a": "", "b": "", "c": ""}, opts)
+	r1, err := NewConfigured(prog, map[string]string{"a": "", "b": "", "c": ""}, Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r1.Close()
-	r2, err := NewSharded(prog, map[string]string{"d": "", "e": ""}, opts)
+	r2, err := NewConfigured(prog, map[string]string{"d": "", "e": ""}, Config{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestDroppedAccounting(t *testing.T) {
 			programs.LinkFact("link", l.b, l.a, l.cost))
 	}
 	// Host only node a: everything it derives for b/c/e has no route.
-	r, err := NewSharded(prog, map[string]string{"a": ""}, engine.Options{AggSel: true})
+	r, err := NewConfigured(prog, map[string]string{"a": ""}, Config{}, engine.Options{AggSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestEpochFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewSharded(prog, map[string]string{"a": ""}, engine.Options{AggSel: true})
+	r, err := NewConfigured(prog, map[string]string{"a": ""}, Config{}, engine.Options{AggSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestAddRemoveNode(t *testing.T) {
 			programs.LinkFact("link", l.a, l.b, l.cost),
 			programs.LinkFact("link", l.b, l.a, l.cost))
 	}
-	r, err := NewSharded(prog, map[string]string{"a": ""}, engine.Options{AggSel: true})
+	r, err := NewConfigured(prog, map[string]string{"a": ""}, Config{}, engine.Options{AggSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}

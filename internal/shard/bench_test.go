@@ -42,34 +42,28 @@ func fig7Workload() (string, []string) {
 // every node its own UDP socket, one OS process — the PR 3 baseline
 // netrun deployment. Compare with BenchmarkSharded3Fig7.
 func BenchmarkNetrunFig7(b *testing.B) {
-	benchNetrunFig7(b, false, true, "", 300*time.Millisecond)
+	benchNetrunFig7(b, true, false, 300*time.Millisecond)
 }
 
-// BenchmarkNetrunFig7NoPrune is the drain-bound variant over shared
-// sockets: aggregate selections off, so every node's queue carries the
-// full unpruned path exploration (~17k datagrams vs ~350 pruned). The
-// idle window shrinks to 100 ms: this workload's traffic is continuous
-// (no sub-millisecond gaps until the true fixpoint), and the shorter
-// quiescence tail keeps the fixed detection cost from washing out the
-// per-tuple cost being measured.
+// BenchmarkNetrunFig7NoPrune is the drain-bound variant: aggregate
+// selections off, so every node's queue carries the full unpruned path
+// exploration (~17k datagrams vs ~350 pruned). The idle window shrinks
+// to 100 ms: this workload's traffic is continuous (no sub-millisecond
+// gaps until the true fixpoint), and the shorter quiescence tail keeps
+// the fixed detection cost from washing out the per-tuple cost being
+// measured.
 func BenchmarkNetrunFig7NoPrune(b *testing.B) {
-	benchNetrunFig7(b, true, false, "", 100*time.Millisecond)
+	benchNetrunFig7(b, false, false, 100*time.Millisecond)
 }
 
 // BenchmarkNetrunFig7Durable runs the same convergence with a WAL
-// under every node (fsync-on-commit). The first row is one socket +
-// goroutine per node with one private WAL per node; the middle row
-// turns on shared sockets but keeps private WALs; the last adds
-// shard-wide group commit. fsyncs/run is the collapsed figure;
-// commits/run approximates drains, so fsyncs÷commits is the
-// fsyncs-per-drain ratio the group log drives to 1.
+// under every node (fsync-on-commit). commits/run approximates drains
+// that journaled something; fsyncs/run equals it under SyncCommit.
 func BenchmarkNetrunFig7Durable(b *testing.B) {
-	b.Run("per-node", func(b *testing.B) { benchNetrunFig7(b, false, true, "pernode", 300*time.Millisecond) })
-	b.Run("shared+per-node", func(b *testing.B) { benchNetrunFig7(b, true, true, "pernode", 300*time.Millisecond) })
-	b.Run("shared+group", func(b *testing.B) { benchNetrunFig7(b, true, true, "group", 300*time.Millisecond) })
+	benchNetrunFig7(b, true, true, 300*time.Millisecond)
 }
 
-func benchNetrunFig7(b *testing.B, shared, aggSel bool, durableMode string, idle time.Duration) {
+func benchNetrunFig7(b *testing.B, aggSel, wal bool, idle time.Duration) {
 	src, ids := fig7Workload()
 	wantResults := len(ids) * (len(ids) - 1)
 	b.ReportAllocs()
@@ -78,13 +72,11 @@ func benchNetrunFig7(b *testing.B, shared, aggSel bool, durableMode string, idle
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := netrun.NewConfigured(prog, localMap(ids),
-			netrun.Config{SharedSockets: shared, GroupCommit: durableMode == "group"},
-			engine.Options{AggSel: aggSel})
+		r, err := netrun.NewConfigured(prog, localMap(ids), netrun.Config{}, engine.Options{AggSel: aggSel})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if durableMode != "" {
+		if wal {
 			dir := filepath.Join(b.TempDir(), "data")
 			if _, err := r.EnableDurability(dir, durable.Options{Sync: durable.SyncCommit}); err != nil {
 				b.Fatal(err)
@@ -112,7 +104,7 @@ func benchNetrunFig7(b *testing.B, shared, aggSel bool, durableMode string, idle
 			b.ReportMetric(wall, "s/converge")
 			b.ReportMetric(float64(s.SentBytes)/1e6, "MB/run")
 			b.ReportMetric(float64(s.SentMessages), "msgs/run")
-			if durableMode != "" {
+			if wal {
 				b.ReportMetric(float64(syncs), "fsyncs/run")
 				b.ReportMetric(float64(commits), "commits/run")
 			}

@@ -1,0 +1,55 @@
+package shard
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeFrame drives the control-plane decoder — which reads UDP
+// input from outside the process — with arbitrary bytes. It must never
+// panic; it must not size anything from a count the payload cannot
+// back (the huge-count seeds, and the element bound below); and every
+// frame it accepts must survive an encode/decode round trip, with the
+// encoding a fixpoint.
+func FuzzDecodeFrame(f *testing.F) {
+	for _, fr := range sampleFrames() {
+		f.Add(encodeFrame(fr))
+	}
+	// A count of 2^40 wherever a collection or a chunk geometry announces
+	// its size.
+	huge := appendUvarint(nil, 1<<40)
+	for _, prefix := range [][]byte{
+		{byte(kindHello), 1},                              // book
+		encodeFrame(frame{kind: kindIdle, shard: 1})[:11], // sentTo
+		{byte(kindTuples), 1, 1, 0, 1},                    // tuples
+		{byte(kindState), 1, 1, 0, 1},                     // blob
+		{byte(kindResume), 1},                             // nodes
+		{byte(kindTuples), 1, 1, 0},                       // nchunks
+	} {
+		f.Add(append(prefix, huge...))
+	}
+	f.Add([]byte{0x7E, 0x01, 0x02}) // a data envelope
+	adopted := encodeFrame(frame{kind: kindAdopted, shard: 2, req: 12, node: "c", addr: "x"})
+	f.Add(adopted[:len(adopted)-1]) // truncated
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fr, err := decodeFrame(b)
+		if err != nil {
+			return // rejected input: fine, as long as it didn't panic
+		}
+		// Every decoded element consumed at least one byte of b.
+		if n := len(fr.book) + len(fr.sentTo) + len(fr.nodes) + len(fr.tuples) + len(fr.blob); n > len(b) {
+			t.Fatalf("%d decoded elements from %d bytes", n, len(b))
+		}
+		// Byte equality, not value equality: NaN floats decode fine but
+		// are not equal to themselves.
+		re := encodeFrame(fr)
+		fr2, err := decodeFrame(re)
+		if err != nil {
+			t.Fatalf("re-decode of %#x frame failed: %v", byte(fr.kind), err)
+		}
+		if re2 := encodeFrame(fr2); !bytes.Equal(re, re2) {
+			t.Fatalf("encoding not a fixpoint:\n  %x\n  %x", re, re2)
+		}
+	})
+}

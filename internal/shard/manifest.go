@@ -71,36 +71,31 @@ type Options struct {
 	// already one goroutine per node). 0 means GOMAXPROCS, 1 forces
 	// sequential walks; negative values are rejected at validation.
 	Parallelism int `json:"parallelism,omitempty"`
-	// SharedSockets routes each worker's nodes through a small shared
-	// socket set drained by a bounded demux pool instead of one socket
-	// and goroutine per node (netrun Config.SharedSockets). Requires
-	// every node bind address in the manifest to stay ephemeral ("").
-	SharedSockets bool `json:"shared_sockets,omitempty"`
-	// GroupCommit folds each worker's per-node WALs into one shard-wide
-	// log, collapsing a drain's fsyncs from one per node to one per
-	// shard (netrun Config.GroupCommit). Only meaningful with DataDir.
-	GroupCommit bool `json:"group_commit,omitempty"`
 }
 
 // UnmarshalJSON rejects the option keys this format used to carry and
 // no longer does, instead of letting encoding/json drop them silently:
 // a deployment that asks for a removed behaviour should hear about it.
 func (o *Options) UnmarshalJSON(b []byte) error {
-	var removed struct {
-		Arena    json.RawMessage `json:"arena"`
-		PSNBatch json.RawMessage `json:"psn_batch"`
-	}
-	if err := json.Unmarshal(b, &removed); err != nil {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(b, &keys); err != nil {
 		return err
 	}
-	if removed.Arena != nil {
-		return fmt.Errorf(`option "arena" was removed (the engine no longer pools tuples, so there is no arena to select): delete the key`)
-	}
-	if removed.PSNBatch != nil {
-		return fmt.Errorf(`option "psn_batch" was removed (batched PSN drains measured no faster than tuple-at-a-time on any workload, so the engine has one pipeline): delete the key`)
+	for _, r := range removedOptions {
+		if _, ok := keys[r.key]; ok {
+			return fmt.Errorf("option %q was removed (%s): delete the key", r.key, r.why)
+		}
 	}
 	type plain Options
 	return json.Unmarshal(b, (*plain)(o))
+}
+
+// removedOptions names each retired option key and why it went.
+var removedOptions = []struct{ key, why string }{
+	{"arena", "the engine no longer pools tuples, so there is no arena to select"},
+	{"psn_batch", "batched PSN drains measured no faster than tuple-at-a-time on any workload, so the engine has one pipeline"},
+	{"shared_sockets", "a shared socket set measured no faster than a socket per node on any workload and dropped more datagrams from 52 nodes up, so every node has its own socket"},
+	{"group_commit", "a shard-wide log measured no faster than a WAL per node on any workload, so every node has its own WAL"},
 }
 
 // Durable converts the manifest's durability stanza to the durable
@@ -233,9 +228,6 @@ func (m *Manifest) Validate() error {
 		for n := range s.Nodes {
 			if prev, ok := owner[n]; ok {
 				return fmt.Errorf("node %q in shards %d and %d", n, prev, s.ID)
-			}
-			if m.Options.SharedSockets && s.Nodes[n] != "" {
-				return fmt.Errorf("shared_sockets forbids pinned bind address %q for node %q", s.Nodes[n], n)
 			}
 			owner[n] = s.ID
 		}

@@ -89,7 +89,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
@@ -134,11 +134,13 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	}
 }
 
-func TestControlFrameRoundTrip(t *testing.T) {
+// sampleFrames is at least one well-formed frame of every kind: the
+// round-trip test's inputs and the decoder fuzz target's seeds.
+func sampleFrames() []frame {
 	tup := val.NewTuple("shortestPath",
 		val.NewAddr("a"), val.NewAddr("b"),
 		val.NewList(val.NewAddr("a"), val.NewAddr("b")), val.NewFloat(1.5))
-	frames := []frame{
+	return []frame{
 		{kind: kindHello, shard: 2, book: map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:2"}},
 		{kind: kindBook, epoch: 3, book: map[string]string{"a": "127.0.0.1:1"}},
 		{kind: kindReady, shard: 1, epoch: 3},
@@ -166,7 +168,10 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		{kind: kindRederive, req: 14, epoch: 3}, // no nodes: a no-op sweep
 		{kind: kindRederived, shard: 1, req: 13},
 	}
-	for _, f := range frames {
+}
+
+func TestControlFrameRoundTrip(t *testing.T) {
+	for _, f := range sampleFrames() {
 		b := encodeFrame(f)
 		got, err := decodeFrame(b)
 		if err != nil {

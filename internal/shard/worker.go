@@ -97,11 +97,7 @@ func RunWorker(cfg WorkerConfig) error {
 			nodes = saved
 		}
 	}
-	r, err := netrun.NewConfigured(prog, nodes, netrun.Config{
-		BindHost:      spec.Host,
-		SharedSockets: m.Options.SharedSockets,
-		GroupCommit:   m.Options.GroupCommit,
-	}, opts)
+	r, err := netrun.NewConfigured(prog, nodes, netrun.Config{BindHost: spec.Host}, opts)
 	if err != nil {
 		return err
 	}
