@@ -161,8 +161,10 @@ func main() {
 		if !ok {
 			fail(fmt.Errorf("execution did not quiesce"))
 		}
-		fmt.Printf("// distributed: %d nodes, %d messages, %d bytes, converged at %.3fs\n",
-			len(cl.Nodes()), sim.Messages(), sim.Bytes(), sim.LastDelivery())
+		net := cl.Netting()
+		fmt.Printf("// distributed: %d nodes, %d messages, %d bytes, converged at %.3fs; netted %d wire retractions, %d replacement windows (%d silent)\n",
+			len(cl.Nodes()), sim.Messages(), sim.Bytes(), sim.LastDelivery(),
+			net.WireFolded, net.ReplaceWindows, net.ReplaceSilent)
 		results = cl.Tuples
 	} else {
 		c, err := engine.NewCentral(prog, opts)

@@ -75,3 +75,93 @@ func TestAggregateNetsIntermediateSteps(t *testing.T) {
 		t.Fatalf("improvement emitted %v, want -best(9) +best(12)", emitted)
 	}
 }
+
+// replaceSrc: route rows replace by (node, dst, via); cheapest is their
+// min per (node, dst) and told is route's own trigger strand — the
+// advertisement an aggregate selection on route may suppress.
+const replaceSrc = `
+materialize(route, infinity, infinity, keys(1,2,3)).
+materialize(cheapest, infinity, infinity, keys(1,2)).
+materialize(told, infinity, infinity, keys(1,2,3,4)).
+
+r1 cheapest(@N, D, min<C>) :- route(@N, D, _Via, C).
+r2 told(@N, D, Via, C) :- route(@N, D, Via, C).
+
+query cheapest(@N, D, C).
+`
+
+func route(via string, cost int64) val.Tuple {
+	return val.NewTuple("route", val.NewAddr("n"), val.NewString("d"), val.NewString(via), val.NewInt(cost))
+}
+
+// TestReplacementIsOneAggregateWindow: a key replacement takes the
+// displaced row out of its group and puts the new one in inside one
+// netting window, so a minimum that moves c → alt → c' emits one
+// retract/insert pair, and one that comes back to c — or that neither
+// row ever was — emits nothing.
+func TestReplacementIsOneAggregateWindow(t *testing.T) {
+	var emitted []Delta
+	c := central(t, replaceSrc, Options{
+		OnDerive: func(_, rule string, d Delta) {
+			if rule == "r1" {
+				emitted = append(emitted, d)
+			}
+		},
+	})
+	cost := func(d Delta) int64 { return d.Tuple.Fields[2].Int() }
+	c.Insert(route("x", 5))
+	c.Insert(route("y", 8)) // the alternate
+
+	// 5 → (8) → 6: one pair, not −5 +8 −8 +6.
+	emitted = nil
+	c.Insert(route("x", 6))
+	if len(emitted) != 2 || emitted[0].Sign != -1 || cost(emitted[0]) != 5 ||
+		emitted[1].Sign != +1 || cost(emitted[1]) != 6 {
+		t.Fatalf("5 -> alt -> 6 emitted %v, want -cheapest(5) +cheapest(6)", emitted)
+	}
+
+	// The replaced row is not the minimum and does not become it.
+	emitted = nil
+	c.Insert(route("y", 9))
+	if len(emitted) != 0 {
+		t.Fatalf("non-best replacement emitted %v, want nothing", emitted)
+	}
+
+	// 6 → (9) → 6 through a second row of the same value: x leaves and
+	// comes back at the cost z already holds.
+	c.Insert(route("z", 6))
+	emitted = nil
+	c.Insert(route("x", 7))
+	c.Insert(route("x", 6))
+	if len(emitted) != 0 {
+		t.Fatalf("minimum held by a tie, emitted %v, want nothing", emitted)
+	}
+	if rows := c.Tuples("cheapest"); len(rows) != 1 || rows[0].Fields[2].Int() != 6 {
+		t.Fatalf("cheapest = %v, want (n,d,6)", rows)
+	}
+	got := c.Node().Netting()
+	if got.ReplaceWindows != 4 || got.ReplaceSilent != 3 {
+		t.Errorf("netting = %+v, want 4 windows of which 3 silent", got)
+	}
+}
+
+// TestReplacedRowIsNotTakenForAdvertised: under aggregate selections a
+// non-improving replacement of an advertised row is stored unadvertised;
+// when the group's best is later retracted and the replacement becomes
+// the best, it must be advertised then. The replacement reuses the
+// displaced tuple's row: a stale Adv flag there made readvertiseBest
+// return early — a stable wrong fixpoint with nothing in flight.
+func TestReplacedRowIsNotTakenForAdvertised(t *testing.T) {
+	c := central(t, replaceSrc, Options{AggSel: true})
+	c.Insert(route("x", 5)) // best, advertised
+	c.Insert(route("y", 3)) // improves: best, advertised
+	c.Insert(route("x", 4)) // replaces the advertised x row; 3 stays best
+	if got := c.Tuples("told"); len(got) != 1 || !got[0].Fields[2].Equal(val.NewString("y")) {
+		t.Fatalf("told = %v, want only the advertisement of y", got)
+	}
+	c.Delete(route("y", 3)) // x(4) is now the group's best
+	got := c.Tuples("told")
+	if len(got) != 1 || !got[0].Fields[2].Equal(val.NewString("x")) || got[0].Fields[3].Int() != 4 {
+		t.Fatalf("told = %v, want the replacement route x at 4 advertised", got)
+	}
+}

@@ -10,7 +10,7 @@ import (
 	"ndlog/internal/val"
 )
 
-func mustParse(t *testing.T, src string) *ast.Program {
+func mustParse(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	p, err := parser.Parse(src)
 	if err != nil {

@@ -119,6 +119,16 @@ func (c *Cluster) Nodes() []string {
 // well-formed programs).
 func (c *Cluster) Undeliverable() int { return c.undeliverable }
 
+// Netting sums the nodes' replacement-netting counters. Read it with the
+// simulator quiescent.
+func (c *Cluster) Netting() Netting {
+	var sum Netting
+	for _, n := range c.nodes {
+		sum.Add(n.netting)
+	}
+	return sum
+}
+
 // Seed inserts the program's base facts at their home nodes. Call before
 // running the simulator.
 func (c *Cluster) Seed() error {

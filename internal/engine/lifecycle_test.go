@@ -168,8 +168,8 @@ j1 joined(@S,D) :- path(@S,D,C), other(@S,D).
 	agg := testing.AllocsPerRun(100, func() {
 		// Add then remove a value that is never the group minimum: the
 		// aggregate output does not change, so nothing is routed.
-		n.runAggStrands(+1, worse, noLimit, noLimit)
-		n.runAggStrands(-1, worse, noLimit, noLimit)
+		n.runAggStrands(val.Tuple{}, worse, noLimit, noLimit)
+		n.runAggStrands(worse, val.Tuple{}, noLimit, noLimit)
 	})
 	if agg != 0 {
 		t.Errorf("aggregate strand runs allocate %v objects, want 0", agg)

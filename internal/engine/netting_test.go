@@ -1,0 +1,219 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"ndlog/internal/table"
+	"ndlog/internal/val"
+)
+
+// foldSrc declares one predicate of every kind foldReplacements must
+// tell apart: kv is the only one whose replacements fold.
+const foldSrc = `
+materialize(kv, infinity, infinity, keys(1,2)).
+materialize(soft, 30, infinity, keys(1,2)).
+materialize(small, infinity, 4, keys(1,2)).
+materialize(tick, 0, infinity, keys(1,2)).
+materialize(row, infinity, infinity, keys(1,2,3)).
+`
+
+func foldNode(t testing.TB) *Node {
+	t.Helper()
+	prog, err := Compile(mustParse(t, foldSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.NewNode("n", Options{})
+}
+
+// op parses "-kv@d:k=1": sign, predicate, destination, key, value.
+func op(s string) OutDelta {
+	var pred, dst, key string
+	var v int64
+	rest := strings.NewReplacer("@", " ", ":", " ", "=", " ").Replace(s[1:])
+	if _, err := fmt.Sscan(rest, &pred, &dst, &key, &v); err != nil {
+		panic(s + ": " + err.Error())
+	}
+	d := Delta{Sign: +1, Tuple: val.NewTuple(pred, val.NewAddr(dst), val.NewString(key), val.NewInt(v))}
+	if s[0] == '-' {
+		d.Sign = -1
+	}
+	return OutDelta{Dst: dst, Delta: d}
+}
+
+func ops(ss ...string) []OutDelta {
+	out := make([]OutDelta, len(ss))
+	for i, s := range ss {
+		out[i] = op(s)
+	}
+	return out
+}
+
+func showOps(out []OutDelta) string {
+	var b strings.Builder
+	for _, o := range out {
+		f := o.Delta.Tuple.Fields
+		sign := "+"
+		if o.Delta.Sign < 0 {
+			sign = "-"
+		}
+		fmt.Fprintf(&b, "%s%s@%s:%s=%d ", sign, o.Delta.Tuple.Pred, o.Dst, f[1].Str(), f[2].Int())
+	}
+	return strings.TrimSpace(b.String())
+}
+
+// TestFoldReplacements pins the wire reduction: a retraction leaves a
+// drain's output only when the next delta for its destination and key
+// inserts a different tuple.
+func TestFoldReplacements(t *testing.T) {
+	cases := []struct {
+		name     string
+		in, want []string
+		collide  bool
+	}{
+		{name: "replacement", in: []string{"-kv@d:k=1", "+kv@d:k=2"}, want: []string{"+kv@d:k=2"}},
+		{name: "alternate comes and goes",
+			in:   []string{"-kv@d:k=1", "+kv@d:k=7", "-kv@d:k=7"},
+			want: []string{"+kv@d:k=7", "-kv@d:k=7"}},
+		{name: "through an alternate",
+			in:   []string{"-kv@d:k=1", "+kv@d:k=7", "-kv@d:k=7", "+kv@d:k=2"},
+			want: []string{"+kv@d:k=7", "+kv@d:k=2"}},
+		{name: "lone retraction", in: []string{"-kv@d:k=1"}, want: []string{"-kv@d:k=1"}},
+		{name: "same tuple back", in: []string{"-kv@d:k=1", "+kv@d:k=1"}, want: []string{"-kv@d:k=1", "+kv@d:k=1"}},
+		{name: "insert then retract", in: []string{"+kv@d:k=1", "-kv@d:k=1"}, want: []string{"+kv@d:k=1", "-kv@d:k=1"}},
+		{name: "only the last retraction before the insert",
+			in:   []string{"-kv@d:k=1", "-kv@d:k=1", "+kv@d:k=2"},
+			want: []string{"-kv@d:k=1", "+kv@d:k=2"}},
+		{name: "soft state", in: []string{"-soft@d:k=1", "+soft@d:k=2"}, want: []string{"-soft@d:k=1", "+soft@d:k=2"}},
+		{name: "bounded table", in: []string{"-small@d:k=1", "+small@d:k=2"}, want: []string{"-small@d:k=1", "+small@d:k=2"}},
+		{name: "event", in: []string{"-tick@d:k=1", "+tick@d:k=2"}, want: []string{"-tick@d:k=1", "+tick@d:k=2"}},
+		{name: "whole-row key", in: []string{"-row@d:k=1", "+row@d:k=2"}, want: []string{"-row@d:k=1", "+row@d:k=2"}},
+		{name: "undeclared", in: []string{"-loose@d:k=1", "+loose@d:k=2"}, want: []string{"-loose@d:k=1", "+loose@d:k=2"}},
+		{name: "two destinations and two keys interleaved",
+			in: []string{"+kv@e:j=5", "-kv@d:k=1", "-kv@e:k=1", "-kv@d:j=3", "+soft@d:k=9",
+				"+kv@e:k=2", "+kv@d:j=4", "-kv@e:j=5", "+kv@d:k=2"},
+			want: []string{"+kv@e:j=5", "+soft@d:k=9", "+kv@e:k=2", "+kv@d:j=4", "-kv@e:j=5", "+kv@d:k=2"}},
+		{name: "another destination is another row",
+			in:   []string{"-kv@d:k=1", "+kv@e:k=2"},
+			want: []string{"-kv@d:k=1", "+kv@e:k=2"}},
+		{name: "colliding keys fold nothing", collide: true,
+			in:   []string{"-kv@d:k=1", "-kv@d:j=3", "+kv@d:k=2", "+kv@d:j=4"},
+			want: []string{"-kv@d:k=1", "-kv@d:j=3", "+kv@d:k=2", "+kv@d:j=4"}},
+		{name: "a collision-free pair still folds under a colliding hash", collide: true,
+			in:   []string{"-kv@d:k=1", "+kv@d:k=2"},
+			want: []string{"+kv@d:k=2"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := foldNode(t)
+			if tc.collide {
+				n.net.post = func(uint64) uint64 { return 0 }
+			}
+			in := ops(tc.in...)
+			got := n.foldReplacements(in)
+			if showOps(got) != strings.Join(tc.want, " ") {
+				t.Errorf("got  %s\nwant %s", showOps(got), strings.Join(tc.want, " "))
+			}
+			if folded := uint64(len(tc.in) - len(tc.want)); n.Netting().WireFolded != folded {
+				t.Errorf("WireFolded = %d, want %d", n.Netting().WireFolded, folded)
+			}
+			// The dropped tail must not pin its tuples in a recycled array.
+			for _, o := range in[len(got):] {
+				if o.Dst != "" || o.Delta.Tuple.Fields != nil {
+					t.Errorf("stale delta %v left past the folded output", o)
+				}
+			}
+			if len(n.net.open) != 0 {
+				t.Errorf("scratch map keeps %d entries between drains", len(n.net.open))
+			}
+		})
+	}
+}
+
+// TestFoldScratchRetentionBounded: a drain with more than keepCap/8
+// retractions leaves its scratch map to the collector.
+func TestFoldScratchRetentionBounded(t *testing.T) {
+	n := foldNode(t)
+	var big []string
+	for i := 0; i <= keepCap/8; i++ {
+		big = append(big, fmt.Sprintf("-kv@d:k%d=1", i))
+	}
+	n.foldReplacements(ops("-kv@d:k=1", "+kv@d:k=2"))
+	if n.net.open == nil {
+		t.Fatal("a small drain's scratch map is not kept for the next")
+	}
+	n.foldReplacements(ops(big...))
+	if n.net.open != nil {
+		t.Errorf("scratch map of a %d-retraction drain retained", len(big))
+	}
+	n.foldReplacements(ops("+kv@d:k=1", "+kv@d:j=2"))
+	if n.net.open != nil {
+		t.Error("a drain with no retraction built scratch")
+	}
+}
+
+// applyOps is the un-netted reference: each delta applied to the
+// receiver's table as the engine's store path would.
+func applyOps(tb *table.Table, out []OutDelta) {
+	for i, o := range out {
+		if o.Delta.Sign > 0 {
+			tb.Insert(o.Delta.Tuple, uint64(i+1), 0)
+		} else {
+			tb.Delete(o.Delta.Tuple)
+		}
+	}
+}
+
+// FuzzNetOut: whatever the receiver's rows hold, a drain's output leaves
+// them — tuples and derivation counts — exactly as the folded output
+// does. Each byte is one delta over a 3-key × 3-value domain; the first
+// three bytes set each key's initial row (absent, or a value held one to
+// three times).
+func FuzzNetOut(f *testing.F) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 300; i++ {
+		b := make([]byte, 3+rng.Intn(12))
+		rng.Read(b)
+		f.Add(b)
+	}
+	n := foldNode(f)
+	keys := []string{"i", "j", "k"}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 3 {
+			return
+		}
+		plain := table.New("kv", []int{0, 1}, -1, 0)
+		folded := table.New("kv", []int{0, 1}, -1, 0)
+		for k, c := range b[:3] {
+			row := op(fmt.Sprintf("+kv@d:%s=%d", keys[k], c%3))
+			for count := int(c / 3 % 4); count > 0; count-- {
+				applyOps(plain, []OutDelta{row})
+				applyOps(folded, []OutDelta{row})
+			}
+		}
+		var out []OutDelta
+		for _, c := range b[3:] {
+			sign := "+"
+			if c/9%2 == 1 {
+				sign = "-"
+			}
+			out = append(out, op(fmt.Sprintf("%skv@d:%s=%d", sign, keys[c%3], c/3%3)))
+		}
+		applyOps(plain, out)
+		was := showOps(out)
+		applyOps(folded, n.foldReplacements(out))
+		got, want := folded.Tuples(), plain.Tuples()
+		if len(got) != len(want) {
+			t.Fatalf("%s: folded leaves %v, un-netted %v", was, got, want)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) || folded.Count(got[i]) != plain.Count(want[i]) {
+				t.Fatalf("%s: folded leaves %v ×%d, un-netted %v ×%d", was,
+					got[i], folded.Count(got[i]), want[i], plain.Count(want[i]))
+			}
+		}
+	})
+}

@@ -132,6 +132,10 @@ type Node struct {
 
 	queue deltaQueue
 	out   []OutDelta
+	// net is the scratch of Drain's replacement fold over out, and netting
+	// the counters of both halves of "a replacement is one delta".
+	net     outNet
+	netting Netting
 
 	aggs map[*ast.Rule]*aggState
 	// sels maps a source predicate to the aggregate-selection controls
@@ -163,10 +167,12 @@ type Node struct {
 }
 
 // storedRow is an accepted insert awaiting its post-store work: the
-// tuple and the row that held it when it was stored.
+// tuple, the row that held it when it was stored and, when it took the
+// row over by primary key, the tuple it displaced (else the zero Tuple).
 type storedRow struct {
-	t val.Tuple
-	e *table.Entry
+	t   val.Tuple
+	e   *table.Entry
+	old val.Tuple
 }
 
 // OutDelta is a derived delta bound for another node, returned by
@@ -386,7 +392,7 @@ func (n *Node) Drain() []OutDelta {
 	default:
 		n.drainPSN()
 	}
-	out := n.out
+	out := n.foldReplacements(n.out)
 	n.out = nil
 	// Stable-sort by destination (per-destination relative order
 	// preserved), so drivers can group contiguous runs per destination
@@ -428,8 +434,8 @@ func (n *Node) drainSN() {
 		for _, d := range batch {
 			n.journalDelta(d)
 			if d.Sign > 0 {
-				if e, ok := n.storeInsert(d.Tuple, n.iter); ok {
-					inserts = append(inserts, storedRow{d.Tuple, e})
+				if r, ok := n.storeInsert(d.Tuple, n.iter); ok {
+					inserts = append(inserts, r)
 				}
 			} else {
 				n.processDelete(d.Tuple)
@@ -437,7 +443,7 @@ func (n *Node) drainSN() {
 		}
 		bound := int64(n.iter)
 		for _, r := range inserts {
-			n.afterInsert(r.t, r.e, bound, bound)
+			n.afterStore(r, bound, bound)
 		}
 	}
 }
@@ -478,18 +484,17 @@ func (n *Node) processEvent(t val.Tuple) {
 }
 
 // storeInsert applies the table effects of an insertion: duplicate
-// counting, primary-key replacement (update = delete + insert), and
-// eviction. It returns the row now holding the tuple, and false when the
-// tuple was a duplicate (a soft-state duplicate is re-advertised here).
-func (n *Node) storeInsert(t val.Tuple, stamp uint64) (*table.Entry, bool) {
+// counting, primary-key replacement, and eviction. It returns the row now
+// holding the tuple — with the tuple it displaced, whose retraction is
+// afterStore's to propagate together with the insertion — and false when
+// the tuple was a duplicate (a soft-state duplicate is re-advertised
+// here).
+func (n *Node) storeInsert(t val.Tuple, stamp uint64) (storedRow, bool) {
 	tbl := n.cat.Get(t.Pred)
 	res := tbl.Insert(t, stamp, n.now)
 	switch res.Status {
 	case table.StatusReplaced:
-		// The displaced row's advertisement state rides along in the
-		// result, so no pre-insert lookup is needed.
-		n.afterDelete(res.Replaced, res.ReplacedAdv, res.ReplacedStamp)
-		return res.Entry, true
+		return storedRow{t: t, e: res.Entry, old: res.Replaced}, true
 	case table.StatusDuplicate:
 		// Soft-state refresh semantics (Section 4.2): re-inserting a
 		// soft-state tuple re-runs its trigger strands so downstream soft
@@ -501,45 +506,70 @@ func (n *Node) storeInsert(t val.Tuple, stamp uint64) (*table.Entry, bool) {
 			markAdv(res.Entry, t)
 			n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
 		}
-		return res.Entry, false
+		return storedRow{}, false
 	case table.StatusNew:
 		for _, ev := range res.Evicted {
 			if !ev.Equal(t) {
-				n.afterDelete(ev, true, stamp)
+				n.afterDelete(ev)
 			}
 		}
-		return res.Entry, true
+		return storedRow{t: t, e: res.Entry}, true
 	}
-	return nil, false
+	return storedRow{}, false
 }
 
 func (n *Node) processInsert(t val.Tuple) {
 	n.stamp++
 	stamp := n.stamp
-	e, ok := n.storeInsert(t, stamp)
+	r, ok := n.storeInsert(t, stamp)
 	if !ok {
 		return
 	}
 	// PSN bounds: pre-trigger atoms see strictly older tuples, post-trigger
 	// atoms see up to and including this stamp — so a tuple joining itself
 	// (self-join rules) derives each pair exactly once (Theorem 2).
-	n.afterInsert(t, e, int64(stamp), int64(stamp))
+	n.afterStore(r, int64(stamp), int64(stamp))
 }
 
-// afterInsert runs aggregate maintenance and (unless suppressed by
-// aggregate selections) the trigger strands for a tuple newly stored in
-// row e. ltBefore/leAfter are the join stamp bounds (see joinCtx).
-func (n *Node) afterInsert(t val.Tuple, e *table.Entry, ltBefore, leAfter int64) {
+// afterStore propagates an accepted insert: aggregate maintenance, then
+// (unless suppressed by aggregate selections) the trigger strands of the
+// tuple now in row r.e. ltBefore/leAfter are the join stamp bounds (see
+// joinCtx).
+//
+// A key replacement is one delta, not a deletion followed by an
+// insertion: the displaced tuple leaves and the new one enters each
+// aggregate inside one netting window (see aggRun.pend), so a group whose
+// value the pair moves c → alt → c' emits one change and a group it
+// leaves where it was emits none; only then do the displaced tuple's
+// deletion strands and the new tuple's insertion strands run, and the
+// group is checked for an unadvertised best once, at the end.
+func (n *Node) afterStore(r storedRow, ltBefore, leAfter int64) {
+	replaced := r.old.Pred != ""
 	if n.opts.OnStore != nil {
-		n.opts.OnStore(n.id, Insert(t), n.now)
+		if replaced {
+			n.opts.OnStore(n.id, Deletion(r.old), n.now)
+		}
+		n.opts.OnStore(n.id, Insert(r.t), n.now)
 	}
-	improving, contributed := n.runAggStrands(+1, t, ltBefore, leAfter)
+	improving, contributed := n.runAggStrands(r.old, r.t, ltBefore, leAfter)
+	if replaced {
+		n.runNormalStrands(-1, r.old, noLimit, noLimit)
+	}
+	n.advertise(r, improving, contributed, ltBefore, leAfter)
+	if replaced {
+		n.readvertiseGroups(r.old)
+	}
+}
 
-	if ctrls := n.sels[t.Pred]; len(ctrls) > 0 && contributed {
+// advertise runs the trigger strands of a newly stored tuple unless an
+// aggregate selection prunes it: improving and contributed are
+// runAggStrands' verdicts on its insertion.
+func (n *Node) advertise(r storedRow, improving, contributed bool, ltBefore, leAfter int64) {
+	if ctrls := n.sels[r.t.Pred]; len(ctrls) > 0 && contributed {
 		if n.opts.AggSelPeriod > 0 {
 			// Periodic mode: defer everything to the flush timer.
 			for _, c := range ctrls {
-				c.addPending(t)
+				c.addPending(r.t)
 			}
 			return
 		}
@@ -547,8 +577,8 @@ func (n *Node) afterInsert(t val.Tuple, e *table.Entry, ltBefore, leAfter int64)
 			return
 		}
 	}
-	markAdv(e, t)
-	n.runNormalStrands(+1, t, ltBefore, leAfter)
+	markAdv(r.e, r.t)
+	n.runNormalStrands(+1, r.t, ltBefore, leAfter)
 }
 
 // markAdv records that t's trigger strands have run, on the row t was
@@ -563,24 +593,21 @@ func markAdv(e *table.Entry, t val.Tuple) {
 }
 
 func (n *Node) processDelete(t val.Tuple) {
-	snap, gone, existed := n.cat.Get(t.Pred).DeleteE(t)
-	if !existed {
-		return // deletion of an unknown tuple: no-op
+	// An unknown tuple, or one whose derivation count is still positive,
+	// propagates nothing.
+	if gone, _ := n.cat.Get(t.Pred).Delete(t); gone {
+		n.afterDelete(t)
 	}
-	if !gone {
-		return // derivation count still positive
-	}
-	n.afterDelete(t, snap.Adv, snap.Stamp)
 }
 
 // afterDelete propagates the retraction of a tuple that has left its
 // table: aggregate removal (with fallback re-advertisement under
 // aggregate selections) and count-algorithm deletion strands.
-func (n *Node) afterDelete(t val.Tuple, wasAdv bool, stamp uint64) {
+func (n *Node) afterDelete(t val.Tuple) {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Deletion(t), n.now)
 	}
-	n.runAggStrands(-1, t, noLimit, noLimit)
+	n.runAggStrands(t, val.Tuple{}, noLimit, noLimit)
 
 	// Count-algorithm cancellation: run the deletion through every
 	// strand with unrestricted joins. This cancels both the derivations
@@ -590,13 +617,15 @@ func (n *Node) afterDelete(t val.Tuple, wasAdv bool, stamp uint64) {
 	// derivations that never fired — those arrive at tuples that were
 	// never stored and are exact no-ops, because the head tuples of
 	// aggregate-selected programs (path vectors) functionally determine
-	// their derivation. wasAdv is not consulted here; it only guards
-	// double re-advertisement.
-	_ = wasAdv
+	// their derivation.
 	n.runNormalStrands(-1, t, noLimit, noLimit)
+	n.readvertiseGroups(t)
+}
 
-	// Aggregate-selection fallback: the group's best may now be a stored
-	// tuple that was never advertised.
+// readvertiseGroups is the aggregate-selection fallback after t left its
+// groups: a group's best may now be a stored tuple that was never
+// advertised.
+func (n *Node) readvertiseGroups(t val.Tuple) {
 	for _, c := range n.sels[t.Pred] {
 		if n.opts.AggSelPeriod > 0 {
 			c.addPending(t)
@@ -675,45 +704,51 @@ func (n *Node) PendingGroups() int {
 }
 
 // runAggStrands routes a delta through the aggregate rules it feeds and
-// enqueues the resulting aggregate output changes locally. Join stamp
-// bounds mirror the normal strands so that multi-atom aggregate rules
-// (e.g. SP3-SD joining magicDst with pathDst) count each contribution
-// exactly once. It reports whether the delta improved (became the
-// current value of) at least one aggregate group, and whether it
-// contributed to any aggregate at all — a tuple feeding no group gives
-// aggregate selections nothing to prune on and must stay advertised.
-func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (improving, contributed bool) {
-	strands := n.prog.strands[t.Pred]
-	hasAgg := false
-	for _, st := range strands {
-		if st.isAgg {
-			hasAgg = true
-			break
-		}
+// enqueues the resulting aggregate output changes locally. The delta is a
+// retraction (del), an insertion (ins) or, with both, a key replacement;
+// the absent half is the zero Tuple. Each rule nets its group changes
+// over the whole delta (aggRun.pend), so a replacement's two halves are
+// one window. The insertion's join stamp bounds mirror the normal
+// strands so that multi-atom aggregate rules (e.g. SP3-SD joining
+// magicDst with pathDst) count each contribution exactly once. It
+// reports whether the insertion improved (became the current value of)
+// at least one aggregate group, and whether it contributed to any
+// aggregate at all — a tuple feeding no group gives aggregate selections
+// nothing to prune on and must stay advertised.
+func (n *Node) runAggStrands(del, ins val.Tuple, ltBefore, leAfter int64) (improving, contributed bool) {
+	hasDel, hasIns := del.Pred != "", ins.Pred != ""
+	pred := ins.Pred
+	if !hasIns {
+		pred = del.Pred
 	}
-	if !hasAgg {
+	strands := n.prog.strands[pred]
+	if !slices.ContainsFunc(strands, func(st *strand) bool { return st.isAgg }) {
 		return false, false
 	}
-	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
 	ar := &n.aggRun
 	if ar.emit == nil {
 		ar.emit = n.aggEmit
 	}
-	ar.sign, ar.improving, ar.contributed = sign, false, false
+	ar.improving, ar.contributed = false, false
+	silent := true
 	for _, st := range strands {
 		if !st.isAgg {
 			continue
 		}
 		ar.st, ar.agg = st, n.aggs[st.rule].agg
 		ar.pend, ar.fields = ar.pend[:0], ar.fields[:0]
-		if err := st.run(ctx, t, ar.emit); err != nil {
-			panic(fmt.Sprintf("engine: aggregate rule %s: %v", st.rule.Label, err))
+		if hasDel {
+			n.runAggHalf(-1, del, noLimit, noLimit)
+		}
+		if hasIns {
+			n.runAggHalf(+1, ins, ltBefore, leAfter)
 		}
 		nf := len(st.code.head)
 		for i, p := range ar.pend {
 			if p.hadOld && p.hasNew && p.oldV.Equal(p.newV) {
 				continue // round trip: the group ended where it started
 			}
+			silent = false
 			fields := ar.fields[i*nf : (i+1)*nf]
 			if p.hadOld {
 				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
@@ -723,7 +758,23 @@ func (n *Node) runAggStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) (i
 			}
 		}
 	}
+	if hasDel && hasIns {
+		n.netting.ReplaceWindows++
+		if silent {
+			n.netting.ReplaceSilent++
+		}
+	}
 	return ar.improving, ar.contributed
+}
+
+// runAggHalf runs one signed half of runAggStrands' delta through the
+// aggregate strand n.aggRun.st.
+func (n *Node) runAggHalf(sign int8, t val.Tuple, ltBefore, leAfter int64) {
+	ar := &n.aggRun
+	ar.sign = sign
+	if err := ar.st.run(n.resetCtx(sign, t, ltBefore, leAfter), t, ar.emit); err != nil {
+		panic(fmt.Sprintf("engine: aggregate rule %s: %v", ar.st.rule.Label, err))
+	}
 }
 
 // aggRun is the node-owned scratch of runAggStrands: the strand being
@@ -739,9 +790,11 @@ type aggRun struct {
 
 	improving, contributed bool
 
-	// pend nets the group changes across one trigger's whole join before
-	// anything is emitted. One delta can touch a group several times (a
-	// max walking up through the join results, one Add at a time); if
+	// pend nets the group changes across one delta's whole join — both
+	// halves, when the delta is a key replacement — before anything is
+	// emitted. One delta can touch a group several times (a max walking
+	// up through the join results, one Add at a time; a min leaving with
+	// the displaced row and coming back with its replacement); if
 	// every intermediate value were routed as its own delete+insert
 	// pair, each pair would fire the downstream strands — and in a
 	// recursive program (Chord's lookup forwarding) re-trigger the same
@@ -762,7 +815,7 @@ type aggRun struct {
 // everything kept past this call is copied out of it.
 func (n *Node) aggEmit(d derived) {
 	ar := &n.aggRun
-	ar.contributed = true
+	ar.contributed = ar.contributed || ar.sign > 0
 	fields := d.tuple.Fields
 	aggIdx := ar.st.aggIdx
 	n.aggKeyScratch = aggKeyVals(fields, aggIdx, n.aggKeyScratch[:0])
@@ -799,8 +852,9 @@ func (n *Node) aggEmit(d derived) {
 }
 
 // aggNetChange accumulates one aggregate group's net transition while a
-// single trigger delta runs through an aggregate strand: the value
-// before the first change and the value after the last one.
+// single trigger delta (a replacement counts as one) runs through an
+// aggregate strand: the value before the first change and the value
+// after the last one.
 type aggNetChange struct {
 	pred   string
 	loc    string
@@ -935,14 +989,13 @@ func (n *Node) ExpireSoftState() {
 		}
 		// Remove exactly the rows the sweep reports (not a blanket
 		// ExpireBefore): entries spared by a pending refresh must survive
-		// with their row and index state intact. A removed entry keeps its
-		// fields, so its Adv flag and stamp are still there to propagate.
+		// with their row and index state intact.
 		due := tbl.Expired(n.now, pending.has)
 		for _, e := range due {
 			tbl.DeleteByKey(e.Tuple)
 		}
 		for _, e := range due {
-			n.afterDelete(e.Tuple, e.Adv, e.Stamp)
+			n.afterDelete(e.Tuple)
 		}
 	}
 }

@@ -124,6 +124,16 @@ func (p *Parallel) Workers() int { return p.workers }
 // Undeliverable counts deltas routed to destinations with no node.
 func (p *Parallel) Undeliverable() int { return int(p.undeliverable.Load()) }
 
+// Netting sums the nodes' replacement-netting counters. Call after Run
+// returns.
+func (p *Parallel) Netting() Netting {
+	var sum Netting
+	for _, pn := range p.nodes {
+		sum.Add(pn.n.netting)
+	}
+	return sum
+}
+
 // Inject queues a delta at a node before Run (seeding beyond the
 // program's base facts, e.g. randomized workloads).
 func (p *Parallel) Inject(nodeID string, d Delta) error {

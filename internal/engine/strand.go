@@ -347,6 +347,13 @@ type Program struct {
 	// exactly the P2 semantics: events never co-occur with anything and
 	// cannot be retracted.
 	events map[string]bool
+	// foldKeys holds the primary-key columns of the predicates whose key
+	// replacements Drain folds on the wire (Node.foldReplacements): stored
+	// hard state with a declared key and no size bound. A whole-row key
+	// admits no replacement; a soft-state refresh is not a count; and a
+	// bounded table evicts in arrival order, which a dropped retraction
+	// would change.
+	foldKeys map[string][]int
 }
 
 // Compile checks, localizes and compiles prog into strands.
@@ -359,17 +366,21 @@ func Compile(prog *ast.Program) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{
-		source:  local,
-		strands: map[string][]*strand{},
-		decls:   map[string]*ast.TableDecl{},
-		indexes: map[string][]indexSpec{},
-		derived: map[string]bool{},
-		events:  map[string]bool{},
+		source:   local,
+		strands:  map[string][]*strand{},
+		decls:    map[string]*ast.TableDecl{},
+		indexes:  map[string][]indexSpec{},
+		derived:  map[string]bool{},
+		events:   map[string]bool{},
+		foldKeys: map[string][]int{},
 	}
 	for _, d := range local.Materialized {
 		p.decls[d.Name] = d
 		if d.IsEvent() {
 			p.events[d.Name] = true
+		}
+		if d.Lifetime < 0 && d.MaxSize <= 0 && len(d.Keys) > 0 {
+			p.foldKeys[d.Name] = d.Keys
 		}
 	}
 	p.aggSels = planner.DetectAggSelections(local)

@@ -380,19 +380,17 @@ type InsertResult struct {
 	// existing row of a duplicate, or the reused row of a replacement.
 	// Callers that must touch the row after the insert (the engine's
 	// advertisement flag) keep it instead of looking the tuple up again.
-	Entry *Entry
-	// ReplacedAdv and ReplacedStamp snapshot the displaced entry's
-	// advertisement flag and timestamp, so the engine can propagate the
-	// deletion without a second lookup.
-	ReplacedAdv   bool
-	ReplacedStamp uint64
-	Evicted       []val.Tuple
+	Entry   *Entry
+	Evicted []val.Tuple
 }
 
 // Insert adds tp with the given logical stamp at virtual time now.
 // Duplicate tuples bump the derivation count. A tuple with an existing
 // primary key but different fields replaces the old row; the displaced
-// tuple is returned so the engine can propagate its deletion.
+// tuple is returned so the engine can propagate its deletion. The reused
+// row starts over as the new tuple's: count one, the new stamp, not yet
+// advertised — the displaced tuple's Adv says nothing about whether the
+// new one's trigger strands have run.
 func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 	h := t.pkHash(tp)
 	expires := -1.0
@@ -413,15 +411,14 @@ func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
 			return InsertResult{Status: StatusDuplicate, Entry: e}
 		}
 		old := e.Tuple
-		oldAdv, oldStamp := e.Adv, e.Stamp
 		t.removeFromIndexes(e)
 		e.Tuple = tp
 		e.Count = 1
 		e.Stamp = stamp
 		e.Expires = expires
+		e.Adv = false
 		t.addToIndexes(e)
-		return InsertResult{Status: StatusReplaced, Entry: e, Replaced: old,
-			ReplacedAdv: oldAdv, ReplacedStamp: oldStamp}
+		return InsertResult{Status: StatusReplaced, Entry: e, Replaced: old}
 	}
 	e := &Entry{Tuple: tp, next: head, Count: 1, Stamp: stamp, Expires: expires, pkHash: h}
 	t.rows[h] = e
@@ -456,25 +453,16 @@ func (t *Table) evictOverflow() []val.Tuple {
 // existed): existed is false if the exact tuple is not present; gone is
 // true when the count reached zero and the row was removed.
 func (t *Table) Delete(tp val.Tuple) (gone, existed bool) {
-	_, gone, existed = t.DeleteE(tp)
-	return gone, existed
-}
-
-// DeleteE is Delete returning a snapshot of the entry as it was before
-// the deletion, so callers needing its bookkeeping (Adv, Stamp) skip a
-// separate lookup.
-func (t *Table) DeleteE(tp val.Tuple) (snap Entry, gone, existed bool) {
 	e := t.find(t.pkHash(tp), tp)
 	if e == nil || !e.Tuple.Equal(tp) {
-		return Entry{}, false, false
+		return false, false
 	}
-	snap = *e
 	e.Count--
 	if e.Count > 0 {
-		return snap, false, true
+		return false, true
 	}
 	t.removeRow(e, false)
-	return snap, true, true
+	return true, true
 }
 
 // DeleteByKey removes the row whose primary key matches tp regardless of

@@ -39,6 +39,24 @@ func TestInsertStatuses(t *testing.T) {
 	}
 }
 
+// TestReplaceResetsRowBookkeeping: a key replacement reuses the row, and
+// the row starts over as the new tuple's — in particular not advertised:
+// the displaced tuple's Adv flag would otherwise make an aggregate
+// selection take a never-advertised replacement for advertised.
+func TestReplaceResetsRowBookkeeping(t *testing.T) {
+	tb := New("link", []int{0, 1}, -1, 0)
+	tb.Insert(link("a", "b", 5), 1, 0)
+	first := tb.Insert(link("a", "b", 5), 2, 0).Entry // count 2
+	first.Adv = true
+	r := tb.Insert(link("a", "b", 9), 7, 0)
+	if r.Status != StatusReplaced || r.Entry != first {
+		t.Fatalf("replace: status %v, row reused %v", r.Status, r.Entry == first)
+	}
+	if e := r.Entry; e.Adv || e.Count != 1 || e.Stamp != 7 {
+		t.Errorf("replaced row: Adv=%v Count=%d Stamp=%d, want false 1 7", e.Adv, e.Count, e.Stamp)
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	if StatusNew.String() != "new" || StatusDuplicate.String() != "duplicate" ||
 		StatusReplaced.String() != "replaced" {
