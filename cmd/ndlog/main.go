@@ -51,7 +51,6 @@ func main() {
 	shards := flag.Int("shards", 0, "deploy as N OS processes over loopback UDP (0: off)")
 	migrate := flag.String("migrate", "", "with -shards: migrate nodes mid-run, e.g. 'c@1' or 'c@1,d@2' (node@target-shard)")
 	data := flag.String("data", "", "with -shards: persist worker state (WAL + snapshots) under this directory; workers respawn warm from it")
-	idle := flag.Duration("idle", 500*time.Millisecond, "quiescence idle window for -shards")
 	timeout := flag.Duration("timeout", 60*time.Second, "convergence timeout for -shards")
 	latency := flag.Duration("latency", 10*time.Millisecond, "link latency for distributed execution")
 	aggsel := flag.Bool("aggsel", true, "enable aggregate selections")
@@ -112,7 +111,7 @@ func main() {
 			fail(err)
 		}
 		sOpts := shard.Options{AggSel: *aggsel, DataDir: *data, Parallelism: max(*parallel, 0)}
-		results, cleanup, err = runSharded(string(src), prog, *shards, migs, sOpts, *idle, *timeout)
+		results, cleanup, err = runSharded(string(src), prog, *shards, migs, sOpts, *timeout)
 		if err != nil {
 			fail(err)
 		}
@@ -220,7 +219,7 @@ func parseMigrations(spec string) ([]shard.Migration, error) {
 // waits for convergence, and returns a live gather function plus the
 // teardown. The manifest carries the program source inline so every
 // worker parses identical text.
-func runSharded(src string, prog *ast.Program, shards int, migs []shard.Migration, sOpts shard.Options, idle, timeout time.Duration) (func(pred string) []val.Tuple, func(), error) {
+func runSharded(src string, prog *ast.Program, shards int, migs []shard.Migration, sOpts shard.Options, timeout time.Duration) (func(pred string) []val.Tuple, func(), error) {
 	ids := factAddresses(prog)
 	if len(ids) == 0 {
 		return nil, nil, fmt.Errorf("no node addresses in program facts")
@@ -284,7 +283,7 @@ func runSharded(src string, prog *ast.Program, shards int, migs []shard.Migratio
 	// Mid-run elasticity demo: rebalance the requested nodes onto their
 	// target shards under a new epoch, then converge as usual.
 	if len(migs) > 0 {
-		rep, err := coord.Rebalance(migs, idle, timeout)
+		rep, err := coord.Rebalance(migs, timeout)
 		if err != nil {
 			cleanup()
 			return nil, nil, err
@@ -293,26 +292,14 @@ func runSharded(src string, prog *ast.Program, shards int, migs []shard.Migratio
 			rep.Epoch, len(rep.Moved), rep.StateBytes,
 			rep.QuiesceWait.Seconds(), rep.Pause.Seconds())
 	}
-	// Converge, recovering from datagram loss: an unbalanced ledger
-	// after quiescence means a delta went missing — re-seed the home
-	// facts (soft-state refresh) and wait again.
-	for attempt := 0; ; attempt++ {
-		if !coord.WaitQuiescent(idle, timeout) {
-			cleanup()
-			return nil, nil, fmt.Errorf("sharded execution did not quiesce within %v", timeout)
-		}
-		if coord.LedgerBalanced() {
-			break
-		}
-		if attempt >= 3 {
-			fmt.Fprintln(os.Stderr, "ndlog: warning: datagram loss persisted through reseeds; results may be incomplete")
-			break
-		}
-		coord.Reseed()
+	// Converge: the links are reliable, so quiescence is the fixpoint.
+	if !coord.WaitQuiescent(timeout) {
+		cleanup()
+		return nil, nil, fmt.Errorf("sharded execution did not quiesce within %v", timeout)
 	}
 	stats := coord.TotalStats()
-	fmt.Printf("// sharded: %d processes, %d nodes, %d messages, %d bytes, converged in %.3fs\n",
-		len(m.Shards), m.NodeCount(), stats.SentMessages, stats.SentBytes,
+	fmt.Printf("// sharded: %d processes, %d nodes, %d messages (%d retransmitted), %d bytes, converged in %.3fs\n",
+		len(m.Shards), m.NodeCount(), stats.SentMessages, stats.Retransmits, stats.SentBytes,
 		time.Since(start).Seconds())
 	results := func(pred string) []val.Tuple {
 		ts, err := coord.Tuples(pred, 10*time.Second)

@@ -5,8 +5,9 @@ package netrun
 // processed recoverable delta during a drain; commitDurable frames the
 // batch as one WAL record — stamped with the node's virtual clock —
 // and commits it BEFORE the drain's outbound datagrams are
-// dispatched, so a kill -9 can never have advertised state it will not
-// remember. When the WAL outgrows Options.SnapshotBytes the node's
+// dispatched and before the inbound frame that triggered it is acked,
+// so a kill -9 can never have advertised, or acknowledged, state it
+// will not remember. When the WAL outgrows Options.SnapshotBytes the node's
 // exported state replaces it as a fresh snapshot generation.
 //
 // Recovery (EnableDurability, before Start): per node, import the
@@ -143,9 +144,8 @@ func replayRecovered(n *engine.Node, rec durable.Recovered) error {
 // policy; a WAL past its size bound is first replaced by a snapshot
 // (which subsumes the still-uncommitted record). Caller holds nn.mu.
 // No-op without durability. Persistence errors are deliberately
-// non-fatal to the data path (the node keeps serving; the next commit
-// retries), matching UDP's own stance that the ledger, not
-// per-operation success, is the consistency check.
+// non-fatal to the data path: the node keeps serving, and the next
+// commit retries.
 func (r *Runner) commitDurable(nn *netNode) {
 	if nn.dur == nil {
 		return

@@ -266,35 +266,6 @@ func TestBindHost(t *testing.T) {
 	}
 }
 
-// TestSentToLedger: per-destination sent counts line up with the
-// aggregate ledger, so a control plane can attribute loss.
-func TestSentToLedger(t *testing.T) {
-	prog, err := parser.Parse(reachSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(prog, []string{"a", "b"}, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.Start()
-	r.Inject("a", engine.Insert(edge("a", "b")))
-	r.Inject("b", engine.Insert(edge("b", "a")))
-	waitIdle(t, r)
-	per := r.SentTo()
-	total := int64(0)
-	for _, n := range per {
-		total += n
-	}
-	if total == 0 {
-		t.Fatal("no per-destination accounting")
-	}
-	if got := r.Stats().SentMessages; got != total {
-		t.Fatalf("sentTo sums to %d, ledger says %d", total, got)
-	}
-}
-
 // TestSeedSweepFsyncPerNode: WAL-before-wire is paid per node. A Seed
 // sweep over the five Figure 2 nodes (each owns link facts) commits one
 // record per node, so it costs exactly five fsyncs under SyncCommit.

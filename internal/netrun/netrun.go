@@ -1,10 +1,12 @@
 // Package netrun executes an NDlog deployment over real UDP sockets
 // (standard library net only). It is the bridge from the simulated
 // evaluation environment to an actual networked one: every NDlog node
-// gets its own socket and goroutine, derived tuples travel as UDP
-// datagrams encoded exactly like the simulator's messages, and
-// quiescence is detected by a cluster-wide idle timeout (a real network
-// has no global event queue to observe).
+// gets its own socket and goroutine, and derived tuples travel as UDP
+// datagrams encoded exactly like the simulator's messages, over links
+// made reliable and FIFO (link.go). A receiver acks a frame only after
+// the drain it triggered has committed and dispatched, so one runner-wide
+// credit — unacked frames plus drains in progress — is zero exactly at
+// the fixpoint.
 //
 // A Runner hosts a set of *local* nodes, but its address book may map
 // further node IDs to sockets owned by other runners — in another
@@ -17,8 +19,9 @@
 //
 // Every data datagram carries the runner's membership epoch
 // (SetEpoch): a frame from a different epoch is fenced — counted,
-// dropped, never applied — which is what makes a live re-partition
-// safe against stragglers from the previous configuration.
+// dropped, never applied or acked — which is what makes a live
+// re-partition safe against stragglers from the previous configuration.
+// A new epoch restarts every link at seq 1.
 //
 // Ownership: a Runner owns its engine nodes and their sockets. Engine
 // nodes are single-threaded, so every Push/Drain/Tuples access happens
@@ -28,19 +31,21 @@
 // node's send lock, taken before the node lock is released, so each
 // link carries a node's drains in the order they ran (PSN assumes FIFO
 // links) without the node lock being held across socket writes. The
-// address book and the node set are guarded separately so remote entries
-// and live adoptions can land while the loops are running.
+// send lock also guards the node's link state. The address book and the
+// node set are guarded separately so remote entries and live adoptions
+// can land while the loops are running.
 //
 // The default runner binds loopback addresses, so tests exercise
-// genuine socket I/O without leaving the machine. Message loss and
-// reordering are possible exactly as with real UDP; the engine's PSN
-// evaluation and soft-state options behave as they would in deployment.
+// genuine socket I/O without leaving the machine; datagrams are lost and
+// reordered exactly as with real UDP, and the link layer repairs both.
 package netrun
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"net"
+	"net/netip"
 	"slices"
 	"sort"
 	"strings"
@@ -99,39 +104,58 @@ type Runner struct {
 	// epoch is the membership epoch stamped on every outbound data
 	// datagram; inbound frames from any other epoch are fenced.
 	epoch atomic.Uint64
+	// inc is this runner's random incarnation nonce, stamped on every
+	// datagram: a peer that sees it change resets the link, so a runner
+	// restarted on a pinned address is not taken for duplicates.
+	inc uint64
+	// born anchors the monotonic clock the link timers run on.
+	born time.Time
 
-	// lossBudget > 0 makes dispatch drop that many outbound datagrams
-	// (still counted as sent) — deterministic loss injection for testing
-	// the control plane's ledger fallback.
+	// credit is the fixpoint detector: data frames sent and not yet
+	// acked, plus drains in progress. Zero means no work is left
+	// anywhere this runner can see; the decrement that reaches zero
+	// closes zeroWait, on which WaitQuiescent parks.
+	credit   atomic.Int64
+	zeroMu   sync.Mutex
+	zeroWait chan struct{}
+
+	// lossBudget > 0 makes dispatch drop that many new outbound
+	// datagrams (still counted as sent) — deterministic loss injection,
+	// repaired by retransmission like any other loss.
 	lossBudget atomic.Int64
 
-	activity atomic.Int64 // bumps on every processed datagram, injection, or seed
-	sentB    atomic.Int64
-	sentM    atomic.Int64
-	recvB    atomic.Int64
-	recvM    atomic.Int64
-	dropped  atomic.Int64 // deltas bound for nodes absent from the book
-	fenced   atomic.Int64 // datagrams dropped for carrying a stale epoch
-
-	// sentTo holds the per-destination datagram tallies of nodes that
-	// have left this runner (dropNodeLocked folds a node's netNode.sentTo
-	// in here), so SentTo keeps counting what they sent.
-	sentToMu sync.Mutex
-	sentTo   map[string]int64
+	activity    atomic.Int64 // bumps on every delivered datagram, injection, or seed
+	sentB       atomic.Int64
+	sentM       atomic.Int64
+	recvB       atomic.Int64
+	recvM       atomic.Int64
+	dropped     atomic.Int64 // deltas bound for nodes absent from the book
+	fenced      atomic.Int64 // datagrams dropped for carrying a stale epoch
+	retransmits atomic.Int64
+	duplicates  atomic.Int64
+	reordered   atomic.Int64
+	ackFrames   atomic.Int64
 
 	wg   sync.WaitGroup
 	stop chan struct{}
 }
 
 // Stats is a snapshot of a runner's traffic counters, exported to the
-// shard control plane and the metrics harness.
+// shard control plane (idle and bye frames carry it as is) and the
+// metrics harness. The message counts are wire-level: data datagrams
+// including retransmissions and duplicates, not ack-only frames.
 type Stats struct {
-	SentBytes    int64 // UDP payload bytes sent
-	SentMessages int64 // datagrams sent
-	RecvBytes    int64 // UDP payload bytes received
-	RecvMessages int64 // datagrams received
+	SentBytes    int64 // UDP payload bytes of data datagrams sent
+	SentMessages int64 // data datagrams sent, retransmissions included
+	RecvBytes    int64 // UDP payload bytes of data datagrams received
+	RecvMessages int64 // data datagrams received, duplicates and fenced included
 	Dropped      int64 // outbound deltas with no address-book entry
 	Fenced       int64 // inbound datagrams fenced for a stale epoch
+	Retransmits  int64 // data datagrams sent again after an unacked rto
+	Duplicates   int64 // inbound data datagrams delivered before
+	Reordered    int64 // inbound data datagrams held for an earlier gap
+	AckFrames    int64 // ack-only frames sent
+	Outstanding  int64 // the credit: unacked data datagrams plus drains in progress
 }
 
 type netNode struct {
@@ -143,15 +167,16 @@ type netNode struct {
 	// node takes it while still holding mu and releases it after
 	// dispatching, so sends happen in drain order while the next drain
 	// already runs. Ordered strictly after mu; nothing is locked under it
-	// but the book and ledger leaves dispatch takes.
+	// but the book. It also guards the link state below.
 	sendMu sync.Mutex
-	// sentTo counts the datagrams this node sent per destination node ID
-	// — the per-destination half of the sent==recv ledger, which lets a
-	// control plane attribute loss to the shard that failed to receive.
-	// Guarded by sendMu, which every dispatch already holds; sentGone
-	// marks a dropped node whose tally has moved to Runner.sentTo.
-	sentTo   map[string]int64
-	sentGone bool
+	// links holds the node's link to each peer socket it has exchanged
+	// data with in linkEpoch (few peers: a slice beats a map). gone marks
+	// a released node, whose late drains send nothing.
+	links     []*link
+	linkEpoch uint64
+	gone      bool
+	// ackBuf is the receive loop's reused buffer for ack-only frames.
+	ackBuf []byte
 	// closed marks a released node: its receive loop exits on the next
 	// read error instead of treating the closed socket as transient.
 	closed atomic.Bool
@@ -199,6 +224,8 @@ func NewConfigured(prog *ast.Program, local map[string]string, cfg Config, opts 
 		bindHost: cfg.BindHost,
 		nodes:    map[string]*netNode{},
 		book:     map[string]*net.UDPAddr{},
+		inc:      uint64(rand.Uint32()) | 1, // nonzero: a link's peerInc 0 means "none seen yet"
+		born:     time.Now(),
 		stop:     make(chan struct{}),
 	}
 	for id, bind := range local {
@@ -268,10 +295,11 @@ func (r *Runner) AddNode(id, bind string) error {
 
 // RemoveNode releases a node from the live runner: its socket closes
 // (the receive loop exits), and the node leaves the local set and the
-// address book. Datagrams already bound for the node are dropped by the
-// closed socket — the stale-epoch fence covers the ones that chase the
-// node to its new home. Export the node's state first (ExportNode) if
-// it is migrating.
+// address book. Its links, and every other local node's link to it, are
+// dropped with their credit. Datagrams already bound for the node are
+// dropped by the closed socket — the stale-epoch fence covers the ones
+// that chase the node to its new home. Export the node's state first
+// (ExportNode) if it is migrating.
 func (r *Runner) RemoveNode(id string) error {
 	r.nodesMu.Lock()
 	defer r.nodesMu.Unlock()
@@ -292,19 +320,18 @@ func (r *Runner) dropNodeLocked(nn *netNode) {
 	nn.conn.Close()
 	delete(r.nodes, nn.id)
 	r.bookMu.Lock()
+	addr := addrPort(r.book[nn.id])
 	delete(r.book, nn.id)
 	r.bookMu.Unlock()
 	nn.sendMu.Lock()
-	r.sentToMu.Lock()
-	if r.sentTo == nil {
-		r.sentTo = map[string]int64{}
-	}
-	for id, n := range nn.sentTo {
-		r.sentTo[id] += n
-	}
-	r.sentToMu.Unlock()
-	nn.sentTo, nn.sentGone = nil, true
+	nn.gone = true
+	r.dropLinksLocked(nn, func(*link) bool { return true })
 	nn.sendMu.Unlock()
+	for _, other := range r.nodes {
+		other.sendMu.Lock()
+		r.dropLinksLocked(other, func(l *link) bool { return l.peer == addr })
+		other.sendMu.Unlock()
+	}
 	nn.mu.Lock()
 	if nn.dur != nil {
 		nn.node.SetJournal(nil)
@@ -358,6 +385,8 @@ func (r *Runner) ImportNode(id string, state []byte) error {
 			return err
 		}
 	}
+	r.credit.Add(1) // the import drain is in progress
+	defer r.release(1)
 	nn.mu.Lock()
 	now := float64(time.Now().UnixNano()) / 1e9
 	nn.node.SetNow(now)
@@ -424,16 +453,75 @@ func (r *Runner) RederiveFor(migrated []string) {
 
 // SetEpoch installs the membership epoch stamped on outbound data
 // datagrams; inbound frames from any other epoch are fenced from then
-// on. Safe while the loops are live — a re-partition installs the new
-// epoch together with the new address book.
-func (r *Runner) SetEpoch(e uint64) { r.epoch.Store(e) }
+// on. Every link of the old epoch is dropped with its credit, and the
+// new epoch starts every link at seq 1. Safe while the loops are live —
+// a re-partition installs the new epoch together with the new address
+// book.
+func (r *Runner) SetEpoch(e uint64) {
+	r.epoch.Store(e)
+	for _, nn := range r.localNodes() {
+		nn.sendMu.Lock()
+		r.linkEpochLocked(nn)
+		nn.sendMu.Unlock()
+	}
+}
 
 // Epoch returns the current membership epoch.
 func (r *Runner) Epoch() uint64 { return r.epoch.Load() }
 
-// InjectLoss makes the runner drop its next n outbound data datagrams
-// while still counting them as sent — deterministic loss injection for
-// exercising the control plane's unbalanced-ledger fallback.
+// linkEpochLocked returns the epoch nn's links belong to, first
+// dropping them (and releasing their credit) if the runner has moved to
+// a new one since. Caller holds nn.sendMu.
+func (r *Runner) linkEpochLocked(nn *netNode) uint64 {
+	if e := r.epoch.Load(); e != nn.linkEpoch {
+		r.dropLinksLocked(nn, func(*link) bool { return true })
+		nn.linkEpoch = e
+	}
+	return nn.linkEpoch
+}
+
+// dropLinksLocked removes nn's links that match, releasing the credit of
+// the frames they still held unacked. Caller holds nn.sendMu.
+func (r *Runner) dropLinksLocked(nn *netNode, match func(*link) bool) {
+	nn.links = slices.DeleteFunc(nn.links, func(l *link) bool {
+		if !match(l) {
+			return false
+		}
+		r.release(int64(l.reset()))
+		return true
+	})
+}
+
+// linkLocked returns nn's link to peer, creating it on first contact.
+// Caller holds nn.sendMu and has synced the link epoch.
+func (nn *netNode) linkLocked(peer netip.AddrPort) *link {
+	for _, l := range nn.links {
+		if l.peer == peer {
+			return l
+		}
+	}
+	l := newLink(peer)
+	nn.links = append(nn.links, l)
+	return l
+}
+
+// release takes n off the credit, waking WaitQuiescent if that reaches
+// zero.
+func (r *Runner) release(n int64) {
+	if n == 0 || r.credit.Add(-n) != 0 {
+		return
+	}
+	r.zeroMu.Lock()
+	if r.zeroWait != nil {
+		close(r.zeroWait)
+		r.zeroWait = nil
+	}
+	r.zeroMu.Unlock()
+}
+
+// InjectLoss makes the runner drop its next n new outbound data
+// datagrams while still counting them as sent — deterministic loss
+// injection, repaired by the link layer's retransmission.
 func (r *Runner) InjectLoss(n int64) { r.lossBudget.Add(n) }
 
 // node looks up a local node under the set lock.
@@ -514,6 +602,17 @@ func (r *Runner) Addr(id string) *net.UDPAddr {
 	return r.book[id]
 }
 
+// routesOffRunner reports whether the address book names a node this
+// runner does not host (the book holds every local node), whose traffic
+// is invisible to the credit.
+func (r *Runner) routesOffRunner() bool {
+	r.nodesMu.RLock()
+	defer r.nodesMu.RUnlock()
+	r.bookMu.RLock()
+	defer r.bookMu.RUnlock()
+	return len(r.book) > len(r.nodes)
+}
+
 // LocalIDs returns the IDs of the nodes hosted by this runner, sorted.
 func (r *Runner) LocalIDs() []string {
 	r.nodesMu.RLock()
@@ -532,9 +631,10 @@ func (r *Runner) Bytes() int64 { return r.sentB.Load() }
 // Messages returns the number of datagrams sent.
 func (r *Runner) Messages() int64 { return r.sentM.Load() }
 
-// Activity returns a counter that bumps every time a node processes a
-// datagram or an injection. Control planes compare successive readings
-// to detect idleness across processes.
+// Activity returns a counter that bumps every time a node delivers a
+// data datagram or drains an injection, seed, import or sweep; ack-only
+// frames, duplicates and retransmissions do not move it. Control planes
+// compare successive readings to detect idleness across processes.
 func (r *Runner) Activity() int64 { return r.activity.Load() }
 
 // Stats snapshots the runner's traffic counters.
@@ -546,6 +646,11 @@ func (r *Runner) Stats() Stats {
 		RecvMessages: r.recvM.Load(),
 		Dropped:      r.dropped.Load(),
 		Fenced:       r.fenced.Load(),
+		Retransmits:  r.retransmits.Load(),
+		Duplicates:   r.duplicates.Load(),
+		Reordered:    r.reordered.Load(),
+		AckFrames:    r.ackFrames.Load(),
+		Outstanding:  r.credit.Load(),
 	}
 }
 
@@ -563,10 +668,8 @@ func (r *Runner) Start() {
 }
 
 // Seed pushes each local node's home base facts and drains. Calling it
-// again re-advertises the facts — the soft-state refresh story, and the
-// recovery path a control plane uses when datagrams were lost. Seeding
-// counts as activity, so an in-progress recovery holds off quiescence
-// detection. The per-node seed drains run on the runner's worker pool
+// again re-advertises the facts — the soft-state refresh story. The
+// per-node seed drains run on the runner's worker pool
 // (Options.Parallelism) — each node still drains under its own lock.
 func (r *Runner) Seed() {
 	r.drainDispatch(func(nn *netNode) []engine.OutDelta {
@@ -581,13 +684,16 @@ func (r *Runner) Seed() {
 
 // drainDispatch runs drain (called with the node lock held) over every
 // local node on the worker pool, commits each node's WAL record and
-// dispatches its output.
+// dispatches its output. Each node's drain holds a unit of credit until
+// its output is counted.
 func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
 	r.forEachLocal(func(nn *netNode) {
+		r.credit.Add(1)
 		nn.mu.Lock()
 		outs := drain(nn)
 		r.commitDurable(nn)
 		r.unlockAndDispatch(nn, outs)
+		r.release(1)
 	})
 }
 
@@ -605,35 +711,16 @@ func (r *Runner) unlockAndDispatch(nn *netNode, outs []engine.OutDelta) {
 	nn.sendMu.Unlock()
 }
 
-// envMagic opens every data datagram:
-//
-//	0x7E epoch(uvarint) payload
-//
-// The byte is disjoint from the engine's message kinds and the shard
-// control-plane kinds, so a frame delivered to the wrong socket is
-// rejected as corrupt rather than misread.
-const envMagic = 0x7E
-
-// parseEnvelope splits one inbound frame into epoch and payload. ok is
-// false for anything that is not a data envelope.
-func parseEnvelope(b []byte) (epoch uint64, payload []byte, ok bool) {
-	if len(b) < 2 || b[0] != envMagic {
-		return 0, nil, false
-	}
-	e, sz := binary.Uvarint(b[1:])
-	if sz <= 0 {
-		return 0, nil, false
-	}
-	return e, b[1+sz:], true
-}
+// readWake caps how long a receive loop blocks in one read, so it
+// notices shutdown; the link timers wake it sooner when they are due.
+const readWake = 50 * time.Millisecond
 
 func (r *Runner) receiveLoop(nn *netNode) {
 	defer r.wg.Done()
 	buf := make([]byte, 64<<10)
 	for {
-		// A short read deadline lets the loop notice shutdown.
-		nn.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-		n, _, err := nn.conn.ReadFromUDP(buf)
+		nn.conn.SetReadDeadline(r.born.Add(r.tick(nn, r.clock())))
+		n, from, err := nn.conn.ReadFromUDPAddrPort(buf)
 		select {
 		case <-r.stop:
 			return
@@ -645,59 +732,128 @@ func (r *Runner) receiveLoop(nn *netNode) {
 			}
 			continue // deadline or transient error; keep serving
 		}
-		epoch, payload, ok := parseEnvelope(buf[:n])
-		if !ok {
-			continue // not a data envelope: drop, like any UDP protocol
-		}
-		if epoch != r.epoch.Load() {
-			// Epoch fence: a straggler from another membership view. It
-			// arrived, so the sent==recv ledger counts it (nothing is in
-			// flight), but its tuples are dropped — the rebalance protocol
-			// reseeds on resume, which re-derives anything fenced here.
-			r.fenced.Add(1)
-			r.recvB.Add(int64(n))
-			r.recvM.Add(1)
-			continue
-		}
-		r.receive(nn, payload, int64(n))
+		r.receive(nn, unmapped(from), buf[:n])
 	}
 }
 
-// receive decodes one datagram (wire bytes on the socket) and drains the
-// node over its deltas. The payload may alias the caller's read buffer
-// (decode copies).
-func (r *Runner) receive(nn *netNode, payload []byte, wire int64) {
+// clock is the runner's monotonic clock, which link timers run on.
+func (r *Runner) clock() time.Duration { return time.Since(r.born) }
+
+// tick runs at every turn of nn's receive loop: it resends due frames,
+// sends owed acks from the node's reused ack buffer, and returns when
+// the loop must wake next.
+func (r *Runner) tick(nn *netNode, now time.Duration) time.Duration {
+	wake := now + readWake
+	nn.sendMu.Lock()
+	defer nn.sendMu.Unlock()
+	epoch := r.linkEpochLocked(nn)
+	for _, l := range nn.links {
+		if f := l.expired(now); f != nil {
+			r.retransmits.Add(1)
+			r.write(nn, l.peer, f)
+		}
+		if ack, owed := l.takeAck(); owed {
+			nn.ackBuf = appendHeader(nn.ackBuf[:0], header{epoch: epoch, inc: r.inc, ack: ack})
+			if _, err := nn.conn.WriteToUDPAddrPort(nn.ackBuf, l.peer); err == nil {
+				r.ackFrames.Add(1)
+			}
+		}
+		if l.sent > 0 {
+			wake = min(wake, l.queue[0].at+l.rto())
+		}
+	}
+	return wake
+}
+
+// receive handles one inbound datagram b from peer: its ack releases
+// credit, and its data is delivered exactly once and in order — now, or
+// once the frames before it have arrived. b may be the loop's read
+// buffer: only held frames are copied out of it.
+func (r *Runner) receive(nn *netNode, peer netip.AddrPort, b []byte) {
+	h, payload, ok := parseEnvelope(b)
+	if !ok {
+		return // not an envelope: drop, like any UDP protocol
+	}
+	if h.seq != 0 {
+		r.recvB.Add(int64(len(b)))
+		r.recvM.Add(1)
+	}
+	nn.sendMu.Lock()
+	if h.epoch != r.linkEpochLocked(nn) {
+		// Epoch fence: a straggler from another membership view, neither
+		// applied nor acked (a sender in a newer epoch resends it).
+		nn.sendMu.Unlock()
+		if h.seq != 0 {
+			r.fenced.Add(1)
+		}
+		return
+	}
+	l := nn.linkLocked(peer)
+	if h.inc != l.peerInc {
+		// A new incarnation of the peer: what the link held belongs to
+		// the old one.
+		if l.peerInc != 0 {
+			r.release(int64(l.reset()))
+		}
+		l.peerInc = h.inc
+	}
+	r.release(int64(l.ackTo(h.ack)))
+	for f := l.admit(r.clock()); f != nil; f = l.admit(r.clock()) {
+		r.transmit(nn, l.peer, f)
+	}
+	v := dropped
+	if h.seq != 0 {
+		v = l.accept(h.seq, payload)
+	}
+	nn.sendMu.Unlock()
+	switch v {
+	case duplicate:
+		r.duplicates.Add(1)
+	case heldBack:
+		r.reordered.Add(1)
+	case deliverNow:
+		for seq, more := h.seq, true; more; {
+			r.deliver(nn, l, seq, payload)
+			nn.sendMu.Lock()
+			seq, payload, more = l.nextHeld()
+			nn.sendMu.Unlock()
+		}
+	}
+}
+
+// deliver drains one in-order data frame into nn. The frame's ack may
+// leave only once the drain has committed its WAL record — piggybacked
+// on the drain's own output at the earliest — and the drain holds a unit
+// of credit until that output is dispatched, so the credit cannot pass
+// through zero while any consequence of the frame is uncounted.
+func (r *Runner) deliver(nn *netNode, l *link, seq uint64, payload []byte) {
+	r.credit.Add(1)
 	// Decode under the node lock: the string table is node state, and the
 	// copy-on-decode invariant (decoded tuples never alias the buffer)
 	// is what lets the receive loop reuse its read buffer and this scratch.
 	nn.mu.Lock()
 	deltas, err := engine.DecodeMessageInto(payload, nn.node.Interner(), nn.scratch[:0])
-	if err != nil {
-		nn.mu.Unlock()
-		return // corrupt datagram: drop, like any UDP protocol
+	if err == nil {
+		nn.scratch = deltas[:0]
 	}
-	nn.scratch = deltas[:0]
-	// Count only decodable datagrams: the receive ledger must mirror
-	// the send ledger (which counts engine messages), so a stray or
-	// corrupt datagram cannot unbalance cross-process quiescence
-	// accounting forever.
-	r.recvB.Add(wire)
-	r.recvM.Add(1)
-	if len(deltas) == 0 {
-		nn.mu.Unlock()
-		return
+	var outs []engine.OutDelta
+	if len(deltas) > 0 {
+		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
+		for _, d := range deltas {
+			nn.node.Push(d)
+		}
+		outs = nn.node.Drain()
+		// WAL before wire and before ack: a crash right here cannot have
+		// advertised, or acknowledged, state it will not remember.
+		r.commitDurable(nn)
+		r.activity.Add(1)
 	}
-	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-	for _, d := range deltas {
-		nn.node.Push(d)
-	}
-	outs := nn.node.Drain()
-	// WAL before wire: the drain's effects are durable before any
-	// derived datagram leaves, so a crash right here cannot have
-	// advertised state it will not remember.
-	r.commitDurable(nn)
-	r.activity.Add(1)
-	r.unlockAndDispatch(nn, outs)
+	nn.sendMu.Lock()
+	nn.mu.Unlock()
+	l.deliveredTo(seq)
+	r.dispatch(nn, outs)
+	nn.sendMu.Unlock()
+	r.release(1)
 }
 
 // Inject delivers a delta to a local node from outside (e.g. a link
@@ -707,6 +863,7 @@ func (r *Runner) Inject(id string, d engine.Delta) error {
 	if !ok {
 		return fmt.Errorf("netrun: unknown node %q", id)
 	}
+	r.credit.Add(1) // the injection's drain is in progress
 	nn.mu.Lock()
 	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
 	nn.node.Push(d)
@@ -714,6 +871,7 @@ func (r *Runner) Inject(id string, d engine.Delta) error {
 	r.commitDurable(nn)
 	r.activity.Add(1)
 	r.unlockAndDispatch(nn, outs)
+	r.release(1)
 	return nil
 }
 
@@ -724,9 +882,14 @@ const dispatchMaxPayload = 32 << 10
 // dispatch batches one drain's outbound deltas per destination — one
 // datagram carries every tuple bound for the same peer, mirroring the
 // simulator's per-pump batching — chunked so no datagram exceeds
-// dispatchMaxPayload. Destinations absent from the book count as
-// dropped. The caller holds the node's send lock.
+// dispatchMaxPayload. Each datagram is the next frame of the node's link
+// to the peer: queued for retransmission and counted in the credit
+// until acked. Destinations absent from the book count as dropped. The
+// caller holds the node's send lock.
 func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
+	if len(outs) == 0 || nn.gone {
+		return
+	}
 	// A drain's output is sorted by destination, so each peer is one
 	// contiguous run; the recovery paths hand in several drains (or a
 	// sweep's output) end to end, which a stable sort brings to the same
@@ -735,7 +898,8 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 	if !slices.IsSortedFunc(outs, byDst) {
 		slices.SortStableFunc(outs, byDst)
 	}
-	epoch := r.epoch.Load()
+	epoch := r.linkEpochLocked(nn)
+	now := r.clock()
 	for len(outs) > 0 {
 		dstID := outs[0].Dst
 		end := 1
@@ -749,104 +913,106 @@ func (r *Runner) dispatch(nn *netNode, outs []engine.OutDelta) {
 			r.dropped.Add(int64(len(deltas)))
 			continue
 		}
+		peer := addrPort(dst)
+		l := nn.linkLocked(peer)
 		for len(deltas) > 0 {
 			n, size := 0, 0
 			for n < len(deltas) {
-				size += 1 + val.EncodedSize(deltas[n].Delta.Tuple)
-				if n > 0 && size > dispatchMaxPayload {
+				sz := 1 + val.EncodedSize(deltas[n].Delta.Tuple)
+				if n > 0 && size+sz > dispatchMaxPayload {
 					break
 				}
+				size += sz
 				n++
 			}
-			// Envelope: epoch tag first, engine payload appended in place
-			// (no second copy of the payload).
-			frame := binary.AppendUvarint([]byte{envMagic}, epoch)
+			// One allocation per frame: the buffer fits the envelope, the
+			// batch header (a kind byte and a count) and the deltas, so
+			// the engine appends the payload in place.
+			seq, ack := l.stamp()
+			frame := make([]byte, 0, maxHeader+1+binary.MaxVarintLen64+size)
+			frame = appendHeader(frame, header{epoch: epoch, inc: r.inc, seq: seq, ack: ack})
 			frame = engine.AppendOutDeltas(frame, deltas[:n])
 			deltas = deltas[n:]
-			if r.lossBudget.Load() > 0 && r.lossBudget.Add(-1) >= 0 {
-				// Injected loss: the datagram is counted as sent (the
-				// ledger must see it) but never hits the wire.
-				r.countSent(nn, dstID, int64(len(frame)))
-				continue
-			}
-			if _, err := nn.conn.WriteToUDP(frame, dst); err == nil {
-				r.countSent(nn, dstID, int64(len(frame)))
+			r.credit.Add(1)
+			if l.queueFrame(frame, now) {
+				r.transmit(nn, peer, frame)
 			}
 		}
 	}
 }
 
-// countSent records one datagram nn sent in the ledger, including the
-// per-destination tally on the sending node (the caller holds its send
-// lock). The total is bumped first: see SentTo for the read order that
-// makes the two comparable.
-func (r *Runner) countSent(nn *netNode, dstID string, bytes int64) {
-	r.sentB.Add(bytes)
-	r.sentM.Add(1)
-	if nn.sentGone {
-		// A drain that outlived its node's removal: its tally already moved.
-		r.sentToMu.Lock()
-		r.sentTo[dstID]++
-		r.sentToMu.Unlock()
+// transmit puts a data frame on the wire for the first time, unless
+// injected loss eats it (it is counted as sent either way).
+func (r *Runner) transmit(nn *netNode, peer netip.AddrPort, frame []byte) {
+	if r.lossBudget.Load() > 0 && r.lossBudget.Add(-1) >= 0 {
+		r.sentB.Add(int64(len(frame)))
+		r.sentM.Add(1)
 		return
 	}
-	if nn.sentTo == nil {
-		nn.sentTo = map[string]int64{}
-	}
-	nn.sentTo[dstID]++
+	r.write(nn, peer, frame)
 }
 
-// SentTo snapshots the per-destination datagram counts. Keys are NDlog
-// node IDs; the control plane folds them onto owning shards to find
-// which shard's receive ledger is short after loss.
-//
-// Every datagram is counted in Stats().SentMessages before it is counted
-// here, so a concurrent reader that wants "sum of tallies <= total sent"
-// must call SentTo first and Stats second; the other order can observe
-// tallies the earlier total snapshot has not seen. At quiescence the two
-// are equal in either order.
-func (r *Runner) SentTo() map[string]int64 {
-	// The node set is held still for the whole merge: a node dropped
-	// half-way would be counted twice or not at all.
-	r.nodesMu.RLock()
-	defer r.nodesMu.RUnlock()
-	out := map[string]int64{}
-	for _, nn := range r.nodes {
-		nn.sendMu.Lock()
-		for id, n := range nn.sentTo {
-			out[id] += n
-		}
-		nn.sendMu.Unlock()
+// write puts one data frame on the wire — a first transmission or a
+// retransmission — and counts it. A failed write is a lost datagram:
+// the frame stays queued and the retransmission timer resends it.
+func (r *Runner) write(nn *netNode, peer netip.AddrPort, frame []byte) {
+	if _, err := nn.conn.WriteToUDPAddrPort(frame, peer); err == nil {
+		r.sentB.Add(int64(len(frame)))
+		r.sentM.Add(1)
 	}
-	r.sentToMu.Lock()
-	for id, n := range r.sentTo {
-		out[id] += n
-	}
-	r.sentToMu.Unlock()
-	return out
 }
 
-// WaitQuiescent blocks until no local node has processed a datagram for
-// idle, or until timeout. It reports whether the runner went idle. In a
-// sharded deployment this only observes the local slice; cross-process
-// quiescence is the coordinator's job (internal/shard).
+// WaitQuiescent blocks until the runner reaches its fixpoint, or until
+// timeout; it reports which. When the address book routes only to nodes
+// this runner hosts, that is the moment the credit reaches zero, and the
+// decrement that gets there wakes the wait. idle matters only when the
+// book routes to nodes other runners host, whose traffic is invisible to
+// this credit: then the credit must also sit at zero with no activity
+// for the idle window. Across processes, quiescence is the coordinator's
+// job (internal/shard).
 func (r *Runner) WaitQuiescent(idle, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	last := r.activity.Load()
-	lastChange := time.Now()
-	for time.Now().Before(deadline) {
-		time.Sleep(idle / 4)
-		cur := r.activity.Load()
-		if cur != last {
-			last = cur
-			lastChange = time.Now()
-			continue
+	last, since := r.activity.Load(), time.Now()
+	for {
+		if !r.waitCredit(deadline) {
+			return false
 		}
-		if time.Since(lastChange) >= idle {
+		if !r.routesOffRunner() {
 			return true
 		}
+		if a := r.activity.Load(); a != last {
+			last, since = a, time.Now()
+		} else if time.Since(since) >= idle {
+			return true
+		}
+		if !time.Now().Before(deadline) {
+			return false
+		}
+		time.Sleep(idle / 4)
 	}
-	return false
+}
+
+// waitCredit blocks until the credit is zero or the deadline passes.
+func (r *Runner) waitCredit(deadline time.Time) bool {
+	for r.credit.Load() != 0 {
+		r.zeroMu.Lock()
+		if r.zeroWait == nil {
+			r.zeroWait = make(chan struct{})
+		}
+		wait := r.zeroWait
+		r.zeroMu.Unlock()
+		if r.credit.Load() == 0 {
+			return true
+		}
+		timer := time.NewTimer(time.Until(deadline))
+		select {
+		case <-wait:
+			timer.Stop()
+		case <-timer.C:
+			return r.credit.Load() == 0
+		}
+	}
+	return true
 }
 
 // Tuples gathers a predicate across the local nodes (snapshot under

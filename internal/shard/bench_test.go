@@ -42,28 +42,24 @@ func fig7Workload() (string, []string) {
 // every node its own UDP socket, one OS process — the PR 3 baseline
 // netrun deployment. Compare with BenchmarkSharded3Fig7.
 func BenchmarkNetrunFig7(b *testing.B) {
-	benchNetrunFig7(b, true, false, 300*time.Millisecond)
+	benchNetrunFig7(b, true, false)
 }
 
 // BenchmarkNetrunFig7NoPrune is the drain-bound variant: aggregate
 // selections off, so every node's queue carries the full unpruned path
-// exploration (~17k datagrams vs ~350 pruned). The idle window shrinks
-// to 100 ms: this workload's traffic is continuous (no sub-millisecond
-// gaps until the true fixpoint), and the shorter quiescence tail keeps
-// the fixed detection cost from washing out the per-tuple cost being
-// measured.
+// exploration (~17k datagrams vs ~350 pruned).
 func BenchmarkNetrunFig7NoPrune(b *testing.B) {
-	benchNetrunFig7(b, false, false, 100*time.Millisecond)
+	benchNetrunFig7(b, false, false)
 }
 
 // BenchmarkNetrunFig7Durable runs the same convergence with a WAL
 // under every node (fsync-on-commit). commits/run approximates drains
 // that journaled something; fsyncs/run equals it under SyncCommit.
 func BenchmarkNetrunFig7Durable(b *testing.B) {
-	benchNetrunFig7(b, true, true, 300*time.Millisecond)
+	benchNetrunFig7(b, true, true)
 }
 
-func benchNetrunFig7(b *testing.B, aggSel, wal bool, idle time.Duration) {
+func benchNetrunFig7(b *testing.B, aggSel, wal bool) {
 	src, ids := fig7Workload()
 	wantResults := len(ids) * (len(ids) - 1)
 	b.ReportAllocs()
@@ -84,15 +80,11 @@ func benchNetrunFig7(b *testing.B, aggSel, wal bool, idle time.Duration) {
 		}
 		start := time.Now()
 		r.Start()
-		if !r.WaitQuiescent(idle, 60*time.Second) {
+		// Every node is local, so the credit alone decides: no idle window.
+		if !r.WaitQuiescent(0, 60*time.Second) {
 			b.Fatal("netrun did not quiesce")
 		}
 		got := len(r.Tuples("shortestPath"))
-		for attempt := 0; attempt < 5 && got < wantResults; attempt++ {
-			r.Seed() // datagram loss: refresh
-			r.WaitQuiescent(idle, 30*time.Second)
-			got = len(r.Tuples("shortestPath"))
-		}
 		wall := time.Since(start).Seconds()
 		if got < wantResults {
 			b.Fatalf("converged to %d of %d results", got, wantResults)
@@ -175,26 +167,17 @@ func benchMigration3Fig7(b *testing.B, durable bool) {
 		// Migrate the first node to the next shard over, mid-convergence.
 		node := ids[0]
 		to := (coord.Owner(node) + 1) % 3
-		rep, err := coord.Rebalance([]Migration{{Node: node, To: to}},
-			300*time.Millisecond, 60*time.Second)
+		rep, err := coord.Rebalance([]Migration{{Node: node, To: to}}, 60*time.Second)
 		if err != nil {
 			b.Fatal(err)
 		}
 		resumed := time.Now()
-		if !coord.WaitQuiescent(300*time.Millisecond, 60*time.Second) {
+		if !coord.WaitQuiescent(60 * time.Second) {
 			b.Fatal("post-migration deployment did not quiesce")
 		}
 		got, err := coord.Tuples("shortestPath", 10*time.Second)
 		if err != nil {
 			b.Fatal(err)
-		}
-		for attempt := 0; attempt < 5 && len(got) < wantResults; attempt++ {
-			coord.Reseed()
-			coord.WaitQuiescent(300*time.Millisecond, 30*time.Second)
-			got, err = coord.Tuples("shortestPath", 10*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
 		}
 		wall := time.Since(start).Seconds()
 		reconverge := time.Since(resumed).Seconds()
@@ -246,20 +229,12 @@ func BenchmarkSharded3Fig7(b *testing.B) {
 			b.Fatal(err)
 		}
 		start := time.Now()
-		if !coord.WaitQuiescent(300*time.Millisecond, 60*time.Second) {
+		if !coord.WaitQuiescent(60 * time.Second) {
 			b.Fatal("sharded deployment did not quiesce")
 		}
 		got, err := coord.Tuples("shortestPath", 10*time.Second)
 		if err != nil {
 			b.Fatal(err)
-		}
-		for attempt := 0; attempt < 5 && len(got) < wantResults; attempt++ {
-			coord.Reseed()
-			coord.WaitQuiescent(300*time.Millisecond, 30*time.Second)
-			got, err = coord.Tuples("shortestPath", 10*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
 		}
 		wall := time.Since(start).Seconds()
 		if len(got) < wantResults {

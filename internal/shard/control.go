@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ndlog/internal/netrun"
 	"ndlog/internal/val"
 )
 
@@ -19,16 +20,14 @@ import (
 //	book    := epoch(uvarint) nbook(uvarint) {node(string) addr(string)}*
 //	ready   := shard(uvarint) epoch(uvarint)
 //	start   := ε
-//	idle    := shard(uvarint) epoch(uvarint) seq(uvarint)
+//	idle    := shard(uvarint) epoch(uvarint) seq(uvarint) mark(uvarint)
 //	           activity(uvarint) stats
-//	           nsent(uvarint) {node(string) count(uvarint)}*
 //	query   := req(uvarint) pred(string)
 //	tuples  := shard(uvarint) req(uvarint) chunk(uvarint) nchunks(uvarint)
 //	           count(uvarint) tuple*
-//	seed    := ε
 //	stop    := ε
 //	bye     := shard(uvarint) stats
-//	pong    := ε
+//	pong    := mark(uvarint)
 //	release := req(uvarint) epoch(uvarint) node(string)
 //	state   := shard(uvarint) req(uvarint) chunk(uvarint) nchunks(uvarint)
 //	           blob(string)
@@ -39,7 +38,9 @@ import (
 //	resumed := shard(uvarint) epoch(uvarint)
 //	rederive  := req(uvarint) epoch(uvarint) nnodes(uvarint) {node(string)}*
 //	rederived := shard(uvarint) req(uvarint)
-//	stats   := sentB sentM recvB recvM dropped fenced (uvarints)
+//	stats   := netrun.Stats, field by field (uvarints): sentB sentM recvB
+//	           recvM dropped fenced retransmits duplicates reordered
+//	           ackFrames outstanding
 //
 // Kind bytes start at 0x81, disjoint from the engine's data-message
 // kinds (1, 2) and the netrun data envelope (0x7E) — a control frame
@@ -51,6 +52,10 @@ import (
 // Epochs version the membership view: the coordinator bumps the epoch
 // on every rebalance, workers echo it in ready/idle/resumed frames, and
 // the data plane fences datagrams from other epochs (internal/netrun).
+// Marks order report waves: every pong carries the coordinator's latest
+// mark, a worker answers a new mark with an immediate idle report, and
+// the report echoes it — so a report echoing mark m was taken after the
+// coordinator raised m (Coordinator.WaitQuiescent).
 type frameKind byte
 
 const (
@@ -58,24 +63,22 @@ const (
 	kindBook   frameKind = 0x82 // coord → worker: merged global book, epoch-stamped
 	kindReady  frameKind = 0x83 // worker → coord: book of that epoch installed
 	kindStart  frameKind = 0x84 // coord → worker: seed home facts, go
-	kindIdle   frameKind = 0x85 // worker → coord: periodic activity report
+	kindIdle   frameKind = 0x85 // worker → coord: activity and credit report
 	kindQuery  frameKind = 0x86 // coord → worker: gather a predicate
 	kindTuples frameKind = 0x87 // worker → coord: one chunk of results
-	kindSeed   frameKind = 0x88 // coord → worker: re-push home facts
 	kindStop   frameKind = 0x89 // coord → worker: shut down
 	kindBye    frameKind = 0x8A // worker → coord: final stats, exiting
-	kindPong   frameKind = 0x8B // coord → worker: idle-report ack (liveness)
+	kindPong   frameKind = 0x8B // coord → worker: idle-report ack (liveness) and wave mark
 
 	// Rebalance frames (epoch cutover; see coord.go Rebalance).
 	kindRelease frameKind = 0x8C // coord → worker: export + drop a migrating node
 	kindState   frameKind = 0x8D // worker → coord: one chunk of exported state
 	kindAdopt   frameKind = 0x8E // coord → worker: host this node, one state chunk
 	kindAdopted frameKind = 0x8F // worker → coord: node bound, here is its address
-	kindResume  frameKind = 0x90 // coord → worker: cutover done, import + reseed
+	kindResume  frameKind = 0x90 // coord → worker: cutover done, import + rederive
 	kindResumed frameKind = 0x91 // worker → coord: resumed in the new epoch
 
-	// Recovery frames (crash respawn and loss-adaptive reseed; see
-	// coord.go Respawn and RecoverLoss).
+	// Recovery frames (crash respawn; see coord.go Respawn).
 	kindRederive  frameKind = 0x92 // coord → worker: re-send derivations toward these nodes
 	kindRederived frameKind = 0x93 // worker → coord: rederivation sweep done
 )
@@ -83,17 +86,6 @@ const (
 // maxGatherChunks bounds the per-shard chunk count a tuples frame may
 // announce (decoder rejects more; see decodeFrame).
 const maxGatherChunks = 1 << 16
-
-// netStats is the traffic counter block shared by idle and bye frames.
-// It mirrors netrun.Stats field-for-field so the two convert directly.
-type netStats struct {
-	SentBytes    int64
-	SentMessages int64
-	RecvBytes    int64
-	RecvMessages int64
-	Dropped      int64
-	Fenced       int64
-}
 
 // frame is one decoded control message; unused fields are zero.
 type frame struct {
@@ -106,13 +98,14 @@ type frame struct {
 	// book carries node → "host:port" entries (hello, book).
 	book map[string]string
 	// seq, activity: idle report ordering and the runner's activity
-	// counter.
+	// counter; stats is the runner's counters, credit included (idle,
+	// bye).
 	seq      uint64
 	activity int64
-	stats    netStats
-	// sentTo is the runner's per-destination datagram tally (idle) —
-	// the attribution half of the sent==recv ledger.
-	sentTo map[string]int64
+	stats    netrun.Stats
+	// mark is the coordinator's wave mark (pong) and the newest mark a
+	// worker had seen when it took its report (idle).
+	mark uint64
 	// req, pred: query correlation id and predicate (query); req also
 	// correlates release/state and adopt/adopted exchanges.
 	req  uint64
@@ -150,32 +143,17 @@ func appendBook(dst []byte, book map[string]string) []byte {
 	return dst
 }
 
-func appendStats(dst []byte, s netStats) []byte {
-	dst = appendUvarint(dst, uint64(s.SentBytes))
-	dst = appendUvarint(dst, uint64(s.SentMessages))
-	dst = appendUvarint(dst, uint64(s.RecvBytes))
-	dst = appendUvarint(dst, uint64(s.RecvMessages))
-	dst = appendUvarint(dst, uint64(s.Dropped))
-	return appendUvarint(dst, uint64(s.Fenced))
+func appendStats(dst []byte, s netrun.Stats) []byte {
+	for _, v := range []int64{s.SentBytes, s.SentMessages, s.RecvBytes, s.RecvMessages,
+		s.Dropped, s.Fenced, s.Retransmits, s.Duplicates, s.Reordered, s.AckFrames, s.Outstanding} {
+		dst = appendUvarint(dst, uint64(v))
+	}
+	return dst
 }
 
 func appendBytes(dst, b []byte) []byte {
 	dst = appendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-func appendSentTo(dst []byte, sentTo map[string]int64) []byte {
-	dst = appendUvarint(dst, uint64(len(sentTo)))
-	keys := make([]string, 0, len(sentTo))
-	for k := range sentTo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = val.AppendString(dst, k)
-		dst = appendUvarint(dst, uint64(sentTo[k]))
-	}
-	return dst
 }
 
 // encodeFrame marshals f. The zero-body kinds encode as a single byte.
@@ -191,14 +169,16 @@ func encodeFrame(f frame) []byte {
 	case kindReady:
 		buf = appendUvarint(buf, uint64(f.shard))
 		buf = appendUvarint(buf, f.epoch)
-	case kindStart, kindStop, kindSeed, kindPong:
+	case kindStart, kindStop:
+	case kindPong:
+		buf = appendUvarint(buf, f.mark)
 	case kindIdle:
 		buf = appendUvarint(buf, uint64(f.shard))
 		buf = appendUvarint(buf, f.epoch)
 		buf = appendUvarint(buf, f.seq)
+		buf = appendUvarint(buf, f.mark)
 		buf = appendUvarint(buf, uint64(f.activity))
 		buf = appendStats(buf, f.stats)
-		buf = appendSentTo(buf, f.sentTo)
 	case kindQuery:
 		buf = appendUvarint(buf, f.req)
 		buf = val.AppendString(buf, f.pred)
@@ -312,39 +292,13 @@ func (d *decoder) book() map[string]string {
 	return book
 }
 
-func (d *decoder) stats() netStats {
-	return netStats{
-		SentBytes:    int64(d.uvarint()),
-		SentMessages: int64(d.uvarint()),
-		RecvBytes:    int64(d.uvarint()),
-		RecvMessages: int64(d.uvarint()),
-		Dropped:      int64(d.uvarint()),
-		Fenced:       int64(d.uvarint()),
+func (d *decoder) stats() netrun.Stats {
+	var s netrun.Stats
+	for _, v := range []*int64{&s.SentBytes, &s.SentMessages, &s.RecvBytes, &s.RecvMessages,
+		&s.Dropped, &s.Fenced, &s.Retransmits, &s.Duplicates, &s.Reordered, &s.AckFrames, &s.Outstanding} {
+		*v = int64(d.uvarint())
 	}
-}
-
-// sentTo decodes the per-destination tally block; nil when empty, so
-// frames without tallies round-trip to their zero field.
-func (d *decoder) sentTo() map[string]int64 {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	// Each entry is at least two bytes; cap preallocation by payload.
-	if n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("shard: corrupt control frame (sentTo size)")
-		return nil
-	}
-	out := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.string()
-		v := d.uvarint()
-		if d.err != nil {
-			return nil
-		}
-		out[k] = int64(v)
-	}
-	return out
+	return s
 }
 
 // bytes decodes a length-prefixed blob; the result never aliases the
@@ -383,14 +337,16 @@ func decodeFrame(b []byte) (frame, error) {
 	case kindReady:
 		f.shard = int(d.uvarint())
 		f.epoch = d.uvarint()
-	case kindStart, kindStop, kindSeed, kindPong:
+	case kindStart, kindStop:
+	case kindPong:
+		f.mark = d.uvarint()
 	case kindIdle:
 		f.shard = int(d.uvarint())
 		f.epoch = d.uvarint()
 		f.seq = d.uvarint()
+		f.mark = d.uvarint()
 		f.activity = int64(d.uvarint())
 		f.stats = d.stats()
-		f.sentTo = d.sentTo()
 	case kindQuery:
 		f.req = d.uvarint()
 		f.pred = d.string()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"os/exec"
 	"sort"
@@ -15,8 +16,8 @@ import (
 
 // Coordinator drives one sharded deployment from a single UDP control
 // socket: it assembles the global address book from worker hellos,
-// releases the start barrier, watches idle reports for cross-process
-// quiescence, gathers predicates, re-partitions the live fleet
+// releases the start barrier, detects the fleet's fixpoint from waves of
+// idle reports, gathers predicates, re-partitions the live fleet
 // (Rebalance), and tears the deployment down. It never touches
 // data-plane traffic — tuples travel shard-to-shard directly.
 type Coordinator struct {
@@ -46,17 +47,11 @@ type Coordinator struct {
 	gatherMu sync.Mutex
 	gather   *gatherState
 	// rebalMu serializes Rebalance callers (single-flight, like gathers);
-	// Respawn and RecoverLoss share it — all three reconfigure the fleet.
+	// Respawn shares it — both reconfigure the fleet.
 	rebalMu sync.Mutex
-	// ledgerSlack is the sent−recv imbalance accepted as permanent:
-	// datagrams provably lost to a crash or injected loss, folded into
-	// the baseline by Respawn/RecoverLoss so the quiescence ledger
-	// balances again afterwards.
-	ledgerSlack int64
-	// recovered tracks, per shard, the receive deficit RecoverLoss has
-	// already compensated, so repeated calls do not re-recover (and
-	// re-count) the same historical loss.
-	recovered map[int]int64
+	// mark is the newest report-wave mark: every pong carries it, and a
+	// report echoing it was taken after it was raised.
+	mark uint64
 
 	cmds map[int]*exec.Cmd // spawned worker processes, by shard ID
 
@@ -77,60 +72,21 @@ type shardState struct {
 	readyEpoch   uint64
 	resumedEpoch uint64
 
-	// Latest idle report.
+	// Latest idle report: seq orders reports, mark is the newest wave
+	// mark the worker had seen when it took the report, and stats is
+	// its runner's counters, the credit (Outstanding) included.
 	seq        uint64
 	epoch      uint64 // membership view the report was sent under
+	mark       uint64
 	activity   int64
-	stats      netStats
-	sentTo     map[string]int64
+	stats      netrun.Stats
 	lastReport time.Time
-	// lastChange is when activity last moved (coordinator clock).
-	lastChange time.Time
-
-	// base and baseSentTo fold in the counters a crashed incarnation
-	// last reported: its replacement restarts at zero, but the ledger's
-	// history must survive the respawn or sent==recv could never
-	// balance again.
-	base       netStats
-	baseSentTo map[string]int64
 
 	// rederivedReq is the newest rederivation request this worker has
 	// acknowledged completing.
 	rederivedReq uint64
 
-	bye      bool
-	byeStats netStats
-}
-
-// totalStats is the shard's cumulative traffic view: the live report
-// (or the final bye stats) plus whatever earlier incarnations reported
-// before crashing.
-func (s *shardState) totalStats() netStats {
-	ns := s.stats
-	if s.bye {
-		ns = s.byeStats
-	}
-	return netStats{
-		SentBytes:    s.base.SentBytes + ns.SentBytes,
-		SentMessages: s.base.SentMessages + ns.SentMessages,
-		RecvBytes:    s.base.RecvBytes + ns.RecvBytes,
-		RecvMessages: s.base.RecvMessages + ns.RecvMessages,
-		Dropped:      s.base.Dropped + ns.Dropped,
-		Fenced:       s.base.Fenced + ns.Fenced,
-	}
-}
-
-// totalSentTo merges the live per-destination tallies with the folded
-// pre-respawn base.
-func (s *shardState) totalSentTo() map[string]int64 {
-	out := make(map[string]int64, len(s.sentTo)+len(s.baseSentTo))
-	for id, n := range s.baseSentTo {
-		out[id] += n
-	}
-	for id, n := range s.sentTo {
-		out[id] += n
-	}
-	return out
+	bye bool
 }
 
 // xferState collects one release's chunked state transfer.
@@ -180,7 +136,6 @@ func NewCoordinator(m *Manifest) (*Coordinator, error) {
 		epoch:     1,
 		owner:     map[string]int{},
 		overrides: map[string]string{},
-		recovered: map[int]int64{},
 		stop:      make(chan struct{}),
 	}
 	for i := range m.Shards {
@@ -288,14 +243,12 @@ func (c *Coordinator) apply(f frame, from *net.UDPAddr) {
 		if f.seq <= st.seq { // reordered report
 			return
 		}
-		if f.activity != st.activity || st.lastChange.IsZero() {
-			st.lastChange = time.Now()
-		}
-		st.seq, st.epoch, st.activity, st.stats = f.seq, f.epoch, f.activity, f.stats
-		st.sentTo = f.sentTo
+		st.seq, st.epoch, st.mark, st.activity, st.stats = f.seq, f.epoch, f.mark, f.activity, f.stats
 		st.lastReport = time.Now()
-		// Ack: the worker uses pongs to notice a dead coordinator.
-		c.conn.WriteToUDP(encodeFrame(frame{kind: kindPong}), from)
+		// Ack with the current wave mark: the worker uses pongs to notice a
+		// dead coordinator, and answers a mark it has not seen with a
+		// report at once.
+		c.conn.WriteToUDP(encodeFrame(frame{kind: kindPong, mark: c.mark}), from)
 	case kindState:
 		x := c.xfer
 		if x == nil || f.req == 0 || x.req != f.req {
@@ -341,7 +294,7 @@ func (c *Coordinator) apply(f frame, from *net.UDPAddr) {
 		}
 	case kindBye:
 		st.bye = true
-		st.byeStats = f.stats
+		st.stats = f.stats
 	}
 }
 
@@ -400,90 +353,44 @@ func (c *Coordinator) WaitReady(timeout time.Duration) error {
 	return fmt.Errorf("shard: %d of %d shards not ready after %v", missing, len(c.shards), timeout)
 }
 
-// WaitQuiescent blocks until the whole deployment has been idle for
-// the given window, or until timeout; it reports which. The cluster is
-// idle when every shard's activity counter has been stable for the
-// window AND the cluster-wide datagram ledger balances (total sent ==
-// total received), which proves no message is in flight between
-// processes. If the ledger never balances (a datagram was genuinely
-// lost), stability alone is accepted after three windows — the
-// soft-state recovery story (Reseed) covers the loss.
-func (c *Coordinator) WaitQuiescent(idle, timeout time.Duration) bool {
+// WaitQuiescent blocks until the whole deployment has reached its
+// fixpoint, or until timeout; it reports which. It takes report waves —
+// raise the wave mark, pong it to every shard, wait until each has
+// answered with a report echoing it — and returns once two consecutive
+// waves show every shard in the current epoch at zero credit with its
+// activity counter unchanged: the four-counter argument of DESIGN.md
+// §16. A fleet at rest answers two waves in about 10 ms.
+func (c *Coordinator) WaitQuiescent(timeout time.Duration) bool {
+	type report struct {
+		epoch    uint64
+		activity int64
+	}
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		time.Sleep(idle / 4)
+	var prev map[int]report // the last wave, if every shard was current and at zero credit
+	for {
 		c.mu.Lock()
-		stable, balanced := c.idleForLocked(idle), c.ledgerBalancedLocked()
-		lossFallback := c.idleForLocked(3 * idle)
+		c.mark++
+		mark := c.mark
 		c.mu.Unlock()
-		if stable && balanced {
-			return true
-		}
-		if lossFallback {
-			return true
-		}
-	}
-	return false
-}
-
-// idleForLocked reports whether every shard has reported, recently,
-// from the current epoch, and with an activity counter unchanged for
-// the window. Reports from an older epoch are a stale view — the
-// worker has not installed the latest cutover yet — and block idleness.
-func (c *Coordinator) idleForLocked(window time.Duration) bool {
-	now := time.Now()
-	for _, s := range c.shards {
-		if s.epoch != c.epoch {
+		err := c.broadcastUntil(frame{kind: kindPong, mark: mark}, deadline,
+			func(s *shardState) bool { return s.mark >= mark })
+		if err != nil {
 			return false
 		}
-		if s.lastChange.IsZero() || now.Sub(s.lastChange) < window {
-			return false
+		c.mu.Lock()
+		wave := make(map[int]report, len(c.shards))
+		for id, s := range c.shards {
+			if s.epoch != c.epoch || s.stats.Outstanding != 0 {
+				wave = nil
+				break
+			}
+			wave[id] = report{s.epoch, s.activity}
 		}
-		if now.Sub(s.lastReport) > window+time.Second {
-			return false // stale view: worker reports stopped arriving
+		c.mu.Unlock()
+		if prev != nil && maps.Equal(prev, wave) {
+			return true
 		}
-	}
-	return true
-}
-
-// ledgerBalancedLocked reports whether cluster-wide data-plane sends
-// equal receives (nothing in flight, nothing lost) — up to the slack
-// Respawn/RecoverLoss folded in for datagrams proven permanently lost.
-func (c *Coordinator) ledgerBalancedLocked() bool {
-	return c.ledgerImbalanceLocked() == c.ledgerSlack
-}
-
-// ledgerImbalanceLocked is cluster-wide sends minus receives, with each
-// shard's pre-respawn base counters folded in.
-func (c *Coordinator) ledgerImbalanceLocked() int64 {
-	var sent, recv int64
-	for _, s := range c.shards {
-		ns := s.totalStats()
-		sent += ns.SentMessages
-		recv += ns.RecvMessages
-	}
-	return sent - recv
-}
-
-// LedgerBalanced reports whether cluster-wide data-plane sends
-// currently equal receives. After WaitQuiescent returns true, a false
-// ledger means quiescence was accepted through the loss fallback —
-// callers wanting a complete fixpoint should Reseed and wait again.
-func (c *Coordinator) LedgerBalanced() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ledgerBalancedLocked()
-}
-
-// Reseed asks every worker to re-push its home base facts — the
-// soft-state refresh used to recover from lost datagrams.
-func (c *Coordinator) Reseed() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.shards {
-		if s.addr != nil {
-			c.conn.WriteToUDP(encodeFrame(frame{kind: kindSeed}), s.addr)
-		}
+		prev = wave
 	}
 }
 
@@ -510,9 +417,7 @@ func (c *Coordinator) DeadWorkers(silence time.Duration) []int {
 
 // Respawn replaces a crashed worker process and drives its warm rejoin:
 //
-//  1. reap — the old process (if spawned here) is killed and waited on,
-//     and the counters it last reported fold into the shard's base, so
-//     the cluster ledger keeps its history across the restart;
+//  1. reap — the old process (if spawned here) is killed and waited on;
 //  2. re-exec — build spawns the replacement, which recovers its node
 //     set and per-node state from the shard's durable data directory
 //     (manifest DataDir: snapshot + WAL replay), binds fresh sockets,
@@ -526,16 +431,14 @@ func (c *Coordinator) DeadWorkers(silence time.Duration) []int {
 //     carry), and the respawned shard sweeps its own derivations back
 //     outward: WAL-before-wire means a crash cannot have advertised
 //     state it will not remember, but it can remember state it never
-//     got to advertise;
-//  5. rebaseline — once the fleet settles, the remaining sent−recv
-//     imbalance is exactly the crash window's permanent datagram loss
-//     and folds into the ledger slack, so WaitQuiescent balances again
-//     with no coordinator reseed.
+//     got to advertise.
 //
-// Pass a nil build when the replacement process is managed externally;
-// start it only after calling Respawn, which waits for its hello.
-// Single-flight with Rebalance and RecoverLoss.
-func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, idle, timeout time.Duration) error {
+// The cutover's new epoch drops the frames the crash stranded, with
+// their credit; the sweeps re-send what they carried. Pass a nil build
+// when the replacement process is managed externally; start it only
+// after calling Respawn, which waits for its hello. Single-flight with
+// Rebalance.
+func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, timeout time.Duration) error {
 	c.rebalMu.Lock()
 	defer c.rebalMu.Unlock()
 	deadline := time.Now().Add(timeout)
@@ -549,18 +452,14 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, id
 	old := c.cmds[shardID]
 	delete(c.cmds, shardID)
 
-	// Fold the dead incarnation's last report into the base (its
-	// replacement restarts every counter at zero) and reset the
-	// handshake view so the fresh hello is distinguishable. started
-	// stays true: the replacement's ready re-acks with an immediate
-	// start.
-	st.base = st.totalStats()
-	st.baseSentTo = st.totalSentTo()
-	st.stats, st.sentTo = netStats{}, nil
-	st.seq = 0
+	// Reset the report and handshake view so the fresh incarnation's
+	// hello and reports are distinguishable (its counters restart at
+	// zero). started stays true: the replacement's ready re-acks with an
+	// immediate start.
+	st.stats, st.seq, st.mark = netrun.Stats{}, 0, 0
 	st.book = nil
 	st.bye = false
-	st.lastReport, st.lastChange = time.Time{}, time.Time{}
+	st.lastReport = time.Time{}
 	c.mu.Unlock()
 
 	if old != nil {
@@ -619,7 +518,8 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, id
 	}
 
 	// Rederivation sweeps, both directions.
-	if err := c.rederiveToward(nodes, deadline); err != nil {
+	all := func(*shardState) bool { return true }
+	if err := c.rederive(all, nodes, deadline); err != nil {
 		return fmt.Errorf("shard: respawn: %w", err)
 	}
 	c.mu.Lock()
@@ -632,181 +532,28 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, id
 	sort.Strings(others)
 	c.mu.Unlock()
 	if len(others) > 0 {
-		if err := c.rederiveShard(shardID, others, deadline); err != nil {
+		respawned := func(s *shardState) bool { return s.id == shardID }
+		if err := c.rederive(respawned, others, deadline); err != nil {
 			return fmt.Errorf("shard: respawn: %w", err)
 		}
 	}
-
-	// Rebaseline: with the fleet stable again, what is still unbalanced
-	// is the crash window's permanent loss.
-	if !c.waitStable(idle, deadline) {
-		return fmt.Errorf("shard: respawn: fleet did not settle within %v", timeout)
-	}
-	c.mu.Lock()
-	c.rebaselineLocked()
-	c.mu.Unlock()
 	return nil
 }
 
-// RecoverLoss recovers from datagram loss adaptively: instead of a
-// fleet-wide reseed, the per-destination sent tallies carried by idle
-// reports are folded onto owning shards and compared with each shard's
-// receive counter — the shards that come up short are exactly the ones
-// that missed datagrams. Each short shard gets a targeted seed (its
-// home facts re-advertise — the soft-state refresh, shard-local) and
-// the fleet re-sends the derivations homed at its nodes, rebuilding
-// the inbound state the lost datagrams carried. The deficit then folds
-// into the ledger slack, so WaitQuiescent balances again.
-//
-// Call it after WaitQuiescent returns: the measurement needs a stable
-// fleet, or an in-flight burst would read as loss. Attribution follows
-// current ownership, so the first call after a rebalance may also
-// re-cover tallies that simply moved shards — harmless, the recovery
-// actions are idempotent in tuple-set terms. Returns the IDs of the
-// shards recovered (empty when the imbalance is already accounted
-// for). Single-flight with Rebalance and Respawn.
-func (c *Coordinator) RecoverLoss(idle, timeout time.Duration) ([]int, error) {
-	c.rebalMu.Lock()
-	defer c.rebalMu.Unlock()
-	deadline := time.Now().Add(timeout)
-	if !c.waitStable(idle, deadline) {
-		return nil, fmt.Errorf("shard: recover: fleet not stable within %v", timeout)
-	}
-
-	c.mu.Lock()
-	expected, recv := c.expectedRecvLocked()
-	var short []int
-	var nodes []string
-	seedAddrs := map[int]*net.UDPAddr{}
-	for id, s := range c.shards {
-		if expected[id]-recv[id] <= c.recovered[id] {
-			continue
-		}
-		short = append(short, id)
-		seedAddrs[id] = s.addr
-		for node, owner := range c.owner {
-			if owner == id {
-				nodes = append(nodes, node)
-			}
-		}
-	}
-	sort.Ints(short)
-	sort.Strings(nodes)
-	c.mu.Unlock()
-	if len(short) == 0 {
-		return nil, nil
-	}
-
-	for _, id := range short {
-		if a := seedAddrs[id]; a != nil {
-			c.conn.WriteToUDP(encodeFrame(frame{kind: kindSeed}), a)
-		}
-	}
-	if err := c.rederiveToward(nodes, deadline); err != nil {
-		return short, err
-	}
-
-	// Accept what is still unbalanced after recovery as permanent loss.
-	if !c.waitStable(idle, deadline) {
-		return short, fmt.Errorf("shard: recover: fleet did not settle within %v", timeout)
-	}
-	c.mu.Lock()
-	c.rebaselineLocked()
-	c.mu.Unlock()
-	return short, nil
-}
-
-// rederiveToward asks every shard to re-send the derivations homed at
-// the listed nodes, retrying until all acknowledge the sweep.
-func (c *Coordinator) rederiveToward(nodes []string, deadline time.Time) error {
+// rederive asks the shards that match to re-send the derivations homed
+// at the listed nodes, retrying until each acknowledges the sweep.
+func (c *Coordinator) rederive(match func(*shardState) bool, nodes []string, deadline time.Time) error {
 	c.mu.Lock()
 	c.reqSeq++
 	req := c.reqSeq
 	epoch := c.epoch
 	c.mu.Unlock()
 	err := c.broadcastUntil(frame{kind: kindRederive, req: req, epoch: epoch, nodes: nodes}, deadline,
-		func(s *shardState) bool { return s.rederivedReq >= req })
+		func(s *shardState) bool { return !match(s) || s.rederivedReq >= req })
 	if err != nil {
 		return fmt.Errorf("rederive toward %d nodes: %w", len(nodes), err)
 	}
 	return nil
-}
-
-// rederiveShard asks one shard to re-send the derivations homed at the
-// listed nodes, retrying until it acknowledges.
-func (c *Coordinator) rederiveShard(shardID int, nodes []string, deadline time.Time) error {
-	c.mu.Lock()
-	c.reqSeq++
-	req := c.reqSeq
-	epoch := c.epoch
-	c.mu.Unlock()
-	payload := encodeFrame(frame{kind: kindRederive, req: req, epoch: epoch, nodes: nodes})
-	retry := newBackoff()
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		st := c.shards[shardID]
-		done := st.rederivedReq >= req
-		addr := st.addr
-		c.mu.Unlock()
-		if done {
-			return nil
-		}
-		if retry.ready() && addr != nil {
-			c.conn.WriteToUDP(payload, addr)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("rederive on shard %d timed out", shardID)
-}
-
-// waitStable blocks until every shard has been idle for the window
-// (activity stable, reporting from the current epoch). The ledger is
-// deliberately not consulted: callers use this exactly when it cannot
-// yet balance.
-func (c *Coordinator) waitStable(window time.Duration, deadline time.Time) bool {
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		ok := c.idleForLocked(window)
-		c.mu.Unlock()
-		if ok {
-			return true
-		}
-		time.Sleep(window / 4)
-	}
-	return false
-}
-
-// rebaselineLocked accepts the present imbalance as permanent: the
-// global ledger slack and each shard's recovered-deficit watermark
-// snapshot to the current counters. Callers ensure the fleet is stable
-// (nothing in flight) first.
-func (c *Coordinator) rebaselineLocked() {
-	c.ledgerSlack = c.ledgerImbalanceLocked()
-	expected, recv := c.expectedRecvLocked()
-	for id := range c.shards {
-		c.recovered[id] = 0
-		if d := expected[id] - recv[id]; d > 0 {
-			c.recovered[id] = d
-		}
-	}
-}
-
-// expectedRecvLocked folds every shard's per-destination sent tallies
-// onto the owning shards: expected[x] counts the datagrams the fleet
-// addressed to shard x's nodes, recv[x] the datagrams x actually
-// received — the attribution half of the sent==recv ledger.
-func (c *Coordinator) expectedRecvLocked() (expected, recv map[int]int64) {
-	expected = map[int]int64{}
-	recv = map[int]int64{}
-	for id, s := range c.shards {
-		recv[id] = s.totalStats().RecvMessages
-		for node, n := range s.totalSentTo() {
-			if owner, ok := c.owner[node]; ok {
-				expected[owner] += n
-			}
-		}
-	}
-	return expected, recv
 }
 
 // Migration names one node move of a rebalance plan.
@@ -855,9 +602,8 @@ func (c *Coordinator) Owner(node string) int {
 // Rebalance migrates nodes between live shards under a new membership
 // epoch:
 //
-//  1. quiesce — wait for the fleet to go idle (the activity-counter +
-//     datagram-ledger detector), so no tuple is in flight when state
-//     moves;
+//  1. quiesce — wait for the fleet's fixpoint (WaitQuiescent), so no
+//     tuple is in flight when state moves;
 //  2. release — each migrating node's worker exports the node's base
 //     and soft state (engine Export) and drops it from its socket set;
 //  3. adopt — the destination worker binds a fresh socket for the node
@@ -879,7 +625,7 @@ func (c *Coordinator) Owner(node string) int {
 // shard from the state it already holds, then completes the cutover
 // for wherever the nodes actually landed before returning the error —
 // a failed rebalance leaves the fleet whole, never short a node.
-func (c *Coordinator) Rebalance(migs []Migration, idle, timeout time.Duration) (*RebalanceReport, error) {
+func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*RebalanceReport, error) {
 	c.rebalMu.Lock()
 	defer c.rebalMu.Unlock()
 	if len(migs) == 0 {
@@ -917,7 +663,7 @@ func (c *Coordinator) Rebalance(migs []Migration, idle, timeout time.Duration) (
 
 	deadline := time.Now().Add(timeout)
 	t0 := time.Now()
-	if !c.WaitQuiescent(idle, timeout) {
+	if !c.WaitQuiescent(timeout) {
 		return nil, fmt.Errorf("shard: rebalance: fleet did not quiesce within %v", timeout)
 	}
 	tQuiesce := time.Now()
@@ -1237,21 +983,21 @@ func (c *Coordinator) completeLocked(g *gatherState, shardID int) bool {
 	return true
 }
 
-// ShardStats returns the latest per-shard traffic stats (final bye
-// stats once a shard has said goodbye), keyed by shard ID.
+// ShardStats returns each shard's latest reported counters (its final
+// bye stats once it has said goodbye; a respawned shard's count from its
+// restart), keyed by shard ID.
 func (c *Coordinator) ShardStats() map[int]Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := map[int]Stats{}
 	for id, s := range c.shards {
-		out[id] = Stats(s.totalStats())
+		out[id] = s.stats
 	}
 	return out
 }
 
-// Stats is a shard's data-plane traffic snapshot as reported over the
-// control plane — the runner's own counters, so the one definition
-// serves both layers (netStats stays internal as the wire block).
+// Stats is a shard's data-plane counters as reported over the control
+// plane: the runner's own, which idle and bye frames carry as they are.
 type Stats = netrun.Stats
 
 // TotalStats sums ShardStats across the deployment.
@@ -1263,6 +1009,12 @@ func (c *Coordinator) TotalStats() Stats {
 		t.RecvBytes += s.RecvBytes
 		t.RecvMessages += s.RecvMessages
 		t.Dropped += s.Dropped
+		t.Fenced += s.Fenced
+		t.Retransmits += s.Retransmits
+		t.Duplicates += s.Duplicates
+		t.Reordered += s.Reordered
+		t.AckFrames += s.AckFrames
+		t.Outstanding += s.Outstanding
 	}
 	return t
 }

@@ -19,12 +19,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	// its size.
 	huge := appendUvarint(nil, 1<<40)
 	for _, prefix := range [][]byte{
-		{byte(kindHello), 1},                              // book
-		encodeFrame(frame{kind: kindIdle, shard: 1})[:11], // sentTo
-		{byte(kindTuples), 1, 1, 0, 1},                    // tuples
-		{byte(kindState), 1, 1, 0, 1},                     // blob
-		{byte(kindResume), 1},                             // nodes
-		{byte(kindTuples), 1, 1, 0},                       // nchunks
+		{byte(kindHello), 1},           // book
+		{byte(kindRederive), 1, 1},     // nodes
+		{byte(kindTuples), 1, 1, 0, 1}, // tuples
+		{byte(kindState), 1, 1, 0, 1},  // blob
+		{byte(kindResume), 1},          // nodes
+		{byte(kindTuples), 1, 1, 0},    // nchunks
 	} {
 		f.Add(append(prefix, huge...))
 	}
@@ -38,7 +38,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return // rejected input: fine, as long as it didn't panic
 		}
 		// Every decoded element consumed at least one byte of b.
-		if n := len(fr.book) + len(fr.sentTo) + len(fr.nodes) + len(fr.tuples) + len(fr.blob); n > len(b) {
+		if n := len(fr.book) + len(fr.nodes) + len(fr.tuples) + len(fr.blob); n > len(b) {
 			t.Fatalf("%d decoded elements from %d bytes", n, len(b))
 		}
 		// Byte equality, not value equality: NaN floats decode fine but

@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"sort"
-	"strings"
 	"testing"
 	"time"
 )
 
 // TestWorkerProtocolInProcess exercises the full control-plane protocol
-// — hello/book/ready/start, idle reports, gather, reseed, stop/bye —
+// — hello/book/ready/start, idle reports and report waves, gather,
+// stop/bye —
 // with workers running as goroutines instead of processes. It is the
 // fast (go test -short) coverage of the same code paths TestMultiProcess
 // exercises across process boundaries.
@@ -34,50 +33,11 @@ func TestWorkerProtocolInProcess(t *testing.T) {
 	if err := coord.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !coord.WaitQuiescent(300*time.Millisecond, 20*time.Second) {
+	if !coord.WaitQuiescent(20 * time.Second) {
 		t.Fatal("deployment did not quiesce")
 	}
-
-	tuples, err := coord.Tuples("shortestPath", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, tu := range tuples {
-		got[tu.Key()] = true
-	}
-	// Spot-check the Figure 2 known answers (full fixpoint equality is
-	// TestMultiProcess's job; UDP loss is recovered there via Reseed).
-	for _, k := range []string{
-		"shortestPath(a,c,[a,c],1)",
-		"shortestPath(a,b,[a,c,b],2)",
-	} {
-		if !got[k] {
-			coord.Reseed()
-			coord.WaitQuiescent(300*time.Millisecond, 10*time.Second)
-			tuples, err = coord.Tuples("shortestPath", 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = map[string]bool{}
-			for _, tu := range tuples {
-				got[tu.Key()] = true
-			}
-			break
-		}
-	}
-	for _, k := range []string{
-		"shortestPath(a,c,[a,c],1)",
-		"shortestPath(a,b,[a,c,b],2)",
-	} {
-		if !got[k] {
-			keys := make([]string, 0, len(got))
-			for k := range got {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			t.Errorf("missing %s; have %v", k, keys)
-		}
+	if got, want := gatherKeys(t, coord), centralGroundTruth(t, m.Source); !equalStrings(got, want) {
+		t.Errorf("fixpoint mismatch:\n got %v\nwant %v", got, want)
 	}
 
 	// Per-shard stats flowed over the control plane.
@@ -85,8 +45,8 @@ func TestWorkerProtocolInProcess(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("stats for %d shards", len(stats))
 	}
-	if total := coord.TotalStats(); total.SentMessages == 0 {
-		t.Error("no traffic in stats")
+	if total := coord.TotalStats(); total.SentMessages == 0 || total.Outstanding != 0 {
+		t.Errorf("stats of a quiescent fleet: %+v", total)
 	}
 
 	if err := coord.Shutdown(10 * time.Second); err != nil {
@@ -137,28 +97,28 @@ func TestRebalanceInProcess(t *testing.T) {
 	}
 
 	// Bad plans are rejected before anything quiesces.
-	if _, err := coord.Rebalance(nil, 100*time.Millisecond, time.Second); err == nil {
+	if _, err := coord.Rebalance(nil, time.Second); err == nil {
 		t.Error("empty plan accepted")
 	}
-	if _, err := coord.Rebalance([]Migration{{Node: "zz", To: 1}}, 100*time.Millisecond, time.Second); err == nil {
+	if _, err := coord.Rebalance([]Migration{{Node: "zz", To: 1}}, time.Second); err == nil {
 		t.Error("unknown node accepted")
 	}
-	if _, err := coord.Rebalance([]Migration{{Node: "a", To: 9}}, 100*time.Millisecond, time.Second); err == nil {
+	if _, err := coord.Rebalance([]Migration{{Node: "a", To: 9}}, time.Second); err == nil {
 		t.Error("unknown destination shard accepted")
 	}
-	if _, err := coord.Rebalance([]Migration{{Node: "a", To: coord.Owner("a")}}, 100*time.Millisecond, time.Second); err == nil {
+	if _, err := coord.Rebalance([]Migration{{Node: "a", To: coord.Owner("a")}}, time.Second); err == nil {
 		t.Error("no-op migration accepted")
 	}
 	if _, err := coord.Rebalance([]Migration{
 		{Node: "a", To: 1 - coord.Owner("a")}, {Node: "a", To: coord.Owner("a")},
-	}, 100*time.Millisecond, time.Second); err == nil {
+	}, time.Second); err == nil {
 		t.Error("double move of one node accepted")
 	}
 
 	// Mid-convergence migration: move "a" to the other shard.
 	from := coord.Owner("a")
 	to := 1 - from
-	rep, err := coord.Rebalance([]Migration{{Node: "a", To: to}}, 300*time.Millisecond, 30*time.Second)
+	rep, err := coord.Rebalance([]Migration{{Node: "a", To: to}}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,53 +132,27 @@ func TestRebalanceInProcess(t *testing.T) {
 		t.Errorf("degenerate report: %+v", rep)
 	}
 
-	// The deployment must still converge to the central fixpoint.
-	gather := func() []string {
-		tuples, err := coord.Tuples("shortestPath", 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(tuples))
-		for _, tu := range tuples {
-			keys = append(keys, tu.Key())
-		}
-		sort.Strings(keys)
-		return keys
+	// The deployment must still converge to the central fixpoint, on
+	// the first quiescence.
+	if !coord.WaitQuiescent(20 * time.Second) {
+		t.Fatal("deployment did not quiesce after migration")
 	}
-	var got []string
-	for attempt := 0; attempt < 4; attempt++ {
-		if !coord.WaitQuiescent(300*time.Millisecond, 20*time.Second) {
-			t.Fatal("deployment did not quiesce after migration")
-		}
-		got = gather()
-		if equalStrings(got, want) {
-			break
-		}
-		coord.Reseed() // datagram loss: soft-state refresh and retry
-	}
-	if !equalStrings(got, want) {
+	if got := gatherKeys(t, coord); !equalStrings(got, want) {
 		t.Errorf("fixpoint mismatch after migration:\n got %v\nwant %v", got, want)
 	}
 
 	// Move it back: epochs keep advancing, ownership follows.
-	rep2, err := coord.Rebalance([]Migration{{Node: "a", To: from}}, 300*time.Millisecond, 30*time.Second)
+	rep2, err := coord.Rebalance([]Migration{{Node: "a", To: from}}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Epoch != 3 || coord.Owner("a") != from {
 		t.Errorf("second rebalance: epoch=%d owner=%d", rep2.Epoch, coord.Owner("a"))
 	}
-	for attempt := 0; attempt < 4; attempt++ {
-		if !coord.WaitQuiescent(300*time.Millisecond, 20*time.Second) {
-			t.Fatal("deployment did not quiesce after second migration")
-		}
-		got = gather()
-		if equalStrings(got, want) {
-			break
-		}
-		coord.Reseed()
+	if !coord.WaitQuiescent(20 * time.Second) {
+		t.Fatal("deployment did not quiesce after second migration")
 	}
-	if !equalStrings(got, want) {
+	if got := gatherKeys(t, coord); !equalStrings(got, want) {
 		t.Errorf("fixpoint mismatch after return migration:\n got %v\nwant %v", got, want)
 	}
 
@@ -237,28 +171,18 @@ func TestRebalanceInProcess(t *testing.T) {
 	}
 }
 
-// TestLossFallbackQuiescence covers the unbalanced-ledger branch of
-// WaitQuiescent: with datagrams provably lost (each worker drops its
-// first outbound sends, still counted as sent), sent≠recv forever, so
-// quiescence can only be declared through the extended-stability
-// fallback — and the reseed recovery (soft-state refresh) must still
-// reach the centralized fixpoint. The program's tables are all soft
-// state: refresh is the paper's loss-recovery story, only soft-state
-// duplicates re-trigger strands, and tables downstream of soft state
-// must themselves be soft (refresh replaces counting, Section 4.2) or
-// refreshes would inflate their derivation counts past retractability.
-func TestLossFallbackQuiescence(t *testing.T) {
-	src := strings.ReplaceAll(figure2Source(), ", infinity, infinity,", ", 3600, infinity,")
-	if src == figure2Source() {
-		t.Fatal("soft-state rewrite did not apply")
-	}
-	want := centralGroundTruth(t, src)
-
+// TestCoordinatorLossIsRepaired: with every worker dropping its first
+// three outbound datagrams (LossFirst), the fleet still reaches the
+// centralized fixpoint on the first quiescence, with no recovery call —
+// the link layer's retransmissions repair the loss, and the credit holds
+// quiescence off until they have.
+func TestCoordinatorLossIsRepaired(t *testing.T) {
 	m := &Manifest{
-		Source:  src,
+		Source:  figure2Source(),
 		Options: Options{AggSel: true, LossFirst: 3},
 		Shards:  Partition([]string{"a", "b", "c", "d", "e"}, 2),
 	}
+	want := centralGroundTruth(t, m.Source)
 	coord, err := NewCoordinator(m)
 	if err != nil {
 		t.Fatal(err)
@@ -274,45 +198,14 @@ func TestLossFallbackQuiescence(t *testing.T) {
 	if err := coord.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-
-	// The ledger can never balance (≥6 datagrams were eaten), so a true
-	// return here proves the stability fallback fired.
-	if !coord.WaitQuiescent(300*time.Millisecond, 30*time.Second) {
-		t.Fatal("quiescence not reached despite the loss fallback")
+	if !coord.WaitQuiescent(30 * time.Second) {
+		t.Fatal("deployment did not quiesce")
 	}
-	if coord.LedgerBalanced() {
-		t.Fatal("ledger balanced despite injected loss — fallback branch untested")
+	if got := gatherKeys(t, coord); !equalStrings(got, want) {
+		t.Errorf("fixpoint mismatch after loss:\n got %v\nwant %v", got, want)
 	}
-
-	gather := func() []string {
-		tuples, err := coord.Tuples("shortestPath", 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(tuples))
-		for _, tu := range tuples {
-			keys = append(keys, tu.Key())
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	var got []string
-	for attempt := 0; attempt < 6; attempt++ {
-		got = gather()
-		if equalStrings(got, want) {
-			break
-		}
-		// The recovery path under test: soft-state reseed after loss.
-		coord.Reseed()
-		if !coord.WaitQuiescent(300*time.Millisecond, 20*time.Second) {
-			t.Fatal("re-quiescence failed after reseed")
-		}
-	}
-	if !equalStrings(got, want) {
-		t.Errorf("reseed did not recover the fixpoint:\n got %v\nwant %v", got, want)
-	}
-	if coord.LedgerBalanced() {
-		t.Error("ledger unexpectedly balanced after recovery (loss accounting is cumulative)")
+	if st := coord.TotalStats(); st.Retransmits < 6 {
+		t.Errorf("six datagrams lost but %d retransmitted (%+v)", st.Retransmits, st)
 	}
 
 	if err := coord.Shutdown(10 * time.Second); err != nil {

@@ -47,13 +47,13 @@ type Options struct {
 	AggSelPeriod float64 `json:"aggsel_period,omitempty"`
 	// LossFirst > 0 makes each worker drop its first N outbound data
 	// datagrams while still counting them as sent — deterministic fault
-	// injection for exercising the coordinator's unbalanced-ledger
-	// quiescence fallback and the reseed recovery path. Testing only.
+	// injection, repaired by the link layer's retransmission like any
+	// other loss. Testing only.
 	LossFirst int `json:"loss_first,omitempty"`
 	// DataDir, when set, makes every worker persist its nodes' state
 	// (WAL + snapshots, internal/durable): shard i keeps one store per
 	// node under <DataDir>/shard-<i>, and a respawned worker recovers
-	// warm from there instead of needing a coordinator reseed. Empty
+	// warm from there instead of starting cold. Empty
 	// disables durability. Relative paths resolve against each worker's
 	// cwd, so spawned deployments should use absolute paths.
 	DataDir string `json:"data_dir,omitempty"`

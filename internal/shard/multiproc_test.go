@@ -114,32 +114,11 @@ func TestMultiProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gather := func() []string {
-		tuples, err := coord.Tuples("shortestPath", 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(tuples))
-		for _, tu := range tuples {
-			keys = append(keys, tu.Key())
-		}
-		sort.Strings(keys)
-		return keys
+	// The links are reliable, so the first quiescence is the fixpoint.
+	if !coord.WaitQuiescent(30 * time.Second) {
+		t.Fatal("sharded deployment did not quiesce")
 	}
-
-	var got []string
-	for attempt := 0; attempt < 4; attempt++ {
-		if !coord.WaitQuiescent(400*time.Millisecond, 30*time.Second) {
-			t.Fatal("sharded deployment did not quiesce")
-		}
-		got = gather()
-		if equalStrings(got, want) {
-			break
-		}
-		// Datagram loss: re-seed home facts (soft-state refresh) and retry.
-		coord.Reseed()
-	}
-	if !equalStrings(got, want) {
+	if got := gatherKeys(t, coord); !equalStrings(got, want) {
 		t.Errorf("fixpoint mismatch:\n got %v\nwant %v", got, want)
 	}
 
@@ -202,7 +181,7 @@ func TestMultiProcessMigration(t *testing.T) {
 	// moment, moves the state, fences the old epoch, and resumes.
 	from := coord.Owner("c")
 	to := (from + 1) % len(m.Shards)
-	rep, err := coord.Rebalance([]Migration{{Node: "c", To: to}}, 300*time.Millisecond, 60*time.Second)
+	rep, err := coord.Rebalance([]Migration{{Node: "c", To: to}}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,30 +194,10 @@ func TestMultiProcessMigration(t *testing.T) {
 		t.Fatalf("pause not measured: %+v", rep)
 	}
 
-	gather := func() []string {
-		tuples, err := coord.Tuples("shortestPath", 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, 0, len(tuples))
-		for _, tu := range tuples {
-			keys = append(keys, tu.Key())
-		}
-		sort.Strings(keys)
-		return keys
+	if !coord.WaitQuiescent(30 * time.Second) {
+		t.Fatal("deployment did not quiesce after migration")
 	}
-	var got []string
-	for attempt := 0; attempt < 4; attempt++ {
-		if !coord.WaitQuiescent(400*time.Millisecond, 30*time.Second) {
-			t.Fatal("deployment did not quiesce after migration")
-		}
-		got = gather()
-		if equalStrings(got, want) {
-			break
-		}
-		coord.Reseed() // datagram loss: soft-state refresh and retry
-	}
-	if !equalStrings(got, want) {
+	if got := gatherKeys(t, coord); !equalStrings(got, want) {
 		t.Errorf("fixpoint mismatch after migration:\n got %v\nwant %v", got, want)
 	}
 

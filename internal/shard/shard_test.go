@@ -10,6 +10,7 @@ import (
 
 	"ndlog/internal/durable"
 	"ndlog/internal/engine"
+	"ndlog/internal/netrun"
 	"ndlog/internal/val"
 )
 
@@ -145,15 +146,16 @@ func sampleFrames() []frame {
 		{kind: kindBook, epoch: 3, book: map[string]string{"a": "127.0.0.1:1"}},
 		{kind: kindReady, shard: 1, epoch: 3},
 		{kind: kindStart},
-		{kind: kindIdle, shard: 3, epoch: 2, seq: 9, activity: 42,
-			stats: netStats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6}},
+		{kind: kindIdle, shard: 3, epoch: 2, seq: 9, mark: 4, activity: 42,
+			stats: netrun.Stats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6,
+				Retransmits: 7, Duplicates: 8, Reordered: 9, AckFrames: 10, Outstanding: 11}},
 		{kind: kindQuery, req: 7, pred: "shortestPath"},
 		{kind: kindTuples, shard: 1, req: 7, chunk: 0, nchunks: 2, tuples: []val.Tuple{tup}},
 		{kind: kindTuples, shard: 1, req: 7, chunk: 1, nchunks: 2}, // empty chunk
-		{kind: kindSeed},
 		{kind: kindPong},
+		{kind: kindPong, mark: 12},
 		{kind: kindStop},
-		{kind: kindBye, shard: 2, stats: netStats{SentMessages: 10, RecvMessages: 10}},
+		{kind: kindBye, shard: 2, stats: netrun.Stats{SentMessages: 10, RecvMessages: 10}},
 		{kind: kindRelease, req: 11, epoch: 2, node: "c"},
 		{kind: kindState, shard: 1, req: 11, chunk: 0, nchunks: 2, blob: []byte{0x4E, 1, 2, 3}},
 		{kind: kindState, shard: 1, req: 11, chunk: 1, nchunks: 2, blob: []byte{}}, // empty chunk
@@ -162,8 +164,7 @@ func sampleFrames() []frame {
 		{kind: kindResume, epoch: 3, nodes: []string{"c", "d"}},
 		{kind: kindResumed, shard: 2, epoch: 3},
 		{kind: kindIdle, shard: 1, epoch: 4, seq: 3, activity: 8,
-			stats:  netStats{SentMessages: 7, RecvMessages: 7},
-			sentTo: map[string]int64{"a": 3, "b": 4}},
+			stats: netrun.Stats{SentMessages: 7, RecvMessages: 7}},
 		{kind: kindRederive, req: 13, epoch: 3, nodes: []string{"b", "c"}},
 		{kind: kindRederive, req: 14, epoch: 3}, // no nodes: a no-op sweep
 		{kind: kindRederived, shard: 1, req: 13},
@@ -178,7 +179,7 @@ func TestControlFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%#x: %v", f.kind, err)
 		}
 		if got.kind != f.kind || got.shard != f.shard || got.epoch != f.epoch ||
-			got.seq != f.seq ||
+			got.seq != f.seq || got.mark != f.mark ||
 			got.activity != f.activity || got.stats != f.stats ||
 			got.req != f.req || got.pred != f.pred ||
 			got.node != f.node || got.addr != f.addr ||
@@ -190,9 +191,6 @@ func TestControlFrameRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.nodes, f.nodes) {
 			t.Errorf("%#x: nodes mismatch: %v vs %v", f.kind, got.nodes, f.nodes)
-		}
-		if !reflect.DeepEqual(got.sentTo, f.sentTo) {
-			t.Errorf("%#x: sentTo mismatch: %v vs %v", f.kind, got.sentTo, f.sentTo)
 		}
 		if len(got.blob) != len(f.blob) || (len(f.blob) > 0 && !reflect.DeepEqual(got.blob, f.blob)) {
 			t.Errorf("%#x: blob mismatch: %v vs %v", f.kind, got.blob, f.blob)
@@ -216,9 +214,9 @@ func TestControlFrameCorrupt(t *testing.T) {
 			t.Errorf("truncated frame at %d decoded", cut)
 		}
 	}
-	// Same for an idle frame carrying the per-destination tally block.
-	idle := encodeFrame(frame{kind: kindIdle, shard: 1, seq: 2, activity: 3,
-		sentTo: map[string]int64{"a": 1, "b": 2}})
+	// Same for an idle frame carrying the runner's counters.
+	idle := encodeFrame(frame{kind: kindIdle, shard: 1, seq: 2, mark: 1, activity: 3,
+		stats: netrun.Stats{SentMessages: 300, Outstanding: 2}})
 	for cut := 0; cut < len(idle); cut++ {
 		if _, err := decodeFrame(idle[:cut]); err == nil {
 			t.Errorf("truncated idle frame at %d decoded", cut)

@@ -225,6 +225,7 @@ type worker struct {
 
 	seq   uint64 // idle report sequence
 	epoch uint64 // membership epoch of the installed book
+	mark  uint64 // newest report-wave mark a pong has carried
 
 	// shardDir is the shard's durable data directory ("" without
 	// durability); nodes is the current node → bind-addr set, persisted
@@ -328,7 +329,7 @@ func (w *worker) run() error {
 				}
 				gotBook = true
 			case kindStop: // deployment aborted before assembly completed
-				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: netStats(w.runner.Stats())})
+				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: w.runner.Stats()})
 				return nil
 			}
 		}
@@ -353,7 +354,7 @@ func (w *worker) run() error {
 			case kindStart:
 				started = true
 			case kindStop: // aborted deployment
-				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: netStats(w.runner.Stats())})
+				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: w.runner.Stats()})
 				return nil
 			}
 		}
@@ -362,13 +363,13 @@ func (w *worker) run() error {
 	w.runner.Start()
 
 	// Phase 3: serve. Periodic idle reports carry the activity counter
-	// and traffic stats (the coordinator pongs each one, so frames flow
-	// both ways continuously); queries are answered with chunked tuple
-	// frames; seed re-pushes home facts (datagram-loss recovery); the
-	// rebalance frames (book/release/adopt/resume) re-partition the live
-	// deployment; stop acknowledges with final stats and tears down. A
-	// coordinator silent for the whole timeout is dead: exit rather than
-	// run orphaned.
+	// and the runner's counters, credit included (the coordinator pongs
+	// each one, so frames flow both ways continuously, and a pong with a
+	// new wave mark is answered with a report at once); queries are
+	// answered with chunked tuple frames; the rebalance frames
+	// (book/release/adopt/resume) re-partition the live deployment; stop
+	// acknowledges with final stats and tears down. A coordinator silent
+	// for the whole timeout is dead: exit rather than run orphaned.
 	lastIdle := time.Time{}
 	lastCoord := time.Now()
 	for {
@@ -388,9 +389,12 @@ func (w *worker) run() error {
 		switch f.kind {
 		case kindQuery:
 			w.answerQuery(f.req, f.pred)
-		case kindSeed:
-			w.runner.Seed()
-			w.sendIdle()
+		case kindPong:
+			if f.mark > w.mark {
+				w.mark = f.mark
+				w.sendIdle()
+				lastIdle = time.Now()
+			}
 		case kindBook:
 			// Epoch cutover: install the new view, fence the old one, and
 			// acknowledge. A duplicate book for the installed epoch is
@@ -425,12 +429,12 @@ func (w *worker) run() error {
 			// the moved nodes (hard-state duplicates do not re-trigger
 			// strands, so their inbound views only come back via this
 			// sweep). Idempotent per resume retry only in tuple-set terms —
-			// counts inflate on retries, like any reseed.
+			// counts inflate on retries, like any repeated sweep.
 			w.runner.RederiveFor(f.nodes)
 			w.send(frame{kind: kindResumed, shard: w.spec.ID, epoch: w.epoch})
 		case kindRederive:
-			// Crash/loss recovery: re-send the derivations homed at the
-			// listed nodes. Epoch-fenced (the coordinator issues these
+			// Crash recovery: re-send the derivations homed at the listed
+			// nodes. Epoch-fenced (the coordinator issues these
 			// after a cutover) and deduplicated by request id — a retry
 			// whose ack was lost re-acks without re-inflating counts.
 			if f.epoch != w.epoch {
@@ -457,9 +461,9 @@ func (w *worker) run() error {
 			w.send(frame{kind: kindRederived, shard: w.spec.ID, req: f.req})
 		case kindStop:
 			s := w.runner.Stats()
-			w.send(frame{kind: kindBye, shard: w.spec.ID, stats: netStats(s)})
-			w.cfg.logf("shard %d: stopping (sent %d msgs, recv %d msgs)",
-				w.spec.ID, s.SentMessages, s.RecvMessages)
+			w.send(frame{kind: kindBye, shard: w.spec.ID, stats: s})
+			w.cfg.logf("shard %d: stopping (sent %d msgs, recv %d msgs, %d retransmitted)",
+				w.spec.ID, s.SentMessages, s.RecvMessages, s.Retransmits)
 			return nil
 		}
 	}
@@ -613,6 +617,8 @@ func blobChunks(blob []byte) [][]byte {
 	return append(chunks, blob)
 }
 
+// sendIdle reports the runner's activity counter and its counters,
+// credit included, with the newest wave mark this worker has seen.
 func (w *worker) sendIdle() {
 	w.seq++
 	w.send(frame{
@@ -620,9 +626,9 @@ func (w *worker) sendIdle() {
 		shard:    w.spec.ID,
 		epoch:    w.epoch,
 		seq:      w.seq,
+		mark:     w.mark,
 		activity: w.runner.Activity(),
-		stats:    netStats(w.runner.Stats()),
-		sentTo:   w.runner.SentTo(),
+		stats:    w.runner.Stats(),
 	})
 }
 
