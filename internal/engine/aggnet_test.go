@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"ndlog/internal/val"
@@ -163,5 +166,36 @@ func TestReplacedRowIsNotTakenForAdvertised(t *testing.T) {
 	got := c.Tuples("told")
 	if len(got) != 1 || !got[0].Fields[2].Equal(val.NewString("x")) || got[0].Fields[3].Int() != 4 {
 		t.Fatalf("told = %v, want the replacement route x at 4 advertised", got)
+	}
+}
+
+// TestReadvertiseTieBreak: when the group's best is retracted, the
+// fallback advertises the lowest-stamped best-valued row, ties broken by
+// tuple order. Under SN one iteration shares a stamp, so sixteen tied
+// rows stored in one batch must yield the same representative whatever
+// order they arrived in — the order that decides their bucket positions.
+func TestReadvertiseTieBreak(t *testing.T) {
+	vias := make([]string, 16)
+	for i := range vias {
+		vias[i] = fmt.Sprintf("v%02d", i)
+	}
+	shuffled := slices.Clone(vias)
+	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for _, order := range [][]string{vias, shuffled} {
+		c := central(t, replaceSrc, Options{Mode: SN, AggSel: true})
+		c.Insert(route("best", 1))
+		n := c.Node()
+		for _, via := range order {
+			n.Push(Insert(route(via, 5)))
+		}
+		c.Fixpoint()
+		if got := c.Tuples("told"); len(got) != 1 {
+			t.Fatalf("told = %v, want only the best's advertisement", got)
+		}
+		c.Delete(route("best", 1))
+		got := c.Tuples("told")
+		if len(got) != 1 || !got[0].Fields[2].Equal(val.NewString("v00")) {
+			t.Errorf("arrival order %v: told = %v, want the tie's least tuple, via v00", order, got)
+		}
 	}
 }

@@ -24,6 +24,7 @@ func Explain(prog *ast.Program) (string, error) {
 	for _, r := range p.source.Rules {
 		fmt.Fprintf(&b, "%s %s\n", r.Label, r.Head.Pred)
 		preds[r.Head.Pred] = true
+		var code *ruleCode
 		for i, a := range r.Atoms() {
 			preds[a.Pred] = true
 			var st *strand
@@ -32,6 +33,7 @@ func Explain(prog *ast.Program) (string, error) {
 					st = s
 				}
 			}
+			code = st.code
 			var joins []string
 			for j, other := range st.atoms {
 				if j != i {
@@ -42,6 +44,17 @@ func Explain(prog *ast.Program) (string, error) {
 				joins = []string{"-"}
 			}
 			fmt.Fprintf(&b, "  on %s: %s\n", a.Pred, strings.Join(joins, ", "))
+		}
+		// A fused list assignment (see fusible) is built into the derived
+		// tuple's own array, whichever strand derives it. (A rule with no
+		// body atom has no strand.)
+		if code == nil {
+			continue
+		}
+		for i, ha := range code.head {
+			if ha.list != nil {
+				fmt.Fprintf(&b, "  head %s: %s in-tuple\n", r.Head.Args[i], ha.list.Name())
+			}
 		}
 	}
 	names := make([]string, 0, len(preds))

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"ndlog/internal/programs"
 	"ndlog/internal/simnet"
 	"ndlog/internal/val"
 )
@@ -229,5 +231,178 @@ func TestQueueRetentionBounded(t *testing.T) {
 	if n.QueueLen() != 0 || n.queue.head != 0 || cap(n.queue.buf) > keepCap {
 		t.Errorf("after the burst the queue keeps a %d-delta array (head %d), bound is %d",
 			cap(n.queue.buf), n.queue.head, keepCap)
+	}
+}
+
+// TestReadvertiseAllocBudget: the aggregate-selection fallback walks its
+// group's bucket in place. After a fixpoint every group has an advertised
+// best, so re-checking it after a retraction allocates nothing.
+func TestReadvertiseAllocBudget(t *testing.T) {
+	c := central(t, programs.ShortestPath(""), Options{AggSel: true})
+	for _, l := range figure2 {
+		c.Insert(programs.LinkFact("link", l.a, l.b, l.cost))
+		c.Insert(programs.LinkFact("link", l.b, l.a, l.cost))
+	}
+	n := c.Node()
+	paths := n.Tuples("path")
+	if len(paths) == 0 {
+		t.Fatal("no path rows")
+	}
+	for _, p := range paths {
+		if got := testing.AllocsPerRun(50, func() { n.readvertiseGroups(p) }); got != 0 {
+			t.Fatalf("re-checking the group of %v allocates %v objects, want 0", p, got)
+		}
+	}
+}
+
+// spJoin returns a ShortestPath node holding path(b,c,c,[b,c],1), the
+// sp2b strand triggered by path_d1, and the trigger path_d1 that link
+// a→b puts at b: together they derive path(a,c,b,[a,b,c],2).
+func spJoin(t *testing.T) (*Node, *strand, val.Tuple) {
+	t.Helper()
+	c := central(t, programs.ShortestPath(""), Options{})
+	c.Insert(programs.LinkFact("link", "a", "b", 1))
+	c.Insert(programs.LinkFact("link", "b", "c", 1))
+	n := c.Node()
+	d1 := n.Tuples("path_d1")
+	i := slices.IndexFunc(d1, func(tp val.Tuple) bool { return tp.Loc() == "b" })
+	j := slices.IndexFunc(n.prog.strands["path_d1"], func(st *strand) bool { return st.rule.Label == "sp2b" })
+	if i < 0 || j < 0 {
+		t.Fatalf("no sp2b strand or no path_d1 row at b (%v)", d1)
+	}
+	return n, n.prog.strands["path_d1"][j], d1[i]
+}
+
+var wantABC = val.NewTuple("path", val.NewAddr("a"), val.NewAddr("c"), val.NewAddr("b"),
+	val.NewList(val.NewAddr("a"), val.NewAddr("b"), val.NewAddr("c")), val.NewFloat(2))
+
+// TestFusedDerivationAllocBudget: an sp2 derivation, whose path vector
+// P := f_concatPath(S, P2) only the head reads, is one allocation — the
+// array holding the tuple's fields and then its path vector.
+func TestFusedDerivationAllocBudget(t *testing.T) {
+	n, st, trig := spJoin(t)
+	var got []val.Tuple
+	emit := func(d derived) { got = append(got[:0], d.tuple) }
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := st.run(n.resetCtx(+1, trig, noLimit, noLimit), trig, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(got) != 1 || !got[0].Equal(wantABC) {
+		t.Fatalf("derived %v, want %v", got, wantABC)
+	}
+	if allocs != 1 {
+		t.Errorf("one sp2 derivation allocates %v objects, want 1", allocs)
+	}
+}
+
+// TestFusedListOwnsItsMemory: a fused path vector shares no memory with
+// its partner's P2, with the join context's list scratch, or with the
+// next derivation's tuple, and survives both scratches being scribbled
+// over and reused.
+func TestFusedListOwnsItsMemory(t *testing.T) {
+	n, st, trig := spJoin(t)
+	var got val.Tuple
+	emit := func(d derived) { got = d.tuple }
+	derive := func() val.Tuple {
+		got = val.Tuple{}
+		if err := st.run(n.resetCtx(+1, trig, noLimit, noLimit), trig, emit); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	first := derive()
+	p := first.Fields[3].List()
+	if cap(first.Fields) != len(first.Fields) {
+		t.Errorf("Fields has capacity %d beyond its %d fields: an append would overwrite the list", cap(first.Fields), len(first.Fields))
+	}
+	disjoint := func(what string, other []val.Value) {
+		t.Helper()
+		for i := range p {
+			for j := range other {
+				if &p[i] == &other[j] {
+					t.Errorf("path vector element %d shares memory with %s[%d]", i, what, j)
+				}
+			}
+		}
+	}
+	var p2 []val.Value
+	for _, row := range n.Tuples("path") {
+		if row.Fields[0].Equal(val.NewAddr("b")) {
+			p2 = row.Fields[3].List()
+		}
+	}
+	disjoint("partner P2", p2)
+	disjoint("list scratch", n.jc.listBuf[:cap(n.jc.listBuf)])
+
+	junk := val.NewString("scribbled")
+	for _, buf := range [][]val.Value{n.jc.listBuf[:cap(n.jc.listBuf)], n.jc.headBuf[:cap(n.jc.headBuf)]} {
+		for i := range buf {
+			buf[i] = junk
+		}
+	}
+	second := derive()
+	disjoint("next tuple's fields", second.Fields)
+	disjoint("next tuple's path vector", second.Fields[3].List())
+	for _, tp := range []val.Tuple{first, second} {
+		if !tp.Equal(wantABC) {
+			t.Errorf("derived %v, want %v", tp, wantABC)
+		}
+	}
+}
+
+// TestFusionRefusals: a list assignment is fused only when the head's one
+// plain-variable read is its only reader, in a non-aggregate rule; the
+// refused shapes keep the tail assignment and still derive the same rows.
+func TestFusionRefusals(t *testing.T) {
+	src := `
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(fused, infinity, infinity, keys(1,2)).
+materialize(sel, infinity, infinity, keys(1,2)).
+materialize(twice, infinity, infinity, keys(1,2,3)).
+materialize(expr, infinity, infinity, keys(1,2)).
+materialize(agg, infinity, infinity, keys(1,2)).
+f1 fused(@S,P) :- link(@S,D), P := f_concatPath(S, [D]).
+f2 sel(@S,P) :- link(@S,D), P := f_concatPath(S, [D]), f_size(P) == 2.
+f3 twice(@S,P,P) :- link(@S,D), P := f_concatPath(S, [D]).
+f4 expr(@S,N) :- link(@S,D), P := f_concatPath(S, [D]), N := D, f_size(P) > 0.
+f5 expr(@S,f_size(P)) :- link(@S,_D), P := f_list(S, S).
+f6 agg(@S,P,count<D>) :- link(@S,D), P := f_concatPath(S, [D]).
+link(@a,b).
+link(@a,c).
+`
+	c := central(t, src, Options{})
+	fused := map[string]bool{}
+	for _, sts := range c.prog.strands {
+		for _, st := range sts {
+			for _, ha := range st.code.head {
+				if ha.list != nil {
+					fused[st.rule.Label] = true
+				}
+			}
+		}
+	}
+	if len(fused) != 1 || !fused["f1"] {
+		t.Errorf("fused rules %v, want only f1", fused)
+	}
+	a := val.NewAddr("a")
+	ab, ac := val.NewList(a, val.NewAddr("b")), val.NewList(a, val.NewAddr("c"))
+	for pred, want := range map[string][]val.Tuple{
+		"fused": {val.NewTuple("fused", a, ab), val.NewTuple("fused", a, ac)},
+		"sel":   {val.NewTuple("sel", a, ab), val.NewTuple("sel", a, ac)},
+		"twice": {val.NewTuple("twice", a, ab, ab), val.NewTuple("twice", a, ac, ac)},
+		"expr":  {val.NewTuple("expr", a, val.NewInt(2)), val.NewTuple("expr", a, val.NewAddr("b")), val.NewTuple("expr", a, val.NewAddr("c"))},
+		"agg":   {val.NewTuple("agg", a, ab, val.NewInt(1)), val.NewTuple("agg", a, ac, val.NewInt(1))},
+	} {
+		got := c.Tuples(pred)
+		if len(got) != len(want) {
+			t.Errorf("%s = %v, want %v", pred, got, want)
+			continue
+		}
+		for _, w := range want {
+			if !slices.ContainsFunc(got, w.Equal) {
+				t.Errorf("%s = %v, lacks %v", pred, got, w)
+			}
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 
 	"ndlog/internal/ast"
@@ -150,8 +149,10 @@ type Node struct {
 	// engine is single-threaded per node, so one context serves every
 	// strand run.
 	jc joinCtx
-	// aggKeyScratch backs aggKeyVals between aggregate emits.
+	// aggKeyScratch backs aggKeyVals between aggregate emits, and
+	// groupScratch an aggregate selection's group key (groupKey).
 	aggKeyScratch []val.Value
+	groupScratch  []val.Value
 	aggRun        aggRun
 
 	// journal, when set, observes every processed delta whose predicate
@@ -201,29 +202,31 @@ type selControl struct {
 	pending map[uint64][][]val.Value
 }
 
-// addPending marks a group (the projection of t onto the selection's
-// group columns) for the next periodic flush.
-func (c *selControl) addPending(t val.Tuple) {
-	key := projectVals(t, c.sel.GroupCols)
+// addPending marks t's group for the next periodic flush. The key is
+// projected into node scratch and copied only when the group is new.
+func (n *Node) addPending(c *selControl, t val.Tuple) {
+	key := n.groupKey(c, t)
 	h := val.HashValues(key)
 	for _, k := range c.pending[h] {
 		if val.ValuesEqual(k, key) {
 			return
 		}
 	}
-	c.pending[h] = append(c.pending[h], key)
+	c.pending[h] = append(c.pending[h], slices.Clone(key))
 }
 
-// projectVals copies the fields of t at cols (out-of-range columns are
-// skipped; planner checks keep them from occurring).
-func projectVals(t val.Tuple, cols []int) []val.Value {
-	out := make([]val.Value, 0, len(cols))
-	for _, c := range cols {
-		if c >= 0 && c < len(t.Fields) {
-			out = append(out, t.Fields[c])
+// groupKey projects t onto c's group columns into the node's scratch,
+// valid until the next call (out-of-range columns are skipped; planner
+// checks keep them from occurring).
+func (n *Node) groupKey(c *selControl, t val.Tuple) []val.Value {
+	key := n.groupScratch[:0]
+	for _, col := range c.sel.GroupCols {
+		if col >= 0 && col < len(t.Fields) {
+			key = append(key, t.Fields[col])
 		}
 	}
-	return out
+	n.groupScratch = key
+	return key
 }
 
 // NewNode returns a standalone runtime for one network node of the
@@ -569,7 +572,7 @@ func (n *Node) advertise(r storedRow, improving, contributed bool, ltBefore, leA
 		if n.opts.AggSelPeriod > 0 {
 			// Periodic mode: defer everything to the flush timer.
 			for _, c := range ctrls {
-				c.addPending(r.t)
+				n.addPending(c, r.t)
 			}
 			return
 		}
@@ -628,42 +631,48 @@ func (n *Node) afterDelete(t val.Tuple) {
 func (n *Node) readvertiseGroups(t val.Tuple) {
 	for _, c := range n.sels[t.Pred] {
 		if n.opts.AggSelPeriod > 0 {
-			c.addPending(t)
+			n.addPending(c, t)
 			continue
 		}
-		n.readvertiseBest(c, projectVals(t, c.sel.GroupCols))
+		n.readvertiseBest(c, n.groupKey(c, t))
 	}
 }
 
 // readvertiseBest advertises the stored group-best tuple if none is
 // advertised yet. Only one representative per group runs its trigger
 // strands — matching immediate mode, where ties beyond the first
-// improvement are suppressed.
+// improvement are suppressed. The representative is the best-valued tuple
+// with the lowest stamp, ties (one SN/BSN iteration shares a stamp)
+// broken by val.Tuple.Compare, so the choice does not depend on bucket
+// order. The group's bucket is walked in place, filtering hash collisions
+// as Index.Match does; nothing is allocated.
 func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 	best, ok := c.state.agg.Current(groupKey)
 	if !ok {
 		return
 	}
-	// Match returns a fresh slice; sort it so the choice does not depend
-	// on bucket order.
-	sorted := c.idx.Match(groupKey)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Stamp < sorted[j].Stamp })
-	for _, e := range sorted {
-		if e.Adv && e.Tuple.Fields[c.sel.ValueCol].Equal(best) {
-			return // a best-valued tuple is already advertised
-		}
-	}
-	for _, e := range sorted {
-		if e.Adv || !e.Tuple.Fields[c.sel.ValueCol].Equal(best) {
+	var pick *table.Entry
+	b := c.idx.Bucket(val.HashValues(groupKey))
+	for i, m := 0, b.Len(); i < m; i++ {
+		e := b.At(i)
+		if !c.idx.Matches(e, groupKey) || !e.Tuple.Fields[c.sel.ValueCol].Equal(best) {
 			continue
 		}
-		e.Adv = true
-		// Original stamp bounds: later-arriving partners already joined
-		// this tuple when they were deltas, so replaying with the old
-		// bounds derives each pair exactly once.
-		n.runNormalStrands(+1, e.Tuple, int64(e.Stamp), int64(e.Stamp))
+		if e.Adv {
+			return // a best-valued tuple is already advertised
+		}
+		if pick == nil || e.Stamp < pick.Stamp || e.Stamp == pick.Stamp && e.Tuple.Compare(pick.Tuple) < 0 {
+			pick = e
+		}
+	}
+	if pick == nil {
 		return
 	}
+	pick.Adv = true
+	// Original stamp bounds: later-arriving partners already joined this
+	// tuple when they were deltas, so replaying with the old bounds derives
+	// each pair exactly once.
+	n.runNormalStrands(+1, pick.Tuple, int64(pick.Stamp), int64(pick.Stamp))
 }
 
 // FlushPending advertises the current best of every pending group
@@ -678,7 +687,7 @@ func (n *Node) FlushPending() {
 			for h := range c.pending {
 				hashes = append(hashes, h)
 			}
-			sort.Slice(hashes, func(i, j int) bool { return hashes[i] < hashes[j] })
+			slices.Sort(hashes)
 			pending := c.pending
 			c.pending = map[uint64][][]val.Value{}
 			for _, h := range hashes {

@@ -87,7 +87,7 @@ type ruleCode struct {
 	// expressions compiled against the slot numbering.
 	tail []tailOp
 	// head describes each head argument: a direct slot copy (variables
-	// and the aggregate position) or a compiled expression.
+	// and the aggregate position), a compiled expression, or a fused list.
 	head []headArg
 }
 
@@ -115,13 +115,15 @@ type tailOp struct {
 }
 
 // headArg is one compiled head argument. slot >= 0 copies the slot's
-// binding directly (plain variables and the aggregate variable); expr
-// evaluates otherwise. aggVar names the aggregate position for error
-// reporting.
+// binding directly (plain variables and the aggregate variable); list,
+// when set, is a fused list assignment (see fusible) whose elements
+// instantiateHead lays out behind the tuple's fields; expr evaluates
+// otherwise. aggVar names the aggregate position for error reporting.
 type headArg struct {
 	slot   int32
 	aggVar string
 	expr   *funcs.Compiled
+	list   *funcs.Appender
 }
 
 // probeArg is one bound column of an index probe: the value is either a
@@ -159,9 +161,24 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 		code.args[i] = args
 	}
 
+	// fused is the list assignment (at most one per rule) that
+	// instantiateHead evaluates straight into the head tuple instead of
+	// the tail evaluating it (see fusible); fuse is its compiled form.
+	var fused *ast.Assign
+	var fuse *funcs.Appender
 	for _, t := range r.Body {
 		switch x := t.(type) {
 		case *ast.Assign:
+			if fused == nil && fusible(r, x) {
+				app, err := funcs.CompileAppender(x.Expr, sm.Slot)
+				if err != nil {
+					return nil, fmt.Errorf("engine: rule %s: %w", r.Label, err)
+				}
+				if app != nil {
+					fused, fuse = x, app
+					continue
+				}
+			}
 			slot, ok := sm.Slot(x.Var)
 			if !ok {
 				return nil, fmt.Errorf("engine: rule %s: assignment target %s has no slot", r.Label, x.Var)
@@ -190,6 +207,10 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 			}
 			code.head[i] = headArg{slot: int32(slot), aggVar: x.Var}
 		case *ast.Var:
+			if fused != nil && x.Name == fused.Var {
+				code.head[i] = headArg{slot: -1, list: fuse}
+				continue
+			}
 			slot, ok := sm.Slot(x.Name)
 			if !ok {
 				return nil, fmt.Errorf("engine: rule %s: head variable %s has no slot", r.Label, x.Name)
@@ -204,6 +225,46 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 		}
 	}
 	return code, nil
+}
+
+// fusible reports whether assignment a of rule r may be evaluated straight
+// into the head tuple instead of the tail: its variable is read by exactly
+// one head argument, as a plain variable, and by nothing else — no other
+// tail term, no head expression — and r is not an aggregate rule, whose
+// head is scratch (aggEmit copies what it keeps). The value then has one
+// reader, the derived tuple, and can live in that tuple's array.
+// (planner.Check keeps the variable out of body atoms and out of its own
+// assignment.)
+func fusible(r *ast.Rule, a *ast.Assign) bool {
+	if r.Head.HasAggregate() {
+		return false
+	}
+	reads := 0
+	for _, arg := range r.Head.Args {
+		if v, ok := arg.(*ast.Var); ok {
+			if v.Name == a.Var {
+				reads++
+			}
+		} else if ast.Vars(arg)[a.Var] {
+			return false
+		}
+	}
+	if reads != 1 {
+		return false
+	}
+	for _, t := range r.Body {
+		switch x := t.(type) {
+		case *ast.Assign:
+			if ast.Vars(x.Expr)[a.Var] {
+				return false
+			}
+		case *ast.Select:
+			if ast.Vars(x.Cond)[a.Var] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // planAccess fills in the strand's access paths. A column of atom i is
@@ -563,8 +624,10 @@ type joinCtx struct {
 	tr  []int32
 	// headBuf is the reusable head instantiation buffer: a derived head
 	// is copied out of it exactly once, into the array the routed delta
-	// (and then the table that stores it) keeps.
+	// (and then the table that stores it) keeps. listBuf is the same for
+	// the elements of a fused list.
 	headBuf []val.Value
+	listBuf []val.Value
 }
 
 // strandRes is one node's resolved handles for one strand: the table of
@@ -709,17 +772,20 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 }
 
 // instantiateHead builds the head tuple from the slot environment: the
-// fields are evaluated into the reusable headBuf and copied out once —
-// the derived tuple's single allocation, owned from here on by whoever
-// keeps the delta (DESIGN.md §3). For aggregate rules, the aggregate
-// position receives the raw aggregated variable's value; the caller
-// replaces it with the group aggregate.
+// fields are evaluated into the reusable headBuf — a fused list's
+// elements into listBuf — and copied out once, into one array holding the
+// fields and then the list, the layout val.DecodeTupleIn gives a received
+// tuple. That array is the derived tuple's single allocation, owned from
+// here on by whoever keeps the delta (DESIGN.md §3). For aggregate rules,
+// the aggregate position receives the raw aggregated variable's value;
+// the caller replaces it with the group aggregate.
 func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 	n := len(s.code.head)
 	if cap(ctx.headBuf) < n {
 		ctx.headBuf = make([]val.Value, n)
 	}
 	fields := ctx.headBuf[:n]
+	fused := -1
 	for i, ha := range s.code.head {
 		if ha.slot >= 0 {
 			v, ok := ctx.env.Get(int(ha.slot))
@@ -734,6 +800,14 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 			fields[i] = v
 			continue
 		}
+		if ha.list != nil {
+			var err error
+			if ctx.listBuf, err = ha.list.Append(ctx.listBuf[:0], ctx.env); err != nil {
+				return val.Tuple{}, fmt.Errorf("rule %s head: %w", s.rule.Label, err)
+			}
+			fused = i
+			continue
+		}
 		v, err := ha.expr.Eval(ctx.env)
 		if err != nil {
 			return val.Tuple{}, fmt.Errorf("rule %s head: %w", s.rule.Label, err)
@@ -746,5 +820,15 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 		// instantiation: hand it the scratch itself.
 		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
-	return val.Tuple{Pred: s.rule.Head.Pred, Fields: append([]val.Value(nil), fields...)}, nil
+	if fused < 0 {
+		return val.Tuple{Pred: s.rule.Head.Pred, Fields: append([]val.Value(nil), fields...)}, nil
+	}
+	vs := make([]val.Value, n+len(ctx.listBuf))
+	copy(vs, fields)
+	elems := vs[n:]
+	copy(elems, ctx.listBuf)
+	vs[fused] = val.NewList(elems...)
+	// Full slice expression: an append to Fields must never grow into the
+	// list behind it.
+	return val.Tuple{Pred: s.rule.Head.Pred, Fields: vs[:n:n]}, nil
 }

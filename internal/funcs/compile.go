@@ -189,18 +189,9 @@ func (c *cCall) eval(env *SlotEnv) (val.Value, error) {
 			return val.Nil, fmt.Errorf("%w: %s", ErrUnknownFunc, c.name)
 		}
 	}
-	// Arguments are evaluated into the environment's arena with stack
-	// discipline: nested calls grow past this call's mark and truncate
-	// back before fn sees its slice. Builtins must not retain the args
-	// slice (the library's own builtins copy what they keep).
-	mark := len(env.args)
-	for _, a := range c.args {
-		v, err := a.eval(env)
-		if err != nil {
-			env.args = env.args[:mark]
-			return val.Nil, err
-		}
-		env.args = append(env.args, v)
+	mark, err := c.pushArgs(env)
+	if err != nil {
+		return val.Nil, err
 	}
 	v, err := fn(env.args[mark:])
 	env.args = env.args[:mark]
@@ -208,6 +199,71 @@ func (c *cCall) eval(env *SlotEnv) (val.Value, error) {
 		return val.Nil, fmt.Errorf("%s: %w", c.name, err)
 	}
 	return v, nil
+}
+
+// pushArgs evaluates the call's arguments onto the environment's arena
+// with stack discipline: nested calls grow past this call's mark and
+// truncate back before the builtin sees env.args[mark:], and the caller
+// truncates to mark once the builtin returns. Builtins must not retain the
+// args slice (the library's own builtins copy what they keep). On error
+// the arena is already back at mark.
+func (c *cCall) pushArgs(env *SlotEnv) (mark int, err error) {
+	mark = len(env.args)
+	for _, a := range c.args {
+		v, err := a.eval(env)
+		if err != nil {
+			env.args = env.args[:mark]
+			return mark, err
+		}
+		env.args = append(env.args, v)
+	}
+	return mark, nil
+}
+
+// Appender is a compiled call to a list-building builtin in its append
+// form (listBuilder), for a list the caller lays out itself: the engine
+// appends a path vector straight behind the fields of the tuple that
+// keeps it. Like Compiled it is immutable and shared.
+type Appender struct {
+	call *cCall
+	fn   listBuilder
+}
+
+// CompileAppender compiles e in append form. It returns nil when e is not
+// a call to one of the library's list builders — including a library name
+// Register-ed over, which evaluates through its Builtin only.
+func CompileAppender(e ast.Expr, slotOf func(name string) (int, bool)) (*Appender, error) {
+	c, ok := e.(*ast.Call)
+	if !ok {
+		return nil, nil
+	}
+	fn, ok := listBuilders[c.Name]
+	if !ok {
+		return nil, nil
+	}
+	ce, err := compileExpr(c, slotOf)
+	if err != nil {
+		return nil, err
+	}
+	return &Appender{call: ce.(*cCall), fn: fn}, nil
+}
+
+// Name returns the builtin's name.
+func (a *Appender) Name() string { return a.call.name }
+
+// Append evaluates the call under env and appends the list's elements to
+// dst.
+func (a *Appender) Append(dst []val.Value, env *SlotEnv) ([]val.Value, error) {
+	mark, err := a.call.pushArgs(env)
+	if err != nil {
+		return dst, err
+	}
+	dst, err = a.fn(dst, env.args[mark:])
+	env.args = env.args[:mark]
+	if err != nil {
+		return dst, fmt.Errorf("%s: %w", a.call.name, err)
+	}
+	return dst, nil
 }
 
 func compileExpr(e ast.Expr, slotOf func(string) (int, bool)) (cexpr, error) {

@@ -2,6 +2,7 @@ package funcs
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ndlog/internal/ast"
@@ -189,5 +190,80 @@ func TestSlotEnvBasics(t *testing.T) {
 		if e.Bound(i) {
 			t.Errorf("slot %d bound after Reset", i)
 		}
+	}
+}
+
+// TestListBuilderAppendForms: each list builtin's append form appends
+// exactly the elements its Builtin returns, after what dst already holds,
+// and fails where the Builtin fails.
+func TestListBuilderAppendForms(t *testing.T) {
+	a, d := val.NewAddr("a"), val.NewAddr("d")
+	l := val.NewList(val.NewAddr("b"), val.NewAddr("c"))
+	cases := []struct {
+		name string
+		args []val.Value
+	}{
+		{"f_concatPath", []val.Value{a, l}},
+		{"f_concatPath", []val.Value{a, val.NewList()}},
+		{"f_concatPath", []val.Value{a, val.NewInt(1)}},
+		{"f_append", []val.Value{l, d}},
+		{"f_append", []val.Value{val.NewList(), d}},
+		{"f_append", []val.Value{d, d}},
+		{"f_reverse", []val.Value{l}},
+		{"f_reverse", nil},
+		{"f_list", []val.Value{a, l, d}},
+		{"f_list", nil},
+	}
+	if len(listBuilders) != 4 {
+		t.Errorf("%d list builders, want 4", len(listBuilders))
+	}
+	prefix := []val.Value{val.NewString("kept")}
+	for _, tc := range cases {
+		fn, _ := Lookup(tc.name)
+		want, wantErr := fn(tc.args)
+		got, err := listBuilders[tc.name](slices.Clone(prefix), tc.args)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%s%v: append form err %v, Builtin err %v", tc.name, tc.args, err, wantErr)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if !got[0].Equal(prefix[0]) || !val.NewList(got[1:]...).Equal(want) {
+			t.Errorf("%s%v: append form gave %v after the prefix, Builtin %v", tc.name, tc.args, got[1:], want)
+		}
+	}
+}
+
+// TestAppenderMatchesCompiledCall: a compiled list-builder call appends
+// what the same call evaluates to; anything else — another builtin, or a
+// library name Register-ed over — has no append form.
+func TestAppenderMatchesCompiledCall(t *testing.T) {
+	slotOf, env := slotTable(map[string]val.Value{
+		"S": val.NewAddr("a"),
+		"P": val.NewList(val.NewAddr("b"), val.NewAddr("c")),
+	})
+	for _, src := range []string{"X := f_concatPath(S, P)", "X := f_append(P, S)", "X := f_reverse(P)", "X := [S, P]"} {
+		app, err := CompileAppender(exprOf(t, src), slotOf)
+		if err != nil || app == nil {
+			t.Fatalf("%s: CompileAppender = %v, %v", src, app, err)
+		}
+		want, err := compiled(t, src, slotOf).Eval(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := app.Append(nil, env)
+		if err != nil || !val.NewList(got...).Equal(want) {
+			t.Errorf("%s: Append = %v, %v; Eval = %v", src, got, err, want)
+		}
+	}
+	if app, err := CompileAppender(exprOf(t, "X := f_size(P)"), slotOf); app != nil || err != nil {
+		t.Errorf("f_size has an append form: %v, %v", app, err)
+	}
+	origFn, origApp := builtins["f_reverse"], listBuilders["f_reverse"]
+	defer func() { builtins["f_reverse"], listBuilders["f_reverse"] = origFn, origApp }()
+	Register("f_reverse", origFn)
+	if app, _ := CompileAppender(exprOf(t, "X := f_reverse(P)"), slotOf); app != nil {
+		t.Error("a Register-ed f_reverse kept the library's append form")
 	}
 }

@@ -13,6 +13,7 @@ package funcs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ndlog/internal/ast"
 	"ndlog/internal/val"
@@ -223,16 +224,33 @@ func evalArith(op ast.Op, l, r val.Value) (val.Value, error) {
 // Builtin is the implementation of an f_* function.
 type Builtin func(args []val.Value) (val.Value, error)
 
+// listBuilder is the append form of a list-building builtin: it appends
+// the elements of the list the builtin returns for args to dst and
+// returns the extended slice. Like a Builtin it must not retain args.
+// The engine evaluates a list that only its derived tuple reads straight
+// into that tuple's array through this form (CompileAppender).
+type listBuilder func(dst, args []val.Value) ([]val.Value, error)
+
+// listBuilders holds the append form of every list-building builtin of
+// the library; the library's Builtin for each wraps it (listBuiltin), so
+// every list builtin has one implementation.
+var listBuilders = map[string]listBuilder{
+	"f_concatPath": appendConcatPath,
+	"f_append":     appendAppend,
+	"f_reverse":    appendReverse,
+	"f_list":       appendList,
+}
+
 // builtins is the registry of NDlog built-in functions.
 var builtins = map[string]Builtin{
-	"f_concatPath": fConcatPath,
-	"f_append":     fAppend,
+	"f_concatPath": listBuiltin(appendConcatPath),
+	"f_append":     listBuiltin(appendAppend),
 	"f_member":     fMember,
 	"f_size":       fSize,
 	"f_first":      fFirst,
 	"f_last":       fLast,
-	"f_reverse":    fReverse,
-	"f_list":       fList,
+	"f_reverse":    listBuiltin(appendReverse),
+	"f_list":       listBuiltin(appendList),
 	"f_min":        fMin2,
 	"f_max":        fMax2,
 	"f_abs":        fAbs,
@@ -241,7 +259,24 @@ var builtins = map[string]Builtin{
 }
 
 // Register adds (or replaces) a builtin. Tools may extend the library.
-func Register(name string, fn Builtin) { builtins[name] = fn }
+// A replaced list builder loses its append form: programs compiled from
+// then on call fn.
+func Register(name string, fn Builtin) {
+	builtins[name] = fn
+	delete(listBuilders, name)
+}
+
+// listBuiltin is the ordinary Builtin of a list builder: its elements go
+// into a fresh array that the returned list owns.
+func listBuiltin(b listBuilder) Builtin {
+	return func(args []val.Value) (val.Value, error) {
+		elems, err := b(nil, args)
+		if err != nil {
+			return val.Nil, err
+		}
+		return val.NewList(elems...), nil
+	}
+}
 
 // Lookup resolves a builtin by name.
 func Lookup(name string) (Builtin, bool) {
@@ -283,36 +318,33 @@ func needList(v val.Value) ([]val.Value, error) {
 	return v.List(), nil
 }
 
-// fConcatPath prepends its first argument to the list in its second
+// appendConcatPath prepends its first argument to the list in its second
 // argument, building path vectors front-to-back:
 // f_concatPath(s, [z,d]) = [s,z,d].
-func fConcatPath(args []val.Value) (val.Value, error) {
+func appendConcatPath(dst, args []val.Value) ([]val.Value, error) {
 	if err := need(args, 2); err != nil {
-		return val.Nil, err
+		return dst, err
 	}
 	tail, err := needList(args[1])
 	if err != nil {
-		return val.Nil, err
+		return dst, err
 	}
-	out := make([]val.Value, 0, len(tail)+1)
-	out = append(out, args[0])
-	out = append(out, tail...)
-	return val.NewList(out...), nil
+	dst = slices.Grow(dst, len(tail)+1)
+	return append(append(dst, args[0]), tail...), nil
 }
 
-// fAppend appends its second argument to the list in its first argument.
-func fAppend(args []val.Value) (val.Value, error) {
+// appendAppend appends its second argument to the list in its first
+// argument.
+func appendAppend(dst, args []val.Value) ([]val.Value, error) {
 	if err := need(args, 2); err != nil {
-		return val.Nil, err
+		return dst, err
 	}
 	head, err := needList(args[0])
 	if err != nil {
-		return val.Nil, err
+		return dst, err
 	}
-	out := make([]val.Value, 0, len(head)+1)
-	out = append(out, head...)
-	out = append(out, args[1])
-	return val.NewList(out...), nil
+	dst = slices.Grow(dst, len(head)+1)
+	return append(append(dst, head...), args[1]), nil
 }
 
 // fMember reports whether its second argument occurs in the list given as
@@ -372,25 +404,23 @@ func fLast(args []val.Value) (val.Value, error) {
 	return l[len(l)-1], nil
 }
 
-func fReverse(args []val.Value) (val.Value, error) {
+func appendReverse(dst, args []val.Value) ([]val.Value, error) {
 	if err := need(args, 1); err != nil {
-		return val.Nil, err
+		return dst, err
 	}
 	l, err := needList(args[0])
 	if err != nil {
-		return val.Nil, err
+		return dst, err
 	}
-	out := make([]val.Value, len(l))
-	for i := range l {
-		out[len(l)-1-i] = l[i]
+	dst = slices.Grow(dst, len(l))
+	for i := len(l) - 1; i >= 0; i-- {
+		dst = append(dst, l[i])
 	}
-	return val.NewList(out...), nil
+	return dst, nil
 }
 
-func fList(args []val.Value) (val.Value, error) {
-	out := make([]val.Value, len(args))
-	copy(out, args)
-	return val.NewList(out...), nil
+func appendList(dst, args []val.Value) ([]val.Value, error) {
+	return append(dst, args...), nil
 }
 
 // fMin2 and fMax2 order their arguments the way comparison operators

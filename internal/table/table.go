@@ -186,14 +186,16 @@ func (ix *Index) Match(vals []val.Value) []*Entry {
 	}
 	out := make([]*Entry, 0, n)
 	for i := 0; i < n; i++ {
-		if e := b.At(i); ix.matches(e, vals) {
+		if e := b.At(i); ix.Matches(e, vals) {
 			out = append(out, e)
 		}
 	}
 	return out
 }
 
-func (ix *Index) matches(e *Entry, vals []val.Value) bool {
+// Matches reports whether e's projection onto the index columns equals
+// vals: the collision filter for a caller walking a Bucket itself.
+func (ix *Index) Matches(e *Entry, vals []val.Value) bool {
 	if len(vals) != len(ix.cols) {
 		return false
 	}
