@@ -128,7 +128,10 @@ func (dy *dynamics) check(rows []val.Tuple) error {
 // in flight there, which the per-burst runs never see. Each seed runs
 // one (program, aggregate selections) pair on both executors; the
 // netting counters must show that replacements were in fact folded, so
-// the property cannot pass on un-netted traffic alone.
+// the property cannot pass on un-netted traffic alone. Every seed also
+// checks that no node of either executor stores a carved row
+// (assertNoCarvedRow): bursts retract on every link change, and Parallel
+// hands the carved retractions across goroutines.
 func TestDistributedDynamicsProperty(t *testing.T) {
 	const bursts = 40
 	seeds := 40
@@ -152,7 +155,9 @@ func TestDistributedDynamicsProperty(t *testing.T) {
 			}
 			opts := engine.Options{AggSel: variant.aggSel}
 			var onCluster, onParallel engine.Netting
+			chunks := 0
 			for seed := int64(v + 1); seed <= int64(seeds); seed += 4 {
+				log := val.TrackChunks()
 				dy := newDynamics(seed)
 				sim := simnet.New(seed)
 				cl, err := engine.NewCluster(sim, prog, opts, engine.ClusterConfig{ProcDelay: 0.001})
@@ -196,6 +201,12 @@ func TestDistributedDynamicsProperty(t *testing.T) {
 				if err := dy.check(par.QueryResults()); err != nil {
 					t.Fatalf("seed %d: parallel: %v", seed, err)
 				}
+				log.Stop()
+				chunks += log.Len()
+				for _, id := range dy.names {
+					assertNoCarvedRow(t, log, fmt.Sprintf("seed %d: cluster", seed), cl.Node(simnet.NodeID(id)))
+					assertNoCarvedRow(t, log, fmt.Sprintf("seed %d: parallel", seed), par.Node(id))
+				}
 				onCluster.Add(cl.Netting())
 				onParallel.Add(par.Netting())
 			}
@@ -203,6 +214,9 @@ func TestDistributedDynamicsProperty(t *testing.T) {
 				if n.WireFolded == 0 || n.ReplaceWindows == 0 {
 					t.Errorf("%s: netting %+v: no replacement was folded, the property is vacuous", name, n)
 				}
+			}
+			if chunks == 0 {
+				t.Error("no retraction was carved: the carving check is vacuous")
 			}
 		})
 	}

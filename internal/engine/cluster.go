@@ -60,6 +60,9 @@ type Cluster struct {
 	decodeBuf []Delta
 	// dstScratch is flushShare's reusable sorted-destination scratch.
 	dstScratch []string
+	// payloads is the free list of delivered message payloads that the
+	// next plain sends encode into (see recyclePayload).
+	payloads [][]byte
 
 	undeliverable int
 }
@@ -203,6 +206,7 @@ func (h *clusterHandler) HandleMessage(now float64, from simnet.NodeID, payload 
 	if cap(deltas) <= keepCap {
 		h.c.decodeBuf = deltas[:0]
 	}
+	h.c.recyclePayload(payload)
 	if h.c.opts.Mode == BSN && h.c.cfg.BSNDelay > 0 {
 		// Buffer: process after the batching delay.
 		if !h.c.bsnArmed[h.n.id] {
@@ -267,9 +271,40 @@ func (c *Cluster) sendBatched(n *Node, outs []OutDelta) {
 		for j < len(outs) && outs[j].Dst == outs[i].Dst {
 			j++
 		}
-		c.sendNow(n, outs[i].Dst, AppendOutDeltas(nil, outs[i:j]))
+		c.sendNow(n, outs[i].Dst, AppendOutDeltas(c.takePayload(), outs[i:j]))
 		i = j
 	}
+}
+
+// Payload reuse bounds: the free list holds at most maxFreePayloads
+// buffers of at most maxPayloadCap bytes each, so it never keeps more
+// than 64 KiB however large a burst's messages grew.
+const (
+	maxFreePayloads = 16
+	maxPayloadCap   = 4 << 10
+)
+
+// recyclePayload takes back a payload once its delivery has decoded it.
+// Decoded tuples never alias the payload (copy-on-decode) and the
+// simulator hands each payload to exactly one delivery, so nothing reads
+// it again until a later send encodes into it.
+func (c *Cluster) recyclePayload(p []byte) {
+	if cap(p) <= maxPayloadCap && len(c.payloads) < maxFreePayloads {
+		c.payloads = append(c.payloads, p[:0])
+	}
+}
+
+// takePayload returns an empty buffer to encode a message into: a
+// recycled payload when one is free, else nil (the encoder allocates).
+func (c *Cluster) takePayload() []byte {
+	k := len(c.payloads) - 1
+	if k < 0 {
+		return nil
+	}
+	p := c.payloads[k]
+	c.payloads[k] = nil
+	c.payloads = c.payloads[:k]
+	return p
 }
 
 // bufferOut holds a delta in the share/batch buffer until the flush
@@ -311,7 +346,7 @@ func (c *Cluster) flushShare(n *Node) {
 		if c.cfg.Share != nil {
 			payload = EncodeShared(c.cfg.Share, deltas)
 		} else {
-			payload = EncodeDeltas(deltas)
+			payload = AppendDeltas(c.takePayload(), deltas)
 		}
 		c.sendNow(n, dst, payload)
 		// Keep the per-destination slice for the next flush; drop its

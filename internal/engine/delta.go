@@ -11,11 +11,12 @@
 // shard worker) must serialize SetNow/Push/Drain/Tuples per node, and
 // the node's string table is part of that state (decode through it only
 // under the same discipline). Tuples are immutable and allocated once,
-// by whoever keeps them (DESIGN.md §3): a decoded tuple never aliases
-// the wire buffer it came from (copy-on-decode), and OutDeltas returned
-// by Drain are owned by the caller until it chooses to Recycle them.
-// Encoded message payloads are freshly allocated per message and may be
-// retained by transports.
+// by whoever keeps them; a retraction, which nobody keeps, is carved
+// from a shared chunk instead (DESIGN.md §3). A decoded tuple never
+// aliases the wire buffer it came from (copy-on-decode), and OutDeltas
+// returned by Drain are owned by the caller until it chooses to Recycle
+// them. The encoders append to the buffer they are given; the Cluster
+// hands them payloads its deliveries have finished decoding.
 package engine
 
 import (
@@ -127,6 +128,10 @@ func DecodeDeltasIn(b []byte, in *val.Interner) ([]Delta, error) {
 // preserved; pass dst[:0] to reuse its backing array. The decoded
 // tuples still never alias b (copy-on-decode), so reusing both the
 // read buffer and the scratch is safe once the deltas are consumed.
+// A retraction is only ever looked up, never stored, so the message's
+// retractions are carved from chunks it owns (val.Carver); each
+// insertion gets its own exact array, which the table that stores it
+// keeps.
 func DecodeDeltasInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error) {
 	if len(b) == 0 || msgKind(b[0]) != msgDeltas {
 		return nil, fmt.Errorf("engine: not a delta message")
@@ -145,16 +150,17 @@ func DecodeDeltasInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error) 
 		out = make([]Delta, len(dst), want)
 		copy(out, dst)
 	}
+	var carve val.Carver
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
 			return nil, fmt.Errorf("engine: truncated delta batch")
 		}
-		sign := int8(1)
+		sign, c := int8(1), (*val.Carver)(nil)
 		if b[0] == 0 {
-			sign = -1
+			sign, c = -1, &carve
 		}
 		b = b[1:]
-		t, m, err := val.DecodeTupleIn(b, in)
+		t, m, err := val.DecodeTupleIn(b, in, c)
 		if err != nil {
 			return nil, fmt.Errorf("engine: bad tuple in delta batch: %w", err)
 		}

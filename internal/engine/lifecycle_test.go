@@ -87,8 +87,10 @@ func TestDecodeSurvivesBufferAndScratchReuse(t *testing.T) {
 
 // TestClusterPumpDuplicateMessageAllocBudget: in steady state a message
 // whose deltas are all duplicates of stored hard state costs exactly its
-// payload — one array per decoded tuple. The decoded batch, the node's
-// queue and the drain's (empty) output are all reused.
+// decoded tuples — one array per insertion. The payload returns to the
+// cluster's free list once decoded, so the next message is encoded into
+// it; the decoded batch, the node's queue and the drain's (empty) output
+// are all reused.
 func TestClusterPumpDuplicateMessageAllocBudget(t *testing.T) {
 	_, cl := figure2Cluster(t, Options{}, ClusterConfig{})
 	runCluster(t, cl)
@@ -101,17 +103,77 @@ func TestClusterPumpDuplicateMessageAllocBudget(t *testing.T) {
 	for _, tp := range stored[:3] {
 		ds = append(ds, Insert(tp))
 	}
-	msg := EncodeDeltas(ds)
 	h := &clusterHandler{c: cl, n: n}
 	before := cl.sim.Messages()
 	got := testing.AllocsPerRun(50, func() {
-		h.HandleMessage(cl.sim.Now(), simnet.NodeID("b"), msg)
+		h.HandleMessage(cl.sim.Now(), simnet.NodeID("b"), AppendDeltas(cl.takePayload(), ds))
 	})
 	if want := float64(len(ds)); got != want {
 		t.Errorf("duplicate-only message of %d deltas allocates %v objects, want %v", len(ds), got, want)
 	}
 	if cl.sim.Messages() != before {
 		t.Error("duplicate-only message must not derive anything")
+	}
+}
+
+// TestDecodeRetractionsAllocBudget: a message's retractions are carved
+// from chunks the message owns, so 64 path retractions — 576 values —
+// cost a handful of chunks, not 64 arrays.
+func TestDecodeRetractionsAllocBudget(t *testing.T) {
+	var ds []Delta
+	for i := range 64 {
+		ds = append(ds, Deletion(pathDelta(float64(i)).Tuple))
+	}
+	msg := EncodeDeltas(ds)
+	in := val.NewInterner()
+	scratch, err := DecodeMessageInto(msg, in, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range scratch {
+		if d.Sign != -1 || !d.Tuple.Equal(ds[i].Tuple) {
+			t.Fatalf("delta %d decoded as %v, want %v", i, d, ds[i])
+		}
+	}
+	got := testing.AllocsPerRun(100, func() {
+		scratch, _ = DecodeMessageInto(msg, in, scratch[:0])
+	})
+	if got > 8 {
+		t.Errorf("decoding 64 retractions allocates %v objects, want <= 8", got)
+	}
+}
+
+// TestRetractionCascadeAllocBudget: one retraction fanning out to 1 000
+// derived retractions carves them from the node's chunks — a few arrays
+// for the lot — and the drain that consumes them keeps nothing.
+func TestRetractionCascadeAllocBudget(t *testing.T) {
+	c := central(t, `
+materialize(trig, infinity, infinity, keys(1,2)).
+materialize(item, infinity, infinity, keys(1,2)).
+materialize(out, infinity, infinity, keys(1,2)).
+r1 out(@S,I) :- trig(@S,K), item(@S,I).
+`, Options{})
+	const fanout = 1000
+	a := val.NewAddr("a")
+	for i := range fanout {
+		c.Insert(val.NewTuple("item", a, val.NewInt(int64(i))))
+	}
+	n := c.Node()
+	// trig is not stored, so the out rows its retraction names are not
+	// either: each derived retraction is an exact no-op at the table, and
+	// the same cascade can run again and again.
+	trig := val.NewTuple("trig", a, val.NewInt(1))
+	n.runNormalStrands(-1, trig, noLimit, noLimit)
+	if got := n.QueueLen(); got != fanout {
+		t.Fatalf("the retraction derived %d retractions, want %d", got, fanout)
+	}
+	n.Drain()
+	allocs := testing.AllocsPerRun(20, func() {
+		n.runNormalStrands(-1, trig, noLimit, noLimit)
+		n.Drain()
+	})
+	if per := allocs / fanout; per > 0.05 {
+		t.Errorf("a %d-retraction cascade allocates %v objects (%.3f per retraction), want <= 0.05", fanout, allocs, per)
 	}
 }
 

@@ -149,6 +149,9 @@ type Node struct {
 	// engine is single-threaded per node, so one context serves every
 	// strand run.
 	jc joinCtx
+	// carve supplies the field arrays of the retractions this node
+	// derives (see joinCtx.carve and aggHead). Drain drops its chunk.
+	carve val.Carver
 	// aggKeyScratch backs aggKeyVals between aggregate emits, and
 	// groupScratch an aggregate selection's group key (groupKey).
 	aggKeyScratch []val.Value
@@ -397,6 +400,11 @@ func (n *Node) Drain() []OutDelta {
 	}
 	out := n.foldReplacements(n.out)
 	n.out = nil
+	// The retractions carved this drain are in out or already processed:
+	// an idle node holds no chunk — neither the allocator's nor, through
+	// the join context's last retracted tuple, the one it came in.
+	n.carve.Reset()
+	n.jc.deleted = val.Tuple{}
 	// Stable-sort by destination (per-destination relative order
 	// preserved), so drivers can group contiguous runs per destination
 	// without a map.
@@ -760,10 +768,10 @@ func (n *Node) runAggStrands(del, ins val.Tuple, ltBefore, leAfter int64) (impro
 			silent = false
 			fields := ar.fields[i*nf : (i+1)*nf]
 			if p.hadOld {
-				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV), loc: p.loc}, -1, st.rule.Label)
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV, &n.carve), loc: p.loc}, -1, st.rule.Label)
 			}
 			if p.hasNew {
-				n.route(derived{tuple: aggHead(st, p.pred, fields, p.newV), loc: p.loc}, +1, st.rule.Label)
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.newV, nil), loc: p.loc}, +1, st.rule.Label)
 			}
 		}
 	}
@@ -902,24 +910,29 @@ func aggKeyVals(fields []val.Value, aggIdx int, dst []val.Value) []val.Value {
 
 // aggHead builds an aggregate head tuple: the head fields of the
 // derivation that changed the group, with the aggregate value
-// substituted at aggIdx — the one allocation the routed delta keeps.
-func aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value) val.Tuple {
-	fs := append([]val.Value(nil), fields...)
+// substituted at aggIdx — the one allocation the routed delta keeps, or
+// a carving from c for a group's old value, which is only retracted.
+func aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value, c *val.Carver) val.Tuple {
+	fs := c.Make(len(fields))
+	copy(fs, fields)
 	fs[st.aggIdx] = aggVal
 	return val.Tuple{Pred: pred, Fields: fs}
 }
 
 // resetCtx prepares the node's reusable join context for one delta:
 // insertions join under the caller's stamp bounds, deletions join
-// unrestricted and carry the retracted tuple for the self-join
-// correction. The context holds a copy of t, not its address, so the
-// caller's tuple stays off the heap.
+// unrestricted, carry the retracted tuple for the self-join correction,
+// and carve what they derive — retractions — from the node's chunks.
+// The context holds a copy of t, not its address, so the caller's tuple
+// stays off the heap.
 func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCtx {
 	n.jc.ltBefore, n.jc.leAfter = ltBefore, leAfter
 	n.jc.hasDeleted = sign < 0
+	n.jc.carve = nil
 	if sign < 0 {
 		n.jc.ltBefore, n.jc.leAfter = noLimit, noLimit
 		n.jc.deleted = t
+		n.jc.carve = &n.carve
 	}
 	return &n.jc
 }

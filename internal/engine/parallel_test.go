@@ -68,7 +68,8 @@ func TestParallelShortestPathFigure2(t *testing.T) {
 // TestParallelEquivalenceRandomized is the parallel-vs-sequential
 // equivalence test: the same randomized program and seed must reach a
 // byte-identical fixpoint at Parallelism 1, 2, and 8, and match the
-// centralized reference evaluator.
+// centralized reference evaluator. No node may store a carved row
+// (DESIGN.md §3), though workers hand carved retractions to each other.
 func TestParallelEquivalenceRandomized(t *testing.T) {
 	// Sparse on purpose: path-vector programs enumerate simple paths,
 	// which explodes on dense random graphs.
@@ -127,8 +128,23 @@ func TestParallelEquivalenceRandomized(t *testing.T) {
 			for _, id := range ids {
 				p.AddNode(id)
 			}
-			if err := p.Run(); err != nil {
+			log := val.TrackChunks()
+			err = p.Run()
+			log.Stop()
+			if err != nil {
 				t.Fatal(err)
+			}
+			if log.Len() == 0 {
+				t.Fatalf("trial %d: parallelism=%d carved no retraction: the carving check is vacuous", trial, par)
+			}
+			for _, id := range ids {
+				for _, name := range p.Node(id).Catalog().Names() {
+					for _, tp := range p.Node(id).Tuples(name) {
+						if log.Holds(tp) {
+							t.Fatalf("trial %d: parallelism=%d: node %s stores %v in a carved chunk", trial, par, id, tp)
+						}
+					}
+				}
 			}
 			got := encodeFixpoint(p.QueryResults())
 			if !bytes.Equal(got, want) {

@@ -200,7 +200,7 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 			sign = -1
 		}
 		b = b[1:]
-		base, m, err := val.DecodeTupleIn(b, in)
+		base, m, err := val.DecodeTupleIn(b, in, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -628,6 +628,12 @@ type joinCtx struct {
 	// the elements of a fused list.
 	headBuf []val.Value
 	listBuf []val.Value
+	// carve, when set, carves derived heads from the node's drain-owned
+	// chunks instead of allocating each exactly. Whoever resets the
+	// context for a delta sets it from the sign the derivations will be
+	// routed with — only retractions, which nothing stores, are carved —
+	// so a context built for anything else leaves it nil.
+	carve *val.Carver
 }
 
 // strandRes is one node's resolved handles for one strand: the table of
@@ -776,9 +782,10 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 // elements into listBuf — and copied out once, into one array holding the
 // fields and then the list, the layout val.DecodeTupleIn gives a received
 // tuple. That array is the derived tuple's single allocation, owned from
-// here on by whoever keeps the delta (DESIGN.md §3). For aggregate rules,
-// the aggregate position receives the raw aggregated variable's value;
-// the caller replaces it with the group aggregate.
+// here on by whoever keeps the delta — or, for a retraction, carved from
+// ctx.carve (DESIGN.md §3). For aggregate rules, the aggregate position
+// receives the raw aggregated variable's value; the caller replaces it
+// with the group aggregate.
 func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 	n := len(s.code.head)
 	if cap(ctx.headBuf) < n {
@@ -821,9 +828,11 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
 	if fused < 0 {
-		return val.Tuple{Pred: s.rule.Head.Pred, Fields: append([]val.Value(nil), fields...)}, nil
+		fs := ctx.carve.Make(n)
+		copy(fs, fields)
+		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fs}, nil
 	}
-	vs := make([]val.Value, n+len(ctx.listBuf))
+	vs := ctx.carve.Make(n + len(ctx.listBuf))
 	copy(vs, fields)
 	elems := vs[n:]
 	copy(elems, ctx.listBuf)

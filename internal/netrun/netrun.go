@@ -842,6 +842,10 @@ func (r *Runner) deliver(nn *netNode, l *link, seq uint64, payload []byte) {
 		for _, d := range deltas {
 			nn.node.Push(d)
 		}
+		// The scratch outlives this frame: drop its tuple references, or
+		// the last frame's tuples — and the chunks its retractions were
+		// carved from — stay live until the next datagram.
+		clear(deltas)
 		outs = nn.node.Drain()
 		// WAL before wire and before ack: a crash right here cannot have
 		// advertised, or acknowledged, state it will not remember.

@@ -8,17 +8,19 @@
 // Virtual time is in seconds. Handlers run instantaneously in virtual
 // time; processing cost is modelled by scheduling delayed sends/timers.
 //
-// Ownership: Send retains the payload slice until delivery — senders
-// must not reuse or scribble over it after handing it off (the engine's
-// encoders allocate a fresh payload per message for exactly this
-// reason). Conversely a Handler only borrows the payload for the
-// duration of HandleMessage; retaining it requires a copy, which the
-// engine's copy-on-decode invariant provides. The simulator itself is
-// single-threaded: all handlers run on the event loop's goroutine.
+// Ownership: Send takes the payload slice and hands it to exactly one
+// HandleMessage call — none if the message is lost — and keeps no
+// reference afterwards. The sender must not touch it in between. The
+// receiving side owns it from delivery on: the engine's Cluster decodes
+// it (copy-on-decode, so no tuple aliases it) and then returns it to its
+// own free list, where the next send encodes into it. A Handler that
+// keeps a payload past HandleMessage therefore keeps it for good. The
+// simulator itself is single-threaded: all handlers run on the event
+// loop's goroutine, and queued events are held by value, so scheduling
+// one allocates nothing.
 package simnet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -71,40 +73,86 @@ const (
 	evFunc
 )
 
+// event is one queued delivery, timer or function call. The queue holds
+// events by value, so scheduling one allocates nothing.
 type event struct {
 	time float64
 	seq  uint64 // FIFO tie-break for equal times
 	kind eventKind
 
-	// deliver
+	// deliver: from -> to; timer: to is the node
 	from, to NodeID
 	payload  []byte
 
 	// timer
-	node NodeID
-	key  string
+	key string
 
 	// func
 	fn func(now float64)
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
+
+// eventQueue is a binary min-heap of events by (time, seq), written out
+// by hand because container/heap's any-typed Push and Pop would box
+// every event. Its backing array follows what is queued: below a quarter
+// full it is halved, and dropped once empty, beyond minQueueCap events.
+type eventQueue []event
+
+// minQueueCap is the capacity the queue keeps however few events it
+// holds, so a simulation that keeps a handful of events in flight
+// reallocates nothing.
+const minQueueCap = 64
+
+func (q *eventQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	e := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the payload and closure references
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	if c := cap(h); c > minQueueCap && n < c/4 {
+		if n == 0 {
+			h = nil
+		} else {
+			h = append(make(eventQueue, 0, c/2), h...)
+		}
+	}
+	*q = h
 	return e
 }
 
@@ -344,7 +392,7 @@ func (s *Sim) Send(from, to NodeID, payload []byte, delay float64) error {
 		arrive = l.lastArrival
 	}
 	l.lastArrival = arrive
-	s.push(&event{time: arrive, kind: evDeliver, from: from, to: to, payload: payload})
+	s.push(event{time: arrive, kind: evDeliver, from: from, to: to, payload: payload})
 	return nil
 }
 
@@ -352,32 +400,32 @@ func (s *Sim) Send(from, to NodeID, payload []byte, delay float64) error {
 // delay; used for locally recursive derivations that should consume
 // virtual processing time.
 func (s *Sim) SendLoopback(node NodeID, payload []byte, delay float64) {
-	s.push(&event{time: s.now + delay, kind: evDeliver, from: node, to: node, payload: payload})
+	s.push(event{time: s.now + delay, kind: evDeliver, from: node, to: node, payload: payload})
 }
 
 // ScheduleTimer fires Handler.HandleTimer(key) on node after delay.
 func (s *Sim) ScheduleTimer(node NodeID, delay float64, key string) {
-	s.push(&event{time: s.now + delay, kind: evTimer, node: node, key: key})
+	s.push(event{time: s.now + delay, kind: evTimer, to: node, key: key})
 }
 
 // ScheduleFunc runs fn at now+delay. The harness uses this to inject
 // link updates mid-run.
 func (s *Sim) ScheduleFunc(delay float64, fn func(now float64)) {
-	s.push(&event{time: s.now + delay, kind: evFunc, fn: fn})
+	s.push(event{time: s.now + delay, kind: evFunc, fn: fn})
 }
 
-func (s *Sim) push(e *event) {
+func (s *Sim) push(e event) {
 	e.seq = s.seq
 	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 }
 
 // Step processes one event. It returns false when the queue is empty.
 func (s *Sim) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
+	e := s.queue.pop()
 	if e.time > s.now {
 		s.now = e.time
 	}
@@ -391,7 +439,7 @@ func (s *Sim) Step() bool {
 		s.lastDelivery = s.now
 		h.HandleMessage(s.now, e.from, e.payload)
 	case evTimer:
-		if h, ok := s.nodes[e.node]; ok {
+		if h, ok := s.nodes[e.to]; ok {
 			h.HandleTimer(s.now, e.key)
 		}
 	case evFunc:
@@ -405,14 +453,14 @@ func (s *Sim) Step() bool {
 // number of events processed.
 func (s *Sim) Run(until float64) int {
 	n := 0
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		if s.queue[0].time > until {
 			break
 		}
 		s.Step()
 		n++
 	}
-	if s.now < until && s.queue.Len() == 0 {
+	if s.now < until && len(s.queue) == 0 {
 		s.now = until
 	}
 	return n
@@ -427,8 +475,8 @@ func (s *Sim) RunToQuiescence(maxEvents int) bool {
 			return true
 		}
 	}
-	return s.queue.Len() == 0
+	return len(s.queue) == 0
 }
 
 // Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.queue.Len() }
+func (s *Sim) Pending() int { return len(s.queue) }

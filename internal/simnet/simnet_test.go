@@ -397,3 +397,65 @@ func TestSetLoss(t *testing.T) {
 		t.Fatal("loss=0 did not deliver")
 	}
 }
+
+// nop is a Handler that keeps nothing.
+type nop struct{}
+
+func (nop) HandleMessage(float64, NodeID, []byte) {}
+func (nop) HandleTimer(float64, string)           {}
+
+// TestSendStepAllocBudget: the queue holds events by value, so a send
+// and its delivery allocate nothing once the queue has its capacity.
+func TestSendStepAllocBudget(t *testing.T) {
+	s := New(1)
+	s.AddNode("a", nop{})
+	s.AddNode("b", nop{})
+	if err := s.AddLink("a", "b", 0.010, 0); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("x")
+	got := testing.AllocsPerRun(100, func() {
+		s.Send("a", "b", payload, 0)
+		s.ScheduleTimer("a", 0.001, "t")
+		s.Step()
+		s.Step()
+	})
+	if got != 0 {
+		t.Errorf("Send+ScheduleTimer+Step allocates %v objects, want 0", got)
+	}
+	if s.Messages() != 101 {
+		t.Errorf("delivered %d messages, want 101", s.Messages())
+	}
+}
+
+// TestQueueRetentionBounded: the event queue's backing array follows
+// what is queued — halved below a quarter full, dropped once empty —
+// down to minQueueCap, so a burst leaves nothing behind; events still
+// leave in time order.
+func TestQueueRetentionBounded(t *testing.T) {
+	s := New(1)
+	var fired []float64
+	for i := 0; i < 10_000; i++ {
+		d := float64((i * 7919) % 10_000)
+		s.ScheduleFunc(d, func(now float64) { fired = append(fired, now) })
+	}
+	peak := cap(s.queue)
+	for s.Pending() > 100 {
+		s.Step()
+	}
+	if c := cap(s.queue); c > 4*100*2 {
+		t.Errorf("with 100 events queued the array holds %d (peak %d)", c, peak)
+	}
+	s.RunToQuiescence(1 << 20)
+	if cap(s.queue) > minQueueCap {
+		t.Errorf("an empty queue keeps a %d-event array, bound is %d", cap(s.queue), minQueueCap)
+	}
+	for i := 1; i < len(fired); i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("event %d fired at %g, after one at %g", i, fired[i], fired[i-1])
+		}
+	}
+	if len(fired) != 10_000 {
+		t.Errorf("fired %d events, want 10000", len(fired))
+	}
+}

@@ -204,17 +204,18 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 
 // DecodeTuple decodes one tuple from b, returning it and the bytes
 // consumed. The tuple owns its storage: no field retains a view of b.
-func DecodeTuple(b []byte) (Tuple, int, error) { return DecodeTupleIn(b, nil) }
+func DecodeTuple(b []byte) (Tuple, int, error) { return DecodeTupleIn(b, nil, nil) }
 
 // DecodeTupleIn is DecodeTuple resolving the predicate name and every
 // string through in's string table (nil copies them). The tuple's fields
-// and the elements of its top-level lists share one freshly allocated
-// backing array — a path tuple with known strings costs one allocation —
-// which a sizing pass over the bytes measures before anything is built,
-// so a corrupt count fails on truncation instead of allocating. Lists
-// nested inside lists allocate their own arrays. The result never
-// aliases b.
-func DecodeTupleIn(b []byte, in *Interner) (Tuple, int, error) {
+// and the elements of its top-level lists share one backing array — a
+// path tuple with known strings costs at most one allocation — which a
+// sizing pass over the bytes measures before anything is built, so a
+// corrupt count fails on truncation instead of allocating. The array is
+// carved from c (see Carver), so pass a Carver only for a tuple nobody
+// will store; nil allocates it exactly. Lists nested inside lists
+// allocate their own arrays. The result never aliases b.
+func DecodeTupleIn(b []byte, in *Interner, c *Carver) (Tuple, int, error) {
 	pred, n, err := decodeStringIn(b, in)
 	if err != nil {
 		return Tuple{}, 0, err
@@ -241,7 +242,7 @@ func DecodeTupleIn(b []byte, in *Interner) (Tuple, int, error) {
 		p += m
 	}
 
-	vs := make([]Value, total)
+	vs := c.Make(int(total))
 	// Full slice expressions: an append to Fields must never grow into
 	// the list elements behind it.
 	fields, rest := vs[:cnt:cnt], vs[cnt:]

@@ -45,7 +45,7 @@ func FuzzIntern(f *testing.F) {
 		orig := b
 		for len(rest) > 0 {
 			plain, n1, err1 := DecodeTuple(orig[len(orig)-len(rest):])
-			it, n2, err2 := DecodeTupleIn(rest, in)
+			it, n2, err2 := DecodeTupleIn(rest, in, nil)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("plain and interned decode disagree: %v vs %v", err1, err2)
 			}

@@ -75,13 +75,13 @@ func TestDecodeDoesNotAliasBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interned, n2, err := DecodeTupleIn(buf, in)
+		interned, n2, err := DecodeTupleIn(buf, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A second decode through the now-warm string table: its strings
 		// are the retained copies, which the scribble must not reach.
-		warm, _, err := DecodeTupleIn(buf, in)
+		warm, _, err := DecodeTupleIn(buf, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestDecodeTupleSingleBacking(t *testing.T) {
 	in := NewInterner()
 	for _, orig := range aliasingTuples() {
 		enc := AppendTuple(nil, orig)
-		if _, _, err := DecodeTupleIn(enc, in); err != nil { // warm the string table
+		if _, _, err := DecodeTupleIn(enc, in, nil); err != nil { // warm the string table
 			t.Fatal(err)
 		}
 		nested := 0
@@ -130,12 +130,12 @@ func TestDecodeTupleSingleBacking(t *testing.T) {
 			if len(orig.Fields) == 0 {
 				want = 0
 			}
-			if got := testing.AllocsPerRun(100, func() { DecodeTupleIn(enc, in) }); got != want {
+			if got := testing.AllocsPerRun(100, func() { DecodeTupleIn(enc, in, nil) }); got != want {
 				t.Errorf("%s: decode with warm strings allocates %v objects, want %v", orig.Pred, got, want)
 			}
 		}
 
-		got, _, err := DecodeTupleIn(enc, in)
+		got, _, err := DecodeTupleIn(enc, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
