@@ -58,6 +58,9 @@ type Cluster struct {
 	// is single-threaded, so one serves every node. It is cleared after
 	// use, so it pins no tuples between events.
 	decodeBuf []Delta
+	// outBuf is the array every pump drains into, for the same reason;
+	// it is cleared once the pump has encoded or buffered its deltas.
+	outBuf []OutDelta
 	// dstScratch is flushShare's reusable sorted-destination scratch.
 	dstScratch []string
 	// payloads is the free list of delivered message payloads that the
@@ -244,7 +247,7 @@ func (h *clusterHandler) HandleTimer(now float64, key string) {
 // header and simulator event cost amortize (ROADMAP "batched wire
 // encoding"); delivery order per destination is unchanged.
 func (c *Cluster) pump(n *Node) {
-	outs := n.Drain()
+	outs := n.DrainInto(c.outBuf[:0])
 	if len(outs) > 0 {
 		if c.cfg.Share != nil || c.cfg.Batch > 0 {
 			for _, o := range outs {
@@ -253,9 +256,9 @@ func (c *Cluster) pump(n *Node) {
 		} else {
 			c.sendBatched(n, outs)
 		}
-		// Every delta is now encoded or copied into the share buffer.
-		n.Recycle(outs)
 	}
+	// Every delta is now encoded or copied into the share buffer.
+	c.outBuf = reuseOut(c.outBuf, outs)
 	if n.PendingGroups() > 0 && !c.aggselArmed[n.id] && c.opts.AggSelPeriod > 0 {
 		c.aggselArmed[n.id] = true
 		c.sim.ScheduleTimer(simnet.NodeID(n.id), c.opts.AggSelPeriod, "aggsel")

@@ -11,12 +11,14 @@
 // shard worker) must serialize SetNow/Push/Drain/Tuples per node, and
 // the node's string table is part of that state (decode through it only
 // under the same discipline). Tuples are immutable and allocated once,
-// by whoever keeps them; a retraction, which nobody keeps, is carved
-// from a shared chunk instead (DESIGN.md §3). A decoded tuple never
-// aliases the wire buffer it came from (copy-on-decode), and OutDeltas
-// returned by Drain are owned by the caller until it chooses to Recycle
-// them. The encoders append to the buffer they are given; the Cluster
-// hands them payloads its deliveries have finished decoding.
+// by whoever keeps them; a tuple nobody keeps — a retraction, or a head
+// its node encodes for another — is carved from a shared chunk instead
+// (DESIGN.md §3). A decoded tuple never aliases the wire buffer it came
+// from (copy-on-decode). DrainInto appends its OutDeltas to a buffer the
+// caller owns and may reuse once it has encoded or copied them; the
+// node keeps no reference to it. The encoders append to the buffer they
+// are given; the Cluster hands them payloads its deliveries have
+// finished decoding.
 package engine
 
 import (

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ndlog/internal/ast"
 	"ndlog/internal/programs"
 	"ndlog/internal/simnet"
 	"ndlog/internal/val"
@@ -177,9 +178,11 @@ r1 out(@S,I) :- trig(@S,K), item(@S,I).
 	}
 }
 
-// TestDrainRecyclesOutput: a driver that hands its Drain result back
-// gets the same array on the next drain, cleared of tuple references.
-func TestDrainRecyclesOutput(t *testing.T) {
+// TestDrainIntoCallerBuffer: DrainInto appends into the array its caller
+// hands it — deltas routed between drains included — and keeps no
+// reference to it; reuseOut hands a driver back a cleared array, never
+// one above keepCap.
+func TestDrainIntoCallerBuffer(t *testing.T) {
 	prog := mustParse(t, `
 materialize(link, infinity, infinity, keys(1,2)).
 materialize(out, infinity, infinity, keys(1,2)).
@@ -189,27 +192,167 @@ r1 out(@Y,@X) :- #link(@X,@Y).
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Push(Insert(val.NewTuple("link", val.NewAddr("a"), val.NewAddr("b"))))
-	first := n.Drain()
-	if len(first) != 1 || first[0].Dst != "b" {
-		t.Fatalf("first drain = %v, want one delta for b", first)
+	link := func(dst string) val.Tuple { return val.NewTuple("link", val.NewAddr("a"), val.NewAddr(dst)) }
+	buf := make([]OutDelta, 0, 4)
+	n.Push(Insert(link("c")))
+	first := n.DrainInto(buf)
+	if len(first) != 1 || first[0].Dst != "c" {
+		t.Fatalf("first drain = %v, want one delta for c", first)
 	}
-	n.Recycle(first)
-	if first[0].Dst != "" || first[0].Delta.Tuple.Fields != nil {
-		t.Error("Recycle must clear the deltas it takes back")
+	if &first[0] != &buf[:1][0] {
+		t.Error("the drain did not append into the caller's array")
 	}
-	n.Push(Insert(val.NewTuple("link", val.NewAddr("a"), val.NewAddr("c"))))
-	second := n.Drain()
-	if len(second) != 1 || second[0].Dst != "c" {
-		t.Fatalf("second drain = %v, want one delta for c", second)
+	if n.out != nil {
+		t.Error("the node kept a reference to the caller's buffer")
+	}
+	// A delta routed between drains (as an expiry sweep routes) lands in
+	// the next drain's buffer, after what the caller already holds and
+	// sorted with that drain's own output.
+	n.runNormalStrands(+1, link("d"), noLimit, noLimit)
+	n.Push(Insert(link("b")))
+	second := n.DrainInto(first)
+	if len(second) != 3 || second[0].Dst != "c" || second[1].Dst != "b" || second[2].Dst != "d" {
+		t.Fatalf("second drain = %v, want c kept, then b and d", second)
 	}
 	if &second[0] != &first[0] {
-		t.Error("second drain did not reuse the recycled array")
+		t.Error("the second drain did not append into the caller's array")
 	}
-	// A burst's buffer is not kept.
-	n.Recycle(make([]OutDelta, 0, keepCap+1))
-	if cap(n.out) > keepCap {
-		t.Errorf("Recycle kept a %d-delta buffer, bound is %d", cap(n.out), keepCap)
+
+	reused := reuseOut(buf, second)
+	if len(reused) != 0 || &reused[:1][0] != &second[0] {
+		t.Error("reuseOut did not hand back the drain's array, emptied")
+	}
+	for i, o := range second {
+		if o.Dst != "" || o.Delta.Tuple.Fields != nil {
+			t.Errorf("reuseOut left delta %d in the array: %v", i, o)
+		}
+	}
+	// A burst's array is not kept: the driver's previous one comes back,
+	// cleared in full, because the drain filled it before outgrowing it.
+	small := make([]OutDelta, 2)
+	small[1] = OutDelta{Dst: "x", Delta: Insert(link("x"))}
+	reused = reuseOut(small[:0], make([]OutDelta, keepCap+1))
+	if cap(reused) > keepCap || &reused[:1][0] != &small[0] || small[1].Dst != "" {
+		t.Errorf("reuseOut after a burst kept a %d-delta array, want the driver's cleared %d-delta one", cap(reused), cap(small))
+	}
+}
+
+// remoteHeads is a two-node deployment whose trig event at a derives
+// out(@b,a,I) for each of a's 64 items: 64 insertions bound for b.
+const remoteHeads = `
+materialize(trig, 0, infinity, keys(1,2)).
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(item, infinity, infinity, keys(1,2)).
+materialize(out, infinity, infinity, keys(1,2,3)).
+r1 out(@D,@S,I) :- trig(@S,K), #link(@S,@D), item(@S,I).
+`
+
+const remoteFanout = 64
+
+func remoteProgram(t *testing.T) *ast.Program {
+	t.Helper()
+	prog := mustParse(t, remoteHeads)
+	a := val.NewAddr("a")
+	prog.Facts = append(prog.Facts, val.NewTuple("link", a, val.NewAddr("b")))
+	for i := range remoteFanout {
+		prog.Facts = append(prog.Facts, val.NewTuple("item", a, val.NewInt(int64(i))))
+	}
+	return prog
+}
+
+var trigA = Insert(val.NewTuple("trig", val.NewAddr("a"), val.NewInt(1)))
+
+// TestClusterPumpRemoteHeadsAllocBudget: a pump whose drain derives 64
+// insertions for another node costs a few allocations at the sender,
+// not one per insertion — the heads are carved, the driver's array is
+// reused, and the message is one payload — and a pump whose drain emits
+// nothing costs nothing and leaves the driver's array in place.
+func TestClusterPumpRemoteHeadsAllocBudget(t *testing.T) {
+	sim := simnet.New(1)
+	cl, err := NewCluster(sim, remoteProgram(t), Options{}, ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := cl.AddNode("a"), cl.AddNode("b")
+	if err := sim.AddLink("a", "b", 0.010, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	a.Push(trigA)
+	cl.pump(a)
+	sim.RunToQuiescence(1000)
+	if got := len(b.Tuples("out")); got != remoteFanout {
+		t.Fatalf("b stores %d out rows, want %d", got, remoteFanout)
+	}
+	// The link is down from here on: a send is dropped where it is made,
+	// so what is measured is the sender alone.
+	if err := sim.SetDown("a", "b", true); err != nil {
+		t.Fatal(err)
+	}
+	before := sim.Dropped()
+	allocs := testing.AllocsPerRun(50, func() {
+		a.Push(trigA)
+		cl.pump(a)
+	})
+	if sim.Dropped() == before {
+		t.Fatal("the measured pumps sent nothing")
+	}
+	if allocs > 4 {
+		t.Errorf("a pump deriving %d remote insertions allocates %v objects, want <= 4", remoteFanout, allocs)
+	}
+
+	kept := cl.outBuf[:1]
+	trigB := Insert(val.NewTuple("trig", val.NewAddr("b"), val.NewInt(1)))
+	idle := testing.AllocsPerRun(50, func() {
+		b.Push(trigB)
+		cl.pump(b)
+	})
+	if idle != 0 {
+		t.Errorf("a pump whose drain emits nothing allocates %v objects, want 0", idle)
+	}
+	if &cl.outBuf[:1][0] != &kept[0] {
+		t.Error("a pump whose drain emits nothing replaced the cluster's drain array")
+	}
+}
+
+// TestParallelRemoteHeadsAllocBudget: under Parallel a head bound for
+// another node crosses by reference and is stored there, so the drain
+// that derives 64 of them costs exactly one exact array each — the
+// worker's drain array and the receiver's inbox are reused.
+func TestParallelRemoteHeadsAllocBudget(t *testing.T) {
+	p, err := NewParallel(remoteProgram(t), Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AddNode("a")
+	p.AddNode("b")
+	p.ready = make(chan *pnode, 2)
+	pa, pb := p.nodes["a"], p.nodes["b"]
+	for _, f := range p.prog.source.Facts {
+		pa.n.Push(Insert(f))
+	}
+	pa.n.Drain()
+	trig := []Delta{trigA}
+	var buf []OutDelta
+	round := func() {
+		pa.state.Store(pnScheduled)
+		p.pending.Add(1)
+		pa.inbox = trig
+		buf = p.work(pa, buf)
+		// Take b off the ready queue as if its worker had run it, keeping
+		// its inbox's array.
+		<-p.ready
+		pb.state.Store(pnIdle)
+		p.pending.Add(-1)
+		clear(pb.inbox)
+		pb.inbox = pb.inbox[:0]
+	}
+	round()
+	allocs := testing.AllocsPerRun(50, round)
+	if allocs != remoteFanout {
+		t.Errorf("a Parallel drain deriving %d remote insertions allocates %v objects, want %d", remoteFanout, allocs, remoteFanout)
 	}
 }
 

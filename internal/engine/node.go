@@ -88,7 +88,9 @@ type Options struct {
 	// experiment harness ("% results over time").
 	OnStore func(nodeID string, d Delta, now float64)
 	// OnDerive observes every derived head tuple before routing, with
-	// the label of the deriving rule. Used by watch(...) tracing.
+	// the label of the deriving rule. Used by watch(...) tracing. The
+	// tuple may be carved from a shared chunk (DESIGN.md §3): a hook that
+	// keeps it keeps the whole chunk alive.
 	OnDerive func(nodeID, ruleLabel string, d Delta)
 	// Parallelism is the number of nodes drained at once: the worker
 	// count of the in-process Parallel executor, and (through Workers) of
@@ -124,13 +126,21 @@ type Node struct {
 	// central loops every derived tuple back to this node regardless of
 	// its location specifier (single-site evaluation).
 	central bool
+	// byRef marks a node whose remote heads reach their destination by
+	// reference (Parallel), where the receiver stores the very tuple: they
+	// keep their exact arrays instead of being carved (see resetCtx).
+	byRef bool
 
 	stamp uint64
 	now   float64
 	iter  uint64 // SN iteration counter
 
 	queue deltaQueue
-	out   []OutDelta
+	// out collects the deltas routed to other nodes: during a drain it is
+	// the caller's buffer (DrainInto); between drains (expiry sweeps,
+	// FlushPending) it grows on its own until the next drain moves it
+	// there.
+	out []OutDelta
 	// net is the scratch of Drain's replacement fold over out, and netting
 	// the counters of both halves of "a replacement is one delta".
 	net     outNet
@@ -149,8 +159,9 @@ type Node struct {
 	// engine is single-threaded per node, so one context serves every
 	// strand run.
 	jc joinCtx
-	// carve supplies the field arrays of the retractions this node
-	// derives (see joinCtx.carve and aggHead). Drain drops its chunk.
+	// carve supplies the field arrays of the heads this node derives but
+	// does not keep — retractions, and insertions its driver encodes for
+	// another node (see resetCtx and aggHead). Drain drops its chunk.
 	carve val.Carver
 	// aggKeyScratch backs aggKeyVals between aggregate emits, and
 	// groupScratch an aggregate selection's group key (groupKey).
@@ -387,44 +398,56 @@ func (n *Node) journalDelta(d Delta) {
 // QueueLen returns the number of pending deltas.
 func (n *Node) QueueLen() int { return n.queue.len() }
 
-// Drain processes the queue to a local fixpoint and returns the deltas
-// destined for other nodes. PSN processes tuple-at-a-time; SN/BSN run
-// batched local iterations. The caller owns the result until it hands
-// it back with Recycle, which it need not do.
-func (n *Node) Drain() []OutDelta {
+// Drain is DrainInto(nil): the deltas for other nodes come back in a new
+// array, which the caller keeps.
+func (n *Node) Drain() []OutDelta { return n.DrainInto(nil) }
+
+// DrainInto processes the queue to a local fixpoint and appends to dst
+// the deltas destined for other nodes — those derived since the last
+// drain included — stable-sorted by destination. PSN processes
+// tuple-at-a-time; SN/BSN run batched local iterations. A driver that
+// encodes or copies one drain's output before it starts the next passes
+// one buffer of its own, emptied, to every drain (Cluster keeps one for
+// all of its nodes, Parallel one per worker); the node keeps no
+// reference to it. A head carved for another node (DESIGN.md §3) lives
+// in the result until the caller drops it.
+func (n *Node) DrainInto(dst []OutDelta) []OutDelta {
+	base := len(dst)
+	n.out = append(dst, n.out...)
 	switch n.opts.Mode {
 	case SN, BSN:
 		n.drainSN()
 	default:
 		n.drainPSN()
 	}
-	out := n.foldReplacements(n.out)
+	out := n.out
 	n.out = nil
-	// The retractions carved this drain are in out or already processed:
-	// an idle node holds no chunk — neither the allocator's nor, through
-	// the join context's last retracted tuple, the one it came in.
+	out = out[:base+len(n.foldReplacements(out[base:]))]
+	// The heads carved this drain are in out or already processed: an idle
+	// node holds no chunk — neither the allocator's nor, through the join
+	// context's last retracted tuple, the one it came in.
 	n.carve.Reset()
 	n.jc.deleted = val.Tuple{}
 	// Stable-sort by destination (per-destination relative order
 	// preserved), so drivers can group contiguous runs per destination
 	// without a map.
-	if len(out) > 1 {
-		slices.SortStableFunc(out, func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
+	if len(out)-base > 1 {
+		slices.SortStableFunc(out[base:], func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
 	}
 	return out
 }
 
-// Recycle hands a Drain result back once the caller is done with it —
-// every delta encoded or copied elsewhere — so the next drain appends
-// into the same array instead of growing a new one. Only a driver that
-// consumes one drain's output before it starts the next drain may
-// recycle; one that sends after releasing the node (netrun) keeps its
-// slices.
-func (n *Node) Recycle(outs []OutDelta) {
-	if len(n.out) == 0 && cap(outs) <= keepCap {
-		clear(outs)
-		n.out = outs[:0]
+// reuseOut returns the buffer a driver hands its next DrainInto, given
+// the one it handed this one (buf) and the result (outs), whose deltas
+// it has encoded or copied by now. It keeps outs's array, cleared of its
+// tuples, unless a burst grew it beyond keepCap; then it keeps buf's,
+// which the drain filled before it outgrew it, cleared in full.
+func reuseOut(buf, outs []OutDelta) []OutDelta {
+	if cap(outs) > keepCap {
+		outs = buf[:cap(buf)]
 	}
+	clear(outs)
+	return outs[:0]
 }
 
 func (n *Node) drainPSN() {
@@ -923,16 +946,20 @@ func aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value, c *v
 // insertions join under the caller's stamp bounds, deletions join
 // unrestricted, carry the retracted tuple for the self-join correction,
 // and carve what they derive — retractions — from the node's chunks.
-// The context holds a copy of t, not its address, so the caller's tuple
-// stays off the heap.
+// An insertion's heads bound for another node are carved too, unless
+// they reach it by reference (central, byRef): the driver encodes them
+// and drops them. The context holds a copy of t, not its address, so the
+// caller's tuple stays off the heap.
 func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCtx {
 	n.jc.ltBefore, n.jc.leAfter = ltBefore, leAfter
 	n.jc.hasDeleted = sign < 0
-	n.jc.carve = nil
+	n.jc.carve, n.jc.keepAt = nil, ""
 	if sign < 0 {
 		n.jc.ltBefore, n.jc.leAfter = noLimit, noLimit
 		n.jc.deleted = t
 		n.jc.carve = &n.carve
+	} else if !n.central && !n.byRef {
+		n.jc.carve, n.jc.keepAt = &n.carve, n.id
 	}
 	return &n.jc
 }

@@ -33,7 +33,9 @@ import (
 //
 // Tuples cross nodes by reference (no wire encode/decode): tuples are
 // immutable, so the array a head was instantiated into at one node is
-// the one the receiving node's table stores.
+// the one the receiving node's table stores. That is why AddNode marks
+// its nodes byRef: an insertion bound for another node keeps its exact
+// array, where an encoding driver's node carves it (DESIGN.md §3).
 //
 // Quiescence is exact: a pending counter tracks scheduled-or-running
 // nodes, every delivery happens from a counted worker (or from seeding
@@ -97,6 +99,7 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 // unchanged.
 func (p *Parallel) AddNode(id string) *Node {
 	n := p.prog.NewNode(id, p.opts)
+	n.byRef = true
 	pn := &pnode{n: n}
 	p.nodes[id] = pn
 	p.order = append(p.order, id)
@@ -183,8 +186,10 @@ func (p *Parallel) Run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's drain buffer: every node it owns drains into it.
+			var outs []OutDelta
 			for pn := range p.ready {
-				p.work(pn)
+				outs = p.work(pn, outs)
 			}
 		}()
 	}
@@ -195,9 +200,11 @@ func (p *Parallel) Run() error {
 }
 
 // work owns pn until it goes idle: push the inbox, drain to a local
-// fixpoint, route the outbound deltas, and re-check the inbox under
-// the lock before idling so a delivery racing the drain is never lost.
-func (p *Parallel) work(pn *pnode) {
+// fixpoint into the worker's buffer buf, route the outbound deltas, and
+// re-check the inbox under the lock before idling so a delivery racing
+// the drain is never lost. It returns the buffer for the worker's next
+// node.
+func (p *Parallel) work(pn *pnode, buf []OutDelta) []OutDelta {
 	for {
 		pn.mu.Lock()
 		batch := pn.inbox
@@ -206,9 +213,9 @@ func (p *Parallel) work(pn *pnode) {
 		for _, d := range batch {
 			pn.n.Push(d)
 		}
-		outs := pn.n.Drain()
+		outs := pn.n.DrainInto(buf[:0])
 		p.dispatch(outs)
-		pn.n.Recycle(outs)
+		buf = reuseOut(buf, outs)
 		pn.mu.Lock()
 		if len(pn.inbox) > 0 {
 			// New deltas arrived during the drain; keep ownership and
@@ -224,7 +231,7 @@ func (p *Parallel) work(pn *pnode) {
 			// so the counter cannot tick zero with a delivery in flight.
 			p.quiet <- struct{}{}
 		}
-		return
+		return buf
 	}
 }
 

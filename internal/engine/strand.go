@@ -629,11 +629,15 @@ type joinCtx struct {
 	headBuf []val.Value
 	listBuf []val.Value
 	// carve, when set, carves derived heads from the node's drain-owned
-	// chunks instead of allocating each exactly. Whoever resets the
-	// context for a delta sets it from the sign the derivations will be
-	// routed with — only retractions, which nothing stores, are carved —
-	// so a context built for anything else leaves it nil.
-	carve *val.Carver
+	// chunks instead of allocating each exactly; a head homed at keepAt,
+	// when keepAt is set, is exempt. Whoever resets the context for a
+	// delta sets both from the sign the derivations will be routed with,
+	// so that only heads this node does not keep are carved: every
+	// retraction (nothing stores one), and an insertion bound for another
+	// node whose driver encodes it and drops it (keepAt is then the
+	// node's id). A context built for anything else leaves carve nil.
+	carve  *val.Carver
+	keepAt string
 }
 
 // strandRes is one node's resolved handles for one strand: the table of
@@ -782,10 +786,10 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 // elements into listBuf — and copied out once, into one array holding the
 // fields and then the list, the layout val.DecodeTupleIn gives a received
 // tuple. That array is the derived tuple's single allocation, owned from
-// here on by whoever keeps the delta — or, for a retraction, carved from
-// ctx.carve (DESIGN.md §3). For aggregate rules, the aggregate position
-// receives the raw aggregated variable's value; the caller replaces it
-// with the group aggregate.
+// here on by whoever keeps the delta — or, for a head this node does not
+// keep, carved from ctx.carve (DESIGN.md §3). For aggregate rules, the
+// aggregate position receives the raw aggregated variable's value; the
+// caller replaces it with the group aggregate.
 func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 	n := len(s.code.head)
 	if cap(ctx.headBuf) < n {
@@ -827,12 +831,16 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 		// instantiation: hand it the scratch itself.
 		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fields}, nil
 	}
+	c := ctx.carve
+	if ctx.keepAt != "" && fields[0].Addr() == ctx.keepAt {
+		c = nil
+	}
 	if fused < 0 {
-		fs := ctx.carve.Make(n)
+		fs := c.Make(n)
 		copy(fs, fields)
 		return val.Tuple{Pred: s.rule.Head.Pred, Fields: fs}, nil
 	}
-	vs := ctx.carve.Make(n + len(ctx.listBuf))
+	vs := c.Make(n + len(ctx.listBuf))
 	copy(vs, fields)
 	elems := vs[n:]
 	copy(elems, ctx.listBuf)

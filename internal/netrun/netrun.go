@@ -414,11 +414,11 @@ func (r *Runner) ImportNode(id string, state []byte) error {
 		for _, d := range deltas {
 			nn.node.Push(d)
 		}
-		outs = append(outs, nn.node.Drain()...)
+		outs = nn.node.DrainInto(outs)
 	}
 	nn.node.SetNow(now)
 	nn.node.Rederive()
-	outs = append(outs, nn.node.Drain()...)
+	outs = nn.node.DrainInto(outs)
 	r.commitDurable(nn)
 	r.activity.Add(1)
 	r.unlockAndDispatch(nn, outs)
