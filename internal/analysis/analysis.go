@@ -16,8 +16,9 @@
 //     graph (soft-state must never feed hard state — the PR 5 bug
 //     class); dead-rule and unreachable-predicate detection from the
 //     seeded EDB set.
-//   - Lints (warnings): unused assignments, singleton variables, and
-//     aggregate argument hygiene.
+//   - Lints (warnings): unused assignments, singleton variables,
+//     aggregate argument hygiene, and recursion the count algorithm
+//     cannot retract (no path-vector guard).
 //
 // Analyze never mutates the program. Diagnostics are sorted by source
 // position and render as "file:line:col: severity: message [check-id]".
@@ -71,6 +72,7 @@ const (
 	CheckUnreachable  = "unreachable"   // predicate never seeded nor derived
 	CheckUnusedVar    = "unused-var"    // assigned but never used
 	CheckSingleton    = "singleton"     // variable occurs exactly once
+	CheckCountCycle   = "count-cycle"   // hard-state recursion with no path-vector guard
 )
 
 // Diagnostic is one analyzer finding.
@@ -107,6 +109,7 @@ func Analyze(prog *ast.Program) []Diagnostic {
 	c.checkSafety(prog, sig)
 	c.checkLifetime(prog)
 	c.checkEvents(prog)
+	c.checkCountCycles(prog)
 	c.checkReachability(prog)
 	c.checkAggArgs(prog)
 	c.checkVarLints(prog)

@@ -136,11 +136,12 @@ func TestUnderscoreSilencesLints(t *testing.T) {
 func TestCleanProgramNoDiagnostics(t *testing.T) {
 	src := `
 materialize(link, infinity, infinity, keys(1,2)).
-materialize(path, infinity, infinity, keys(1,2,3)).
+materialize(path, infinity, infinity, keys(1,2,3,4)).
 link(a, b, 1).
-p1 path(@S, @D, C) :- #link(@S, @D, C).
-p2 path(@S, @D, C) :- #link(@S, @Z, C1), path(@Z, @D, C2), C := C1 + C2.
-query path(@S, @D, C).
+p1 path(@S, @D, P, C) :- #link(@S, @D, C), P := f_concatPath(S, [D]).
+p2 path(@S, @D, P, C) :- #link(@S, @Z, C1), path(@Z, @D, P2, C2),
+	f_member(P2, S) == false, C := C1 + C2, P := f_concatPath(S, P2).
+query path(@S, @D, P, C).
 `
 	if diags := analyze(t, src); len(diags) != 0 {
 		t.Errorf("clean program should have no diagnostics, got %v", diags)

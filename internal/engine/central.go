@@ -6,8 +6,8 @@ import (
 )
 
 // Central evaluates an NDlog program at a single site, ignoring data
-// placement: every derived tuple loops back locally. It supports all
-// three evaluation modes and is the reference evaluator the distributed
+// placement: every derived tuple loops back locally. It supports both
+// evaluation modes and is the reference evaluator the distributed
 // cluster is validated against (Theorems 1 and 3).
 type Central struct {
 	node *Node

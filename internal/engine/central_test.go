@@ -7,6 +7,7 @@ import (
 
 	"ndlog/internal/ast"
 	"ndlog/internal/parser"
+	"ndlog/internal/simnet"
 	"ndlog/internal/val"
 )
 
@@ -101,7 +102,7 @@ func sameSet(t *testing.T, got, want map[string]bool, label string) {
 
 func TestCentralTransitiveClosure(t *testing.T) {
 	edges := [][2]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "e"}, {"e", "c"}}
-	for _, mode := range []Mode{PSN, SN, BSN} {
+	for _, mode := range []Mode{PSN, SN} {
 		c := central(t, tcSrc, Options{Mode: mode})
 		for _, e := range edges {
 			c.Insert(edge(e[0], e[1]))
@@ -143,7 +144,104 @@ func TestTheorem1SNEqualsPSNRandomGraphs(t *testing.T) {
 		oracle := tcOracle(edges)
 		sameSet(t, results[PSN], oracle, fmt.Sprintf("trial %d psn", trial))
 		sameSet(t, results[SN], oracle, fmt.Sprintf("trial %d sn", trial))
+
+		// The same graph with an event: every executor reaches PSN's
+		// fixpoint under SN too, and no executor stores the event.
+		want := runEvents(t, "central", PSN, n, edges)
+		for _, ex := range []string{"central", "cluster", "parallel"} {
+			for _, mode := range []Mode{PSN, SN} {
+				got := runEvents(t, ex, mode, n, edges)
+				label := fmt.Sprintf("trial %d events %s %v", trial, ex, mode)
+				if len(got["hello"]) != 0 {
+					t.Errorf("%s: event stored: %v", label, got["hello"])
+				}
+				for _, pred := range []string{"reach", "ack"} {
+					if fmt.Sprint(got[pred]) != fmt.Sprint(want[pred]) {
+						t.Errorf("%s: %s = %v, want %v", label, pred, got[pred], want[pred])
+					}
+				}
+			}
+		}
 	}
+
+	// An event joins only what is stored when it runs, in either mode:
+	// ev arrives before item in one SN round, so neither sees the other.
+	for _, mode := range []Mode{PSN, SN} {
+		c := central(t, `
+materialize(ev, 0, infinity, keys(1,2)).
+materialize(item, infinity, infinity, keys(1,2)).
+r1 out(@S,I) :- ev(@S,K), item(@S,I).
+`, Options{Mode: mode})
+		c.node.Push(Insert(val.NewTuple("ev", val.NewAddr("a"), val.NewInt(1))))
+		c.node.Push(Insert(val.NewTuple("item", val.NewAddr("a"), val.NewInt(7))))
+		c.Fixpoint()
+		if ev, out := c.Tuples("ev"), c.Tuples("out"); len(ev) != 0 || len(out) != 0 {
+			t.Errorf("%v: ev=%v out=%v, want both empty", mode, ev, out)
+		}
+	}
+}
+
+// evSrc is tcSrc with an event: each edge fires hello at its source,
+// where the event joins the stored edge to acknowledge it at the
+// destination. The edge is stored before its hello is derived, so ack
+// holds one row per edge whatever the order of evaluation.
+const evSrc = tcSrc + `
+materialize(hello, 0, infinity, keys(1,2)).
+e1 hello(@S,@D) :- #edge(@S,@D).
+e2 ack(@D,@S) :- hello(@S,@D), #edge(@S,@D).
+`
+
+// runEvents evaluates evSrc over the edges among n nodes on one executor
+// in one mode, and returns its reach, ack and hello tables.
+func runEvents(t *testing.T, ex string, mode Mode, n int, edges [][2]string) map[string][]val.Tuple {
+	t.Helper()
+	prog := mustParse(t, evSrc)
+	for _, e := range edges {
+		prog.Facts = append(prog.Facts, edge(e[0], e[1]))
+	}
+	var tuples func(pred string) []val.Tuple
+	switch ex {
+	case "central":
+		c, err := NewCentral(prog, Options{Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.LoadFacts()
+		tuples = c.Tuples
+	case "cluster":
+		sim := simnet.New(1)
+		cl, err := NewCluster(sim, prog, Options{Mode: mode}, ClusterConfig{ProcDelay: 0.001})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			cl.AddNode(simnet.NodeID(node(i)))
+		}
+		for _, e := range edges {
+			if err := sim.AddLink(simnet.NodeID(e[0]), simnet.NodeID(e[1]), 0.010, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runCluster(t, cl)
+		tuples = cl.Tuples
+	case "parallel":
+		p, err := NewParallel(prog, Options{Mode: mode, Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			p.AddNode(node(i))
+		}
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		tuples = p.Tuples
+	}
+	out := map[string][]val.Tuple{}
+	for _, pred := range []string{"reach", "ack", "hello"} {
+		out[pred] = tuples(pred)
+	}
+	return out
 }
 
 func TestTheorem2DerivationCounts(t *testing.T) {

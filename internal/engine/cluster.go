@@ -16,10 +16,12 @@ type ClusterConfig struct {
 	// handles one tuple at a time), which is what spreads traffic over
 	// virtual time the way the paper's testbed deployment does.
 	ProcDelay float64
-	// BSNDelay batches message arrivals: with Mode == BSN, a node
-	// processes its buffered deltas BSNDelay seconds after the first
-	// arrival instead of immediately.
-	BSNDelay float64
+	// AggSelPeriod > 0 makes aggregate selections (Options.AggSel)
+	// *periodic*: instead of advertising every improvement immediately,
+	// a node flushes its pending groups AggSelPeriod seconds of virtual
+	// time after the first became pending (Figures 9/10). Only the
+	// simulator's timers flush them, so no other executor takes a period.
+	AggSelPeriod float64
 	// Share enables opportunistic message sharing; outbound deltas are
 	// buffered Share.Delay seconds and combined per destination.
 	Share *ShareConfig
@@ -43,7 +45,6 @@ type Cluster struct {
 	// timer arming state, per node
 	aggselArmed map[string]bool
 	shareArmed  map[string]bool
-	bsnArmed    map[string]bool
 	// shareBuf buffers outbound deltas per node -> dst between flush
 	// timers; the inner maps and their slices are reused across flushes
 	// (cleared, not reallocated). sharePending counts buffered deltas
@@ -78,12 +79,6 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 	if err != nil {
 		return nil, err
 	}
-	if opts.Mode == SN {
-		// Distributed execution cannot run global SN iterations (that
-		// would need the barrier synchronization the paper rejects);
-		// treat it as BSN, the local-iteration relaxation.
-		opts.Mode = BSN
-	}
 	return &Cluster{
 		sim:          sim,
 		prog:         p,
@@ -92,7 +87,6 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 		nodes:        map[string]*Node{},
 		aggselArmed:  map[string]bool{},
 		shareArmed:   map[string]bool{},
-		bsnArmed:     map[string]bool{},
 		shareBuf:     map[string]map[string][]Delta{},
 		sharePending: map[string]int{},
 		sendFree:     map[string]float64{},
@@ -102,6 +96,7 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 // AddNode registers a node with both the simulator and the cluster.
 func (c *Cluster) AddNode(id simnet.NodeID) *Node {
 	n := c.prog.NewNode(string(id), c.opts)
+	n.periodic = c.cfg.AggSelPeriod > 0
 	c.nodes[string(id)] = n
 	c.sim.AddNode(id, &clusterHandler{c: c, n: n})
 	return n
@@ -210,23 +205,12 @@ func (h *clusterHandler) HandleMessage(now float64, from simnet.NodeID, payload 
 		h.c.decodeBuf = deltas[:0]
 	}
 	h.c.recyclePayload(payload)
-	if h.c.opts.Mode == BSN && h.c.cfg.BSNDelay > 0 {
-		// Buffer: process after the batching delay.
-		if !h.c.bsnArmed[h.n.id] {
-			h.c.bsnArmed[h.n.id] = true
-			h.c.sim.ScheduleTimer(simnet.NodeID(h.n.id), h.c.cfg.BSNDelay, "bsn")
-		}
-		return
-	}
 	h.c.pump(h.n)
 }
 
 func (h *clusterHandler) HandleTimer(now float64, key string) {
 	h.n.SetNow(now)
 	switch key {
-	case "bsn":
-		h.c.bsnArmed[h.n.id] = false
-		h.c.pump(h.n)
 	case "aggsel":
 		h.c.aggselArmed[h.n.id] = false
 		h.n.FlushPending()
@@ -234,9 +218,6 @@ func (h *clusterHandler) HandleTimer(now float64, key string) {
 	case "share":
 		h.c.shareArmed[h.n.id] = false
 		h.c.flushShare(h.n)
-	case "expire":
-		h.n.ExpireSoftState()
-		h.c.pump(h.n)
 	}
 }
 
@@ -259,9 +240,9 @@ func (c *Cluster) pump(n *Node) {
 	}
 	// Every delta is now encoded or copied into the share buffer.
 	c.outBuf = reuseOut(c.outBuf, outs)
-	if n.PendingGroups() > 0 && !c.aggselArmed[n.id] && c.opts.AggSelPeriod > 0 {
+	if n.periodic && !c.aggselArmed[n.id] && n.PendingGroups() > 0 {
 		c.aggselArmed[n.id] = true
-		c.sim.ScheduleTimer(simnet.NodeID(n.id), c.opts.AggSelPeriod, "aggsel")
+		c.sim.ScheduleTimer(simnet.NodeID(n.id), c.cfg.AggSelPeriod, "aggsel")
 	}
 }
 

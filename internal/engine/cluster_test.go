@@ -49,9 +49,9 @@ func runCluster(t *testing.T, cl *Cluster) {
 
 func TestClusterShortestPathFigure2(t *testing.T) {
 	for _, aggsel := range []bool{false, true} {
-		for _, mode := range []Mode{PSN, BSN} {
+		for _, mode := range []Mode{PSN, SN} {
 			sim, cl := figure2Cluster(t, Options{Mode: mode, AggSel: aggsel},
-				ClusterConfig{ProcDelay: 0.001, BSNDelay: 0.005})
+				ClusterConfig{ProcDelay: 0.001})
 			runCluster(t, cl)
 			label := fmt.Sprintf("mode=%v aggsel=%v", mode, aggsel)
 			checkCosts(t, spCosts(cl.QueryResults()), floyd(figure2), label)
@@ -89,12 +89,10 @@ func TestClusterAggSelReducesTraffic(t *testing.T) {
 }
 
 func TestClusterPeriodicAggSel(t *testing.T) {
-	sim, cl := figure2Cluster(t,
-		Options{AggSel: true, AggSelPeriod: 0.050},
-		ClusterConfig{ProcDelay: 0.001})
+	_, cl := figure2Cluster(t, Options{AggSel: true},
+		ClusterConfig{ProcDelay: 0.001, AggSelPeriod: 0.050})
 	runCluster(t, cl)
 	checkCosts(t, spCosts(cl.QueryResults()), floyd(figure2), "periodic")
-	_ = sim
 
 	// Two selections over two source predicates at one node: a flush
 	// advertises them in predicate-name order whatever order they became
@@ -112,10 +110,11 @@ b1 bestB(@N,G,min<C>) :- pb(@N,G,C).
 b2 advB(@N,G,C) :- pb(@N,G,C).
 `)
 	for i := 0; i < 64; i++ {
-		n, err := NewNode("n", prog, Options{AggSel: true, AggSelPeriod: 1})
+		n, err := NewNode("n", prog, Options{AggSel: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		n.periodic = true
 		for _, pred := range []string{"pb", "pa"} {
 			n.Push(Insert(val.NewTuple(pred, val.NewAddr("n"), val.NewInt(7), val.NewInt(1))))
 		}

@@ -1,7 +1,8 @@
 // Package engine evaluates NDlog programs. It implements the execution
 // model of the paper: rule strands compiled from localized rules,
-// semi-naïve (SN), buffered semi-naïve (BSN) and pipelined semi-naïve
-// (PSN) evaluation, incremental view maintenance under insertions,
+// semi-naïve (SN) and pipelined semi-naïve (PSN) evaluation — one drain
+// loop over batches of different sizes — incremental view maintenance
+// under insertions,
 // deletions and updates via the count algorithm, incremental aggregates,
 // and the optimizations of Section 5 (aggregate selections, periodic
 // aggregate selections, query-result caching hooks, opportunistic

@@ -15,7 +15,7 @@ func TestJournalTapSelectsRecoverableState(t *testing.T) {
 materialize(beacon, 30, infinity, keys(1,2)).
 b1 beacon(@S,@D) :- #edge(@S,@D).
 `
-	for _, mode := range []Mode{PSN, BSN} {
+	for _, mode := range []Mode{PSN, SN} {
 		prog, err := parser.Parse(src)
 		if err != nil {
 			t.Fatal(err)

@@ -23,14 +23,11 @@ const (
 	// processed as it arrives, with logical timestamps preventing
 	// repeated inferences. This is the distributed default.
 	PSN Mode = iota
-	// SN is classic semi-naïve evaluation (Algorithm 1): iterations over
-	// delta buffers. Centralized only; used to validate Theorem 1
-	// (FPS = FPP).
+	// SN is classic semi-naïve evaluation (Algorithm 1): each drain round
+	// takes the whole queue as one delta buffer under one stamp. On a
+	// distributed node the rounds are local iterations over what has
+	// arrived. Theorem 1 (FPS = FPP) is checked against it.
 	SN
-	// BSN is buffered semi-naïve: tuples arriving during an iteration are
-	// buffered and handled in a later local iteration. Operationally the
-	// centralized BSN coincides with SN over arbitrary batches.
-	BSN
 )
 
 func (m Mode) String() string {
@@ -39,14 +36,12 @@ func (m Mode) String() string {
 		return "psn"
 	case SN:
 		return "sn"
-	case BSN:
-		return "bsn"
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
 
-// ParseMode parses a mode name as spelled by Mode.String ("psn", "sn",
-// "bsn"; "" means PSN, the distributed default). It is the plumbing for
+// ParseMode parses a mode name as spelled by Mode.String ("psn", "sn";
+// "" means PSN, the distributed default). It is the plumbing for
 // command-line flags and deployment manifests (internal/shard), which
 // carry the mode as text.
 func ParseMode(s string) (Mode, error) {
@@ -56,15 +51,14 @@ func ParseMode(s string) (Mode, error) {
 	case "sn":
 		return SN, nil
 	case "bsn":
-		return BSN, nil
+		return PSN, fmt.Errorf(`engine: evaluation mode "bsn" was removed: it ran SN's whole-queue rounds under another name; use "sn"`)
 	}
 	return PSN, fmt.Errorf("engine: unknown evaluation mode %q", s)
 }
 
 // Options configures a node (and, via Cluster, the whole deployment).
 type Options struct {
-	// Mode selects SN/BSN/PSN evaluation. Distributed clusters use PSN
-	// or BSN.
+	// Mode selects PSN or SN evaluation.
 	Mode Mode
 	// AggSel enables the aggregate-selections optimization
 	// (Section 5.1.1): tuples that do not improve their group aggregate
@@ -75,10 +69,6 @@ type Options struct {
 	// when a program has monotonic aggregates whose inputs must still
 	// propagate (e.g. the answer-return walk feeding the cache minimum).
 	AggSelPreds []string
-	// AggSelPeriod > 0 enables *periodic* aggregate selections: instead
-	// of advertising every improvement immediately, groups are flushed
-	// every AggSelPeriod seconds of virtual time.
-	AggSelPeriod float64
 	// StrandFilter, when non-nil, is consulted before a trigger strand
 	// runs; returning false skips the strand. Used for query-result
 	// caching (Section 5.2), where a cache hit suppresses further
@@ -130,12 +120,20 @@ type Node struct {
 	// reference (Parallel), where the receiver stores the very tuple: they
 	// keep their exact arrays instead of being carved (see resetCtx).
 	byRef bool
+	// periodic defers aggregate-selection advertisements to FlushPending,
+	// which only a driver with a flush timer calls (Cluster, when its
+	// ClusterConfig.AggSelPeriod is set).
+	periodic bool
 
 	stamp uint64
 	now   float64
-	iter  uint64 // SN iteration counter
 
 	queue deltaQueue
+	// stored holds the insertions a drain round stored, awaiting
+	// afterStore. A PSN round stores at most one: storedOne backs it
+	// inside the node's own allocation.
+	stored    []storedRow
+	storedOne [1]storedRow
 	// out collects the deltas routed to other nodes: during a drain it is
 	// the caller's buffer (DrainInto); between drains (expiry sweeps,
 	// FlushPending) it grows on its own until the next drain moves it
@@ -259,6 +257,7 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 		sels: map[string][]*selControl{},
 		in:   val.NewInterner(),
 	}
+	n.stored = n.storedOne[:0]
 	for name, d := range prog.decls {
 		if tbl := n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize); tbl.TTL() >= 0 {
 			n.soft = append(n.soft, tbl)
@@ -404,22 +403,16 @@ func (n *Node) Drain() []OutDelta { return n.DrainInto(nil) }
 
 // DrainInto processes the queue to a local fixpoint and appends to dst
 // the deltas destined for other nodes — those derived since the last
-// drain included — stable-sorted by destination. PSN processes
-// tuple-at-a-time; SN/BSN run batched local iterations. A driver that
-// encodes or copies one drain's output before it starts the next passes
-// one buffer of its own, emptied, to every drain (Cluster keeps one for
-// all of its nodes, Parallel one per worker); the node keeps no
-// reference to it. A head carved for another node (DESIGN.md §3) lives
+// drain included — stable-sorted by destination. A driver that encodes
+// or copies one drain's output before it starts the next passes one
+// buffer of its own, emptied, to every drain (Cluster keeps one for all
+// of its nodes, Parallel one per worker); the node keeps no reference to
+// it. A head carved for another node (DESIGN.md §3) lives
 // in the result until the caller drops it.
 func (n *Node) DrainInto(dst []OutDelta) []OutDelta {
 	base := len(dst)
 	n.out = append(dst, n.out...)
-	switch n.opts.Mode {
-	case SN, BSN:
-		n.drainSN()
-	default:
-		n.drainPSN()
-	}
+	n.drain()
 	out := n.out
 	n.out = nil
 	out = out[:base+len(n.foldReplacements(out[base:]))]
@@ -450,71 +443,68 @@ func reuseOut(buf, outs []OutDelta) []OutDelta {
 	return outs[:0]
 }
 
-func (n *Node) drainPSN() {
+// drain runs the queue to a local fixpoint in rounds. A round takes the
+// oldest delta under PSN, everything queued when it starts under SN — by
+// Theorem 1 the modes differ only in how many deltas share a stamp — and
+// puts each delta through one step: the journal sees it, an event runs
+// its strands and is not stored, an insertion is stored, a deletion
+// propagates. The round's stored insertions then run their strands under
+// the round's stamp, which its first insertion or event took (a deletion
+// takes none).
+// Pre-trigger atoms see strictly older stamps and post-trigger atoms see
+// up to and including it, so a tuple joining itself (self-join rules)
+// derives each pair exactly once (Theorem 2). What a round derives for
+// this node waits in the queue for a later round.
+func (n *Node) drain() {
 	for n.queue.len() > 0 {
-		n.process(n.queue.pop())
-	}
-}
-
-// drainSN implements Algorithm 1: repeatedly flush the delta buffer,
-// insert the whole batch with one iteration stamp, then execute all rule
-// strands over the batch.
-func (n *Node) drainSN() {
-	for n.queue.len() > 0 {
-		n.iter++
-		batch := n.queue.take()
-
-		var inserts []storedRow
-		for _, d := range batch {
+		round := 1
+		if n.opts.Mode == SN {
+			round = n.queue.len()
+		}
+		stamped := false
+		for ; round > 0; round-- {
+			d := n.queue.pop()
 			n.journalDelta(d)
-			if d.Sign > 0 {
-				if r, ok := n.storeInsert(d.Tuple, n.iter); ok {
-					inserts = append(inserts, r)
+			event := n.prog.events[d.Tuple.Pred]
+			if d.Sign < 0 {
+				// An event's deletion is dropped: the instant has passed.
+				if !event {
+					n.processDelete(d.Tuple)
 				}
-			} else {
-				n.processDelete(d.Tuple)
+				continue
+			}
+			if !stamped {
+				n.stamp++
+				stamped = true
+			}
+			if event {
+				n.runEvent(d.Tuple)
+			} else if r, ok := n.storeInsert(d.Tuple, n.stamp); ok {
+				n.stored = append(n.stored, r)
 			}
 		}
-		bound := int64(n.iter)
-		for _, r := range inserts {
-			n.afterStore(r, bound, bound)
+		for _, r := range n.stored {
+			n.afterStore(r, int64(n.stamp), int64(n.stamp))
 		}
+		clear(n.stored)
+		n.stored = n.stored[:0]
 	}
 }
 
-func (n *Node) process(d Delta) {
-	n.journalDelta(d)
-	if n.prog.events[d.Tuple.Pred] {
-		// Event predicate: fire-and-forget. Insertions run the trigger
-		// strands against current stored state and leave nothing behind;
-		// deletions are meaningless for an instant that already happened
-		// and are dropped. Because nothing is stored, later retractions
-		// of the tables an event was joined with find no event tuple to
-		// re-join, so no deletion cascade ever flows through an event —
-		// the property that makes tick- and request-driven rule chains
-		// stable under churn.
-		if d.Sign > 0 {
-			n.processEvent(d.Tuple)
-		}
-		return
-	}
-	if d.Sign > 0 {
-		n.processInsert(d.Tuple)
-	} else {
-		n.processDelete(d.Tuple)
-	}
-}
-
-// processEvent runs an event tuple's trigger strands without storing
-// it. The fresh stamp lets its joins see every previously stored tuple,
-// like any insertion; there is no aggregate maintenance (the analyzer
-// rejects aggregates over events) and no advertisement state.
-func (n *Node) processEvent(t val.Tuple) {
-	n.stamp++
+// runEvent runs an event's trigger strands without storing it. Because
+// nothing is stored, later retractions of the tables an event joined
+// find no event tuple to re-join, so no deletion cascade ever flows
+// through an event — what keeps tick- and request-driven rule chains
+// stable under churn. Never stored, an event cannot meet itself in a
+// join, so its joins are unbounded: they see every stored tuple, those
+// its own SN round stored before it included. There is no aggregate
+// maintenance (the analyzer rejects aggregates over events) and no
+// advertisement state.
+func (n *Node) runEvent(t val.Tuple) {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Insert(t), n.now)
 	}
-	n.runNormalStrands(+1, t, int64(n.stamp), int64(n.stamp))
+	n.runNormalStrands(+1, t, noLimit, noLimit)
 }
 
 // storeInsert applies the table effects of an insertion: duplicate
@@ -552,19 +542,6 @@ func (n *Node) storeInsert(t val.Tuple, stamp uint64) (storedRow, bool) {
 	return storedRow{}, false
 }
 
-func (n *Node) processInsert(t val.Tuple) {
-	n.stamp++
-	stamp := n.stamp
-	r, ok := n.storeInsert(t, stamp)
-	if !ok {
-		return
-	}
-	// PSN bounds: pre-trigger atoms see strictly older tuples, post-trigger
-	// atoms see up to and including this stamp — so a tuple joining itself
-	// (self-join rules) derives each pair exactly once (Theorem 2).
-	n.afterStore(r, int64(stamp), int64(stamp))
-}
-
 // afterStore propagates an accepted insert: aggregate maintenance, then
 // (unless suppressed by aggregate selections) the trigger strands of the
 // tuple now in row r.e. ltBefore/leAfter are the join stamp bounds (see
@@ -600,7 +577,7 @@ func (n *Node) afterStore(r storedRow, ltBefore, leAfter int64) {
 // runAggStrands' verdicts on its insertion.
 func (n *Node) advertise(r storedRow, improving, contributed bool, ltBefore, leAfter int64) {
 	if ctrls := n.sels[r.t.Pred]; len(ctrls) > 0 && contributed {
-		if n.opts.AggSelPeriod > 0 {
+		if n.periodic {
 			// Periodic mode: defer everything to the flush timer.
 			for _, c := range ctrls {
 				n.addPending(c, r.t)
@@ -661,7 +638,7 @@ func (n *Node) afterDelete(t val.Tuple) {
 // advertised.
 func (n *Node) readvertiseGroups(t val.Tuple) {
 	for _, c := range n.sels[t.Pred] {
-		if n.opts.AggSelPeriod > 0 {
+		if n.periodic {
 			n.addPending(c, t)
 			continue
 		}
@@ -673,8 +650,8 @@ func (n *Node) readvertiseGroups(t val.Tuple) {
 // advertised yet. Only one representative per group runs its trigger
 // strands — matching immediate mode, where ties beyond the first
 // improvement are suppressed. The representative is the best-valued tuple
-// with the lowest stamp, ties (one SN/BSN iteration shares a stamp)
-// broken by val.Tuple.Compare, so the choice does not depend on bucket
+// with the lowest stamp, ties (one SN round shares a stamp) broken by
+// val.Tuple.Compare, so the choice does not depend on bucket
 // order. The group's bucket is walked in place, filtering hash collisions
 // as Index.Match does; nothing is allocated.
 func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
@@ -707,7 +684,8 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 }
 
 // FlushPending advertises the current best of every pending group
-// (periodic aggregate selections). The driver calls it on a timer.
+// (periodic aggregate selections). Cluster calls it on its
+// ClusterConfig.AggSelPeriod timer.
 // Source predicates flush in name order and each control's groups in
 // sorted hash order (hashing is deterministic), so the deltas a flush
 // queues are the same on every run.
@@ -1003,8 +981,8 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 // deletions (soft-state semantics, Section 4.2).
 //
 // A TTL can lapse while a refresh or rederivation of the same tuple is
-// already sitting in the delta queue (BSN buffers arrivals between
-// pumps; drivers fire expiry timers between drains). Expiring such a
+// already sitting in the delta queue (drivers fire expiry timers between
+// drains). Expiring such a
 // tuple anyway would emit a retraction wave that the queued insertion
 // immediately re-derives — and because soft-state duplicates refresh
 // instead of counting, the interleaved +insert / -delete can cancel a

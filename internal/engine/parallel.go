@@ -75,15 +75,12 @@ const (
 )
 
 // NewParallel compiles prog for in-process parallel evaluation. Nodes
-// must be added with AddNode before Run. SN is treated as BSN, as in
-// the distributed cluster (no global iteration barrier across nodes).
+// must be added with AddNode before Run. Under SN each node's rounds are
+// local iterations: there is no global iteration barrier across nodes.
 func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 	p, err := Compile(prog)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Mode == SN {
-		opts.Mode = BSN
 	}
 	return &Parallel{
 		prog:    p,

@@ -59,11 +59,3 @@ func (q *deltaQueue) pop() Delta {
 	}
 	return d
 }
-
-// take removes and returns everything pending; the caller owns the
-// returned slice.
-func (q *deltaQueue) take() []Delta {
-	batch := q.buf[q.head:]
-	q.buf, q.head = nil, 0
-	return batch
-}

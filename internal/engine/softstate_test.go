@@ -54,7 +54,7 @@ r2 twoHop(@S,@D) :- hop(@S,@D).
 
 // TestSoftStateExpiryPendingRefresh pins the expiry-vs-drain race: a
 // TTL that lapses while a rederivation of the same tuple is already
-// queued (BSN buffering, timer between pumps) must be treated as a
+// queued (an expiry timer firing between pumps) must be treated as a
 // refresh in flight. Expiring anyway would emit a retraction wave that
 // the queued insertion immediately re-derives — transiently deleting
 // downstream soft/derived state (a double-delete) and churning the

@@ -5,10 +5,10 @@ package engine
 // cannot be rebuilt at the destination: base (EDB) hard-state tuples
 // with their derivation counts, and soft-state tuples with their
 // remaining lifetimes. Derived hard state is a view — the importer
-// re-derives it from the imported facts (Rederive, the same
-// full-evaluation sweep DRed's phase 2 uses) and from the fleet-wide
-// reseed that follows a migration, instead of trusting shipped view
-// contents whose supporting facts live on other nodes.
+// re-derives it from the imported facts (Rederive, a full-evaluation
+// sweep of every rule) and from the fleet-wide reseed that follows a
+// migration, instead of trusting shipped view contents whose supporting
+// facts live on other nodes.
 
 import (
 	"encoding/binary"
@@ -129,10 +129,36 @@ func (n *Node) ApplyImportedTTLs(st *NodeState) {
 	}
 }
 
+// tupleSet is a set of tuples keyed by Tuple.Hash with collision chains
+// resolved by Tuple.Equal — the engine-side counterpart of the storage
+// layer's hash-first keying (no string keys).
+type tupleSet map[uint64][]val.Tuple
+
+func (s tupleSet) has(t val.Tuple) bool {
+	for _, u := range s[t.Hash()] {
+		if u.Equal(t) {
+			return true
+		}
+	}
+	return false
+}
+
+// add inserts t, reporting whether it was newly added.
+func (s tupleSet) add(t val.Tuple) bool {
+	h := t.Hash()
+	for _, u := range s[h] {
+		if u.Equal(t) {
+			return false
+		}
+	}
+	s[h] = append(s[h], t)
+	return true
+}
+
 // sweepDerivable evaluates every non-aggregate rule once over the
-// node's stored state — the full-evaluation sweep of DRed's
-// re-derivation phase — invoking fn for each derivable head (with its
-// location), rule by rule in the program's fixed sweep order. Evaluation
+// node's stored state — a full evaluation, not a delta — invoking fn
+// for each derivable head (with its location), rule by rule in the
+// program's fixed sweep order. Evaluation
 // errors skip the binding, as the insert path would. fn must not mutate
 // the node's tables; queueing deltas is fine.
 func (n *Node) sweepDerivable(fn func(d derived)) {
@@ -144,12 +170,12 @@ func (n *Node) sweepDerivable(fn func(d derived)) {
 	}
 }
 
-// Rederive runs one DRed-style rederivation sweep over the node's
-// stored state and enqueues every locally-homed derivable head the node
-// does not already store. It is the post-import closure check of a
-// migration: anything the imported facts support locally but the
-// import's own drain did not reach is re-derived here. Remote heads are
-// not re-routed (the import drain already advertised them). Returns the
+// Rederive runs one rederivation sweep over the node's stored state
+// and enqueues every locally-homed derivable head the node does not
+// already store. It is the post-import closure check of a migration:
+// anything the imported facts support locally but the import's own
+// drain did not reach is re-derived here. Remote heads are not
+// re-routed (the import drain already advertised them). Returns the
 // number of heads enqueued; the caller drains.
 func (n *Node) Rederive() int {
 	count := 0
@@ -169,14 +195,14 @@ func (n *Node) Rederive() int {
 	return count
 }
 
-// RederiveFor sweeps the node's stored state (the same DRed-style
-// full-rule evaluation as Rederive) and returns every derivable head
-// homed at one of the dst nodes — one OutDelta per live derivation, so
-// a freshly migrated destination reconstructs exact derivation counts.
+// RederiveFor sweeps the node's stored state (the same full-rule
+// evaluation as Rederive) and returns every derivable head homed at
+// one of the dst nodes — one OutDelta per live derivation, so a
+// freshly migrated destination reconstructs exact derivation counts.
 // This is the neighbor-side half of a migration: a moved node's
 // incoming derived state (including the localizer's shipped copies)
-// lives in its neighbors' join state, and hard-state duplicates do not
-// re-trigger strands, so only an explicit sweep can rebuild it.
+// lives in its neighbors' join state, and hard-state duplicates do
+// not re-trigger strands, so only an explicit sweep can rebuild it.
 // Aggregate heads are not swept; the paper's programs home aggregates
 // where their inputs live, so they rebuild incrementally from the
 // swept inputs.

@@ -178,7 +178,7 @@ materialize(ping, 30, infinity, keys(1,2)).
 }
 
 // TestRederiveClosesLocalState: Rederive rebuilds locally-derivable
-// heads the import drain never saw (the DRed phase-2 sweep reused).
+// heads the import drain never saw (a full sweep of every rule).
 func TestRederiveClosesLocalState(t *testing.T) {
 	prog, err := parser.Parse(reachSrc)
 	if err != nil {

@@ -43,9 +43,9 @@ func RunAggSel(cfg Config, period float64) ([]SPResult, error) {
 
 func runOneMetric(cfg Config, o *topology.Overlay, m topology.Metric, period float64) (SPResult, error) {
 	want := oracle(o, m)
-	opts := engine.Options{AggSel: true, AggSelPeriod: period}
+	opts := engine.Options{AggSel: true}
 	comp := trackCompletion(&opts, "shortestPath", want)
-	dep, err := deploy(cfg, o, programs.ShortestPath(""), opts, engine.ClusterConfig{},
+	dep, err := deploy(cfg, o, programs.ShortestPath(""), opts, engine.ClusterConfig{AggSelPeriod: period},
 		map[string]topology.Metric{"": m}, nil)
 	if err != nil {
 		return SPResult{}, err

@@ -42,10 +42,22 @@ func TestAllProgramsParseAndCheck(t *testing.T) {
 	}
 }
 
+// countCycles names the shipped programs the analyzer's count-cycle
+// lint flags — recursion with no path-vector guard — and why their
+// derivations stay retractable anyway.
+var countCycles = map[string]string{
+	"MagicShortestPath": "an2 steps to the previous hop of a simple path vector, so the answer walk ends at the source",
+	"CachedSourceRoute": "a cached cost can support the answer that feeds it (hit1, ca1), but the Section 5.2 queries only ever insert",
+	"Multicast+DV":      "a member climbs shortestPath next hops toward the root, and next hops form a tree",
+	"LinkState":         "ls2 spends one unit of the hop budget H per re-flood, so no lsu copy supports its ancestors",
+}
+
 // TestProgramsAnalyzerClean holds every shipped program to the full
 // analyzer bar, warnings included: generator output must stay free of
 // singleton variables, dead rules, type conflicts, and lifetime
-// violations, not just Definition 6 errors.
+// violations, not just Definition 6 errors. The only warnings allowed
+// are the count-cycle ones countCycles explains, and each of those must
+// still fire.
 func TestProgramsAnalyzerClean(t *testing.T) {
 	srcs := map[string]string{
 		"ShortestPath":      ShortestPath(""),
@@ -62,8 +74,16 @@ func TestProgramsAnalyzerClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
+		warned := false
 		for _, d := range analysis.Analyze(prog) {
+			if d.Check == analysis.CheckCountCycle && countCycles[name] != "" {
+				warned = true
+				continue
+			}
 			t.Errorf("%s: %s", name, d.Format("<"+name+">"))
+		}
+		if countCycles[name] != "" && !warned {
+			t.Errorf("%s: listed in countCycles but no longer warns; drop it from the list", name)
 		}
 	}
 }

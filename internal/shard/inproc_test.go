@@ -172,14 +172,14 @@ func TestRebalanceInProcess(t *testing.T) {
 }
 
 // TestCoordinatorLossIsRepaired: with every worker dropping its first
-// three outbound datagrams (LossFirst), the fleet still reaches the
+// three outbound datagrams (lossFirst), the fleet still reaches the
 // centralized fixpoint on the first quiescence, with no recovery call —
 // the link layer's retransmissions repair the loss, and the credit holds
 // quiescence off until they have.
 func TestCoordinatorLossIsRepaired(t *testing.T) {
 	m := &Manifest{
 		Source:  figure2Source(),
-		Options: Options{AggSel: true, LossFirst: 3},
+		Options: Options{AggSel: true},
 		Shards:  Partition([]string{"a", "b", "c", "d", "e"}, 2),
 	}
 	want := centralGroundTruth(t, m.Source)
@@ -192,7 +192,7 @@ func TestCoordinatorLossIsRepaired(t *testing.T) {
 	for i := range m.Shards {
 		id := m.Shards[i].ID
 		go func() {
-			done <- RunWorker(WorkerConfig{Manifest: m, ShardID: id, Coord: coord.ControlAddr()})
+			done <- RunWorker(WorkerConfig{Manifest: m, ShardID: id, Coord: coord.ControlAddr(), lossFirst: 3})
 		}()
 	}
 	if err := coord.WaitReady(10 * time.Second); err != nil {

@@ -37,19 +37,12 @@ import (
 // manifests stay editable by operators. Every shard must run the same
 // options — the evaluation semantics are program-wide.
 type Options struct {
-	// Mode is the evaluation mode: "psn" (default), "bsn", or "sn".
+	// Mode is the evaluation mode: "psn" (default) or "sn".
 	Mode string `json:"mode,omitempty"`
 	// AggSel enables aggregate selections (Section 5.1.1).
 	AggSel bool `json:"aggsel,omitempty"`
 	// AggSelPreds restricts pruning to the listed source predicates.
 	AggSelPreds []string `json:"aggsel_preds,omitempty"`
-	// AggSelPeriod enables periodic aggregate selections (seconds).
-	AggSelPeriod float64 `json:"aggsel_period,omitempty"`
-	// LossFirst > 0 makes each worker drop its first N outbound data
-	// datagrams while still counting them as sent — deterministic fault
-	// injection, repaired by the link layer's retransmission like any
-	// other loss. Testing only.
-	LossFirst int `json:"loss_first,omitempty"`
 	// DataDir, when set, makes every worker persist its nodes' state
 	// (WAL + snapshots, internal/durable): shard i keeps one store per
 	// node under <DataDir>/shard-<i>, and a respawned worker recovers
@@ -96,6 +89,8 @@ var removedOptions = []struct{ key, why string }{
 	{"psn_batch", "batched PSN drains measured no faster than tuple-at-a-time on any workload, so the engine has one pipeline"},
 	{"shared_sockets", "a shared socket set measured no faster than a socket per node on any workload and dropped more datagrams from 52 nodes up, so every node has its own socket"},
 	{"group_commit", "a shard-wide log measured no faster than a WAL per node on any workload, so every node has its own WAL"},
+	{"aggsel_period", "netrun never flushed periodic aggregate selections, so a period left groups unadvertised; only the simulator's Cluster takes one"},
+	{"loss_first", "it was a test's fault injection, not a deployment setting"},
 }
 
 // Durable converts the manifest's durability stanza to the durable
@@ -122,11 +117,10 @@ func (o Options) Engine() (engine.Options, error) {
 		return engine.Options{}, err
 	}
 	return engine.Options{
-		Mode:         mode,
-		AggSel:       o.AggSel,
-		AggSelPreds:  o.AggSelPreds,
-		AggSelPeriod: o.AggSelPeriod,
-		Parallelism:  o.Parallelism,
+		Mode:        mode,
+		AggSel:      o.AggSel,
+		AggSelPreds: o.AggSelPreds,
+		Parallelism: o.Parallelism,
 	}, nil
 }
 
@@ -201,13 +195,16 @@ func (m *Manifest) Save(path string) error {
 }
 
 // Validate checks manifest invariants: at least one shard, unique shard
-// IDs, no node hosted twice, a program present.
+// IDs, no node hosted twice, a program present, known option values.
 func (m *Manifest) Validate() error {
 	if len(m.Shards) == 0 {
 		return fmt.Errorf("no shards")
 	}
 	if m.Source == "" && m.Program == "" {
 		return fmt.Errorf("neither source nor program set")
+	}
+	if _, err := m.Options.Engine(); err != nil {
+		return err
 	}
 	if _, _, err := m.Options.Durable(); err != nil {
 		return err

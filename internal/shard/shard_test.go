@@ -48,7 +48,7 @@ func TestPartitionDeterministicAndBalanced(t *testing.T) {
 func TestManifestRoundTripAndValidate(t *testing.T) {
 	m := &Manifest{
 		Source: "sp path(...) :- link(...).",
-		Options: Options{Mode: "bsn", AggSel: true, AggSelPeriod: 0.5,
+		Options: Options{Mode: "sn", AggSel: true,
 			DataDir: "/var/lib/ndlog", Fsync: "interval", SnapshotBytes: 1 << 20,
 			Parallelism: 4},
 		Shards: []ShardSpec{
@@ -77,7 +77,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Mode != engine.BSN || !opts.AggSel || opts.AggSelPeriod != 0.5 {
+	if opts.Mode != engine.SN || !opts.AggSel {
 		t.Errorf("engine options: %+v", opts)
 	}
 	if opts.Parallelism != 4 || opts.Workers() != 4 {
@@ -90,7 +90,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
@@ -99,6 +99,14 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Errorf("manifest carrying the removed %s key: err = %v, want one naming %q", key, err, key)
 		}
+	}
+	// So does one asking for the removed BSN mode, pointing at SN.
+	stale := filepath.Join(t.TempDir(), "bsn.json")
+	if err := os.WriteFile(stale, bytes.Replace(b, []byte(`"mode": "sn"`), []byte(`"mode": "bsn"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"bsn" was removed`) || !strings.Contains(err.Error(), `"sn"`) {
+		t.Errorf("manifest with mode bsn: err = %v, want one naming its removal and \"sn\"", err)
 	}
 
 	bad := []*Manifest{

@@ -43,6 +43,11 @@ type WorkerConfig struct {
 	CoordTimeout time.Duration
 	// Logf, when non-nil, receives progress lines (flag-gated by cmds).
 	Logf func(format string, args ...any)
+	// lossFirst > 0 drops the worker's first lossFirst outbound data
+	// datagrams while still counting them as sent: deterministic fault
+	// injection for tests, repaired by the link layer's retransmission
+	// like any other loss.
+	lossFirst int
 }
 
 func (c *WorkerConfig) logf(format string, args ...any) {
@@ -114,8 +119,8 @@ func RunWorker(cfg WorkerConfig) error {
 			cfg.logf("shard %d: recovered %d warm nodes from %s", spec.ID, warm, shardDir)
 		}
 	}
-	if m.Options.LossFirst > 0 {
-		r.InjectLoss(int64(m.Options.LossFirst))
+	if cfg.lossFirst > 0 {
+		r.InjectLoss(int64(cfg.lossFirst))
 	}
 
 	// Install the static book entries of every other shard up front;
