@@ -17,11 +17,15 @@ import (
 // experiments do.
 //
 // aggsel adds optimizer-measurement variants: the same runs under
-// aggregate selections restricted to the predicates each protocol's
-// semantics tolerate (see chordAggSelPreds / linkStateAggSelPreds) —
-// identical oracle checks, so a row that prints is a row that stayed
-// correct, and the message delta against the baseline row is the
-// measured bandwidth effect. magic adds query-driven shortest-path
+// aggregate selections, which prune the predicates the planner proves
+// safe (DESIGN.md §11 "Which selections prune": Chord's finger,
+// link-state's lpath, the query program's pathDst) — identical oracle
+// checks, so a row that prints is a row that stayed correct, and the
+// message delta against the baseline row is the measured bandwidth
+// effect. On Chord the proof leaves aggsel no useful handle: succ feeds
+// f0, and finger's only reader is the cand aggregate, which sees every
+// tuple anyway. The link-state SPF never crosses a link, so its saving
+// shows in the derivation count. magic adds query-driven shortest-path
 // rows (the Section 5.1.2 magic rewrite) on the link-state topology —
 // the on-demand counterpart to the flooded all-pairs row, with the
 // pruned combination when both flags are set.
@@ -38,12 +42,10 @@ func runProtocols(w io.Writer, seed int64, small, aggsel, magic bool) error {
 		return err
 	}
 	if aggsel {
-		if err := chordRow(w, seed, small, "chord+aggsel",
-			engine.Options{AggSel: true, AggSelPreds: chordAggSelPreds}); err != nil {
+		if err := chordRow(w, seed, small, "chord+aggsel", engine.Options{AggSel: true}); err != nil {
 			return err
 		}
-		if err := linkStateRow(w, seed, small, "linkstate+aggsel",
-			engine.Options{AggSel: true, AggSelPreds: linkStateAggSelPreds}); err != nil {
+		if err := linkStateRow(w, seed, small, "linkstate+aggsel", engine.Options{AggSel: true}); err != nil {
 			return err
 		}
 	}
@@ -52,37 +54,13 @@ func runProtocols(w io.Writer, seed int64, small, aggsel, magic bool) error {
 			return err
 		}
 		if aggsel {
-			if err := magicRow(w, seed, small, "magic+aggsel",
-				engine.Options{AggSel: true, AggSelPreds: magicAggSelPreds}); err != nil {
+			if err := magicRow(w, seed, small, "magic+aggsel", engine.Options{AggSel: true}); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
 }
-
-// chordAggSelPreds is the aggregate-selection restriction Chord
-// tolerates. Of its two detectable selections (idmap's max over succ,
-// cand's max over finger), succ is unsafe — non-improving succ rows
-// must still trigger the f0 finger derivation — leaving finger, whose
-// only consumer is the cand aggregate itself. The measured result is
-// the point: aggsel has no useful handle on Chord, because its
-// aggregates are candidate-set views other rules still join.
-var chordAggSelPreds = []string{"finger"}
-
-// linkStateAggSelPreds prunes the node-local SPF: lpath rows that do
-// not improve their (node, dest) minimum skip the r2 extension and r4
-// route strands. Safe per the classic shortest-path argument (positive
-// costs, one advertised representative per group, delete-time
-// re-advertisement), and checked here by the same Dijkstra oracle as
-// the baseline row. The SPF never crosses a link, so the saving shows
-// in the derivation count, not the message count.
-var linkStateAggSelPreds = []string{"lpath"}
-
-// magicAggSelPreds prunes query exploration: pathDst tuples that do
-// not improve their (node, src, query) localBest minimum stop
-// exploring. Exploration is cross-link, so this saving is bandwidth.
-var magicAggSelPreds = []string{"pathDst"}
 
 // countDerivs layers a rule-firing counter over the row's engine
 // options — the metric that exposes aggregate-selection savings for

@@ -4,8 +4,9 @@
 // lints — see DESIGN.md §9 for the catalogue), and prints all findings
 // as "file:line:col: severity: message [check-id]" diagnostics. It can
 // also report the rewrites the planner would perform — the localized
-// rule set (Algorithm 2) and detected aggregate-selection
-// opportunities (Section 5.1.1).
+// rule set (Algorithm 2) and, under -v, each detected aggregate
+// selection (Section 5.1.1) with the planner's verdict: "pruned", or
+// "not pruned: rule <label> …" naming the rule that defeats the proof.
 //
 // Usage:
 //
@@ -141,9 +142,9 @@ func checkFile(file string, localize, verbose, asJSON, werror bool, stdout, stde
 		}
 		fmt.Fprintf(stdout, "rules: %d local, %d link-restricted non-local\n", local, nonLocal)
 		for _, sel := range planner.DetectAggSelections(prog) {
-			note := "not prunable"
-			if sel.Prunable() {
-				note = "prunable"
+			note := "pruned"
+			if !sel.Prunable() {
+				note = "not pruned: " + sel.NotPruned
 			}
 			fmt.Fprintf(stdout, "aggregate selection: %s over %s (%s, group %v, value col %d) — %s\n",
 				sel.AggPred, sel.SrcPred, sel.Func, sel.GroupCols, sel.ValueCol, note)

@@ -3,8 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ndlog/internal/programs"
 )
 
 const (
@@ -126,5 +130,26 @@ func TestParseFailureIsError(t *testing.T) {
 func TestUsageError(t *testing.T) {
 	if code, _, _ := runCheck(t); code != 2 {
 		t.Errorf("no arguments: exit %d, want 2", code)
+	}
+}
+
+// TestVerbosePrintsSelectionVerdicts: -v prints the planner's verdict on
+// each aggregate selection, naming the rule that defeats a failed proof.
+func TestVerbosePrintsSelectionVerdicts(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "csr.ndl")
+	if err := os.WriteFile(file, []byte(programs.CachedSourceRoute()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, _ := runCheck(t, "-v", file)
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	for _, want := range []string{
+		"localBest over pathDst (min, group [0 1 2], value col 4) — pruned",
+		"cache over answer (min, group [0 2], value col 5) — not pruned: rule an2 carries non-group S, P, C into its head",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -42,7 +42,6 @@ func main() {
 	cluster, err := engine.NewCluster(sim, prog,
 		engine.Options{
 			AggSel:       true,
-			AggSelPreds:  []string{"pathDst"},
 			StrandFilter: cacheFilter,
 		},
 		engine.ClusterConfig{ProcDelay: 0.001})

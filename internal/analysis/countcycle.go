@@ -81,8 +81,8 @@ func (c *collector) checkCountCycles(prog *ast.Program) {
 }
 
 // pathVectorGuarded reports whether r carries a path-vector guard: a
-// selection f_member(P, X) == false on a list P that an assignment
-// extends (f_concatPath or f_append) into a head variable.
+// CycleGuard on a list P that a PathExtension extends into a head
+// variable.
 func pathVectorGuarded(r *ast.Rule) bool {
 	head := map[string]bool{}
 	for _, arg := range r.Head.Args {
@@ -92,11 +92,7 @@ func pathVectorGuarded(r *ast.Rule) bool {
 	}
 	extended := map[string]bool{}
 	for _, t := range r.Body {
-		asn, ok := t.(*ast.Assign)
-		if !ok || !head[asn.Var] {
-			continue
-		}
-		if call, ok := asn.Expr.(*ast.Call); ok && (call.Name == "f_concatPath" || call.Name == "f_append") {
+		if asn, call, ok := PathExtension(t); ok && head[asn.Var] {
 			for _, arg := range call.Args {
 				if v, ok := arg.(*ast.Var); ok {
 					extended[v.Name] = true
@@ -105,23 +101,47 @@ func pathVectorGuarded(r *ast.Rule) bool {
 		}
 	}
 	for _, t := range r.Body {
-		sel, ok := t.(*ast.Select)
-		if !ok {
-			continue
-		}
-		eq, ok := sel.Cond.(*ast.BinOp)
-		if !ok || eq.Op != ast.OpEq {
-			continue
-		}
-		member, ok := eq.L.(*ast.Call)
-		if !ok || member.Name != "f_member" || len(member.Args) != 2 {
-			continue
-		}
-		list, ok := member.Args[0].(*ast.Var)
-		no, isConst := eq.R.(*ast.Const)
-		if ok && extended[list.Name] && isConst && no.Value.Kind() == val.KindBool && !no.Value.Bool() {
+		if list, ok := CycleGuard(t); ok && extended[list] {
 			return true
 		}
 	}
 	return false
+}
+
+// PathExtension reports whether t extends a path vector: an assignment
+// V := f_concatPath(...) or V := f_append(...).
+func PathExtension(t ast.Term) (*ast.Assign, *ast.Call, bool) {
+	asn, ok := t.(*ast.Assign)
+	if !ok {
+		return nil, nil, false
+	}
+	call, ok := asn.Expr.(*ast.Call)
+	if !ok || call.Name != "f_concatPath" && call.Name != "f_append" {
+		return nil, nil, false
+	}
+	return asn, call, true
+}
+
+// CycleGuard reports whether t is a path vector's cycle guard, the
+// selection f_member(P, X) == false, and returns the name of the list
+// variable P.
+func CycleGuard(t ast.Term) (string, bool) {
+	sel, ok := t.(*ast.Select)
+	if !ok {
+		return "", false
+	}
+	eq, ok := sel.Cond.(*ast.BinOp)
+	if !ok || eq.Op != ast.OpEq {
+		return "", false
+	}
+	member, ok := eq.L.(*ast.Call)
+	if !ok || member.Name != "f_member" || len(member.Args) != 2 {
+		return "", false
+	}
+	list, ok := member.Args[0].(*ast.Var)
+	no, isConst := eq.R.(*ast.Const)
+	if !ok || !isConst || no.Value.Kind() != val.KindBool || no.Value.Bool() {
+		return "", false
+	}
+	return list.Name, true
 }

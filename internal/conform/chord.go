@@ -28,7 +28,7 @@ type ChordOpts struct {
 	Cfg        programs.ChordConfig
 	// Engine overrides the cluster's evaluation options (hooks are
 	// layered, see NewNetOpts) — how the optimizer-measurement rows run
-	// Chord under restricted aggregate selections.
+	// Chord under aggregate selections.
 	Engine engine.Options
 }
 

@@ -32,22 +32,18 @@ type Net struct {
 // NewNet parses src and attaches a cluster with the given nodes. No
 // links or facts are created; callers wire the topology they need.
 //
-// Plain PSN, no aggregate-selections pruning: that optimization
-// suppresses propagation of tuples that don't improve their group's
-// aggregate, which is exactly wrong for protocols whose aggregates
-// are views over a candidate set that other rules still join (Chord's
-// cand rows, gossip's know entries). Conformance runs measure the
-// unoptimized semantics; NewNetOpts lets a caller opt specific
-// predicates back in where the pruning is provably safe.
+// Plain PSN, no aggregate-selections pruning: conformance runs measure
+// the unoptimized semantics. NewNetOpts runs a protocol with AggSel on,
+// which prunes only the selections the planner proves safe (DESIGN.md
+// §11 "Which selections prune").
 func NewNet(seed int64, src string, nodes []string, cc engine.ClusterConfig) (*Net, error) {
 	return NewNetOpts(seed, src, nodes, engine.Options{}, cc)
 }
 
 // NewNetOpts is NewNet with caller-supplied engine options — the hook
 // the optimizer-measurement rows use to run a protocol under aggregate
-// selections (opts.AggSel + opts.AggSelPreds restricted to the preds
-// whose pruning the protocol's semantics tolerate). The harness's debug
-// taps are layered over any hooks the caller installed.
+// selections. The harness's debug taps are layered over any hooks the
+// caller installed.
 func NewNetOpts(seed int64, src string, nodes []string, opts engine.Options, cc engine.ClusterConfig) (*Net, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {

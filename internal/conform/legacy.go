@@ -260,7 +260,7 @@ func (r *MulticastRun) CheckTree() []string {
 }
 
 // DSROpts configures a cached-source-route soak. The graph is kept
-// small: the conformance cluster runs plain PSN without the
+// small: by default the cluster runs plain PSN without the
 // aggregate-selection prune, so exploration enumerates simple paths.
 type DSROpts struct {
 	Seed    int64
@@ -269,6 +269,10 @@ type DSROpts struct {
 	Latency float64
 	Jitter  float64
 	MaxCost int64
+	// Engine overrides the cluster's evaluation options. Under AggSel the
+	// planner proves pathDst prunable and answer not (DESIGN.md §11
+	// "Which selections prune").
+	Engine engine.Options
 }
 
 // DefaultDSROpts is a sparse ten-node graph. Jitter stays zero: pathDst
@@ -296,7 +300,7 @@ type DSRRun struct {
 // NewDSRRun builds the topology and injects the initial link facts.
 func NewDSRRun(o DSROpts) (*DSRRun, error) {
 	names := nodeNames("d", o.Nodes)
-	net, err := NewNet(o.Seed, programs.CachedSourceRoute(), names,
+	net, err := NewNetOpts(o.Seed, programs.CachedSourceRoute(), names, o.Engine,
 		engine.ClusterConfig{ProcDelay: 0.001})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package conform
 
-import "testing"
+import (
+	"testing"
+
+	"ndlog/internal/engine"
+)
 
 // awaitClean advances time in one-second steps until check returns no
 // violations, failing at the deadline.
@@ -104,13 +108,26 @@ func TestMulticastConformance(t *testing.T) {
 // a fresh query (the later ones answerable from warmed caches via
 // hit1) and re-checks every query issued so far — after churn the old
 // answers' support has been retracted and the best answer must match
-// the new oracle.
+// the new oracle. The aggsel case runs the full three episodes at every
+// scale: pruning answer as well as pathDst lost best answers there
+// ("best answer 19, oracle 10"), and the planner's proof must keep
+// answer unpruned.
 func TestDSRConformance(t *testing.T) {
-	o := DefaultDSROpts(55)
-	episodes := 3
-	if !*fullSoak {
-		episodes = 2
-	}
+	t.Run("plain", func(t *testing.T) {
+		episodes := 3
+		if !*fullSoak {
+			episodes = 2
+		}
+		dsrSoak(t, DefaultDSROpts(55), episodes)
+	})
+	t.Run("aggsel", func(t *testing.T) {
+		o := DefaultDSROpts(55)
+		o.Engine = engine.Options{AggSel: true}
+		dsrSoak(t, o, 3)
+	})
+}
+
+func dsrSoak(t *testing.T, o DSROpts, episodes int) {
 	r, err := NewDSRRun(o)
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,9 @@ type LinkStateOpts struct {
 	Jitter  float64 // extra random per-message delay
 	MaxHop  int     // flood hop budget; must cover the diameter
 	MaxCost int64   // link costs are drawn from [1, MaxCost]
-	// Engine overrides the cluster's evaluation options. The safe
-	// aggregate-selection restriction here is AggSelPreds: ["lpath"] —
-	// classic shortest-path pruning on the node-local SPF (one advertised
-	// representative per (node, dest) group preserves the min; the
-	// delete-time re-advertisement fallback covers retractions).
+	// Engine overrides the cluster's evaluation options. Under AggSel the
+	// planner proves lpath prunable (DESIGN.md §11 "Which selections
+	// prune").
 	Engine engine.Options
 }
 

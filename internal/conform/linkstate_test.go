@@ -1,6 +1,10 @@
 package conform
 
-import "testing"
+import (
+	"testing"
+
+	"ndlog/internal/engine"
+)
 
 // awaitRoutes advances time in one-second steps until every node's
 // lsCost/lsRoute tables match the Dijkstra oracle, failing at the
@@ -27,9 +31,17 @@ func awaitRoutes(t *testing.T, r *LinkStateRun, deadline float64) {
 // every node's shortest-path tables against the Dijkstra oracle, then
 // re-checks after a seeded sequence of cost changes, chord failures,
 // and heals — each episode's retraction wave must re-converge to the
-// new oracle.
+// new oracle. The aggsel case runs the same schedule with the lpath
+// pruning the planner proves safe: the check that the proof is not too
+// generous.
 func TestLinkStateConformance(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { linkStateSoak(t, engine.Options{}) })
+	t.Run("aggsel", func(t *testing.T) { linkStateSoak(t, engine.Options{AggSel: true}) })
+}
+
+func linkStateSoak(t *testing.T, eng engine.Options) {
 	o := DefaultLinkStateOpts(11)
+	o.Engine = eng
 	if !*fullSoak {
 		o.Nodes, o.Chords = 10, 4
 	}

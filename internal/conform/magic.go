@@ -20,11 +20,11 @@ type MagicOpts struct {
 	Latency float64 // per-link latency (seconds)
 	Jitter  float64 // extra random per-message delay
 	MaxCost int64   // link costs are drawn from [1, MaxCost]
-	// Engine overrides the cluster's evaluation options. The safe
-	// aggregate-selection restriction is AggSelPreds: ["pathDst"] — the
-	// localBest minimum gives the engine a handle to prune non-improving
-	// exploration at every intermediate node, which is cross-link and so
-	// saves real messages.
+	// Engine overrides the cluster's evaluation options. Under AggSel the
+	// planner proves pathDst prunable and answer not (DESIGN.md §11
+	// "Which selections prune"): the localBest minimum prunes
+	// non-improving exploration at every intermediate node, which is
+	// cross-link and so saves real messages.
 	Engine engine.Options
 }
 

@@ -81,17 +81,25 @@ func TestAggregateNetsIntermediateSteps(t *testing.T) {
 
 // replaceSrc: route rows replace by (node, dst, via); cheapest is their
 // min per (node, dst) and told is route's own trigger strand — the
-// advertisement an aggregate selection on route may suppress.
+// advertisement an aggregate selection on route may suppress. For the
+// planner to prove that pruning safe, told extends a route by one step
+// (DESIGN.md §11 "Which selections prune"), and r0 makes via route's
+// path vector; the tests insert routes directly, a name standing in
+// for the vector, and a zero-cost step.
 const replaceSrc = `
 materialize(route, infinity, infinity, keys(1,2,3)).
 materialize(cheapest, infinity, infinity, keys(1,2)).
 materialize(told, infinity, infinity, keys(1,2,3,4)).
 
+r0 route(@N, D, Via, C) :- hop(@N, D, C), Via := f_concatPath(N, [D]).
 r1 cheapest(@N, D, min<C>) :- route(@N, D, _Via, C).
-r2 told(@N, D, Via, C) :- route(@N, D, Via, C).
+r2 told(@N, D, Via, C2) :- route(@N, D, Via, C), step(@N, K), C2 := C + K.
 
 query cheapest(@N, D, C).
 `
+
+// zeroStep is the step fact under which told copies route's cost.
+var zeroStep = val.NewTuple("step", val.NewAddr("n"), val.NewInt(0))
 
 func route(via string, cost int64) val.Tuple {
 	return val.NewTuple("route", val.NewAddr("n"), val.NewString("d"), val.NewString(via), val.NewInt(cost))
@@ -156,6 +164,7 @@ func TestReplacementIsOneAggregateWindow(t *testing.T) {
 // return early — a stable wrong fixpoint with nothing in flight.
 func TestReplacedRowIsNotTakenForAdvertised(t *testing.T) {
 	c := central(t, replaceSrc, Options{AggSel: true})
+	c.Insert(zeroStep)
 	c.Insert(route("x", 5)) // best, advertised
 	c.Insert(route("y", 3)) // improves: best, advertised
 	c.Insert(route("x", 4)) // replaces the advertised x row; 3 stays best
@@ -183,6 +192,7 @@ func TestReadvertiseTieBreak(t *testing.T) {
 	rand.New(rand.NewPCG(1, 2)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	for _, order := range [][]string{vias, shuffled} {
 		c := central(t, replaceSrc, Options{Mode: SN, AggSel: true})
+		c.Insert(zeroStep)
 		c.Insert(route("best", 1))
 		n := c.Node()
 		for _, via := range order {

@@ -96,7 +96,9 @@ func TestClusterPeriodicAggSel(t *testing.T) {
 
 	// Two selections over two source predicates at one node: a flush
 	// advertises them in predicate-name order whatever order they became
-	// pending in (a map-ordered walk flips about every other run).
+	// pending in (a map-ordered walk flips about every other run). a2
+	// and b2 extend a path vector (a0, b0) by a step, so the planner
+	// proves the pruning safe.
 	prog := mustParse(t, `
 materialize(pa, infinity, infinity, keys(1,2,3)).
 materialize(pb, infinity, infinity, keys(1,2,3)).
@@ -104,10 +106,12 @@ materialize(bestA, infinity, infinity, keys(1,2)).
 materialize(bestB, infinity, infinity, keys(1,2)).
 materialize(advA, infinity, infinity, keys(1,2,3)).
 materialize(advB, infinity, infinity, keys(1,2,3)).
-a1 bestA(@N,G,min<C>) :- pa(@N,G,C).
-a2 advA(@N,G,C) :- pa(@N,G,C).
-b1 bestB(@N,G,min<C>) :- pb(@N,G,C).
-b2 advB(@N,G,C) :- pb(@N,G,C).
+a0 pa(@N,G,P,C) :- hop(@N,G,C), P := f_concatPath(N, [G]).
+a1 bestA(@N,G,min<C>) :- pa(@N,G,_P,C).
+a2 advA(@N,G,P,C2) :- pa(@N,G,P,C), step(@N,K), C2 := C + K.
+b0 pb(@N,G,P,C) :- hop(@N,G,C), P := f_concatPath(N, [G]).
+b1 bestB(@N,G,min<C>) :- pb(@N,G,_P,C).
+b2 advB(@N,G,P,C2) :- pb(@N,G,P,C), step(@N,K), C2 := C + K.
 `)
 	for i := 0; i < 64; i++ {
 		n, err := NewNode("n", prog, Options{AggSel: true})
@@ -115,8 +119,9 @@ b2 advB(@N,G,C) :- pb(@N,G,C).
 			t.Fatal(err)
 		}
 		n.periodic = true
+		n.Push(Insert(val.NewTuple("step", val.NewAddr("n"), val.NewInt(0))))
 		for _, pred := range []string{"pb", "pa"} {
-			n.Push(Insert(val.NewTuple(pred, val.NewAddr("n"), val.NewInt(7), val.NewInt(1))))
+			n.Push(Insert(val.NewTuple(pred, val.NewAddr("n"), val.NewInt(7), val.NewString("x"), val.NewInt(1))))
 		}
 		n.Drain()
 		if n.PendingGroups() != 2 || n.QueueLen() != 0 {

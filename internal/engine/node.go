@@ -62,13 +62,9 @@ type Options struct {
 	Mode Mode
 	// AggSel enables the aggregate-selections optimization
 	// (Section 5.1.1): tuples that do not improve their group aggregate
-	// do not trigger propagation strands.
+	// do not trigger propagation strands. It applies to the selections
+	// the planner proves safe (planner.AggSelection.Prunable).
 	AggSel bool
-	// AggSelPreds restricts pruning to the listed source predicates.
-	// Empty means every prunable aggregate selection applies. Use this
-	// when a program has monotonic aggregates whose inputs must still
-	// propagate (e.g. the answer-return walk feeding the cache minimum).
-	AggSelPreds []string
 	// StrandFilter, when non-nil, is consulted before a trigger strand
 	// runs; returning false skips the strand. Used for query-result
 	// caching (Section 5.2), where a cache hit suppresses further
@@ -309,17 +305,7 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 	// run at this node (the engine is single-threaded per node).
 	n.jc.env = funcs.NewSlotEnv(prog.maxSlots)
 	if opts.AggSel {
-		allowed := map[string]bool{}
-		for _, p := range opts.AggSelPreds {
-			allowed[p] = true
-		}
 		for _, sel := range prog.aggSels {
-			if !sel.Prunable() {
-				continue
-			}
-			if len(allowed) > 0 && !allowed[sel.SrcPred] {
-				continue
-			}
 			state := n.aggStateFor(sel)
 			if state == nil {
 				continue

@@ -385,7 +385,9 @@ type Program struct {
 	// Node.sweepDerivable): one full evaluation per non-aggregate rule,
 	// started from body atom 0, ordered by that atom's predicate name and
 	// then rule order — a fixed order, so a sweep's output is too.
-	sweep   []*strand
+	sweep []*strand
+	// aggSels holds the aggregate selections the planner proved safe to
+	// prune (planner.AggSelection.Prunable); Options.AggSel applies them.
 	aggSels []planner.AggSelection
 	decls   map[string]*ast.TableDecl
 	// indexes is the access-path plan's storage side: the secondary
@@ -444,9 +446,9 @@ func Compile(prog *ast.Program) (*Program, error) {
 			p.foldKeys[d.Name] = d.Keys
 		}
 	}
-	p.aggSels = planner.DetectAggSelections(local)
-	for _, s := range p.aggSels {
+	for _, s := range planner.DetectAggSelections(local) {
 		if s.Prunable() {
+			p.aggSels = append(p.aggSels, s)
 			p.ensureIndex(s.SrcPred, indexSpec{cols: s.GroupCols, group: true})
 		}
 	}

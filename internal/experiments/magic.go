@@ -140,7 +140,7 @@ func runMSFresh(cfg Config, o *topology.Overlay, queries [][2]string, samplePts 
 			break
 		}
 		dep, err := deploy(cfg, o, programs.CachedSourceRoute(),
-			engine.Options{AggSel: true, AggSelPreds: []string{"pathDst"}, StrandFilter: noCache}, engine.ClusterConfig{},
+			engine.Options{AggSel: true, StrandFilter: noCache}, engine.ClusterConfig{},
 			map[string]topology.Metric{"": topology.HopCount},
 			func(p *progFacts) { p.addFact(programs.MagicQueryFact(q[0], q[1])) })
 		if err != nil {
@@ -170,7 +170,7 @@ func runMSFresh(cfg Config, o *topology.Overlay, queries [][2]string, samplePts 
 // query-result caching: cache tables survive across queries, cache hits
 // answer directly, and exploration is pruned at cached nodes.
 func runMSCached(cfg Config, o *topology.Overlay, queries [][2]string, samplePts []int) ([]float64, error) {
-	opts := engine.Options{AggSel: true, AggSelPreds: []string{"pathDst"}, StrandFilter: cachePruneFilter}
+	opts := engine.Options{AggSel: true, StrandFilter: cachePruneFilter}
 	dep, err := deploy(cfg, o, programs.CachedSourceRoute(), opts, engine.ClusterConfig{},
 		map[string]topology.Metric{"": topology.HopCount}, nil)
 	if err != nil {

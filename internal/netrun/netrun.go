@@ -356,12 +356,12 @@ func (r *Runner) ExportNode(id string) ([]byte, error) {
 }
 
 // ImportNode loads an exported state into a local (freshly adopted)
-// node, re-derives the local closure (engine Rederive — the DRed
-// sweep), clamps the imported soft state back to its exported
-// remaining lifetimes, and dispatches the resulting advertisements to
-// the fleet. The blob is either a bare engine state (EncodeState) or a
-// durable migration bundle (snapshot + WAL tail, durable.EncodeBundle)
-// — the magic byte decides.
+// node, re-derives the local closure (the Node.Rederive sweep), clamps
+// the imported soft state back to its exported remaining lifetimes,
+// and dispatches the resulting advertisements to the fleet. The blob
+// is either a bare engine state (EncodeState) or a durable migration
+// bundle (snapshot + WAL tail, durable.EncodeBundle) — the magic byte
+// decides.
 func (r *Runner) ImportNode(id string, state []byte) error {
 	nn, ok := r.node(id)
 	if !ok {

@@ -276,6 +276,35 @@ func TestDetectAggSelectionsNegative(t *testing.T) {
 	}
 }
 
+// TestAggSelProofNegative: each condition of the safety proof, broken
+// once in the Figure 1 program, keeps the selection unpruned and names
+// the rule that broke it.
+func TestAggSelProofNegative(t *testing.T) {
+	for _, c := range []struct{ name, src, want string }{
+		{"non-group scalar in head",
+			spSrc + `X1 hop(@Z,@D,Z2) :- path(@Z,@D,@Z2,P2,C2), C := C2 + 1, P := f_append(P2, Z).`,
+			"rule X1 carries non-group Z2 into its head"},
+		{"max with a non-aggregate consumer",
+			`M1 top(@N,max<C>) :- score(@N,K,C).
+M2 seen(@N,K,C) :- score(@N,K,C).`,
+			"rule M2 is not an aggregate or a join back, and only a min selection prunes through an extension"},
+		{"guard other than the cycle guard",
+			strings.Replace(spSrc, "f_member(P2, S) == false.", "f_member(P2, S) == false, C2 < 10.", 1),
+			"rule SP2 reads non-group C2 in C2 < 10"},
+		{"two atoms of the source",
+			spSrc + `X2 pair(@S,@D,C) :- path(@S,@D,@Z,P,C), path(@S,@Z,@D,P2,C2).`,
+			"rule X2 joins two path atoms"},
+	} {
+		sels := DetectAggSelections(parse(t, c.src))
+		if len(sels) != 1 {
+			t.Fatalf("%s: selections = %+v", c.name, sels)
+		}
+		if s := sels[0]; s.Prunable() || s.NotPruned != c.want {
+			t.Errorf("%s: Prunable() = %v, verdict %q, want %q", c.name, s.Prunable(), s.NotPruned, c.want)
+		}
+	}
+}
+
 func TestReorder(t *testing.T) {
 	p := parse(t, `r p(@S) :- q(@S), w(@S).`)
 	r := p.Rules[0]

@@ -1,10 +1,12 @@
 package programs
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
 	"ndlog/internal/analysis"
+	"ndlog/internal/ast"
 	"ndlog/internal/parser"
 	"ndlog/internal/planner"
 )
@@ -126,27 +128,68 @@ func TestFactBuilders(t *testing.T) {
 	}
 }
 
-// TestAggSelDetectableInShippedPrograms: the optimizer hooks the shipped
-// programs rely on must stay detectable after parsing.
+// TestAggSelDetectableInShippedPrograms holds every shipped program to
+// one verdict table: which source predicates the planner proves safe to
+// prune (DESIGN.md §11 "Which selections prune"), and which rule keeps
+// the others unpruned. The parsed program and the localized one the
+// engine compiles must agree.
 func TestAggSelDetectableInShippedPrograms(t *testing.T) {
-	for name, src := range map[string]string{
-		"ShortestPath":      ShortestPath(""),
-		"ShortestPathDV":    ShortestPathDV(""),
-		"CachedSourceRoute": CachedSourceRoute(),
+	for _, c := range []struct {
+		name, src string
+		want      map[string]string // source predicate -> "" (pruned) or the failing rule
+	}{
+		{"ShortestPath", ShortestPath(""), map[string]string{"path": ""}},
+		{"ShortestPathDV", ShortestPathDV(""), map[string]string{"path": ""}},
+		{"MagicShortestPath", MagicShortestPath(), map[string]string{}},
+		{"CachedSourceRoute", CachedSourceRoute(), map[string]string{"pathDst": "", "answer": "rule an2 "}},
+		{"Multicast+DV", Combine(ShortestPathDV(""), Multicast()), map[string]string{"path": "", "child": "count "}},
+		{"Chord", Chord(DefaultChordConfig()), map[string]string{"finger": "", "succ": "rule f0 "}},
+		{"LinkState", LinkState(DefaultMaxHop), map[string]string{"lpath": ""}},
+		{"Gossip", Gossip(DefaultGossipConfig()), map[string]string{"rumor": ""}},
 	} {
-		prog, err := parser.Parse(src)
+		prog, err := parser.Parse(c.src)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		sels := planner.DetectAggSelections(prog)
-		prunable := 0
-		for _, s := range sels {
-			if s.Prunable() {
-				prunable++
+		local, err := planner.Localize(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, gotLocal := aggSelVerdicts(t, c.name, prog), aggSelVerdicts(t, c.name, local)
+		if !maps.Equal(got, gotLocal) {
+			t.Errorf("%s: parsed verdicts %v, localized %v", c.name, got, gotLocal)
+		}
+		if len(got) != len(c.want) {
+			t.Errorf("%s: selections on %v, want %v", c.name, got, c.want)
+		}
+		for src, want := range c.want {
+			why, ok := got[src]
+			switch {
+			case !ok:
+				t.Errorf("%s: no selection on %s", c.name, src)
+			case want == "" && why != "":
+				t.Errorf("%s: %s not pruned: %s", c.name, src, why)
+			case want != "" && !strings.HasPrefix(why, want):
+				t.Errorf("%s: %s verdict %q, want one starting %q", c.name, src, why, want)
 			}
 		}
-		if prunable == 0 {
-			t.Errorf("%s: no prunable aggregate selection detected", name)
+	}
+}
+
+// aggSelVerdicts maps each source predicate of p's aggregate selections
+// to its verdict, checking that every selection on it carries the same
+// one and that Prunable agrees with it.
+func aggSelVerdicts(t *testing.T, name string, p *ast.Program) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	for _, s := range planner.DetectAggSelections(p) {
+		if prev, ok := got[s.SrcPred]; ok && prev != s.NotPruned {
+			t.Errorf("%s: selections on %s disagree: %q vs %q", name, s.SrcPred, prev, s.NotPruned)
+		}
+		got[s.SrcPred] = s.NotPruned
+		if s.Prunable() != (s.NotPruned == "") {
+			t.Errorf("%s: %s over %s: Prunable() = %v with verdict %q", name, s.AggPred, s.SrcPred, s.Prunable(), s.NotPruned)
 		}
 	}
+	return got
 }

@@ -611,7 +611,7 @@ func (c *Coordinator) Owner(node string) int {
 //  4. cutover — every worker installs the new epoch's book and fences
 //     the old epoch's datagrams;
 //  5. resume — workers import the held state (re-deriving the local
-//     closure via the DRed sweep) and run the neighbor-side
+//     closure via the Node.Rederive sweep) and run the neighbor-side
 //     rederivation sweep (RederiveFor), which rebuilds the derived
 //     state flowing into the moved nodes.
 //

@@ -41,8 +41,6 @@ type Options struct {
 	Mode string `json:"mode,omitempty"`
 	// AggSel enables aggregate selections (Section 5.1.1).
 	AggSel bool `json:"aggsel,omitempty"`
-	// AggSelPreds restricts pruning to the listed source predicates.
-	AggSelPreds []string `json:"aggsel_preds,omitempty"`
 	// DataDir, when set, makes every worker persist its nodes' state
 	// (WAL + snapshots, internal/durable): shard i keeps one store per
 	// node under <DataDir>/shard-<i>, and a respawned worker recovers
@@ -91,6 +89,7 @@ var removedOptions = []struct{ key, why string }{
 	{"group_commit", "a shard-wide log measured no faster than a WAL per node on any workload, so every node has its own WAL"},
 	{"aggsel_period", "netrun never flushed periodic aggregate selections, so a period left groups unadvertised; only the simulator's Cluster takes one"},
 	{"loss_first", "it was a test's fault injection, not a deployment setting"},
+	{"aggsel_preds", "the planner now proves which aggregate selections are safe to prune, so there is no list to give"},
 }
 
 // Durable converts the manifest's durability stanza to the durable
@@ -119,7 +118,6 @@ func (o Options) Engine() (engine.Options, error) {
 	return engine.Options{
 		Mode:        mode,
 		AggSel:      o.AggSel,
-		AggSelPreds: o.AggSelPreds,
 		Parallelism: o.Parallelism,
 	}, nil
 }

@@ -90,14 +90,18 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(stale); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+		_, err := Load(stale)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
 			t.Errorf("manifest carrying the removed %s key: err = %v, want one naming %q", key, err, key)
+		}
+		if key == "aggsel_preds" && (err == nil || !strings.Contains(err.Error(), "planner now proves")) {
+			t.Errorf("manifest carrying aggsel_preds: err = %v, want the reason it went", err)
 		}
 	}
 	// So does one asking for the removed BSN mode, pointing at SN.
