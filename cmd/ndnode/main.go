@@ -1,16 +1,20 @@
 // Command ndnode runs one shard of a sharded NDlog deployment: it
 // hosts the shard's nodes as real UDP sockets (internal/netrun) and
-// speaks the coordinator control protocol (internal/shard).
+// speaks the coordinator control protocol (internal/shard) over one TCP
+// connection to the coordinator.
 //
 // Usage:
 //
 //	ndnode -manifest deploy.json -shard 0 -coord 127.0.0.1:9000
 //	ndnode -manifest deploy.json -shard 1            # static book, no coordinator
 //
-// With -coord, the process joins the coordinator handshake: it reports
-// its ephemeral node addresses, receives the merged cluster book,
-// seeds its home facts on the start barrier, answers gather queries,
-// and exits on the coordinator's stop. Without -coord, every node
+// With -coord, the process dials the coordinator (which must already
+// be listening) and joins its handshake: it reports its ephemeral node
+// addresses, receives the merged cluster book, seeds its home facts on
+// the start barrier, answers gather queries, and exits on the
+// coordinator's stop — or with an error as soon as the connection
+// closes, or after -coord-timeout of silence from a coordinator that
+// hangs. Without -coord, every node
 // address in the manifest must be static ("host:port"); the shard
 // seeds immediately and serves until killed — the multi-machine
 // deployment mode, one ndnode per host.

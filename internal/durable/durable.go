@@ -523,7 +523,7 @@ func (s *Store) Destroy() error {
 }
 
 // bundleMagic distinguishes a migration bundle from a bare EncodeState
-// blob (whose magic is 0x4E); ImportNode sniffs the first byte.
+// blob (whose magic is 0x4E).
 const bundleMagic = 0x44
 
 // EncodeBundle packages a snapshot (possibly empty) and WAL records:

@@ -10,15 +10,15 @@ package netrun
 // will not remember. When the WAL outgrows Options.SnapshotBytes the node's
 // exported state replaces it as a fresh snapshot generation.
 //
-// Recovery (EnableDurability, before Start): per node, import the
-// snapshot, clamp its soft-state TTLs, replay the WAL tail record by
-// record under each record's own clock, then Rederive to close the
-// local derivations. Outbound deltas produced during recovery are
-// discarded — the shard-level respawn protocol rebuilds cross-node
-// state with explicit rederivation sweeps once the fleet knows the
-// node is back. The journal tap installs only after replay, so
-// recovery does not re-journal itself; a fresh snapshot then folds the
-// replayed tail into a compact generation.
+// Recovery (EnableDurability, before Start) and adoption (ImportNode)
+// share one restore: import the snapshot, clamp its soft-state TTLs,
+// replay the WAL tail record by record under each record's own clock,
+// then Rederive to close the local derivations. Outbound deltas
+// produced during recovery are discarded — the shard-level respawn
+// protocol rebuilds cross-node state with explicit rederivation sweeps
+// once the fleet knows the node is back. The journal tap installs only
+// after replay, so recovery does not re-journal itself; a fresh
+// snapshot then folds the replayed tail into a compact generation.
 
 import (
 	"encoding/binary"
@@ -87,7 +87,7 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if warm && !discard {
-		if err := replayRecovered(nn.node, rec); err != nil {
+		if _, err := restore(nn.node, rec.Snapshot, rec.Records, float64(time.Now().UnixNano())/1e9); err != nil {
 			store.Close()
 			return false, err
 		}
@@ -106,37 +106,44 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 	return warm && !discard, nil
 }
 
-// replayRecovered rebuilds a node from its snapshot and WAL tail.
-// Caller holds nn.mu; the journal tap is not yet installed.
-func replayRecovered(n *engine.Node, rec durable.Recovered) error {
-	now := float64(time.Now().UnixNano()) / 1e9
-	if len(rec.Snapshot) > 0 {
-		st, err := engine.DecodeState(rec.Snapshot)
+// restore rebuilds a node from a snapshot (nil for none) and WAL
+// records: import the snapshot, clamp its soft-state TTLs, replay each
+// record under min(its clock, now), then Rederive to close the local
+// derivations. It returns every outbound delta the rebuild produced:
+// crash recovery discards them (the fleet is re-synced by the respawn
+// sweeps), adoption dispatches them. Caller holds the node's lock.
+func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engine.OutDelta, error) {
+	var outs []engine.OutDelta
+	n.SetNow(now)
+	if len(snap) > 0 {
+		st, err := engine.DecodeState(snap)
 		if err != nil {
-			return fmt.Errorf("snapshot: %w", err)
+			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		n.SetNow(now)
 		n.ImportState(st)
-		n.Drain() // discard: the fleet is re-synced by the respawn sweeps
+		outs = n.DrainInto(outs)
+		// Clamp before replaying the WAL tail: a replayed soft-state
+		// refresh then extends lifetimes legitimately, instead of being
+		// clamped back to what the snapshot remembered.
 		n.ApplyImportedTTLs(st)
 	}
-	for i, b := range rec.Records {
+	for i, b := range records {
 		recNow, deltas, err := decodeWALRecord(b, n.Interner())
 		if err != nil {
-			return fmt.Errorf("wal record %d: %w", i, err)
+			return nil, fmt.Errorf("wal record %d: %w", i, err)
 		}
-		if recNow < now {
-			n.SetNow(recNow)
-		}
+		// Replay under the record's virtual clock so soft-state TTLs land
+		// where the source node had them, clamped so a skewed clock
+		// cannot push this node's clock forward.
+		n.SetNow(math.Min(recNow, now))
 		for _, d := range deltas {
 			n.Push(d)
 		}
-		n.Drain()
+		outs = n.DrainInto(outs)
 	}
 	n.SetNow(now)
 	n.Rederive()
-	n.Drain()
-	return nil
+	return n.DrainInto(outs), nil
 }
 
 // commitDurable folds the deltas journaled during one drain into a
@@ -191,10 +198,12 @@ func (r *Runner) DurableSyncs() uint64 {
 	return total
 }
 
-// ExportBundle packages a node's durable snapshot + WAL tail for
-// migration (Rebalance ships this instead of a fresh export, so the
-// pause does not pay a full state re-encode of a large node). Without
-// durability it falls back to a bare state export.
+// ExportBundle packages a local node's migratable state as a bundle
+// (durable.EncodeBundle) for ImportNode: its durable snapshot + WAL
+// tail when the node has a store (Rebalance then does not pay a full
+// state re-encode of a large node on the pause path), and otherwise an
+// engine state export — base facts with counts plus soft state with
+// remaining TTLs — with no records.
 func (r *Runner) ExportBundle(id string) ([]byte, error) {
 	nn, ok := r.node(id)
 	if !ok {
@@ -204,7 +213,7 @@ func (r *Runner) ExportBundle(id string) ([]byte, error) {
 	defer nn.mu.Unlock()
 	if nn.dur == nil {
 		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-		return engine.EncodeState(nn.node.Export()), nil
+		return durable.EncodeBundle(engine.EncodeState(nn.node.Export()), nil), nil
 	}
 	r.commitDurable(nn)
 	return nn.dur.Bundle()

@@ -217,8 +217,8 @@ func TestExportBundleMigration(t *testing.T) {
 		t.Fatalf("adopter restart lost migrated state: %v", got)
 	}
 
-	// A non-durable runner falls back to a bare state export, which
-	// ImportNode also accepts.
+	// A non-durable runner ships its state export as a bundle with no
+	// records, which ImportNode reads like any other.
 	r4, err := New(prog, []string{"a"}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -230,11 +230,63 @@ func TestExportBundleMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if durable.IsBundle(bare) {
-		t.Fatal("non-durable runner exported a bundle")
+	if snap, records, err := durable.DecodeBundle(bare); err != nil || len(snap) == 0 || len(records) != 0 {
+		t.Fatalf("non-durable export: %d snapshot bytes, %d records, err %v", len(snap), len(records), err)
 	}
 	if err := r2.ImportNode("a", bare); err != nil {
-		t.Fatalf("bare state import: %v", err)
+		t.Fatalf("non-durable bundle import: %v", err)
+	}
+}
+
+// TestImportReplaysEachRecordAtItsClock: every WAL record of an
+// imported bundle replays under min(its clock, now). A record stamped
+// after the adopter's clock replays at now — not under the previous
+// record's clock, which would take the gap off its soft tuples'
+// lifetimes.
+func TestImportReplaysEachRecordAtItsClock(t *testing.T) {
+	const ttl = 60
+	prog, err := parser.Parse(`materialize(beat, 60, infinity, keys(1,2)).
+materialize(seen, 60, infinity, keys(1,2)).
+r1 seen(@N, X) :- beat(@N, X).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(prog, []string{"a"}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	beat := func(at float64, x int64) []byte {
+		return encodeWALRecord(at, []engine.Delta{engine.Insert(val.NewTuple("beat", val.NewAddr("a"), val.NewInt(x)))})
+	}
+	now := float64(time.Now().UnixNano()) / 1e9
+	if err := r.ImportNode("a", durable.EncodeBundle(nil, [][]byte{beat(now-5, 1), beat(now+5, 2)})); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := r.ExportBundle("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := durable.DecodeBundle(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := engine.DecodeState(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remaining := map[int64]float64{}
+	for _, et := range st.Tuples {
+		if et.Tuple.Pred == "beat" {
+			remaining[et.Tuple.Fields[1].Int()] = et.Remaining
+		}
+	}
+	if got := remaining[1]; got < ttl-6 || got > ttl-4 {
+		t.Errorf("beat stamped now-5: remaining %.2f s, want about %d", got, ttl-5)
+	}
+	if got := remaining[2]; got <= ttl-1 {
+		t.Errorf("beat stamped now+5: remaining %.2f s, want above %d (replayed at now)", got, ttl-1)
 	}
 }
 

@@ -14,7 +14,7 @@
 // multi-process deployment built on this). Tuples bound for a node the
 // book does not know are counted as dropped, exactly like a datagram
 // with no route. The local set is elastic: AddNode and RemoveNode
-// adopt and release nodes on a live socket set, and ExportNode /
+// adopt and release nodes on a live socket set, and ExportBundle /
 // ImportNode move a node's engine state for migration.
 //
 // Every data datagram carries the runner's membership epoch
@@ -299,7 +299,7 @@ func (r *Runner) AddNode(id, bind string) error {
 // dropped with their credit. Datagrams already bound for the node are
 // dropped by the closed socket — the stale-epoch fence covers the ones
 // that chase the node to its new home. Export the node's state first
-// (ExportNode) if it is migrating.
+// (ExportBundle) if it is migrating.
 func (r *Runner) RemoveNode(id string) error {
 	r.nodesMu.Lock()
 	defer r.nodesMu.Unlock()
@@ -341,84 +341,27 @@ func (r *Runner) dropNodeLocked(nn *netNode) {
 	nn.mu.Unlock()
 }
 
-// ExportNode snapshots a local node's migratable state (engine
-// EncodeState payload): base facts with counts plus soft state with
-// remaining TTLs. The engine view only — traffic counters stay behind.
-func (r *Runner) ExportNode(id string) ([]byte, error) {
-	nn, ok := r.node(id)
-	if !ok {
-		return nil, fmt.Errorf("netrun: node %q not hosted", id)
-	}
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-	return engine.EncodeState(nn.node.Export()), nil
-}
-
-// ImportNode loads an exported state into a local (freshly adopted)
-// node, re-derives the local closure (the Node.Rederive sweep), clamps
-// the imported soft state back to its exported remaining lifetimes,
-// and dispatches the resulting advertisements to the fleet. The blob
-// is either a bare engine state (EncodeState) or a durable migration
-// bundle (snapshot + WAL tail, durable.EncodeBundle) — the magic byte
-// decides.
-func (r *Runner) ImportNode(id string, state []byte) error {
+// ImportNode loads an exported bundle (ExportBundle) into a local
+// (freshly adopted) node — the same restore crash recovery runs, with
+// the snapshot's soft state clamped back to its exported remaining
+// lifetimes — and dispatches the resulting advertisements to the fleet.
+func (r *Runner) ImportNode(id string, bundle []byte) error {
 	nn, ok := r.node(id)
 	if !ok {
 		return fmt.Errorf("netrun: node %q not hosted", id)
 	}
-	var (
-		snap    []byte
-		records [][]byte
-		err     error
-	)
-	if durable.IsBundle(state) {
-		if snap, records, err = durable.DecodeBundle(state); err != nil {
-			return err
-		}
-	} else {
-		snap = state
-	}
-	var st *engine.NodeState
-	if len(snap) > 0 {
-		if st, err = engine.DecodeState(snap); err != nil {
-			return err
-		}
+	snap, records, err := durable.DecodeBundle(bundle)
+	if err != nil {
+		return err
 	}
 	r.credit.Add(1) // the import drain is in progress
 	defer r.release(1)
 	nn.mu.Lock()
-	now := float64(time.Now().UnixNano()) / 1e9
-	nn.node.SetNow(now)
-	var outs []engine.OutDelta
-	if st != nil {
-		nn.node.ImportState(st)
-		outs = nn.node.Drain()
-		// Clamp before replaying the WAL tail: a replayed soft-state
-		// refresh then extends lifetimes legitimately, instead of being
-		// clamped back to what the snapshot remembered.
-		nn.node.ApplyImportedTTLs(st)
+	outs, err := restore(nn.node, snap, records, float64(time.Now().UnixNano())/1e9)
+	if err != nil {
+		nn.mu.Unlock()
+		return err
 	}
-	for _, rec := range records {
-		recNow, deltas, derr := decodeWALRecord(rec, nn.node.Interner())
-		if derr != nil {
-			nn.mu.Unlock()
-			return derr
-		}
-		// Replay under the record's virtual clock so soft-state TTLs land
-		// where the source node had them, clamped so a skewed source
-		// cannot push this node's clock forward.
-		if recNow < now {
-			nn.node.SetNow(recNow)
-		}
-		for _, d := range deltas {
-			nn.node.Push(d)
-		}
-		outs = nn.node.DrainInto(outs)
-	}
-	nn.node.SetNow(now)
-	nn.node.Rederive()
-	outs = nn.node.DrainInto(outs)
 	r.commitDurable(nn)
 	r.activity.Add(1)
 	r.unlockAndDispatch(nn, outs)

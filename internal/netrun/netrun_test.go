@@ -296,14 +296,14 @@ func TestAddRemoveNode(t *testing.T) {
 	}
 
 	// Export, remove, re-adopt elsewhere-style: import restores state.
-	blob, err := r.ExportNode("b")
+	blob, err := r.ExportBundle("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.RemoveNode("b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ExportNode("b"); err == nil {
+	if _, err := r.ExportBundle("b"); err == nil {
 		t.Error("export of a removed node succeeded")
 	}
 	if err := r.RemoveNode("b"); err == nil {

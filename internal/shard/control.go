@@ -1,9 +1,14 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sort"
+	"sync"
 
 	"ndlog/internal/netrun"
 	"ndlog/internal/val"
@@ -13,26 +18,25 @@ import (
 // as data tuples (internal/val): strings are length-prefixed, integers
 // are uvarints, and gathered tuples are encoded with val.AppendTuple —
 // so the control plane needs no codec of its own and benefits from the
-// same fuzzed decoders. One frame per datagram:
+// same fuzzed decoders. Each worker holds one TCP connection to the
+// coordinator, and every frame on it is written behind its length:
 //
+//	stream  := {len(uvarint) frame}*
 //	frame   := kind(byte) body
 //	hello   := shard(uvarint) nbook(uvarint) {node(string) addr(string)}*
 //	book    := epoch(uvarint) nbook(uvarint) {node(string) addr(string)}*
 //	ready   := shard(uvarint) epoch(uvarint)
 //	start   := ε
-//	idle    := shard(uvarint) epoch(uvarint) seq(uvarint) mark(uvarint)
-//	           activity(uvarint) stats
+//	idle    := shard(uvarint) epoch(uvarint) mark(uvarint) activity(uvarint)
+//	           stats
 //	query   := req(uvarint) pred(string)
-//	tuples  := shard(uvarint) req(uvarint) chunk(uvarint) nchunks(uvarint)
-//	           count(uvarint) tuple*
+//	tuples  := shard(uvarint) req(uvarint) count(uvarint) tuple*
 //	stop    := ε
 //	bye     := shard(uvarint) stats
 //	pong    := mark(uvarint)
 //	release := req(uvarint) epoch(uvarint) node(string)
-//	state   := shard(uvarint) req(uvarint) chunk(uvarint) nchunks(uvarint)
-//	           blob(string)
-//	adopt   := req(uvarint) epoch(uvarint) node(string) chunk(uvarint)
-//	           nchunks(uvarint) blob(string)
+//	state   := shard(uvarint) req(uvarint) blob(string)
+//	adopt   := req(uvarint) epoch(uvarint) node(string) blob(string)
 //	adopted := shard(uvarint) req(uvarint) node(string) addr(string)
 //	resume  := epoch(uvarint) nnodes(uvarint) {node(string)}*
 //	resumed := shard(uvarint) epoch(uvarint)
@@ -45,9 +49,8 @@ import (
 // Kind bytes start at 0x81, disjoint from the engine's data-message
 // kinds (1, 2) and the netrun data envelope (0x7E) — a control frame
 // mis-delivered to a data socket is rejected as corrupt, and vice
-// versa. Every frame is idempotent: both sides resend until
-// acknowledged by the protocol's next phase, which is all the
-// reliability loopback/LAN UDP needs.
+// versa. The stream is reliable and ordered, so every frame is written
+// once; a closed connection means the peer is gone.
 //
 // Epochs version the membership view: the coordinator bumps the epoch
 // on every rebalance, workers echo it in ready/idle/resumed frames, and
@@ -65,15 +68,15 @@ const (
 	kindStart  frameKind = 0x84 // coord → worker: seed home facts, go
 	kindIdle   frameKind = 0x85 // worker → coord: activity and credit report
 	kindQuery  frameKind = 0x86 // coord → worker: gather a predicate
-	kindTuples frameKind = 0x87 // worker → coord: one chunk of results
+	kindTuples frameKind = 0x87 // worker → coord: a gathered predicate
 	kindStop   frameKind = 0x89 // coord → worker: shut down
 	kindBye    frameKind = 0x8A // worker → coord: final stats, exiting
 	kindPong   frameKind = 0x8B // coord → worker: idle-report ack (liveness) and wave mark
 
 	// Rebalance frames (epoch cutover; see coord.go Rebalance).
 	kindRelease frameKind = 0x8C // coord → worker: export + drop a migrating node
-	kindState   frameKind = 0x8D // worker → coord: one chunk of exported state
-	kindAdopt   frameKind = 0x8E // coord → worker: host this node, one state chunk
+	kindState   frameKind = 0x8D // worker → coord: the node's exported state
+	kindAdopt   frameKind = 0x8E // coord → worker: host this node, with its state
 	kindAdopted frameKind = 0x8F // worker → coord: node bound, here is its address
 	kindResume  frameKind = 0x90 // coord → worker: cutover done, import + rederive
 	kindResumed frameKind = 0x91 // worker → coord: resumed in the new epoch
@@ -82,10 +85,6 @@ const (
 	kindRederive  frameKind = 0x92 // coord → worker: re-send derivations toward these nodes
 	kindRederived frameKind = 0x93 // worker → coord: rederivation sweep done
 )
-
-// maxGatherChunks bounds the per-shard chunk count a tuples frame may
-// announce (decoder rejects more; see decodeFrame).
-const maxGatherChunks = 1 << 16
 
 // frame is one decoded control message; unused fields are zero.
 type frame struct {
@@ -97,10 +96,8 @@ type frame struct {
 	epoch uint64
 	// book carries node → "host:port" entries (hello, book).
 	book map[string]string
-	// seq, activity: idle report ordering and the runner's activity
-	// counter; stats is the runner's counters, credit included (idle,
-	// bye).
-	seq      uint64
+	// activity is the runner's activity counter (idle); stats is the
+	// runner's counters, credit included (idle, bye).
 	activity int64
 	stats    netrun.Stats
 	// mark is the coordinator's wave mark (pong) and the newest mark a
@@ -117,12 +114,9 @@ type frame struct {
 	nodes []string
 	// addr is the migrated node's new data address (adopted).
 	addr string
-	// chunk/nchunks/tuples: one gather response chunk; chunk/nchunks
-	// also frame the blob chunks of state and adopt.
-	chunk   int
-	nchunks int
-	tuples  []val.Tuple
-	// blob is one chunk of an exported node state (state, adopt).
+	// tuples is one shard's gather response (tuples).
+	tuples []val.Tuple
+	// blob is an exported node state (state, adopt).
 	blob []byte
 }
 
@@ -175,7 +169,6 @@ func encodeFrame(f frame) []byte {
 	case kindIdle:
 		buf = appendUvarint(buf, uint64(f.shard))
 		buf = appendUvarint(buf, f.epoch)
-		buf = appendUvarint(buf, f.seq)
 		buf = appendUvarint(buf, f.mark)
 		buf = appendUvarint(buf, uint64(f.activity))
 		buf = appendStats(buf, f.stats)
@@ -185,8 +178,6 @@ func encodeFrame(f frame) []byte {
 	case kindTuples:
 		buf = appendUvarint(buf, uint64(f.shard))
 		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, uint64(f.chunk))
-		buf = appendUvarint(buf, uint64(f.nchunks))
 		buf = appendUvarint(buf, uint64(len(f.tuples)))
 		for _, t := range f.tuples {
 			buf = val.AppendTuple(buf, t)
@@ -201,15 +192,11 @@ func encodeFrame(f frame) []byte {
 	case kindState:
 		buf = appendUvarint(buf, uint64(f.shard))
 		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, uint64(f.chunk))
-		buf = appendUvarint(buf, uint64(f.nchunks))
 		buf = appendBytes(buf, f.blob)
 	case kindAdopt:
 		buf = appendUvarint(buf, f.req)
 		buf = appendUvarint(buf, f.epoch)
 		buf = val.AppendString(buf, f.node)
-		buf = appendUvarint(buf, uint64(f.chunk))
-		buf = appendUvarint(buf, uint64(f.nchunks))
 		buf = appendBytes(buf, f.blob)
 	case kindAdopted:
 		buf = appendUvarint(buf, uint64(f.shard))
@@ -343,7 +330,6 @@ func decodeFrame(b []byte) (frame, error) {
 	case kindIdle:
 		f.shard = int(d.uvarint())
 		f.epoch = d.uvarint()
-		f.seq = d.uvarint()
 		f.mark = d.uvarint()
 		f.activity = int64(d.uvarint())
 		f.stats = d.stats()
@@ -353,16 +339,6 @@ func decodeFrame(b []byte) (frame, error) {
 	case kindTuples:
 		f.shard = int(d.uvarint())
 		f.req = d.uvarint()
-		f.chunk = int(d.uvarint())
-		f.nchunks = int(d.uvarint())
-		// Bound the chunk geometry before anything allocates from it: a
-		// corrupt or hostile datagram must not drive make() or a slice
-		// index (maxGatherChunks × tupleChunkSz ≈ 2 GiB of results, far
-		// beyond any real gather).
-		if d.err == nil && (f.nchunks < 1 || f.nchunks > maxGatherChunks ||
-			f.chunk < 0 || f.chunk >= f.nchunks) {
-			d.err = fmt.Errorf("shard: corrupt control frame (chunk %d of %d)", f.chunk, f.nchunks)
-		}
 		n := d.uvarint()
 		if d.err == nil && n > uint64(len(d.b)) {
 			d.err = fmt.Errorf("shard: corrupt control frame (tuple count)")
@@ -386,23 +362,11 @@ func decodeFrame(b []byte) (frame, error) {
 	case kindState:
 		f.shard = int(d.uvarint())
 		f.req = d.uvarint()
-		f.chunk = int(d.uvarint())
-		f.nchunks = int(d.uvarint())
-		if d.err == nil && (f.nchunks < 1 || f.nchunks > maxGatherChunks ||
-			f.chunk < 0 || f.chunk >= f.nchunks) {
-			d.err = fmt.Errorf("shard: corrupt control frame (chunk %d of %d)", f.chunk, f.nchunks)
-		}
 		f.blob = d.bytes()
 	case kindAdopt:
 		f.req = d.uvarint()
 		f.epoch = d.uvarint()
 		f.node = d.string()
-		f.chunk = int(d.uvarint())
-		f.nchunks = int(d.uvarint())
-		if d.err == nil && (f.nchunks < 1 || f.nchunks > maxGatherChunks ||
-			f.chunk < 0 || f.chunk >= f.nchunks) {
-			d.err = fmt.Errorf("shard: corrupt control frame (chunk %d of %d)", f.chunk, f.nchunks)
-		}
 		f.blob = d.bytes()
 	case kindAdopted:
 		f.shard = int(d.uvarint())
@@ -441,4 +405,50 @@ func decodeFrame(b []byte) (frame, error) {
 		return frame{}, d.err
 	}
 	return f, nil
+}
+
+// maxFrameBytes caps the length prefix of one frame. The reader
+// allocates a frame's buffer from its prefix, so without the cap a
+// corrupt stream could demand gigabytes; 64 MiB is far above any
+// gathered predicate or exported node state of a real deployment.
+const maxFrameBytes = 64 << 20
+
+var errFrameTooLarge = errors.New("shard: control frame exceeds the length cap")
+
+// readFrame reads one length-prefixed frame from a control stream. A
+// prefix above maxFrameBytes is rejected before anything is allocated.
+func readFrame(r *bufio.Reader) (frame, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return frame{}, err
+	}
+	if n > maxFrameBytes {
+		return frame{}, fmt.Errorf("%w (%d > %d bytes)", errFrameTooLarge, n, maxFrameBytes)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return frame{}, err
+	}
+	return decodeFrame(b)
+}
+
+// ctlConn is one end of a control connection. All writes go through
+// send, under one mutex, so concurrent senders never interleave frames.
+type ctlConn struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+// send writes f behind its length prefix. A failed write closes the
+// connection: its reader then sees the close, and the peer counts as
+// gone — the one signal either side acts on.
+func (c *ctlConn) send(f frame) {
+	body := encodeFrame(f)
+	b := appendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
+	b = append(b, body...)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := c.conn.Write(b); err != nil {
+		c.conn.Close()
+	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"fmt"
 	"maps"
 	"net"
@@ -14,18 +15,21 @@ import (
 	"ndlog/internal/val"
 )
 
-// Coordinator drives one sharded deployment from a single UDP control
-// socket: it assembles the global address book from worker hellos,
-// releases the start barrier, detects the fleet's fixpoint from waves of
-// idle reports, gathers predicates, re-partitions the live fleet
-// (Rebalance), and tears the deployment down. It never touches
-// data-plane traffic — tuples travel shard-to-shard directly.
+// Coordinator drives one sharded deployment from a TCP control
+// listener, one connection per worker: it assembles the global address
+// book from worker hellos, releases the start barrier, detects the
+// fleet's fixpoint from waves of idle reports, gathers predicates,
+// re-partitions the live fleet (Rebalance), and tears the deployment
+// down. It never touches data-plane traffic — tuples travel
+// shard-to-shard directly.
 type Coordinator struct {
-	m    *Manifest
-	conn *net.UDPConn
+	m  *Manifest
+	ln net.Listener
 
 	mu     sync.Mutex
 	shards map[int]*shardState
+	conns  map[*ctlConn]bool // every accepted connection, bound or not
+	closed bool
 	reqSeq uint64
 	// epoch is the current membership view; it starts at 1 (the
 	// manifest's partition) and bumps on every rebalance.
@@ -35,17 +39,11 @@ type Coordinator struct {
 	// addresses (they shadow the stale hello-book entries).
 	owner     map[string]int
 	overrides map[string]string
-	// xfer collects the state chunks of the release in flight.
-	// adoptReq/adoptAddr track the single in-flight adoption
-	// (rebalances are single-flight and adoptions within one are
-	// serialized), so stray or duplicate acks cannot accumulate state.
-	xfer      *xferState
-	adoptReq  uint64
-	adoptAddr *string
-	// gather is the in-flight query, nil between queries. gatherMu
-	// serializes Tuples callers: gathers are single-flight.
-	gatherMu sync.Mutex
-	gather   *gatherState
+	// replies collects the answers to the request in flight — the one
+	// numbered reqSeq — by shard; nil between requests. reqMu makes
+	// requests (gathers, transfers, rederivations) single-flight.
+	reqMu   sync.Mutex
+	replies map[int]frame
 	// rebalMu serializes Rebalance callers (single-flight, like gathers);
 	// Respawn shares it — both reconfigure the fleet.
 	rebalMu sync.Mutex
@@ -55,14 +53,17 @@ type Coordinator struct {
 
 	cmds map[int]*exec.Cmd // spawned worker processes, by shard ID
 
-	wg   sync.WaitGroup
-	stop chan struct{}
+	wg sync.WaitGroup
 }
 
 // shardState is the coordinator's view of one worker process.
 type shardState struct {
-	id   int
-	addr *net.UDPAddr // worker control address (from its last frame)
+	id int
+	// conn is the connection the worker's hello arrived on; frames from
+	// any other connection claiming this shard are ignored. gone is set
+	// when that connection closes without a bye.
+	conn *ctlConn
+	gone bool
 	book map[string]string
 
 	ready   bool
@@ -72,71 +73,39 @@ type shardState struct {
 	readyEpoch   uint64
 	resumedEpoch uint64
 
-	// Latest idle report: seq orders reports, mark is the newest wave
-	// mark the worker had seen when it took the report, and stats is
-	// its runner's counters, the credit (Outstanding) included.
-	seq        uint64
+	// Latest idle report: mark is the newest wave mark the worker had
+	// seen when it took the report, and stats is its runner's counters,
+	// the credit (Outstanding) included.
 	epoch      uint64 // membership view the report was sent under
 	mark       uint64
 	activity   int64
 	stats      netrun.Stats
 	lastReport time.Time
 
-	// rederivedReq is the newest rederivation request this worker has
-	// acknowledged completing.
-	rederivedReq uint64
-
 	bye bool
 }
 
-// xferState collects one release's chunked state transfer.
-type xferState struct {
-	req    uint64
-	chunks [][]byte
-}
-
-func (x *xferState) complete() bool {
-	if x.chunks == nil {
-		return false
-	}
-	for _, ch := range x.chunks {
-		if ch == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// gatherState tracks one in-flight gather. Every (re)query of a shard
-// carries a fresh request id and wipes that shard's partial chunks, so
-// a merged result is always assembled from whole per-shard snapshots —
-// never a mix of chunks from different retries.
-type gatherState struct {
-	cur    map[int]uint64        // shard → its current request id (≥1)
-	chunks map[int][][]val.Tuple // shard → chunk index → tuples
-}
-
-// NewCoordinator binds the control socket and starts the receive loop.
-// Workers are expected to dial ControlAddr; spawn them with Spawn or
-// any other process manager.
+// NewCoordinator opens the control listener and starts accepting
+// workers. Workers are expected to dial ControlAddr; spawn them with
+// Spawn or any other process manager.
 func NewCoordinator(m *Manifest) (*Coordinator, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	// Wildcard bind so workers on other machines can reach the control
 	// plane (ControlAddr still names loopback for same-host spawns).
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{})
+	ln, err := net.Listen("tcp", ":0")
 	if err != nil {
-		return nil, fmt.Errorf("shard: bind coordinator socket: %w", err)
+		return nil, fmt.Errorf("shard: coordinator listener: %w", err)
 	}
 	c := &Coordinator{
 		m:         m,
-		conn:      conn,
+		ln:        ln,
 		shards:    map[int]*shardState{},
+		conns:     map[*ctlConn]bool{},
 		epoch:     1,
 		owner:     map[string]int{},
 		overrides: map[string]string{},
-		stop:      make(chan struct{}),
 	}
 	for i := range m.Shards {
 		c.shards[m.Shards[i].ID] = &shardState{id: m.Shards[i].ID}
@@ -145,16 +114,16 @@ func NewCoordinator(m *Manifest) (*Coordinator, error) {
 		}
 	}
 	c.wg.Add(1)
-	go c.serve()
+	go c.accept()
 	return c, nil
 }
 
-// ControlAddr returns the coordinator's UDP control address as
+// ControlAddr returns the coordinator's TCP control address as
 // reachable from this host (the wildcard bind is reported as loopback).
 // Workers on other machines must instead be given an address routable
 // from there — the coordinator listens on all interfaces.
 func (c *Coordinator) ControlAddr() string {
-	a := c.conn.LocalAddr().(*net.UDPAddr)
+	a := c.ln.Addr().(*net.TCPAddr)
 	if a.IP == nil || a.IP.IsUnspecified() {
 		return net.JoinHostPort("127.0.0.1", strconv.Itoa(a.Port))
 	}
@@ -183,114 +152,124 @@ func (c *Coordinator) Spawn(build func(shardID int) *exec.Cmd) error {
 	return nil
 }
 
-// serve is the receive loop: it applies every incoming control frame
-// to the coordinator's state and issues the protocol's idempotent
-// replies (book for hello, start for ready-once-all-ready).
-func (c *Coordinator) serve() {
+// accept takes worker connections until Close, each served by its own
+// reader goroutine.
+func (c *Coordinator) accept() {
 	defer c.wg.Done()
-	buf := make([]byte, 64<<10)
 	for {
-		c.conn.SetReadDeadline(time.Now().Add(controlRead))
-		n, from, err := c.conn.ReadFromUDP(buf)
-		select {
-		case <-c.stop:
+		conn, err := c.ln.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		cc := &ctlConn{conn: conn}
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			conn.Close()
 			return
-		default:
 		}
-		if err != nil {
-			continue
-		}
-		f, err := decodeFrame(buf[:n])
-		if err != nil {
-			continue
-		}
-		c.apply(f, from)
+		c.conns[cc] = true
+		c.wg.Add(1)
+		c.mu.Unlock()
+		go c.serve(cc)
 	}
 }
 
-func (c *Coordinator) apply(f frame, from *net.UDPAddr) {
+// serve reads one connection's frames in order and applies each. When
+// the connection closes, the shard it is bound to — if it still is —
+// is gone.
+func (c *Coordinator) serve(cc *ctlConn) {
+	defer c.wg.Done()
+	r := bufio.NewReader(cc.conn)
+	for {
+		f, err := readFrame(r)
+		if err != nil {
+			break
+		}
+		c.apply(f, cc)
+	}
+	cc.conn.Close()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.conns, cc)
+	for _, s := range c.shards {
+		if s.conn == cc {
+			s.conn, s.gone = nil, !s.bye
+		}
+	}
+}
+
+// apply folds one frame into the coordinator's state and writes the
+// protocol's replies: book for hello, start for ready, pong for idle.
+// Replies are written under mu, so anyone who observes the state change
+// writes after them and the worker reads them in that order.
+func (c *Coordinator) apply(f frame, cc *ctlConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.shards[f.shard]
 	if st == nil { // unknown shard id: ignore
 		return
 	}
-	st.addr = from
-	switch f.kind {
-	case kindHello:
-		st.book = f.book
-		// Reply with the merged book once every shard has said hello;
-		// the worker retries its hello until then.
-		if book := c.mergedBookLocked(); book != nil {
-			c.conn.WriteToUDP(encodeFrame(frame{kind: kindBook, epoch: c.epoch, book: book}), from)
+	if f.kind == kindHello {
+		// The hello binds the shard to this connection; a previous
+		// incarnation's connection, if still open, is cut.
+		if st.conn != nil && st.conn != cc {
+			st.conn.conn.Close()
 		}
+		st.conn, st.gone, st.book = cc, false, f.book
+		// The last hello pushes the merged book to every shard; a later
+		// one (a respawn) gets it alone.
+		if book := c.mergedBookLocked(); book != nil {
+			bf := frame{kind: kindBook, epoch: c.epoch, book: book}
+			if st.started {
+				cc.send(bf)
+			} else {
+				for _, s := range c.shards {
+					if s.conn != nil {
+						s.conn.send(bf)
+					}
+				}
+			}
+		}
+		return
+	}
+	if st.conn != cc {
+		return // not the connection this shard's hello bound
+	}
+	switch f.kind {
 	case kindReady:
+		wasReady := st.ready
 		st.ready = true
 		if f.epoch > st.readyEpoch {
 			st.readyEpoch = f.epoch
 		}
 		if st.started {
-			// Late ready retry (our start datagram was lost): re-ack the
-			// retrier alone, the barrier has already released.
-			c.conn.WriteToUDP(encodeFrame(frame{kind: kindStart}), from)
+			// A respawn's first ready: the barrier released long ago.
+			if !wasReady {
+				cc.send(frame{kind: kindStart})
+			}
 		} else if c.allReadyLocked() {
 			for _, s := range c.shards {
 				s.started = true
-				c.conn.WriteToUDP(encodeFrame(frame{kind: kindStart}), s.addr)
+				if s.conn != nil {
+					s.conn.send(frame{kind: kindStart})
+				}
 			}
 		}
 	case kindIdle:
-		if f.seq <= st.seq { // reordered report
-			return
-		}
-		st.seq, st.epoch, st.mark, st.activity, st.stats = f.seq, f.epoch, f.mark, f.activity, f.stats
+		st.epoch, st.mark, st.activity, st.stats = f.epoch, f.mark, f.activity, f.stats
 		st.lastReport = time.Now()
 		// Ack with the current wave mark: the worker uses pongs to notice a
-		// dead coordinator, and answers a mark it has not seen with a
+		// hung coordinator, and answers a mark it has not seen with a
 		// report at once.
-		c.conn.WriteToUDP(encodeFrame(frame{kind: kindPong, mark: c.mark}), from)
-	case kindState:
-		x := c.xfer
-		if x == nil || f.req == 0 || x.req != f.req {
-			return // no release in flight, or a superseded retry's chunk
-		}
-		if x.chunks == nil {
-			x.chunks = make([][]byte, f.nchunks)
-		}
-		if f.chunk < len(x.chunks) && x.chunks[f.chunk] == nil {
-			ch := f.blob
-			if ch == nil {
-				ch = []byte{}
-			}
-			x.chunks[f.chunk] = ch
-		}
-	case kindAdopted:
-		if f.req != 0 && f.req == c.adoptReq && c.adoptAddr == nil {
-			addr := f.addr
-			c.adoptAddr = &addr
+		cc.send(frame{kind: kindPong, mark: c.mark})
+	case kindTuples, kindState, kindAdopted, kindRederived:
+		if c.replies != nil && f.req == c.reqSeq {
+			c.replies[f.shard] = f
 		}
 	case kindResumed:
 		if f.epoch > st.resumedEpoch {
 			st.resumedEpoch = f.epoch
-		}
-	case kindRederived:
-		if f.req > st.rederivedReq {
-			st.rederivedReq = f.req
-		}
-	case kindTuples:
-		g := c.gather
-		if g == nil || f.req == 0 || g.cur[f.shard] != f.req {
-			return // no gather in flight, or a superseded retry's chunk
-		}
-		if g.chunks[f.shard] == nil {
-			g.chunks[f.shard] = make([][]val.Tuple, f.nchunks)
-		}
-		if f.chunk < len(g.chunks[f.shard]) && g.chunks[f.shard][f.chunk] == nil {
-			ts := f.tuples
-			if ts == nil {
-				ts = []val.Tuple{}
-			}
-			g.chunks[f.shard][f.chunk] = ts
 		}
 	case kindBye:
 		st.bye = true
@@ -372,7 +351,7 @@ func (c *Coordinator) WaitQuiescent(timeout time.Duration) bool {
 		c.mark++
 		mark := c.mark
 		c.mu.Unlock()
-		err := c.broadcastUntil(frame{kind: kindPong, mark: mark}, deadline,
+		err := c.await(frame{kind: kindPong, mark: mark}, deadline,
 			func(s *shardState) bool { return s.mark >= mark })
 		if err != nil {
 			return false
@@ -395,19 +374,19 @@ func (c *Coordinator) WaitQuiescent(timeout time.Duration) bool {
 }
 
 // DeadWorkers reports the shards presumed crashed: started workers
-// whose periodic idle reports (one per idlePeriod) have stopped for the
-// silence window. On loopback/LAN a multi-hundred-millisecond silence
-// means the process is gone, not slow.
+// whose control connection closed without a bye, and those whose
+// periodic idle reports (one per idlePeriod) have stopped for the
+// silence window — a worker that hangs keeps its connection open.
 func (c *Coordinator) DeadWorkers(silence time.Duration) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
 	var out []int
 	for id, s := range c.shards {
-		if !s.started || s.bye || s.lastReport.IsZero() {
+		if !s.started || s.bye {
 			continue
 		}
-		if now.Sub(s.lastReport) > silence {
+		if s.gone || (!s.lastReport.IsZero() && now.Sub(s.lastReport) > silence) {
 			out = append(out, id)
 		}
 	}
@@ -421,7 +400,7 @@ func (c *Coordinator) DeadWorkers(silence time.Duration) []int {
 //  2. re-exec — build spawns the replacement, which recovers its node
 //     set and per-node state from the shard's durable data directory
 //     (manifest DataDir: snapshot + WAL replay), binds fresh sockets,
-//     and re-enters the handshake (its ready is re-acked with an
+//     and re-enters the handshake (its ready is answered with an
 //     immediate start — the barrier released long ago);
 //  3. cutover — a new epoch's book routes the respawned nodes' fresh
 //     addresses fleet-wide and fences stragglers aimed at the dead
@@ -452,14 +431,15 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	old := c.cmds[shardID]
 	delete(c.cmds, shardID)
 
-	// Reset the report and handshake view so the fresh incarnation's
-	// hello and reports are distinguishable (its counters restart at
-	// zero). started stays true: the replacement's ready re-acks with an
-	// immediate start.
-	st.stats, st.seq, st.mark = netrun.Stats{}, 0, 0
-	st.book = nil
-	st.bye = false
-	st.lastReport = time.Time{}
+	// Reset the report and handshake view for the fresh incarnation
+	// (its counters restart at zero), and cut the old connection if it
+	// is still open. started stays true: the replacement's first ready
+	// is answered with an immediate start.
+	if st.conn != nil {
+		st.conn.conn.Close()
+	}
+	st.conn, st.gone, st.book, st.ready, st.bye = nil, false, nil, false, false
+	st.stats, st.mark, st.lastReport = netrun.Stats{}, 0, time.Time{}
 	c.mu.Unlock()
 
 	if old != nil {
@@ -511,7 +491,7 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	if book == nil {
 		return fmt.Errorf("shard: respawn: address book incomplete")
 	}
-	err := c.broadcastUntil(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
+	err := c.await(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
 		func(s *shardState) bool { return s.readyEpoch >= epoch })
 	if err != nil {
 		return fmt.Errorf("shard: respawn: book cutover: %w", err)
@@ -519,8 +499,8 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 
 	// Rederivation sweeps, both directions.
 	all := func(*shardState) bool { return true }
-	if err := c.rederive(all, nodes, deadline); err != nil {
-		return fmt.Errorf("shard: respawn: %w", err)
+	if _, err := c.request(frame{kind: kindRederive, nodes: nodes}, all, deadline); err != nil {
+		return fmt.Errorf("shard: respawn: rederive toward %d nodes: %w", len(nodes), err)
 	}
 	c.mu.Lock()
 	var others []string
@@ -533,25 +513,9 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	c.mu.Unlock()
 	if len(others) > 0 {
 		respawned := func(s *shardState) bool { return s.id == shardID }
-		if err := c.rederive(respawned, others, deadline); err != nil {
-			return fmt.Errorf("shard: respawn: %w", err)
+		if _, err := c.request(frame{kind: kindRederive, nodes: others}, respawned, deadline); err != nil {
+			return fmt.Errorf("shard: respawn: rederive toward %d nodes: %w", len(others), err)
 		}
-	}
-	return nil
-}
-
-// rederive asks the shards that match to re-send the derivations homed
-// at the listed nodes, retrying until each acknowledges the sweep.
-func (c *Coordinator) rederive(match func(*shardState) bool, nodes []string, deadline time.Time) error {
-	c.mu.Lock()
-	c.reqSeq++
-	req := c.reqSeq
-	epoch := c.epoch
-	c.mu.Unlock()
-	err := c.broadcastUntil(frame{kind: kindRederive, req: req, epoch: epoch, nodes: nodes}, deadline,
-		func(s *shardState) bool { return !match(s) || s.rederivedReq >= req })
-	if err != nil {
-		return fmt.Errorf("rederive toward %d nodes: %w", len(nodes), err)
 	}
 	return nil
 }
@@ -615,10 +579,11 @@ func (c *Coordinator) Owner(node string) int {
 //     rederivation sweep (RederiveFor), which rebuilds the derived
 //     state flowing into the moved nodes.
 //
-// Every step is an idempotent datagram exchange retried until
-// acknowledged, against the shared timeout. Rebalances are
-// single-flight; concurrent callers serialize. On success the report
-// carries the pause (quiesce→resume) wall time.
+// Every step writes its request once and waits for the acknowledgement,
+// against the shared timeout; a worker whose connection closes fails
+// the step at once. Rebalances are single-flight; concurrent callers
+// serialize. On success the report carries the pause (quiesce→resume)
+// wall time.
 //
 // If a destination cannot adopt a released node (bind failure, dead
 // worker), the coordinator re-adopts the node back onto its source
@@ -654,9 +619,9 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 			return nil, fmt.Errorf("shard: rebalance: node %q moved twice in one plan", m.Node)
 		}
 		from[m.Node] = src
-		if c.shards[src].addr == nil || c.shards[m.To].addr == nil {
+		if c.shards[src].conn == nil || c.shards[m.To].conn == nil {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("shard: rebalance: shard %d or %d has not joined yet", src, m.To)
+			return nil, fmt.Errorf("shard: rebalance: shard %d or %d is not connected", src, m.To)
 		}
 	}
 	c.mu.Unlock()
@@ -734,7 +699,7 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 	if book == nil {
 		return nil, fmt.Errorf("shard: rebalance: address book incomplete")
 	}
-	err := c.broadcastUntil(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
+	err := c.await(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
 		func(s *shardState) bool { return s.readyEpoch >= epoch })
 	if err != nil {
 		return nil, fmt.Errorf("shard: rebalance: book cutover: %w", err)
@@ -746,7 +711,7 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 	for _, m := range migs {
 		moved = append(moved, m.Node)
 	}
-	err = c.broadcastUntil(frame{kind: kindResume, epoch: epoch, nodes: moved}, deadline,
+	err = c.await(frame{kind: kindResume, epoch: epoch, nodes: moved}, deadline,
 		func(s *shardState) bool { return s.resumedEpoch >= epoch })
 	if err != nil {
 		return nil, fmt.Errorf("shard: rebalance: resume: %w", err)
@@ -766,221 +731,132 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 	}, nil
 }
 
-// Retry pacing for the coordinator's idempotent datagram exchanges.
-// The first resend comes fast (the common case is one lost datagram on
-// loopback/LAN); the interval then doubles to a cap so a dead or
-// wedged worker is probed, not hammered, for the rest of its deadline.
-const (
-	retryStart = 50 * time.Millisecond
-	retryCap   = 800 * time.Millisecond
-	// xferWorkerTimeout bounds any single worker's release/adopt
-	// exchange: one unresponsive worker fails its transfer in bounded
-	// time instead of consuming the whole rebalance deadline.
-	xferWorkerTimeout = 10 * time.Second
-)
+// xferWorkerTimeout bounds any single worker's release/adopt exchange:
+// a worker that hangs fails its transfer in bounded time instead of
+// consuming the whole rebalance deadline.
+const xferWorkerTimeout = 10 * time.Second
 
-// backoff paces a resend loop: ready reports whether to send now, and
-// each send schedules the next one twice as far out, up to the cap.
-type backoff struct {
-	wait time.Duration
-	next time.Time
-}
-
-func newBackoff() *backoff { return &backoff{wait: retryStart} }
-
-func (b *backoff) ready() bool {
-	if time.Now().Before(b.next) {
-		return false
-	}
-	b.next = time.Now().Add(b.wait)
-	if b.wait *= 2; b.wait > retryCap {
-		b.wait = retryCap
-	}
-	return true
-}
-
-// releaseNode asks a shard to export and drop a node, retrying the
-// idempotent release (with capped exponential backoff, against the
-// per-worker transfer deadline) until the chunked state transfer
-// completes.
+// releaseNode asks a shard to export and drop a node and returns the
+// exported state.
 func (c *Coordinator) releaseNode(node string, fromShard int, deadline time.Time) ([]byte, error) {
-	c.mu.Lock()
-	c.reqSeq++
-	req := c.reqSeq
-	x := &xferState{req: req}
-	c.xfer = x
-	addr := c.shards[fromShard].addr
-	epoch := c.epoch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.xfer = nil
-		c.mu.Unlock()
-	}()
-
-	if wd := time.Now().Add(xferWorkerTimeout); wd.Before(deadline) {
-		deadline = wd
+	r, err := c.transfer(fromShard, frame{kind: kindRelease, node: node}, deadline)
+	if err != nil {
+		return nil, fmt.Errorf("shard: release of %q from shard %d: %w", node, fromShard, err)
 	}
-	retry := newBackoff()
-	for time.Now().Before(deadline) {
-		if retry.ready() {
-			c.conn.WriteToUDP(encodeFrame(frame{kind: kindRelease, req: req, epoch: epoch, node: node}), addr)
-		}
-		c.mu.Lock()
-		done := x.complete()
-		c.mu.Unlock()
-		if done {
-			var blob []byte
-			for _, ch := range x.chunks {
-				blob = append(blob, ch...)
-			}
-			return blob, nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return nil, fmt.Errorf("shard: release of %q from shard %d timed out", node, fromShard)
+	return r.blob, nil
 }
 
-// adoptNode streams a node's state to its destination shard, retrying
-// with capped exponential backoff — against the per-worker transfer
-// deadline — until the worker acknowledges with the node's new data
-// address.
+// adoptNode hands a node's state to its destination shard and returns
+// the node's new data address.
 func (c *Coordinator) adoptNode(node string, toShard int, blob []byte, deadline time.Time) (string, error) {
-	c.mu.Lock()
-	c.reqSeq++
-	req := c.reqSeq
-	c.adoptReq, c.adoptAddr = req, nil
-	addr := c.shards[toShard].addr
-	epoch := c.epoch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.adoptReq, c.adoptAddr = 0, nil
-		c.mu.Unlock()
-	}()
+	r, err := c.transfer(toShard, frame{kind: kindAdopt, node: node, blob: blob}, deadline)
+	if err != nil {
+		return "", fmt.Errorf("shard: adoption of %q by shard %d: %w", node, toShard, err)
+	}
+	if r.addr == "" {
+		return "", fmt.Errorf("shard: shard %d failed to bind adopted node %q", toShard, node)
+	}
+	return r.addr, nil
+}
 
+// transfer sends one shard a release or adopt and returns its reply,
+// waiting no longer than the per-worker transfer deadline.
+func (c *Coordinator) transfer(to int, f frame, deadline time.Time) (frame, error) {
 	if wd := time.Now().Add(xferWorkerTimeout); wd.Before(deadline) {
 		deadline = wd
 	}
-	chunks := blobChunks(blob)
-	retry := newBackoff()
-	for time.Now().Before(deadline) {
-		if retry.ready() {
-			for i, ch := range chunks {
-				c.conn.WriteToUDP(encodeFrame(frame{kind: kindAdopt, req: req, epoch: epoch,
-					node: node, chunk: i, nchunks: len(chunks), blob: ch}), addr)
-			}
-		}
-		c.mu.Lock()
-		got := c.adoptAddr
-		c.mu.Unlock()
-		if got != nil {
-			if *got == "" {
-				return "", fmt.Errorf("shard: shard %d failed to bind adopted node %q", toShard, node)
-			}
-			return *got, nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return "", fmt.Errorf("shard: adoption of %q by shard %d timed out", node, toShard)
+	replies, err := c.request(f, func(s *shardState) bool { return s.id == to }, deadline)
+	return replies[to], err
 }
 
-// broadcastUntil re-sends a frame (capped exponential backoff) to every
-// shard not yet satisfying done, until all do or the deadline lapses.
-func (c *Coordinator) broadcastUntil(f frame, deadline time.Time, done func(*shardState) bool) error {
-	payload := encodeFrame(f)
-	retry := newBackoff()
-	for time.Now().Before(deadline) {
-		send := retry.ready()
+// request sends f, under a fresh request id and stamped with the
+// current epoch, to every shard match selects, and returns each one's
+// reply by shard.
+func (c *Coordinator) request(f frame, match func(*shardState) bool, deadline time.Time) (map[int]frame, error) {
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
+	c.mu.Lock()
+	c.reqSeq++
+	f.req, f.epoch = c.reqSeq, c.epoch
+	replies := map[int]frame{}
+	c.replies = replies
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.replies = nil
+		c.mu.Unlock()
+	}()
+	err := c.await(f, deadline, func(s *shardState) bool {
+		_, ok := replies[s.id]
+		return ok || !match(s)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return replies, nil
+}
+
+// await writes f once to every shard done does not yet hold for, then
+// waits until it holds for all of them. It fails at once if one of them
+// is not connected or its connection closes, and when the deadline
+// lapses. done is called under mu.
+func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) bool) error {
+	c.mu.Lock()
+	sent := map[int]*ctlConn{}
+	for id, s := range c.shards {
+		if done(s) {
+			continue
+		}
+		if s.conn == nil {
+			c.mu.Unlock()
+			return fmt.Errorf("shard: frame 0x%x: shard %d is not connected", byte(f.kind), id)
+		}
+		sent[id] = s.conn
+	}
+	c.mu.Unlock()
+	for _, cc := range sent {
+		cc.send(f)
+	}
+	for {
 		c.mu.Lock()
 		all := true
-		for _, s := range c.shards {
+		for id, cc := range sent {
+			s := c.shards[id]
 			if done(s) {
 				continue
 			}
-			all = false
-			if send && s.addr != nil {
-				c.conn.WriteToUDP(payload, s.addr)
+			if s.conn != cc {
+				c.mu.Unlock()
+				return fmt.Errorf("shard: frame 0x%x: shard %d disconnected", byte(f.kind), id)
 			}
+			all = false
 		}
 		c.mu.Unlock()
 		if all {
 			return nil
 		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("shard: frame 0x%x not acknowledged by every shard", byte(f.kind))
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("shard: broadcast 0x%x not acknowledged by every shard", byte(f.kind))
 }
 
-// Tuples gathers a predicate snapshot from every shard and returns the
-// merged result sorted. Each (re)query of a shard carries a fresh
-// request id and discards that shard's partial chunks, so the merge
-// always combines whole per-shard snapshots — a retry can only observe
-// states the cluster actually passed through, never a splice of two
-// responses. Gathers are single-flight; concurrent callers serialize.
+// Tuples gathers a predicate snapshot from every shard — one tuples
+// frame each — and returns the merged result sorted. Gathers are
+// single-flight; concurrent callers serialize.
 func (c *Coordinator) Tuples(pred string, timeout time.Duration) ([]val.Tuple, error) {
-	c.gatherMu.Lock()
-	defer c.gatherMu.Unlock()
-	c.mu.Lock()
-	g := &gatherState{cur: map[int]uint64{}, chunks: map[int][][]val.Tuple{}}
-	c.gather = g
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.gather = nil
-		c.mu.Unlock()
-	}()
-
-	deadline := time.Now().Add(timeout)
-	retry := newBackoff()
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		if retry.ready() {
-			// (Re)query incomplete shards under a fresh request id each,
-			// wiping their partial state: a lost chunk costs one retry of
-			// that shard's whole snapshot.
-			for id, s := range c.shards {
-				if s.addr == nil || c.completeLocked(g, id) {
-					continue
-				}
-				c.reqSeq++
-				g.cur[id] = c.reqSeq
-				delete(g.chunks, id)
-				c.conn.WriteToUDP(encodeFrame(frame{kind: kindQuery, req: c.reqSeq, pred: pred}), s.addr)
-			}
-		}
-		done := true
-		for id := range c.shards {
-			done = done && c.completeLocked(g, id)
-		}
-		if done {
-			var out []val.Tuple
-			for _, chunks := range g.chunks {
-				for _, ch := range chunks {
-					out = append(out, ch...)
-				}
-			}
-			c.mu.Unlock()
-			sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-			return out, nil
-		}
-		c.mu.Unlock()
-		time.Sleep(5 * time.Millisecond)
+	all := func(*shardState) bool { return true }
+	replies, err := c.request(frame{kind: kindQuery, pred: pred}, all, time.Now().Add(timeout))
+	if err != nil {
+		return nil, fmt.Errorf("shard: gather %q: %w", pred, err)
 	}
-	return nil, fmt.Errorf("shard: gather %q timed out after %v", pred, timeout)
-}
-
-func (c *Coordinator) completeLocked(g *gatherState, shardID int) bool {
-	chunks, ok := g.chunks[shardID]
-	if !ok {
-		return false
+	var out []val.Tuple
+	for _, r := range replies {
+		out = append(out, r.tuples...)
 	}
-	for _, ch := range chunks {
-		if ch == nil {
-			return false
-		}
-	}
-	return true
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out, nil
 }
 
 // ShardStats returns each shard's latest reported counters (its final
@@ -1019,48 +895,26 @@ func (c *Coordinator) TotalStats() Stats {
 	return t
 }
 
-// Shutdown stops the fleet: stop frames are re-sent until every shard
-// answers bye (or the overall timeout lapses), spawned processes are
-// waited on within the same deadline, and the control socket is
-// closed. A worker whose lone bye datagram was lost but whose process
-// exited cleanly still counts as acknowledged — bye is the one
-// protocol step the sender cannot retry. It returns an error if a
-// shard neither said bye nor exited cleanly, or a process had to be
-// killed.
+// Shutdown stops the fleet: a stop frame goes to every connected
+// shard, the coordinator waits for each bye (or the connection's close)
+// within the timeout, spawned processes are waited on within the same
+// deadline, and the control listener is closed. It returns an error if
+// a shard never said bye or a process failed or had to be killed.
 func (c *Coordinator) Shutdown(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		allBye := true
-		for _, s := range c.shards {
-			if s.bye {
-				continue
-			}
-			allBye = false
-			if s.addr != nil {
-				c.conn.WriteToUDP(encodeFrame(frame{kind: kindStop}), s.addr)
-			}
-		}
-		c.mu.Unlock()
-		if allBye {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	// A timeout here is reported below, as the shards that never said bye.
+	_ = c.await(frame{kind: kindStop}, deadline, func(s *shardState) bool { return s.bye || s.conn == nil })
 	// Reap the spawned processes against the shared deadline.
-	exitedClean := map[int]bool{}
 	var firstErr error
-	for id, cmd := range c.cmds {
-		err := waitDeadline(cmd, deadline)
-		exitedClean[id] = err == nil
-		if err != nil && firstErr == nil {
+	for _, cmd := range c.cmds {
+		if err := waitDeadline(cmd, deadline); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	c.cmds = nil
 	c.mu.Lock()
 	for _, s := range c.shards {
-		if !s.bye && !exitedClean[s.id] && firstErr == nil {
+		if !s.bye && firstErr == nil {
 			firstErr = fmt.Errorf("shard: shard %d never acknowledged stop", s.id)
 		}
 	}
@@ -1117,14 +971,16 @@ func reap(cmd *exec.Cmd, done <-chan error, grace time.Duration) error {
 	}
 }
 
-// Close releases the control socket and stops the receive loop. Safe
-// after Shutdown; use directly only when no processes were spawned.
+// Close closes the control listener and every worker connection, and
+// waits for the reader goroutines to exit. Safe after Shutdown; use
+// directly only when no processes were spawned.
 func (c *Coordinator) Close() {
-	select {
-	case <-c.stop:
-	default:
-		close(c.stop)
+	c.mu.Lock()
+	c.closed = true
+	c.ln.Close()
+	for cc := range c.conns {
+		cc.conn.Close()
 	}
-	c.conn.Close()
+	c.mu.Unlock()
 	c.wg.Wait()
 }

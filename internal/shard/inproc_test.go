@@ -1,8 +1,14 @@
 package shard
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"ndlog/internal/engine"
+	"ndlog/internal/parser"
+	"ndlog/internal/val"
 )
 
 // TestWorkerProtocolInProcess exercises the full control-plane protocol
@@ -223,8 +229,101 @@ func TestCoordinatorLossIsRepaired(t *testing.T) {
 	}
 }
 
+// TestLargeTransferInProcess moves more than a datagram can carry over
+// the control plane: node a holds enough base facts that a gather of
+// its facts, a gather of what they derive at b, and a's exported state
+// each exceed 64 KiB. Every gather before and after a rebalance of a
+// must equal the centralized fixpoint.
+func TestLargeTransferInProcess(t *testing.T) {
+	src := `materialize(item, infinity, infinity, keys(1,2)).
+materialize(peer, infinity, infinity, keys(1,2)).
+materialize(copy, infinity, infinity, keys(1,2,3)).
+r1 copy(@M, @N, X) :- #peer(@N, @M), item(@N, X).
+peer(a, b).
+`
+	pad := strings.Repeat("x", 48)
+	for i := 0; i < 2000; i++ {
+		src += fmt.Sprintf("item(a, \"%s-%04d\").\n", pad, i)
+	}
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	central, err := engine.NewCentral(prog, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	central.LoadFacts()
+
+	m := &Manifest{Source: src, Shards: Partition([]string{"a", "b"}, 2)}
+	coord, err := NewCoordinator(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	done := make(chan error, len(m.Shards))
+	for i := range m.Shards {
+		id := m.Shards[i].ID
+		go func() {
+			done <- RunWorker(WorkerConfig{Manifest: m, ShardID: id, Coord: coord.ControlAddr()})
+		}()
+	}
+	if err := coord.WaitReady(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if !coord.WaitQuiescent(20 * time.Second) {
+			t.Fatalf("%s: deployment did not quiesce", when)
+		}
+		for _, pred := range []string{"item", "copy"} {
+			got, err := coord.Tuples(pred, 10*time.Second)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			size := 0
+			for _, tu := range got {
+				size += val.EncodedSize(tu)
+			}
+			if size <= 64<<10 {
+				t.Errorf("%s: %s gathered only %d bytes", when, pred, size)
+			}
+			want := central.Tuples(pred)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s gathered %d tuples, central has %d", when, pred, len(got), len(want))
+			}
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("%s: %s tuple %d = %v, central has %v", when, pred, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	check("before rebalance")
+
+	rep, err := coord.Rebalance([]Migration{{Node: "a", To: coord.Owner("b")}}, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StateBytes <= 64<<10 {
+		t.Errorf("rebalance shipped only %d bytes of state", rep.StateBytes)
+	}
+	check("after rebalance")
+
+	if err := coord.Shutdown(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for range m.Shards {
+		if err := <-done; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+}
+
 // TestWorkerCoordinatorDeath: a worker whose coordinator vanishes must
-// exit with an error instead of serving (and leaking) forever.
+// exit with an error instead of serving (and leaking) forever — at
+// once, from the closed connection, not after the default 60 s
+// coordinator timeout.
 func TestWorkerCoordinatorDeath(t *testing.T) {
 	m := &Manifest{
 		Source:  figure2Source(),
@@ -237,10 +336,7 @@ func TestWorkerCoordinatorDeath(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(WorkerConfig{
-			Manifest: m, ShardID: 0, Coord: coord.ControlAddr(),
-			CoordTimeout: 500 * time.Millisecond,
-		})
+		done <- RunWorker(WorkerConfig{Manifest: m, ShardID: 0, Coord: coord.ControlAddr()})
 	}()
 	if err := coord.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
@@ -251,7 +347,7 @@ func TestWorkerCoordinatorDeath(t *testing.T) {
 		if err == nil {
 			t.Error("worker exited nil after coordinator death; want liveness error")
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(2 * time.Second):
 		t.Fatal("worker kept serving after coordinator death")
 	}
 }

@@ -3,7 +3,7 @@
 // a Manifest partitions the program's node population into shards,
 // each shard process (cmd/ndnode, or ndlog re-exec'd as a worker)
 // hosts its nodes' UDP sockets through a netrun.Runner, and a
-// Coordinator — reachable over a loopback/LAN UDP control socket —
+// Coordinator — one TCP control connection per worker —
 // assembles the global address book, detects cross-process quiescence,
 // gathers tuples and per-shard metrics, re-partitions the live fleet
 // (Rebalance: epoch-versioned books, node state migration, stale-epoch

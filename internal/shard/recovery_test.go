@@ -82,10 +82,11 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Liveness detection: the victim's idle reports stop.
+	// Liveness detection: the victim's control connection closes. The
+	// silence window is far beyond the test, so only the close counts.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		dead := coord.DeadWorkers(400 * time.Millisecond)
+		dead := coord.DeadWorkers(time.Hour)
 		if len(dead) == 1 && dead[0] == victim {
 			break
 		}

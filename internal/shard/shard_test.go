@@ -1,10 +1,13 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,24 +161,24 @@ func sampleFrames() []frame {
 		{kind: kindBook, epoch: 3, book: map[string]string{"a": "127.0.0.1:1"}},
 		{kind: kindReady, shard: 1, epoch: 3},
 		{kind: kindStart},
-		{kind: kindIdle, shard: 3, epoch: 2, seq: 9, mark: 4, activity: 42,
+		{kind: kindIdle, shard: 3, epoch: 2, mark: 4, activity: 42,
 			stats: netrun.Stats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6,
 				Retransmits: 7, Duplicates: 8, Reordered: 9, AckFrames: 10, Outstanding: 11}},
 		{kind: kindQuery, req: 7, pred: "shortestPath"},
-		{kind: kindTuples, shard: 1, req: 7, chunk: 0, nchunks: 2, tuples: []val.Tuple{tup}},
-		{kind: kindTuples, shard: 1, req: 7, chunk: 1, nchunks: 2}, // empty chunk
+		{kind: kindTuples, shard: 1, req: 7, tuples: []val.Tuple{tup}},
+		{kind: kindTuples, shard: 1, req: 7}, // nothing gathered
 		{kind: kindPong},
 		{kind: kindPong, mark: 12},
 		{kind: kindStop},
 		{kind: kindBye, shard: 2, stats: netrun.Stats{SentMessages: 10, RecvMessages: 10}},
 		{kind: kindRelease, req: 11, epoch: 2, node: "c"},
-		{kind: kindState, shard: 1, req: 11, chunk: 0, nchunks: 2, blob: []byte{0x4E, 1, 2, 3}},
-		{kind: kindState, shard: 1, req: 11, chunk: 1, nchunks: 2, blob: []byte{}}, // empty chunk
-		{kind: kindAdopt, req: 12, epoch: 3, node: "c", chunk: 0, nchunks: 1, blob: []byte{9, 9}},
+		{kind: kindState, shard: 1, req: 11, blob: []byte{0x4E, 1, 2, 3}},
+		{kind: kindState, shard: 1, req: 11, blob: []byte{}}, // empty state
+		{kind: kindAdopt, req: 12, epoch: 3, node: "c", blob: []byte{9, 9}},
 		{kind: kindAdopted, shard: 2, req: 12, node: "c", addr: "127.0.0.1:9"},
 		{kind: kindResume, epoch: 3, nodes: []string{"c", "d"}},
 		{kind: kindResumed, shard: 2, epoch: 3},
-		{kind: kindIdle, shard: 1, epoch: 4, seq: 3, activity: 8,
+		{kind: kindIdle, shard: 1, epoch: 4, activity: 8,
 			stats: netrun.Stats{SentMessages: 7, RecvMessages: 7}},
 		{kind: kindRederive, req: 13, epoch: 3, nodes: []string{"b", "c"}},
 		{kind: kindRederive, req: 14, epoch: 3}, // no nodes: a no-op sweep
@@ -191,11 +194,10 @@ func TestControlFrameRoundTrip(t *testing.T) {
 			t.Fatalf("%#x: %v", f.kind, err)
 		}
 		if got.kind != f.kind || got.shard != f.shard || got.epoch != f.epoch ||
-			got.seq != f.seq || got.mark != f.mark ||
+			got.mark != f.mark ||
 			got.activity != f.activity || got.stats != f.stats ||
 			got.req != f.req || got.pred != f.pred ||
-			got.node != f.node || got.addr != f.addr ||
-			got.chunk != f.chunk || got.nchunks != f.nchunks {
+			got.node != f.node || got.addr != f.addr {
 			t.Errorf("%#x: round trip mismatch: %+v vs %+v", f.kind, got, f)
 		}
 		if !reflect.DeepEqual(got.book, f.book) {
@@ -227,7 +229,7 @@ func TestControlFrameCorrupt(t *testing.T) {
 		}
 	}
 	// Same for an idle frame carrying the runner's counters.
-	idle := encodeFrame(frame{kind: kindIdle, shard: 1, seq: 2, mark: 1, activity: 3,
+	idle := encodeFrame(frame{kind: kindIdle, shard: 1, mark: 1, activity: 3,
 		stats: netrun.Stats{SentMessages: 300, Outstanding: 2}})
 	for cut := 0; cut < len(idle); cut++ {
 		if _, err := decodeFrame(idle[:cut]); err == nil {
@@ -249,9 +251,21 @@ func TestControlFrameCorrupt(t *testing.T) {
 	}
 	// A tuples frame whose count field exceeds the payload must fail
 	// on truncation, not allocate.
-	bad := encodeFrame(frame{kind: kindTuples, shard: 1, req: 1, chunk: 0, nchunks: 1})
+	bad := encodeFrame(frame{kind: kindTuples, shard: 1, req: 1})
 	bad[len(bad)-1] = 0xff // count = huge (varint continuation...) -> corrupt
 	if _, err := decodeFrame(bad); err == nil {
 		t.Error("corrupt tuple count decoded")
+	}
+	// On the stream, a length prefix above the cap is refused before
+	// the reader allocates the frame's buffer.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(appendUvarint(nil, maxFrameBytes+1))))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errFrameTooLarge) {
+		t.Errorf("prefix above the cap: err = %v, want errFrameTooLarge", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting an over-cap prefix allocated %d bytes", grew)
 	}
 }

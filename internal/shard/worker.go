@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -10,19 +11,12 @@ import (
 	"time"
 
 	"ndlog/internal/netrun"
-	"ndlog/internal/val"
 )
 
-// Protocol timing. The control plane is chatty-but-tiny: reports are
-// one datagram each, so a short period costs nothing and keeps the
+// idlePeriod is the activity report period. Reports are a few dozen
+// bytes each, so a short period costs nothing and keeps the
 // coordinator's view fresh.
-const (
-	helloRetry   = 100 * time.Millisecond // hello resend until book arrives
-	readyRetry   = 100 * time.Millisecond // ready resend until start arrives
-	idlePeriod   = 50 * time.Millisecond  // activity report period
-	controlRead  = 50 * time.Millisecond  // control socket read deadline
-	tupleChunkSz = 32 << 10               // gather response chunk cap (bytes)
-)
+const idlePeriod = 50 * time.Millisecond
 
 // WorkerConfig configures one shard process.
 type WorkerConfig struct {
@@ -35,11 +29,12 @@ type WorkerConfig struct {
 	// book, seeds immediately, and runs until the process is killed —
 	// the fully static multi-machine deployment mode.
 	Coord string
-	// CoordTimeout bounds coordinator silence: the handshake phases
-	// must complete within it, and once serving, some coordinator
-	// frame (pongs ack every idle report, so silence means death) must
-	// arrive within it or the worker exits with an error instead of
-	// running orphaned forever. ≤0 means the 60s default.
+	// CoordTimeout bounds the dial and coordinator silence: some
+	// coordinator frame — the book, the start, and once serving the
+	// pong that acks every idle report — must arrive within it, or the
+	// worker exits with an error instead of running orphaned forever
+	// beside a hung coordinator. A closed connection ends the worker at
+	// once. ≤0 means the 60s default.
 	CoordTimeout time.Duration
 	// Logf, when non-nil, receives progress lines (flag-gated by cmds).
 	Logf func(format string, args ...any)
@@ -56,11 +51,12 @@ func (c *WorkerConfig) logf(format string, args ...any) {
 	}
 }
 
-// RunWorker hosts one shard: it binds the shard's node sockets, joins
-// the coordinator handshake (hello → book → ready → start), seeds its
-// home facts, reports activity until told to stop, and answers gather
-// queries. It blocks until the stop frame arrives (or forever in
-// static mode) and returns after a clean teardown.
+// RunWorker hosts one shard: it binds the shard's node sockets, dials
+// the coordinator and joins its handshake (hello → book → ready →
+// start), seeds its home facts, reports activity until told to stop,
+// and answers gather queries. It blocks until the stop frame arrives
+// (or forever in static mode) and returns after a clean teardown; a
+// closed coordinator connection returns an error.
 func RunWorker(cfg WorkerConfig) error {
 	m := cfg.Manifest
 	if err := m.Validate(); err != nil {
@@ -162,29 +158,24 @@ func RunWorker(cfg WorkerConfig) error {
 	if cfg.CoordTimeout <= 0 {
 		cfg.CoordTimeout = 60 * time.Second
 	}
-	coordAddr, err := net.ResolveUDPAddr("udp", cfg.Coord)
+	conn, err := net.DialTimeout("tcp", cfg.Coord, cfg.CoordTimeout)
 	if err != nil {
-		return fmt.Errorf("shard: coordinator address: %w", err)
+		return fmt.Errorf("shard: dial coordinator: %w", err)
 	}
-	// Wildcard bind: the coordinator may be on another machine, and the
-	// reply path is learned from this socket's observed source address.
-	ctl, err := net.ListenUDP("udp", &net.UDPAddr{})
-	if err != nil {
-		return fmt.Errorf("shard: bind control socket: %w", err)
-	}
-	defer ctl.Close()
-
 	w := &worker{
-		cfg: cfg, spec: spec, runner: r, ctl: ctl, coord: coordAddr,
-		shardDir:     shardDir,
-		nodes:        nodes,
-		releaseCache: map[uint64][]byte{},
-		lastExport:   map[string][]byte{},
-		adoptBuf:     map[uint64][][]byte{},
-		adoptDone:    map[uint64]string{},
-		stash:        map[string][]byte{},
-		rederived:    map[uint64]bool{},
+		cfg: cfg, spec: spec, runner: r, ctl: &ctlConn{conn: conn},
+		frames:     make(chan frame),
+		shardDir:   shardDir,
+		nodes:      nodes,
+		lastExport: map[string][]byte{},
+		stash:      map[string][]byte{},
 	}
+	go w.read()
+	defer func() {
+		conn.Close()
+		for range w.frames { // until the reader has seen the close
+		}
+	}()
 	return w.run()
 }
 
@@ -225,10 +216,12 @@ type worker struct {
 	cfg    WorkerConfig
 	spec   *ShardSpec
 	runner *netrun.Runner
-	ctl    *net.UDPConn
-	coord  *net.UDPAddr
+	ctl    *ctlConn
+	// frames carries the coordinator's frames from the reader goroutine
+	// to run, in stream order; it closes when the connection does.
+	frames  chan frame
+	readErr error // why frames closed; read after it has
 
-	seq   uint64 // idle report sequence
 	epoch uint64 // membership epoch of the installed book
 	mark  uint64 // newest report-wave mark a pong has carried
 
@@ -239,46 +232,27 @@ type worker struct {
 	shardDir string
 	nodes    map[string]string
 
-	// Rebalance state. releaseCache holds exported node states by
-	// release request id, so a retried release (our state frames were
-	// lost) resends the same snapshot instead of re-exporting a node
-	// that is already gone; lastExport keeps the newest snapshot per
-	// node, serving a re-released node after a failed rebalance retries
-	// under a fresh request id. adoptBuf assembles chunked adopt
-	// transfers; adoptDone remembers completed adoptions for re-acks;
-	// stash holds adopted state until the resume frame says the new
-	// epoch is fully installed fleet-wide. The request-keyed maps are
-	// pruned at every epoch cutover (a new book proves the exchange
-	// that filled them has completed), so rebalance bookkeeping does
-	// not grow with deployment lifetime.
-	releaseCache map[uint64][]byte
-	lastExport   map[string][]byte
-	adoptBuf     map[uint64][][]byte
-	adoptDone    map[uint64]string
-	stash        map[string][]byte
-	// rederived remembers completed rederivation sweeps by request id,
-	// so a retried rederive re-acks instead of re-inflating counts.
-	// Pruned at epoch cutover like the other request-keyed maps.
-	rederived map[uint64]bool
+	// Rebalance state. lastExport keeps the newest snapshot per released
+	// node, serving a re-release of it after a failed rebalance; stash
+	// holds adopted state until the resume frame says the new epoch is
+	// fully installed fleet-wide.
+	lastExport map[string][]byte
+	stash      map[string][]byte
 }
 
-func (w *worker) send(f frame) {
-	w.ctl.WriteToUDP(encodeFrame(f), w.coord)
-}
-
-// read waits up to the control read deadline for one frame; ok is
-// false on timeout or a corrupt datagram.
-func (w *worker) read(buf []byte) (frame, bool) {
-	w.ctl.SetReadDeadline(time.Now().Add(controlRead))
-	n, _, err := w.ctl.ReadFromUDP(buf)
-	if err != nil {
-		return frame{}, false
+// read decodes the coordinator's frames and hands them to run until the
+// connection closes.
+func (w *worker) read() {
+	defer close(w.frames)
+	r := bufio.NewReader(w.ctl.conn)
+	for {
+		f, err := readFrame(r)
+		if err != nil {
+			w.readErr = err
+			return
+		}
+		w.frames <- f
 	}
-	f, err := decodeFrame(buf[:n])
-	if err != nil {
-		return frame{}, false
-	}
-	return f, true
 }
 
 // localBook maps this worker's hosted nodes to their data addresses —
@@ -307,118 +281,68 @@ func (w *worker) saveNodes() {
 }
 
 func (w *worker) run() error {
-	buf := make([]byte, 64<<10)
-
-	// Phase 1: hello until the merged book arrives. The coordinator
-	// replies to each hello, so loss on either leg just retries. The
-	// phase deadline covers sibling shards that never start: the book
-	// is only sent once every shard has said hello.
-	w.cfg.logf("shard %d: hello → %s", w.spec.ID, w.coord)
-	gotBook := false
-	lastHello := time.Time{}
-	phaseDeadline := time.Now().Add(w.cfg.CoordTimeout)
-	for !gotBook {
-		if time.Now().After(phaseDeadline) {
-			return fmt.Errorf("shard %d: no address book from coordinator %s within %v",
-				w.spec.ID, w.coord, w.cfg.CoordTimeout)
-		}
-		if time.Since(lastHello) >= helloRetry {
-			w.send(frame{kind: kindHello, shard: w.spec.ID, book: w.localBook()})
-			lastHello = time.Now()
-		}
-		if f, ok := w.read(buf); ok {
-			switch f.kind {
-			case kindBook:
-				if err := w.installBook(f); err != nil {
-					return err
-				}
-				gotBook = true
-			case kindStop: // deployment aborted before assembly completed
-				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: w.runner.Stats()})
-				return nil
-			}
-		}
-	}
-
-	// Phase 2: ready until start. A re-sent book (coordinator missed
-	// our ready) is re-acked the same way.
-	started := false
-	lastReady := time.Time{}
-	phaseDeadline = time.Now().Add(w.cfg.CoordTimeout)
-	for !started {
-		if time.Now().After(phaseDeadline) {
-			return fmt.Errorf("shard %d: no start from coordinator %s within %v",
-				w.spec.ID, w.coord, w.cfg.CoordTimeout)
-		}
-		if time.Since(lastReady) >= readyRetry {
-			w.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
-			lastReady = time.Now()
-		}
-		if f, ok := w.read(buf); ok {
-			switch f.kind {
-			case kindStart:
-				started = true
-			case kindStop: // aborted deployment
-				w.send(frame{kind: kindBye, shard: w.spec.ID, stats: w.runner.Stats()})
-				return nil
-			}
-		}
-	}
-	w.cfg.logf("shard %d: started, %d nodes", w.spec.ID, len(w.spec.Nodes))
-	w.runner.Start()
-
-	// Phase 3: serve. Periodic idle reports carry the activity counter
-	// and the runner's counters, credit included (the coordinator pongs
-	// each one, so frames flow both ways continuously, and a pong with a
-	// new wave mark is answered with a report at once); queries are
-	// answered with chunked tuple frames; the rebalance frames
-	// (book/release/adopt/resume) re-partition the live deployment; stop
-	// acknowledges with final stats and tears down. A coordinator silent
-	// for the whole timeout is dead: exit rather than run orphaned.
-	lastIdle := time.Time{}
+	// The handshake: hello, then the merged book (installed and acked
+	// with ready), then start. Once started, periodic idle reports carry
+	// the activity counter and the runner's counters, credit included
+	// (the coordinator pongs each one, and a pong with a new wave mark is
+	// answered with a report at once); queries are answered with one
+	// tuples frame; the rebalance frames (book/release/adopt/resume)
+	// re-partition the live deployment; stop acknowledges with final
+	// stats and tears down. A coordinator silent for the whole timeout —
+	// before start, one still waiting for a sibling's hello — hangs:
+	// exit rather than run orphaned.
+	w.cfg.logf("shard %d: hello → %s", w.spec.ID, w.cfg.Coord)
+	w.ctl.send(frame{kind: kindHello, shard: w.spec.ID, book: w.localBook()})
+	tick := time.NewTicker(idlePeriod)
+	defer tick.Stop()
 	lastCoord := time.Now()
+	started := false
 	for {
-		if time.Since(lastCoord) > w.cfg.CoordTimeout {
-			return fmt.Errorf("shard %d: coordinator %s unreachable for %v",
-				w.spec.ID, w.coord, w.cfg.CoordTimeout)
-		}
-		if time.Since(lastIdle) >= idlePeriod {
-			w.sendIdle()
-			lastIdle = time.Now()
-		}
-		f, ok := w.read(buf)
-		if !ok {
+		var f frame
+		select {
+		case <-tick.C:
+			if time.Since(lastCoord) > w.cfg.CoordTimeout {
+				return fmt.Errorf("shard %d: coordinator %s silent for %v",
+					w.spec.ID, w.cfg.Coord, w.cfg.CoordTimeout)
+			}
+			if started {
+				w.sendIdle()
+			}
 			continue
+		case got, ok := <-w.frames:
+			if !ok {
+				return fmt.Errorf("shard %d: coordinator %s closed the connection: %v",
+					w.spec.ID, w.cfg.Coord, w.readErr)
+			}
+			f = got
 		}
 		lastCoord = time.Now()
 		switch f.kind {
+		case kindStart:
+			if !started {
+				started = true
+				w.cfg.logf("shard %d: started, %d nodes", w.spec.ID, len(w.spec.Nodes))
+				w.runner.Start()
+				w.sendIdle()
+			}
 		case kindQuery:
-			w.answerQuery(f.req, f.pred)
+			w.ctl.send(frame{kind: kindTuples, shard: w.spec.ID, req: f.req, tuples: w.runner.TupleValues(f.pred)})
 		case kindPong:
 			if f.mark > w.mark {
 				w.mark = f.mark
 				w.sendIdle()
-				lastIdle = time.Now()
 			}
 		case kindBook:
-			// Epoch cutover: install the new view, fence the old one, and
-			// acknowledge. A duplicate book for the installed epoch is
-			// just re-acked.
-			if f.epoch >= w.epoch {
-				if err := w.installBook(f); err != nil {
-					return err
-				}
+			if err := w.installBook(f); err != nil {
+				return err
 			}
-			w.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
 		case kindRelease:
 			w.handleRelease(f)
 		case kindAdopt:
-			if err := w.handleAdopt(f); err != nil {
-				return err
-			}
+			w.handleAdopt(f)
 		case kindResume:
-			// Only resume into the epoch we actually installed; a stale or
-			// early resume is dropped and the coordinator retries.
+			// Only resume into the epoch we actually installed (the
+			// coordinator sends resume after every shard acked its book).
 			if f.epoch != w.epoch {
 				break
 			}
@@ -433,40 +357,35 @@ func (w *worker) run() error {
 			// Neighbor-side rederivation: re-send the derivations homed at
 			// the moved nodes (hard-state duplicates do not re-trigger
 			// strands, so their inbound views only come back via this
-			// sweep). Idempotent per resume retry only in tuple-set terms —
-			// counts inflate on retries, like any repeated sweep.
+			// sweep).
 			w.runner.RederiveFor(f.nodes)
-			w.send(frame{kind: kindResumed, shard: w.spec.ID, epoch: w.epoch})
+			w.ctl.send(frame{kind: kindResumed, shard: w.spec.ID, epoch: w.epoch})
 		case kindRederive:
 			// Crash recovery: re-send the derivations homed at the listed
-			// nodes. Epoch-fenced (the coordinator issues these
-			// after a cutover) and deduplicated by request id — a retry
-			// whose ack was lost re-acks without re-inflating counts.
+			// nodes. Epoch-fenced: the coordinator issues these after a
+			// cutover.
 			if f.epoch != w.epoch {
 				break
 			}
-			if !w.rederived[f.req] {
-				w.rederived[f.req] = true
-				w.runner.RederiveFor(f.nodes)
-				// A fleet-wide sweep skips sources that are themselves
-				// targets, which silences exactly the co-resident sweeps a
-				// crashed shard needs (all its nodes are targets at once).
-				// Sweep locally hosted targets one by one so siblings
-				// rebuild each other's inbound views.
-				local := map[string]bool{}
-				for _, id := range w.runner.LocalIDs() {
-					local[id] = true
-				}
-				for _, n := range f.nodes {
-					if local[n] {
-						w.runner.RederiveFor([]string{n})
-					}
+			w.runner.RederiveFor(f.nodes)
+			// A fleet-wide sweep skips sources that are themselves
+			// targets, which silences exactly the co-resident sweeps a
+			// crashed shard needs (all its nodes are targets at once).
+			// Sweep locally hosted targets one by one so siblings
+			// rebuild each other's inbound views.
+			local := map[string]bool{}
+			for _, id := range w.runner.LocalIDs() {
+				local[id] = true
+			}
+			for _, n := range f.nodes {
+				if local[n] {
+					w.runner.RederiveFor([]string{n})
 				}
 			}
-			w.send(frame{kind: kindRederived, shard: w.spec.ID, req: f.req})
-		case kindStop:
+			w.ctl.send(frame{kind: kindRederived, shard: w.spec.ID, req: f.req})
+		case kindStop: // also ends a deployment aborted before it started
 			s := w.runner.Stats()
-			w.send(frame{kind: kindBye, shard: w.spec.ID, stats: s})
+			w.ctl.send(frame{kind: kindBye, shard: w.spec.ID, stats: s})
 			w.cfg.logf("shard %d: stopping (sent %d msgs, recv %d msgs, %d retransmitted)",
 				w.spec.ID, s.SentMessages, s.RecvMessages, s.Retransmits)
 			return nil
@@ -474,11 +393,17 @@ func (w *worker) run() error {
 	}
 }
 
-// installBook installs a membership view: every off-runner entry lands
-// in the runner's address book, then the runner switches to the view's
-// epoch — data sent from here on carries it, data from other epochs is
-// fenced.
+// installBook installs a membership view and acknowledges the
+// installed epoch with ready. A view older than the installed one is
+// only acknowledged: a respawn's cutover book can overtake the book
+// that answers its hello. Otherwise every off-runner entry lands in the
+// runner's address book, then the runner switches to the view's epoch —
+// data sent from here on carries it, data from other epochs is fenced.
 func (w *worker) installBook(f frame) error {
+	if f.epoch < w.epoch {
+		w.ctl.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
+		return nil
+	}
 	local := map[string]bool{}
 	for _, id := range w.runner.LocalIDs() {
 		local[id] = true
@@ -491,175 +416,81 @@ func (w *worker) installBook(f frame) error {
 			return err
 		}
 	}
-	if f.epoch > w.epoch {
-		// A new epoch proves the rebalance exchange that filled the
-		// request-keyed caches has completed: no retry for an old
-		// request can arrive anymore, so drop them.
-		w.releaseCache = map[uint64][]byte{}
-		w.adoptBuf = map[uint64][][]byte{}
-		w.adoptDone = map[uint64]string{}
-		w.rederived = map[uint64]bool{}
-	}
 	w.runner.SetEpoch(f.epoch)
 	w.epoch = f.epoch
+	w.ctl.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
 	return nil
 }
 
 // handleRelease exports a migrating node's state, drops the node from
-// the runner, and streams the snapshot back in chunks. The export is
-// cached by request id (a retry resends the same snapshot even though
-// the node is already gone) and by node (a failed rebalance retried
-// under a fresh request id still gets the snapshot). A release for a
-// node this worker never held is ignored — the coordinator's release
-// loop times out and reports it; one bad release must not kill a
-// worker hosting other nodes. Releases are epoch-fenced: a delayed
-// duplicate from a previous rebalance must not remove a node that has
-// since been re-adopted here.
+// the runner, and sends the export back in one state frame. The export
+// is also kept by node, so a failed rebalance retried under a fresh
+// request still gets the snapshot. A release for a node this worker
+// never held is ignored — the coordinator's release times out and
+// reports it; one bad release must not kill a worker hosting other
+// nodes. Releases are epoch-fenced: one for another membership view
+// must not remove a node.
 func (w *worker) handleRelease(f frame) {
 	if f.epoch != w.epoch {
-		return // straggler from another membership view
+		return
 	}
-	blob, ok := w.releaseCache[f.req]
-	if !ok {
-		// ExportBundle ships the durable snapshot + WAL tail when the
-		// node has a store (no full state re-encode on the pause path)
-		// and falls back to a bare state export without one; ImportNode
-		// on the adopting side accepts either.
-		if exported, err := w.runner.ExportBundle(f.node); err == nil {
-			if err := w.runner.RemoveNode(f.node); err != nil {
-				w.cfg.logf("shard %d: release %s: %v", w.spec.ID, f.node, err)
-				return
-			}
-			blob = exported
-			w.lastExport[f.node] = exported
-			delete(w.nodes, f.node)
-			w.saveNodes()
-			w.cfg.logf("shard %d: released node %s (%d bytes of state)", w.spec.ID, f.node, len(blob))
-		} else if prev, held := w.lastExport[f.node]; held {
-			blob = prev // already released; serve the retained snapshot
-		} else {
-			w.cfg.logf("shard %d: ignoring release of unknown node %s", w.spec.ID, f.node)
+	// ExportBundle ships the durable snapshot + WAL tail when the node
+	// has a store (no full state re-encode on the pause path).
+	blob, err := w.runner.ExportBundle(f.node)
+	if err == nil {
+		if err := w.runner.RemoveNode(f.node); err != nil {
+			w.cfg.logf("shard %d: release %s: %v", w.spec.ID, f.node, err)
 			return
 		}
-		w.releaseCache[f.req] = blob
+		w.lastExport[f.node] = blob
+		delete(w.nodes, f.node)
+		w.saveNodes()
+		w.cfg.logf("shard %d: released node %s (%d bytes of state)", w.spec.ID, f.node, len(blob))
+	} else if prev, held := w.lastExport[f.node]; held {
+		blob = prev // already released; serve the retained snapshot
+	} else {
+		w.cfg.logf("shard %d: ignoring release of unknown node %s", w.spec.ID, f.node)
+		return
 	}
-	chunks := blobChunks(blob)
-	for i, ch := range chunks {
-		w.send(frame{kind: kindState, shard: w.spec.ID, req: f.req,
-			chunk: i, nchunks: len(chunks), blob: ch})
-	}
+	w.ctl.send(frame{kind: kindState, shard: w.spec.ID, req: f.req, blob: blob})
 }
 
-// handleAdopt assembles a chunked adopt transfer; once complete, the
-// node is bound to a fresh local socket and its state stashed until the
-// resume frame (import waits for the new epoch to be installed
-// fleet-wide, so re-advertisements are not fenced). Duplicate chunks
-// after completion just re-ack. Adopts are epoch-fenced like releases:
-// a delayed duplicate from a previous rebalance must not re-bind a
-// node that has since moved elsewhere.
-func (w *worker) handleAdopt(f frame) error {
+// handleAdopt binds an adopted node to a fresh local socket and stashes
+// its state until the resume frame (import waits for the new epoch to
+// be installed fleet-wide, so re-advertisements are not fenced). The
+// adopted reply carries the node's address, or "" if it could not be
+// bound. Adopts are epoch-fenced like releases.
+func (w *worker) handleAdopt(f frame) {
 	if f.epoch != w.epoch {
-		return nil // straggler from another membership view
+		return
 	}
-	if node, done := w.adoptDone[f.req]; done {
-		w.sendAdopted(f.req, node)
-		return nil
-	}
-	chunks := w.adoptBuf[f.req]
-	if chunks == nil {
-		chunks = make([][]byte, f.nchunks)
-		w.adoptBuf[f.req] = chunks
-	}
-	if f.chunk < len(chunks) && chunks[f.chunk] == nil {
-		ch := f.blob
-		if ch == nil {
-			ch = []byte{}
-		}
-		chunks[f.chunk] = ch
-	}
-	for _, ch := range chunks {
-		if ch == nil {
-			return nil // still assembling
-		}
-	}
-	var blob []byte
-	for _, ch := range chunks {
-		blob = append(blob, ch...)
-	}
-	delete(w.adoptBuf, f.req)
 	if err := w.runner.AddNode(f.node, ""); err == nil {
-		w.stash[f.node] = blob
+		w.stash[f.node] = f.blob
 		// The node is back (or new) here: any snapshot retained from a
 		// past release of it is superseded.
 		delete(w.lastExport, f.node)
 		w.nodes[f.node] = ""
 		w.saveNodes()
-		w.cfg.logf("shard %d: adopted node %s (%d bytes of state)", w.spec.ID, f.node, len(blob))
+		w.cfg.logf("shard %d: adopted node %s (%d bytes of state)", w.spec.ID, f.node, len(f.blob))
 	}
-	// AddNode error means the node is already hosted (a duplicate adopt
-	// completed twice): re-ack with the existing binding either way.
-	w.adoptDone[f.req] = f.node
-	w.sendAdopted(f.req, f.node)
-	return nil
-}
-
-func (w *worker) sendAdopted(req uint64, node string) {
 	addr := ""
-	if a := w.runner.Addr(node); a != nil {
+	if a := w.runner.Addr(f.node); a != nil {
 		addr = a.String()
 	}
-	w.send(frame{kind: kindAdopted, shard: w.spec.ID, req: req, node: node, addr: addr})
-}
-
-// blobChunks splits an exported state into control-datagram-sized
-// chunks; always at least one (possibly empty) chunk.
-func blobChunks(blob []byte) [][]byte {
-	var chunks [][]byte
-	for len(blob) > tupleChunkSz {
-		chunks = append(chunks, blob[:tupleChunkSz])
-		blob = blob[tupleChunkSz:]
-	}
-	return append(chunks, blob)
+	w.ctl.send(frame{kind: kindAdopted, shard: w.spec.ID, req: f.req, node: f.node, addr: addr})
 }
 
 // sendIdle reports the runner's activity counter and its counters,
 // credit included, with the newest wave mark this worker has seen.
 func (w *worker) sendIdle() {
-	w.seq++
-	w.send(frame{
+	w.ctl.send(frame{
 		kind:     kindIdle,
 		shard:    w.spec.ID,
 		epoch:    w.epoch,
-		seq:      w.seq,
 		mark:     w.mark,
 		activity: w.runner.Activity(),
 		stats:    w.runner.Stats(),
 	})
-}
-
-// answerQuery streams a predicate snapshot back in chunks small enough
-// for one datagram each. Chunk counts are recomputed per query, so a
-// re-sent query (coordinator missed a chunk) re-sends a fresh snapshot.
-func (w *worker) answerQuery(req uint64, pred string) {
-	tuples := w.runner.TupleValues(pred)
-	var chunks [][]val.Tuple
-	cur, size := []val.Tuple(nil), 0
-	for _, t := range tuples {
-		sz := val.EncodedSize(t)
-		if len(cur) > 0 && size+sz > tupleChunkSz {
-			chunks = append(chunks, cur)
-			cur, size = nil, 0
-		}
-		cur = append(cur, t)
-		size += sz
-	}
-	chunks = append(chunks, cur) // always ≥1 chunk, possibly empty
-	for i, ch := range chunks {
-		w.send(frame{
-			kind: kindTuples, shard: w.spec.ID, req: req,
-			chunk: i, nchunks: len(chunks), tuples: ch,
-		})
-	}
 }
 
 // Environment variable names for the re-exec worker entry: a process
