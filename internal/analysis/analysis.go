@@ -65,7 +65,7 @@ const (
 	CheckType         = "type-conflict" // column/variable type conflicts
 	CheckBuiltin      = "builtin"       // unknown builtin or wrong argument count
 	CheckSafety       = "safety"        // range restriction beyond Definition 6
-	CheckLifetime     = "lifetime"      // soft-state feeding hard state
+	CheckLifetime     = "lifetime"      // soft-state feeding or mixed with hard state
 	CheckEvent        = "event"         // event-predicate (lifetime 0) misuse
 	CheckAggArg       = "agg-arg"       // aggregate argument hygiene
 	CheckDeadRule     = "dead-rule"     // rule can never fire from the seeded EDB

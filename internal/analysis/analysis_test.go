@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +56,43 @@ m1 member(@S, @N) :- heartbeat(@S, @N).
 	}
 	if !strings.Contains(d.Msg, "heartbeat") || !strings.Contains(d.Msg, "member") {
 		t.Errorf("message should name both predicates: %q", d.Msg)
+	}
+}
+
+// TestMixedSupportRejected: an undeclared predicate derived from soft
+// state holds rows with deadlines, so a second, hard support for it — a
+// rule over hard state, an aggregate rule or a fact — is an error, one
+// per hard support. Supports that are all soft, or a predicate declared
+// soft, pass; an event in the body carries no deadline, so a rule over
+// one is hard support too.
+func TestMixedSupportRejected(t *testing.T) {
+	src := `
+materialize(hop, 10, infinity, keys(1,2)).
+materialize(link, infinity, infinity, keys(1,2)).
+materialize(ping, 0, infinity, keys(1,2)).
+t1 twoHop(@X, Z) :- hop(@X, Y), hop(@Y, Z).
+t2 twoHop(@X, Z) :- link(@X, Z).
+t3 twoHop(@X, Z) :- ping(@X, Z).
+t4 twoHop(@X, count<Z>) :- hop(@X, Z).
+twoHop(a, b).
+o1 out(@X) :- hop(@X, _Y).
+o2 out(@X) :- twoHop(@X, _Z), link(@X, _W).
+`
+	diags := find(analyze(t, src), analysis.CheckLifetime)
+	var lines []int
+	for _, d := range diags {
+		if d.Severity != analysis.Error || !strings.Contains(d.Msg, "twoHop") || !strings.Contains(d.Msg, "hop") {
+			t.Errorf("diagnostic %+v: want an error naming twoHop and hop", d)
+		}
+		lines = append(lines, d.Pos.Line)
+	}
+	if want := []int{6, 7, 8, 9}; !slices.Equal(lines, want) {
+		t.Errorf("mixed-support errors on lines %v, want %v: %v", lines, want, diags)
+	}
+
+	declared := "materialize(twoHop, 10, infinity, keys(1,2)).\n" + src
+	if diags := find(analyze(t, declared), analysis.CheckLifetime); len(diags) != 0 {
+		t.Errorf("twoHop declared soft: want no lifetime errors, got %v", diags)
 	}
 }
 

@@ -66,4 +66,72 @@ func (c *collector) checkLifetime(prog *ast.Program) {
 			break // one report per rule
 		}
 	}
+	c.checkMixedSupport(prog, life)
+}
+
+// checkMixedSupport rejects an undeclared predicate that holds both soft
+// and hard rows. The engine gives a derived row the earliest deadline of
+// the soft rows it joined (DESIGN.md §17), so a non-aggregate rule over
+// soft state (lifetime > 0; an event is never stored and lapses nowhere)
+// fills an undeclared head with soft rows, which refresh instead of
+// counting. A hard derivation of the same head — a rule over hard state
+// or events only, an aggregate rule (its head keeps the table's own
+// lifetime, and an undeclared table has none), or a fact — would give a
+// row count-maintained support as well, and a row holds a count or a
+// deadline, not both: retracting the hard support would take the row
+// while its soft support still stands. Declare the predicate soft, or
+// split the two supports into two predicates.
+func (c *collector) checkMixedSupport(prog *ast.Program, life map[string]float64) {
+	soft := map[string]string{} // predicate -> soft-state origin
+	for p, l := range life {
+		if l > 0 {
+			soft[p] = p
+		}
+	}
+	softBody := func(r *ast.Rule) (string, bool) {
+		if r.Head.HasAggregate() {
+			return "", false
+		}
+		for _, a := range r.Atoms() {
+			if origin, ok := soft[a.Pred]; ok {
+				return origin, true
+			}
+		}
+		return "", false
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, r := range prog.Rules {
+			if _, declared := life[r.Head.Pred]; declared {
+				continue
+			}
+			if _, done := soft[r.Head.Pred]; done {
+				continue
+			}
+			if origin, ok := softBody(r); ok {
+				soft[r.Head.Pred] = origin
+				changed = true
+			}
+		}
+	}
+	for _, r := range prog.Rules {
+		origin, ok := soft[r.Head.Pred]
+		if _, declared := life[r.Head.Pred]; declared || !ok {
+			continue
+		}
+		if _, ok := softBody(r); !ok {
+			c.errorf(r.Pos, CheckLifetime, ruleName(r),
+				"undeclared predicate %s derived here from hard state and elsewhere from soft-state predicate %s (lifetime %gs); a row holds a count or a deadline, not both: declare %s soft or split its supports",
+				r.Head.Pred, origin, life[origin], r.Head.Pred)
+		}
+	}
+	for i, f := range prog.Facts {
+		origin, ok := soft[f.Pred]
+		if _, declared := life[f.Pred]; declared || !ok {
+			continue
+		}
+		c.errorf(prog.FactAt(i), CheckLifetime, "",
+			"fact of undeclared predicate %s, which is derived from soft-state predicate %s (lifetime %gs); a row holds a count or a deadline, not both: declare %s soft or split its supports",
+			f.Pred, origin, life[origin], f.Pred)
+	}
 }

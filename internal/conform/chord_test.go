@@ -1,7 +1,10 @@
 package conform
 
 import (
+	"fmt"
 	"testing"
+
+	"ndlog/internal/engine"
 )
 
 // awaitRing advances virtual time in stabilization-period steps until
@@ -124,4 +127,72 @@ func TestChordUnderLoss(t *testing.T) {
 		t.Fatalf("lossy ring never re-converged after churn")
 	}
 	verifyLookups(t, r, 20)
+}
+
+// chordSweepBudget bounds the derivations one seed of TestChordSeedSweep
+// may make at 32 nodes, bring-up and lookups together. Seeds 1..40 stay
+// under 34 000. An expiry that retracts what its row supported costs
+// more than the budget on a quarter of them, and a retraction cascade or
+// a ring that never settles costs several times more.
+const chordSweepBudget = 50_000
+
+// TestChordSeedSweep brings up a 32-node ring per seed on bench's
+// chord32-sim schedule — poll the ring invariant once per virtual second
+// from t=10 until it holds (giving up at t=240), then issue 24 lookups
+// and retry the unanswered ones up to five times, two virtual seconds
+// apart — and requires a correct ring, correct answers and at most
+// chordSweepBudget derivations. The default run takes the seeds that
+// once ended in a wrong ring (2, 19, 20, 22, 25, 36) and the one whose
+// refresh cycles kept stale state alive (12); -conform.full takes 1..40.
+func TestChordSeedSweep(t *testing.T) {
+	seeds := []int64{2, 12, 19, 20, 22, 25, 36}
+	if *fullSoak {
+		seeds = seeds[:0]
+		for s := int64(1); s <= 40; s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			derivations := 0
+			o := DefaultChordOpts(seed)
+			o.Nodes, o.Reserve = 32, 2
+			o.Engine.OnDerive = func(string, string, engine.Delta) {
+				if derivations++; derivations > chordSweepBudget {
+					t.Fatalf("over the budget of %d derivations", chordSweepBudget)
+				}
+			}
+			r, err := NewChordRun(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := r.Net.Sim.Now
+			r.RunUntil(10)
+			errs := r.CheckRing()
+			for len(errs) > 0 && now() < 240 {
+				r.RunUntil(now() + 1)
+				errs = r.CheckRing()
+			}
+			for _, e := range errs {
+				t.Errorf("ring invariant at t=%.0f: %s", now(), e)
+			}
+			samples := r.InjectLookups(24)
+			for attempt := 0; len(samples) > 0 && attempt < 5; attempt++ {
+				r.RunUntil(now() + 2)
+				failed, errs := r.CheckLookups(samples)
+				for _, e := range errs {
+					t.Errorf("lookup conformance: %s", e)
+				}
+				samples = samples[:0]
+				for _, s := range failed {
+					samples = append(samples, r.Reinject(s))
+				}
+			}
+			for _, s := range samples {
+				t.Errorf("lookup %d at %s: no answer after 5 retries", s.Key, s.Node)
+			}
+			t.Logf("ring at t=%.0f, %d derivations", now(), derivations)
+		})
+	}
 }

@@ -48,12 +48,13 @@ func DefaultGossipOpts(seed int64) GossipOpts {
 // partners. The oracle is the infection model — a fresh rumor reaches
 // everyone in O(log n) rounds with high probability, so coverage is
 // checked as counter freshness against a 3*log2(n)-round bound.
-// Failure detection is heartbeat staleness, not row expiry: nodes
-// forward known entries, and a forwarded stale entry re-derives the
-// receiver's know row with a fresh TTL, so a detector that waited for
-// TTL decay would wait unboundedly. A dead node's counter freezes while
-// the shared round counter climbs; once the lag passes DetectRounds the
-// node stands detected everywhere, no retraction required.
+// Failure detection is heartbeat staleness, not row expiry: a dead
+// node's rows lapse only about KnowTTL after the last survivor learned
+// its final counter (a forwarded entry carries the sender's remaining
+// lifetime), far later than staleness fires. A dead node's counter
+// freezes while the shared round counter climbs; once the lag passes
+// DetectRounds the node stands detected everywhere, no retraction
+// required.
 type GossipRun struct {
 	Net   *Net
 	Opts  GossipOpts

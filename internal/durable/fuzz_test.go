@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ndlog/internal/engine"
+	"ndlog/internal/val"
 )
 
 // FuzzWALReplay feeds arbitrary bytes to the store as an on-disk WAL:
@@ -25,6 +28,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(frame([]byte("hello")))
 	f.Add(append(frame([]byte("hello")), frame([]byte("world"))[:7]...))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	// A netrun WAL record (clock, then a delta batch) holding a soft delta
+	// that carries its lifetime.
+	soft := engine.Delta{Sign: +1, Life: 2, Tuple: val.NewTuple("beacon", val.NewAddr("a"), val.NewInt(1))}
+	f.Add(frame(engine.AppendDeltas(make([]byte, 8), []engine.Delta{soft})))
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, genName(walPrefix, 1)), wal, 0o644); err != nil {

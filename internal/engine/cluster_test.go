@@ -129,7 +129,7 @@ b2 advB(@N,G,P,C2) :- pb(@N,G,P,C), step(@N,K), C2 := C + K.
 		}
 		n.FlushPending()
 		var got []string
-		for _, d := range n.queue.pending() {
+		for _, d := range n.queue.buf[n.queue.head:] {
 			got = append(got, d.Tuple.Pred)
 		}
 		if fmt.Sprint(got) != "[advA advB]" {

@@ -25,6 +25,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"ndlog/internal/val"
 )
@@ -32,7 +33,15 @@ import (
 // Delta is a signed tuple: +1 for insertion, -1 for deletion. Updates are
 // modelled as a deletion followed by an insertion (Section 4).
 type Delta struct {
-	Sign  int8
+	Sign int8
+	// Life is the remaining lifetime, in seconds, an insertion grants its
+	// row: the receiving table stores it until now + Life, or its own
+	// TTL if that is sooner. Zero means the table's own lifetime (a hard
+	// table's: forever), which is what Insert builds. A derived head
+	// carries the deadline of its soft support this way (DESIGN.md
+	// "Soft state by deadline"); it is relative, so no two clocks need
+	// agree. It sits in Sign's padding: a Delta stays 48 bytes.
+	Life  float32
 	Tuple val.Tuple
 }
 
@@ -69,7 +78,7 @@ func EncodeDeltas(ds []Delta) []byte { return AppendDeltas(nil, ds) }
 func AppendDeltas(dst []byte, ds []Delta) []byte {
 	size := 0
 	for i := range ds {
-		size += 1 + val.EncodedSize(ds[i].Tuple)
+		size += headSize(ds[i]) + val.EncodedSize(ds[i].Tuple)
 	}
 	buf := appendBatchHeader(dst, len(ds), size)
 	for i := range ds {
@@ -85,7 +94,7 @@ func AppendDeltas(dst []byte, ds []Delta) []byte {
 func AppendOutDeltas(dst []byte, outs []OutDelta) []byte {
 	size := 0
 	for i := range outs {
-		size += 1 + val.EncodedSize(outs[i].Delta.Tuple)
+		size += headSize(outs[i].Delta) + val.EncodedSize(outs[i].Delta.Tuple)
 	}
 	buf := appendBatchHeader(dst, len(outs), size)
 	for i := range outs {
@@ -107,12 +116,62 @@ func appendBatchHeader(dst []byte, n, size int) []byte {
 }
 
 func appendDelta(buf []byte, d Delta) []byte {
-	if d.Sign >= 0 {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	return val.AppendTuple(appendHead(buf, d), d.Tuple)
+}
+
+// A delta's head is its sign byte, then, when the signLife bit is set,
+// its lifetime as a little-endian float32. A delta with no lifetime — all
+// of hard state — encodes as one byte, 1 or 0, as it always has.
+const (
+	signInsert byte = 1 << 0
+	signLife   byte = 1 << 1
+)
+
+// headSize is the encoded size of d's head.
+func headSize(d Delta) int {
+	if d.Life != 0 {
+		return 5
 	}
-	return val.AppendTuple(buf, d.Tuple)
+	return 1
+}
+
+func appendHead(buf []byte, d Delta) []byte {
+	var b byte
+	if d.Sign >= 0 {
+		b = signInsert
+	}
+	if d.Life == 0 {
+		return append(buf, b)
+	}
+	return binary.LittleEndian.AppendUint32(append(buf, b|signLife), math.Float32bits(d.Life))
+}
+
+// decodeHead reads a delta head from b, returning the sign, the lifetime
+// and the bytes consumed. A lifetime must be a non-negative number
+// (+Inf included).
+func decodeHead(b []byte) (int8, float32, int, error) {
+	if len(b) == 0 {
+		return 0, 0, 0, fmt.Errorf("engine: truncated delta")
+	}
+	h := b[0]
+	if h&^(signInsert|signLife) != 0 {
+		return 0, 0, 0, fmt.Errorf("engine: corrupt delta sign %#x", h)
+	}
+	sign := int8(-1)
+	if h&signInsert != 0 {
+		sign = +1
+	}
+	if h&signLife == 0 {
+		return sign, 0, 1, nil
+	}
+	if len(b) < 5 {
+		return 0, 0, 0, fmt.Errorf("engine: truncated delta lifetime")
+	}
+	life := math.Float32frombits(binary.LittleEndian.Uint32(b[1:]))
+	if !(life >= 0) { // also rejects NaN
+		return 0, 0, 0, fmt.Errorf("engine: bad delta lifetime %v", life)
+	}
+	return sign, life, 5, nil
 }
 
 // DecodeDeltas unmarshals a plain delta batch (caller checks the kind).
@@ -155,20 +214,21 @@ func DecodeDeltasInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error) 
 	}
 	var carve val.Carver
 	for i := uint64(0); i < n; i++ {
-		if len(b) == 0 {
-			return nil, fmt.Errorf("engine: truncated delta batch")
+		sign, life, h, err := decodeHead(b)
+		if err != nil {
+			return nil, err
 		}
-		sign, c := int8(1), (*val.Carver)(nil)
-		if b[0] == 0 {
-			sign, c = -1, &carve
+		b = b[h:]
+		c := (*val.Carver)(nil)
+		if sign < 0 {
+			c = &carve
 		}
-		b = b[1:]
 		t, m, err := val.DecodeTupleIn(b, in, c)
 		if err != nil {
 			return nil, fmt.Errorf("engine: bad tuple in delta batch: %w", err)
 		}
 		b = b[m:]
-		out = append(out, Delta{Sign: sign, Tuple: t})
+		out = append(out, Delta{Sign: sign, Life: life, Tuple: t})
 	}
 	return out, nil
 }

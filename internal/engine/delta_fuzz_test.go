@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"ndlog/internal/val"
@@ -32,6 +33,13 @@ func FuzzDecodeDeltas(f *testing.F) {
 	enc := EncodeDeltas(seed[2])
 	f.Add(enc[:len(enc)/2])
 	f.Add([]byte{0xFF, 0x01, 0x02})
+	// Soft deltas: lifetimes carried, +Inf, a flagged zero, and a lifetime
+	// cut short.
+	p := val.NewTuple("p", val.NewAddr("a"), val.NewInt(1))
+	f.Add(EncodeDeltas([]Delta{{Sign: +1, Life: 2.5, Tuple: p}, Deletion(p), {Sign: +1, Life: float32(math.Inf(1)), Tuple: p}}))
+	zero := []byte{byte(msgDeltas), 1, signInsert | signLife, 0, 0, 0, 0}
+	f.Add(val.AppendTuple(zero, p))
+	f.Add([]byte{byte(msgDeltas), 1, signInsert | signLife, 0, 0})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ds, err := DecodeDeltas(b)
@@ -50,8 +58,8 @@ func FuzzDecodeDeltas(f *testing.F) {
 			t.Fatalf("round trip %d deltas, want %d", len(ds2), len(ds))
 		}
 		for i := range ds {
-			if ds2[i].Sign != ds[i].Sign {
-				t.Fatalf("delta %d sign: %v != %v", i, ds2[i], ds[i])
+			if ds2[i].Sign != ds[i].Sign || ds2[i].Life != ds[i].Life {
+				t.Fatalf("delta %d sign or lifetime: %v life %v != %v life %v", i, ds2[i], ds2[i].Life, ds[i], ds[i].Life)
 			}
 		}
 		if re2 := EncodeDeltas(ds2); !bytes.Equal(re, re2) {

@@ -164,13 +164,13 @@ r1 out(@S,I) :- trig(@S,K), item(@S,I).
 	// either: each derived retraction is an exact no-op at the table, and
 	// the same cascade can run again and again.
 	trig := val.NewTuple("trig", a, val.NewInt(1))
-	n.runNormalStrands(-1, trig, noLimit, noLimit)
+	n.runNormalStrands(-1, trig, never, noLimit, noLimit)
 	if got := n.QueueLen(); got != fanout {
 		t.Fatalf("the retraction derived %d retractions, want %d", got, fanout)
 	}
 	n.Drain()
 	allocs := testing.AllocsPerRun(20, func() {
-		n.runNormalStrands(-1, trig, noLimit, noLimit)
+		n.runNormalStrands(-1, trig, never, noLimit, noLimit)
 		n.Drain()
 	})
 	if per := allocs / fanout; per > 0.05 {
@@ -208,7 +208,7 @@ r1 out(@Y,@X) :- #link(@X,@Y).
 	// A delta routed between drains (as an expiry sweep routes) lands in
 	// the next drain's buffer, after what the caller already holds and
 	// sorted with that drain's own output.
-	n.runNormalStrands(+1, link("d"), noLimit, noLimit)
+	n.runNormalStrands(+1, link("d"), never, noLimit, noLimit)
 	n.Push(Insert(link("b")))
 	second := n.DrainInto(first)
 	if len(second) != 3 || second[0].Dst != "c" || second[1].Dst != "b" || second[2].Dst != "d" {
@@ -383,7 +383,7 @@ j1 joined(@S,D) :- path(@S,D,C), other(@S,D).
 	}
 	del := testing.AllocsPerRun(100, func() {
 		// Deletion strands with an empty join partner derive nothing.
-		n.runNormalStrands(-1, worse, noLimit, noLimit)
+		n.runNormalStrands(-1, worse, never, noLimit, noLimit)
 	})
 	if del != 0 {
 		t.Errorf("deletion strand run allocates %v objects, want 0", del)
@@ -489,7 +489,7 @@ func TestFusedDerivationAllocBudget(t *testing.T) {
 	var got []val.Tuple
 	emit := func(d derived) { got = append(got[:0], d.tuple) }
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := st.run(n.resetCtx(+1, trig, noLimit, noLimit), trig, emit); err != nil {
+		if err := st.run(n.resetCtx(+1, trig, never, noLimit, noLimit), trig, emit); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -511,7 +511,7 @@ func TestFusedListOwnsItsMemory(t *testing.T) {
 	emit := func(d derived) { got = d.tuple }
 	derive := func() val.Tuple {
 		got = val.Tuple{}
-		if err := st.run(n.resetCtx(+1, trig, noLimit, noLimit), trig, emit); err != nil {
+		if err := st.run(n.resetCtx(+1, trig, never, noLimit, noLimit), trig, emit); err != nil {
 			t.Fatal(err)
 		}
 		return got

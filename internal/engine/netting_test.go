@@ -160,7 +160,11 @@ func TestFoldScratchRetentionBounded(t *testing.T) {
 func applyOps(tb *table.Table, out []OutDelta) {
 	for i, o := range out {
 		if o.Delta.Sign > 0 {
-			tb.Insert(o.Delta.Tuple, uint64(i+1), 0)
+			expires := -1.0
+			if o.Delta.Life > 0 {
+				expires = float64(o.Delta.Life)
+			}
+			tb.InsertUntil(o.Delta.Tuple, uint64(i+1), expires)
 		} else {
 			tb.Delete(o.Delta.Tuple)
 		}
@@ -169,9 +173,10 @@ func applyOps(tb *table.Table, out []OutDelta) {
 
 // FuzzNetOut: whatever the receiver's rows hold, a drain's output leaves
 // them — tuples and derivation counts — exactly as the folded output
-// does. Each byte is one delta over a 3-key × 3-value domain; the first
-// three bytes set each key's initial row (absent, or a value held one to
-// three times).
+// does — deadlines included, so a folded −a/+b keeps +b's lifetime. Each
+// byte is one delta over a 3-key × 3-value domain, an insertion with a
+// lifetime of 0 (hard), 1 or 2 seconds; the first three bytes set each
+// key's initial row (absent, or a value held one to three times).
 func FuzzNetOut(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
@@ -200,7 +205,11 @@ func FuzzNetOut(f *testing.F) {
 			if c/9%2 == 1 {
 				sign = "-"
 			}
-			out = append(out, op(fmt.Sprintf("%skv@d:%s=%d", sign, keys[c%3], c/3%3)))
+			o := op(fmt.Sprintf("%skv@d:%s=%d", sign, keys[c%3], c/3%3))
+			if o.Delta.Sign > 0 {
+				o.Delta.Life = float32(c / 18 % 3)
+			}
+			out = append(out, o)
 		}
 		applyOps(plain, out)
 		was := showOps(out)
@@ -213,6 +222,11 @@ func FuzzNetOut(f *testing.F) {
 			if !got[i].Equal(want[i]) || folded.Count(got[i]) != plain.Count(want[i]) {
 				t.Fatalf("%s: folded leaves %v ×%d, un-netted %v ×%d", was,
 					got[i], folded.Count(got[i]), want[i], plain.Count(want[i]))
+			}
+			fe, _ := folded.Get(got[i])
+			pe, _ := plain.Get(want[i])
+			if fe.Expires != pe.Expires {
+				t.Fatalf("%s: folded leaves %v until %v, un-netted until %v", was, got[i], fe.Expires, pe.Expires)
 			}
 		}
 	})

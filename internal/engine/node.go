@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -106,9 +107,6 @@ type Node struct {
 	prog *Program
 	opts Options
 	cat  *table.Catalog
-	// soft lists the soft-state tables in name order — the tables, and the
-	// order, an expiry sweep visits. Only declared tables can be soft.
-	soft []*table.Table
 	// central loops every derived tuple back to this node regardless of
 	// its location specifier (single-site evaluation).
 	central bool
@@ -176,11 +174,13 @@ type Node struct {
 }
 
 // storedRow is an accepted insert awaiting its post-store work: the
-// tuple, the row that held it when it was stored and, when it took the
-// row over by primary key, the tuple it displaced (else the zero Tuple).
+// tuple, the row that held it when it was stored, the deadline it was
+// stored with (+Inf for hard state) and, when it took the row over by
+// primary key, the tuple it displaced (else the zero Tuple).
 type storedRow struct {
 	t   val.Tuple
 	e   *table.Entry
+	dl  float64
 	old val.Tuple
 }
 
@@ -255,11 +255,8 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 	}
 	n.stored = n.storedOne[:0]
 	for name, d := range prog.decls {
-		if tbl := n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize); tbl.TTL() >= 0 {
-			n.soft = append(n.soft, tbl)
-		}
+		n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize)
 	}
-	slices.SortFunc(n.soft, func(a, b *table.Table) int { return strings.Compare(a.Name(), b.Name()) })
 	// Instantiate the plan's indexes, then resolve every strand's per-atom
 	// table and index handles against this node's tables up front: the
 	// join path then probes by hash directly, with no per-probe name
@@ -465,7 +462,7 @@ func (n *Node) drain() {
 			}
 			if event {
 				n.runEvent(d.Tuple)
-			} else if r, ok := n.storeInsert(d.Tuple, n.stamp); ok {
+			} else if r, ok := n.storeInsert(d, n.stamp); ok {
 				n.stored = append(n.stored, r)
 			}
 		}
@@ -490,31 +487,77 @@ func (n *Node) runEvent(t val.Tuple) {
 	if n.opts.OnStore != nil {
 		n.opts.OnStore(n.id, Insert(t), n.now)
 	}
-	n.runNormalStrands(+1, t, noLimit, noLimit)
+	n.runNormalStrands(+1, t, never, noLimit, noLimit)
+}
+
+// never is the deadline of hard state and of a derivation with no soft
+// support.
+var never = math.Inf(1)
+
+// deadline is the expiry an insertion d gets in tbl at this node's clock:
+// its lifetime from now when it carries one, capped by the table's own
+// TTL (-1, never, for hard state with no lifetime).
+func (n *Node) deadline(tbl *table.Table, d Delta) float64 {
+	exp := tbl.Deadline(n.now)
+	if l := n.now + float64(d.Life); d.Life > 0 && l < never && (exp < 0 || l < exp) {
+		exp = l
+	}
+	return exp
+}
+
+// lifeFor is the lifetime a head with the given deadline carries from
+// this clock: the largest float32 whose sum with now does not pass the
+// deadline, so that a row rederived through a cycle of local rules never
+// outlives the row it came from by a rounding step. ok is false when
+// nothing is left.
+func lifeFor(now, deadline float64) (float32, bool) {
+	l := float32(deadline - now)
+	for l > 0 && now+float64(l) > deadline {
+		l = math.Nextafter32(l, 0)
+	}
+	return l, l > 0
+}
+
+// headDelta builds the delta that carries head d with sign. An insertion
+// with a finite deadline carries the lifetime it has left (lifeFor),
+// unless it is an event, which is never stored; ok is false when that
+// lifetime is spent.
+func (n *Node) headDelta(d derived, sign int8) (delta Delta, ok bool) {
+	delta = Delta{Sign: sign, Tuple: d.tuple}
+	if sign > 0 && d.deadline < never && !n.prog.events[d.tuple.Pred] {
+		if delta.Life, ok = lifeFor(n.now, d.deadline); !ok {
+			return delta, false
+		}
+	}
+	return delta, true
 }
 
 // storeInsert applies the table effects of an insertion: duplicate
 // counting, primary-key replacement, and eviction. It returns the row now
 // holding the tuple — with the tuple it displaced, whose retraction is
 // afterStore's to propagate together with the insertion — and false when
-// the tuple was a duplicate (a soft-state duplicate is re-advertised
-// here).
-func (n *Node) storeInsert(t val.Tuple, stamp uint64) (storedRow, bool) {
+// the tuple was a duplicate (a refresh that extends its row's deadline
+// re-runs the trigger strands here).
+func (n *Node) storeInsert(d Delta, stamp uint64) (storedRow, bool) {
+	t := d.Tuple
 	tbl := n.cat.Get(t.Pred)
-	res := tbl.Insert(t, stamp, n.now)
+	res := tbl.InsertUntil(t, stamp, n.deadline(tbl, d))
+	dl := deadlineOf(res.Entry)
 	switch res.Status {
 	case table.StatusReplaced:
-		return storedRow{t: t, e: res.Entry, old: res.Replaced}, true
+		return storedRow{t: t, e: res.Entry, dl: dl, old: res.Replaced}, true
 	case table.StatusDuplicate:
-		// Soft-state refresh semantics (Section 4.2): re-inserting a
-		// soft-state tuple re-runs its trigger strands so downstream soft
-		// state is refreshed in turn (downstream tables should themselves
-		// be soft state — the paper's trade-off for this model is
-		// recomputation instead of precise incremental deltas). Hard-state
-		// duplicates only bump the count.
-		if tbl.TTL() >= 0 {
+		// Soft-state refresh semantics (Section 4.2): a duplicate that
+		// moves its row's deadline later re-runs the trigger strands, so
+		// the soft state downstream is extended in turn — the paper's
+		// trade-off of recomputation for precise incremental deltas. A
+		// refresh that extends nothing has nothing to pass on: what the
+		// row supports already lives as long as the row, which is how a
+		// cycle of soft rules stops (DESIGN.md "Soft state by deadline").
+		// Hard-state duplicates only bump the count.
+		if res.Extended {
 			markAdv(res.Entry, t)
-			n.runNormalStrands(+1, t, int64(stamp), int64(stamp))
+			n.runNormalStrands(+1, t, dl, int64(stamp), int64(stamp))
 		}
 		return storedRow{}, false
 	case table.StatusNew:
@@ -523,7 +566,7 @@ func (n *Node) storeInsert(t val.Tuple, stamp uint64) (storedRow, bool) {
 				n.afterDelete(ev)
 			}
 		}
-		return storedRow{t: t, e: res.Entry}, true
+		return storedRow{t: t, e: res.Entry, dl: dl}, true
 	}
 	return storedRow{}, false
 }
@@ -550,7 +593,7 @@ func (n *Node) afterStore(r storedRow, ltBefore, leAfter int64) {
 	}
 	improving, contributed := n.runAggStrands(r.old, r.t, ltBefore, leAfter)
 	if replaced {
-		n.runNormalStrands(-1, r.old, noLimit, noLimit)
+		n.runNormalStrands(-1, r.old, never, noLimit, noLimit)
 	}
 	n.advertise(r, improving, contributed, ltBefore, leAfter)
 	if replaced {
@@ -575,7 +618,7 @@ func (n *Node) advertise(r storedRow, improving, contributed bool, ltBefore, leA
 		}
 	}
 	markAdv(r.e, r.t)
-	n.runNormalStrands(+1, r.t, ltBefore, leAfter)
+	n.runNormalStrands(+1, r.t, r.dl, ltBefore, leAfter)
 }
 
 // markAdv records that t's trigger strands have run, on the row t was
@@ -615,7 +658,7 @@ func (n *Node) afterDelete(t val.Tuple) {
 	// never stored and are exact no-ops, because the head tuples of
 	// aggregate-selected programs (path vectors) functionally determine
 	// their derivation.
-	n.runNormalStrands(-1, t, noLimit, noLimit)
+	n.runNormalStrands(-1, t, never, noLimit, noLimit)
 	n.readvertiseGroups(t)
 }
 
@@ -666,7 +709,7 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 	// Original stamp bounds: later-arriving partners already joined this
 	// tuple when they were deltas, so replaying with the old bounds derives
 	// each pair exactly once.
-	n.runNormalStrands(+1, pick.Tuple, int64(pick.Stamp), int64(pick.Stamp))
+	n.runNormalStrands(+1, pick.Tuple, deadlineOf(pick), int64(pick.Stamp), int64(pick.Stamp))
 }
 
 // FlushPending advertises the current best of every pending group
@@ -755,10 +798,12 @@ func (n *Node) runAggStrands(del, ins val.Tuple, ltBefore, leAfter int64) (impro
 			silent = false
 			fields := ar.fields[i*nf : (i+1)*nf]
 			if p.hadOld {
-				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV, &n.carve), loc: p.loc}, -1, st.rule.Label)
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV, &n.carve), loc: p.loc, deadline: never}, -1, st.rule.Label)
 			}
 			if p.hasNew {
-				n.route(derived{tuple: aggHead(st, p.pred, fields, p.newV, nil), loc: p.loc}, +1, st.rule.Label)
+				// An aggregate head keeps its table's own lifetime: the
+				// expiries of its inputs maintain it.
+				n.route(derived{tuple: aggHead(st, p.pred, fields, p.newV, nil), loc: p.loc, deadline: never}, +1, st.rule.Label)
 			}
 		}
 	}
@@ -776,7 +821,7 @@ func (n *Node) runAggStrands(del, ins val.Tuple, ltBefore, leAfter int64) (impro
 func (n *Node) runAggHalf(sign int8, t val.Tuple, ltBefore, leAfter int64) {
 	ar := &n.aggRun
 	ar.sign = sign
-	if err := ar.st.run(n.resetCtx(sign, t, ltBefore, leAfter), t, ar.emit); err != nil {
+	if err := ar.st.run(n.resetCtx(sign, t, never, ltBefore, leAfter), t, ar.emit); err != nil {
 		panic(fmt.Sprintf("engine: aggregate rule %s: %v", ar.st.rule.Label, err))
 	}
 }
@@ -907,15 +952,16 @@ func aggHead(st *strand, pred string, fields []val.Value, aggVal val.Value, c *v
 }
 
 // resetCtx prepares the node's reusable join context for one delta:
-// insertions join under the caller's stamp bounds, deletions join
-// unrestricted, carry the retracted tuple for the self-join correction,
-// and carve what they derive — retractions — from the node's chunks.
-// An insertion's heads bound for another node are carved too, unless
-// they reach it by reference (central, byRef): the driver encodes them
-// and drops them. The context holds a copy of t, not its address, so the
-// caller's tuple stays off the heap.
-func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCtx {
+// insertions join under the caller's stamp bounds from the trigger's
+// deadline dl, deletions join unrestricted, carry the retracted tuple
+// for the self-join correction, and carve what they derive — retractions
+// — from the node's chunks. An insertion's heads bound for another node
+// are carved too, unless they reach it by reference (central, byRef):
+// the driver encodes them and drops them. The context holds a copy of t,
+// not its address, so the caller's tuple stays off the heap.
+func (n *Node) resetCtx(sign int8, t val.Tuple, dl float64, ltBefore, leAfter int64) *joinCtx {
 	n.jc.ltBefore, n.jc.leAfter = ltBefore, leAfter
+	n.jc.deadline, n.jc.now = dl, n.now
 	n.jc.hasDeleted = sign < 0
 	n.jc.carve, n.jc.keepAt = nil, ""
 	if sign < 0 {
@@ -929,9 +975,9 @@ func (n *Node) resetCtx(sign int8, t val.Tuple, ltBefore, leAfter int64) *joinCt
 }
 
 // runNormalStrands executes the non-aggregate trigger strands for a
-// delta.
-func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64) {
-	ctx := n.resetCtx(sign, t, ltBefore, leAfter)
+// delta whose trigger row has deadline dl.
+func (n *Node) runNormalStrands(sign int8, t val.Tuple, dl float64, ltBefore, leAfter int64) {
+	ctx := n.resetCtx(sign, t, dl, ltBefore, leAfter)
 	d := Delta{Sign: sign, Tuple: t}
 	for _, st := range n.prog.strands[t.Pred] {
 		if st.isAgg {
@@ -952,7 +998,10 @@ func (n *Node) runNormalStrands(sign int8, t val.Tuple, ltBefore, leAfter int64)
 // route dispatches a derived delta to its location: locally enqueued or
 // handed to the driver for network transmission.
 func (n *Node) route(d derived, sign int8, ruleLabel string) {
-	delta := Delta{Sign: sign, Tuple: d.tuple}
+	delta, ok := n.headDelta(d, sign)
+	if !ok {
+		return
+	}
 	if n.opts.OnDerive != nil {
 		n.opts.OnDerive(n.id, ruleLabel, delta)
 	}
@@ -963,52 +1012,30 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 	n.out = append(n.out, OutDelta{Dst: d.loc, Delta: delta})
 }
 
-// ExpireSoftState removes TTL-lapsed tuples and propagates their
-// deletions (soft-state semantics, Section 4.2).
+// ExpireSoftState removes the rows whose deadline has lapsed (soft-state
+// semantics, Section 4.2). A lapsed row leaves with aggregate
+// maintenance and the aggregate-selection fallback only: what it
+// supported was derived with a deadline no later than its own, so it
+// lapses on its own, wherever it is stored, and the sweep sends nothing
+// (DESIGN.md "Soft state by deadline"). OnStore still sees each row go.
 //
-// A TTL can lapse while a refresh or rederivation of the same tuple is
-// already sitting in the delta queue (drivers fire expiry timers between
-// drains). Expiring such a
-// tuple anyway would emit a retraction wave that the queued insertion
-// immediately re-derives — and because soft-state duplicates refresh
-// instead of counting, the interleaved +insert / -delete can cancel a
-// freshly re-derived downstream row outright (a double-delete). The
-// sweep therefore treats a pending insertion as the refresh it is about
-// to become: the entry survives, and the queued delta renews its TTL
-// when the queue drains.
-//
-// A table whose earliest expiry is still ahead is not scanned at all, and
-// the lapsed rows of one that is leave in Stamp order (table.Expired), so
-// the retractions a sweep emits do not depend on map iteration.
+// Every table whose earliest deadline has come is swept, in name order —
+// a table no declaration made soft holds soft rows when their support is
+// soft — and a table's lapsed rows leave in Stamp order (table.Expired),
+// so what a sweep does is a function of the node's history.
 func (n *Node) ExpireSoftState() {
-	var pending tupleSet
-	indexed := false
-	for _, tbl := range n.soft {
-		if !tbl.ExpiryDue(n.now) {
-			continue
-		}
-		if !indexed {
-			// Index the queued insertions of soft-state predicates once
-			// per sweep that has a table to scan.
-			indexed = true
-			for _, d := range n.queue.pending() {
-				if d.Sign > 0 && n.cat.Get(d.Tuple.Pred).TTL() >= 0 {
-					if pending == nil {
-						pending = tupleSet{}
-					}
-					pending.add(d.Tuple)
-				}
-			}
-		}
-		// Remove exactly the rows the sweep reports (not a blanket
-		// ExpireBefore): entries spared by a pending refresh must survive
-		// with their row and index state intact.
-		due := tbl.Expired(n.now, pending.has)
+	for _, tbl := range n.cat.Tables() {
+		due := tbl.Expired(n.now)
 		for _, e := range due {
 			tbl.DeleteByKey(e.Tuple)
 		}
 		for _, e := range due {
-			n.afterDelete(e.Tuple)
+			t := e.Tuple
+			if n.opts.OnStore != nil {
+				n.opts.OnStore(n.id, Deletion(t), n.now)
+			}
+			n.runAggStrands(t, val.Tuple{}, noLimit, noLimit)
+			n.readvertiseGroups(t)
 		}
 	}
 }

@@ -21,10 +21,6 @@ const keepCap = 128
 
 func (q *deltaQueue) len() int { return len(q.buf) - q.head }
 
-// pending returns the queued deltas in order. The view is invalidated
-// by the next push.
-func (q *deltaQueue) pending() []Delta { return q.buf[q.head:] }
-
 func (q *deltaQueue) push(d Delta) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) {
 		if q.head >= len(q.buf)/2 {

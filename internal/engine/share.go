@@ -87,8 +87,9 @@ func (sc *ShareConfig) keyFor(d Delta) shareKey {
 
 // EncodeShared marshals a batch of deltas with cross-tuple field
 // sharing. Deltas are partitioned by share key; each partition encodes
-// its first tuple completely and the rest as (sign, pred, varying
-// column values).
+// its first delta completely and the rest as (head, pred, varying
+// column values), where a head is a plain batch's sign byte and optional
+// lifetime (appendHead).
 func EncodeShared(sc *ShareConfig, ds []Delta) []byte {
 	type group struct {
 		key    shareKey
@@ -123,12 +124,11 @@ func EncodeShared(sc *ShareConfig, ds []Delta) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(order)))
 	for _, g := range order {
 		base := g.deltas[0]
-		buf = appendSign(buf, base.Sign)
-		buf = val.AppendTuple(buf, base.Tuple)
+		buf = appendDelta(buf, base)
 		extras := g.deltas[1:]
 		buf = binary.AppendUvarint(buf, uint64(len(extras)))
 		for _, e := range extras {
-			buf = appendSign(buf, e.Sign)
+			buf = appendHead(buf, e)
 			buf = appendShareString(buf, e.Tuple.Pred)
 			vary := sc.VaryCols[e.Tuple.Pred]
 			cols := append([]int(nil), vary...)
@@ -145,13 +145,6 @@ func EncodeShared(sc *ShareConfig, ds []Delta) []byte {
 		}
 	}
 	return buf
-}
-
-func appendSign(buf []byte, sign int8) []byte {
-	if sign >= 0 {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
 }
 
 func appendShareString(buf []byte, s string) []byte {
@@ -192,34 +185,28 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 	// cannot demand a huge allocation before truncation checks run.
 	out := make([]Delta, 0, min(ngroups, uint64(len(b))))
 	for gi := uint64(0); gi < ngroups; gi++ {
-		if len(b) == 0 {
-			return nil, fmt.Errorf("engine: truncated shared group")
+		sign, life, h, err := decodeHead(b)
+		if err != nil {
+			return nil, err
 		}
-		sign := int8(1)
-		if b[0] == 0 {
-			sign = -1
-		}
-		b = b[1:]
+		b = b[h:]
 		base, m, err := val.DecodeTupleIn(b, in, nil)
 		if err != nil {
 			return nil, err
 		}
 		b = b[m:]
-		out = append(out, Delta{Sign: sign, Tuple: base})
+		out = append(out, Delta{Sign: sign, Life: life, Tuple: base})
 		nextra, m2 := binary.Uvarint(b)
 		if m2 <= 0 {
 			return nil, fmt.Errorf("engine: corrupt extra count")
 		}
 		b = b[m2:]
 		for ei := uint64(0); ei < nextra; ei++ {
-			if len(b) == 0 {
-				return nil, fmt.Errorf("engine: truncated extra")
+			esign, elife, eh, err := decodeHead(b)
+			if err != nil {
+				return nil, err
 			}
-			esign := int8(1)
-			if b[0] == 0 {
-				esign = -1
-			}
-			b = b[1:]
+			b = b[eh:]
 			pred, m3, err := readShareString(b, in)
 			if err != nil {
 				return nil, err
@@ -247,7 +234,7 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 					fields[col] = v
 				}
 			}
-			out = append(out, Delta{Sign: esign, Tuple: val.Tuple{Pred: pred, Fields: fields}})
+			out = append(out, Delta{Sign: esign, Life: elife, Tuple: val.Tuple{Pred: pred, Fields: fields}})
 		}
 	}
 	return out, nil

@@ -52,64 +52,6 @@ r2 twoHop(@S,@D) :- hop(@S,@D).
 	}
 }
 
-// TestSoftStateExpiryPendingRefresh pins the expiry-vs-drain race: a
-// TTL that lapses while a rederivation of the same tuple is already
-// queued (an expiry timer firing between pumps) must be treated as a
-// refresh in flight. Expiring anyway would emit a retraction wave that
-// the queued insertion immediately re-derives — transiently deleting
-// downstream soft/derived state (a double-delete) and churning the
-// canonical interned rows.
-func TestSoftStateExpiryPendingRefresh(t *testing.T) {
-	src := `
-materialize(link, infinity, infinity, keys(1,2)).
-materialize(hop, 5, infinity, keys(1,2)).
-materialize(twoHop, 20, infinity, keys(1,2)).
-r1 hop(@S,@D) :- link(@S,@D,C).
-r2 twoHop(@S,@D) :- hop(@S,@D).
-`
-	var deletes []string
-	c := central(t, src, Options{OnStore: func(nodeID string, d Delta, now float64) {
-		if d.Sign < 0 {
-			deletes = append(deletes, d.Tuple.Key())
-		}
-	}})
-	c.Node().SetNow(0)
-	c.Insert(programs.LinkFact("link", "a", "b", 1))
-	if len(c.Tuples("hop")) != 1 || len(c.Tuples("twoHop")) != 1 {
-		t.Fatalf("setup: hop=%v twoHop=%v", c.Tuples("hop"), c.Tuples("twoHop"))
-	}
-	// A rederivation of hop is in flight (queued, not yet drained) when
-	// the TTL lapses and the expiry sweep runs.
-	hop := c.Tuples("hop")[0]
-	c.Node().Push(Insert(hop))
-	c.Node().SetNow(10)
-	c.Node().ExpireSoftState()
-	c.Fixpoint()
-	if len(c.Tuples("hop")) != 1 {
-		t.Errorf("hop must survive expiry with a refresh in flight: %v", c.Tuples("hop"))
-	}
-	if len(c.Tuples("twoHop")) != 1 {
-		t.Errorf("twoHop must survive: %v", c.Tuples("twoHop"))
-	}
-	if len(deletes) != 0 {
-		t.Errorf("no retraction may be emitted for a refreshed tuple, got %v", deletes)
-	}
-	// The queued insert refreshed the TTL at t=10: alive at t=14, dead
-	// once it lapses with no refresh pending.
-	c.Node().SetNow(14)
-	c.Node().ExpireSoftState()
-	c.Fixpoint()
-	if len(c.Tuples("hop")) != 1 {
-		t.Error("refreshed hop should survive t=14")
-	}
-	c.Node().SetNow(16)
-	c.Node().ExpireSoftState()
-	c.Fixpoint()
-	if len(c.Tuples("hop")) != 0 || len(c.Tuples("twoHop")) != 0 {
-		t.Errorf("hop must expire at t=16: hop=%v twoHop=%v", c.Tuples("hop"), c.Tuples("twoHop"))
-	}
-}
-
 // TestSoftStateRefreshKeepsAlive verifies that periodic re-derivation
 // refreshes the TTL (re-insertion semantics).
 func TestSoftStateRefreshKeepsAlive(t *testing.T) {

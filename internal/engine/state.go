@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ndlog/internal/table"
@@ -28,8 +29,8 @@ type ExportedTuple struct {
 	Count int
 	// Remaining is the tuple's remaining soft-state lifetime in seconds
 	// at export time; < 0 marks hard state. The importer drops tuples
-	// whose lifetime lapsed in transit and re-inserts the rest as a
-	// refresh (full TTL), exactly as a soft-state re-advertisement would.
+	// whose lifetime lapsed in transit and re-inserts the rest with the
+	// lifetime they had left (Delta.Life).
 	Remaining float64
 }
 
@@ -80,53 +81,30 @@ func (n *Node) Export() *NodeState {
 // ImportState queues an exported state for insertion at this node and
 // reports how many tuples were accepted. Hard-state counts are replayed
 // as repeated insertions (duplicates bump the count, per the count
-// algorithm); soft-state tuples already lapsed at export (Remaining ==
-// 0) are dropped, the rest re-enter as a refresh. The caller runs
-// Drain (and typically Rederive) afterwards, then ApplyImportedTTLs to
-// clamp the refreshed lifetimes back to what the tuples had left.
+// algorithm); a soft-state tuple enters carrying the lifetime it had
+// left at export, so it lapses at import time + Remaining, and what the
+// import derives from it lapses no later. Tuples already lapsed at export
+// (Remaining == 0) are dropped. Transit time is not subtracted (no
+// cross-process clock to measure it with); it is bounded by the
+// rebalance pause. The caller runs Drain (and typically Rederive)
+// afterwards.
 func (n *Node) ImportState(st *NodeState) int {
 	imported := 0
 	for _, et := range st.Tuples {
-		if et.Remaining == 0 {
-			continue // soft state that expired in transit
+		d := Insert(et.Tuple)
+		if et.Remaining >= 0 {
+			life, ok := lifeFor(0, et.Remaining)
+			if !ok {
+				continue // soft state that expired in transit
+			}
+			d.Life = life
 		}
-		count := et.Count
-		if count < 1 {
-			count = 1
-		}
-		for i := 0; i < count; i++ {
-			n.Push(Insert(et.Tuple))
+		for range max(et.Count, 1) {
+			n.Push(d)
 		}
 		imported++
 	}
 	return imported
-}
-
-// ApplyImportedTTLs clamps each imported soft-state tuple's expiry to
-// the remaining lifetime it carried at export: the import path inserts
-// through the normal refresh machinery (full TTL), and this pass —
-// run after the import's Drain, under the same single-threading
-// discipline — pulls each expiry back so migration cannot extend soft
-// state's life. Transit time is not subtracted (no cross-process clock
-// to measure it with); it is bounded by the rebalance pause.
-func (n *Node) ApplyImportedTTLs(st *NodeState) {
-	for _, et := range st.Tuples {
-		if et.Remaining <= 0 {
-			// Hard state, or a lifetime already lapsed at export:
-			// ImportState skipped the latter, and if the tuple re-entered
-			// through the import's own rederivation it owns a legitimate
-			// fresh TTL that must not be clamped to instant expiry.
-			continue
-		}
-		tbl := n.cat.Get(et.Tuple.Pred)
-		e, ok := tbl.Get(et.Tuple)
-		if !ok || !e.Tuple.Equal(et.Tuple) {
-			continue
-		}
-		if exp := n.now + et.Remaining; e.Expires < 0 || exp < e.Expires {
-			tbl.SetExpires(e, exp)
-		}
-	}
 }
 
 // tupleSet is a set of tuples keyed by Tuple.Hash with collision chains
@@ -157,15 +135,23 @@ func (s tupleSet) add(t val.Tuple) bool {
 
 // sweepDerivable evaluates every non-aggregate rule once over the
 // node's stored state — a full evaluation, not a delta — invoking fn
-// for each derivable head (with its location), rule by rule in the
-// program's fixed sweep order. Evaluation
-// errors skip the binding, as the insert path would. fn must not mutate
-// the node's tables; queueing deltas is fine.
+// for each derivable head (with its location and deadline), rule by rule
+// in the program's fixed sweep order, each rule's first atom's rows in
+// Tuple order. Evaluation errors skip the binding, as the insert path
+// would. fn must not mutate the node's tables; queueing deltas is fine.
 func (n *Node) sweepDerivable(fn func(d derived)) {
-	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res}
+	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res, now: n.now}
+	var rows []*table.Entry
 	for _, st := range n.prog.sweep {
-		for _, tu := range n.cat.Get(st.atoms[0].Pred).Tuples() {
-			_ = st.run(ctx, tu, fn)
+		rows = rows[:0]
+		n.cat.Get(st.atoms[0].Pred).Scan(func(e *table.Entry) bool {
+			rows = append(rows, e)
+			return true
+		})
+		slices.SortFunc(rows, func(a, b *table.Entry) int { return a.Tuple.Compare(b.Tuple) })
+		for _, e := range rows {
+			ctx.deadline = deadlineOf(e)
+			_ = st.run(ctx, e.Tuple, fn)
 		}
 	}
 }
@@ -187,8 +173,8 @@ func (n *Node) Rederive() int {
 		if n.cat.Get(d.tuple.Pred).Contains(d.tuple) {
 			return
 		}
-		if seen.add(d.tuple) {
-			n.Push(Insert(d.tuple))
+		if delta, ok := n.headDelta(d, +1); ok && seen.add(d.tuple) {
+			n.Push(delta)
 			count++
 		}
 	})
@@ -215,7 +201,9 @@ func (n *Node) RederiveFor(dsts map[string]bool) []OutDelta {
 		if !dsts[d.loc] || d.loc == n.id {
 			return
 		}
-		out = append(out, OutDelta{Dst: d.loc, Delta: Insert(d.tuple)})
+		if delta, ok := n.headDelta(d, +1); ok {
+			out = append(out, OutDelta{Dst: d.loc, Delta: delta})
+		}
 	})
 	return out
 }

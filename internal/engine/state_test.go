@@ -159,21 +159,30 @@ materialize(ping, 30, infinity, keys(1,2)).
 		t.Fatalf("imported %d lapsed tuples, want 0", n)
 	}
 
-	// A live import re-enters as a refresh, then clamps back to the
-	// exported remaining lifetime — migration cannot extend soft state.
+	// A live import enters with the lifetime it had left — migration
+	// cannot extend soft state — and lapses then.
 	dn := dst.Node()
 	dn.SetNow(500)
 	if n := dn.ImportState(st); n != 1 {
 		t.Fatalf("imported %d live tuples, want 1", n)
 	}
 	dst.Fixpoint()
-	dn.ApplyImportedTTLs(st)
 	e, ok := dn.Catalog().Get("ping").Get(st.Tuples[0].Tuple)
 	if !ok {
 		t.Fatal("imported tuple not stored")
 	}
 	if e.Expires != 520 { // now(500) + remaining(20), not now + ttl(30)
 		t.Fatalf("imported expiry = %v, want 520", e.Expires)
+	}
+	dn.SetNow(519.9)
+	dn.ExpireSoftState()
+	if len(dn.Tuples("ping")) != 1 {
+		t.Fatal("imported row lapsed before its remaining lifetime")
+	}
+	dn.SetNow(520)
+	dn.ExpireSoftState()
+	if len(dn.Tuples("ping")) != 0 {
+		t.Fatal("imported row outlived its remaining lifetime")
 	}
 }
 

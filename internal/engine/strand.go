@@ -579,10 +579,13 @@ func (ctx *joinCtx) unifyTr(args []slotArg, t val.Tuple) bool {
 	return true
 }
 
-// derived is one strand output: a head tuple destined for a location.
+// derived is one strand output: a head tuple destined for a location,
+// with its deadline — the earliest deadline among the rows it joined
+// (+Inf when they are all hard, events included).
 type derived struct {
-	tuple val.Tuple
-	loc   string
+	tuple    val.Tuple
+	loc      string
+	deadline float64
 }
 
 // joinCtx carries the per-delta join parameters plus reusable evaluation
@@ -603,6 +606,15 @@ type derived struct {
 //     Δ-rule form p1^old,...,Δpk^old,pk+1,...,pn of Section 3.1.
 //   - Deletions: no bounds (both maxed); every live derivation that used
 //     the retracted tuple must be cancelled.
+//
+// An insertion's join also carries deadlines: it starts from the
+// trigger's (deadline) and takes the minimum with each partner row's, and
+// a normal strand drops a binding whose deadline is already at or before
+// now — a soft partner that has lapsed but not yet been swept supports
+// nothing (DESIGN.md "Soft state by deadline"). Deletions and aggregate
+// strands ignore deadlines: a retraction must cancel whatever was
+// derived, and an aggregate counts every stored row until expiry removes
+// it.
 type joinCtx struct {
 	// ltBefore bounds atoms at positions < trigger: Stamp < ltBefore.
 	ltBefore int64
@@ -615,6 +627,11 @@ type joinCtx struct {
 	// tuple to the heap.
 	deleted    val.Tuple
 	hasDeleted bool
+	// deadline is the trigger's deadline (+Inf for none), and now the
+	// node's clock, against which a normal strand's insertion drops a
+	// binding that has already lapsed.
+	deadline float64
+	now      float64
 	// res resolves a strand's per-atom table and index handles at this
 	// node (strands are shared across nodes; tables are not).
 	res map[*strand]*strandRes
@@ -662,24 +679,40 @@ func (s *strand) run(ctx *joinCtx, delta val.Tuple, emit func(derived)) error {
 	ctx.env.Reset()
 	ctx.tr = ctx.tr[:0]
 	ctx.cur = ctx.res[s]
-	if !unifySlots(s.code.args[s.trigger], delta, ctx.env) {
+	if s.lapses(ctx, ctx.deadline) || !unifySlots(s.code.args[s.trigger], delta, ctx.env) {
 		return nil
 	}
-	return s.joinFrom(ctx, 0, emit)
+	return s.joinFrom(ctx, 0, ctx.deadline, emit)
+}
+
+// lapses reports whether a binding with deadline dl supports nothing at
+// this join: dl has passed, and the strand derives insertions from rows
+// (see joinCtx).
+func (s *strand) lapses(ctx *joinCtx, dl float64) bool {
+	return dl <= ctx.now && !s.isAgg && !ctx.hasDeleted
+}
+
+// deadlineOf is a stored row's deadline, never for hard state.
+func deadlineOf(e *table.Entry) float64 {
+	if e.Expires < 0 {
+		return never
+	}
+	return e.Expires
 }
 
 // joinFrom joins the remaining atoms (skipping the trigger) depth-first
-// in body order, then evaluates assignments/selections and the head.
-func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
+// in body order, then evaluates assignments/selections and the head. dl
+// is the deadline of the bindings so far.
+func (s *strand) joinFrom(ctx *joinCtx, idx int, dl float64, emit func(derived)) error {
 	if idx == len(s.atoms) {
-		return s.finish(ctx, emit)
+		return s.finish(ctx, dl, emit)
 	}
 	if idx == s.trigger {
-		return s.joinFrom(ctx, idx+1, emit)
+		return s.joinFrom(ctx, idx+1, dl, emit)
 	}
 	args := s.code.args[idx]
 
-	tryEntry := func(t val.Tuple, stamp int64) error {
+	tryEntry := func(t val.Tuple, stamp int64, until float64) error {
 		if idx < s.trigger {
 			if stamp >= ctx.ltBefore {
 				return nil
@@ -687,12 +720,16 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		} else if stamp > ctx.leAfter {
 			return nil
 		}
+		until = min(dl, until)
+		if s.lapses(ctx, until) {
+			return nil
+		}
 		mark := len(ctx.tr)
 		if !ctx.unifyTr(args, t) {
 			ctx.unwind(mark)
 			return nil
 		}
-		err := s.joinFrom(ctx, idx+1, emit)
+		err := s.joinFrom(ctx, idx+1, until, emit)
 		ctx.unwind(mark)
 		return err
 	}
@@ -701,7 +738,7 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 	if path.kind == accessScan {
 		var scanErr error
 		ctx.cur.tbl[idx].Scan(func(e *table.Entry) bool {
-			if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
+			if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
 				scanErr = err
 				return false
 			}
@@ -726,7 +763,7 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 		}
 		if path.kind == accessPK {
 			for e := ctx.cur.tbl[idx].KeyChain(h.Sum()); e != nil; e = e.Next() {
-				if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
+				if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
 					return err
 				}
 			}
@@ -734,7 +771,7 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 			b := ctx.cur.idx[idx].Bucket(h.Sum())
 			for i, n := 0, b.Len(); i < n; i++ {
 				e := b.At(i)
-				if err := tryEntry(e.Tuple, int64(e.Stamp)); err != nil {
+				if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
 					return err
 				}
 			}
@@ -744,7 +781,7 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 	// Deletion self-join correction: the retracted tuple still counts as
 	// a join partner for later occurrences of its own predicate.
 	if ctx.hasDeleted && s.atoms[idx].Pred == ctx.deleted.Pred && idx > s.trigger {
-		if err := tryEntry(ctx.deleted, -1); err != nil {
+		if err := tryEntry(ctx.deleted, -1, dl); err != nil {
 			return err
 		}
 	}
@@ -752,10 +789,11 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, emit func(derived)) error {
 }
 
 // finish evaluates the tail (assignments, selections) and instantiates
-// the head. Aggregate rules stop before head instantiation; the caller
-// routes them through GroupAgg. Assignment bindings go on the trail so
-// sibling join candidates see a clean environment.
-func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
+// the head, whose deadline is dl. Aggregate rules stop before head
+// instantiation; the caller routes them through GroupAgg. Assignment
+// bindings go on the trail so sibling join candidates see a clean
+// environment.
+func (s *strand) finish(ctx *joinCtx, dl float64, emit func(derived)) error {
 	mark := len(ctx.tr)
 	defer ctx.unwind(mark)
 	for _, op := range s.code.tail {
@@ -779,7 +817,7 @@ func (s *strand) finish(ctx *joinCtx, emit func(derived)) error {
 	if err != nil {
 		return err
 	}
-	emit(derived{tuple: head, loc: head.Loc()})
+	emit(derived{tuple: head, loc: head.Loc(), deadline: dl})
 	return nil
 }
 

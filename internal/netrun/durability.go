@@ -11,9 +11,9 @@ package netrun
 // exported state replaces it as a fresh snapshot generation.
 //
 // Recovery (EnableDurability, before Start) and adoption (ImportNode)
-// share one restore: import the snapshot, clamp its soft-state TTLs,
-// replay the WAL tail record by record under each record's own clock,
-// then Rederive to close the local derivations. Outbound deltas
+// share one restore: import the snapshot (each soft tuple with the
+// lifetime it had left), replay the WAL tail record by record under each
+// record's own clock, then Rederive to close the local derivations. Outbound deltas
 // produced during recovery are discarded — the shard-level respawn
 // protocol rebuilds cross-node state with explicit rederivation sweeps
 // once the fleet knows the node is back. The journal tap installs only
@@ -107,9 +107,8 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 }
 
 // restore rebuilds a node from a snapshot (nil for none) and WAL
-// records: import the snapshot, clamp its soft-state TTLs, replay each
-// record under min(its clock, now), then Rederive to close the local
-// derivations. It returns every outbound delta the rebuild produced:
+// records: import the snapshot, replay each record under min(its clock,
+// now), then Rederive to close the local derivations. It returns every outbound delta the rebuild produced:
 // crash recovery discards them (the fleet is re-synced by the respawn
 // sweeps), adoption dispatches them. Caller holds the node's lock.
 func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engine.OutDelta, error) {
@@ -122,18 +121,14 @@ func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engi
 		}
 		n.ImportState(st)
 		outs = n.DrainInto(outs)
-		// Clamp before replaying the WAL tail: a replayed soft-state
-		// refresh then extends lifetimes legitimately, instead of being
-		// clamped back to what the snapshot remembered.
-		n.ApplyImportedTTLs(st)
 	}
 	for i, b := range records {
 		recNow, deltas, err := decodeWALRecord(b, n.Interner())
 		if err != nil {
 			return nil, fmt.Errorf("wal record %d: %w", i, err)
 		}
-		// Replay under the record's virtual clock so soft-state TTLs land
-		// where the source node had them, clamped so a skewed clock
+		// Replay under the record's virtual clock so soft-state deadlines
+		// land where the source node had them, clamped so a skewed clock
 		// cannot push this node's clock forward.
 		n.SetNow(math.Min(recNow, now))
 		for _, d := range deltas {

@@ -342,9 +342,9 @@ func (r *Runner) dropNodeLocked(nn *netNode) {
 }
 
 // ImportNode loads an exported bundle (ExportBundle) into a local
-// (freshly adopted) node — the same restore crash recovery runs, with
-// the snapshot's soft state clamped back to its exported remaining
-// lifetimes — and dispatches the resulting advertisements to the fleet.
+// (freshly adopted) node — the same restore crash recovery runs, the
+// snapshot's soft state entering with its exported remaining lifetimes —
+// and dispatches the resulting advertisements to the fleet.
 func (r *Runner) ImportNode(id string, bundle []byte) error {
 	nn, ok := r.node(id)
 	if !ok {

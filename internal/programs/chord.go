@@ -13,7 +13,8 @@ import (
 // The program splits its predicates into three lifetime classes, and
 // the split carries the protocol's correctness (see DESIGN.md §10):
 //
-//   - Events (lifetime 0): ticks, the stabilization request askSucc.
+//   - Events (lifetime 0): ticks, the stabilization request askSucc,
+//     the lookup answer.
 //     Fired, processed, gone. Nothing downstream of an event is ever
 //     retracted through it, so a later change to the tables an event
 //     joined (bestSucc moving to a better successor) cannot cascade a
@@ -23,10 +24,13 @@ import (
 //
 //   - Refreshed soft state (succ, predCand, pred, finger, lookup,
 //     lookupRes): re-derived every round by event-triggered rules.
-//     A duplicate insert refreshes the TTL in place; a dead peer stops
-//     producing refreshes and its rows age out. The TTL is the failure
-//     detector: SuccTTL bounds how long a dead successor haunts the
-//     ring views before the next candidate takes over.
+//     A row lives until its deadline — its own TTL, or sooner if the
+//     soft rows it was derived from lapse sooner (DESIGN.md "Soft state
+//     by deadline") — and a re-derivation with a later deadline extends
+//     it in place; a dead peer stops producing refreshes and its rows
+//     lapse, each where it is stored, with no retraction sent. The TTL
+//     is the failure detector: SuccTTL bounds how long a dead successor
+//     haunts the ring views before the next candidate takes over.
 //
 //   - Aggregate views (bsDist, idmap, pdDist, cand, and bestSucc /
 //     pred through them): maintained incrementally from insertions and
@@ -34,10 +38,19 @@ import (
 //     HorizonTTL just keeps them formally soft (the analyzer's
 //     lifetime check: state downstream of soft state must be soft) on
 //     a horizon far beyond any run.
+//
+// Because a derived row inherits its support's deadline, a lookup row
+// forwarded hop by hop keeps the deadline it was issued with (ReqTTL):
+// a lookup circling through stale fingers cannot renew itself. The
+// answer is therefore an event (answer, l1) that the requester stores
+// as lookupRes for ResTTL from its arrival: a fact about the responder's
+// successor, not about the request, so the fingers and successors built
+// from it (f2, j2) live FingerTTL and SuccTTL past the answer instead of
+// dying with the request.
 type ChordConfig struct {
 	SuccTTL    float64 // succ/predCand/pred: staleness bound for dead peers
 	ReqTTL     float64 // in-flight lookup state (lookup, hopDist)
-	ResTTL     float64 // lookupRes rows (answers; consumed by j2/f2)
+	ResTTL     float64 // lookupRes rows (stored answers; consumed by j2/f2)
 	FingerTTL  float64 // finger rows: staleness bound for dead fingers
 	HorizonTTL float64 // aggregate views; maintained by deltas, never refreshed
 }
@@ -90,6 +103,7 @@ materialize(predCand, %[1]g, infinity, keys(1,2,3)).
 materialize(pred, %[1]g, infinity, keys(1,2,3)).
 materialize(lookup, %[2]g, infinity, keys(1,2,3,4)).
 materialize(hopDist, %[2]g, infinity, keys(1,2,3)).
+materialize(answer, 0, infinity, keys(1,2,3,4,5)).
 materialize(lookupRes, %[3]g, infinity, keys(1,2,3,4,5)).
 materialize(finger, %[4]g, infinity, keys(1,2,5)).
 materialize(cand, %[5]g, infinity, keys(1,2)).
@@ -113,10 +127,10 @@ j2 succ(@N, @S, SI) :- lookupRes(@N, K, @S, SI, _Q), ident(@N, K).
 //
 // The argmin is recovered through idmap (ring id -> address), itself an
 // aggregate, rather than by rejoining succ. That choice is load-bearing:
-// refreshes of soft state re-run normal rule strands, but skip
-// aggregate strands — so with b1/m1 as the dampers, per-round refresh
-// traffic stops here, and bestSucc re-derives only when the minimum
-// actually moves.
+// a refresh that extends a soft row re-runs normal rule strands, but
+// skips aggregate strands — so with b1/m1 as the dampers, per-round
+// refresh traffic stops here, and bestSucc re-derives only when the
+// minimum actually moves.
 b1 bsDist(@N, min<D>) :- succ(@N, @_S, SI), ident(@N, I), D := f_ringdist(I, SI).
 m1 idmap(@N, SI, max<S>) :- succ(@N, @S, SI).
 b2 bestSucc(@N, @S, SI) :- bsDist(@N, D), ident(@N, I), idmap(@N, SI, @S),
@@ -125,9 +139,15 @@ b2 bestSucc(@N, @S, SI) :- bsDist(@N, D), ident(@N, I), idmap(@N, SI, @S),
 // Stabilize: each round, ask the current successor. It confirms itself
 // (s2: the refresh that keeps live successors alive), hands back its
 // predecessor (s3: if someone slid between us, we adopt it via b1 —
-// this is also what closes the 2-node ring at the landmark), and hands
-// back its own successor (s4: a depth-2 successor list, the fallback
-// when our successor dies).
+// this is also what closes the 2-node ring at the landmark), every node
+// that named it as successor (s6: the closest of them to the asker is
+// its successor's best candidate, so a node walks back over a crowded
+// arc in one round instead of one node per round), and its own
+// successor (s4: a depth-2 successor list, the fallback when our
+// successor dies). s6 became necessary when the lookup answer turned
+// into an event (a1 below) that is no longer retracted with its request:
+// without s6, a 30-node ring losing one message in twenty then fails to
+// converge within a minute.
 //
 // askSucc is an event on purpose. If it were stored, a bestSucc
 // improvement would retract the ask that discovered it and cascade
@@ -137,6 +157,7 @@ b2 bestSucc(@N, @S, SI) :- bsDist(@N, D), ident(@N, I), idmap(@N, SI, @S),
 s1 askSucc(@S, @N, Q) :- stab(@N, Q), bestSucc(@N, @S, _SI), #conn(@N, @S).
 s2 succ(@N, @S, SI) :- askSucc(@S, @N, _Q), ident(@S, SI), #conn(@S, @N).
 s3 succ(@N, @X, XI) :- askSucc(@S, @N, _Q), pred(@S, @X, XI), #conn(@S, @N).
+s6 succ(@N, @X, XI) :- askSucc(@S, @N, _Q), predCand(@S, @X, XI), #conn(@S, @N).
 s4 succ(@N, @T, TI) :- askSucc(@S, @N, _Q), bestSucc(@S, @T, TI), #conn(@S, @N).
 
 // Notify: tell the successor we exist; it keeps the closest notifier
@@ -153,22 +174,25 @@ p2 pred(@N, @P, PI) :- pdDist(@N, D), predCand(@N, @P, PI), ident(@N, I),
 // round tag), and cand aggregates the live finger rows per peer. As an
 // aggregate it is stable across refresh rounds — l2/l3 below see a
 // candidate appear once and vanish only when its last supporting row
-// expires. Finger rows carry the round of the lookup that built them
-// (f2): when that round's answer expires, its cancellation takes out
-// only its own round's row, and the overlapping next round keeps the
-// cand entry — and every lookup routed through it — alive. Without the
-// round column the cancellation would blip the candidate off every few
-// seconds and the resulting retraction wave would chase down in-flight
-// lookups, including answers already delivered.
+// lapses. Finger rows carry the round of the lookup that built them
+// (f2), and each lives FingerTTL past its answer, longer than the
+// fixFingers period: the next round's row for the same target appears
+// before the last one lapses, so the cand entry — and every lookup
+// routed through it — stays put. A lookup re-routed because cand changed
+// retracts its old route hop by hop, so a candidate that blinked off
+// every round would chase down in-flight lookups, answers included.
 f0 finger(@N, SI, @S, SI, SI) :- succ(@N, @S, SI).
 c1 cand(@N, @F, max<FI>) :- finger(@N, _T, @F, FI, _Q).
 
-// Lookup routing. A key in (me, bestSucc] resolves to bestSucc (l1).
+// Lookup routing. A key in (me, bestSucc] resolves to bestSucc: the
+// answer event (l1) goes to the requester, which stores it (a1).
 // Otherwise forward greedily: among known candidates strictly between
 // me and the key, pick the farthest one — Chord's closest-preceding-
-// finger rule — via the hopDist max (l2/l3).
-l1 lookupRes(@R, K, @S, SI, Q) :- lookup(@N, K, @R, Q), ident(@N, I),
+// finger rule — via the hopDist max (l2/l3). The forwarded lookup keeps
+// its issue deadline; the answer, an event, starts its own lifetime.
+l1 answer(@R, K, @S, SI, Q) :- lookup(@N, K, @R, Q), ident(@N, I),
 	bestSucc(@N, @S, SI), f_inrange(K, I, SI) == true, #conn(@N, @R).
+a1 lookupRes(@R, K, @S, SI, Q) :- answer(@R, K, @S, SI, Q).
 l2 hopDist(@N, K, Q, max<D>) :- lookup(@N, K, @_R, Q), cand(@N, @_F, FI),
 	ident(@N, I), bestSucc(@N, @_S, SI), f_inrange(K, I, SI) == false,
 	f_inrangeoo(FI, I, K) == true, D := f_ringdist(I, FI).

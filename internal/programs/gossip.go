@@ -38,13 +38,12 @@ func DefaultGossipConfig() GossipConfig {
 // rising, so its know entries freeze while every live counter keeps
 // climbing, and a reader declares any entry lagging past its threshold
 // failed — there is no explicit failure message anywhere in the
-// program. The TTLs only bound state: they cannot serve as the
-// detector, because g3 forwards know entries and a forwarded stale
-// entry re-derives the receiver's row with a fresh lifetime, making
-// pure TTL expiry of a well-connected entry unboundedly late. Rows for
-// a dead node do age out eventually — a counter that never rises stops
-// re-deriving them — reclaiming the memory after detection has long
-// since fired.
+// program. The TTLs only bound state. A forwarded entry (g3) carries
+// the remaining lifetime of the sender's know row, which was set when
+// the sender's maximum last changed, so a dead node's rows lapse about
+// KnowTTL after the last survivor learned its final counter: bounded,
+// but far later than staleness fires, and only reclaiming the memory
+// after detection has long since happened.
 //
 // hb and peer are events (lifetime 0): each injected heartbeat or
 // partner choice triggers its rule once against stored state and is

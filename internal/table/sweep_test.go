@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -19,11 +20,11 @@ func TestSweepSkipsTableWithNothingDue(t *testing.T) {
 		t.Fatal("an empty table has nothing due, ever")
 	}
 	e := tb.Insert(beacon("a"), 1, 0).Entry // expires at 10
-	e.Expires = 1                           // not through SetExpires: the bound stays at 10
-	if tb.ExpiryDue(5) || tb.Expired(5, nil) != nil {
+	e.Expires = 1                           // behind the table's back: the bound stays at 10
+	if tb.ExpiryDue(5) || tb.Expired(5) != nil {
 		t.Fatal("sweep at t=5 scanned a table whose bound is t=10")
 	}
-	if got := tb.Expired(10, nil); len(got) != 1 || got[0] != e {
+	if got := tb.Expired(10); len(got) != 1 || got[0] != e {
 		t.Fatalf("sweep at the bound must scan: got %v", got)
 	}
 	if hard := New("h", nil, -1, 0); hard.ExpiryDue(1e18) {
@@ -41,47 +42,26 @@ func TestSweepBoundFollowsRefresh(t *testing.T) {
 	if !tb.ExpiryDue(12) {
 		t.Fatal("the bound may lag a refresh but must not run ahead of it")
 	}
-	if got := tb.Expired(12, nil); len(got) != 0 {
+	if got := tb.Expired(12); len(got) != 0 {
 		t.Fatalf("refreshed row reported expired at t=12: %v", got)
 	}
 	if tb.ExpiryDue(14.9) || !tb.ExpiryDue(15) {
 		t.Fatalf("after the scan the bound is the refreshed expiry, 15; got %v", tb.nextExpiry)
 	}
-	// SetExpires (migration's lifetime clamp) lowers the bound with the row.
-	e, _ := tb.Get(beacon("a"))
-	tb.SetExpires(e, 13)
+	// A row stored with an earlier deadline (one inherited from its
+	// support) lowers the bound with it.
+	tb.InsertUntil(beacon("z"), 3, 13)
 	if !tb.ExpiryDue(13) {
-		t.Fatal("SetExpires must pull the bound down")
+		t.Fatal("an earlier deadline must pull the bound down")
 	}
-	if got := tb.ExpireBefore(13); len(got) != 1 || tb.Len() != 0 {
-		t.Fatalf("clamped row must expire at 13: %v", got)
+	if got := tb.ExpireBefore(13); len(got) != 1 || !got[0].Equal(beacon("z")) {
+		t.Fatalf("the row stored until 13 must expire at 13: %v", got)
+	}
+	if got := tb.ExpireBefore(15); len(got) != 1 || tb.Len() != 0 {
+		t.Fatalf("refreshed row must expire at 15: %v", got)
 	}
 	if !math.IsInf(tb.nextExpiry, 1) {
 		t.Fatalf("emptied table: bound %v, want +Inf", tb.nextExpiry)
-	}
-}
-
-// TestSweepSparedRowKeepsBoundHonest: a lapsed row the caller spares (a
-// refresh is queued for it) stays stored, and stays under the bound — if
-// the refresh never comes, the next sweep still finds it.
-func TestSweepSparedRowKeepsBoundHonest(t *testing.T) {
-	tb := New("b", []int{0}, 10, 0)
-	tb.Insert(beacon("a"), 1, 0)
-	tb.Insert(beacon("z"), 2, 0)
-	spareA := func(tp val.Tuple) bool { return tp.Equal(beacon("a")) }
-	got := tb.Expired(10, spareA)
-	if len(got) != 1 || !got[0].Tuple.Equal(beacon("z")) {
-		t.Fatalf("sweep must report z and spare a: %v", got)
-	}
-	if !tb.Contains(beacon("a")) || !tb.Contains(beacon("z")) {
-		t.Fatal("Expired must not remove rows")
-	}
-	tb.DeleteByKey(beacon("z"))
-	if !tb.ExpiryDue(10) {
-		t.Fatal("the spared row lapsed at 10: the table is still due")
-	}
-	if got := tb.Expired(10, nil); len(got) != 1 || !got[0].Tuple.Equal(beacon("a")) {
-		t.Fatalf("unspared, a must be reported: %v", got)
 	}
 }
 
@@ -99,7 +79,7 @@ func TestSweepOrderIsStampOrder(t *testing.T) {
 			}
 			tb.Insert(beacon(id), stamp, 0)
 		}
-		got := tb.Expired(10, nil)
+		got := tb.Expired(10)
 		if len(got) != len(ids) {
 			t.Fatalf("expired %d rows, want %d", len(got), len(ids))
 		}
@@ -109,5 +89,57 @@ func TestSweepOrderIsStampOrder(t *testing.T) {
 				t.Fatalf("rows %d,%d out of order: %v@%d before %v@%d", i-1, i, a.Tuple, a.Stamp, b.Tuple, b.Stamp)
 			}
 		}
+	}
+}
+
+// TestInsertUntilRefresh pins the refresh rule: a duplicate of a row with
+// a finite deadline keeps the later deadline and never counts; a hard
+// duplicate makes it hard; a soft duplicate of a hard row changes
+// nothing.
+func TestInsertUntilRefresh(t *testing.T) {
+	tb := New("b", []int{0}, -1, 0)
+	e := tb.InsertUntil(beacon("a"), 1, 10).Entry
+	for _, step := range []struct {
+		expires  float64
+		extended bool
+		want     float64
+		count    int
+	}{
+		{8, false, 10, 1},  // earlier: nothing moves
+		{12, true, 12, 1},  // later: extended, still one derivation
+		{-1, true, -1, 1},  // hard support: the row is hard now
+		{-1, false, -1, 2}, // hard duplicate of a hard row counts
+		{20, false, -1, 2}, // soft duplicate of a hard row: no change
+	} {
+		res := tb.InsertUntil(beacon("a"), 2, step.expires)
+		if res.Status != StatusDuplicate || res.Extended != step.extended || e.Expires != step.want || e.Count != step.count {
+			t.Fatalf("insert until %v: %v extended=%v expires=%v count=%d, want extended=%v expires=%v count=%d",
+				step.expires, res.Status, res.Extended, e.Expires, e.Count, step.extended, step.want, step.count)
+		}
+	}
+	if tb.ExpiryDue(1e18) && len(tb.Expired(1e18)) != 0 {
+		t.Fatal("a row made hard must never lapse")
+	}
+}
+
+// TestCatalogTablesInNameOrder: the sweep's table list stays in name
+// order as tables appear, and a list taken before a new table appears
+// is left as it was.
+func TestCatalogTablesInNameOrder(t *testing.T) {
+	c := NewCatalog()
+	c.Get("m")
+	c.Declare("b", nil, 5, 0)
+	before := c.Tables()
+	c.Get("z")
+	c.Get("a")
+	var got []string
+	for _, tb := range c.Tables() {
+		got = append(got, tb.Name())
+	}
+	if fmt.Sprint(got) != "[a b m z]" {
+		t.Errorf("tables %v, want [a b m z]", got)
+	}
+	if len(before) != 2 || before[0].Name() != "b" || before[1].Name() != "m" {
+		t.Errorf("a list taken earlier changed under its holder: %v %v", before[0].Name(), before[1].Name())
 	}
 }

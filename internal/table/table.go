@@ -49,8 +49,9 @@ type Entry struct {
 	// a delta tuple only against entries with Stamp <= the delta's stamp,
 	// which replaces the Δp/p-old bookkeeping of classic semi-naïve.
 	Stamp uint64
-	// Expires is the virtual time at which this entry dies (soft state);
-	// negative means never (hard state).
+	// Expires is the virtual time at which this entry dies — its
+	// deadline, which makes it soft state; negative means never (hard
+	// state).
 	Expires float64
 	// pkHash is the primary-key hash the entry is stored under; cached so
 	// deletes and index maintenance never rehash the tuple.
@@ -112,10 +113,10 @@ type Table struct {
 
 	idxList []*Index
 
-	// nextExpiry is a lower bound on the Expires of every live row of a
-	// soft-state table (+Inf while it holds none): a sweep at an earlier
-	// time has nothing to find and returns before scanning. Inserts,
-	// refreshes and SetExpires lower it; only a sweep's scan raises it.
+	// nextExpiry is a lower bound on the finite Expires of every live row
+	// (+Inf while there is none): a sweep at an earlier time has nothing
+	// to find and returns before scanning. Inserts lower it; a refresh
+	// only moves a deadline later, and only a sweep's scan raises it.
 	nextExpiry float64
 
 	// post, when non-nil, maps every primary-key and index hash before
@@ -384,33 +385,60 @@ type InsertResult struct {
 	// advertisement flag) keep it instead of looking the tuple up again.
 	Entry   *Entry
 	Evicted []val.Tuple
+	// Extended reports that a duplicate moved its row's deadline later
+	// (see InsertUntil).
+	Extended bool
 }
 
-// Insert adds tp with the given logical stamp at virtual time now.
-// Duplicate tuples bump the derivation count. A tuple with an existing
-// primary key but different fields replaces the old row; the displaced
-// tuple is returned so the engine can propagate its deletion. The reused
-// row starts over as the new tuple's: count one, the new stamp, not yet
-// advertised — the displaced tuple's Adv says nothing about whether the
-// new one's trigger strands have run.
+// Deadline returns the expiry a row stored at virtual time now gets from
+// the table's own lifetime: now + TTL for soft state, -1 (never) for
+// hard state.
+func (t *Table) Deadline(now float64) float64 {
+	if t.ttl < 0 {
+		return -1
+	}
+	return now + t.ttl
+}
+
+// Insert adds tp with the given logical stamp at virtual time now, under
+// the table's own lifetime: InsertUntil(tp, stamp, Deadline(now)).
 func (t *Table) Insert(tp val.Tuple, stamp uint64, now float64) InsertResult {
+	return t.InsertUntil(tp, stamp, t.Deadline(now))
+}
+
+// InsertUntil adds tp with the given logical stamp and deadline (expires
+// < 0: never). A tuple with an existing primary key but different fields
+// replaces the old row; the displaced tuple is returned so the engine
+// can propagate its deletion. The reused row starts over as the new
+// tuple's: count one, the new stamp and deadline, not yet advertised —
+// the displaced tuple's Adv says nothing about whether the new one's
+// trigger strands have run.
+//
+// A duplicate of a row with a finite deadline — soft state, declared or
+// inherited from soft support — is a refresh (Section 4.2): the row keeps
+// the later of the two deadlines and its count stays one, and Extended
+// reports whether the deadline moved. A duplicate of a hard row bumps its
+// count if it is hard too (the count algorithm); a soft one changes
+// nothing, since the row already outlives it.
+func (t *Table) InsertUntil(tp val.Tuple, stamp uint64, expires float64) InsertResult {
 	h := t.pkHash(tp)
-	expires := -1.0
-	if t.ttl >= 0 {
-		expires = now + t.ttl
+	if expires >= 0 {
 		t.nextExpiry = min(t.nextExpiry, expires)
 	}
 	head := t.rows[h]
 	if e := t.findIn(head, tp); e != nil {
 		if e.Tuple.Equal(tp) {
-			// Hard state counts derivations; soft state instead treats a
-			// duplicate insert as a refresh (the paper's soft-state
-			// model: facts are re-inserted with a new TTL, Section 4.2).
-			if t.ttl < 0 {
-				e.Count++
+			res := InsertResult{Status: StatusDuplicate, Entry: e}
+			switch {
+			case e.Expires < 0:
+				if expires < 0 {
+					e.Count++
+				}
+			case expires < 0 || expires > e.Expires:
+				e.Expires = expires
+				res.Extended = true
 			}
-			e.Expires = expires // re-insertion refreshes the TTL
-			return InsertResult{Status: StatusDuplicate, Entry: e}
+			return res
 		}
 		old := e.Tuple
 		t.removeFromIndexes(e)
@@ -573,17 +601,17 @@ func (t *Table) removeFromIndexes(e *Entry) {
 }
 
 // ExpiryDue reports whether a sweep at virtual time now could find a
-// lapsed row: false for hard state and whenever now is still below the
-// table's earliest-expiry bound.
-func (t *Table) ExpiryDue(now float64) bool { return t.ttl >= 0 && now >= t.nextExpiry }
+// lapsed row: false whenever now is still below the table's
+// earliest-expiry bound, and so always for a table with no finite
+// deadline.
+func (t *Table) ExpiryDue(now float64) bool { return now >= t.nextExpiry }
 
-// Expired returns the soft-state rows whose TTL has lapsed at virtual
-// time now and that spare (when non-nil) does not claim, ordered by Stamp
-// (ties by Tuple.Compare) so a sweep's order does not depend on map
-// iteration. The caller removes the rows it is handed: the scan
-// recomputes the earliest-expiry bound over the rows it does not report —
-// spared ones included, so the next sweep looks at them again.
-func (t *Table) Expired(now float64, spare func(val.Tuple) bool) []*Entry {
+// Expired returns the rows whose deadline has lapsed at virtual time now,
+// ordered by Stamp (ties by Tuple.Compare) so a sweep's order does not
+// depend on map iteration. The caller removes the rows it is handed:
+// the scan recomputes the earliest-expiry bound over the rows it does
+// not report.
+func (t *Table) Expired(now float64) []*Entry {
 	if !t.ExpiryDue(now) {
 		return nil
 	}
@@ -592,7 +620,7 @@ func (t *Table) Expired(now float64, spare func(val.Tuple) bool) []*Entry {
 	t.Scan(func(e *Entry) bool {
 		switch {
 		case e.Expires < 0: // never expires
-		case e.Expires <= now && (spare == nil || !spare(e.Tuple)):
+		case e.Expires <= now:
 			due = append(due, e)
 		default:
 			next = min(next, e.Expires)
@@ -609,18 +637,11 @@ func (t *Table) Expired(now float64, spare func(val.Tuple) bool) []*Entry {
 	return due
 }
 
-// SetExpires moves a stored soft-state row's expiry to at (migration
-// clamps imported lifetimes this way), keeping the sweep bound honest.
-func (t *Table) SetExpires(e *Entry, at float64) {
-	e.Expires = at
-	t.nextExpiry = min(t.nextExpiry, at)
-}
-
 // ExpireBefore removes and returns all soft-state tuples whose TTL has
 // lapsed at virtual time now.
 func (t *Table) ExpireBefore(now float64) []val.Tuple {
 	var expired []val.Tuple
-	for _, e := range t.Expired(now, nil) {
+	for _, e := range t.Expired(now) {
 		expired = append(expired, e.Tuple)
 		t.removeRow(e, false)
 	}
@@ -630,6 +651,8 @@ func (t *Table) ExpireBefore(now float64) []val.Tuple {
 // Catalog is the set of tables at one node.
 type Catalog struct {
 	tables map[string]*Table
+	// sorted holds the same tables in name order.
+	sorted []*Table
 }
 
 // NewCatalog returns an empty catalog.
@@ -643,8 +666,17 @@ func (c *Catalog) Declare(name string, keys []int, ttl float64, maxSize int) *Ta
 	}
 	t := New(name, keys, ttl, maxSize)
 	c.tables[name] = t
+	i, _ := slices.BinarySearchFunc(c.sorted, name, func(u *Table, name string) int { return cmp.Compare(u.name, name) })
+	// Clipped, so the insert copies: a caller still ranging over the old
+	// slice (an expiry sweep whose hook reads a table it creates) keeps
+	// seeing it unchanged.
+	c.sorted = slices.Insert(slices.Clip(c.sorted), i, t)
 	return t
 }
+
+// Tables returns the tables in name order. Callers must not mutate the
+// slice; a Declare or first Get replaces it with a new one.
+func (c *Catalog) Tables() []*Table { return c.sorted }
 
 // Get returns the table for name, creating a default (whole-row key,
 // hard-state) table on first use. NDlog predicates without a materialize
@@ -664,11 +696,10 @@ func (c *Catalog) Has(name string) bool {
 
 // Names returns the declared table names in sorted order.
 func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
+	out := make([]string, len(c.sorted))
+	for i, t := range c.sorted {
+		out[i] = t.name
 	}
-	sort.Strings(out)
 	return out
 }
 
