@@ -6,7 +6,9 @@
 // also report the rewrites the planner would perform — the localized
 // rule set (Algorithm 2) and, under -v, each detected aggregate
 // selection (Section 5.1.1) with the planner's verdict: "pruned", or
-// "not pruned: rule <label> …" naming the rule that defeats the proof.
+// "not pruned: rule <label> …" naming the rule that defeats the proof,
+// and each predicate's primary key, declared or inferred (DESIGN.md §14
+// "Keys the rules imply").
 //
 // Usage:
 //
@@ -24,7 +26,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"ndlog/internal/analysis"
 	"ndlog/internal/parser"
@@ -127,7 +131,18 @@ func checkFile(file string, localize, verbose, asJSON, werror bool, stdout, stde
 		fmt.Fprintf(stdout, "%s: OK (%d rules, %d facts, %d materialized tables)\n",
 			file, len(prog.Rules), len(prog.Facts), len(prog.Materialized))
 	}
-	if verbose && !asJSON {
+	if asJSON || !verbose && !localize {
+		return out, true
+	}
+	// -v lists keys for the program the engine runs, and -localize prints
+	// it: the localized one, whose generated predicates (path_d1) get
+	// inferred keys too.
+	lp, err := planner.Localize(prog)
+	if err != nil {
+		fmt.Fprintln(stderr, "ndcheck: localize:", err)
+		return out, false
+	}
+	if verbose {
 		links := planner.LinkRelations(prog)
 		fmt.Fprintf(stdout, "link relations: %v\n", keys(links))
 		idb := planner.IDBPredicates(prog)
@@ -149,13 +164,20 @@ func checkFile(file string, localize, verbose, asJSON, werror bool, stdout, stde
 			fmt.Fprintf(stdout, "aggregate selection: %s over %s (%s, group %v, value col %d) — %s\n",
 				sel.AggPred, sel.SrcPred, sel.Func, sel.GroupCols, sel.ValueCol, note)
 		}
-	}
-	if localize && !asJSON {
-		lp, err := planner.Localize(prog)
-		if err != nil {
-			fmt.Fprintln(stderr, "ndcheck: localize:", err)
-			return out, false
+		ks := analysis.Keys(lp)
+		for _, name := range slices.Sorted(maps.Keys(ks)) {
+			k, how := ks[name], "declared"
+			switch {
+			case k.Inferred:
+				how = "inferred"
+			case k.Cols == nil:
+				how = "default"
+			}
+			k.Inferred = false
+			fmt.Fprintf(stdout, "key: %s %s (%s)\n", name, k, how)
 		}
+	}
+	if localize {
 		fmt.Fprintln(stdout, "\n// localized program (Algorithm 2):")
 		fmt.Fprint(stdout, lp.String())
 	}

@@ -153,3 +153,22 @@ func TestVerbosePrintsSelectionVerdicts(t *testing.T) {
 		}
 	}
 }
+
+// TestVerbosePrintsKeys: -v lists every predicate's key of the program
+// the engine runs, as declared, inferred from the rules, or the default
+// whole row.
+func TestVerbosePrintsKeys(t *testing.T) {
+	code, out, _ := runCheck(t, "-v", cleanFile)
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	for _, want := range []string{
+		"key: path pk(0,1,3) (declared)",
+		"key: path_d1 pk(0,1) (inferred)",
+		"key: shortestPath pk(0,1,2) (inferred)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}

@@ -73,6 +73,7 @@ const (
 	CheckUnusedVar    = "unused-var"    // assigned but never used
 	CheckSingleton    = "singleton"     // variable occurs exactly once
 	CheckCountCycle   = "count-cycle"   // hard-state recursion with no path-vector guard
+	CheckKey          = "key"           // declared key a deriving rule contradicts
 )
 
 // Diagnostic is one analyzer finding.
@@ -110,6 +111,7 @@ func Analyze(prog *ast.Program) []Diagnostic {
 	c.checkLifetime(prog)
 	c.checkEvents(prog)
 	c.checkCountCycles(prog)
+	c.checkKeys(prog)
 	c.checkReachability(prog)
 	c.checkAggArgs(prog)
 	c.checkVarLints(prog)

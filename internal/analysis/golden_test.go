@@ -56,7 +56,7 @@ func TestCorpusCoversEveryCheck(t *testing.T) {
 		CheckUnbound, CheckRebind, CheckAggMulti, CheckArity, CheckType,
 		CheckBuiltin, CheckSafety, CheckLifetime, CheckAggArg,
 		CheckDeadRule, CheckUnreachable, CheckUnusedVar, CheckSingleton,
-		CheckEvent, CheckCountCycle,
+		CheckEvent, CheckCountCycle, CheckKey,
 	}
 	seen := map[string]bool{}
 	files, _ := filepath.Glob(filepath.Join(corpusDir, "*.ndl"))

@@ -69,13 +69,17 @@ func TestAggregateNetsIntermediateSteps(t *testing.T) {
 	}
 
 	// Incremental single-row path still works: re-gate, then a better
-	// item replaces the stored max with one delete+insert pair.
+	// item replaces the stored max. best is keyed on its group, so the
+	// new value replaces the old one by itself: one +best(12), no
+	// retraction (DESIGN.md §15).
 	c.Insert(val.NewTuple("gate", val.NewAddr("n")))
 	emitted = nil
 	c.Insert(item("d", 12))
-	if len(emitted) != 2 || emitted[0].Sign != -1 || emitted[0].Tuple.Fields[1].Int() != 9 ||
-		emitted[1].Sign != +1 || emitted[1].Tuple.Fields[1].Int() != 12 {
-		t.Fatalf("improvement emitted %v, want -best(9) +best(12)", emitted)
+	if len(emitted) != 1 || emitted[0].Sign != +1 || emitted[0].Tuple.Fields[1].Int() != 12 {
+		t.Fatalf("improvement emitted %v, want +best(12)", emitted)
+	}
+	if rows := c.Tuples("best"); len(rows) != 1 || rows[0].Fields[1].Int() != 12 {
+		t.Fatalf("best = %v, want (n,12)", rows)
 	}
 }
 
@@ -107,9 +111,9 @@ func route(via string, cost int64) val.Tuple {
 
 // TestReplacementIsOneAggregateWindow: a key replacement takes the
 // displaced row out of its group and puts the new one in inside one
-// netting window, so a minimum that moves c → alt → c' emits one
-// retract/insert pair, and one that comes back to c — or that neither
-// row ever was — emits nothing.
+// netting window, so a minimum that moves c → alt → c' emits one change
+// — +c' alone, which replaces c under cheapest's key — and one that
+// comes back to c — or that neither row ever was — emits nothing.
 func TestReplacementIsOneAggregateWindow(t *testing.T) {
 	var emitted []Delta
 	c := central(t, replaceSrc, Options{
@@ -123,12 +127,11 @@ func TestReplacementIsOneAggregateWindow(t *testing.T) {
 	c.Insert(route("x", 5))
 	c.Insert(route("y", 8)) // the alternate
 
-	// 5 → (8) → 6: one pair, not −5 +8 −8 +6.
+	// 5 → (8) → 6: one insertion, not −5 +8 −8 +6.
 	emitted = nil
 	c.Insert(route("x", 6))
-	if len(emitted) != 2 || emitted[0].Sign != -1 || cost(emitted[0]) != 5 ||
-		emitted[1].Sign != +1 || cost(emitted[1]) != 6 {
-		t.Fatalf("5 -> alt -> 6 emitted %v, want -cheapest(5) +cheapest(6)", emitted)
+	if len(emitted) != 1 || emitted[0].Sign != +1 || cost(emitted[0]) != 6 {
+		t.Fatalf("5 -> alt -> 6 emitted %v, want +cheapest(6)", emitted)
 	}
 
 	// The replaced row is not the minimum and does not become it.

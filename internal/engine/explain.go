@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"ndlog/internal/analysis"
 	"ndlog/internal/ast"
 )
 
@@ -64,9 +65,9 @@ func Explain(prog *ast.Program) (string, error) {
 	sort.Strings(names)
 	b.WriteString("indexes\n")
 	for _, name := range names {
-		key := "whole row"
+		key := analysis.Key{Inferred: p.inferred[name]}
 		if d := p.decls[name]; d != nil && len(d.Keys) > 0 {
-			key = "pk" + colList(d.Keys, "(", ")")
+			key.Cols = d.Keys
 		}
 		var ixs []string
 		for _, ix := range p.indexes[name] {

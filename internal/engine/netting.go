@@ -18,6 +18,12 @@ type Netting struct {
 	// change: the displaced row was not, and its replacement did not
 	// become, its group's value.
 	ReplaceSilent uint64
+	// QueueFolded is the number of retractions the node's PSN queue
+	// folded into the insertion that replaced them (Node.push).
+	QueueFolded uint64
+	// PairedWalks is the number of strand runs that walked both tuples of
+	// a key replacement at once (Node.runPair).
+	PairedWalks uint64
 }
 
 // Add accumulates b into a, counter by counter.
@@ -25,6 +31,8 @@ func (a *Netting) Add(b Netting) {
 	a.WireFolded += b.WireFolded
 	a.ReplaceWindows += b.ReplaceWindows
 	a.ReplaceSilent += b.ReplaceSilent
+	a.QueueFolded += b.QueueFolded
+	a.PairedWalks += b.PairedWalks
 }
 
 // Netting returns the node's replacement-netting counters.

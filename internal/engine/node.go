@@ -72,7 +72,8 @@ type Options struct {
 	// exploration.
 	StrandFilter func(n *Node, ruleLabel string, d Delta) bool
 	// OnStore observes every accepted store/retract at a node, for the
-	// experiment harness ("% results over time").
+	// experiment harness ("% results over time"). A key replacement is
+	// reported as the displaced tuple's retraction, then the insertion.
 	OnStore func(nodeID string, d Delta, now float64)
 	// OnDerive observes every derived head tuple before routing, with
 	// the label of the deriving rule. Used by watch(...) tracing. The
@@ -134,9 +135,12 @@ type Node struct {
 	// there.
 	out []OutDelta
 	// net is the scratch of Drain's replacement fold over out, and netting
-	// the counters of both halves of "a replacement is one delta".
+	// the counters of "a replacement is one delta".
 	net     outNet
 	netting Netting
+	// pairLabel is the scratch of a paired walk (runPair): the rule whose
+	// heads emitPair routes.
+	pairLabel string
 
 	aggs map[*ast.Rule]*aggState
 	// sels maps a source predicate to the aggregate-selection controls
@@ -298,6 +302,7 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 		}
 	}
 	n.jc.res = n.res
+	n.jc.pairEmit = n.emitPair
 	// One slot environment sized for the widest rule serves every strand
 	// run at this node (the engine is single-threaded per node).
 	n.jc.env = funcs.NewSlotEnv(prog.maxSlots)
@@ -349,6 +354,28 @@ func (n *Node) Now() float64 { return n.now }
 
 // Push enqueues a delta for processing.
 func (n *Node) Push(d Delta) { n.queue.push(d) }
+
+// push enqueues a delta a strand routed to this node, under PSN folding a
+// retraction and the insertion that replaces it into one replacement
+// (deltaQueue.pushFold). Only fold-eligible predicates take part, and an
+// insertion only while a retraction of its predicate is queued. SN rounds
+// are not folded: SN stays the reference the equivalence suites hold the
+// fold against. Deltas a driver delivers (Push) are not folded either:
+// their sender's wire pass folded the pairs that travel together, and a
+// retraction that arrives alone would make every insertion of its
+// predicate behind it pay a lookup — 267 k of the 343 k pushes of the
+// dv100 cold start, for no fold.
+func (n *Node) push(d Delta) {
+	if n.opts.Mode == PSN && (d.Sign < 0 || n.queue.folds(d.Tuple.Pred)) {
+		if cols := n.prog.foldKeys[d.Tuple.Pred]; cols != nil {
+			if n.queue.pushFold(d, cols) {
+				n.netting.QueueFolded++
+			}
+			return
+		}
+	}
+	n.queue.push(d)
+}
 
 // SetJournal installs fn as the node's durability tap: every delta the
 // evaluator processes on a recoverable predicate — soft state of any
@@ -404,6 +431,7 @@ func (n *Node) DrainInto(dst []OutDelta) []OutDelta {
 	// context's last retracted tuple, the one it came in.
 	n.carve.Reset()
 	n.jc.deleted = val.Tuple{}
+	clear(n.jc.pairDiff)
 	// Stable-sort by destination (per-destination relative order
 	// preserved), so drivers can group contiguous runs per destination
 	// without a map.
@@ -580,45 +608,137 @@ func (n *Node) storeInsert(d Delta, stamp uint64) (storedRow, bool) {
 // insertion: the displaced tuple leaves and the new one enters each
 // aggregate inside one netting window (see aggRun.pend), so a group whose
 // value the pair moves c → alt → c' emits one change and a group it
-// leaves where it was emits none; only then do the displaced tuple's
-// deletion strands and the new tuple's insertion strands run, and the
-// group is checked for an unadvertised best once, at the end.
+// leaves where it was emits none; then the normal strands walk both
+// tuples (runReplacement) — or, when an aggregate selection prunes the
+// new one, only the displaced tuple's deletion — and the group is
+// checked for an unadvertised best once, at the end.
 func (n *Node) afterStore(r storedRow, ltBefore, leAfter int64) {
-	replaced := r.old.Pred != ""
 	if n.opts.OnStore != nil {
-		if replaced {
+		if r.old.Pred != "" {
 			n.opts.OnStore(n.id, Deletion(r.old), n.now)
 		}
 		n.opts.OnStore(n.id, Insert(r.t), n.now)
 	}
 	improving, contributed := n.runAggStrands(r.old, r.t, ltBefore, leAfter)
-	if replaced {
+	adv := n.advertises(r, improving, contributed)
+	switch {
+	case r.old.Pred == "":
+		if adv {
+			n.runNormalStrands(+1, r.t, r.dl, ltBefore, leAfter)
+		}
+		return
+	case adv:
+		n.runReplacement(r, ltBefore, leAfter)
+	default:
 		n.runNormalStrands(-1, r.old, never, noLimit, noLimit)
 	}
-	n.advertise(r, improving, contributed, ltBefore, leAfter)
-	if replaced {
-		n.readvertiseGroups(r.old)
-	}
+	n.readvertiseGroups(r.old)
 }
 
-// advertise runs the trigger strands of a newly stored tuple unless an
-// aggregate selection prunes it: improving and contributed are
-// runAggStrands' verdicts on its insertion.
-func (n *Node) advertise(r storedRow, improving, contributed bool, ltBefore, leAfter int64) {
+// advertises reports whether a newly stored tuple's trigger strands run,
+// marking its row advertised if so: not when an aggregate selection
+// prunes it. improving and contributed are runAggStrands' verdicts on
+// its insertion.
+func (n *Node) advertises(r storedRow, improving, contributed bool) bool {
 	if ctrls := n.sels[r.t.Pred]; len(ctrls) > 0 && contributed {
 		if n.periodic {
 			// Periodic mode: defer everything to the flush timer.
 			for _, c := range ctrls {
 				n.addPending(c, r.t)
 			}
-			return
+			return false
 		}
 		if !improving {
-			return
+			return false
 		}
 	}
 	markAdv(r.e, r.t)
-	n.runNormalStrands(+1, r.t, r.dl, ltBefore, leAfter)
+	return true
+}
+
+// runReplacement runs the normal strands of a key replacement r whose new
+// tuple is advertised (DESIGN.md §15, "One walk for both halves"). A
+// strand whose partners cannot tell the two tuples apart — no trigger
+// binding that differs between them is read by another body atom —
+// walks them once (runPair). Every other strand runs the displaced
+// tuple's deletion, and only after all of them the new tuple's
+// insertion, as the two halves of an update always ran. Soft state
+// always takes the halves: its heads never fold.
+func (n *Node) runReplacement(r storedRow, ltBefore, leAfter int64) {
+	strands := n.prog.strands[r.t.Pred]
+	pairing := r.dl == never && n.opts.StrandFilter == nil
+	var paired uint64 // bit i: strands[i] walks both tuples at once
+	for i, st := range strands {
+		if st.isAgg {
+			continue
+		}
+		if pairing && i < 64 && st.pairable(r.old, r.t) {
+			paired |= 1 << i
+			continue
+		}
+		n.runStrand(st, -1, r.old, never, noLimit, noLimit)
+	}
+	for i, st := range strands {
+		if st.isAgg {
+			continue
+		}
+		if paired&(1<<i) != 0 {
+			if n.runPair(st, r, ltBefore, leAfter) {
+				continue
+			}
+			n.runStrand(st, -1, r.old, never, noLimit, noLimit)
+		}
+		n.runStrand(st, +1, r.t, r.dl, ltBefore, leAfter)
+	}
+}
+
+// runPair walks strand st once for both tuples of replacement r
+// (strand.runPair): each partner derives the displaced tuple's head under
+// a deletion's unrestricted join and the new tuple's under the
+// insertion's stamp bounds and deadline, and emitPair routes what the
+// pair comes to. It reports false, having derived nothing, when a tuple
+// does not unify with the trigger; the caller then runs the halves.
+func (n *Node) runPair(st *strand, r storedRow, ltBefore, leAfter int64) bool {
+	ctx := n.resetCtx(+1, r.t, r.dl, ltBefore, leAfter)
+	// A deletion's join for the displaced half: no partner lapses, and the
+	// self-join correction names the trigger's predicate, which a pairable
+	// strand joins nowhere else.
+	ctx.pair, ctx.hasDeleted, ctx.deleted, ctx.pairCarve = true, true, r.old, &n.carve
+	n.pairLabel = st.rule.Label
+	ok, err := st.runPair(ctx, r.old, r.t)
+	ctx.pair = false
+	if err != nil {
+		panic(fmt.Sprintf("engine: rule %s: %v", st.rule.Label, err))
+	}
+	if ok {
+		n.netting.PairedWalks++
+	}
+	return ok
+}
+
+// emitPair routes one partner's two heads from a paired walk: the
+// displaced tuple's (old, a retraction) and the new tuple's (w, an
+// insertion), each present or not. Two hard heads bound for one place
+// under one fold-eligible key, and different, come to +w alone: it
+// replaces old's row at the destination exactly as −old, +w would
+// (DESIGN.md §15's table). Anything else goes out as both halves —
+// equal heads too: cancelling them is sound only if old's head was sent,
+// which a row an aggregate selection pruned never did (the "−a … +a"
+// trap).
+func (n *Node) emitPair(old, w derived, hasOld, hasNew bool) {
+	label := n.pairLabel
+	if hasOld && hasNew && old.loc == w.loc && w.deadline == never {
+		if cols := n.prog.foldKeys[w.tuple.Pred]; cols != nil && sameKey(old.tuple, w.tuple, cols) && !old.tuple.Equal(w.tuple) {
+			n.route(w, +1, label)
+			return
+		}
+	}
+	if hasOld {
+		n.route(old, -1, label)
+	}
+	if hasNew {
+		n.route(w, +1, label)
+	}
 }
 
 // markAdv records that t's trigger strands have run, on the row t was
@@ -797,7 +917,9 @@ func (n *Node) runAggStrands(del, ins val.Tuple, ltBefore, leAfter int64) (impro
 			}
 			silent = false
 			fields := ar.fields[i*nf : (i+1)*nf]
-			if p.hadOld {
+			// A group's new value under a fold-eligible key replaces its
+			// old one by itself (DESIGN.md §15's table).
+			if p.hadOld && !(p.hasNew && st.aggFolds) {
 				n.route(derived{tuple: aggHead(st, p.pred, fields, p.oldV, &n.carve), loc: p.loc, deadline: never}, -1, st.rule.Label)
 			}
 			if p.hasNew {
@@ -964,6 +1086,7 @@ func (n *Node) resetCtx(sign int8, t val.Tuple, dl float64, ltBefore, leAfter in
 	n.jc.deadline, n.jc.now = dl, n.now
 	n.jc.hasDeleted = sign < 0
 	n.jc.carve, n.jc.keepAt = nil, ""
+	n.jc.pair = false
 	if sign < 0 {
 		n.jc.ltBefore, n.jc.leAfter = noLimit, noLimit
 		n.jc.deleted = t
@@ -977,21 +1100,24 @@ func (n *Node) resetCtx(sign int8, t val.Tuple, dl float64, ltBefore, leAfter in
 // runNormalStrands executes the non-aggregate trigger strands for a
 // delta whose trigger row has deadline dl.
 func (n *Node) runNormalStrands(sign int8, t val.Tuple, dl float64, ltBefore, leAfter int64) {
-	ctx := n.resetCtx(sign, t, dl, ltBefore, leAfter)
-	d := Delta{Sign: sign, Tuple: t}
 	for _, st := range n.prog.strands[t.Pred] {
-		if st.isAgg {
-			continue
+		if !st.isAgg {
+			n.runStrand(st, sign, t, dl, ltBefore, leAfter)
 		}
-		if n.opts.StrandFilter != nil && !n.opts.StrandFilter(n, st.rule.Label, d) {
-			continue
-		}
-		err := st.run(ctx, t, func(dr derived) {
-			n.route(dr, sign, st.rule.Label)
-		})
-		if err != nil {
-			panic(fmt.Sprintf("engine: rule %s: %v", st.rule.Label, err))
-		}
+	}
+}
+
+// runStrand executes one non-aggregate strand for a delta, unless the
+// StrandFilter skips it.
+func (n *Node) runStrand(st *strand, sign int8, t val.Tuple, dl float64, ltBefore, leAfter int64) {
+	if n.opts.StrandFilter != nil && !n.opts.StrandFilter(n, st.rule.Label, Delta{Sign: sign, Tuple: t}) {
+		return
+	}
+	err := st.run(n.resetCtx(sign, t, dl, ltBefore, leAfter), t, func(dr derived) {
+		n.route(dr, sign, st.rule.Label)
+	})
+	if err != nil {
+		panic(fmt.Sprintf("engine: rule %s: %v", st.rule.Label, err))
 	}
 }
 
@@ -1006,7 +1132,7 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 		n.opts.OnDerive(n.id, ruleLabel, delta)
 	}
 	if n.central || d.loc == n.id {
-		n.queue.push(delta)
+		n.push(delta)
 		return
 	}
 	n.out = append(n.out, OutDelta{Dst: d.loc, Delta: delta})

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
+	"ndlog/internal/analysis"
 	"ndlog/internal/ast"
 	"ndlog/internal/funcs"
 	"ndlog/internal/planner"
@@ -31,6 +33,33 @@ type strand struct {
 	// paths[i] is the access path through which the join reaches the
 	// stored rows of atom i (program.planAccess); unused for the trigger.
 	paths []accessPath
+	// partner marks the slots another body atom reads; selfJoin that one
+	// of them is the trigger's predicate. Both decide pairable.
+	partner  []bool
+	selfJoin bool
+	// aggFolds marks an aggregate strand whose head predicate is
+	// fold-eligible under a key of group columns only: a group's new
+	// value replaces its old one without a retraction (runAggStrands).
+	aggFolds bool
+}
+
+// pairable reports whether the strand can walk a key replacement old →
+// new once (Node.runReplacement): it is a normal strand joining no other
+// atom of the trigger's predicate — whose stored rows would hold new
+// where the deletion's join must see old — and every trigger column on
+// which the tuples differ binds a slot no other atom reads, so that both
+// tuples have the same partners.
+func (s *strand) pairable(old, new val.Tuple) bool {
+	args := s.code.args[s.trigger]
+	if s.isAgg || s.selfJoin || len(old.Fields) != len(args) || len(new.Fields) != len(args) {
+		return false
+	}
+	for i, a := range args {
+		if a.kind == argSlot && s.partner[a.slot] && !old.Fields[i].Equal(new.Fields[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // accessKind is how a strand reaches the stored rows of a body atom.
@@ -410,13 +439,18 @@ type Program struct {
 	// exactly the P2 semantics: events never co-occur with anything and
 	// cannot be retracted.
 	events map[string]bool
-	// foldKeys holds the primary-key columns of the predicates whose key
-	// replacements Drain folds on the wire (Node.foldReplacements): stored
-	// hard state with a declared key and no size bound. A whole-row key
-	// admits no replacement; a soft-state refresh is not a count; and a
-	// bounded table evicts in arrival order, which a dropped retraction
-	// would change.
+	// foldKeys holds the primary-key columns of the fold-eligible
+	// predicates — stored hard state with a key narrower than its row,
+	// declared or inferred, and no size bound — whose key replacements are
+	// one delta: in the local queue (Node.push), in a paired strand walk
+	// and on the wire (Node.foldReplacements). A whole-row key admits no
+	// replacement; a soft-state refresh is not a count; and a bounded table
+	// evicts in arrival order, which a dropped retraction would change.
 	foldKeys map[string][]int
+	// inferred marks the predicates whose key the rules imply
+	// (analysis.Keys) rather than a declaration: decls holds a
+	// declaration carrying it, as if it had been written.
+	inferred map[string]bool
 }
 
 // Compile checks, localizes and compiles prog into strands.
@@ -436,14 +470,28 @@ func Compile(prog *ast.Program) (*Program, error) {
 		derived:  map[string]bool{},
 		events:   map[string]bool{},
 		foldKeys: map[string][]int{},
+		inferred: map[string]bool{},
 	}
 	for _, d := range local.Materialized {
 		p.decls[d.Name] = d
 		if d.IsEvent() {
 			p.events[d.Name] = true
 		}
-		if d.Lifetime < 0 && d.MaxSize <= 0 && len(d.Keys) > 0 {
-			p.foldKeys[d.Name] = d.Keys
+	}
+	for pred, k := range analysis.Keys(local) {
+		d := p.decls[pred]
+		if k.Inferred {
+			inf := ast.TableDecl{Name: pred, Lifetime: -1}
+			if d != nil {
+				inf = *d
+			}
+			inf.Keys = k.Cols
+			d = &inf
+			p.decls[pred] = d
+			p.inferred[pred] = true
+		}
+		if k.Cols != nil && d.Lifetime < 0 && d.MaxSize <= 0 {
+			p.foldKeys[pred] = k.Cols
 		}
 	}
 	for _, s := range planner.DetectAggSelections(local) {
@@ -492,6 +540,21 @@ func Compile(prog *ast.Program) (*Program, error) {
 				aggIdx:  aggIdx,
 			}
 			p.planAccess(st)
+			st.partner = make([]bool, code.nslots)
+			for j, a := range atoms {
+				if j == i {
+					continue
+				}
+				st.selfJoin = st.selfJoin || a.Pred == atoms[i].Pred
+				for _, arg := range code.args[j] {
+					if arg.kind == argSlot {
+						st.partner[arg.slot] = true
+					}
+				}
+			}
+			if keys := p.foldKeys[r.Head.Pred]; st.isAgg && keys != nil {
+				st.aggFolds = !slices.Contains(keys, aggIdx)
+			}
 			p.strands[atoms[i].Pred] = append(p.strands[atoms[i].Pred], st)
 			if i == 0 && !st.isAgg {
 				p.sweep = append(p.sweep, st)
@@ -647,6 +710,17 @@ type joinCtx struct {
 	// the elements of a fused list.
 	headBuf []val.Value
 	listBuf []val.Value
+	// pair marks a paired walk (strand.runPair): the trigger's slots hold
+	// the displaced tuple's bindings and pairDiff those on which the new
+	// tuple's differ; every partner is accepted, as for a deletion, and
+	// one that the stamp bounds reject, or whose deadline has passed,
+	// leaves the new tuple's head out. pairCarve carves the displaced
+	// tuple's heads, which are retractions, and pairEmit receives each
+	// partner's two heads.
+	pair      bool
+	pairDiff  []pairSlot
+	pairCarve *val.Carver
+	pairEmit  func(old, new derived, hasOld, hasNew bool)
 	// carve, when set, carves derived heads from the node's drain-owned
 	// chunks instead of allocating each exactly; a head homed at keepAt,
 	// when keepAt is set, is exempt. Whoever resets the context for a
@@ -657,6 +731,12 @@ type joinCtx struct {
 	// node's id). A context built for anything else leaves carve nil.
 	carve  *val.Carver
 	keepAt string
+}
+
+// pairSlot is one trigger slot a paired walk binds two ways.
+type pairSlot struct {
+	slot     int32
+	old, new val.Value
 }
 
 // strandRes is one node's resolved handles for one strand: the table of
@@ -683,6 +763,46 @@ func (s *strand) run(ctx *joinCtx, delta val.Tuple, emit func(derived)) error {
 		return nil
 	}
 	return s.joinFrom(ctx, 0, ctx.deadline, emit)
+}
+
+// runPair evaluates the strand once for the key replacement old → new of
+// a pairable trigger (ctx.pair set): each complete join derives old's
+// head and, within the new tuple's stamp bounds and deadline, new's, from
+// the same partners, and hands both to ctx.pairEmit. It reports false,
+// having derived nothing, when either tuple does not unify with the
+// trigger.
+func (s *strand) runPair(ctx *joinCtx, old, new val.Tuple) (bool, error) {
+	if ctx.env == nil || ctx.env.Len() < s.code.nslots {
+		ctx.env = funcs.NewSlotEnv(s.code.nslots)
+	}
+	args := s.code.args[s.trigger]
+	ctx.env.Reset()
+	if !unifySlots(args, new, ctx.env) {
+		return false, nil
+	}
+	ctx.pairDiff = ctx.pairDiff[:0]
+	for i, a := range args {
+		if a.kind == argSlot {
+			ctx.pairDiff = append(ctx.pairDiff, pairSlot{slot: a.slot, new: new.Fields[i]})
+		}
+	}
+	ctx.env.Reset()
+	if !unifySlots(args, old, ctx.env) {
+		return false, nil
+	}
+	k := 0
+	for _, d := range ctx.pairDiff {
+		if v := ctx.env.Value(int(d.slot)); !v.Equal(d.new) {
+			d.old = v
+			ctx.pairDiff[k] = d
+			k++
+		}
+	}
+	clear(ctx.pairDiff[k:])
+	ctx.pairDiff = ctx.pairDiff[:k]
+	ctx.tr = ctx.tr[:0]
+	ctx.cur = ctx.res[s]
+	return true, s.joinFrom(ctx, 0, ctx.deadline, nil)
 }
 
 // lapses reports whether a binding with deadline dl supports nothing at
@@ -713,12 +833,11 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, dl float64, emit func(derived))
 	args := s.code.args[idx]
 
 	tryEntry := func(t val.Tuple, stamp int64, until float64) error {
-		if idx < s.trigger {
-			if stamp >= ctx.ltBefore {
+		if idx < s.trigger && stamp >= ctx.ltBefore || idx > s.trigger && stamp > ctx.leAfter {
+			if !ctx.pair {
 				return nil
 			}
-		} else if stamp > ctx.leAfter {
-			return nil
+			until = math.Inf(-1) // a partner of the displaced tuple only
 		}
 		until = min(dl, until)
 		if s.lapses(ctx, until) {
@@ -789,36 +908,88 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, dl float64, emit func(derived))
 }
 
 // finish evaluates the tail (assignments, selections) and instantiates
-// the head, whose deadline is dl. Aggregate rules stop before head
-// instantiation; the caller routes them through GroupAgg. Assignment
-// bindings go on the trail so sibling join candidates see a clean
-// environment.
+// the head, whose deadline is dl — both heads, under a paired walk
+// (finishPair). Aggregate rules stop before head instantiation; the
+// caller routes them through GroupAgg. Assignment bindings go on the
+// trail so sibling join candidates see a clean environment.
 func (s *strand) finish(ctx *joinCtx, dl float64, emit func(derived)) error {
+	if ctx.pair {
+		return s.finishPair(ctx, dl)
+	}
 	mark := len(ctx.tr)
 	defer ctx.unwind(mark)
+	head, ok, err := s.head(ctx)
+	if ok {
+		emit(derived{tuple: head, loc: head.Loc(), deadline: dl})
+	}
+	return err
+}
+
+// finishPair derives a paired walk's two heads from one complete join:
+// the displaced tuple's from the bindings as they are, carved as a
+// retraction, and — unless this join left it out (dl at or before now) —
+// the new tuple's with the differing trigger slots rebound, which no
+// partner read.
+func (s *strand) finishPair(ctx *joinCtx, dl float64) error {
+	mark := len(ctx.tr)
+	carve, keepAt := ctx.carve, ctx.keepAt
+	ctx.carve, ctx.keepAt = ctx.pairCarve, ""
+	old, hasOld, err := s.head(ctx)
+	ctx.carve, ctx.keepAt = carve, keepAt
+	ctx.unwind(mark)
+	if err != nil {
+		return err
+	}
+	var w val.Tuple
+	hasNew := dl > ctx.now
+	if hasNew {
+		for _, d := range ctx.pairDiff {
+			ctx.env.Bind(int(d.slot), d.new)
+		}
+		w, hasNew, err = s.head(ctx)
+		ctx.unwind(mark)
+		for _, d := range ctx.pairDiff {
+			ctx.env.Bind(int(d.slot), d.old)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	var o, n derived
+	if hasOld {
+		o = derived{tuple: old, loc: old.Loc(), deadline: dl}
+	}
+	if hasNew {
+		n = derived{tuple: w, loc: w.Loc(), deadline: dl}
+	}
+	if hasOld || hasNew {
+		ctx.pairEmit(o, n, hasOld, hasNew)
+	}
+	return nil
+}
+
+// head evaluates the tail and instantiates the head; ok is false when a
+// selection fails. The caller unwinds the assignments' bindings.
+func (s *strand) head(ctx *joinCtx) (head val.Tuple, ok bool, err error) {
 	for _, op := range s.code.tail {
 		if op.assignSlot >= 0 {
 			v, err := op.expr.Eval(ctx.env)
 			if err != nil {
-				return fmt.Errorf("rule %s: %w", s.rule.Label, err)
+				return head, false, fmt.Errorf("rule %s: %w", s.rule.Label, err)
 			}
 			ctx.bind(op.assignSlot, v)
 		} else {
 			ok, err := op.expr.EvalBool(ctx.env)
 			if err != nil {
-				return fmt.Errorf("rule %s: %w", s.rule.Label, err)
+				return head, false, fmt.Errorf("rule %s: %w", s.rule.Label, err)
 			}
 			if !ok {
-				return nil
+				return head, false, nil
 			}
 		}
 	}
-	head, err := s.instantiateHead(ctx)
-	if err != nil {
-		return err
-	}
-	emit(derived{tuple: head, loc: head.Loc(), deadline: dl})
-	return nil
+	head, err = s.instantiateHead(ctx)
+	return head, err == nil, err
 }
 
 // instantiateHead builds the head tuple from the slot environment: the

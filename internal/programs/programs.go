@@ -23,10 +23,15 @@ import (
 //
 // Table keys: path's primary key is (src, dst, pathVector), so a link
 // cost update re-derives the same vector with a new cost and replaces
-// the old row (update = delete + insert, Section 4). shortestPath uses
-// the whole row as its key: equal-cost ties coexist, which the count
-// algorithm requires — a (src,dst)-keyed table would let one tie replace
-// another and lose the survivor's derivation count.
+// the old row (update = delete + insert, Section 4). shortestPath is
+// declared on its whole row; the engine infers the narrower key
+// (src, dst, pathVector) from sp4, because spCost's key fixes the cost
+// of a (src, dst) pair (DESIGN.md §14, "Keys the rules imply"). So a
+// re-costed shortest path replaces its row, while equal-cost ties, which
+// differ in their vector, still coexist, as the count algorithm
+// requires — a (src,dst)-keyed table would let one tie replace another
+// and lose the survivor's derivation count (ndcheck reports that key as
+// contradicted by sp4).
 func ShortestPath(sfx string) string {
 	return shortestPathKeyed(sfx, "keys(1,2,4)")
 }
@@ -47,7 +52,9 @@ func ShortestPath(sfx string) string {
 // can only retract exactly what was derived). Keying on the vector
 // gives every advertised optimum its own row; replacement still
 // collapses same-vector cost updates, the one case where
-// last-writer-wins is sound on FIFO links.
+// last-writer-wins is sound on FIFO links. shortestPath's key is
+// inferred as for ShortestPath: (src, dst, pathVector), with ties
+// coexisting.
 func ShortestPathDV(sfx string) string {
 	r := func(name string) string { return name + sfx }
 	return fmt.Sprintf(`
