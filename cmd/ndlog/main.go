@@ -161,9 +161,9 @@ func main() {
 			fail(fmt.Errorf("execution did not quiesce"))
 		}
 		net := cl.Netting()
-		fmt.Printf("// distributed: %d nodes, %d messages, %d bytes, converged at %.3fs; netted %d wire retractions, %d queue retractions, %d paired walks, %d replacement windows (%d silent)\n",
+		fmt.Printf("// distributed: %d nodes, %d messages, %d bytes, converged at %.3fs; netted %d queue retractions, %d paired walks, %d replacement windows (%d silent)\n",
 			len(cl.Nodes()), sim.Messages(), sim.Bytes(), sim.LastDelivery(),
-			net.WireFolded, net.QueueFolded, net.PairedWalks, net.ReplaceWindows, net.ReplaceSilent)
+			net.QueueFolded, net.PairedWalks, net.ReplaceWindows, net.ReplaceSilent)
 		results = cl.Tuples
 	} else {
 		c, err := engine.NewCentral(prog, opts)

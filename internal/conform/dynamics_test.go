@@ -212,20 +212,11 @@ func TestDistributedDynamicsProperty(t *testing.T) {
 				onParallel.Add(par.Netting())
 			}
 			// A re-costed route's heads fold where they are derived: a
-			// paired walk emits +new alone. The wire pass folds what
-			// separately delivered deltas derive for one remote key: a
-			// link deleted in one burst and re-added in a later one, or a
-			// retraction and a replacement reaching a node from two
-			// senders. Parallel runs every burst at once and sees many
-			// (30–130 wire folds per variant at the tier-1 seeds); the
-			// Cluster few or none.
+			// paired walk emits +new alone.
 			for name, n := range map[string]engine.Netting{"cluster": onCluster, "parallel": onParallel} {
 				if n.ReplaceWindows == 0 || n.QueueFolded == 0 || n.PairedWalks == 0 {
 					t.Errorf("%s: netting %+v: no replacement was folded, the property is vacuous", name, n)
 				}
-			}
-			if onParallel.WireFolded == 0 {
-				t.Errorf("parallel: netting %+v: the wire pass folded nothing, its check is vacuous", onParallel)
 			}
 			if chunks == 0 {
 				t.Error("no retraction was carved: the carving check is vacuous")

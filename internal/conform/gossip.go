@@ -21,6 +21,8 @@ type GossipOpts struct {
 	Fanout     int     // pushes per node per round
 	SweepEvery float64 // soft-state expiry period
 	Cfg        programs.GossipConfig
+	// Engine overrides the cluster's evaluation options (see NewNetOpts).
+	Engine engine.Options
 }
 
 // DefaultGossipOpts runs the program's 1s round with TTLs sized for
@@ -87,7 +89,7 @@ func (r *GossipRun) DetectRounds() int { return r.ConvergeRounds() + 3 }
 // initial nodes are live from t=0.
 func NewGossipRun(o GossipOpts) (*GossipRun, error) {
 	names := nodeNames("g", o.Nodes)
-	net, err := NewNet(o.Seed, programs.Gossip(o.Cfg), names,
+	net, err := NewNetOpts(o.Seed, programs.Gossip(o.Cfg), names, o.Engine,
 		engine.ClusterConfig{ProcDelay: 0.001})
 	if err != nil {
 		return nil, err

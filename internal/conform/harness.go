@@ -29,21 +29,14 @@ type Net struct {
 	Rng     *rand.Rand
 }
 
-// NewNet parses src and attaches a cluster with the given nodes. No
-// links or facts are created; callers wire the topology they need.
+// NewNetOpts parses src and attaches a cluster with the given nodes
+// under the caller's engine options. No links or facts are created;
+// callers wire the topology they need. The harness's debug taps are
+// layered over any hooks the caller installed.
 //
-// Plain PSN, no aggregate-selections pruning: conformance runs measure
-// the unoptimized semantics. NewNetOpts runs a protocol with AggSel on,
-// which prunes only the selections the planner proves safe (DESIGN.md
-// §11 "Which selections prune").
-func NewNet(seed int64, src string, nodes []string, cc engine.ClusterConfig) (*Net, error) {
-	return NewNetOpts(seed, src, nodes, engine.Options{}, cc)
-}
-
-// NewNetOpts is NewNet with caller-supplied engine options — the hook
-// the optimizer-measurement rows use to run a protocol under aggregate
-// selections. The harness's debug taps are layered over any hooks the
-// caller installed.
+// The zero Options are plain PSN with no aggregate-selections pruning,
+// the unoptimized semantics; AggSel prunes only the selections the
+// planner proves safe (DESIGN.md §11 "Which selections prune").
 func NewNetOpts(seed int64, src string, nodes []string, opts engine.Options, cc engine.ClusterConfig) (*Net, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {

@@ -22,6 +22,8 @@ type PathVectorOpts struct {
 	Latency float64
 	Jitter  float64
 	MaxCost int64
+	// Engine overrides the cluster's evaluation options (see NewNetOpts).
+	Engine engine.Options
 }
 
 // DefaultPathVectorOpts sizes the run so per-node state (#neighbors ×
@@ -55,7 +57,7 @@ type PathVectorRun struct {
 // the initial link facts.
 func NewPathVectorRun(o PathVectorOpts) (*PathVectorRun, error) {
 	names := nodeNames("p", o.Nodes)
-	net, err := NewNet(o.Seed, programs.ShortestPathDV(""), names,
+	net, err := NewNetOpts(o.Seed, programs.ShortestPathDV(""), names, o.Engine,
 		engine.ClusterConfig{ProcDelay: 0.001})
 	if err != nil {
 		return nil, err
@@ -133,6 +135,8 @@ type MulticastOpts struct {
 	Latency float64
 	Jitter  float64
 	MaxCost int64
+	// Engine overrides the cluster's evaluation options (see NewNetOpts).
+	Engine engine.Options
 }
 
 // DefaultMulticastOpts spreads a handful of members over the ring so
@@ -161,8 +165,8 @@ type MulticastRun struct {
 // node, and joins Members seeded-random other nodes.
 func NewMulticastRun(o MulticastOpts) (*MulticastRun, error) {
 	names := nodeNames("m", o.Nodes)
-	net, err := NewNet(o.Seed,
-		programs.Combine(programs.ShortestPathDV(""), programs.Multicast()), names,
+	net, err := NewNetOpts(o.Seed,
+		programs.Combine(programs.ShortestPathDV(""), programs.Multicast()), names, o.Engine,
 		engine.ClusterConfig{ProcDelay: 0.001})
 	if err != nil {
 		return nil, err

@@ -10,8 +10,8 @@ import (
 	"ndlog/internal/val"
 )
 
-// foldSrc declares one predicate of every kind foldReplacements must
-// tell apart: kv is the only one whose replacements fold.
+// foldSrc declares one predicate of every kind the queue fold must tell
+// apart: kv is the only one whose replacements fold.
 const foldSrc = `
 materialize(kv, infinity, infinity, keys(1,2)).
 materialize(soft, 30, infinity, keys(1,2)).
@@ -29,45 +29,50 @@ func foldNode(t testing.TB) *Node {
 	return prog.NewNode("n", Options{})
 }
 
-// op parses "-kv@d:k=1": sign, predicate, destination, key, value.
-func op(s string) OutDelta {
-	var pred, dst, key string
+// op parses "-kv@d:k=1": sign, predicate, location, key, value.
+func op(s string) Delta {
+	var pred, loc, key string
 	var v int64
 	rest := strings.NewReplacer("@", " ", ":", " ", "=", " ").Replace(s[1:])
-	if _, err := fmt.Sscan(rest, &pred, &dst, &key, &v); err != nil {
+	if _, err := fmt.Sscan(rest, &pred, &loc, &key, &v); err != nil {
 		panic(s + ": " + err.Error())
 	}
-	d := Delta{Sign: +1, Tuple: val.NewTuple(pred, val.NewAddr(dst), val.NewString(key), val.NewInt(v))}
+	d := Insert(val.NewTuple(pred, val.NewAddr(loc), val.NewString(key), val.NewInt(v)))
 	if s[0] == '-' {
 		d.Sign = -1
 	}
-	return OutDelta{Dst: dst, Delta: d}
+	return d
 }
 
-func ops(ss ...string) []OutDelta {
-	out := make([]OutDelta, len(ss))
-	for i, s := range ss {
-		out[i] = op(s)
-	}
-	return out
-}
-
-func showOps(out []OutDelta) string {
+func showOps(ds []Delta) string {
 	var b strings.Builder
-	for _, o := range out {
-		f := o.Delta.Tuple.Fields
+	for _, d := range ds {
+		f := d.Tuple.Fields
 		sign := "+"
-		if o.Delta.Sign < 0 {
+		if d.Sign < 0 {
 			sign = "-"
 		}
-		fmt.Fprintf(&b, "%s%s@%s:%s=%d ", sign, o.Delta.Tuple.Pred, o.Dst, f[1].Str(), f[2].Int())
+		fmt.Fprintf(&b, "%s%s@%s:%s=%d ", sign, d.Tuple.Pred, f[0].Addr(), f[1].Str(), f[2].Int())
 	}
 	return strings.TrimSpace(b.String())
 }
 
-// TestFoldReplacements pins the wire reduction: a retraction leaves a
-// drain's output only when the next delta for its destination and key
-// inserts a different tuple.
+// pushAll routes ds through the node's queue as a strand's heads are
+// (Node.push), then pops them all: what the queue hands the strands.
+func pushAll(n *Node, ds []Delta) []Delta {
+	for _, d := range ds {
+		n.push(d)
+	}
+	out := make([]Delta, 0, n.queue.len())
+	for n.queue.len() > 0 {
+		out = append(out, n.queue.pop())
+	}
+	return out
+}
+
+// TestFoldReplacements pins the queue fold: a retraction leaves the queue
+// as itself only when the next delta for its key is not an insertion of
+// a different tuple; one that is takes the retraction's place.
 func TestFoldReplacements(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -95,7 +100,7 @@ func TestFoldReplacements(t *testing.T) {
 		{name: "two destinations and two keys interleaved",
 			in: []string{"+kv@e:j=5", "-kv@d:k=1", "-kv@e:k=1", "-kv@d:j=3", "+soft@d:k=9",
 				"+kv@e:k=2", "+kv@d:j=4", "-kv@e:j=5", "+kv@d:k=2"},
-			want: []string{"+kv@e:j=5", "+soft@d:k=9", "+kv@e:k=2", "+kv@d:j=4", "-kv@e:j=5", "+kv@d:k=2"}},
+			want: []string{"+kv@e:j=5", "+kv@d:k=2", "+kv@e:k=2", "+kv@d:j=4", "+soft@d:k=9", "-kv@e:j=5"}},
 		{name: "another destination is another row",
 			in:   []string{"-kv@d:k=1", "+kv@e:k=2"},
 			want: []string{"-kv@d:k=1", "+kv@e:k=2"}},
@@ -110,73 +115,73 @@ func TestFoldReplacements(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := foldNode(t)
 			if tc.collide {
-				n.net.post = func(uint64) uint64 { return 0 }
+				n.queue.post = func(uint64) uint64 { return 0 }
 			}
-			in := ops(tc.in...)
-			got := n.foldReplacements(in)
+			var in []Delta
+			for _, s := range tc.in {
+				in = append(in, op(s))
+			}
+			got := pushAll(n, in)
 			if showOps(got) != strings.Join(tc.want, " ") {
 				t.Errorf("got  %s\nwant %s", showOps(got), strings.Join(tc.want, " "))
 			}
-			if folded := uint64(len(tc.in) - len(tc.want)); n.Netting().WireFolded != folded {
-				t.Errorf("WireFolded = %d, want %d", n.Netting().WireFolded, folded)
+			if folded := uint64(len(tc.in) - len(tc.want)); n.Netting().QueueFolded != folded {
+				t.Errorf("QueueFolded = %d, want %d", n.Netting().QueueFolded, folded)
 			}
-			// The dropped tail must not pin its tuples in a recycled array.
-			for _, o := range in[len(got):] {
-				if o.Dst != "" || o.Delta.Tuple.Fields != nil {
-					t.Errorf("stale delta %v left past the folded output", o)
-				}
-			}
-			if len(n.net.open) != 0 {
-				t.Errorf("scratch map keeps %d entries between drains", len(n.net.open))
+			if len(n.queue.open) != 0 || len(n.queue.opens) != 0 || len(n.queue.preds) != 0 {
+				t.Errorf("an empty queue keeps %d open keys, %d open retractions, %d predicates",
+					len(n.queue.open), len(n.queue.opens), len(n.queue.preds))
 			}
 		})
 	}
 }
 
-// TestFoldScratchRetentionBounded: a drain with more than keepCap/8
-// retractions leaves its scratch map to the collector.
+// TestFoldScratchRetentionBounded: a queue that opened more than
+// keepCap/8 retractions before running empty leaves its scratch map to
+// the collector.
 func TestFoldScratchRetentionBounded(t *testing.T) {
 	n := foldNode(t)
-	var big []string
+	var big []Delta
 	for i := 0; i <= keepCap/8; i++ {
-		big = append(big, fmt.Sprintf("-kv@d:k%d=1", i))
+		big = append(big, op(fmt.Sprintf("-kv@d:k%d=1", i)))
 	}
-	n.foldReplacements(ops("-kv@d:k=1", "+kv@d:k=2"))
-	if n.net.open == nil {
+	pushAll(n, []Delta{op("-kv@d:k=1"), op("+kv@d:k=2")})
+	if n.queue.open == nil {
 		t.Fatal("a small drain's scratch map is not kept for the next")
 	}
-	n.foldReplacements(ops(big...))
-	if n.net.open != nil {
+	pushAll(n, big)
+	if n.queue.open != nil {
 		t.Errorf("scratch map of a %d-retraction drain retained", len(big))
 	}
-	n.foldReplacements(ops("+kv@d:k=1", "+kv@d:j=2"))
-	if n.net.open != nil {
+	pushAll(n, []Delta{op("+kv@d:k=1"), op("+kv@d:j=2")})
+	if n.queue.open != nil {
 		t.Error("a drain with no retraction built scratch")
 	}
 }
 
-// applyOps is the un-netted reference: each delta applied to the
-// receiver's table as the engine's store path would.
-func applyOps(tb *table.Table, out []OutDelta) {
-	for i, o := range out {
-		if o.Delta.Sign > 0 {
+// applyOps is the reference: each delta applied to a table as the
+// engine's store path would.
+func applyOps(tb *table.Table, ds []Delta) {
+	for i, d := range ds {
+		if d.Sign > 0 {
 			expires := -1.0
-			if o.Delta.Life > 0 {
-				expires = float64(o.Delta.Life)
+			if d.Life > 0 {
+				expires = float64(d.Life)
 			}
-			tb.InsertUntil(o.Delta.Tuple, uint64(i+1), expires)
+			tb.InsertUntil(d.Tuple, uint64(i+1), expires)
 		} else {
-			tb.Delete(o.Delta.Tuple)
+			tb.Delete(d.Tuple)
 		}
 	}
 }
 
-// FuzzNetOut: whatever the receiver's rows hold, a drain's output leaves
-// them — tuples and derivation counts — exactly as the folded output
-// does — deadlines included, so a folded −a/+b keeps +b's lifetime. Each
-// byte is one delta over a 3-key × 3-value domain, an insertion with a
-// lifetime of 0 (hard), 1 or 2 seconds; the first three bytes set each
-// key's initial row (absent, or a value held one to three times).
+// FuzzNetOut: whatever a table's rows hold, the deltas the queue hands
+// out once it has folded replacements leave them — tuples and derivation
+// counts — exactly as the un-netted deltas do — deadlines included, so a
+// folded −a/+b keeps +b's lifetime. Each byte is one delta over a
+// 3-key × 3-value domain, an insertion with a lifetime of 0 (hard), 1 or
+// 2 seconds; the first three bytes set each key's initial row (absent, or
+// a value held one to three times).
 func FuzzNetOut(f *testing.F) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 300; i++ {
@@ -195,25 +200,25 @@ func FuzzNetOut(f *testing.F) {
 		for k, c := range b[:3] {
 			row := op(fmt.Sprintf("+kv@d:%s=%d", keys[k], c%3))
 			for count := int(c / 3 % 4); count > 0; count-- {
-				applyOps(plain, []OutDelta{row})
-				applyOps(folded, []OutDelta{row})
+				applyOps(plain, []Delta{row})
+				applyOps(folded, []Delta{row})
 			}
 		}
-		var out []OutDelta
+		var ds []Delta
 		for _, c := range b[3:] {
 			sign := "+"
 			if c/9%2 == 1 {
 				sign = "-"
 			}
-			o := op(fmt.Sprintf("%skv@d:%s=%d", sign, keys[c%3], c/3%3))
-			if o.Delta.Sign > 0 {
-				o.Delta.Life = float32(c / 18 % 3)
+			d := op(fmt.Sprintf("%skv@d:%s=%d", sign, keys[c%3], c/3%3))
+			if d.Sign > 0 {
+				d.Life = float32(c / 18 % 3)
 			}
-			out = append(out, o)
+			ds = append(ds, d)
 		}
-		applyOps(plain, out)
-		was := showOps(out)
-		applyOps(folded, n.foldReplacements(out))
+		applyOps(plain, ds)
+		was := showOps(ds)
+		applyOps(folded, pushAll(n, ds))
 		got, want := folded.Tuples(), plain.Tuples()
 		if len(got) != len(want) {
 			t.Fatalf("%s: folded leaves %v, un-netted %v", was, got, want)

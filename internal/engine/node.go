@@ -134,9 +134,7 @@ type Node struct {
 	// FlushPending) it grows on its own until the next drain moves it
 	// there.
 	out []OutDelta
-	// net is the scratch of Drain's replacement fold over out, and netting
-	// the counters of "a replacement is one delta".
-	net     outNet
+	// netting counts what "a replacement is one delta" saved.
 	netting Netting
 	// pairLabel is the scratch of a paired walk (runPair): the rule whose
 	// heads emitPair routes.
@@ -361,8 +359,7 @@ func (n *Node) Push(d Delta) { n.queue.push(d) }
 // insertion only while a retraction of its predicate is queued. SN rounds
 // are not folded: SN stays the reference the equivalence suites hold the
 // fold against. Deltas a driver delivers (Push) are not folded either:
-// their sender's wire pass folded the pairs that travel together, and a
-// retraction that arrives alone would make every insertion of its
+// a retraction that arrives alone would make every insertion of its
 // predicate behind it pay a lookup — 267 k of the 343 k pushes of the
 // dv100 cold start, for no fold.
 func (n *Node) push(d Delta) {
@@ -425,7 +422,6 @@ func (n *Node) DrainInto(dst []OutDelta) []OutDelta {
 	n.drain()
 	out := n.out
 	n.out = nil
-	out = out[:base+len(n.foldReplacements(out[base:]))]
 	// The heads carved this drain are in out or already processed: an idle
 	// node holds no chunk — neither the allocator's nor, through the join
 	// context's last retracted tuple, the one it came in.

@@ -28,6 +28,9 @@ type deltaQueue struct {
 	// opened counts the retractions entered since the queue last ran
 	// empty, which bounds the map's size.
 	opened int
+	// post, when non-nil, maps every hash before lookup; tests inject a
+	// truncating map to force distinct keys to collide (as table.Table).
+	post func(uint64) uint64
 }
 
 // openRet is one retraction entered in deltaQueue.open.
@@ -143,6 +146,9 @@ func (q *deltaQueue) count(pred string, by int) {
 // Two keys that collide on the hash fold nothing.
 func (q *deltaQueue) pushFold(d Delta, cols []int) bool {
 	h := val.Hash64(d.Tuple.HashOn(cols)).AddString(d.Tuple.Pred).Sum()
+	if q.post != nil {
+		h = q.post(h)
+	}
 	if q.open == nil {
 		q.open = map[uint64]uint64{}
 	}
@@ -172,8 +178,8 @@ func (q *deltaQueue) pushFold(d Delta, cols []int) bool {
 }
 
 // closeAll forgets every open retraction once the queue is empty. A map
-// that grew past a small drain's size is left to the collector, as
-// outNet's is.
+// that grew past a small drain's size is left to the collector, so an
+// idle node retains a few hundred bytes at most.
 func (q *deltaQueue) closeAll() {
 	if q.opened == 0 {
 		return

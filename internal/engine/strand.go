@@ -442,8 +442,8 @@ type Program struct {
 	// foldKeys holds the primary-key columns of the fold-eligible
 	// predicates — stored hard state with a key narrower than its row,
 	// declared or inferred, and no size bound — whose key replacements are
-	// one delta: in the local queue (Node.push), in a paired strand walk
-	// and on the wire (Node.foldReplacements). A whole-row key admits no
+	// one delta: in the local queue (Node.push) and in a paired strand
+	// walk (Node.runPair). A whole-row key admits no
 	// replacement; a soft-state refresh is not a count; and a bounded table
 	// evicts in arrival order, which a dropped retraction would change.
 	foldKeys map[string][]int

@@ -1,28 +1,20 @@
-// Package experiments reproduces the evaluation of Section 6: every
-// figure's workload, parameter sweep, baseline and output series. The
-// substrate is the deterministic discrete-event simulator instead of the
-// authors' Emulab testbed (see DESIGN.md for the substitution argument),
-// so absolute numbers differ but the comparative shapes hold.
+// Package experiments holds the configuration of the Section 6
+// evaluation: the GT-ITM-style transit-stub underlay, the random overlay
+// over it, and the paper-scale and scaled-down settings. The substrate is
+// the deterministic discrete-event simulator instead of the authors'
+// Emulab testbed (see DESIGN.md for the substitution argument), so
+// absolute numbers differ but the comparative shapes hold.
 //
-// Each Run* function builds its own simulator, cluster, and collectors
-// and returns plain result structs — no state is shared between runs,
-// so sweeps may run back to back (or in parallel from separate
-// goroutines, one deployment each).
+// The figures themselves are the package's test, TestWork: one table
+// whose rows are the paper's workloads — each shipped program under
+// Central and the simnet Cluster (PSN and SN), plain and with aggregate
+// selections, periodic selections, message sharing and magic sets where
+// they apply — and whose output is exact work counts in
+// testdata/work/*.golden. Figs 7–14's claims are assertions over those
+// rows. The wall-clock measurements live in the bench/ module.
 package experiments
 
-import (
-	"fmt"
-	"math"
-
-	"ndlog/internal/ast"
-	"ndlog/internal/engine"
-	"ndlog/internal/metrics"
-	"ndlog/internal/parser"
-	"ndlog/internal/programs"
-	"ndlog/internal/simnet"
-	"ndlog/internal/topology"
-	"ndlog/internal/val"
-)
+import "ndlog/internal/topology"
 
 // Config parameterizes one experiment run.
 type Config struct {
@@ -34,8 +26,6 @@ type Config struct {
 	Seed int64
 	// ProcDelay is the per-message sender-side processing cost.
 	ProcDelay float64
-	// Bucket is the bandwidth series bucket width in seconds.
-	Bucket float64
 	// MaxEvents bounds each simulation run.
 	MaxEvents int
 }
@@ -48,7 +38,6 @@ func Default() Config {
 		OverlayDegree: 4,
 		Seed:          1,
 		ProcDelay:     0.002,
-		Bucket:        0.25,
 		MaxEvents:     50_000_000,
 	}
 }
@@ -64,7 +53,6 @@ func Small() Config {
 		OverlayDegree: 3,
 		Seed:          1,
 		ProcDelay:     0.002,
-		Bucket:        0.25,
 		MaxEvents:     5_000_000,
 	}
 }
@@ -74,134 +62,3 @@ func BuildOverlay(cfg Config) *topology.Overlay {
 	u := topology.TransitStub(cfg.Topology)
 	return topology.NewOverlay(u, cfg.OverlayDegree, cfg.Seed)
 }
-
-// deployment is one simulated NDlog deployment over an overlay.
-type deployment struct {
-	sim     *simnet.Sim
-	overlay *topology.Overlay
-	cluster *engine.Cluster
-	bw      *metrics.Bandwidth
-}
-
-// linkPred returns the link predicate name for a suffix.
-func linkPred(sfx string) string { return "link" + sfx }
-
-// deploy builds a simulator + cluster for the program source, wiring
-// overlay links and per-metric link facts for every (metric, suffix)
-// pair given.
-func deploy(cfg Config, o *topology.Overlay, src string, opts engine.Options,
-	ccfg engine.ClusterConfig, links map[string]topology.Metric, extraFacts func(p *progFacts)) (*deployment, error) {
-
-	sim := simnet.New(cfg.Seed)
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	pf := &progFacts{prog: prog}
-	for sfx, m := range links {
-		for _, l := range o.Links {
-			cost := l.Cost[m]
-			pf.addLink(linkPred(sfx), string(l.A), string(l.B), cost)
-			pf.addLink(linkPred(sfx), string(l.B), string(l.A), cost)
-		}
-	}
-	if extraFacts != nil {
-		extraFacts(pf)
-	}
-	if ccfg.ProcDelay == 0 {
-		ccfg.ProcDelay = cfg.ProcDelay
-	}
-	cl, err := engine.NewCluster(sim, prog, opts, ccfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range o.Nodes {
-		cl.AddNode(n)
-	}
-	for _, l := range o.Links {
-		if err := sim.AddLink(l.A, l.B, l.LatencySec, 0); err != nil {
-			return nil, err
-		}
-	}
-	bw := metrics.NewBandwidth(cfg.Bucket, len(o.Nodes))
-	sim.Observe(func(now float64, from, to simnet.NodeID, bytes int) {
-		bw.Record(now, bytes)
-	})
-	return &deployment{sim: sim, overlay: o, cluster: cl, bw: bw}, nil
-}
-
-// oracle computes the best cost per ordered (src,dst) pair for a metric.
-func oracle(o *topology.Overlay, m topology.Metric) map[string]float64 {
-	out := map[string]float64{}
-	for _, s := range o.Nodes {
-		dist, _ := o.ShortestPaths(s, m)
-		for d, c := range dist {
-			if d == s {
-				continue
-			}
-			out[string(s)+","+string(d)] = c
-		}
-	}
-	return out
-}
-
-// trackCompletion wires an OnStore observer that marks a (src,dst) pair
-// complete the first time its stored shortest path matches the oracle.
-func trackCompletion(opts *engine.Options, pred string, want map[string]float64) *metrics.Completion {
-	comp := metrics.NewCompletion(len(want))
-	prev := opts.OnStore
-	opts.OnStore = func(nodeID string, d engine.Delta, now float64) {
-		if prev != nil {
-			prev(nodeID, d, now)
-		}
-		if d.Sign < 0 || d.Tuple.Pred != pred {
-			return
-		}
-		key := d.Tuple.Fields[0].Addr() + "," + d.Tuple.Fields[1].Addr()
-		best, ok := want[key]
-		if !ok {
-			return
-		}
-		cost := d.Tuple.Fields[len(d.Tuple.Fields)-1].Float()
-		if math.Abs(cost-best) < 1e-6 {
-			comp.Mark(key, now)
-		}
-	}
-	return comp
-}
-
-// progFacts accumulates base facts for a parsed program.
-type progFacts struct {
-	prog *ast.Program
-}
-
-func (p *progFacts) addLink(pred, a, b string, cost float64) {
-	p.addFact(programs.LinkFact(pred, a, b, cost))
-}
-
-func (p *progFacts) addFact(t val.Tuple) {
-	p.prog.Facts = append(p.prog.Facts, t)
-}
-
-// VerifyAgainstOracle compares a run's shortestPath costs against the
-// Dijkstra oracle, returning the number of missing or wrong pairs.
-func VerifyAgainstOracle(cl *engine.Cluster, pred string, want map[string]float64) (missing, wrong int) {
-	got := map[string]float64{}
-	for _, t := range cl.Tuples(pred) {
-		key := t.Fields[0].Addr() + "," + t.Fields[1].Addr()
-		got[key] = t.Fields[len(t.Fields)-1].Float()
-	}
-	for k, w := range want {
-		g, ok := got[k]
-		switch {
-		case !ok:
-			missing++
-		case math.Abs(g-w) > 1e-6:
-			wrong++
-		}
-	}
-	return missing, wrong
-}
-
-// fmtPct renders a ratio as a percentage string.
-func fmtPct(x float64) string { return fmt.Sprintf("%.0f%%", x*100) }

@@ -2,6 +2,7 @@ package netrun
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -150,6 +151,20 @@ func TestShardedRunners(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("cross-runner route missing: %v", r2.NodeTuples("e", "shortestPath"))
+	}
+	// Every result converged: the two runners' rows together are the
+	// centralized fixpoint.
+	c, err := engine.NewCentral(prog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadFacts()
+	var central []string
+	for _, tu := range c.Tuples("shortestPath") {
+		central = append(central, tu.Key())
+	}
+	if got := sorted(append(r1.Tuples("shortestPath"), r2.Tuples("shortestPath")...)); !reflect.DeepEqual(got, sorted(central)) {
+		t.Errorf("sharded fixpoint %v, want the central %v", got, central)
 	}
 	s1, s2 := r1.Stats(), r2.Stats()
 	if s1.SentMessages == 0 || s2.SentMessages == 0 {
