@@ -154,7 +154,14 @@ func (r *Runner) commitDurable(nn *netNode) {
 	}
 	if len(nn.pending) > 0 {
 		rec := encodeWALRecord(nn.node.Now(), nn.pending)
-		nn.pending = nn.pending[:0]
+		// Drop the tuple references, and the array too once a large
+		// batch's drain grew it past what a receive loop decodes into.
+		clear(nn.pending)
+		if cap(nn.pending) > decodeScratch {
+			nn.pending = nil
+		} else {
+			nn.pending = nn.pending[:0]
+		}
 		if err := nn.dur.Append(rec); err != nil {
 			return
 		}

@@ -15,12 +15,12 @@ package netrun
 // sending runner's random incarnation nonce. A sender keeps each frame
 // in the link's queue until it is acked, has at most maxHeld of them on
 // the wire, and resends the queue head every rto (doubling to rtoMax);
-// a receiver delivers each seq exactly once and in order, holding up to
+// a receiver accepts each seq exactly once and in order, holding up to
 // maxHeld out-of-order frames — so no frame in flight is ever too far
-// ahead to hold. The link struct below is that state machine with no I/O and
-// no clock of its own (times are offsets on the runner's monotonic
-// clock): the runner (netrun.go) writes the frames it returns and keeps
-// the credit.
+// ahead to hold — and acks it only once the drain it fed has committed.
+// The link struct below is that state machine with no I/O and no clock
+// of its own (times are offsets on the runner's monotonic clock): the
+// runner (netrun.go) writes the frames it returns and keeps the credit.
 
 import (
 	"encoding/binary"
@@ -126,10 +126,12 @@ type link struct {
 	sent    int
 	backoff uint8
 
-	// Receive side: every seq ≤ delivered has been delivered; held keeps
-	// out-of-order frames (copied out of the read buffer) until the gap
-	// below them fills; owed is set while an ack no data frame has
-	// carried back yet is due.
+	// Receive side: every seq ≤ accepted has been pushed into the node,
+	// and every seq ≤ delivered has also been drained and committed, so
+	// acks carry delivered, never accepted; held keeps out-of-order frames
+	// (copied out of the read buffer) until the gap below them fills; owed
+	// is set while an ack no data frame has carried back yet is due.
+	accepted  uint64
 	delivered uint64
 	held      map[uint64][]byte
 	owed      bool
@@ -202,22 +204,28 @@ func (l *link) ackTo(ack uint64) int {
 type verdict int
 
 const (
-	deliverNow verdict = iota // the next seq: deliver, then call deliveredTo
-	duplicate                 // delivered before: drop and re-ack
-	heldBack                  // ahead of a gap: copied into the reorder buffer
-	dropped                   // too far ahead, or already held: drop
+	acceptNow verdict = iota // the next seq: push it now; commit acks it
+	duplicate                // accepted before: drop
+	heldBack                 // ahead of a gap: copied into the reorder buffer
+	dropped                  // too far ahead, or already held: drop
 )
 
-// accept classifies data frame seq; a held frame's payload is copied.
+// accept classifies data frame seq against the accepted mark; a held
+// frame's payload is copied. A duplicate of a committed frame owes a
+// fresh ack (the one that covered it may have been lost); a duplicate of
+// a frame still in the receiver's batch owes none, since the batch's
+// commit acks it.
 func (l *link) accept(seq uint64, payload []byte) verdict {
 	switch {
 	case seq <= l.delivered:
-		// The ack that covered it may have been lost: owe another.
 		l.owed = true
 		return duplicate
-	case seq == l.delivered+1:
-		return deliverNow
-	case seq-l.delivered > maxHeld || l.held[seq] != nil:
+	case seq <= l.accepted:
+		return duplicate
+	case seq == l.accepted+1:
+		l.accepted = seq
+		return acceptNow
+	case seq-l.accepted > maxHeld || l.held[seq] != nil:
 		return dropped // a peer's window keeps the first from happening
 	}
 	if l.held == nil {
@@ -227,24 +235,28 @@ func (l *link) accept(seq uint64, payload []byte) verdict {
 	return heldBack
 }
 
-// deliveredTo records that seq (the next in order) has been delivered
-// and its consequences counted, so its ack may leave.
-func (l *link) deliveredTo(seq uint64) {
-	l.delivered = seq
-	l.owed = true
-}
-
-// nextHeld pops the held frame that is now next in order, if any.
-func (l *link) nextHeld() (seq uint64, payload []byte, ok bool) {
-	seq = l.delivered + 1
+// nextHeld pops and accepts the held frame that is now next in order, if
+// any.
+func (l *link) nextHeld() (payload []byte, ok bool) {
+	seq := l.accepted + 1
 	payload, ok = l.held[seq]
 	if ok {
+		l.accepted = seq
 		delete(l.held, seq)
 		if len(l.held) == 0 {
 			l.held = nil
 		}
 	}
-	return seq, payload, ok
+	return payload, ok
+}
+
+// commit records that every accepted frame has been drained and its
+// consequences committed and counted, so their ack may leave.
+func (l *link) commit() {
+	if l.accepted > l.delivered {
+		l.delivered = l.accepted
+		l.owed = true
+	}
 }
 
 // takeAck returns the cumulative ack for a standalone ack frame, if one

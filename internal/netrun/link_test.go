@@ -13,21 +13,25 @@ import (
 )
 
 // endpoint is one side of a socketless link: the link state machine plus
-// the glue the runner puts around it — credit, delivery, ack flushing.
+// the glue the runner puts around it — credit, batches, ack flushing.
 type endpoint struct {
 	l      *link
 	inc    uint64
 	credit int      // data frames sent and not yet acked
-	got    [][]byte // payloads delivered, in delivery order
+	batch  [][]byte // payloads accepted into the open batch, not yet committed
+	got    [][]byte // payloads committed, in delivery order
 }
 
 // lossyNet joins two endpoints through a seeded filter that drops,
 // duplicates and reorders datagrams: every datagram in flight is equally
 // likely to arrive next.
 type lossyNet struct {
+	t        *testing.T
 	rng      *rand.Rand
 	ends     [2]*endpoint
 	inflight []flight
+	// batchDups counts duplicates of a frame in the receiver's open batch.
+	batchDups int
 }
 
 type flight struct {
@@ -35,7 +39,17 @@ type flight struct {
 	b  []byte
 }
 
+// transmit puts one frame of end 1-to on the wire. Whatever it is — a
+// data frame's piggybacked ack or an ack-only frame — its ack must not
+// cover a frame its sender has accepted but not committed.
 func (n *lossyNet) transmit(to int, b []byte) {
+	h, _, ok := parseEnvelope(b)
+	if !ok {
+		n.t.Fatalf("unparsable frame %x", b)
+	}
+	if committed := uint64(len(n.ends[1-to].got)); h.ack > committed {
+		n.t.Fatalf("end %d acks %d with only %d committed", 1-to, h.ack, committed)
+	}
 	switch p := n.rng.Float64(); {
 	case p < 0.2: // dropped
 	case p < 0.3: // duplicated
@@ -68,16 +82,14 @@ func (n *lossyNet) tick(i int, now time.Duration) {
 	}
 }
 
-// arrive delivers one datagram to end i as the runner's receive does.
-func (n *lossyNet) arrive(t *testing.T, i int, b []byte, now time.Duration) {
+// arrive adds one datagram to end i's open batch as the runner's
+// receive does.
+func (n *lossyNet) arrive(i int, b []byte, now time.Duration) {
 	e := n.ends[i]
-	h, payload, ok := parseEnvelope(b)
-	if !ok {
-		t.Fatalf("unparsable frame %x", b)
-	}
+	h, payload, _ := parseEnvelope(b)
 	if h.inc != e.l.peerInc {
 		if e.l.peerInc != 0 {
-			t.Fatalf("incarnation changed without a restart")
+			n.t.Fatalf("incarnation changed without a restart")
 		}
 		e.l.peerInc = h.inc
 	}
@@ -86,21 +98,42 @@ func (n *lossyNet) arrive(t *testing.T, i int, b []byte, now time.Duration) {
 		n.transmit(1-i, f)
 	}
 	if h.seq > e.l.delivered+maxHeld {
-		t.Fatalf("frame %d arrived %d ahead of delivery: the window let it out", h.seq, h.seq-e.l.delivered)
+		n.t.Fatalf("frame %d arrived %d ahead of delivery: the window let it out", h.seq, h.seq-e.l.delivered)
 	}
-	if h.seq == 0 || e.l.accept(h.seq, payload) != deliverNow {
+	if h.seq == 0 {
 		return
 	}
-	for seq, more := h.seq, true; more; {
-		e.got = append(e.got, append([]byte(nil), payload...))
-		e.l.deliveredTo(seq)
-		seq, payload, more = e.l.nextHeld()
+	inBatch, owed := h.seq > e.l.delivered && h.seq <= e.l.accepted, e.l.owed
+	v := e.l.accept(h.seq, payload)
+	if inBatch {
+		if v != duplicate || e.l.owed != owed {
+			n.t.Fatalf("a duplicate of in-batch seq %d: verdict %d, owed %v→%v", h.seq, v, owed, e.l.owed)
+		}
+		n.batchDups++
+	}
+	if v != acceptNow {
+		return
+	}
+	for more := true; more; payload, more = e.l.nextHeld() {
+		e.batch = append(e.batch, append([]byte(nil), payload...))
+	}
+}
+
+// commit ends end i's batch: its drain has committed, so every accepted
+// frame is delivered and may be acked.
+func (n *lossyNet) commit(i int) {
+	e := n.ends[i]
+	e.got = append(e.got, e.batch...)
+	e.batch = nil
+	e.l.commit()
+	if e.l.delivered != uint64(len(e.got)) {
+		n.t.Fatalf("end %d delivered %d after committing %d frames", i, e.l.delivered, len(e.got))
 	}
 }
 
 func (n *lossyNet) settled() bool {
 	for _, e := range n.ends {
-		if len(e.l.queue) > 0 || e.l.owed {
+		if len(e.l.queue) > 0 || e.l.owed || len(e.batch) > 0 {
 			return false
 		}
 	}
@@ -116,10 +149,16 @@ func (n *lossyNet) settled() bool {
 // frame within the receiver's reorder buffer. Some schedules send more
 // frames than the window admits at once, so frames wait in the queue
 // for acks to open it.
+//
+// Each receiver accepts a random run of arrivals into a batch before it
+// commits them, and sends, resends and acks while a batch is open: no
+// ack, piggybacked or ack-only, may cover a frame accepted but not yet
+// committed, and a duplicate of a frame in the open batch owes no ack.
 func TestLinkDeliversExactlyOnceInOrder(t *testing.T) {
+	batchDups := 0
 	for seed := int64(1); seed <= 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := &lossyNet{rng: rng, ends: [2]*endpoint{
+		n := &lossyNet{t: t, rng: rng, ends: [2]*endpoint{
 			{l: newLink(netipPort(1)), inc: 11},
 			{l: newLink(netipPort(2)), inc: 22},
 		}}
@@ -156,12 +195,19 @@ func TestLinkDeliversExactlyOnceInOrder(t *testing.T) {
 				k := rng.Intn(len(n.inflight))
 				f := n.inflight[k]
 				n.inflight = append(n.inflight[:k], n.inflight[k+1:]...)
-				n.arrive(t, f.to, f.b, now)
-				n.tick(f.to, now)
+				n.arrive(f.to, f.b, now)
+				if rng.Intn(2) == 0 { // the batch ends here
+					n.commit(f.to)
+					n.tick(f.to, now)
+				}
 			default:
 				now += time.Duration(rng.Int63n(int64(rtoMax)))
-				n.tick(0, now)
-				n.tick(1, now)
+				for i := range n.ends {
+					if rng.Intn(2) == 0 {
+						n.commit(i)
+					}
+					n.tick(i, now)
+				}
 			}
 		}
 		for i, e := range n.ends {
@@ -177,6 +223,10 @@ func TestLinkDeliversExactlyOnceInOrder(t *testing.T) {
 				}
 			}
 		}
+		batchDups += n.batchDups
+	}
+	if batchDups == 0 {
+		t.Error("no schedule duplicated a frame inside an open batch")
 	}
 }
 
@@ -188,24 +238,45 @@ func netipPort(p uint16) netip.AddrPort {
 // TestLinkIncarnationReset: a receiver that sees a new incarnation from
 // a peer resets the link, so a sender restarted at seq 1 is delivered
 // rather than dropped as a duplicate, and the frames queued for the old
-// incarnation are released.
+// incarnation are released. A reset in the middle of a batch abandons
+// the old incarnation's accepted frames unacked: the commit acks only
+// what the new incarnation sent.
 func TestLinkIncarnationReset(t *testing.T) {
 	l := newLink(netipPort(1))
 	l.peerInc = 1
 	seq, _ := l.stamp()
 	l.queueFrame([]byte{1}, 0)
-	if l.accept(1, []byte{9}) != deliverNow {
-		t.Fatal("first frame not deliverable")
+	if l.accept(1, []byte{9}) != acceptNow || l.accept(2, []byte{9}) != acceptNow {
+		t.Fatal("the first frames are not accepted in order")
 	}
-	l.deliveredTo(1)
-	if l.accept(1, []byte{9}) != duplicate {
-		t.Fatal("a redelivered frame is not a duplicate")
+	if l.accept(2, []byte{9}) != duplicate || l.owed {
+		t.Fatal("a duplicate of an in-batch frame is not dropped, or owes an ack")
+	}
+	if ack, owed := l.takeAck(); owed || ack != 0 {
+		t.Fatalf("ack %d (owed %v) before the batch committed", ack, owed)
+	}
+	l.commit()
+	if ack, owed := l.takeAck(); !owed || ack != 2 {
+		t.Fatalf("the batch's commit owes ack %d (owed %v), want 2", ack, owed)
+	}
+	if l.accept(1, []byte{9}) != duplicate || !l.owed {
+		t.Fatal("a redelivered committed frame is not a duplicate that owes an ack")
+	}
+	l.takeAck()
+
+	// A batch is open with seq 3 accepted when the peer restarts.
+	if l.accept(3, []byte{9}) != acceptNow {
+		t.Fatal("seq 3 not accepted")
 	}
 	if n := l.reset(); n != 1 || seq != 1 {
 		t.Fatalf("reset released %d frames, want 1", n)
 	}
-	if l.accept(1, []byte{9}) != deliverNow {
-		t.Fatal("a restarted peer's seq 1 is not deliverable after the reset")
+	if l.accept(1, []byte{9}) != acceptNow {
+		t.Fatal("a restarted peer's seq 1 is not accepted after the reset")
+	}
+	l.commit()
+	if ack, owed := l.takeAck(); !owed || ack != 1 {
+		t.Fatalf("after the reset the commit owes ack %d (owed %v), want 1", ack, owed)
 	}
 	if s, _ := l.stamp(); s != 1 {
 		t.Fatalf("the reset link numbers from %d, want 1", s)
@@ -241,9 +312,10 @@ func FuzzLinkEnvelope(f *testing.F) {
 	})
 }
 
-// TestFrameAllocBudget pins the send path's allocations: a data frame is
+// TestFrameAllocBudget pins the data path's allocations: a data frame is
 // one allocation (envelope and payload share a buffer sized for both),
-// and an ack-only frame is none (the node's reused ack buffer).
+// an ack-only frame is none (the node's reused ack buffer), and so is a
+// batch's probe and read of a queued datagram into the loop's buffer.
 func TestFrameAllocBudget(t *testing.T) {
 	r, err := New(mustProg(t), []string{"a", "b"}, engine.Options{})
 	if err != nil {
@@ -277,5 +349,32 @@ func TestFrameAllocBudget(t *testing.T) {
 	}
 	if s := r.Stats(); s.AckFrames == 0 || s.Outstanding != 0 {
 		t.Errorf("stats after the budget runs: %+v", s)
+	}
+
+	// The runner is not started, so b's socket has no receive loop: the
+	// test reads it the way one does.
+	const reads = 50
+	b, _ := r.node("b")
+	for i := 0; i <= reads; i++ {
+		if _, err := a.conn.WriteToUDPAddrPort(a.ackBuf, peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := newProbe(b.conn)
+	buf := make([]byte, 64<<10)
+	queued := 0
+	read := testing.AllocsPerRun(reads, func() {
+		if probe.pending() {
+			queued++
+		}
+		if _, _, err := b.conn.ReadFromUDPAddrPort(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != 0 {
+		t.Errorf("a batch's probe and read cost %v allocations, want 0", read)
+	}
+	if canProbe && queued != reads+1 {
+		t.Errorf("the probe saw %d of %d queued datagrams", queued, reads+1)
 	}
 }

@@ -3,10 +3,12 @@
 // evaluation environment to an actual networked one: every NDlog node
 // gets its own socket and goroutine, and derived tuples travel as UDP
 // datagrams encoded exactly like the simulator's messages, over links
-// made reliable and FIFO (link.go). A receiver acks a frame only after
-// the drain it triggered has committed and dispatched, so one runner-wide
-// credit — unacked frames plus drains in progress — is zero exactly at
-// the fixpoint.
+// made reliable and FIFO (link.go). A receive loop empties its socket
+// before it drains: every datagram already waiting joins one batch, and
+// the batch runs one drain, one WAL commit and one ack per peer. A
+// receiver acks a frame only after the drain it fed has committed and
+// dispatched, so one runner-wide credit — unacked frames plus drains in
+// progress — is zero exactly at the fixpoint.
 //
 // A Runner hosts a set of *local* nodes, but its address book may map
 // further node IDs to sockets owned by other runners — in another
@@ -135,6 +137,7 @@ type Runner struct {
 	duplicates  atomic.Int64
 	reordered   atomic.Int64
 	ackFrames   atomic.Int64
+	drains      atomic.Int64
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -155,6 +158,7 @@ type Stats struct {
 	Duplicates   int64 // inbound data datagrams delivered before
 	Reordered    int64 // inbound data datagrams held for an earlier gap
 	AckFrames    int64 // ack-only frames sent
+	Drains       int64 // engine drains: receive batches, injections, seeds, imports and sweeps
 	Outstanding  int64 // the credit: unacked data datagrams plus drains in progress
 }
 
@@ -180,13 +184,6 @@ type netNode struct {
 	// closed marks a released node: its receive loop exits on the next
 	// read error instead of treating the closed socket as transient.
 	closed atomic.Bool
-
-	// scratch is the node's reusable decode buffer: receive decodes each
-	// datagram into it (engine.DecodeMessageInto) instead of allocating a
-	// fresh batch per message. Guarded by mu; safe to reuse because
-	// decoded tuples never alias either the read buffer or this slice
-	// once pushed.
-	scratch []engine.Delta
 
 	// dur is the node's durable store (nil without durability); pending
 	// collects the deltas the engine journal tap emits during a drain,
@@ -364,6 +361,7 @@ func (r *Runner) ImportNode(id string, bundle []byte) error {
 	}
 	r.commitDurable(nn)
 	r.activity.Add(1)
+	r.drains.Add(1)
 	r.unlockAndDispatch(nn, outs)
 	return nil
 }
@@ -574,10 +572,11 @@ func (r *Runner) Bytes() int64 { return r.sentB.Load() }
 // Messages returns the number of datagrams sent.
 func (r *Runner) Messages() int64 { return r.sentM.Load() }
 
-// Activity returns a counter that bumps every time a node delivers a
-// data datagram or drains an injection, seed, import or sweep; ack-only
-// frames, duplicates and retransmissions do not move it. Control planes
-// compare successive readings to detect idleness across processes.
+// Activity returns a counter that bumps every time a node drains a batch
+// of delivered data datagrams, an injection, a seed, an import or a
+// sweep; ack-only frames, duplicates and retransmissions do not move it.
+// Control planes compare successive readings to detect idleness across
+// processes.
 func (r *Runner) Activity() int64 { return r.activity.Load() }
 
 // Stats snapshots the runner's traffic counters.
@@ -593,6 +592,7 @@ func (r *Runner) Stats() Stats {
 		Duplicates:   r.duplicates.Load(),
 		Reordered:    r.reordered.Load(),
 		AckFrames:    r.ackFrames.Load(),
+		Drains:       r.drains.Load(),
 		Outstanding:  r.credit.Load(),
 	}
 }
@@ -634,6 +634,7 @@ func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
 		r.credit.Add(1)
 		nn.mu.Lock()
 		outs := drain(nn)
+		r.drains.Add(1)
 		r.commitDurable(nn)
 		r.unlockAndDispatch(nn, outs)
 		r.release(1)
@@ -658,9 +659,36 @@ func (r *Runner) unlockAndDispatch(nn *netNode, outs []engine.OutDelta) {
 // notices shutdown; the link timers wake it sooner when they are due.
 const readWake = 50 * time.Millisecond
 
+// maxBatch bounds how many datagrams one turn of a receive loop reads
+// before it drains, so a peer that keeps the socket full cannot hold
+// the batch's acks back indefinitely.
+const maxBatch = 64
+
+// decodeScratch is the size, in deltas, of a receive loop's decode
+// scratch. The array lives on the loop's stack beside its read buffer,
+// so what a node retains between datagrams is bounded by construction: a
+// datagram carrying more deltas decodes into an array of its own, which
+// it leaves to the collector.
+const decodeScratch = 64
+
+// batch is one turn of a receive loop: open once a frame has been
+// accepted, from when the loop takes the batch's unit of credit and the
+// node lock until it drains; pushed once a frame has given the node
+// deltas. scratch is the loop's decode scratch.
+type batch struct {
+	open, pushed bool
+	scratch      []engine.Delta
+}
+
+// receiveLoop serves nn's socket a batch at a time: a blocking read,
+// then every datagram the probe finds already queued, up to maxBatch, all
+// into the one read buffer; then one drain for the lot. A batch of one is
+// a socket that was empty behind its first datagram.
 func (r *Runner) receiveLoop(nn *netNode) {
 	defer r.wg.Done()
 	buf := make([]byte, 64<<10)
+	var decode [decodeScratch]engine.Delta
+	queued := newProbe(nn.conn)
 	for {
 		nn.conn.SetReadDeadline(r.born.Add(r.tick(nn, r.clock())))
 		n, from, err := nn.conn.ReadFromUDPAddrPort(buf)
@@ -675,7 +703,20 @@ func (r *Runner) receiveLoop(nn *netNode) {
 			}
 			continue // deadline or transient error; keep serving
 		}
-		r.receive(nn, unmapped(from), buf[:n])
+		b := batch{scratch: decode[:0]}
+		r.receive(nn, &b, unmapped(from), buf[:n])
+		for k := 1; k < maxBatch && queued.pending(); k++ {
+			if k == 1 {
+				// A datagram is queued, so these reads never block: the
+				// wake-up deadline would only cut the batch short.
+				nn.conn.SetReadDeadline(time.Time{})
+			}
+			if n, from, err = nn.conn.ReadFromUDPAddrPort(buf); err != nil {
+				break
+			}
+			r.receive(nn, &b, unmapped(from), buf[:n])
+		}
+		r.drainBatch(nn, &b)
 	}
 }
 
@@ -708,17 +749,18 @@ func (r *Runner) tick(nn *netNode, now time.Duration) time.Duration {
 	return wake
 }
 
-// receive handles one inbound datagram b from peer: its ack releases
-// credit, and its data is delivered exactly once and in order — now, or
-// once the frames before it have arrived. b may be the loop's read
-// buffer: only held frames are copied out of it.
-func (r *Runner) receive(nn *netNode, peer netip.AddrPort, b []byte) {
-	h, payload, ok := parseEnvelope(b)
+// receive adds one inbound datagram d from peer to batch b: its ack
+// releases credit, and its data is accepted exactly once and in order —
+// now, or once the frames before it have arrived — and pushed into the
+// node. d may be the loop's read buffer: only held frames are copied out
+// of it.
+func (r *Runner) receive(nn *netNode, b *batch, peer netip.AddrPort, d []byte) {
+	h, payload, ok := parseEnvelope(d)
 	if !ok {
 		return // not an envelope: drop, like any UDP protocol
 	}
 	if h.seq != 0 {
-		r.recvB.Add(int64(len(b)))
+		r.recvB.Add(int64(len(d)))
 		r.recvM.Add(1)
 	}
 	nn.sendMu.Lock()
@@ -754,50 +796,67 @@ func (r *Runner) receive(nn *netNode, peer netip.AddrPort, b []byte) {
 		r.duplicates.Add(1)
 	case heldBack:
 		r.reordered.Add(1)
-	case deliverNow:
-		for seq, more := h.seq, true; more; {
-			r.deliver(nn, l, seq, payload)
+	case acceptNow:
+		if !b.open {
+			// The batch holds a unit of credit from its first accepted frame
+			// until its output is counted, so the credit cannot pass through
+			// zero while any consequence of the batch is uncounted.
+			r.credit.Add(1)
+			nn.mu.Lock()
+			b.open = true
+		}
+		for more := true; more; {
+			r.push(nn, b, payload)
 			nn.sendMu.Lock()
-			seq, payload, more = l.nextHeld()
+			payload, more = l.nextHeld()
 			nn.sendMu.Unlock()
 		}
 	}
 }
 
-// deliver drains one in-order data frame into nn. The frame's ack may
-// leave only once the drain has committed its WAL record — piggybacked
-// on the drain's own output at the earliest — and the drain holds a unit
-// of credit until that output is dispatched, so the credit cannot pass
-// through zero while any consequence of the frame is uncounted.
-func (r *Runner) deliver(nn *netNode, l *link, seq uint64, payload []byte) {
-	r.credit.Add(1)
-	// Decode under the node lock: the string table is node state, and the
-	// copy-on-decode invariant (decoded tuples never alias the buffer)
-	// is what lets the receive loop reuse its read buffer and this scratch.
-	nn.mu.Lock()
-	deltas, err := engine.DecodeMessageInto(payload, nn.node.Interner(), nn.scratch[:0])
-	if err == nil {
-		nn.scratch = deltas[:0]
-	}
-	var outs []engine.OutDelta
+// push decodes one accepted frame's payload into nn's queue. The caller
+// holds the node lock: the string table is node state, and the
+// copy-on-decode invariant (decoded tuples never alias the buffer) is
+// what lets the receive loop reuse its read buffer and decode scratch.
+func (r *Runner) push(nn *netNode, b *batch, payload []byte) {
+	deltas, _ := engine.DecodeMessageInto(payload, nn.node.Interner(), b.scratch)
 	if len(deltas) > 0 {
 		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
 		for _, d := range deltas {
 			nn.node.Push(d)
 		}
-		// The scratch outlives this frame: drop its tuple references, or
-		// the last frame's tuples — and the chunks its retractions were
-		// carved from — stay live until the next datagram.
-		clear(deltas)
+		b.pushed = true
+	}
+	// The scratch outlives this frame: drop its tuple references, or the
+	// last frame's tuples — and the chunks its retractions were carved
+	// from — stay live until the next datagram.
+	clear(deltas)
+}
+
+// drainBatch ends an open batch: one drain over everything it pushed,
+// one WAL commit, then every link's accepted frames become delivered and
+// the drain's output leaves. An ack may leave only once the drain has
+// committed its WAL record — piggybacked on the drain's own output at
+// the earliest, otherwise as one ack-only frame per peer at the loop's
+// next tick.
+func (r *Runner) drainBatch(nn *netNode, b *batch) {
+	if !b.open {
+		return
+	}
+	var outs []engine.OutDelta
+	if b.pushed {
 		outs = nn.node.Drain()
 		// WAL before wire and before ack: a crash right here cannot have
 		// advertised, or acknowledged, state it will not remember.
 		r.commitDurable(nn)
 		r.activity.Add(1)
+		r.drains.Add(1)
 	}
 	nn.sendMu.Lock()
 	nn.mu.Unlock()
-	l.deliveredTo(seq)
+	for _, l := range nn.links {
+		l.commit()
+	}
 	r.dispatch(nn, outs)
 	nn.sendMu.Unlock()
 	r.release(1)
@@ -817,6 +876,7 @@ func (r *Runner) Inject(id string, d engine.Delta) error {
 	outs := nn.node.Drain()
 	r.commitDurable(nn)
 	r.activity.Add(1)
+	r.drains.Add(1)
 	r.unlockAndDispatch(nn, outs)
 	r.release(1)
 	return nil

@@ -44,7 +44,7 @@ import (
 //	rederived := shard(uvarint) req(uvarint)
 //	stats   := netrun.Stats, field by field (uvarints): sentB sentM recvB
 //	           recvM dropped fenced retransmits duplicates reordered
-//	           ackFrames outstanding
+//	           ackFrames drains outstanding
 //
 // Kind bytes start at 0x81, disjoint from the engine's data-message
 // kinds (1, 2) and the netrun data envelope (0x7E) — a control frame
@@ -139,7 +139,7 @@ func appendBook(dst []byte, book map[string]string) []byte {
 
 func appendStats(dst []byte, s netrun.Stats) []byte {
 	for _, v := range []int64{s.SentBytes, s.SentMessages, s.RecvBytes, s.RecvMessages,
-		s.Dropped, s.Fenced, s.Retransmits, s.Duplicates, s.Reordered, s.AckFrames, s.Outstanding} {
+		s.Dropped, s.Fenced, s.Retransmits, s.Duplicates, s.Reordered, s.AckFrames, s.Drains, s.Outstanding} {
 		dst = appendUvarint(dst, uint64(v))
 	}
 	return dst
@@ -282,7 +282,7 @@ func (d *decoder) book() map[string]string {
 func (d *decoder) stats() netrun.Stats {
 	var s netrun.Stats
 	for _, v := range []*int64{&s.SentBytes, &s.SentMessages, &s.RecvBytes, &s.RecvMessages,
-		&s.Dropped, &s.Fenced, &s.Retransmits, &s.Duplicates, &s.Reordered, &s.AckFrames, &s.Outstanding} {
+		&s.Dropped, &s.Fenced, &s.Retransmits, &s.Duplicates, &s.Reordered, &s.AckFrames, &s.Drains, &s.Outstanding} {
 		*v = int64(d.uvarint())
 	}
 	return s

@@ -890,6 +890,7 @@ func (c *Coordinator) TotalStats() Stats {
 		t.Duplicates += s.Duplicates
 		t.Reordered += s.Reordered
 		t.AckFrames += s.AckFrames
+		t.Drains += s.Drains
 		t.Outstanding += s.Outstanding
 	}
 	return t

@@ -5,7 +5,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -78,7 +77,7 @@ func TestCrashRecovery(t *testing.T) {
 	// kill -9 one worker: no bye, no flush beyond what WAL-before-wire
 	// already guaranteed, sockets drop mid-epoch.
 	victim := coord.Owner("c")
-	if err := syscall.Kill(coord.cmds[victim].Process.Pid, syscall.SIGKILL); err != nil {
+	if err := coord.cmds[victim].Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 

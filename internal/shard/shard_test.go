@@ -163,7 +163,7 @@ func sampleFrames() []frame {
 		{kind: kindStart},
 		{kind: kindIdle, shard: 3, epoch: 2, mark: 4, activity: 42,
 			stats: netrun.Stats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6,
-				Retransmits: 7, Duplicates: 8, Reordered: 9, AckFrames: 10, Outstanding: 11}},
+				Retransmits: 7, Duplicates: 8, Reordered: 9, AckFrames: 10, Drains: 11, Outstanding: 12}},
 		{kind: kindQuery, req: 7, pred: "shortestPath"},
 		{kind: kindTuples, shard: 1, req: 7, tuples: []val.Tuple{tup}},
 		{kind: kindTuples, shard: 1, req: 7}, // nothing gathered
@@ -216,6 +216,26 @@ func TestControlFrameRoundTrip(t *testing.T) {
 			if !got.tuples[i].Equal(f.tuples[i]) {
 				t.Errorf("%#x: tuple %d mismatch: %v vs %v", f.kind, i, got.tuples[i], f.tuples[i])
 			}
+		}
+	}
+}
+
+// TestStatsRoundTripEveryField: every netrun.Stats counter crosses the
+// control plane under its own name. Each field gets a distinct value, so
+// a counter the encoding forgets, or two it swaps, fails here.
+func TestStatsRoundTripEveryField(t *testing.T) {
+	var want netrun.Stats
+	v := reflect.ValueOf(&want).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(1000 + i))
+	}
+	for _, kind := range []frameKind{kindIdle, kindBye} {
+		got, err := decodeFrame(encodeFrame(frame{kind: kind, shard: 1, stats: want}))
+		if err != nil {
+			t.Fatalf("%#x: %v", kind, err)
+		}
+		if got.stats != want {
+			t.Errorf("%#x: stats %+v, want %+v", kind, got.stats, want)
 		}
 	}
 }
