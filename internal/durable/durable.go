@@ -20,12 +20,10 @@
 // poisoning recovery.
 //
 // Durability. Append buffers records in memory; Commit writes them to
-// the log and syncs according to the configured policy: SyncCommit
-// fsyncs every commit (a crash loses nothing committed), SyncInterval
-// fsyncs at most once per SyncEvery (a crash loses at most that
-// window), SyncNone leaves syncing to the OS. Group commit falls out of
-// the Append/Commit split: all records appended during one evaluator
-// drain are framed and synced as a single batch.
+// the log and fsyncs it, so a crash loses nothing committed — the
+// promise a caller that commits before it sends relies on. Group commit
+// falls out of the Append/Commit split: all records appended during one
+// evaluator drain are framed and synced as a single batch.
 package durable
 
 import (
@@ -38,49 +36,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
-// SyncPolicy names an fsync discipline for WAL commits.
-type SyncPolicy string
-
-const (
-	// SyncCommit fsyncs the log on every Commit. Default.
-	SyncCommit SyncPolicy = "commit"
-	// SyncInterval fsyncs at most once per Options.SyncEvery.
-	SyncInterval SyncPolicy = "interval"
-	// SyncNone never fsyncs; the OS flushes when it pleases.
-	SyncNone SyncPolicy = "none"
-)
-
-// Options configures a Store. The zero value is valid: SyncCommit,
-// default snapshot threshold and sync interval.
+// Options configures a Store. The zero value is valid: the default
+// snapshot threshold.
 type Options struct {
-	// Sync is the fsync policy; "" means SyncCommit.
-	Sync SyncPolicy
-	// SyncEvery is the maximum un-fsynced window under SyncInterval.
-	// Zero means 100ms.
-	SyncEvery time.Duration
 	// SnapshotBytes is the WAL size beyond which ShouldSnapshot reports
 	// true. Zero means 256 KiB; negative disables the suggestion.
 	SnapshotBytes int64
-}
-
-func (o *Options) fill() error {
-	switch o.Sync {
-	case "":
-		o.Sync = SyncCommit
-	case SyncCommit, SyncInterval, SyncNone:
-	default:
-		return fmt.Errorf("durable: unknown sync policy %q", o.Sync)
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
-	if o.SnapshotBytes == 0 {
-		o.SnapshotBytes = 256 << 10
-	}
-	return nil
 }
 
 // maxRecord bounds a single WAL record payload. A record holds one
@@ -114,8 +77,6 @@ type Store struct {
 	wal      *os.File
 	walBytes int64  // framed bytes in the wal file
 	pending  []byte // framed records not yet written
-	dirty    bool   // written but not yet fsynced
-	lastSync time.Time
 	closed   bool
 	commits  uint64 // commit batches written (see Commits)
 	syncs    uint64 // fsyncs issued (see Syncs)
@@ -136,8 +97,8 @@ func genName(prefix string, gen uint64) string {
 // fresh Snapshot right after recovery is the idiomatic way to fold the
 // replayed tail back into a compact generation.
 func Open(dir string, opts Options) (*Store, Recovered, error) {
-	if err := opts.fill(); err != nil {
-		return nil, Recovered{}, err
+	if opts.SnapshotBytes == 0 {
+		opts.SnapshotBytes = 256 << 10
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, Recovered{}, err
@@ -314,47 +275,30 @@ func (s *Store) Append(payload []byte) error {
 	return nil
 }
 
-// Commit writes all appended records to the log in one batch and syncs
-// per the configured policy.
+// Commit writes all appended records to the log in one batch and
+// fsyncs it. With nothing appended it does nothing.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("durable: store closed")
 	}
-	return s.commitLocked(false)
+	return s.commitLocked()
 }
 
-func (s *Store) commitLocked(forceSync bool) error {
-	if len(s.pending) > 0 {
-		if _, err := s.wal.Write(s.pending); err != nil {
-			return err
-		}
-		s.walBytes += int64(len(s.pending))
-		s.pending = s.pending[:0]
-		s.dirty = true
-		s.commits++
-	}
-	if !s.dirty {
+func (s *Store) commitLocked() error {
+	if len(s.pending) == 0 {
 		return nil
 	}
-	sync := forceSync
-	switch s.opts.Sync {
-	case SyncCommit:
-		sync = true
-	case SyncInterval:
-		if time.Since(s.lastSync) >= s.opts.SyncEvery {
-			sync = true
-		}
+	if _, err := s.wal.Write(s.pending); err != nil {
+		return err
 	}
-	if !sync {
-		return nil
-	}
+	s.walBytes += int64(len(s.pending))
+	s.pending = s.pending[:0]
+	s.commits++
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
-	s.dirty = false
-	s.lastSync = time.Now()
 	s.syncs++
 	return nil
 }
@@ -367,8 +311,8 @@ func (s *Store) Commits() uint64 {
 	return s.commits
 }
 
-// Syncs returns the number of fsyncs issued against the live WAL: under
-// SyncCommit, one per Commit that had something to make durable.
+// Syncs returns the number of fsyncs issued against the live WAL: one
+// per Commit that had something to make durable.
 func (s *Store) Syncs() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -449,7 +393,6 @@ func (s *Store) Snapshot(state []byte) error {
 	s.gen = next
 	s.walBytes = 0
 	s.pending = s.pending[:0]
-	s.dirty = false
 	os.Remove(filepath.Join(s.dir, genName(snapPrefix, old)))
 	os.Remove(filepath.Join(s.dir, genName(walPrefix, old)))
 	return nil
@@ -476,7 +419,7 @@ func (s *Store) Bundle() ([]byte, error) {
 	if s.closed {
 		return nil, fmt.Errorf("durable: store closed")
 	}
-	if err := s.commitLocked(true); err != nil {
+	if err := s.commitLocked(); err != nil {
 		return nil, err
 	}
 	var snap []byte
@@ -500,7 +443,7 @@ func (s *Store) Close() error {
 	if s.closed {
 		return nil
 	}
-	err := s.commitLocked(true)
+	err := s.commitLocked()
 	if cerr := s.wal.Close(); err == nil {
 		err = cerr
 	}

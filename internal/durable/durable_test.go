@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*Store, Recovered) {
@@ -207,11 +206,10 @@ func TestStaleGenerationCleanup(t *testing.T) {
 	}
 }
 
+// TestSyncPoliciesAndThreshold: the one sync policy is an fsync per
+// commit that wrote something, and the snapshot threshold is honoured.
 func TestSyncPoliciesAndThreshold(t *testing.T) {
-	if _, _, err := Open(t.TempDir(), Options{Sync: "yolo"}); err == nil {
-		t.Error("bad sync policy accepted")
-	}
-	s, _ := openT(t, t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Hour, SnapshotBytes: 16})
+	s, _ := openT(t, t.TempDir(), Options{SnapshotBytes: 16})
 	defer s.Close()
 	if s.ShouldSnapshot() {
 		t.Error("empty store wants snapshot")
@@ -226,8 +224,14 @@ func TestSyncPoliciesAndThreshold(t *testing.T) {
 	if got := s.WALBytes(); got != 40 {
 		t.Errorf("WALBytes = %d, want 40", got)
 	}
+	if err := s.Commit(); err != nil { // nothing appended: no fsync
+		t.Fatal(err)
+	}
+	if s.Commits() != 1 || s.Syncs() != 1 {
+		t.Errorf("commits = %d, syncs = %d, want 1 and 1", s.Commits(), s.Syncs())
+	}
 
-	s2, _ := openT(t, t.TempDir(), Options{Sync: SyncNone, SnapshotBytes: -1})
+	s2, _ := openT(t, t.TempDir(), Options{SnapshotBytes: -1})
 	defer s2.Close()
 	s2.Append(bytes.Repeat([]byte("y"), 1<<20))
 	if s2.ShouldSnapshot() {

@@ -658,6 +658,13 @@ func noCache(_ *engine.Node, rule string, _ engine.Delta) bool {
 // query's destination, and the cache-hit rule (hit1) fires only for
 // arriving exploration, not for a cache row replayed against old
 // queries' exploration state.
+//
+// The prune is approximate, as the paper's caching is. hit1 answers
+// prefix + cached suffix, and the cache row is a min over answers that
+// may themselves have come from a hit, so a cached suffix can be
+// suboptimal; stopping exploration there can then return a route above
+// the oracle's cost. The MSC rows therefore note such answers instead
+// of failing on them (magic.golden notes one of eight at MSC-30).
 func cachePrune(n *engine.Node, rule string, d engine.Delta) bool {
 	if rule == "hit1" && d.Tuple.Pred == "cache" {
 		return false

@@ -66,8 +66,8 @@ func TestDurableRecovery(t *testing.T) {
 	if want := []string{"reach(a,a)", "reach(a,b)", "reach(b,a)", "reach(b,b)"}; !reflect.DeepEqual(wantReach, want) {
 		t.Fatalf("fixpoint before the crash %v, want %v", wantReach, want)
 	}
-	// Abandon r1 without Close: with the default SyncCommit policy every
-	// drain was fsynced before its datagrams left, so the directory is
+	// Abandon r1 without Close: every drain was fsynced before its
+	// datagrams left, so the directory is
 	// exactly what a kill -9 would leave behind.
 	defer r1.Close()
 
@@ -321,14 +321,14 @@ func TestBindHost(t *testing.T) {
 
 // TestSeedSweepFsyncPerNode: WAL-before-wire is paid per node. A Seed
 // sweep over the five Figure 2 nodes (each owns link facts) commits one
-// record per node, so it costs exactly five fsyncs under SyncCommit.
+// record per node, so it costs exactly five fsyncs.
 func TestSeedSweepFsyncPerNode(t *testing.T) {
 	r, err := New(mustProg(t), []string{"a", "b", "c", "d", "e"}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.EnableDurability(t.TempDir(), durable.Options{Sync: durable.SyncCommit}); err != nil {
+	if _, err := r.EnableDurability(t.TempDir(), durable.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// Seed without Start: one deterministic drain per node, no receive

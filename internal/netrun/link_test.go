@@ -293,7 +293,7 @@ func FuzzLinkEnvelope(f *testing.F) {
 	f.Add(appendHeader(nil, header{epoch: 1, inc: 1, seq: 1}))    // data frame without payload
 	f.Add(append(appendHeader(nil, header{epoch: 1, inc: 1}), 4)) // ack frame with payload
 	f.Add([]byte{envMagic, 0x80, 0x00, 1, 1, 1, 9})               // non-canonical uvarint
-	f.Add([]byte{0x81, 1, 2, 3})                                  // a control frame
+	f.Add([]byte{0x81, 1, 2, 3})                                  // not an envelope
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, payload, ok := parseEnvelope(b)
 		if !ok {

@@ -1065,8 +1065,8 @@ func (r *Runner) NodeTuples(id, pred string) []string {
 }
 
 // Close shuts down all sockets, waits for the receive loops, and
-// flushes the durable stores (a clean shutdown loses nothing even
-// under the lazier sync policies).
+// commits whatever the durable stores still hold pending before it
+// closes them.
 func (r *Runner) Close() {
 	select {
 	case <-r.stop:

@@ -172,6 +172,12 @@ query answer(@S2,@S2,@D,P,C,SC).
 //     prefix + suffix without going further. The engine-level cache
 //     prune (a StrandFilter on cs2) suppresses exploration past cache
 //     hits, which is what makes caching save bandwidth (Section 5.2).
+//
+// With that prune the strategy is approximate: a cache row is a min
+// over answers that may themselves be prefix + cached suffix, so a
+// query can be answered along a route longer than its shortest one.
+// Without the prune, exploration still reaches the destination, so the
+// cheapest answer is the shortest route.
 func CachedSourceRoute() string {
 	return `
 materialize(link, infinity, infinity, keys(1,2)).

@@ -3,54 +3,31 @@ package shard
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 
+	"ndlog/internal/engine"
 	"ndlog/internal/netrun"
 	"ndlog/internal/val"
 )
 
-// Control-plane wire format. Frames ride the same varint/TLV encoding
-// as data tuples (internal/val): strings are length-prefixed, integers
-// are uvarints, and gathered tuples are encoded with val.AppendTuple —
-// so the control plane needs no codec of its own and benefits from the
-// same fuzzed decoders. Each worker holds one TCP connection to the
-// coordinator, and every frame on it is written behind its length:
+// Control-plane wire format. Each worker holds one TCP connection to
+// the coordinator, and every frame on it is one JSON object (a frame,
+// through encoding/json) written behind its length:
 //
-//	stream  := {len(uvarint) frame}*
-//	frame   := kind(byte) body
-//	hello   := shard(uvarint) nbook(uvarint) {node(string) addr(string)}*
-//	book    := epoch(uvarint) nbook(uvarint) {node(string) addr(string)}*
-//	ready   := shard(uvarint) epoch(uvarint)
-//	start   := ε
-//	idle    := shard(uvarint) epoch(uvarint) mark(uvarint) activity(uvarint)
-//	           stats
-//	query   := req(uvarint) pred(string)
-//	tuples  := shard(uvarint) req(uvarint) count(uvarint) tuple*
-//	stop    := ε
-//	bye     := shard(uvarint) stats
-//	pong    := mark(uvarint)
-//	release := req(uvarint) epoch(uvarint) node(string)
-//	state   := shard(uvarint) req(uvarint) blob(string)
-//	adopt   := req(uvarint) epoch(uvarint) node(string) blob(string)
-//	adopted := shard(uvarint) req(uvarint) node(string) addr(string)
-//	resume  := epoch(uvarint) nnodes(uvarint) {node(string)}*
-//	resumed := shard(uvarint) epoch(uvarint)
-//	rederive  := req(uvarint) epoch(uvarint) nnodes(uvarint) {node(string)}*
-//	rederived := shard(uvarint) req(uvarint)
-//	stats   := netrun.Stats, field by field (uvarints): sentB sentM recvB
-//	           recvM dropped fenced retransmits duplicates reordered
-//	           ackFrames drains outstanding
+//	stream := {len(uvarint) frame}*
 //
-// Kind bytes start at 0x81, disjoint from the engine's data-message
-// kinds (1, 2) and the netrun data envelope (0x7E) — a control frame
-// mis-delivered to a data socket is rejected as corrupt, and vice
-// versa. The stream is reliable and ordered, so every frame is written
-// once; a closed connection means the peer is gone.
+// A frame carries its kind and the fields that kind uses; the rest are
+// left out. Gathered tuples are the exception to plain JSON: they ride
+// as one engine delta batch (base64 in the object), the data plane's
+// fuzzed codec, which keeps NaN floats and arbitrary string bytes exact
+// where JSON numbers and strings would not. The stream is reliable and
+// ordered, so every frame is written once; a closed connection means
+// the peer is gone.
 //
 // Epochs version the membership view: the coordinator bumps the epoch
 // on every rebalance, workers echo it in ready/idle/resumed frames, and
@@ -62,347 +39,121 @@ import (
 type frameKind byte
 
 const (
-	kindHello  frameKind = 0x81 // worker → coord: shard's node address book
-	kindBook   frameKind = 0x82 // coord → worker: merged global book, epoch-stamped
-	kindReady  frameKind = 0x83 // worker → coord: book of that epoch installed
-	kindStart  frameKind = 0x84 // coord → worker: seed home facts, go
-	kindIdle   frameKind = 0x85 // worker → coord: activity and credit report
-	kindQuery  frameKind = 0x86 // coord → worker: gather a predicate
-	kindTuples frameKind = 0x87 // worker → coord: a gathered predicate
-	kindStop   frameKind = 0x89 // coord → worker: shut down
-	kindBye    frameKind = 0x8A // worker → coord: final stats, exiting
-	kindPong   frameKind = 0x8B // coord → worker: idle-report ack (liveness) and wave mark
+	kindHello  frameKind = iota + 1 // worker → coord: shard's node address book
+	kindBook                        // coord → worker: merged global book, epoch-stamped
+	kindReady                       // worker → coord: book of that epoch installed
+	kindStart                       // coord → worker: seed home facts, go
+	kindIdle                        // worker → coord: activity and credit report
+	kindQuery                       // coord → worker: gather a predicate
+	kindTuples                      // worker → coord: a gathered predicate
+	kindStop                        // coord → worker: shut down
+	kindBye                         // worker → coord: final stats, exiting
+	kindPong                        // coord → worker: idle-report ack (liveness) and wave mark
 
 	// Rebalance frames (epoch cutover; see coord.go Rebalance).
-	kindRelease frameKind = 0x8C // coord → worker: export + drop a migrating node
-	kindState   frameKind = 0x8D // worker → coord: the node's exported state
-	kindAdopt   frameKind = 0x8E // coord → worker: host this node, with its state
-	kindAdopted frameKind = 0x8F // worker → coord: node bound, here is its address
-	kindResume  frameKind = 0x90 // coord → worker: cutover done, import + rederive
-	kindResumed frameKind = 0x91 // worker → coord: resumed in the new epoch
+	kindRelease // coord → worker: export + drop a migrating node
+	kindState   // worker → coord: the node's exported state
+	kindAdopt   // coord → worker: host this node, with its state
+	kindAdopted // worker → coord: node bound, here is its address
+	kindResume  // coord → worker: cutover done, import + rederive
+	kindResumed // worker → coord: resumed in the new epoch
 
 	// Recovery frames (crash respawn; see coord.go Respawn).
-	kindRederive  frameKind = 0x92 // coord → worker: re-send derivations toward these nodes
-	kindRederived frameKind = 0x93 // worker → coord: rederivation sweep done
+	kindRederive  // coord → worker: re-send derivations toward these nodes
+	kindRederived // worker → coord: rederivation sweep done
 )
 
-// frame is one decoded control message; unused fields are zero.
+// frame is one control message; a kind leaves the fields it does not
+// use zero, and they are not encoded.
 type frame struct {
-	kind frameKind
-	// shard identifies the sender (worker → coord frames).
-	shard int
-	// epoch is the membership view a frame belongs to (book, ready,
+	Kind frameKind `json:"kind"`
+	// Shard identifies the sender (worker → coord frames).
+	Shard int `json:"shard,omitempty"`
+	// Epoch is the membership view a frame belongs to (book, ready,
 	// idle, release, adopt, resume, resumed).
-	epoch uint64
-	// book carries node → "host:port" entries (hello, book).
-	book map[string]string
-	// activity is the runner's activity counter (idle); stats is the
+	Epoch uint64 `json:"epoch,omitempty"`
+	// Book carries node → "host:port" entries (hello, book).
+	Book map[string]string `json:"book,omitempty"`
+	// Activity is the runner's activity counter (idle); Stats is the
 	// runner's counters, credit included (idle, bye).
-	activity int64
-	stats    netrun.Stats
-	// mark is the coordinator's wave mark (pong) and the newest mark a
+	Activity int64         `json:"activity,omitempty"`
+	Stats    *netrun.Stats `json:"stats,omitempty"`
+	// Mark is the coordinator's wave mark (pong) and the newest mark a
 	// worker had seen when it took its report (idle).
-	mark uint64
-	// req, pred: query correlation id and predicate (query); req also
-	// correlates release/state and adopt/adopted exchanges.
-	req  uint64
-	pred string
-	// node names the migrating node (release, adopt, adopted); nodes
+	Mark uint64 `json:"mark,omitempty"`
+	// Req, Pred: query correlation id and predicate (query); Req also
+	// correlates release/state, adopt/adopted and rederive/rederived.
+	Req  uint64 `json:"req,omitempty"`
+	Pred string `json:"pred,omitempty"`
+	// Node names the migrating node (release, adopt, adopted); Nodes
 	// lists every node moved by a cutover (resume) or targeted by a
 	// rederivation sweep (rederive).
-	node  string
-	nodes []string
-	// addr is the migrated node's new data address (adopted).
-	addr string
-	// tuples is one shard's gather response (tuples).
-	tuples []val.Tuple
-	// blob is an exported node state (state, adopt).
-	blob []byte
+	Node  string   `json:"node,omitempty"`
+	Nodes []string `json:"nodes,omitempty"`
+	// Addr is the migrated node's new data address (adopted).
+	Addr string `json:"addr,omitempty"`
+	// Tuples is one shard's gather response (tuples).
+	Tuples gather `json:"tuples,omitempty"`
+	// Blob is an exported node state (state, adopt).
+	Blob []byte `json:"blob,omitempty"`
 }
 
-func appendUvarint(dst []byte, x uint64) []byte { return binary.AppendUvarint(dst, x) }
-
-func appendBook(dst []byte, book map[string]string) []byte {
-	dst = appendUvarint(dst, uint64(len(book)))
-	// Deterministic order keeps frames byte-stable for tests.
-	keys := make([]string, 0, len(book))
-	for k := range book {
-		keys = append(keys, k)
+// stats is the frame's counters, zero when it carries none.
+func (f frame) stats() netrun.Stats {
+	if f.Stats == nil {
+		return netrun.Stats{}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		dst = val.AppendString(dst, k)
-		dst = val.AppendString(dst, book[k])
-	}
-	return dst
+	return *f.Stats
 }
 
-func appendStats(dst []byte, s netrun.Stats) []byte {
-	for _, v := range []int64{s.SentBytes, s.SentMessages, s.RecvBytes, s.RecvMessages,
-		s.Dropped, s.Fenced, s.Retransmits, s.Duplicates, s.Reordered, s.AckFrames, s.Drains, s.Outstanding} {
-		dst = appendUvarint(dst, uint64(v))
+// gather is a gathered predicate. It crosses the wire as one batch of
+// insertions in the engine's delta encoding, so every value comes back
+// bit for bit.
+type gather []val.Tuple
+
+func (g gather) MarshalJSON() ([]byte, error) {
+	ds := make([]engine.Delta, len(g))
+	for i, t := range g {
+		ds[i] = engine.Insert(t)
 	}
-	return dst
+	return json.Marshal(engine.EncodeDeltas(ds))
 }
 
-func appendBytes(dst, b []byte) []byte {
-	dst = appendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// encodeFrame marshals f. The zero-body kinds encode as a single byte.
-func encodeFrame(f frame) []byte {
-	buf := []byte{byte(f.kind)}
-	switch f.kind {
-	case kindHello:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendBook(buf, f.book)
-	case kindBook:
-		buf = appendUvarint(buf, f.epoch)
-		buf = appendBook(buf, f.book)
-	case kindReady:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.epoch)
-	case kindStart, kindStop:
-	case kindPong:
-		buf = appendUvarint(buf, f.mark)
-	case kindIdle:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.epoch)
-		buf = appendUvarint(buf, f.mark)
-		buf = appendUvarint(buf, uint64(f.activity))
-		buf = appendStats(buf, f.stats)
-	case kindQuery:
-		buf = appendUvarint(buf, f.req)
-		buf = val.AppendString(buf, f.pred)
-	case kindTuples:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, uint64(len(f.tuples)))
-		for _, t := range f.tuples {
-			buf = val.AppendTuple(buf, t)
-		}
-	case kindBye:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendStats(buf, f.stats)
-	case kindRelease:
-		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, f.epoch)
-		buf = val.AppendString(buf, f.node)
-	case kindState:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.req)
-		buf = appendBytes(buf, f.blob)
-	case kindAdopt:
-		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, f.epoch)
-		buf = val.AppendString(buf, f.node)
-		buf = appendBytes(buf, f.blob)
-	case kindAdopted:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.req)
-		buf = val.AppendString(buf, f.node)
-		buf = val.AppendString(buf, f.addr)
-	case kindResume:
-		buf = appendUvarint(buf, f.epoch)
-		buf = appendUvarint(buf, uint64(len(f.nodes)))
-		for _, n := range f.nodes {
-			buf = val.AppendString(buf, n)
-		}
-	case kindResumed:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.epoch)
-	case kindRederive:
-		buf = appendUvarint(buf, f.req)
-		buf = appendUvarint(buf, f.epoch)
-		buf = appendUvarint(buf, uint64(len(f.nodes)))
-		for _, n := range f.nodes {
-			buf = val.AppendString(buf, n)
-		}
-	case kindRederived:
-		buf = appendUvarint(buf, uint64(f.shard))
-		buf = appendUvarint(buf, f.req)
+func (g *gather) UnmarshalJSON(b []byte) error {
+	var batch []byte
+	if err := json.Unmarshal(b, &batch); err != nil {
+		return err
 	}
-	return buf
-}
-
-type decoder struct {
-	b   []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = fmt.Errorf("shard: corrupt control frame (uvarint)")
-		return 0
-	}
-	d.b = d.b[n:]
-	return x
-}
-
-func (d *decoder) string() string {
-	if d.err != nil {
-		return ""
-	}
-	s, n, err := val.DecodeString(d.b)
+	ds, err := engine.DecodeDeltas(batch)
 	if err != nil {
-		d.err = fmt.Errorf("shard: corrupt control frame: %w", err)
-		return ""
+		return err
 	}
-	d.b = d.b[n:]
-	return s
+	*g = make(gather, len(ds))
+	for i, d := range ds {
+		(*g)[i] = d.Tuple
+	}
+	return nil
 }
 
-func (d *decoder) book() map[string]string {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+// encodeFrame marshals f.
+func encodeFrame(f frame) []byte {
+	b, err := json.Marshal(f)
+	if err != nil {
+		panic("shard: " + err.Error()) // every field of a frame marshals
 	}
-	// Each entry is at least two bytes; cap preallocation by payload.
-	if n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("shard: corrupt control frame (book size)")
-		return nil
-	}
-	book := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		k := d.string()
-		v := d.string()
-		if d.err != nil {
-			return nil
-		}
-		book[k] = v
-	}
-	return book
+	return b
 }
 
-func (d *decoder) stats() netrun.Stats {
-	var s netrun.Stats
-	for _, v := range []*int64{&s.SentBytes, &s.SentMessages, &s.RecvBytes, &s.RecvMessages,
-		&s.Dropped, &s.Fenced, &s.Retransmits, &s.Duplicates, &s.Reordered, &s.AckFrames, &s.Drains, &s.Outstanding} {
-		*v = int64(d.uvarint())
-	}
-	return s
-}
-
-// bytes decodes a length-prefixed blob; the result never aliases the
-// receive buffer (copy-on-decode, like every decoded string and tuple).
-func (d *decoder) bytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.err = fmt.Errorf("shard: corrupt control frame (blob size)")
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[:n])
-	d.b = d.b[n:]
-	return out
-}
-
-// decodeFrame unmarshals one control frame. Decoded strings and tuples
-// never alias b (val's copy-on-decode invariant), so callers may reuse
-// the receive buffer.
+// decodeFrame unmarshals one control frame and rejects a kind it does
+// not know. Decoded strings, blobs and tuples never alias b, so callers
+// may reuse the receive buffer.
 func decodeFrame(b []byte) (frame, error) {
-	if len(b) == 0 {
-		return frame{}, fmt.Errorf("shard: empty control frame")
+	var f frame
+	if err := json.Unmarshal(b, &f); err != nil {
+		return frame{}, fmt.Errorf("shard: corrupt control frame: %w", err)
 	}
-	f := frame{kind: frameKind(b[0])}
-	d := &decoder{b: b[1:]}
-	switch f.kind {
-	case kindHello:
-		f.shard = int(d.uvarint())
-		f.book = d.book()
-	case kindBook:
-		f.epoch = d.uvarint()
-		f.book = d.book()
-	case kindReady:
-		f.shard = int(d.uvarint())
-		f.epoch = d.uvarint()
-	case kindStart, kindStop:
-	case kindPong:
-		f.mark = d.uvarint()
-	case kindIdle:
-		f.shard = int(d.uvarint())
-		f.epoch = d.uvarint()
-		f.mark = d.uvarint()
-		f.activity = int64(d.uvarint())
-		f.stats = d.stats()
-	case kindQuery:
-		f.req = d.uvarint()
-		f.pred = d.string()
-	case kindTuples:
-		f.shard = int(d.uvarint())
-		f.req = d.uvarint()
-		n := d.uvarint()
-		if d.err == nil && n > uint64(len(d.b)) {
-			d.err = fmt.Errorf("shard: corrupt control frame (tuple count)")
-		}
-		for i := uint64(0); d.err == nil && i < n; i++ {
-			t, m, err := val.DecodeTuple(d.b)
-			if err != nil {
-				d.err = fmt.Errorf("shard: corrupt control frame: %w", err)
-				break
-			}
-			d.b = d.b[m:]
-			f.tuples = append(f.tuples, t)
-		}
-	case kindBye:
-		f.shard = int(d.uvarint())
-		f.stats = d.stats()
-	case kindRelease:
-		f.req = d.uvarint()
-		f.epoch = d.uvarint()
-		f.node = d.string()
-	case kindState:
-		f.shard = int(d.uvarint())
-		f.req = d.uvarint()
-		f.blob = d.bytes()
-	case kindAdopt:
-		f.req = d.uvarint()
-		f.epoch = d.uvarint()
-		f.node = d.string()
-		f.blob = d.bytes()
-	case kindAdopted:
-		f.shard = int(d.uvarint())
-		f.req = d.uvarint()
-		f.node = d.string()
-		f.addr = d.string()
-	case kindResume:
-		f.epoch = d.uvarint()
-		nn := d.uvarint()
-		if d.err == nil && nn > uint64(len(d.b)) {
-			d.err = fmt.Errorf("shard: corrupt control frame (node count)")
-		}
-		for i := uint64(0); d.err == nil && i < nn; i++ {
-			f.nodes = append(f.nodes, d.string())
-		}
-	case kindResumed:
-		f.shard = int(d.uvarint())
-		f.epoch = d.uvarint()
-	case kindRederive:
-		f.req = d.uvarint()
-		f.epoch = d.uvarint()
-		nn := d.uvarint()
-		if d.err == nil && nn > uint64(len(d.b)) {
-			d.err = fmt.Errorf("shard: corrupt control frame (node count)")
-		}
-		for i := uint64(0); d.err == nil && i < nn; i++ {
-			f.nodes = append(f.nodes, d.string())
-		}
-	case kindRederived:
-		f.shard = int(d.uvarint())
-		f.req = d.uvarint()
-	default:
-		return frame{}, fmt.Errorf("shard: unknown control frame kind 0x%x", b[0])
-	}
-	if d.err != nil {
-		return frame{}, d.err
+	if f.Kind < kindHello || f.Kind > kindRederived {
+		return frame{}, fmt.Errorf("shard: unknown control frame kind %d", f.Kind)
 	}
 	return f, nil
 }
@@ -410,7 +161,8 @@ func decodeFrame(b []byte) (frame, error) {
 // maxFrameBytes caps the length prefix of one frame. The reader
 // allocates a frame's buffer from its prefix, so without the cap a
 // corrupt stream could demand gigabytes; 64 MiB is far above any
-// gathered predicate or exported node state of a real deployment.
+// gathered predicate or exported node state of a real deployment, even
+// at base64's 4/3 inside the frame.
 const maxFrameBytes = 64 << 20
 
 var errFrameTooLarge = errors.New("shard: control frame exceeds the length cap")
@@ -444,7 +196,7 @@ type ctlConn struct {
 // gone — the one signal either side acts on.
 func (c *ctlConn) send(f frame) {
 	body := encodeFrame(f)
-	b := appendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
+	b := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
 	b = append(b, body...)
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -206,21 +206,21 @@ func (c *Coordinator) serve(cc *ctlConn) {
 func (c *Coordinator) apply(f frame, cc *ctlConn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.shards[f.shard]
+	st := c.shards[f.Shard]
 	if st == nil { // unknown shard id: ignore
 		return
 	}
-	if f.kind == kindHello {
+	if f.Kind == kindHello {
 		// The hello binds the shard to this connection; a previous
 		// incarnation's connection, if still open, is cut.
 		if st.conn != nil && st.conn != cc {
 			st.conn.conn.Close()
 		}
-		st.conn, st.gone, st.book = cc, false, f.book
+		st.conn, st.gone, st.book = cc, false, f.Book
 		// The last hello pushes the merged book to every shard; a later
 		// one (a respawn) gets it alone.
 		if book := c.mergedBookLocked(); book != nil {
-			bf := frame{kind: kindBook, epoch: c.epoch, book: book}
+			bf := frame{Kind: kindBook, Epoch: c.epoch, Book: book}
 			if st.started {
 				cc.send(bf)
 			} else {
@@ -236,44 +236,44 @@ func (c *Coordinator) apply(f frame, cc *ctlConn) {
 	if st.conn != cc {
 		return // not the connection this shard's hello bound
 	}
-	switch f.kind {
+	switch f.Kind {
 	case kindReady:
 		wasReady := st.ready
 		st.ready = true
-		if f.epoch > st.readyEpoch {
-			st.readyEpoch = f.epoch
+		if f.Epoch > st.readyEpoch {
+			st.readyEpoch = f.Epoch
 		}
 		if st.started {
 			// A respawn's first ready: the barrier released long ago.
 			if !wasReady {
-				cc.send(frame{kind: kindStart})
+				cc.send(frame{Kind: kindStart})
 			}
 		} else if c.allReadyLocked() {
 			for _, s := range c.shards {
 				s.started = true
 				if s.conn != nil {
-					s.conn.send(frame{kind: kindStart})
+					s.conn.send(frame{Kind: kindStart})
 				}
 			}
 		}
 	case kindIdle:
-		st.epoch, st.mark, st.activity, st.stats = f.epoch, f.mark, f.activity, f.stats
+		st.epoch, st.mark, st.activity, st.stats = f.Epoch, f.Mark, f.Activity, f.stats()
 		st.lastReport = time.Now()
 		// Ack with the current wave mark: the worker uses pongs to notice a
 		// hung coordinator, and answers a mark it has not seen with a
 		// report at once.
-		cc.send(frame{kind: kindPong, mark: c.mark})
+		cc.send(frame{Kind: kindPong, Mark: c.mark})
 	case kindTuples, kindState, kindAdopted, kindRederived:
-		if c.replies != nil && f.req == c.reqSeq {
-			c.replies[f.shard] = f
+		if c.replies != nil && f.Req == c.reqSeq {
+			c.replies[f.Shard] = f
 		}
 	case kindResumed:
-		if f.epoch > st.resumedEpoch {
-			st.resumedEpoch = f.epoch
+		if f.Epoch > st.resumedEpoch {
+			st.resumedEpoch = f.Epoch
 		}
 	case kindBye:
 		st.bye = true
-		st.stats = f.stats
+		st.stats = f.stats()
 	}
 }
 
@@ -351,7 +351,7 @@ func (c *Coordinator) WaitQuiescent(timeout time.Duration) bool {
 		c.mark++
 		mark := c.mark
 		c.mu.Unlock()
-		err := c.await(frame{kind: kindPong, mark: mark}, deadline,
+		err := c.await(frame{Kind: kindPong, Mark: mark}, deadline,
 			func(s *shardState) bool { return s.mark >= mark })
 		if err != nil {
 			return false
@@ -491,7 +491,7 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	if book == nil {
 		return fmt.Errorf("shard: respawn: address book incomplete")
 	}
-	err := c.await(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
+	err := c.await(frame{Kind: kindBook, Epoch: epoch, Book: book}, deadline,
 		func(s *shardState) bool { return s.readyEpoch >= epoch })
 	if err != nil {
 		return fmt.Errorf("shard: respawn: book cutover: %w", err)
@@ -499,7 +499,7 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 
 	// Rederivation sweeps, both directions.
 	all := func(*shardState) bool { return true }
-	if _, err := c.request(frame{kind: kindRederive, nodes: nodes}, all, deadline); err != nil {
+	if _, err := c.request(frame{Kind: kindRederive, Nodes: nodes}, all, deadline); err != nil {
 		return fmt.Errorf("shard: respawn: rederive toward %d nodes: %w", len(nodes), err)
 	}
 	c.mu.Lock()
@@ -513,7 +513,7 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	c.mu.Unlock()
 	if len(others) > 0 {
 		respawned := func(s *shardState) bool { return s.id == shardID }
-		if _, err := c.request(frame{kind: kindRederive, nodes: others}, respawned, deadline); err != nil {
+		if _, err := c.request(frame{Kind: kindRederive, Nodes: others}, respawned, deadline); err != nil {
 			return fmt.Errorf("shard: respawn: rederive toward %d nodes: %w", len(others), err)
 		}
 	}
@@ -699,7 +699,7 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 	if book == nil {
 		return nil, fmt.Errorf("shard: rebalance: address book incomplete")
 	}
-	err := c.await(frame{kind: kindBook, epoch: epoch, book: book}, deadline,
+	err := c.await(frame{Kind: kindBook, Epoch: epoch, Book: book}, deadline,
 		func(s *shardState) bool { return s.readyEpoch >= epoch })
 	if err != nil {
 		return nil, fmt.Errorf("shard: rebalance: book cutover: %w", err)
@@ -711,7 +711,7 @@ func (c *Coordinator) Rebalance(migs []Migration, timeout time.Duration) (*Rebal
 	for _, m := range migs {
 		moved = append(moved, m.Node)
 	}
-	err = c.await(frame{kind: kindResume, epoch: epoch, nodes: moved}, deadline,
+	err = c.await(frame{Kind: kindResume, Epoch: epoch, Nodes: moved}, deadline,
 		func(s *shardState) bool { return s.resumedEpoch >= epoch })
 	if err != nil {
 		return nil, fmt.Errorf("shard: rebalance: resume: %w", err)
@@ -739,24 +739,24 @@ const xferWorkerTimeout = 10 * time.Second
 // releaseNode asks a shard to export and drop a node and returns the
 // exported state.
 func (c *Coordinator) releaseNode(node string, fromShard int, deadline time.Time) ([]byte, error) {
-	r, err := c.transfer(fromShard, frame{kind: kindRelease, node: node}, deadline)
+	r, err := c.transfer(fromShard, frame{Kind: kindRelease, Node: node}, deadline)
 	if err != nil {
 		return nil, fmt.Errorf("shard: release of %q from shard %d: %w", node, fromShard, err)
 	}
-	return r.blob, nil
+	return r.Blob, nil
 }
 
 // adoptNode hands a node's state to its destination shard and returns
 // the node's new data address.
 func (c *Coordinator) adoptNode(node string, toShard int, blob []byte, deadline time.Time) (string, error) {
-	r, err := c.transfer(toShard, frame{kind: kindAdopt, node: node, blob: blob}, deadline)
+	r, err := c.transfer(toShard, frame{Kind: kindAdopt, Node: node, Blob: blob}, deadline)
 	if err != nil {
 		return "", fmt.Errorf("shard: adoption of %q by shard %d: %w", node, toShard, err)
 	}
-	if r.addr == "" {
+	if r.Addr == "" {
 		return "", fmt.Errorf("shard: shard %d failed to bind adopted node %q", toShard, node)
 	}
-	return r.addr, nil
+	return r.Addr, nil
 }
 
 // transfer sends one shard a release or adopt and returns its reply,
@@ -777,7 +777,7 @@ func (c *Coordinator) request(f frame, match func(*shardState) bool, deadline ti
 	defer c.reqMu.Unlock()
 	c.mu.Lock()
 	c.reqSeq++
-	f.req, f.epoch = c.reqSeq, c.epoch
+	f.Req, f.Epoch = c.reqSeq, c.epoch
 	replies := map[int]frame{}
 	c.replies = replies
 	c.mu.Unlock()
@@ -809,7 +809,7 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 		}
 		if s.conn == nil {
 			c.mu.Unlock()
-			return fmt.Errorf("shard: frame 0x%x: shard %d is not connected", byte(f.kind), id)
+			return fmt.Errorf("shard: frame kind %d: shard %d is not connected", f.Kind, id)
 		}
 		sent[id] = s.conn
 	}
@@ -827,7 +827,7 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 			}
 			if s.conn != cc {
 				c.mu.Unlock()
-				return fmt.Errorf("shard: frame 0x%x: shard %d disconnected", byte(f.kind), id)
+				return fmt.Errorf("shard: frame kind %d: shard %d disconnected", f.Kind, id)
 			}
 			all = false
 		}
@@ -836,7 +836,7 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("shard: frame 0x%x not acknowledged by every shard", byte(f.kind))
+			return fmt.Errorf("shard: frame kind %d not acknowledged by every shard", f.Kind)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -847,13 +847,13 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 // single-flight; concurrent callers serialize.
 func (c *Coordinator) Tuples(pred string, timeout time.Duration) ([]val.Tuple, error) {
 	all := func(*shardState) bool { return true }
-	replies, err := c.request(frame{kind: kindQuery, pred: pred}, all, time.Now().Add(timeout))
+	replies, err := c.request(frame{Kind: kindQuery, Pred: pred}, all, time.Now().Add(timeout))
 	if err != nil {
 		return nil, fmt.Errorf("shard: gather %q: %w", pred, err)
 	}
 	var out []val.Tuple
 	for _, r := range replies {
-		out = append(out, r.tuples...)
+		out = append(out, r.Tuples...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out, nil
@@ -904,7 +904,7 @@ func (c *Coordinator) TotalStats() Stats {
 func (c *Coordinator) Shutdown(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	// A timeout here is reported below, as the shards that never said bye.
-	_ = c.await(frame{kind: kindStop}, deadline, func(s *shardState) bool { return s.bye || s.conn == nil })
+	_ = c.await(frame{Kind: kindStop}, deadline, func(s *shardState) bool { return s.bye || s.conn == nil })
 	// Reap the spawned processes against the shared deadline.
 	var firstErr error
 	for _, cmd := range c.cmds {

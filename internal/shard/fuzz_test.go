@@ -3,9 +3,13 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
+
+	"ndlog/internal/val"
 )
 
 // FuzzDecodeFrame drives the control-plane decoder — which reads TCP
@@ -21,24 +25,26 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		b := encodeFrame(fr)
 		f.Add(b)
-		stream = appendUvarint(stream, uint64(len(b)))
+		stream = binary.AppendUvarint(stream, uint64(len(b)))
 		stream = append(stream, b...)
 	}
 	f.Add(stream)
-	f.Add(appendUvarint(nil, maxFrameBytes+1)) // a prefix above the cap
-	// A count of 2^40 wherever a collection announces its size.
-	huge := appendUvarint(nil, 1<<40)
+	f.Add(binary.AppendUvarint(nil, maxFrameBytes+1)) // a prefix above the cap
+	// A count of 2^40 wherever the gathered batch announces a size: its
+	// delta count, then in its one insertion the predicate's length, the
+	// tuple's arity and a list field's length.
 	for _, prefix := range [][]byte{
-		{byte(kindHello), 1},       // book
-		{byte(kindRederive), 1, 1}, // nodes
-		{byte(kindTuples), 1, 1},   // tuples
-		{byte(kindState), 1, 1},    // blob
-		{byte(kindResume), 1},      // nodes
+		{1},                                      // delta count
+		{1, 1, 1},                                // predicate length
+		{1, 1, 1, 1, 'p'},                        // arity
+		{1, 1, 1, 1, 'p', 1, byte(val.KindList)}, // list length
 	} {
-		f.Add(append(prefix, huge...))
+		huge := base64.StdEncoding.EncodeToString(binary.AppendUvarint(prefix, 1<<40))
+		f.Add(fmt.Appendf(nil, `{"kind":%d,"tuples":%q}`, kindTuples, huge))
 	}
+	f.Add([]byte(`{"kind":200}`))   // an unknown kind
 	f.Add([]byte{0x7E, 0x01, 0x02}) // a data envelope
-	adopted := encodeFrame(frame{kind: kindAdopted, shard: 2, req: 12, node: "c", addr: "x"})
+	adopted := encodeFrame(frame{Kind: kindAdopted, Shard: 2, Req: 12, Node: "c", Addr: "x"})
 	f.Add(adopted[:len(adopted)-1]) // truncated
 
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -60,7 +66,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return // rejected input: fine, as long as it didn't panic
 		}
 		// Every decoded element consumed at least one byte of b.
-		if n := len(fr.book) + len(fr.nodes) + len(fr.tuples) + len(fr.blob); n > len(b) {
+		if n := len(fr.Book) + len(fr.Nodes) + len(fr.Tuples) + len(fr.Blob); n > len(b) {
 			t.Fatalf("%d decoded elements from %d bytes", n, len(b))
 		}
 		// Byte equality, not value equality: NaN floats decode fine but
@@ -68,10 +74,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		re := encodeFrame(fr)
 		fr2, err := decodeFrame(re)
 		if err != nil {
-			t.Fatalf("re-decode of %#x frame failed: %v", byte(fr.kind), err)
+			t.Fatalf("re-decode of kind %d frame failed: %v", fr.Kind, err)
 		}
 		if re2 := encodeFrame(fr2); !bytes.Equal(re, re2) {
-			t.Fatalf("encoding not a fixpoint:\n  %x\n  %x", re, re2)
+			t.Fatalf("encoding not a fixpoint:\n  %s\n  %s", re, re2)
 		}
 	})
 }

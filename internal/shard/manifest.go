@@ -9,10 +9,11 @@
 // (Rebalance: epoch-versioned books, node state migration, stale-epoch
 // fencing), and tears the deployment down.
 //
-// Control-plane frames ride the same varint/TLV wire encoding as data
-// tuples (internal/val); see control.go for the frame grammar and
-// DESIGN.md §4 for the handshake and quiescence protocol, and §5 for
-// the epoch/fencing/migration protocol (Coordinator.Rebalance).
+// Control-plane frames are JSON objects behind a length prefix, with
+// gathered tuples in the engine's delta encoding; see control.go for
+// the frame format, DESIGN.md §4 for the handshake and quiescence
+// protocol, and §5 for the epoch/fencing/migration protocol
+// (Coordinator.Rebalance).
 //
 // Ownership: the Coordinator and Worker each own their control socket
 // and goroutines; tuples crossing the control plane are decoded copies
@@ -44,15 +45,11 @@ type Options struct {
 	// DataDir, when set, makes every worker persist its nodes' state
 	// (WAL + snapshots, internal/durable): shard i keeps one store per
 	// node under <DataDir>/shard-<i>, and a respawned worker recovers
-	// warm from there instead of starting cold. Empty
-	// disables durability. Relative paths resolve against each worker's
+	// warm from there instead of starting cold. Each drain's WAL record
+	// is fsynced before its datagrams leave. Empty disables
+	// durability. Relative paths resolve against each worker's
 	// cwd, so spawned deployments should use absolute paths.
 	DataDir string `json:"data_dir,omitempty"`
-	// Fsync selects the WAL sync policy: "commit" (default — fsync
-	// before any derived datagram leaves, so a crash cannot have
-	// advertised state it will not remember), "interval" (periodic
-	// background sync), or "none" (OS page cache only).
-	Fsync string `json:"fsync,omitempty"`
 	// SnapshotBytes rolls a node's WAL into a fresh snapshot once the
 	// log outgrows this many bytes. 0 means the durable package default;
 	// negative disables snapshotting (the WAL grows unbounded).
@@ -90,23 +87,13 @@ var removedOptions = []struct{ key, why string }{
 	{"aggsel_period", "netrun never flushed periodic aggregate selections, so a period left groups unadvertised; only the simulator's Cluster takes one"},
 	{"loss_first", "it was a test's fault injection, not a deployment setting"},
 	{"aggsel_preds", "the planner now proves which aggregate selections are safe to prune, so there is no list to give"},
+	{"fsync", "nothing set it, and a lazier policy than fsync per commit breaks the WAL-before-wire promise a respawned worker's recovery relies on"},
 }
 
 // Durable converts the manifest's durability stanza to the durable
 // package's options. An empty returned dir means durability is off.
-func (o Options) Durable() (string, durable.Options, error) {
-	d := durable.Options{SnapshotBytes: o.SnapshotBytes}
-	switch o.Fsync {
-	case "", "commit":
-		d.Sync = durable.SyncCommit
-	case "interval":
-		d.Sync = durable.SyncInterval
-	case "none":
-		d.Sync = durable.SyncNone
-	default:
-		return "", durable.Options{}, fmt.Errorf("unknown fsync policy %q (want commit, interval, or none)", o.Fsync)
-	}
-	return o.DataDir, d, nil
+func (o Options) Durable() (string, durable.Options) {
+	return o.DataDir, durable.Options{SnapshotBytes: o.SnapshotBytes}
 }
 
 // Engine converts the manifest options to engine options.
@@ -202,9 +189,6 @@ func (m *Manifest) Validate() error {
 		return fmt.Errorf("neither source nor program set")
 	}
 	if _, err := m.Options.Engine(); err != nil {
-		return err
-	}
-	if _, _, err := m.Options.Durable(); err != nil {
 		return err
 	}
 	if m.Options.Parallelism < 0 {

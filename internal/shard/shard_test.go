@@ -3,7 +3,11 @@ package shard
 import (
 	"bufio"
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -52,7 +56,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	m := &Manifest{
 		Source: "sp path(...) :- link(...).",
 		Options: Options{Mode: "sn", AggSel: true,
-			DataDir: "/var/lib/ndlog", Fsync: "interval", SnapshotBytes: 1 << 20,
+			DataDir: "/var/lib/ndlog", SnapshotBytes: 1 << 20,
 			Parallelism: 4},
 		Shards: []ShardSpec{
 			{ID: 0, Nodes: map[string]string{"a": "", "b": "127.0.0.1:7001"}, Host: "127.0.0.1"},
@@ -93,7 +97,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds", "fsync"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
@@ -105,6 +109,9 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		}
 		if key == "aggsel_preds" && (err == nil || !strings.Contains(err.Error(), "planner now proves")) {
 			t.Errorf("manifest carrying aggsel_preds: err = %v, want the reason it went", err)
+		}
+		if key == "fsync" && (err == nil || !strings.Contains(err.Error(), "WAL-before-wire")) {
+			t.Errorf("manifest carrying fsync: err = %v, want the reason it went", err)
 		}
 	}
 	// So does one asking for the removed BSN mode, pointing at SN.
@@ -134,88 +141,84 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		t.Error("bad mode accepted")
 	}
 
-	// Durability stanza: policy names map to durable sync modes, and an
-	// unknown policy is rejected at Validate time, not at worker startup.
-	dir, dopts, err := got.Options.Durable()
-	if err != nil || dir != "/var/lib/ndlog" || dopts.Sync != durable.SyncInterval || dopts.SnapshotBytes != 1<<20 {
-		t.Errorf("durable options: dir=%q opts=%+v err=%v", dir, dopts, err)
+	// Durability stanza: the data dir and the snapshot threshold reach
+	// the durable options; the WAL is fsynced per commit, always.
+	if dir, dopts := got.Options.Durable(); dir != "/var/lib/ndlog" || dopts != (durable.Options{SnapshotBytes: 1 << 20}) {
+		t.Errorf("durable options: dir=%q opts=%+v", dir, dopts)
 	}
-	if _, d, err := (Options{}).Durable(); err != nil || d.Sync != durable.SyncCommit {
-		t.Errorf("default durable options: %+v err=%v", d, err)
-	}
-	badFsync := &Manifest{Source: "x", Options: Options{Fsync: "eventually"},
-		Shards: []ShardSpec{{ID: 0, Nodes: map[string]string{"a": ""}}}}
-	if err := badFsync.Validate(); err == nil {
-		t.Error("bad fsync policy validated")
-	}
+}
+
+// sampleTuple holds the values JSON would not carry exactly: a NaN, a
+// negative zero, an empty list and a nested one.
+func sampleTuple() val.Tuple {
+	return val.NewTuple("shortestPath",
+		val.NewAddr("a"), val.NewAddr("b"),
+		val.NewList(val.NewAddr("a"), val.NewAddr("b")), val.NewFloat(1.5),
+		val.NewFloat(math.NaN()), val.NewFloat(math.Copysign(0, -1)),
+		val.NewList(), val.NewList(val.NewList(val.NewInt(1)), val.NewString("x")))
 }
 
 // sampleFrames is at least one well-formed frame of every kind: the
 // round-trip test's inputs and the decoder fuzz target's seeds.
 func sampleFrames() []frame {
-	tup := val.NewTuple("shortestPath",
-		val.NewAddr("a"), val.NewAddr("b"),
-		val.NewList(val.NewAddr("a"), val.NewAddr("b")), val.NewFloat(1.5))
+	tup := sampleTuple()
 	return []frame{
-		{kind: kindHello, shard: 2, book: map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:2"}},
-		{kind: kindBook, epoch: 3, book: map[string]string{"a": "127.0.0.1:1"}},
-		{kind: kindReady, shard: 1, epoch: 3},
-		{kind: kindStart},
-		{kind: kindIdle, shard: 3, epoch: 2, mark: 4, activity: 42,
-			stats: netrun.Stats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6,
+		{Kind: kindHello, Shard: 2, Book: map[string]string{"a": "127.0.0.1:1", "b": "127.0.0.1:2"}},
+		{Kind: kindBook, Epoch: 3, Book: map[string]string{"a": "127.0.0.1:1"}},
+		{Kind: kindReady, Shard: 1, Epoch: 3},
+		{Kind: kindStart},
+		{Kind: kindIdle, Shard: 3, Epoch: 2, Mark: 4, Activity: 42,
+			Stats: &netrun.Stats{SentBytes: 1, SentMessages: 2, RecvBytes: 3, RecvMessages: 4, Dropped: 5, Fenced: 6,
 				Retransmits: 7, Duplicates: 8, Reordered: 9, AckFrames: 10, Drains: 11, Outstanding: 12}},
-		{kind: kindQuery, req: 7, pred: "shortestPath"},
-		{kind: kindTuples, shard: 1, req: 7, tuples: []val.Tuple{tup}},
-		{kind: kindTuples, shard: 1, req: 7}, // nothing gathered
-		{kind: kindPong},
-		{kind: kindPong, mark: 12},
-		{kind: kindStop},
-		{kind: kindBye, shard: 2, stats: netrun.Stats{SentMessages: 10, RecvMessages: 10}},
-		{kind: kindRelease, req: 11, epoch: 2, node: "c"},
-		{kind: kindState, shard: 1, req: 11, blob: []byte{0x4E, 1, 2, 3}},
-		{kind: kindState, shard: 1, req: 11, blob: []byte{}}, // empty state
-		{kind: kindAdopt, req: 12, epoch: 3, node: "c", blob: []byte{9, 9}},
-		{kind: kindAdopted, shard: 2, req: 12, node: "c", addr: "127.0.0.1:9"},
-		{kind: kindResume, epoch: 3, nodes: []string{"c", "d"}},
-		{kind: kindResumed, shard: 2, epoch: 3},
-		{kind: kindIdle, shard: 1, epoch: 4, activity: 8,
-			stats: netrun.Stats{SentMessages: 7, RecvMessages: 7}},
-		{kind: kindRederive, req: 13, epoch: 3, nodes: []string{"b", "c"}},
-		{kind: kindRederive, req: 14, epoch: 3}, // no nodes: a no-op sweep
-		{kind: kindRederived, shard: 1, req: 13},
+		{Kind: kindQuery, Req: 7, Pred: "shortestPath"},
+		{Kind: kindTuples, Shard: 1, Req: 7, Tuples: gather{tup, tup}},
+		{Kind: kindTuples, Shard: 1, Req: 7}, // nothing gathered
+		{Kind: kindPong},
+		{Kind: kindPong, Mark: 12},
+		{Kind: kindStop},
+		{Kind: kindBye, Shard: 2, Stats: &netrun.Stats{SentMessages: 10, RecvMessages: 10}},
+		{Kind: kindRelease, Req: 11, Epoch: 2, Node: "c"},
+		{Kind: kindState, Shard: 1, Req: 11, Blob: []byte{0x4E, 1, 2, 3}},
+		{Kind: kindState, Shard: 1, Req: 11, Blob: []byte{}}, // empty state
+		{Kind: kindAdopt, Req: 12, Epoch: 3, Node: "c", Blob: []byte{9, 9}},
+		{Kind: kindAdopted, Shard: 2, Req: 12, Node: "c", Addr: "127.0.0.1:9"},
+		{Kind: kindResume, Epoch: 3, Nodes: []string{"c", "d"}},
+		{Kind: kindResumed, Shard: 2, Epoch: 3},
+		{Kind: kindIdle, Shard: 1, Epoch: 4, Activity: 8,
+			Stats: &netrun.Stats{SentMessages: 7, RecvMessages: 7}},
+		{Kind: kindRederive, Req: 13, Epoch: 3, Nodes: []string{"b", "c"}},
+		{Kind: kindRederive, Req: 14, Epoch: 3}, // no nodes: a no-op sweep
+		{Kind: kindRederived, Shard: 1, Req: 13},
 	}
 }
 
+// wireTuples is ts in the data plane's tuple encoding: equal bytes mean
+// equal values, NaNs and negative zeros included.
+func wireTuples(ts []val.Tuple) []byte {
+	var b []byte
+	for _, t := range ts {
+		b = val.AppendTuple(b, t)
+	}
+	return b
+}
+
+// TestControlFrameRoundTrip: every sample frame decodes to itself —
+// gathered tuples bit for bit, every other field exactly.
 func TestControlFrameRoundTrip(t *testing.T) {
 	for _, f := range sampleFrames() {
-		b := encodeFrame(f)
-		got, err := decodeFrame(b)
+		got, err := decodeFrame(encodeFrame(f))
 		if err != nil {
-			t.Fatalf("%#x: %v", f.kind, err)
+			t.Fatalf("kind %d: %v", f.Kind, err)
 		}
-		if got.kind != f.kind || got.shard != f.shard || got.epoch != f.epoch ||
-			got.mark != f.mark ||
-			got.activity != f.activity || got.stats != f.stats ||
-			got.req != f.req || got.pred != f.pred ||
-			got.node != f.node || got.addr != f.addr {
-			t.Errorf("%#x: round trip mismatch: %+v vs %+v", f.kind, got, f)
+		if len(got.Tuples) != len(f.Tuples) || !bytes.Equal(wireTuples(got.Tuples), wireTuples(f.Tuples)) {
+			t.Errorf("kind %d: tuples %v, want %v", f.Kind, got.Tuples, f.Tuples)
 		}
-		if !reflect.DeepEqual(got.book, f.book) {
-			t.Errorf("%#x: book mismatch", f.kind)
+		if !bytes.Equal(got.Blob, f.Blob) {
+			t.Errorf("kind %d: blob %v, want %v", f.Kind, got.Blob, f.Blob)
 		}
-		if !reflect.DeepEqual(got.nodes, f.nodes) {
-			t.Errorf("%#x: nodes mismatch: %v vs %v", f.kind, got.nodes, f.nodes)
-		}
-		if len(got.blob) != len(f.blob) || (len(f.blob) > 0 && !reflect.DeepEqual(got.blob, f.blob)) {
-			t.Errorf("%#x: blob mismatch: %v vs %v", f.kind, got.blob, f.blob)
-		}
-		if len(got.tuples) != len(f.tuples) {
-			t.Fatalf("%#x: tuple count %d vs %d", f.kind, len(got.tuples), len(f.tuples))
-		}
-		for i := range f.tuples {
-			if !got.tuples[i].Equal(f.tuples[i]) {
-				t.Errorf("%#x: tuple %d mismatch: %v vs %v", f.kind, i, got.tuples[i], f.tuples[i])
-			}
+		got.Tuples, got.Blob, f.Tuples, f.Blob = nil, nil, nil, nil
+		if !reflect.DeepEqual(got, f) {
+			t.Errorf("kind %d: round trip mismatch:\n%+v\n%+v", f.Kind, got, f)
 		}
 	}
 }
@@ -230,57 +233,57 @@ func TestStatsRoundTripEveryField(t *testing.T) {
 		v.Field(i).SetInt(int64(1000 + i))
 	}
 	for _, kind := range []frameKind{kindIdle, kindBye} {
-		got, err := decodeFrame(encodeFrame(frame{kind: kind, shard: 1, stats: want}))
+		got, err := decodeFrame(encodeFrame(frame{Kind: kind, Shard: 1, Stats: &want}))
 		if err != nil {
-			t.Fatalf("%#x: %v", kind, err)
+			t.Fatalf("kind %d: %v", kind, err)
 		}
-		if got.stats != want {
-			t.Errorf("%#x: stats %+v, want %+v", kind, got.stats, want)
+		if got.stats() != want {
+			t.Errorf("kind %d: stats %+v, want %+v", kind, got.stats(), want)
 		}
 	}
 }
 
 func TestControlFrameCorrupt(t *testing.T) {
-	good := encodeFrame(frame{kind: kindHello, shard: 1, book: map[string]string{"a": "127.0.0.1:1"}})
-	for cut := 0; cut < len(good); cut++ {
-		// No proper prefix of a hello frame is itself a valid frame.
-		if _, err := decodeFrame(good[:cut]); err == nil {
-			t.Errorf("truncated frame at %d decoded", cut)
+	for _, f := range []frame{
+		{Kind: kindHello, Shard: 1, Book: map[string]string{"a": "127.0.0.1:1"}},
+		// An idle frame carrying the runner's counters.
+		{Kind: kindIdle, Shard: 1, Mark: 1, Activity: 3, Stats: &netrun.Stats{SentMessages: 300, Outstanding: 2}},
+		// A rederive frame whose node list is cut short.
+		{Kind: kindRederive, Req: 1, Epoch: 1, Nodes: []string{"long-node-name"}},
+		// A tuples frame cut inside its delta batch.
+		{Kind: kindTuples, Shard: 1, Req: 7, Tuples: gather{sampleTuple()}},
+	} {
+		// No proper prefix of a frame is itself a valid frame.
+		good := encodeFrame(f)
+		for cut := 0; cut < len(good); cut++ {
+			if _, err := decodeFrame(good[:cut]); err == nil {
+				t.Errorf("kind %d: truncated frame at %d decoded", f.Kind, cut)
+			}
 		}
 	}
-	// Same for an idle frame carrying the runner's counters.
-	idle := encodeFrame(frame{kind: kindIdle, shard: 1, mark: 1, activity: 3,
-		stats: netrun.Stats{SentMessages: 300, Outstanding: 2}})
-	for cut := 0; cut < len(idle); cut++ {
-		if _, err := decodeFrame(idle[:cut]); err == nil {
-			t.Errorf("truncated idle frame at %d decoded", cut)
+	for _, bad := range []string{
+		"",
+		"\x7f",
+		"{}",                        // no kind
+		`{"kind":200}`,              // unknown kind
+		`{"kind":1,"shard":"one"}`,  // a field of the wrong type
+		`{"kind":7,"tuples":"AQA="`, // unterminated
+	} {
+		if _, err := decodeFrame([]byte(bad)); err == nil {
+			t.Errorf("%q decoded", bad)
 		}
 	}
-	// And a rederive frame whose node list is cut short.
-	red := encodeFrame(frame{kind: kindRederive, req: 1, epoch: 1, nodes: []string{"long-node-name"}})
-	for cut := 0; cut < len(red); cut++ {
-		if _, err := decodeFrame(red[:cut]); err == nil {
-			t.Errorf("truncated rederive frame at %d decoded", cut)
-		}
-	}
-	if _, err := decodeFrame([]byte{0x7f}); err == nil {
-		t.Error("unknown kind decoded")
-	}
-	if _, err := decodeFrame(nil); err == nil {
-		t.Error("empty frame decoded")
-	}
-	// A tuples frame whose count field exceeds the payload must fail
-	// on truncation, not allocate.
-	bad := encodeFrame(frame{kind: kindTuples, shard: 1, req: 1})
-	bad[len(bad)-1] = 0xff // count = huge (varint continuation...) -> corrupt
-	if _, err := decodeFrame(bad); err == nil {
+	// A gathered batch whose delta count exceeds its payload fails on
+	// truncation, not by allocating the count.
+	batch := base64.StdEncoding.EncodeToString(binary.AppendUvarint([]byte{1}, 1<<40))
+	if _, err := decodeFrame(fmt.Appendf(nil, `{"kind":%d,"tuples":%q}`, kindTuples, batch)); err == nil {
 		t.Error("corrupt tuple count decoded")
 	}
 	// On the stream, a length prefix above the cap is refused before
 	// the reader allocates the frame's buffer.
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := readFrame(bufio.NewReader(bytes.NewReader(appendUvarint(nil, maxFrameBytes+1))))
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(binary.AppendUvarint(nil, maxFrameBytes+1))))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, errFrameTooLarge) {
 		t.Errorf("prefix above the cap: err = %v, want errFrameTooLarge", err)

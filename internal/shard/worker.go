@@ -74,10 +74,7 @@ func RunWorker(cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	dataDir, durOpts, err := m.Options.Durable()
-	if err != nil {
-		return err
-	}
+	dataDir, durOpts := m.Options.Durable()
 	shardDir := ""
 	// A copy: adopt/release mutate the worker's node set, and the
 	// manifest is shared (read-only after Validate).
@@ -292,7 +289,7 @@ func (w *worker) run() error {
 	// before start, one still waiting for a sibling's hello — hangs:
 	// exit rather than run orphaned.
 	w.cfg.logf("shard %d: hello → %s", w.spec.ID, w.cfg.Coord)
-	w.ctl.send(frame{kind: kindHello, shard: w.spec.ID, book: w.localBook()})
+	w.ctl.send(frame{Kind: kindHello, Shard: w.spec.ID, Book: w.localBook()})
 	tick := time.NewTicker(idlePeriod)
 	defer tick.Stop()
 	lastCoord := time.Now()
@@ -317,7 +314,7 @@ func (w *worker) run() error {
 			f = got
 		}
 		lastCoord = time.Now()
-		switch f.kind {
+		switch f.Kind {
 		case kindStart:
 			if !started {
 				started = true
@@ -326,10 +323,10 @@ func (w *worker) run() error {
 				w.sendIdle()
 			}
 		case kindQuery:
-			w.ctl.send(frame{kind: kindTuples, shard: w.spec.ID, req: f.req, tuples: w.runner.TupleValues(f.pred)})
+			w.ctl.send(frame{Kind: kindTuples, Shard: w.spec.ID, Req: f.Req, Tuples: w.runner.TupleValues(f.Pred)})
 		case kindPong:
-			if f.mark > w.mark {
-				w.mark = f.mark
+			if f.Mark > w.mark {
+				w.mark = f.Mark
 				w.sendIdle()
 			}
 		case kindBook:
@@ -343,7 +340,7 @@ func (w *worker) run() error {
 		case kindResume:
 			// Only resume into the epoch we actually installed (the
 			// coordinator sends resume after every shard acked its book).
-			if f.epoch != w.epoch {
+			if f.Epoch != w.epoch {
 				break
 			}
 			for id, blob := range w.stash {
@@ -358,16 +355,16 @@ func (w *worker) run() error {
 			// the moved nodes (hard-state duplicates do not re-trigger
 			// strands, so their inbound views only come back via this
 			// sweep).
-			w.runner.RederiveFor(f.nodes)
-			w.ctl.send(frame{kind: kindResumed, shard: w.spec.ID, epoch: w.epoch})
+			w.runner.RederiveFor(f.Nodes)
+			w.ctl.send(frame{Kind: kindResumed, Shard: w.spec.ID, Epoch: w.epoch})
 		case kindRederive:
 			// Crash recovery: re-send the derivations homed at the listed
 			// nodes. Epoch-fenced: the coordinator issues these after a
 			// cutover.
-			if f.epoch != w.epoch {
+			if f.Epoch != w.epoch {
 				break
 			}
-			w.runner.RederiveFor(f.nodes)
+			w.runner.RederiveFor(f.Nodes)
 			// A fleet-wide sweep skips sources that are themselves
 			// targets, which silences exactly the co-resident sweeps a
 			// crashed shard needs (all its nodes are targets at once).
@@ -377,15 +374,15 @@ func (w *worker) run() error {
 			for _, id := range w.runner.LocalIDs() {
 				local[id] = true
 			}
-			for _, n := range f.nodes {
+			for _, n := range f.Nodes {
 				if local[n] {
 					w.runner.RederiveFor([]string{n})
 				}
 			}
-			w.ctl.send(frame{kind: kindRederived, shard: w.spec.ID, req: f.req})
+			w.ctl.send(frame{Kind: kindRederived, Shard: w.spec.ID, Req: f.Req})
 		case kindStop: // also ends a deployment aborted before it started
 			s := w.runner.Stats()
-			w.ctl.send(frame{kind: kindBye, shard: w.spec.ID, stats: s})
+			w.ctl.send(frame{Kind: kindBye, Shard: w.spec.ID, Stats: &s})
 			w.cfg.logf("shard %d: stopping (sent %d msgs, recv %d msgs, %d retransmitted)",
 				w.spec.ID, s.SentMessages, s.RecvMessages, s.Retransmits)
 			return nil
@@ -400,15 +397,15 @@ func (w *worker) run() error {
 // runner's address book, then the runner switches to the view's epoch —
 // data sent from here on carries it, data from other epochs is fenced.
 func (w *worker) installBook(f frame) error {
-	if f.epoch < w.epoch {
-		w.ctl.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
+	if f.Epoch < w.epoch {
+		w.ctl.send(frame{Kind: kindReady, Shard: w.spec.ID, Epoch: w.epoch})
 		return nil
 	}
 	local := map[string]bool{}
 	for _, id := range w.runner.LocalIDs() {
 		local[id] = true
 	}
-	for id, addr := range f.book {
+	for id, addr := range f.Book {
 		if local[id] {
 			continue
 		}
@@ -416,9 +413,9 @@ func (w *worker) installBook(f frame) error {
 			return err
 		}
 	}
-	w.runner.SetEpoch(f.epoch)
-	w.epoch = f.epoch
-	w.ctl.send(frame{kind: kindReady, shard: w.spec.ID, epoch: w.epoch})
+	w.runner.SetEpoch(f.Epoch)
+	w.epoch = f.Epoch
+	w.ctl.send(frame{Kind: kindReady, Shard: w.spec.ID, Epoch: w.epoch})
 	return nil
 }
 
@@ -431,28 +428,28 @@ func (w *worker) installBook(f frame) error {
 // nodes. Releases are epoch-fenced: one for another membership view
 // must not remove a node.
 func (w *worker) handleRelease(f frame) {
-	if f.epoch != w.epoch {
+	if f.Epoch != w.epoch {
 		return
 	}
 	// ExportBundle ships the durable snapshot + WAL tail when the node
 	// has a store (no full state re-encode on the pause path).
-	blob, err := w.runner.ExportBundle(f.node)
+	blob, err := w.runner.ExportBundle(f.Node)
 	if err == nil {
-		if err := w.runner.RemoveNode(f.node); err != nil {
-			w.cfg.logf("shard %d: release %s: %v", w.spec.ID, f.node, err)
+		if err := w.runner.RemoveNode(f.Node); err != nil {
+			w.cfg.logf("shard %d: release %s: %v", w.spec.ID, f.Node, err)
 			return
 		}
-		w.lastExport[f.node] = blob
-		delete(w.nodes, f.node)
+		w.lastExport[f.Node] = blob
+		delete(w.nodes, f.Node)
 		w.saveNodes()
-		w.cfg.logf("shard %d: released node %s (%d bytes of state)", w.spec.ID, f.node, len(blob))
-	} else if prev, held := w.lastExport[f.node]; held {
+		w.cfg.logf("shard %d: released node %s (%d bytes of state)", w.spec.ID, f.Node, len(blob))
+	} else if prev, held := w.lastExport[f.Node]; held {
 		blob = prev // already released; serve the retained snapshot
 	} else {
-		w.cfg.logf("shard %d: ignoring release of unknown node %s", w.spec.ID, f.node)
+		w.cfg.logf("shard %d: ignoring release of unknown node %s", w.spec.ID, f.Node)
 		return
 	}
-	w.ctl.send(frame{kind: kindState, shard: w.spec.ID, req: f.req, blob: blob})
+	w.ctl.send(frame{Kind: kindState, Shard: w.spec.ID, Req: f.Req, Blob: blob})
 }
 
 // handleAdopt binds an adopted node to a fresh local socket and stashes
@@ -461,35 +458,36 @@ func (w *worker) handleRelease(f frame) {
 // adopted reply carries the node's address, or "" if it could not be
 // bound. Adopts are epoch-fenced like releases.
 func (w *worker) handleAdopt(f frame) {
-	if f.epoch != w.epoch {
+	if f.Epoch != w.epoch {
 		return
 	}
-	if err := w.runner.AddNode(f.node, ""); err == nil {
-		w.stash[f.node] = f.blob
+	if err := w.runner.AddNode(f.Node, ""); err == nil {
+		w.stash[f.Node] = f.Blob
 		// The node is back (or new) here: any snapshot retained from a
 		// past release of it is superseded.
-		delete(w.lastExport, f.node)
-		w.nodes[f.node] = ""
+		delete(w.lastExport, f.Node)
+		w.nodes[f.Node] = ""
 		w.saveNodes()
-		w.cfg.logf("shard %d: adopted node %s (%d bytes of state)", w.spec.ID, f.node, len(f.blob))
+		w.cfg.logf("shard %d: adopted node %s (%d bytes of state)", w.spec.ID, f.Node, len(f.Blob))
 	}
 	addr := ""
-	if a := w.runner.Addr(f.node); a != nil {
+	if a := w.runner.Addr(f.Node); a != nil {
 		addr = a.String()
 	}
-	w.ctl.send(frame{kind: kindAdopted, shard: w.spec.ID, req: f.req, node: f.node, addr: addr})
+	w.ctl.send(frame{Kind: kindAdopted, Shard: w.spec.ID, Req: f.Req, Node: f.Node, Addr: addr})
 }
 
 // sendIdle reports the runner's activity counter and its counters,
 // credit included, with the newest wave mark this worker has seen.
 func (w *worker) sendIdle() {
+	s := w.runner.Stats()
 	w.ctl.send(frame{
-		kind:     kindIdle,
-		shard:    w.spec.ID,
-		epoch:    w.epoch,
-		mark:     w.mark,
-		activity: w.runner.Activity(),
-		stats:    w.runner.Stats(),
+		Kind:     kindIdle,
+		Shard:    w.spec.ID,
+		Epoch:    w.epoch,
+		Mark:     w.mark,
+		Activity: w.runner.Activity(),
+		Stats:    &s,
 	})
 }
 

@@ -234,7 +234,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					}
 				case 9:
 					e1 := ref.expireBefore(now)
-					e2 := tb.ExpireBefore(now)
+					e2 := sweep(tb, now)
 					if !sameTupleSet(e1, e2) {
 						t.Fatalf("step %d: expired %v != %v", step, e2, e1)
 					}

@@ -10,6 +10,18 @@ import (
 
 func beacon(id string) val.Tuple { return val.NewTuple("b", val.NewAddr(id)) }
 
+// sweep expires tb's lapsed rows at now the way a node's soft-state
+// sweep does (engine Node.ExpireSoftState): Expired, then DeleteByKey
+// for each row it reports. It returns the removed tuples.
+func sweep(tb *Table, now float64) []val.Tuple {
+	var out []val.Tuple
+	for _, e := range tb.Expired(now) {
+		tb.DeleteByKey(e.Tuple)
+		out = append(out, e.Tuple)
+	}
+	return out
+}
+
 // TestSweepSkipsTableWithNothingDue: below the earliest-expiry bound a
 // sweep returns without scanning. The proof is a row whose expiry the test
 // lowers behind the table's back: a scan would report it, the bound does
@@ -54,10 +66,10 @@ func TestSweepBoundFollowsRefresh(t *testing.T) {
 	if !tb.ExpiryDue(13) {
 		t.Fatal("an earlier deadline must pull the bound down")
 	}
-	if got := tb.ExpireBefore(13); len(got) != 1 || !got[0].Equal(beacon("z")) {
+	if got := sweep(tb, 13); len(got) != 1 || !got[0].Equal(beacon("z")) {
 		t.Fatalf("the row stored until 13 must expire at 13: %v", got)
 	}
-	if got := tb.ExpireBefore(15); len(got) != 1 || tb.Len() != 0 {
+	if got := sweep(tb, 15); len(got) != 1 || tb.Len() != 0 {
 		t.Fatalf("refreshed row must expire at 15: %v", got)
 	}
 	if !math.IsInf(tb.nextExpiry, 1) {

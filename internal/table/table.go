@@ -637,17 +637,6 @@ func (t *Table) Expired(now float64) []*Entry {
 	return due
 }
 
-// ExpireBefore removes and returns all soft-state tuples whose TTL has
-// lapsed at virtual time now.
-func (t *Table) ExpireBefore(now float64) []val.Tuple {
-	var expired []val.Tuple
-	for _, e := range t.Expired(now) {
-		expired = append(expired, e.Tuple)
-		t.removeRow(e, false)
-	}
-	return expired
-}
-
 // Catalog is the set of tables at one node.
 type Catalog struct {
 	tables map[string]*Table
@@ -699,16 +688,6 @@ func (c *Catalog) Names() []string {
 	out := make([]string, len(c.sorted))
 	for i, t := range c.sorted {
 		out[i] = t.name
-	}
-	return out
-}
-
-// ExpireBefore expires soft state across all tables, returning the dead
-// tuples per table.
-func (c *Catalog) ExpireBefore(now float64) []val.Tuple {
-	var out []val.Tuple
-	for _, n := range c.Names() {
-		out = append(out, c.tables[n].ExpireBefore(now)...)
 	}
 	return out
 }

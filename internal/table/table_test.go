@@ -180,10 +180,10 @@ func TestTTLExpiry(t *testing.T) {
 	tb.Insert(link("a", "b", 1), 1, 100)
 	tb.Insert(link("a", "c", 1), 2, 105)
 
-	if got := tb.ExpireBefore(105); len(got) != 0 {
+	if got := sweep(tb, 105); len(got) != 0 {
 		t.Errorf("nothing should expire at 105: %v", got)
 	}
-	got := tb.ExpireBefore(110)
+	got := sweep(tb, 110)
 	if len(got) != 1 || !got[0].Equal(link("a", "b", 1)) {
 		t.Errorf("expired = %v", got)
 	}
@@ -192,16 +192,16 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	// Re-insertion refreshes TTL.
 	tb.Insert(link("a", "c", 1), 3, 114)
-	if got := tb.ExpireBefore(115); len(got) != 0 {
+	if got := sweep(tb, 115); len(got) != 0 {
 		t.Errorf("refreshed tuple expired: %v", got)
 	}
-	if got := tb.ExpireBefore(124.5); len(got) != 1 {
+	if got := sweep(tb, 124.5); len(got) != 1 {
 		t.Errorf("refreshed tuple should expire at 124: %v", got)
 	}
 	// Hard state never expires.
 	hard := New("p", nil, -1, 0)
 	hard.Insert(link("a", "b", 1), 1, 0)
-	if got := hard.ExpireBefore(1e18); got != nil {
+	if got := sweep(hard, 1e18); got != nil {
 		t.Errorf("hard state expired: %v", got)
 	}
 }
@@ -273,10 +273,13 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "link" || names[1] != "path" {
 		t.Errorf("Names = %v", names)
 	}
-	// Catalog-wide expiry.
+	// Catalog-wide expiry, table by table as a node sweeps.
 	soft := c.Declare("soft", nil, 1, 0)
 	soft.Insert(link("a", "b", 1), 1, 0)
-	dead := c.ExpireBefore(10)
+	var dead []val.Tuple
+	for _, tb := range c.Tables() {
+		dead = append(dead, sweep(tb, 10)...)
+	}
 	if len(dead) != 1 {
 		t.Errorf("catalog expiry = %v", dead)
 	}

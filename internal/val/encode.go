@@ -184,8 +184,7 @@ func decodeStringIn(b []byte, in *Interner) (string, int, error) {
 
 // AppendString appends the length-prefixed wire encoding of s to dst.
 // It is the string primitive of the tuple encoding, exported so that
-// control-plane frames (internal/shard) ride the same wire format as
-// data tuples.
+// other encodings (the engine's node state) write strings the same way.
 func AppendString(dst []byte, s string) []byte { return appendString(dst, s) }
 
 // DecodeString decodes one length-prefixed string from b, returning it
