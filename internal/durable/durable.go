@@ -6,7 +6,7 @@
 //
 // Layout. A Store owns one directory holding at most one live
 // generation G: an optional snapshot file snap-<G> (the node's
-// EncodeState blob, written atomically via rename) and a log file
+// exported state, written atomically via rename) and a log file
 // wal-<G> holding the records appended since that snapshot. Taking a
 // snapshot opens generation G+1 and deletes generation G, which is how
 // the WAL is truncated. Record payloads are opaque to this package —
@@ -42,7 +42,7 @@ import (
 // snapshot threshold.
 type Options struct {
 	// SnapshotBytes is the WAL size beyond which ShouldSnapshot reports
-	// true. Zero means 256 KiB; negative disables the suggestion.
+	// true. A value ≤ 0 means 256 KiB; tests lower it to force a roll.
 	SnapshotBytes int64
 }
 
@@ -97,7 +97,7 @@ func genName(prefix string, gen uint64) string {
 // fresh Snapshot right after recovery is the idiomatic way to fold the
 // replayed tail back into a compact generation.
 func Open(dir string, opts Options) (*Store, Recovered, error) {
-	if opts.SnapshotBytes == 0 {
+	if opts.SnapshotBytes <= 0 {
 		opts.SnapshotBytes = 256 << 10
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -329,9 +329,6 @@ func (s *Store) WALBytes() int64 {
 // ShouldSnapshot reports whether the WAL has outgrown the configured
 // snapshot threshold.
 func (s *Store) ShouldSnapshot() bool {
-	if s.opts.SnapshotBytes < 0 {
-		return false
-	}
 	return s.WALBytes() >= s.opts.SnapshotBytes
 }
 
@@ -410,32 +407,6 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Bundle flushes pending records and packages the live snapshot plus
-// WAL tail as one migratable blob — the unit Rebalance ships instead of
-// a freshly exported state. See EncodeBundle for the format.
-func (s *Store) Bundle() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, fmt.Errorf("durable: store closed")
-	}
-	if err := s.commitLocked(); err != nil {
-		return nil, err
-	}
-	var snap []byte
-	snapPath := filepath.Join(s.dir, genName(snapPrefix, s.gen))
-	if b, err := readSnapshot(snapPath); err == nil {
-		snap = b
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	records, _, _, err := scanWAL(s.wal)
-	if err != nil {
-		return nil, err
-	}
-	return EncodeBundle(snap, records), nil
-}
-
 // Close flushes and fsyncs outstanding records and releases the log.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -463,72 +434,4 @@ func (s *Store) Destroy() error {
 	dir := s.dir
 	s.mu.Unlock()
 	return os.RemoveAll(dir)
-}
-
-// bundleMagic distinguishes a migration bundle from a bare EncodeState
-// blob (whose magic is 0x4E).
-const bundleMagic = 0x44
-
-// EncodeBundle packages a snapshot (possibly empty) and WAL records:
-//
-//	0x44  len(snap) uvarint  snap
-//	      nrecords uvarint  { len uvarint  payload }*
-func EncodeBundle(snap []byte, records [][]byte) []byte {
-	out := []byte{bundleMagic}
-	out = binary.AppendUvarint(out, uint64(len(snap)))
-	out = append(out, snap...)
-	out = binary.AppendUvarint(out, uint64(len(records)))
-	for _, r := range records {
-		out = binary.AppendUvarint(out, uint64(len(r)))
-		out = append(out, r...)
-	}
-	return out
-}
-
-// IsBundle reports whether b starts with the bundle magic.
-func IsBundle(b []byte) bool {
-	return len(b) > 0 && b[0] == bundleMagic
-}
-
-// DecodeBundle parses an EncodeBundle blob. Lengths are validated
-// against the remaining input before any allocation, so corrupt or
-// adversarial blobs fail cleanly rather than over-allocating. Returned
-// slices are copies.
-func DecodeBundle(b []byte) (snap []byte, records [][]byte, err error) {
-	if !IsBundle(b) {
-		return nil, nil, fmt.Errorf("durable: not a bundle")
-	}
-	in := b[1:]
-	next := func() ([]byte, error) {
-		n, k := binary.Uvarint(in)
-		if k <= 0 || n > uint64(len(in)-k) {
-			return nil, fmt.Errorf("durable: corrupt bundle")
-		}
-		chunk := in[k : k+int(n)]
-		in = in[k+int(n):]
-		return append([]byte(nil), chunk...), nil
-	}
-	if snap, err = next(); err != nil {
-		return nil, nil, err
-	}
-	if len(snap) == 0 {
-		snap = nil
-	}
-	nrec, k := binary.Uvarint(in)
-	if k <= 0 || nrec > uint64(len(in)-k) {
-		return nil, nil, fmt.Errorf("durable: corrupt bundle")
-	}
-	in = in[k:]
-	records = make([][]byte, 0, nrec)
-	for i := uint64(0); i < nrec; i++ {
-		r, err := next()
-		if err != nil {
-			return nil, nil, err
-		}
-		records = append(records, r)
-	}
-	if len(in) != 0 {
-		return nil, nil, fmt.Errorf("durable: trailing bytes in bundle")
-	}
-	return snap, records, nil
 }

@@ -231,11 +231,17 @@ func TestSyncPoliciesAndThreshold(t *testing.T) {
 		t.Errorf("commits = %d, syncs = %d, want 1 and 1", s.Commits(), s.Syncs())
 	}
 
+	// A threshold ≤ 0 is the default, 256 KiB: there is no setting that
+	// lets the WAL grow without bound.
 	s2, _ := openT(t, t.TempDir(), Options{SnapshotBytes: -1})
 	defer s2.Close()
-	s2.Append(bytes.Repeat([]byte("y"), 1<<20))
+	s2.Append(bytes.Repeat([]byte("y"), 255<<10))
 	if s2.ShouldSnapshot() {
-		t.Error("negative threshold still suggests snapshots")
+		t.Error("a WAL under 256 KiB wants a snapshot at the default threshold")
+	}
+	s2.Append(bytes.Repeat([]byte("y"), 1<<10))
+	if !s2.ShouldSnapshot() {
+		t.Error("a negative threshold still disables snapshots")
 	}
 	if err := s2.Commit(); err != nil {
 		t.Fatal(err)
@@ -255,71 +261,6 @@ func TestDestroy(t *testing.T) {
 	}
 	if err := s.Append([]byte("late")); err == nil {
 		t.Error("append after destroy succeeded")
-	}
-}
-
-func TestBundleRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{})
-	if err := s.Snapshot([]byte("SNAP")); err != nil {
-		t.Fatal(err)
-	}
-	s.Append([]byte("tail-1"))
-	s.Append([]byte("tail-2"))
-	// Bundle must flush pending records itself.
-	b, err := s.Bundle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if !IsBundle(b) {
-		t.Fatal("bundle lacks magic")
-	}
-	snap, recs, err := DecodeBundle(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(snap) != "SNAP" || len(recs) != 2 ||
-		string(recs[0]) != "tail-1" || string(recs[1]) != "tail-2" {
-		t.Fatalf("decoded snap=%q recs=%q", snap, recs)
-	}
-
-	// Snapshot-less bundle: snap comes back nil.
-	s2, _ := openT(t, t.TempDir(), Options{})
-	defer s2.Close()
-	s2.Append([]byte("only"))
-	b2, err := s2.Bundle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap2, recs2, err := DecodeBundle(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap2 != nil || len(recs2) != 1 || string(recs2[0]) != "only" {
-		t.Fatalf("decoded snap=%q recs=%q", snap2, recs2)
-	}
-}
-
-func TestDecodeBundleCorrupt(t *testing.T) {
-	good := EncodeBundle([]byte("SNAP"), [][]byte{[]byte("r1"), []byte("r2")})
-	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := DecodeBundle(good[:cut]); err == nil {
-			t.Errorf("truncated bundle at %d decoded", cut)
-		}
-	}
-	if _, _, err := DecodeBundle(append(good, 0)); err == nil {
-		t.Error("trailing byte accepted")
-	}
-	if _, _, err := DecodeBundle([]byte{0x4E, 1, 2}); err == nil {
-		t.Error("state blob accepted as bundle")
-	}
-	// A record-count field far beyond the payload must fail before
-	// allocating.
-	bad := []byte{bundleMagic, 0}
-	bad = binary.AppendUvarint(bad, 1<<40)
-	if _, _, err := DecodeBundle(bad); err == nil {
-		t.Error("huge record count decoded")
 	}
 }
 

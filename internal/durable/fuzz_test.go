@@ -68,29 +68,3 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDecodeBundle: arbitrary bytes must never panic or over-allocate,
-// and anything that decodes must survive an encode/decode round trip.
-func FuzzDecodeBundle(f *testing.F) {
-	f.Add(EncodeBundle(nil, nil))
-	f.Add(EncodeBundle([]byte("SNAP"), [][]byte{[]byte("r1"), {}}))
-	f.Add([]byte{bundleMagic, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		snap, recs, err := DecodeBundle(b)
-		if err != nil {
-			return
-		}
-		snap2, recs2, err := DecodeBundle(EncodeBundle(snap, recs))
-		if err != nil {
-			t.Fatalf("re-encoded bundle fails decode: %v", err)
-		}
-		if !bytes.Equal(snap, snap2) || len(recs) != len(recs2) {
-			t.Fatalf("round trip changed bundle: %x", b)
-		}
-		for i := range recs {
-			if !bytes.Equal(recs[i], recs2[i]) {
-				t.Fatalf("round trip changed record %d", i)
-			}
-		}
-	})
-}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"ndlog/internal/parser"
 	"ndlog/internal/val"
 )
 
@@ -40,6 +41,30 @@ func FuzzDecodeDeltas(f *testing.F) {
 	zero := []byte{byte(msgDeltas), 1, signInsert | signLife, 0, 0, 0, 0}
 	f.Add(val.AppendTuple(zero, p))
 	f.Add([]byte{byte(msgDeltas), 1, signInsert | signLife, 0, 0})
+	// A node's export, the payload of a snapshot and of a migration: a
+	// base row once per derivation count and a soft row with the
+	// lifetime it has left.
+	prog, err := parser.Parse(`materialize(link, infinity, infinity, keys(1,2)).
+materialize(beacon, 30, infinity, keys(1,2)).
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c, err := NewCentral(prog, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	c.Node().SetNow(100)
+	link := val.NewTuple("link", val.NewAddr("a"), val.NewAddr("b"), val.NewFloat(1))
+	c.Insert(link)
+	c.Insert(link)
+	c.Insert(val.NewTuple("beacon", val.NewAddr("a"), val.NewList(val.NewAddr("b"))))
+	c.Node().SetNow(112.5)
+	export := c.Node().Export(nil)
+	if len(export) != 3 || export[0].Life != 17.5 {
+		f.Fatalf("export seed %v, want a beacon with 17.5 s left and link twice", export)
+	}
+	f.Add(AppendDeltas(nil, export))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ds, err := DecodeDeltas(b)

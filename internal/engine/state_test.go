@@ -21,8 +21,8 @@ func edgeAt(a, b string) val.Tuple {
 }
 
 // TestExportImportRebuildsFixpoint: a migrated node ships only base
-// facts; the importer re-derives the views and reaches the identical
-// fixpoint.
+// facts, as one insert batch in the wire codec; the importer re-derives
+// the views and reaches the identical fixpoint.
 func TestExportImportRebuildsFixpoint(t *testing.T) {
 	prog, err := parser.Parse(reachSrc)
 	if err != nil {
@@ -40,41 +40,48 @@ func TestExportImportRebuildsFixpoint(t *testing.T) {
 		t.Fatal("no derived tuples at source")
 	}
 
-	st := src.Node().Export()
-	for _, et := range st.Tuples {
-		if et.Tuple.Pred == "reach" {
-			t.Fatalf("derived hard state exported: %v", et.Tuple)
+	st := src.Node().Export(nil)
+	for _, d := range st {
+		if d.Tuple.Pred == "reach" {
+			t.Fatalf("derived hard state exported: %v", d.Tuple)
 		}
-		if et.Remaining >= 0 {
-			t.Fatalf("hard state exported with a lifetime: %+v", et)
+		if d.Sign != +1 || d.Life != 0 {
+			t.Fatalf("hard state exported as %v with lifetime %v, want a plain insertion", d, d.Life)
 		}
 	}
-	if len(st.Tuples) != 4 {
-		t.Fatalf("exported %d tuples, want 4 base edges", len(st.Tuples))
+	if len(st) != 4 {
+		t.Fatalf("exported %d deltas, want 4 base edges", len(st))
+	}
+	for i := 1; i < len(st); i++ {
+		if st[i-1].Tuple.Compare(st[i].Tuple) > 0 {
+			t.Fatalf("export out of Tuple order at %d: %v after %v", i, st[i], st[i-1])
+		}
 	}
 
 	// Wire round trip must be exact (export is sorted, so byte-stable).
-	dec, err := DecodeState(EncodeState(st))
+	enc := AppendDeltas(nil, st)
+	dec, err := DecodeDeltas(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.NodeID != st.NodeID || len(dec.Tuples) != len(st.Tuples) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", dec, st)
+	if len(dec) != len(st) {
+		t.Fatalf("round trip %d deltas, want %d", len(dec), len(st))
 	}
-	for i := range st.Tuples {
-		if !dec.Tuples[i].Tuple.Equal(st.Tuples[i].Tuple) ||
-			dec.Tuples[i].Count != st.Tuples[i].Count ||
-			dec.Tuples[i].Remaining != st.Tuples[i].Remaining {
-			t.Fatalf("entry %d mismatch: %+v vs %+v", i, dec.Tuples[i], st.Tuples[i])
+	for i := range st {
+		if !dec[i].Tuple.Equal(st[i].Tuple) || dec[i].Sign != st[i].Sign || dec[i].Life != st[i].Life {
+			t.Fatalf("delta %d mismatch: %v vs %v", i, dec[i], st[i])
 		}
+	}
+	if again := AppendDeltas(nil, src.Node().Export(nil)); !bytes.Equal(again, enc) {
+		t.Fatal("a second export of the same state encodes differently")
 	}
 
 	dst, err := NewCentral(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := dst.Node().ImportState(dec); n != 4 {
-		t.Fatalf("imported %d tuples, want 4", n)
+	for _, d := range dec {
+		dst.Node().Push(d)
 	}
 	dst.Fixpoint()
 	got := dst.Tuples("reach")
@@ -106,7 +113,13 @@ func TestImportPreservesCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst.Node().ImportState(src.Node().Export())
+	st := src.Node().Export(nil)
+	if len(st) != 2 {
+		t.Fatalf("a count-2 edge exported as %d insertions, want 2", len(st))
+	}
+	for _, d := range st {
+		dst.Node().Push(d)
+	}
 	dst.Fixpoint()
 
 	dst.Delete(edgeAt("a", "b"))
@@ -120,7 +133,8 @@ func TestImportPreservesCounts(t *testing.T) {
 }
 
 // TestExportSoftStateLifetimes: soft-state tuples carry their remaining
-// TTLs; lifetimes that lapse in transit are dropped by the importer.
+// lifetimes (Delta.Life); a tuple whose lifetime has lapsed is not
+// exported.
 func TestExportSoftStateLifetimes(t *testing.T) {
 	src := `
 materialize(ping, 30, infinity, keys(1,2)).
@@ -137,37 +151,31 @@ materialize(ping, 30, infinity, keys(1,2)).
 	n.SetNow(100)
 	c.Insert(val.NewTuple("ping", val.NewAddr("a"), val.NewAddr("b")))
 	n.SetNow(110)
-	st := n.Export()
-	if len(st.Tuples) != 1 {
-		t.Fatalf("exported %d tuples, want 1", len(st.Tuples))
+	st := n.Export(nil)
+	if len(st) != 1 {
+		t.Fatalf("exported %d deltas, want 1", len(st))
 	}
-	if got := st.Tuples[0].Remaining; got != 20 {
-		t.Fatalf("remaining = %v, want 20", got)
+	if got := st[0].Life; got != 20 {
+		t.Fatalf("life = %v, want 20", got)
 	}
 
-	// Lapsed in transit: remaining clamps to 0 and the importer drops it.
+	// Lapsed before the export: nothing left to ship.
 	n.SetNow(1000)
-	lapsed := n.Export()
-	if got := lapsed.Tuples[0].Remaining; got != 0 {
-		t.Fatalf("lapsed remaining = %v, want 0", got)
-	}
-	dst, err := NewCentral(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := dst.Node().ImportState(lapsed); n != 0 {
-		t.Fatalf("imported %d lapsed tuples, want 0", n)
+	if lapsed := n.Export(nil); len(lapsed) != 0 {
+		t.Fatalf("exported %d lapsed deltas, want 0", len(lapsed))
 	}
 
 	// A live import enters with the lifetime it had left — migration
 	// cannot extend soft state — and lapses then.
+	dst, err := NewCentral(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dn := dst.Node()
 	dn.SetNow(500)
-	if n := dn.ImportState(st); n != 1 {
-		t.Fatalf("imported %d live tuples, want 1", n)
-	}
+	dn.Push(st[0])
 	dst.Fixpoint()
-	e, ok := dn.Catalog().Get("ping").Get(st.Tuples[0].Tuple)
+	e, ok := dn.Catalog().Get("ping").Get(st[0].Tuple)
 	if !ok {
 		t.Fatal("imported tuple not stored")
 	}
@@ -290,30 +298,5 @@ func TestRederiveForDeterministic(t *testing.T) {
 		if got := AppendOutDeltas(nil, n.RederiveFor(dsts)); !bytes.Equal(got, want) {
 			t.Fatalf("sweep %d returned its deltas in a different order", i+1)
 		}
-	}
-}
-
-// TestDecodeStateCorrupt: no truncation of a valid payload decodes.
-func TestDecodeStateCorrupt(t *testing.T) {
-	st := &NodeState{NodeID: "a", Tuples: []ExportedTuple{
-		{Tuple: edgeAt("a", "b"), Count: 2, Remaining: -1},
-		{Tuple: edgeAt("b", "c"), Count: 1, Remaining: 1.5},
-	}}
-	good := EncodeState(st)
-	for cut := 0; cut < len(good); cut++ {
-		if _, err := DecodeState(good[:cut]); err == nil {
-			t.Errorf("truncated state at %d decoded", cut)
-		}
-	}
-	if _, err := DecodeState([]byte{0x01, 0x02}); err == nil {
-		t.Error("non-state payload decoded")
-	}
-	// A count beyond the replay bound is rejected at decode time: the
-	// import loop must not be drivable to a wedge by a hostile blob.
-	huge := EncodeState(&NodeState{NodeID: "a", Tuples: []ExportedTuple{
-		{Tuple: edgeAt("a", "b"), Count: maxImportCount + 1, Remaining: -1},
-	}})
-	if _, err := DecodeState(huge); err == nil {
-		t.Error("unbounded replay count decoded")
 	}
 }

@@ -8,12 +8,15 @@ package netrun
 // dispatched and before the inbound frame that triggered it is acked,
 // so a kill -9 can never have advertised, or acknowledged, state it
 // will not remember. When the WAL outgrows Options.SnapshotBytes the node's
-// exported state replaces it as a fresh snapshot generation.
+// export (engine.Node.Export, one delta batch) replaces it as a fresh
+// snapshot generation.
 //
 // Recovery (EnableDurability, before Start) and adoption (ImportNode)
-// share one restore: import the snapshot (each soft tuple with the
-// lifetime it had left), replay the WAL tail record by record under each
-// record's own clock, then Rederive to close the local derivations. Outbound deltas
+// share one restore: push the snapshot's batch at the node's clock (each
+// soft tuple with the lifetime it had left), replay the WAL tail record
+// by record under each record's own clock, then Rederive to close the
+// local derivations. A migration ships the same batch as a snapshot, so
+// adoption is a restore with no records. Outbound deltas
 // produced during recovery are discarded — the shard-level respawn
 // protocol rebuilds cross-node state with explicit rederivation sweeps
 // once the fleet knows the node is back. The journal tap installs only
@@ -76,7 +79,7 @@ func sortedNodeIDs(nodes map[string]*netNode) []string {
 
 // attachStore opens the node's store, replays recovered state into the
 // engine (unless discard is set — adopted nodes get their state from a
-// migration bundle instead), takes a fresh post-recovery snapshot, and
+// migration export instead), takes a fresh post-recovery snapshot, and
 // installs the journal tap. Reports whether recovery found state.
 func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 	store, rec, err := durable.Open(filepath.Join(r.durDir, nn.id), r.durOpts)
@@ -95,7 +98,7 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 	// Fold the recovered (or deliberately empty) state into a compact
 	// snapshot generation before journaling resumes.
 	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-	if err := store.Snapshot(engine.EncodeState(nn.node.Export())); err != nil {
+	if err := store.Snapshot(snapshot(nn.node)); err != nil {
 		store.Close()
 		return false, err
 	}
@@ -106,20 +109,35 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 	return warm && !discard, nil
 }
 
+// snapshot is the node's export as one delta batch: the payload of a
+// snapshot generation and of a migration alike.
+func snapshot(n *engine.Node) []byte {
+	return engine.AppendDeltas(nil, n.Export(nil))
+}
+
 // restore rebuilds a node from a snapshot (nil for none) and WAL
-// records: import the snapshot, replay each record under min(its clock,
-// now), then Rederive to close the local derivations. It returns every outbound delta the rebuild produced:
+// records: push the snapshot's insertions at now, replay each record
+// under min(its clock, now), then Rederive to close the local
+// derivations. A snapshot holding a retraction is refused: an export
+// never makes one. It returns every outbound delta the rebuild produced:
 // crash recovery discards them (the fleet is re-synced by the respawn
 // sweeps), adoption dispatches them. Caller holds the node's lock.
 func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engine.OutDelta, error) {
 	var outs []engine.OutDelta
 	n.SetNow(now)
 	if len(snap) > 0 {
-		st, err := engine.DecodeState(snap)
+		deltas, err := engine.DecodeDeltasIn(snap, n.Interner())
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		n.ImportState(st)
+		for _, d := range deltas {
+			if d.Sign < 0 {
+				return nil, fmt.Errorf("snapshot: retraction %v", d)
+			}
+		}
+		for _, d := range deltas {
+			n.Push(d)
+		}
 		outs = n.DrainInto(outs)
 	}
 	for i, b := range records {
@@ -167,7 +185,7 @@ func (r *Runner) commitDurable(nn *netNode) {
 		}
 	}
 	if nn.dur.ShouldSnapshot() {
-		nn.dur.Snapshot(engine.EncodeState(nn.node.Export()))
+		nn.dur.Snapshot(snapshot(nn.node))
 	}
 	nn.dur.Commit()
 }
@@ -200,25 +218,18 @@ func (r *Runner) DurableSyncs() uint64 {
 	return total
 }
 
-// ExportBundle packages a local node's migratable state as a bundle
-// (durable.EncodeBundle) for ImportNode: its durable snapshot + WAL
-// tail when the node has a store (Rebalance then does not pay a full
-// state re-encode of a large node on the pause path), and otherwise an
-// engine state export — base facts with counts plus soft state with
-// remaining TTLs — with no records.
-func (r *Runner) ExportBundle(id string) ([]byte, error) {
+// ExportState returns a local node's migratable state for ImportNode:
+// its export (base facts, once per derivation count, and soft state with
+// the lifetime it has left) as one delta batch, durable or not.
+func (r *Runner) ExportState(id string) ([]byte, error) {
 	nn, ok := r.node(id)
 	if !ok {
 		return nil, fmt.Errorf("netrun: node %q not hosted", id)
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	if nn.dur == nil {
-		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-		return durable.EncodeBundle(engine.EncodeState(nn.node.Export()), nil), nil
-	}
-	r.commitDurable(nn)
-	return nn.dur.Bundle()
+	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
+	return snapshot(nn.node), nil
 }
 
 // walRecord := now(float64 bits, 8B LE) deltas(engine delta message)

@@ -1,8 +1,11 @@
 package netrun
 
 import (
+	"bytes"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -152,10 +155,11 @@ func TestDurableSnapshotCadence(t *testing.T) {
 	}
 }
 
-// TestExportBundleMigration: a durable node migrates by shipping its
-// snapshot + WAL tail; the adopting runner rebuilds the same state —
-// counts included — and the bundle lands in the adopter's own store.
-func TestExportBundleMigration(t *testing.T) {
+// TestExportStateMigration: a durable node migrates by shipping its
+// export, one delta batch, exactly as a non-durable node does; the
+// adopting runner rebuilds the same state — counts included — and the
+// import lands in the adopter's own store.
+func TestExportStateMigration(t *testing.T) {
 	prog, err := parser.Parse(reachSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +176,12 @@ func TestExportBundleMigration(t *testing.T) {
 	r1.Inject("a", engine.Insert(edge("a", "a")))
 	r1.Inject("a", engine.Insert(edge("a", "a")))
 	waitIdle(t, r1)
-	bundle, err := r1.ExportBundle("a")
+	state, err := r1.ExportState("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !durable.IsBundle(bundle) {
-		t.Fatal("durable runner exported a bare state blob")
+	if ds, err := engine.DecodeDeltas(state); err != nil || len(ds) != 2 {
+		t.Fatalf("durable export: %v (%v), want the count-2 edge as two insertions", ds, err)
 	}
 
 	dir2 := t.TempDir()
@@ -193,7 +197,7 @@ func TestExportBundleMigration(t *testing.T) {
 	if err := r2.AddNode("a", ""); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.ImportNode("a", bundle); err != nil {
+	if err := r2.ImportNode("a", state); err != nil {
 		t.Fatal(err)
 	}
 	if got := r2.NodeTuples("a", "reach"); len(got) != 1 {
@@ -201,7 +205,7 @@ func TestExportBundleMigration(t *testing.T) {
 	}
 	r2.Inject("a", engine.Deletion(edge("a", "a")))
 	if got := r2.NodeTuples("a", "edge"); len(got) != 1 {
-		t.Fatal("bundle lost the derivation count")
+		t.Fatal("export lost the derivation count")
 	}
 
 	// The import itself was journaled: a restart of the adopter recovers
@@ -218,8 +222,7 @@ func TestExportBundleMigration(t *testing.T) {
 		t.Fatalf("adopter restart lost migrated state: %v", got)
 	}
 
-	// A non-durable runner ships its state export as a bundle with no
-	// records, which ImportNode reads like any other.
+	// A non-durable runner holding the same state exports the same bytes.
 	r4, err := New(prog, []string{"a"}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -227,23 +230,21 @@ func TestExportBundleMigration(t *testing.T) {
 	defer r4.Close()
 	r4.Start()
 	r4.Inject("a", engine.Insert(edge("a", "a")))
-	bare, err := r4.ExportBundle("a")
+	r4.Inject("a", engine.Insert(edge("a", "a")))
+	bare, err := r4.ExportState("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, records, err := durable.DecodeBundle(bare); err != nil || len(snap) == 0 || len(records) != 0 {
-		t.Fatalf("non-durable export: %d snapshot bytes, %d records, err %v", len(snap), len(records), err)
-	}
-	if err := r2.ImportNode("a", bare); err != nil {
-		t.Fatalf("non-durable bundle import: %v", err)
+	if !bytes.Equal(bare, state) {
+		t.Fatalf("non-durable export %x, durable export %x", bare, state)
 	}
 }
 
-// TestImportReplaysEachRecordAtItsClock: every WAL record of an
-// imported bundle replays under min(its clock, now). A record stamped
-// after the adopter's clock replays at now — not under the previous
-// record's clock, which would take the gap off its soft tuples'
-// lifetimes.
+// TestImportReplaysEachRecordAtItsClock: restore replays every WAL
+// record a crashed node left under min(its clock, now). A record
+// stamped after the recovering node's clock replays at now — not under
+// the previous record's clock, which would take the gap off its soft
+// tuples' lifetimes.
 func TestImportReplaysEachRecordAtItsClock(t *testing.T) {
 	const ttl = 60
 	prog, err := parser.Parse(`materialize(beat, 60, infinity, keys(1,2)).
@@ -253,34 +254,41 @@ r1 seen(@N, X) :- beat(@N, X).
 	if err != nil {
 		t.Fatal(err)
 	}
+	beat := func(at float64, x int64) []byte {
+		return encodeWALRecord(at, []engine.Delta{engine.Insert(val.NewTuple("beat", val.NewAddr("a"), val.NewInt(x)))})
+	}
+	dir := t.TempDir()
+	store, _, err := durable.Open(filepath.Join(dir, "a"), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := float64(time.Now().UnixNano()) / 1e9
+	store.Append(beat(now-5, 1))
+	store.Append(beat(now+5, 2))
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	r, err := New(prog, []string{"a"}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	beat := func(at float64, x int64) []byte {
-		return encodeWALRecord(at, []engine.Delta{engine.Insert(val.NewTuple("beat", val.NewAddr("a"), val.NewInt(x)))})
+	if n, err := r.EnableDurability(dir, durable.Options{}); err != nil || n != 1 {
+		t.Fatalf("recovered=%d err=%v", n, err)
 	}
-	now := float64(time.Now().UnixNano()) / 1e9
-	if err := r.ImportNode("a", durable.EncodeBundle(nil, [][]byte{beat(now-5, 1), beat(now+5, 2)})); err != nil {
-		t.Fatal(err)
-	}
-	bundle, err := r.ExportBundle("a")
+	state, err := r.ExportState("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, _, err := durable.DecodeBundle(bundle)
+	ds, err := engine.DecodeDeltas(state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := engine.DecodeState(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remaining := map[int64]float64{}
-	for _, et := range st.Tuples {
-		if et.Tuple.Pred == "beat" {
-			remaining[et.Tuple.Fields[1].Int()] = et.Remaining
+	remaining := map[int64]float32{}
+	for _, d := range ds {
+		if d.Tuple.Pred == "beat" {
+			remaining[d.Tuple.Fields[1].Int()] = d.Life
 		}
 	}
 	if got := remaining[1]; got < ttl-6 || got > ttl-4 {
@@ -288,6 +296,47 @@ r1 seen(@N, X) :- beat(@N, X).
 	}
 	if got := remaining[2]; got <= ttl-1 {
 		t.Errorf("beat stamped now+5: remaining %.2f s, want above %d (replayed at now)", got, ttl-1)
+	}
+}
+
+// TestRestoreRefusesRetraction: an export holds only insertions, so a
+// snapshot or a migrated state that holds a retraction is corrupt, and
+// neither adoption nor crash recovery applies any of it.
+func TestRestoreRefusesRetraction(t *testing.T) {
+	prog, err := parser.Parse(reachSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := engine.AppendDeltas(nil, []engine.Delta{engine.Insert(edge("a", "a")), engine.Deletion(edge("a", "b"))})
+
+	r, err := New(prog, []string{"a"}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.ImportNode("a", bad); err == nil || !strings.Contains(err.Error(), "retraction") {
+		t.Errorf("import of a batch holding a retraction: err = %v, want a refusal", err)
+	}
+	if got := r.NodeTuples("a", "edge"); len(got) != 0 {
+		t.Errorf("a refused import applied %v", got)
+	}
+
+	dir := t.TempDir()
+	store, _, err := durable.Open(filepath.Join(dir, "a"), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Snapshot(bad); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	r2, err := New(prog, []string{"a"}, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if _, err := r2.EnableDurability(dir, durable.Options{}); err == nil || !strings.Contains(err.Error(), "retraction") {
+		t.Errorf("recovery from a snapshot holding a retraction: err = %v, want a refusal", err)
 	}
 }
 

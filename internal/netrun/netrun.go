@@ -16,7 +16,7 @@
 // multi-process deployment built on this). Tuples bound for a node the
 // book does not know are counted as dropped, exactly like a datagram
 // with no route. The local set is elastic: AddNode and RemoveNode
-// adopt and release nodes on a live socket set, and ExportBundle /
+// adopt and release nodes on a live socket set, and ExportState /
 // ImportNode move a node's engine state for migration.
 //
 // Every data datagram carries the runner's membership epoch
@@ -276,7 +276,7 @@ func (r *Runner) AddNode(id, bind string) error {
 		return err
 	}
 	if r.durDir != "" {
-		// An adopted node starts from the state its bundle will import,
+		// An adopted node starts from the state its export will import,
 		// not from whatever a stale directory of a past owner holds.
 		if _, err := r.attachStore(nn, true); err != nil {
 			r.dropNodeLocked(nn)
@@ -296,7 +296,7 @@ func (r *Runner) AddNode(id, bind string) error {
 // dropped with their credit. Datagrams already bound for the node are
 // dropped by the closed socket — the stale-epoch fence covers the ones
 // that chase the node to its new home. Export the node's state first
-// (ExportBundle) if it is migrating.
+// (ExportState) if it is migrating.
 func (r *Runner) RemoveNode(id string) error {
 	r.nodesMu.Lock()
 	defer r.nodesMu.Unlock()
@@ -338,23 +338,20 @@ func (r *Runner) dropNodeLocked(nn *netNode) {
 	nn.mu.Unlock()
 }
 
-// ImportNode loads an exported bundle (ExportBundle) into a local
-// (freshly adopted) node — the same restore crash recovery runs, the
-// snapshot's soft state entering with its exported remaining lifetimes —
-// and dispatches the resulting advertisements to the fleet.
-func (r *Runner) ImportNode(id string, bundle []byte) error {
+// ImportNode loads an exported state (ExportState) into a local
+// (freshly adopted) node — the restore crash recovery runs, with the
+// export as its snapshot and no WAL records, soft state entering with
+// its exported remaining lifetimes — and dispatches the resulting
+// advertisements to the fleet.
+func (r *Runner) ImportNode(id string, state []byte) error {
 	nn, ok := r.node(id)
 	if !ok {
 		return fmt.Errorf("netrun: node %q not hosted", id)
 	}
-	snap, records, err := durable.DecodeBundle(bundle)
-	if err != nil {
-		return err
-	}
 	r.credit.Add(1) // the import drain is in progress
 	defer r.release(1)
 	nn.mu.Lock()
-	outs, err := restore(nn.node, snap, records, float64(time.Now().UnixNano())/1e9)
+	outs, err := restore(nn.node, state, nil, float64(time.Now().UnixNano())/1e9)
 	if err != nil {
 		nn.mu.Unlock()
 		return err

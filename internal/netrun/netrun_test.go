@@ -311,14 +311,14 @@ func TestAddRemoveNode(t *testing.T) {
 	}
 
 	// Export, remove, re-adopt elsewhere-style: import restores state.
-	blob, err := r.ExportBundle("b")
+	blob, err := r.ExportState("b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.RemoveNode("b"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ExportBundle("b"); err == nil {
+	if _, err := r.ExportState("b"); err == nil {
 		t.Error("export of a removed node succeeded")
 	}
 	if err := r.RemoveNode("b"); err == nil {

@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"ndlog/internal/ast"
-	"ndlog/internal/durable"
 	"ndlog/internal/engine"
 	"ndlog/internal/parser"
 )
@@ -50,10 +49,6 @@ type Options struct {
 	// durability. Relative paths resolve against each worker's
 	// cwd, so spawned deployments should use absolute paths.
 	DataDir string `json:"data_dir,omitempty"`
-	// SnapshotBytes rolls a node's WAL into a fresh snapshot once the
-	// log outgrows this many bytes. 0 means the durable package default;
-	// negative disables snapshotting (the WAL grows unbounded).
-	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
 	// Parallelism bounds each worker's evaluation pool: how many of its
 	// local nodes seed and rederive concurrently (receive loops are
 	// already one goroutine per node). 0 means GOMAXPROCS, 1 forces
@@ -88,12 +83,7 @@ var removedOptions = []struct{ key, why string }{
 	{"loss_first", "it was a test's fault injection, not a deployment setting"},
 	{"aggsel_preds", "the planner now proves which aggregate selections are safe to prune, so there is no list to give"},
 	{"fsync", "nothing set it, and a lazier policy than fsync per commit breaks the WAL-before-wire promise a respawned worker's recovery relies on"},
-}
-
-// Durable converts the manifest's durability stanza to the durable
-// package's options. An empty returned dir means durability is off.
-func (o Options) Durable() (string, durable.Options) {
-	return o.DataDir, durable.Options{SnapshotBytes: o.SnapshotBytes}
+	{"snapshot_bytes", "nothing set it, and its negative setting let the WAL grow without bound; a node's WAL rolls into a snapshot at the durable package's default size"},
 }
 
 // Engine converts the manifest options to engine options.

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"ndlog/internal/durable"
 	"ndlog/internal/engine"
 	"ndlog/internal/netrun"
 	"ndlog/internal/val"
@@ -56,8 +55,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	m := &Manifest{
 		Source: "sp path(...) :- link(...).",
 		Options: Options{Mode: "sn", AggSel: true,
-			DataDir: "/var/lib/ndlog", SnapshotBytes: 1 << 20,
-			Parallelism: 4},
+			DataDir: "/var/lib/ndlog", Parallelism: 4},
 		Shards: []ShardSpec{
 			{ID: 0, Nodes: map[string]string{"a": "", "b": "127.0.0.1:7001"}, Host: "127.0.0.1"},
 			{ID: 1, Nodes: map[string]string{"c": ""}},
@@ -97,7 +95,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds", "fsync"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds", "fsync", "snapshot_bytes"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
@@ -112,6 +110,9 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		}
 		if key == "fsync" && (err == nil || !strings.Contains(err.Error(), "WAL-before-wire")) {
 			t.Errorf("manifest carrying fsync: err = %v, want the reason it went", err)
+		}
+		if key == "snapshot_bytes" && (err == nil || !strings.Contains(err.Error(), "without bound")) {
+			t.Errorf("manifest carrying snapshot_bytes: err = %v, want the reason it went", err)
 		}
 	}
 	// So does one asking for the removed BSN mode, pointing at SN.
@@ -139,12 +140,6 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	}
 	if _, err := (Options{Mode: "warp"}).Engine(); err == nil {
 		t.Error("bad mode accepted")
-	}
-
-	// Durability stanza: the data dir and the snapshot threshold reach
-	// the durable options; the WAL is fsynced per commit, always.
-	if dir, dopts := got.Options.Durable(); dir != "/var/lib/ndlog" || dopts != (durable.Options{SnapshotBytes: 1 << 20}) {
-		t.Errorf("durable options: dir=%q opts=%+v", dir, dopts)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"ndlog/internal/durable"
 	"ndlog/internal/netrun"
 )
 
@@ -74,7 +75,7 @@ func RunWorker(cfg WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	dataDir, durOpts := m.Options.Durable()
+	dataDir := m.Options.DataDir
 	shardDir := ""
 	// A copy: adopt/release mutate the worker's node set, and the
 	// manifest is shared (read-only after Validate).
@@ -101,7 +102,7 @@ func RunWorker(cfg WorkerConfig) error {
 	}
 	defer r.Close()
 	if shardDir != "" {
-		warm, err := r.EnableDurability(shardDir, durOpts)
+		warm, err := r.EnableDurability(shardDir, durable.Options{})
 		if err != nil {
 			return err
 		}
@@ -431,9 +432,7 @@ func (w *worker) handleRelease(f frame) {
 	if f.Epoch != w.epoch {
 		return
 	}
-	// ExportBundle ships the durable snapshot + WAL tail when the node
-	// has a store (no full state re-encode on the pause path).
-	blob, err := w.runner.ExportBundle(f.Node)
+	blob, err := w.runner.ExportState(f.Node)
 	if err == nil {
 		if err := w.runner.RemoveNode(f.Node); err != nil {
 			w.cfg.logf("shard %d: release %s: %v", w.spec.ID, f.Node, err)

@@ -449,8 +449,9 @@ func (s *Sim) Step() bool {
 }
 
 // Run processes events until the queue is empty or virtual time would
-// exceed until (events beyond the horizon stay queued). It returns the
-// number of events processed.
+// exceed until (events beyond the horizon stay queued), then advances the
+// clock to until, so a loop of Run(Now()+step) calls gets past a quiet
+// gap longer than its step. It returns the number of events processed.
 func (s *Sim) Run(until float64) int {
 	n := 0
 	for len(s.queue) > 0 {
@@ -460,7 +461,7 @@ func (s *Sim) Run(until float64) int {
 		s.Step()
 		n++
 	}
-	if s.now < until && len(s.queue) == 0 {
+	if s.now < until {
 		s.now = until
 	}
 	return n

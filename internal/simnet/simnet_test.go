@@ -146,11 +146,7 @@ func TestRunHorizon(t *testing.T) {
 		t.Errorf("Run processed %d events, timers=%v", n, ra.timers)
 	}
 	if s.Now() != 2.0 {
-		// Clock advances to the horizon only when the queue empties; a
-		// pending event holds the clock at its last processed time.
-		if s.Now() != 1.0 {
-			t.Errorf("now = %v", s.Now())
-		}
+		t.Errorf("now = %v, want the horizon 2", s.Now())
 	}
 	if s.Pending() != 1 {
 		t.Errorf("pending = %d", s.Pending())
@@ -158,6 +154,27 @@ func TestRunHorizon(t *testing.T) {
 	s.Run(10)
 	if len(ra.timers) != 2 {
 		t.Errorf("late timer not fired: %v", ra.timers)
+	}
+}
+
+// TestRunAdvancesClockPastQuietGap: Run leaves the clock at its horizon
+// even while a later event waits, so a Run(Now()+1) poll loop crosses a
+// quiet gap longer than its step instead of stalling before it.
+func TestRunAdvancesClockPastQuietGap(t *testing.T) {
+	s, _, _ := twoNodes(t)
+	fired := false
+	s.ScheduleFunc(5, func(float64) { fired = true })
+	if n := s.Run(1); n != 0 {
+		t.Fatalf("Run(1) processed %d events, want 0", n)
+	}
+	if s.Now() != 1 {
+		t.Fatalf("now = %v after Run(1), want 1", s.Now())
+	}
+	for i := 0; i < 10 && !fired; i++ {
+		s.Run(s.Now() + 1)
+	}
+	if !fired || s.Now() != 5 {
+		t.Fatalf("a Run(Now()+1) loop: fired=%v now=%v, want the t=5 event at 5", fired, s.Now())
 	}
 }
 
