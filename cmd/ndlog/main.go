@@ -2,16 +2,16 @@
 // program at a single site (centralized); with -dist it deploys one
 // runtime per address mentioned in the program's facts over the
 // discrete-event simulator, connecting nodes according to the link
-// facts; with -parallel N it runs the same population inside one
-// process with independent nodes drained concurrently by N workers;
-// with -shards N it deploys the population as N real OS processes
-// exchanging tuples over loopback UDP (internal/shard).
+// facts; with -parallel it runs the same population inside one
+// process with independent nodes drained concurrently, one worker per
+// GOMAXPROCS; with -shards N it deploys the population as N real OS
+// processes exchanging tuples over loopback UDP (internal/shard).
 //
 // Usage:
 //
 //	ndlog program.ndl                 # centralized evaluation
 //	ndlog -dist -latency 10ms prog.ndl
-//	ndlog -parallel 4 prog.ndl        # one runtime per node, 4 workers
+//	ndlog -parallel prog.ndl          # one runtime per node, GOMAXPROCS workers
 //	ndlog -shards 3 prog.ndl          # 3 worker processes over UDP
 //	ndlog -shards 3 -data ./state prog.ndl   # durable workers (WAL + snapshots)
 //	ndlog -dump path,shortestPath prog.ndl
@@ -47,7 +47,7 @@ func main() {
 	}
 
 	dist := flag.Bool("dist", false, "distributed execution over the simulator")
-	parallel := flag.Int("parallel", 0, "in-process parallel execution: one runtime per node address, drained concurrently by N workers (0: off; negative: GOMAXPROCS workers); with -shards, bounds each worker's per-node pool instead")
+	parallel := flag.Bool("parallel", false, "in-process parallel execution: one runtime per node address, drained concurrently by GOMAXPROCS workers (not with -shards)")
 	shards := flag.Int("shards", 0, "deploy as N OS processes over loopback UDP (0: off)")
 	migrate := flag.String("migrate", "", "with -shards: migrate nodes mid-run, e.g. 'c@1' or 'c@1,d@2' (node@target-shard)")
 	data := flag.String("data", "", "with -shards: persist worker state (WAL + snapshots) under this directory; workers respawn warm from it")
@@ -102,6 +102,9 @@ func main() {
 	}
 
 	var cleanup func()
+	if *shards > 0 && *parallel {
+		fail(fmt.Errorf("-parallel and -shards are exclusive: each shard worker walks its nodes itself"))
+	}
 	if *shards > 0 {
 		if *trace {
 			fmt.Fprintln(os.Stderr, "ndlog: -trace has no effect with -shards (derivations happen in worker processes)")
@@ -110,19 +113,16 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		sOpts := shard.Options{AggSel: *aggsel, DataDir: *data, Parallelism: max(*parallel, 0)}
+		sOpts := shard.Options{AggSel: *aggsel, DataDir: *data}
 		results, cleanup, err = runSharded(string(src), prog, *shards, migs, sOpts, *timeout)
 		if err != nil {
 			fail(err)
 		}
-	} else if *parallel != 0 {
+	} else if *parallel {
 		// In-process parallel executor: one runtime per node address,
-		// independent nodes drained concurrently on a bounded worker
+		// independent nodes drained concurrently on a GOMAXPROCS worker
 		// pool. Real concurrency, no modeled latency — the multi-core
 		// counterpart of -dist.
-		if *parallel > 0 {
-			opts.Parallelism = *parallel
-		} // negative: leave 0, which resolves to GOMAXPROCS
 		p, err := engine.NewParallel(prog, opts)
 		if err != nil {
 			fail(err)

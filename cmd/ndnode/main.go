@@ -46,7 +46,6 @@ func main() {
 	coord := flag.String("coord", "", "coordinator control address (empty: static book, run until killed)")
 	coordTimeout := flag.Duration("coord-timeout", 0, "max coordinator silence before exiting (0: 60s default)")
 	data := flag.String("data", "", "override the manifest's data directory (WAL + snapshots; empty: use manifest)")
-	parallel := flag.Int("parallel", -1, "override the manifest's parallelism: per-node worker pool for seeds and rederivation sweeps (0: GOMAXPROCS, 1: sequential; negative: use manifest)")
 	verbose := flag.Bool("v", false, "log shard lifecycle to stderr")
 	flag.Parse()
 
@@ -61,9 +60,6 @@ func main() {
 	}
 	if *data != "" {
 		m.Options.DataDir = *data
-	}
-	if *parallel >= 0 {
-		m.Options.Parallelism = *parallel
 	}
 	cfg := shard.WorkerConfig{Manifest: m, ShardID: *shardID, Coord: *coord, CoordTimeout: *coordTimeout}
 	if *verbose {

@@ -15,8 +15,7 @@ type Central struct {
 }
 
 // NewCentral compiles prog for single-site evaluation: one node, one
-// thread. Options.Parallelism counts nodes drained at once, so it has
-// no effect here.
+// thread. Only Parallel drains nodes concurrently.
 func NewCentral(prog *ast.Program, opts Options) (*Central, error) {
 	p, err := Compile(prog)
 	if err != nil {

@@ -225,10 +225,11 @@ func runEvents(t *testing.T, ex string, mode Mode, n int, edges [][2]string) map
 		runCluster(t, cl)
 		tuples = cl.Tuples
 	case "parallel":
-		p, err := NewParallel(prog, Options{Mode: mode, Parallelism: 4})
+		p, err := NewParallel(prog, Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.workers = 4
 		for i := 0; i < n; i++ {
 			p.AddNode(node(i))
 		}

@@ -277,7 +277,7 @@ func TestShareEncodeDecodeRoundTrip(t *testing.T) {
 		Insert(val.NewTuple("other", val.NewAddr("a"), val.NewInt(1))),
 	}
 	enc := EncodeShared(sc, ds)
-	got, err := DecodeShared(enc)
+	got, err := DecodeMessageInto(enc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,22 +295,22 @@ func TestShareEncodeDecodeRoundTrip(t *testing.T) {
 		}
 	}
 	// Sharing must beat plain encoding for combinable tuples.
-	plain := EncodeDeltas(ds)
+	plain := AppendDeltas(nil, ds)
 	if len(enc) >= len(plain) {
 		t.Errorf("shared %d bytes >= plain %d bytes", len(enc), len(plain))
 	}
 	// Round-trip through DecodeMessage as well.
-	if _, err := DecodeMessage(enc); err != nil {
-		t.Errorf("DecodeMessage(shared): %v", err)
+	if _, err := DecodeMessageInto(enc, nil, nil); err != nil {
+		t.Errorf("DecodeMessageInto(shared): %v", err)
 	}
-	if _, err := DecodeMessage(plain); err != nil {
-		t.Errorf("DecodeMessage(plain): %v", err)
+	if _, err := DecodeMessageInto(plain, nil, nil); err != nil {
+		t.Errorf("DecodeMessageInto(plain): %v", err)
 	}
-	if _, err := DecodeMessage(nil); err == nil {
-		t.Error("DecodeMessage(nil) should fail")
+	if _, err := DecodeMessageInto(nil, nil, nil); err == nil {
+		t.Error("DecodeMessageInto(nil) should fail")
 	}
-	if _, err := DecodeMessage([]byte{9}); err == nil {
-		t.Error("DecodeMessage(unknown kind) should fail")
+	if _, err := DecodeMessageInto([]byte{9}, nil, nil); err == nil {
+		t.Error("DecodeMessageInto(unknown kind) should fail")
 	}
 }
 
@@ -319,8 +319,8 @@ func TestDeltaEncodeDecode(t *testing.T) {
 		Insert(val.NewTuple("p", val.NewAddr("a"), val.NewInt(1))),
 		Deletion(val.NewTuple("q", val.NewAddr("b"), val.NewFloat(2.5))),
 	}
-	enc := EncodeDeltas(ds)
-	got, err := DecodeDeltas(enc)
+	enc := AppendDeltas(nil, ds)
+	got, err := DecodeDeltasInto(enc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,8 +333,8 @@ func TestDeltaEncodeDecode(t *testing.T) {
 		t.Errorf("String() = %q, %q", ds[0], ds[1])
 	}
 	for _, bad := range [][]byte{nil, {1}, {1, 1, 1}, {2}} {
-		if _, err := DecodeDeltas(bad); err == nil {
-			t.Errorf("DecodeDeltas(%v) should fail", bad)
+		if _, err := DecodeDeltasInto(bad, nil, nil); err == nil {
+			t.Errorf("DecodeDeltasInto(%v) should fail", bad)
 		}
 	}
 }

@@ -180,10 +180,11 @@ func TestLifetimeCrossesWire(t *testing.T) {
 		}
 	})
 	t.Run("parallel", func(t *testing.T) {
-		p, err := NewParallel(mustParse(t, expirySrc), Options{Parallelism: 2})
+		p, err := NewParallel(mustParse(t, expirySrc), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.workers = 2
 		na, nb := p.AddNode("a"), p.AddNode("b")
 		na.SetNow(3)
 		nb.SetNow(3)

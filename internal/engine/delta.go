@@ -67,9 +67,6 @@ const (
 	msgShared msgKind = 2 // share-combined batch (see share.go)
 )
 
-// EncodeDeltas marshals a batch of deltas into a message payload.
-func EncodeDeltas(ds []Delta) []byte { return AppendDeltas(nil, ds) }
-
 // AppendDeltas appends the encoded delta batch to dst and returns the
 // extended buffer — transports that frame the payload (netrun's epoch
 // envelope) build prefix and message in one buffer instead of copying
@@ -174,22 +171,13 @@ func decodeHead(b []byte) (int8, float32, int, error) {
 	return sign, life, 5, nil
 }
 
-// DecodeDeltas unmarshals a plain delta batch (caller checks the kind).
-func DecodeDeltas(b []byte) ([]Delta, error) { return DecodeDeltasIn(b, nil) }
-
-// DecodeDeltasIn is DecodeDeltas resolving strings through the receiving
-// node's string table (nil copies them). Decoded tuples never alias b,
-// so callers may reuse the read buffer.
-func DecodeDeltasIn(b []byte, in *val.Interner) ([]Delta, error) {
-	return DecodeDeltasInto(b, in, nil)
-}
-
-// DecodeDeltasInto is DecodeDeltasIn appending into dst, so a receive
-// loop can reuse one decode scratch slice across datagrams instead of
-// allocating a fresh batch per message. dst's existing elements are
-// preserved; pass dst[:0] to reuse its backing array. The decoded
-// tuples still never alias b (copy-on-decode), so reusing both the
-// read buffer and the scratch is safe once the deltas are consumed.
+// DecodeDeltasInto unmarshals a plain delta batch, which must be all of
+// b, appending to dst: a receive loop reuses one decode scratch slice
+// across datagrams instead of allocating a fresh batch per message
+// (pass dst[:0] to reuse its backing array, nil for a fresh one). in is
+// the receiving node's string table; nil copies strings. Decoded
+// tuples never alias b (copy-on-decode), so reusing both the read
+// buffer and the scratch is safe once the deltas are consumed.
 // A retraction is only ever looked up, never stored, so the message's
 // retractions are carved from chunks it owns (val.Carver); each
 // insertion gets its own exact array, which the table that stores it
@@ -229,6 +217,9 @@ func DecodeDeltasInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error) 
 		}
 		b = b[m:]
 		out = append(out, Delta{Sign: sign, Life: life, Tuple: t})
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("engine: %d trailing bytes after delta batch", len(b))
 	}
 	return out, nil
 }

@@ -27,7 +27,7 @@ func pathDelta(cost float64) Delta {
 // holding its fields and its path vector.
 func TestDecodeAllocBudget(t *testing.T) {
 	in := val.NewInterner()
-	msg := EncodeDeltas([]Delta{pathDelta(2.5)})
+	msg := AppendDeltas(nil, []Delta{pathDelta(2.5)})
 	scratch, err := DecodeMessageInto(msg, in, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +58,8 @@ func TestDecodeSurvivesBufferAndScratchReuse(t *testing.T) {
 	for i, tp := range tuples {
 		want = append(want, Delta{Sign: int8(1 - 2*(i%2)), Tuple: tp})
 	}
-	msg := EncodeDeltas(want)
-	other := EncodeDeltas([]Delta{Insert(val.NewTuple("zzzz", val.NewAddr("qqqq"),
+	msg := AppendDeltas(nil, want)
+	other := AppendDeltas(nil, []Delta{Insert(val.NewTuple("zzzz", val.NewAddr("qqqq"),
 		val.NewList(val.NewAddr("rrrr"), val.NewAddr("ssss"), val.NewAddr("tttt"), val.NewAddr("uuuu"))))})
 
 	in := val.NewInterner()
@@ -81,7 +81,7 @@ func TestDecodeSurvivesBufferAndScratchReuse(t *testing.T) {
 			t.Errorf("delta %d corrupted by buffer/scratch reuse: %v, want %v", i, d, want[i])
 		}
 	}
-	if re := EncodeDeltas(kept); !bytes.Equal(re, msg) {
+	if re := AppendDeltas(nil, kept); !bytes.Equal(re, msg) {
 		t.Error("kept deltas do not re-encode to the original message")
 	}
 }
@@ -125,7 +125,7 @@ func TestDecodeRetractionsAllocBudget(t *testing.T) {
 	for i := range 64 {
 		ds = append(ds, Deletion(pathDelta(float64(i)).Tuple))
 	}
-	msg := EncodeDeltas(ds)
+	msg := AppendDeltas(nil, ds)
 	in := val.NewInterner()
 	scratch, err := DecodeMessageInto(msg, in, nil)
 	if err != nil {
@@ -322,10 +322,11 @@ func TestClusterPumpRemoteHeadsAllocBudget(t *testing.T) {
 // that derives 64 of them costs exactly one exact array each — the
 // worker's drain array and the receiver's inbox are reused.
 func TestParallelRemoteHeadsAllocBudget(t *testing.T) {
-	p, err := NewParallel(remoteProgram(t), Options{Parallelism: 1})
+	p, err := NewParallel(remoteProgram(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.workers = 1
 	p.AddNode("a")
 	p.AddNode("b")
 	p.ready = make(chan *pnode, 2)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -80,25 +79,6 @@ type Options struct {
 	// tuple may be carved from a shared chunk (DESIGN.md §3): a hook that
 	// keeps it keeps the whole chunk alive.
 	OnDerive func(nodeID, ruleLabel string, d Delta)
-	// Parallelism is the number of nodes drained at once: the worker
-	// count of the in-process Parallel executor, and (through Workers) of
-	// netrun's per-node Seed and RederiveFor walks. 0 means GOMAXPROCS; 1
-	// forces sequential evaluation. A node itself is single-threaded — it
-	// is owned by exactly one worker at a time, so Push/Drain need no
-	// locks of their own — which makes the knob inert for Central (one
-	// node) and for the simnet Cluster (virtual time is single-threaded by
-	// construction).
-	Parallelism int
-}
-
-// Workers resolves the Parallelism option to the worker-pool size it
-// implies: 0 defaults to GOMAXPROCS, anything below 1 clamps to 1.
-// Drivers (netrun, shard) bound their own per-node fan-out by it.
-func (o Options) Workers() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return max(o.Parallelism, 1)
 }
 
 // Node is one NDlog runtime instance: the tables, aggregate state, and

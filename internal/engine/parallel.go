@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,8 @@ import (
 )
 
 // Parallel runs one NDlog program across many nodes inside a single
-// process, draining independent nodes concurrently on a bounded worker
-// pool (Options.Parallelism, default GOMAXPROCS). It is the real-
+// process, draining independent nodes concurrently on a pool of
+// GOMAXPROCS workers, read when NewParallel runs. It is the real-
 // concurrency counterpart of the simnet Cluster: no virtual time, no
 // modeled link delays — nodes exchange deltas through in-process
 // queues and the run converges as fast as the hardware allows. Use it
@@ -85,7 +86,7 @@ func NewParallel(prog *ast.Program, opts Options) (*Parallel, error) {
 	return &Parallel{
 		prog:    p,
 		opts:    opts,
-		workers: opts.Workers(),
+		workers: runtime.GOMAXPROCS(0),
 		nodes:   map[string]*pnode{},
 		quiet:   make(chan struct{}, 1),
 	}, nil
@@ -118,7 +119,8 @@ func (p *Parallel) Nodes() []string {
 	return out
 }
 
-// Workers returns the resolved worker-pool size.
+// Workers returns the worker-pool size: GOMAXPROCS when NewParallel
+// ran.
 func (p *Parallel) Workers() int { return p.workers }
 
 // Undeliverable counts deltas routed to destinations with no node.

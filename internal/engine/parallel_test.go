@@ -43,11 +43,12 @@ func figure2Parallel(t *testing.T, opts Options) *Parallel {
 func TestParallelShortestPathFigure2(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		for _, aggsel := range []bool{false, true} {
-			p := figure2Parallel(t, Options{AggSel: aggsel, Parallelism: par})
+			p := figure2Parallel(t, Options{AggSel: aggsel})
+			p.workers = par
 			if err := p.Run(); err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("parallelism=%d aggsel=%v", par, aggsel)
+			label := fmt.Sprintf("workers=%d aggsel=%v", par, aggsel)
 			checkCosts(t, spCosts(p.QueryResults()), floyd(figure2), label)
 			if p.Undeliverable() != 0 {
 				t.Errorf("%s: %d undeliverable deltas", label, p.Undeliverable())
@@ -67,7 +68,7 @@ func TestParallelShortestPathFigure2(t *testing.T) {
 
 // TestParallelEquivalenceRandomized is the parallel-vs-sequential
 // equivalence test: the same randomized program and seed must reach a
-// byte-identical fixpoint at Parallelism 1, 2, and 8, and match the
+// byte-identical fixpoint on 1, 2, and 8 workers, and match the
 // centralized reference evaluator. No node may store a carved row
 // (DESIGN.md §3), though workers hand carved retractions to each other.
 func TestParallelEquivalenceRandomized(t *testing.T) {
@@ -121,10 +122,11 @@ func TestParallelEquivalenceRandomized(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			prog := mustParse(t, programs.ShortestPath(""))
 			prog.Facts = append(prog.Facts, build()...)
-			p, err := NewParallel(prog, Options{Parallelism: par})
+			p, err := NewParallel(prog, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			p.workers = par
 			for _, id := range ids {
 				p.AddNode(id)
 			}
@@ -135,20 +137,20 @@ func TestParallelEquivalenceRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if log.Len() == 0 {
-				t.Fatalf("trial %d: parallelism=%d carved no retraction: the carving check is vacuous", trial, par)
+				t.Fatalf("trial %d: workers=%d carved no retraction: the carving check is vacuous", trial, par)
 			}
 			for _, id := range ids {
 				for _, name := range p.Node(id).Catalog().Names() {
 					for _, tp := range p.Node(id).Tuples(name) {
 						if log.Holds(tp) {
-							t.Fatalf("trial %d: parallelism=%d: node %s stores %v in a carved chunk", trial, par, id, tp)
+							t.Fatalf("trial %d: workers=%d: node %s stores %v in a carved chunk", trial, par, id, tp)
 						}
 					}
 				}
 			}
 			got := encodeFixpoint(p.QueryResults())
 			if !bytes.Equal(got, want) {
-				t.Fatalf("trial %d: parallelism=%d fixpoint differs from central (%d vs %d bytes)",
+				t.Fatalf("trial %d: workers=%d fixpoint differs from central (%d vs %d bytes)",
 					trial, par, len(got), len(want))
 			}
 		}
@@ -159,10 +161,11 @@ func TestParallelEquivalenceRandomized(t *testing.T) {
 // the unknown-destination accounting.
 func TestParallelInject(t *testing.T) {
 	prog := mustParse(t, tcSrc)
-	p, err := NewParallel(prog, Options{Parallelism: 4})
+	p, err := NewParallel(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.workers = 4
 	for _, id := range []string{"x", "y"} {
 		p.AddNode(id)
 	}

@@ -165,12 +165,10 @@ func readShareString(b []byte, in *val.Interner) (string, int, error) {
 	return string(b[n : n+int(l)]), n + int(l), nil
 }
 
-// DecodeShared expands a share-combined message back into its deltas.
-func DecodeShared(b []byte) ([]Delta, error) { return DecodeSharedIn(b, nil) }
-
-// DecodeSharedIn is DecodeShared resolving strings through the receiving
+// decodeShared expands a share-combined message, which must be all of
+// b, back into its deltas, resolving strings through the receiving
 // node's string table (nil copies them).
-func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
+func decodeShared(b []byte, in *val.Interner) ([]Delta, error) {
 	if len(b) == 0 || msgKind(b[0]) != msgShared {
 		return nil, fmt.Errorf("engine: not a shared message")
 	}
@@ -237,31 +235,17 @@ func DecodeSharedIn(b []byte, in *val.Interner) ([]Delta, error) {
 			out = append(out, Delta{Sign: esign, Life: elife, Tuple: val.Tuple{Pred: pred, Fields: fields}})
 		}
 	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("engine: %d trailing bytes after shared message", len(b))
+	}
 	return out, nil
 }
 
-// DecodeMessage dispatches on the message kind byte.
-func DecodeMessage(b []byte) ([]Delta, error) { return DecodeMessageIn(b, nil) }
-
-// DecodeMessageIn is DecodeMessage resolving strings through the
-// receiving node's string table (nil copies them).
-func DecodeMessageIn(b []byte, in *val.Interner) ([]Delta, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("engine: empty message")
-	}
-	switch msgKind(b[0]) {
-	case msgDeltas:
-		return DecodeDeltasIn(b, in)
-	case msgShared:
-		return DecodeSharedIn(b, in)
-	}
-	return nil, fmt.Errorf("engine: unknown message kind %d", b[0])
-}
-
-// DecodeMessageInto is DecodeMessageIn appending into a caller-owned
-// scratch slice (see DecodeDeltasInto). Share-combined batches expand
-// to a variable number of deltas, so those still allocate their own
-// batch and are appended; the plain-delta hot path decodes in place.
+// DecodeMessageInto dispatches on the message kind byte, appending into
+// a caller-owned scratch slice (see DecodeDeltasInto). Share-combined
+// batches expand to a variable number of deltas, so those still
+// allocate their own batch and are appended; the plain-delta hot path
+// decodes in place.
 func DecodeMessageInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("engine: empty message")
@@ -270,7 +254,7 @@ func DecodeMessageInto(b []byte, in *val.Interner, dst []Delta) ([]Delta, error)
 	case msgDeltas:
 		return DecodeDeltasInto(b, in, dst)
 	case msgShared:
-		ds, err := DecodeSharedIn(b, in)
+		ds, err := decodeShared(b, in)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@ package engine
 // lifetime they have left. Both are insert deltas already — a count is
 // repeated insertions, a remaining lifetime is Delta.Life — so the
 // export is a delta batch and travels in the wire codec (AppendDeltas /
-// DecodeDeltasIn). Derived hard state is a view: the importer re-derives
+// DecodeDeltasInto). Derived hard state is a view: the importer re-derives
 // it from the imported facts (Rederive, a full-evaluation sweep of every
 // rule) and from the fleet-wide sweep that follows a migration, instead
 // of trusting shipped view contents whose supporting facts live on other

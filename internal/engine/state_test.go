@@ -60,7 +60,7 @@ func TestExportImportRebuildsFixpoint(t *testing.T) {
 
 	// Wire round trip must be exact (export is sorted, so byte-stable).
 	enc := AppendDeltas(nil, st)
-	dec, err := DecodeDeltas(enc)
+	dec, err := DecodeDeltasInto(enc, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +279,11 @@ func TestRederiveForDeterministic(t *testing.T) {
 		prog.Facts = append(prog.Facts,
 			programs.LinkFact("link", a, b, 1), programs.LinkFact("link", b, a, 1))
 	}
-	p, err := NewParallel(prog, Options{Parallelism: 1})
+	p, err := NewParallel(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.workers = 1
 	for _, id := range ring {
 		p.AddNode(id)
 	}

@@ -126,7 +126,7 @@ func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engi
 	var outs []engine.OutDelta
 	n.SetNow(now)
 	if len(snap) > 0 {
-		deltas, err := engine.DecodeDeltasIn(snap, n.Interner())
+		deltas, err := engine.DecodeDeltasInto(snap, n.Interner(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
@@ -251,7 +251,7 @@ func decodeWALRecord(b []byte, in *val.Interner) (float64, []engine.Delta, error
 	if math.IsNaN(now) {
 		return 0, nil, fmt.Errorf("netrun: corrupt WAL record clock")
 	}
-	deltas, err := engine.DecodeDeltasIn(b[8:], in)
+	deltas, err := engine.DecodeDeltasInto(b[8:], in, nil)
 	if err != nil {
 		return 0, nil, fmt.Errorf("netrun: corrupt WAL record: %w", err)
 	}

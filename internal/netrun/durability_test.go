@@ -180,7 +180,7 @@ func TestExportStateMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds, err := engine.DecodeDeltas(state); err != nil || len(ds) != 2 {
+	if ds, err := engine.DecodeDeltasInto(state, nil, nil); err != nil || len(ds) != 2 {
 		t.Fatalf("durable export: %v (%v), want the count-2 edge as two insertions", ds, err)
 	}
 
@@ -281,7 +281,7 @@ r1 seen(@N, X) :- beat(@N, X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := engine.DecodeDeltas(state)
+	ds, err := engine.DecodeDeltasInto(state, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

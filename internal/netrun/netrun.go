@@ -348,19 +348,9 @@ func (r *Runner) ImportNode(id string, state []byte) error {
 	if !ok {
 		return fmt.Errorf("netrun: node %q not hosted", id)
 	}
-	r.credit.Add(1) // the import drain is in progress
-	defer r.release(1)
-	nn.mu.Lock()
-	outs, err := restore(nn.node, state, nil, float64(time.Now().UnixNano())/1e9)
-	if err != nil {
-		nn.mu.Unlock()
-		return err
-	}
-	r.commitDurable(nn)
-	r.activity.Add(1)
-	r.drains.Add(1)
-	r.unlockAndDispatch(nn, outs)
-	return nil
+	return r.turn(nn, func() ([]engine.OutDelta, error) {
+		return restore(nn.node, state, nil, nn.node.Now())
+	})
 }
 
 // RederiveFor rebuilds the derived state flowing into freshly migrated
@@ -376,17 +366,14 @@ func (r *Runner) RederiveFor(migrated []string) {
 	for _, id := range migrated {
 		dsts[id] = true
 	}
-	r.drainDispatch(func(nn *netNode) []engine.OutDelta {
+	for _, nn := range r.localNodes() {
 		if dsts[nn.id] {
-			return nil
+			continue
 		}
-		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-		outs := nn.node.RederiveFor(dsts)
-		if len(outs) > 0 {
-			r.activity.Add(1)
-		}
-		return outs
-	})
+		r.turn(nn, func() ([]engine.OutDelta, error) {
+			return nn.node.RederiveFor(dsts), nil
+		})
+	}
 }
 
 // SetEpoch installs the membership epoch stamped on outbound data
@@ -481,43 +468,6 @@ func (r *Runner) localNodes() []*netNode {
 	return out
 }
 
-// forEachLocal applies fn to every local node, fanning the walk out
-// across a bounded worker pool when Options.Parallelism resolves above
-// 1. Nodes are independent here: each has its own mutex, the address
-// book has its own lock, every traffic counter is atomic, and UDPConn
-// writes are safe concurrently — so fn bodies that lock the node,
-// drain, commit the WAL, and dispatch preserve WAL-before-wire per
-// node exactly as the sequential walk did.
-func (r *Runner) forEachLocal(fn func(*netNode)) {
-	nns := r.localNodes()
-	workers := r.opts.Workers()
-	if workers > len(nns) {
-		workers = len(nns)
-	}
-	if workers <= 1 {
-		for _, nn := range nns {
-			fn(nn)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(nns) {
-					return
-				}
-				fn(nns[j])
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // SetRemote installs (or replaces) an address-book entry for a node
 // hosted outside this runner. Safe to call while the receive loops are
 // live; in-flight dispatches see either the old or the new address.
@@ -607,35 +557,42 @@ func (r *Runner) Start() {
 	r.Seed()
 }
 
-// Seed pushes each local node's home base facts and drains. Calling it
-// again re-advertises the facts — the soft-state refresh story. The
-// per-node seed drains run on the runner's worker pool
-// (Options.Parallelism) — each node still drains under its own lock.
+// Seed pushes each local node's home base facts and drains, one node
+// after another. Calling it again re-advertises the facts — the
+// soft-state refresh story.
 func (r *Runner) Seed() {
-	r.drainDispatch(func(nn *netNode) []engine.OutDelta {
-		nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-		for _, f := range engine.HomeFacts(r.prog, nn.id) {
-			nn.node.Push(engine.Insert(f))
-		}
-		r.activity.Add(1)
-		return nn.node.Drain()
-	})
+	for _, nn := range r.localNodes() {
+		r.turn(nn, func() ([]engine.OutDelta, error) {
+			for _, f := range engine.HomeFacts(r.prog, nn.id) {
+				nn.node.Push(engine.Insert(f))
+			}
+			return nn.node.Drain(), nil
+		})
+	}
 }
 
-// drainDispatch runs drain (called with the node lock held) over every
-// local node on the worker pool, commits each node's WAL record and
-// dispatches its output. Each node's drain holds a unit of credit until
-// its output is counted.
-func (r *Runner) drainDispatch(drain func(*netNode) []engine.OutDelta) {
-	r.forEachLocal(func(nn *netNode) {
-		r.credit.Add(1)
-		nn.mu.Lock()
-		outs := drain(nn)
-		r.drains.Add(1)
-		r.commitDurable(nn)
-		r.unlockAndDispatch(nn, outs)
-		r.release(1)
-	})
+// turn is one drain at nn from outside its receive loop — a seed, an
+// injection, an import or a sweep. It holds a unit of credit until the
+// drain's output is counted, runs drain under the node lock with the
+// node's clock set to the wall clock, and commits the drain's WAL record before any of its output leaves (WAL
+// before wire; a crash right after cannot have advertised state it will
+// not remember). A drain that fails unlocks the node with nothing
+// committed or sent.
+func (r *Runner) turn(nn *netNode, drain func() ([]engine.OutDelta, error)) error {
+	r.credit.Add(1)
+	defer r.release(1)
+	nn.mu.Lock()
+	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
+	outs, err := drain()
+	if err != nil {
+		nn.mu.Unlock()
+		return err
+	}
+	r.commitDurable(nn)
+	r.activity.Add(1)
+	r.drains.Add(1)
+	r.unlockAndDispatch(nn, outs)
+	return nil
 }
 
 // unlockAndDispatch ends a drain: it releases the node lock the caller
@@ -866,17 +823,10 @@ func (r *Runner) Inject(id string, d engine.Delta) error {
 	if !ok {
 		return fmt.Errorf("netrun: unknown node %q", id)
 	}
-	r.credit.Add(1) // the injection's drain is in progress
-	nn.mu.Lock()
-	nn.node.SetNow(float64(time.Now().UnixNano()) / 1e9)
-	nn.node.Push(d)
-	outs := nn.node.Drain()
-	r.commitDurable(nn)
-	r.activity.Add(1)
-	r.drains.Add(1)
-	r.unlockAndDispatch(nn, outs)
-	r.release(1)
-	return nil
+	return r.turn(nn, func() ([]engine.OutDelta, error) {
+		nn.node.Push(d)
+		return nn.node.Drain(), nil
+	})
 }
 
 // dispatchMaxPayload caps a batched datagram's estimated payload so it

@@ -224,7 +224,7 @@ func TestEpochFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	payload := engine.EncodeDeltas([]engine.Delta{
+	payload := engine.AppendDeltas(nil, []engine.Delta{
 		engine.Insert(programs.LinkFact("link", "a", "zz", 9)),
 	})
 	send := func(epoch uint64) {

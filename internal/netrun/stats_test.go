@@ -27,39 +27,9 @@ func mustProg(t *testing.T) *ast.Program {
 	return prog
 }
 
-// TestParallelSeed runs the Figure 2 deployment with the parallelism
-// knob wide open: Seed drains every local node on a worker pool
-// instead of walking them sequentially. The fixpoint must be the same.
-func TestParallelSeed(t *testing.T) {
-	prog := mustProg(t)
-	r, err := New(prog, []string{"a", "b", "c", "d", "e"},
-		engine.Options{AggSel: true, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	r.Start()
-	if !r.WaitQuiescent(300*time.Millisecond, 15*time.Second) {
-		t.Fatal("cluster did not go idle")
-	}
-	got := map[string]bool{}
-	for _, k := range r.Tuples("shortestPath") {
-		got[k] = true
-	}
-	for _, k := range []string{
-		"shortestPath(a,b,[a,c,b],2)",
-		"shortestPath(a,c,[a,c],1)",
-		"shortestPath(e,d,[e,a,c,b,d],4)",
-	} {
-		if !got[k] {
-			t.Errorf("missing %s; have %v", k, r.Tuples("shortestPath"))
-		}
-	}
-}
-
 // TestStatsHammer hammers the runner's observable counters — Stats,
 // Activity, Bytes, Messages, LocalIDs, Tuples — from many goroutines
-// while parallel seeds, injections, and a migration-style rederivation
+// while seeds, injections, and a migration-style rederivation
 // sweep generate traffic. Run under -race this proves the counters and
 // the credit are safe to read at any moment, which is what the shard
 // control plane does from its own goroutines; once the runner is
@@ -67,7 +37,7 @@ func TestParallelSeed(t *testing.T) {
 func TestStatsHammer(t *testing.T) {
 	prog := mustProg(t)
 	r, err := New(prog, []string{"a", "b", "c", "d", "e"},
-		engine.Options{AggSel: true, Parallelism: 4})
+		engine.Options{AggSel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +69,7 @@ func TestStatsHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Writers: re-seed (parallel walk), inject link updates, and sweep
+	// Writers: re-seed, inject link updates, and sweep
 	// rederivations while the readers spin.
 	for i := 0; i < 3; i++ {
 		r.Seed()

@@ -116,7 +116,7 @@ func (g gather) MarshalJSON() ([]byte, error) {
 	for i, t := range g {
 		ds[i] = engine.Insert(t)
 	}
-	return json.Marshal(engine.EncodeDeltas(ds))
+	return json.Marshal(engine.AppendDeltas(nil, ds))
 }
 
 func (g *gather) UnmarshalJSON(b []byte) error {
@@ -124,7 +124,7 @@ func (g *gather) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &batch); err != nil {
 		return err
 	}
-	ds, err := engine.DecodeDeltas(batch)
+	ds, err := engine.DecodeDeltasInto(batch, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -51,9 +51,48 @@ type Coordinator struct {
 	// report echoing it was taken after it was raised.
 	mark uint64
 
-	cmds map[int]*exec.Cmd // spawned worker processes, by shard ID
+	procs map[int]*proc // spawned worker processes, by shard ID
 
 	wg sync.WaitGroup
+}
+
+// proc is one worker process the coordinator spawned. Its reaper
+// goroutine is the only caller of cmd.Wait: it records how the process
+// ended under the coordinator's mu, then closes done.
+type proc struct {
+	cmd  *exec.Cmd
+	done chan struct{}
+	err  error  // cmd.Wait's result; read after done closes
+	exit string // guarded by mu: "" while the process runs
+}
+
+// start launches cmd and its reaper.
+func (c *Coordinator) start(cmd *exec.Cmd) (*proc, error) {
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	p := &proc{cmd: cmd, done: make(chan struct{})}
+	go func() {
+		err := cmd.Wait()
+		exit := " (exited: exit status 0)"
+		if err != nil {
+			exit = " (exited: " + err.Error() + ")"
+		}
+		c.mu.Lock()
+		p.err, p.exit = err, exit
+		c.mu.Unlock()
+		close(p.done)
+	}()
+	return p, nil
+}
+
+// exitLocked says how shard id's spawned process ended, as a suffix for
+// an error message: "" while it runs, or if it was not spawned here.
+func (c *Coordinator) exitLocked(id int) string {
+	if p := c.procs[id]; p != nil {
+		return p.exit
+	}
+	return ""
 }
 
 // shardState is the coordinator's view of one worker process.
@@ -136,19 +175,21 @@ func (c *Coordinator) ControlAddr() string {
 // workers already started are killed and reaped — each reap bounded by
 // killGrace, so a worker stuck before exec cannot hang the error path.
 func (c *Coordinator) Spawn(build func(shardID int) *exec.Cmd) error {
-	c.cmds = map[int]*exec.Cmd{}
+	procs := map[int]*proc{}
 	for i := range c.m.Shards {
 		id := c.m.Shards[i].ID
-		cmd := build(id)
-		if err := cmd.Start(); err != nil {
-			for _, started := range c.cmds {
+		p, err := c.start(build(id))
+		if err != nil {
+			for _, started := range procs {
 				killWait(started, killGrace)
 			}
-			c.cmds = nil
 			return fmt.Errorf("shard: spawn shard %d: %w", id, err)
 		}
-		c.cmds[id] = cmd
+		procs[id] = p
 	}
+	c.mu.Lock()
+	c.procs = procs
+	c.mu.Unlock()
 	return nil
 }
 
@@ -306,18 +347,25 @@ func (c *Coordinator) allReadyLocked() bool {
 }
 
 // WaitReady blocks until every shard has completed the handshake and
-// the start barrier has been released.
+// the start barrier has been released. It fails as soon as a spawned
+// worker exits, since the barrier can then never release.
 func (c *Coordinator) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		c.mu.Lock()
-		started := true
-		for _, s := range c.shards {
+		started, exited := true, error(nil)
+		for id, s := range c.shards {
 			started = started && s.started
+			if exit := c.exitLocked(id); exit != "" {
+				exited = fmt.Errorf("shard: shard %d is gone before the fleet was ready%s", id, exit)
+			}
 		}
 		c.mu.Unlock()
 		if started {
 			return nil
+		}
+		if exited != nil {
+			return exited
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -428,8 +476,8 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 		c.mu.Unlock()
 		return fmt.Errorf("shard: respawn: unknown shard %d", shardID)
 	}
-	old := c.cmds[shardID]
-	delete(c.cmds, shardID)
+	old := c.procs[shardID]
+	delete(c.procs, shardID)
 
 	// Reset the report and handshake view for the fresh incarnation
 	// (its counters restart at zero), and cut the old connection if it
@@ -446,15 +494,15 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 		killWait(old, killGrace) // reap; a SIGKILL at a corpse is a no-op
 	}
 	if build != nil {
-		cmd := build(shardID)
-		if err := cmd.Start(); err != nil {
+		p, err := c.start(build(shardID))
+		if err != nil {
 			return fmt.Errorf("shard: respawn shard %d: %w", shardID, err)
 		}
 		c.mu.Lock()
-		if c.cmds == nil {
-			c.cmds = map[int]*exec.Cmd{}
+		if c.procs == nil {
+			c.procs = map[int]*proc{}
 		}
-		c.cmds[shardID] = cmd
+		c.procs[shardID] = p
 		c.mu.Unlock()
 	}
 
@@ -462,10 +510,13 @@ func (c *Coordinator) Respawn(shardID int, build func(shardID int) *exec.Cmd, ti
 	// carrying its recovered nodes at their fresh socket addresses.
 	for {
 		c.mu.Lock()
-		book := st.book
+		book, exit := st.book, c.exitLocked(shardID)
 		c.mu.Unlock()
 		if book != nil {
 			break
+		}
+		if exit != "" {
+			return fmt.Errorf("shard: respawn: shard %d is gone before its hello%s", shardID, exit)
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("shard: respawn: no hello from shard %d within %v", shardID, timeout)
@@ -798,8 +849,9 @@ func (c *Coordinator) request(f frame, match func(*shardState) bool, deadline ti
 
 // await writes f once to every shard done does not yet hold for, then
 // waits until it holds for all of them. It fails at once if one of them
-// is not connected or its connection closes, and when the deadline
-// lapses. done is called under mu.
+// is not connected or its connection closes — which is how a spawned
+// worker's exit shows, and the error then carries its exit status — and
+// when the deadline lapses. done is called under mu.
 func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) bool) error {
 	c.mu.Lock()
 	sent := map[int]*ctlConn{}
@@ -808,8 +860,9 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 			continue
 		}
 		if s.conn == nil {
+			err := fmt.Errorf("shard: frame kind %d: shard %d is not connected%s", f.Kind, id, c.exitLocked(id))
 			c.mu.Unlock()
-			return fmt.Errorf("shard: frame kind %d: shard %d is not connected", f.Kind, id)
+			return err
 		}
 		sent[id] = s.conn
 	}
@@ -826,8 +879,9 @@ func (c *Coordinator) await(f frame, deadline time.Time, done func(*shardState) 
 				continue
 			}
 			if s.conn != cc {
+				err := fmt.Errorf("shard: frame kind %d: shard %d disconnected%s", f.Kind, id, c.exitLocked(id))
 				c.mu.Unlock()
-				return fmt.Errorf("shard: frame kind %d: shard %d disconnected", f.Kind, id)
+				return err
 			}
 			all = false
 		}
@@ -906,13 +960,16 @@ func (c *Coordinator) Shutdown(timeout time.Duration) error {
 	// A timeout here is reported below, as the shards that never said bye.
 	_ = c.await(frame{Kind: kindStop}, deadline, func(s *shardState) bool { return s.bye || s.conn == nil })
 	// Reap the spawned processes against the shared deadline.
+	c.mu.Lock()
+	procs := c.procs
+	c.procs = nil
+	c.mu.Unlock()
 	var firstErr error
-	for _, cmd := range c.cmds {
-		if err := waitDeadline(cmd, deadline); err != nil && firstErr == nil {
+	for _, p := range procs {
+		if err := waitDeadline(p, deadline); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	c.cmds = nil
 	c.mu.Lock()
 	for _, s := range c.shards {
 		if !s.bye && firstErr == nil {
@@ -931,44 +988,31 @@ func (c *Coordinator) Shutdown(timeout time.Duration) error {
 const killGrace = 5 * time.Second
 
 // waitDeadline waits for a spawned worker to exit, killing it if it
-// overstays the deadline. Every path out of here is bounded: the
-// post-kill reap gets killGrace, after which the zombie is abandoned to
-// the reaper goroutine and reported.
-func waitDeadline(cmd *exec.Cmd, deadline time.Time) error {
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	wait := time.Until(deadline)
-	if wait < 0 {
-		wait = 0
-	}
+// overstays the deadline, and returns its exit status. Every path out of
+// here is bounded: the post-kill wait gets killGrace, after which the
+// zombie is abandoned to its reaper goroutine and reported.
+func waitDeadline(p *proc, deadline time.Time) error {
 	select {
-	case err := <-done:
-		return err
-	case <-time.After(wait):
-		if err := reap(cmd, done, killGrace); err != nil {
+	case <-p.done:
+		return p.err
+	case <-time.After(max(time.Until(deadline), 0)):
+		if err := killWait(p, killGrace); err != nil {
 			return err
 		}
-		return fmt.Errorf("shard: worker pid %d killed at shutdown deadline", cmd.Process.Pid)
+		return fmt.Errorf("shard: worker pid %d killed at shutdown deadline", p.cmd.Process.Pid)
 	}
 }
 
-// killWait kills a worker and reaps it within the grace period.
-func killWait(cmd *exec.Cmd, grace time.Duration) {
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	reap(cmd, done, grace)
-}
-
-// reap sends SIGKILL and waits up to grace for the exit status. A
-// worker that cannot be reaped even then (wedged descriptors) is
-// reported rather than waited on forever.
-func reap(cmd *exec.Cmd, done <-chan error, grace time.Duration) error {
-	cmd.Process.Kill()
+// killWait sends SIGKILL and waits up to grace for the reaper to record
+// the exit. A worker that cannot be reaped even then (wedged
+// descriptors) is reported rather than waited on forever.
+func killWait(p *proc, grace time.Duration) error {
+	p.cmd.Process.Kill()
 	select {
-	case <-done:
+	case <-p.done:
 		return nil
 	case <-time.After(grace):
-		return fmt.Errorf("shard: worker pid %d not reapable %v after kill", cmd.Process.Pid, grace)
+		return fmt.Errorf("shard: worker pid %d not reapable %v after kill", p.cmd.Process.Pid, grace)
 	}
 }
 

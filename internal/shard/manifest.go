@@ -49,11 +49,6 @@ type Options struct {
 	// durability. Relative paths resolve against each worker's
 	// cwd, so spawned deployments should use absolute paths.
 	DataDir string `json:"data_dir,omitempty"`
-	// Parallelism bounds each worker's evaluation pool: how many of its
-	// local nodes seed and rederive concurrently (receive loops are
-	// already one goroutine per node). 0 means GOMAXPROCS, 1 forces
-	// sequential walks; negative values are rejected at validation.
-	Parallelism int `json:"parallelism,omitempty"`
 }
 
 // UnmarshalJSON rejects the option keys this format used to carry and
@@ -84,6 +79,7 @@ var removedOptions = []struct{ key, why string }{
 	{"aggsel_preds", "the planner now proves which aggregate selections are safe to prune, so there is no list to give"},
 	{"fsync", "nothing set it, and a lazier policy than fsync per commit breaks the WAL-before-wire promise a respawned worker's recovery relies on"},
 	{"snapshot_bytes", "nothing set it, and its negative setting let the WAL grow without bound; a node's WAL rolls into a snapshot at the durable package's default size"},
+	{"parallelism", "a worker's seed and rederivation walks measured no faster on a pool than one node after another, so they run sequentially; receive loops are already one goroutine per node"},
 }
 
 // Engine converts the manifest options to engine options.
@@ -92,11 +88,7 @@ func (o Options) Engine() (engine.Options, error) {
 	if err != nil {
 		return engine.Options{}, err
 	}
-	return engine.Options{
-		Mode:        mode,
-		AggSel:      o.AggSel,
-		Parallelism: o.Parallelism,
-	}, nil
+	return engine.Options{Mode: mode, AggSel: o.AggSel}, nil
 }
 
 // ShardSpec assigns a slice of the node population to one shard.
@@ -180,9 +172,6 @@ func (m *Manifest) Validate() error {
 	}
 	if _, err := m.Options.Engine(); err != nil {
 		return err
-	}
-	if m.Options.Parallelism < 0 {
-		return fmt.Errorf("negative parallelism %d", m.Options.Parallelism)
 	}
 	ids := map[int]bool{}
 	owner := map[string]int{}

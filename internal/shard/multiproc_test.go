@@ -241,7 +241,7 @@ func TestShutdownHungWorker(t *testing.T) {
 	}
 
 	// Freeze the worker: it stops reporting, acking, and exiting.
-	pid := coord.cmds[0].Process.Pid
+	pid := coord.procs[0].cmd.Process.Pid
 	if err := freeze(pid); errors.Is(err, errors.ErrUnsupported) {
 		t.Skip("no way to freeze a process on this OS")
 	} else if err != nil {
@@ -286,4 +286,45 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestWaitReadyFailsOnWorkerExit spawns workers that die before their
+// hello — the manifest they are pointed at does not exist, so TestMain's
+// worker entry exits 1 — and requires WaitReady to report the exit,
+// naming the shard and its status, long before its timeout.
+func TestWaitReadyFailsOnWorkerExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e skipped in -short mode")
+	}
+	m := &Manifest{
+		Source: figure2Source(),
+		Shards: Partition([]string{"a", "b", "c", "d", "e"}, 2),
+	}
+	coord, err := NewCoordinator(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	err = coord.Spawn(func(shardID int) *exec.Cmd {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), WorkerEnv(missing, shardID, coord.ControlAddr())...)
+		return cmd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = coord.WaitReady(10 * time.Second)
+	took := time.Since(start)
+	if err == nil {
+		t.Fatal("WaitReady succeeded with every worker dead")
+	}
+	if !strings.Contains(err.Error(), "exited") || !strings.Contains(err.Error(), "exit status 1") {
+		t.Errorf("WaitReady error %q does not name the exit and its status", err)
+	}
+	if took > 2*time.Second {
+		t.Errorf("WaitReady took %v to notice workers that exited at once", took)
+	}
+	t.Logf("WaitReady failed after %v: %v", took, err)
 }

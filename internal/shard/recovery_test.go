@@ -77,7 +77,7 @@ func TestCrashRecovery(t *testing.T) {
 	// kill -9 one worker: no bye, no flush beyond what WAL-before-wire
 	// already guaranteed, sockets drop mid-epoch.
 	victim := coord.Owner("c")
-	if err := coord.cmds[victim].Process.Kill(); err != nil {
+	if err := coord.procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	m := &Manifest{
 		Source: "sp path(...) :- link(...).",
 		Options: Options{Mode: "sn", AggSel: true,
-			DataDir: "/var/lib/ndlog", Parallelism: 4},
+			DataDir: "/var/lib/ndlog"},
 		Shards: []ShardSpec{
 			{ID: 0, Nodes: map[string]string{"a": "", "b": "127.0.0.1:7001"}, Host: "127.0.0.1"},
 			{ID: 1, Nodes: map[string]string{"c": ""}},
@@ -85,9 +85,6 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if opts.Mode != engine.SN || !opts.AggSel {
 		t.Errorf("engine options: %+v", opts)
 	}
-	if opts.Parallelism != 4 || opts.Workers() != 4 {
-		t.Errorf("parallelism not threaded through: %+v", opts)
-	}
 
 	// A manifest written for a removed option fails loudly, naming the
 	// key, instead of loading with the option silently dropped.
@@ -95,7 +92,7 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds", "fsync", "snapshot_bytes"} {
+	for _, key := range []string{"arena", "psn_batch", "shared_sockets", "group_commit", "aggsel_period", "loss_first", "aggsel_preds", "fsync", "snapshot_bytes", "parallelism"} {
 		stale := filepath.Join(t.TempDir(), "stale.json")
 		with := bytes.Replace(b, []byte(`"mode":`), []byte(`"`+key+`": 1, "mode":`), 1)
 		if err := os.WriteFile(stale, with, 0o644); err != nil {
@@ -114,6 +111,9 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		if key == "snapshot_bytes" && (err == nil || !strings.Contains(err.Error(), "without bound")) {
 			t.Errorf("manifest carrying snapshot_bytes: err = %v, want the reason it went", err)
 		}
+		if key == "parallelism" && (err == nil || !strings.Contains(err.Error(), "one node after another")) {
+			t.Errorf("manifest carrying parallelism: err = %v, want the reason it went", err)
+		}
 	}
 	// So does one asking for the removed BSN mode, pointing at SN.
 	stale := filepath.Join(t.TempDir(), "bsn.json")
@@ -130,8 +130,6 @@ func TestManifestRoundTripAndValidate(t *testing.T) {
 		{Source: "x", Shards: []ShardSpec{{ID: 0, Nodes: map[string]string{"a": ""}}, {ID: 0, Nodes: map[string]string{"b": ""}}}}, // dup id
 		{Source: "x", Shards: []ShardSpec{{ID: 0, Nodes: map[string]string{"a": ""}}, {ID: 1, Nodes: map[string]string{"a": ""}}}}, // dup node
 		{Source: "x", Shards: []ShardSpec{{ID: 0, Nodes: map[string]string{}}}},                                                    // empty shard
-		{Source: "x", Options: Options{Parallelism: -2},
-			Shards: []ShardSpec{{ID: 0, Nodes: map[string]string{"a": ""}}}}, // negative parallelism
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {
