@@ -1,7 +1,7 @@
 // Package analysis is the NDlog semantic analyzer: a multi-diagnostic
 // front end that runs every check over a parsed program and reports
-// all findings with source positions, instead of failing on the first
-// violation the way planner.Check historically did.
+// all findings with source positions instead of failing on the first
+// violation.
 //
 // Checks fall into three groups (see DESIGN.md §9 for the catalogue):
 //
@@ -120,8 +120,8 @@ func Analyze(prog *ast.Program) []Diagnostic {
 }
 
 // Definition6 runs only the Definition 6 validity and well-formedness
-// checks — the historical scope of planner.Check — collecting every
-// violation. planner.Check is a compatibility shim over this.
+// checks, collecting every violation; each is an Error. engine.Compile
+// refuses a program with any, one *planner.CheckError per violation.
 func Definition6(prog *ast.Program) []Diagnostic {
 	c := &collector{}
 	c.definition6(prog)

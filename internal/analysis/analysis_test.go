@@ -1,14 +1,12 @@
 package analysis_test
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"testing"
 
 	"ndlog/internal/analysis"
 	"ndlog/internal/parser"
-	"ndlog/internal/planner"
 )
 
 func analyze(t *testing.T, src string) []analysis.Diagnostic {
@@ -43,8 +41,8 @@ m1 member(@S, @N) :- heartbeat(@S, @N).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := planner.Check(prog); err != nil {
-		t.Fatalf("historical checker should still accept this program, got %v", err)
+	if diags := analysis.Definition6(prog); len(diags) != 0 {
+		t.Fatalf("Definition 6 should still accept this program, got %v", diags)
 	}
 	diags := find(analysis.Analyze(prog), analysis.CheckLifetime)
 	if len(diags) != 1 {
@@ -106,8 +104,8 @@ func TestArityUnsafeHeadVarPreviouslyPassedSilently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := planner.Check(prog); err != nil {
-		t.Fatalf("historical checker should still accept this program, got %v", err)
+	if diags := analysis.Definition6(prog); len(diags) != 0 {
+		t.Fatalf("Definition 6 should still accept this program, got %v", diags)
 	}
 	diags := analysis.Analyze(prog)
 	if n := len(find(diags, analysis.CheckArity)); n != 1 {
@@ -183,32 +181,5 @@ query path(@S, @D, P, C).
 `
 	if diags := analyze(t, src); len(diags) != 0 {
 		t.Errorf("clean program should have no diagnostics, got %v", diags)
-	}
-}
-
-// TestPlannerCheckReportsAllViolations: the compatibility shim joins
-// one *CheckError per violation instead of stopping at the first.
-func TestPlannerCheckReportsAllViolations(t *testing.T) {
-	src := `
-b1 res(S, N) :- ping(S, N).
-b2 res(@S, X) :- ping(@S, Y), Y > 0.
-`
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = planner.Check(prog)
-	if err == nil {
-		t.Fatal("want error")
-	}
-	msg := err.Error()
-	for _, want := range []string{"location specifier", "head variable X is unbound"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("joined error missing %q:\n%s", want, msg)
-		}
-	}
-	var ce *planner.CheckError
-	if !errors.As(err, &ce) {
-		t.Errorf("errors.As should surface a *planner.CheckError from %v", err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 // atom whose arity matches the predicate's canonical arity), or by an
 // assignment whose inputs are themselves bound.
 //
-// This closes two holes the historical planner.Check left open:
+// This closes two holes the Definition 6 checks (Definition6) leave open:
 //
 //   - variables nested inside a body atom's argument expression
 //     (q(@S, C1+C2)) were never checked at all;

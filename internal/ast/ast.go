@@ -431,19 +431,6 @@ func ExprPos(e Expr) Pos {
 	return Pos{}
 }
 
-// TermPos returns the source position of a body term.
-func TermPos(t Term) Pos {
-	switch x := t.(type) {
-	case *Atom:
-		return x.Pos
-	case *Assign:
-		return x.Pos
-	case *Select:
-		return x.Pos
-	}
-	return Pos{}
-}
-
 // Vars returns the set of variable names appearing in an expression tree.
 func Vars(e Expr) map[string]bool {
 	out := map[string]bool{}

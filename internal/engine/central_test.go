@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ndlog/internal/ast"
@@ -430,5 +431,79 @@ r1 cost(@S, @D, C) :- link(@S, @D, C).
 	got = c.Tuples("cost")
 	if len(got) != 1 || got[0].Fields[2].Int() != 9 {
 		t.Fatalf("cost after PK replace = %v", got)
+	}
+}
+
+// TestBoundedTableEviction: a table bounded to two rows evicts its
+// oldest row on the third insert, and the eviction retracts what the
+// row supported — locally under Central, and across the wire on a
+// Cluster whose copy lives at the peer.
+func TestBoundedTableEviction(t *testing.T) {
+	src := `
+materialize(seen, infinity, 2, keys(1,2)).
+materialize(peer, infinity, infinity, keys(1,2)).
+r1 copy(@D, V) :- seen(@S, V), #peer(@S, @D).
+peer(a, b).
+`
+	seen := func(v int64) val.Tuple { return val.NewTuple("seen", val.NewAddr("a"), val.NewInt(v)) }
+	type executor struct {
+		insert func(val.Tuple)
+		tuples func(pred string) []val.Tuple
+	}
+	for _, tc := range []struct {
+		name string
+		make func(t *testing.T) executor
+	}{
+		{"central PSN", func(t *testing.T) executor {
+			c := central(t, src, Options{Mode: PSN})
+			return executor{c.Insert, c.Tuples}
+		}},
+		{"central SN", func(t *testing.T) executor {
+			c := central(t, src, Options{Mode: SN})
+			return executor{c.Insert, c.Tuples}
+		}},
+		{"cluster", func(t *testing.T) executor {
+			sim := simnet.New(1)
+			cl, err := NewCluster(sim, mustParse(t, src), Options{}, ClusterConfig{ProcDelay: 0.001})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.AddNode("a")
+			cl.AddNode("b")
+			if err := sim.AddLink("a", "b", 0.010, 0); err != nil {
+				t.Fatal(err)
+			}
+			runCluster(t, cl)
+			insert := func(tu val.Tuple) {
+				if err := cl.Inject("a", Insert(tu)); err != nil {
+					t.Fatal(err)
+				}
+				if !sim.RunToQuiescence(1_000_000) {
+					t.Fatal("cluster did not quiesce")
+				}
+			}
+			return executor{insert, cl.Tuples}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := tc.make(t)
+			for v := int64(1); v <= 3; v++ {
+				ex.insert(seen(v))
+			}
+			values := func(pred string) []int64 {
+				var out []int64
+				for _, tu := range ex.tuples(pred) {
+					out = append(out, tu.Fields[1].Int())
+				}
+				return out
+			}
+			want := []int64{2, 3}
+			if got := values("seen"); !slices.Equal(got, want) {
+				t.Errorf("seen = %v, want %v", got, want)
+			}
+			if got := values("copy"); !slices.Equal(got, want) {
+				t.Errorf("copy = %v, want %v", got, want)
+			}
+		})
 	}
 }

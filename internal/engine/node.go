@@ -360,9 +360,9 @@ func (n *Node) push(d Delta) {
 // rebuilt" as Export) — is handed to fn before it takes effect, in
 // processing order. Duplicates are included: hard-state counts and
 // soft-state refreshes are both replay-significant. Derived hard state
-// is excluded; recovery rebuilds it with Rederive. The driver installs
-// the tap only after recovery replay has finished, so replayed deltas
-// are not re-journaled. nil uninstalls.
+// is excluded; recovery rebuilds it by draining the replayed deltas.
+// The caller installs the tap only after recovery replay has finished,
+// so replayed deltas are not re-journaled. nil uninstalls.
 func (n *Node) SetJournal(fn func(d Delta)) {
 	n.journal = fn
 	if fn == nil || n.journaled != nil {

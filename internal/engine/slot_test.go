@@ -1,11 +1,38 @@
 package engine
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"ndlog/internal/funcs"
+	"ndlog/internal/planner"
 	"ndlog/internal/val"
 )
+
+// TestCompileReportsAllViolations: Compile refuses a program that breaks
+// Definition 6 with every violation joined, one *planner.CheckError
+// each, instead of stopping at the first.
+func TestCompileReportsAllViolations(t *testing.T) {
+	src := `
+b1 res(S, N) :- ping(S, N).
+b2 res(@S, X) :- ping(@S, Y), Y > 0.
+`
+	_, err := Compile(mustParse(t, src))
+	if err == nil {
+		t.Fatal("want error")
+	}
+	msg := err.Error()
+	for _, want := range []string{"location specifier", "head variable X is unbound"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("joined error missing %q:\n%s", want, msg)
+		}
+	}
+	var ce *planner.CheckError
+	if !errors.As(err, &ce) {
+		t.Errorf("errors.As should surface a *planner.CheckError from %v", err)
+	}
+}
 
 // compileOne compiles a one-rule program and returns the strand
 // triggered by pred.

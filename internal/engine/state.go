@@ -7,16 +7,14 @@ package engine
 // repeated insertions, a remaining lifetime is Delta.Life — so the
 // export is a delta batch and travels in the wire codec (AppendDeltas /
 // DecodeDeltasInto). Derived hard state is a view: the importer re-derives
-// it from the imported facts (Rederive, a full-evaluation sweep of every
-// rule) and from the fleet-wide sweep that follows a migration, instead
-// of trusting shipped view contents whose supporting facts live on other
-// nodes.
+// it by draining the imported facts, and the neighbours' RederiveFor
+// sweeps rebuild what flows in from them, instead of trusting shipped
+// view contents whose supporting facts live on other nodes.
 
 import (
 	"slices"
 
 	"ndlog/internal/table"
-	"ndlog/internal/val"
 )
 
 // Export appends the node's recoverable state to dst as insert deltas,
@@ -64,32 +62,6 @@ func (n *Node) Export(dst []Delta) []Delta {
 	return dst
 }
 
-// tupleSet is a set of tuples keyed by Tuple.Hash with collision chains
-// resolved by Tuple.Equal — the engine-side counterpart of the storage
-// layer's hash-first keying (no string keys).
-type tupleSet map[uint64][]val.Tuple
-
-func (s tupleSet) has(t val.Tuple) bool {
-	for _, u := range s[t.Hash()] {
-		if u.Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// add inserts t, reporting whether it was newly added.
-func (s tupleSet) add(t val.Tuple) bool {
-	h := t.Hash()
-	for _, u := range s[h] {
-		if u.Equal(t) {
-			return false
-		}
-	}
-	s[h] = append(s[h], t)
-	return true
-}
-
 // sweepDerivable evaluates every non-aggregate rule once over the
 // node's stored state — a full evaluation, not a delta — invoking fn
 // for each derivable head (with its location and deadline), rule by rule
@@ -113,33 +85,8 @@ func (n *Node) sweepDerivable(fn func(d derived)) {
 	}
 }
 
-// Rederive runs one rederivation sweep over the node's stored state
-// and enqueues every locally-homed derivable head the node does not
-// already store. It is the post-import closure check of a migration:
-// anything the imported facts support locally but the import's own
-// drain did not reach is re-derived here. Remote heads are not
-// re-routed (the import drain already advertised them). Returns the
-// number of heads enqueued; the caller drains.
-func (n *Node) Rederive() int {
-	count := 0
-	seen := tupleSet{}
-	n.sweepDerivable(func(d derived) {
-		if !n.central && d.loc != n.id {
-			return
-		}
-		if n.cat.Get(d.tuple.Pred).Contains(d.tuple) {
-			return
-		}
-		if delta, ok := n.headDelta(d, +1); ok && seen.add(d.tuple) {
-			n.Push(delta)
-			count++
-		}
-	})
-	return count
-}
-
-// RederiveFor sweeps the node's stored state (the same full-rule
-// evaluation as Rederive) and returns every derivable head homed at
+// RederiveFor sweeps the node's stored state (a full evaluation of
+// every non-aggregate rule) and returns every derivable head homed at
 // one of the dst nodes — one OutDelta per live derivation, so a
 // freshly migrated destination reconstructs exact derivation counts.
 // This is the neighbor-side half of a migration: a moved node's

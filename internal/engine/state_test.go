@@ -194,40 +194,6 @@ materialize(ping, 30, infinity, keys(1,2)).
 	}
 }
 
-// TestRederiveClosesLocalState: Rederive rebuilds locally-derivable
-// heads the import drain never saw (a full sweep of every rule).
-func TestRederiveClosesLocalState(t *testing.T) {
-	prog, err := parser.Parse(reachSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewNode("a", prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant base facts directly in the tables, bypassing the strands —
-	// the shape of a node whose derivations were lost.
-	for i, e := range [][2]string{{"a", "b"}, {"b", "c"}} {
-		n.Catalog().Get("edge").Insert(edgeAt(e[0], e[1]), uint64(i+1), 0)
-	}
-	if got := len(n.Tuples("reach")); got != 0 {
-		t.Fatalf("reach populated before rederive: %d", got)
-	}
-	if got := n.Rederive(); got == 0 {
-		t.Fatal("rederive found nothing")
-	}
-	n.Drain()
-	// reach(a,b), reach(b,c) live at @S: r2's reach(a,c) is derived at
-	// node b in the localized program, so node a closes over 2 heads.
-	if got := len(n.Tuples("reach")); got == 0 {
-		t.Fatal("rederive + drain left reach empty")
-	}
-	// A second sweep is a fixpoint check: nothing new.
-	if got := n.Rederive(); got != 0 {
-		t.Fatalf("second rederive enqueued %d heads, want 0", got)
-	}
-}
-
 // TestRederiveFor: a neighbor's sweep re-sends exactly the derivations
 // homed at the migrated nodes — nothing for other destinations, and
 // nothing when the node itself migrated.

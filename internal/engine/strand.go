@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -262,8 +263,8 @@ func compileRule(r *ast.Rule, atoms []*ast.Atom) (*ruleCode, error) {
 // tail term, no head expression — and r is not an aggregate rule, whose
 // head is scratch (aggEmit copies what it keeps). The value then has one
 // reader, the derived tuple, and can live in that tuple's array.
-// (planner.Check keeps the variable out of body atoms and out of its own
-// assignment.)
+// (Compile's Definition 6 check keeps the variable out of body atoms
+// and out of its own assignment.)
 func fusible(r *ast.Rule, a *ast.Assign) bool {
 	if r.Head.HasAggregate() {
 		return false
@@ -453,9 +454,15 @@ type Program struct {
 	inferred map[string]bool
 }
 
-// Compile checks, localizes and compiles prog into strands.
+// Compile checks, localizes and compiles prog into strands. A program
+// that breaks Definition 6 (analysis.Definition6) is refused with every
+// violation at once: an errors.Join of one *planner.CheckError each.
 func Compile(prog *ast.Program) (*Program, error) {
-	if err := planner.Check(prog); err != nil {
+	var errs []error
+	for _, d := range analysis.Definition6(prog) {
+		errs = append(errs, &planner.CheckError{Rule: d.Rule, Msg: d.Msg})
+	}
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	local, err := planner.Localize(prog)
@@ -1015,7 +1022,7 @@ func (s *strand) instantiateHead(ctx *joinCtx) (val.Tuple, error) {
 				if ha.aggVar != "" {
 					return val.Tuple{}, fmt.Errorf("rule %s: aggregate variable %s unbound", s.rule.Label, ha.aggVar)
 				}
-				// Unreachable after planner.Check (head variables are
+				// Unreachable after Compile's check (head variables are
 				// bound by the body); keep the guard for safety.
 				return val.Tuple{}, fmt.Errorf("rule %s head: %w", s.rule.Label, funcs.ErrUnboundVar)
 			}

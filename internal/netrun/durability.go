@@ -13,15 +13,16 @@ package netrun
 //
 // Recovery (EnableDurability, before Start) and adoption (ImportNode)
 // share one restore: push the snapshot's batch at the node's clock (each
-// soft tuple with the lifetime it had left), replay the WAL tail record
-// by record under each record's own clock, then Rederive to close the
-// local derivations. A migration ships the same batch as a snapshot, so
-// adoption is a restore with no records. Outbound deltas
-// produced during recovery are discarded — the shard-level respawn
-// protocol rebuilds cross-node state with explicit rederivation sweeps
-// once the fleet knows the node is back. The journal tap installs only
-// after replay, so recovery does not re-journal itself; a fresh
-// snapshot then folds the replayed tail into a compact generation.
+// soft tuple with the lifetime it had left), then replay the WAL tail
+// record by record under each record's own clock. The drains rebuild the
+// node's derived state; nothing sweeps after them. A migration ships the
+// same batch as a snapshot, so adoption is a restore with no records.
+// Outbound deltas produced during recovery are discarded — the
+// shard-level respawn protocol rebuilds cross-node state with explicit
+// rederivation sweeps once the fleet knows the node is back. The journal
+// tap installs only after replay, so recovery does not re-journal
+// itself; a fresh snapshot then folds the replayed tail into a compact
+// generation.
 
 import (
 	"encoding/binary"
@@ -116,12 +117,14 @@ func snapshot(n *engine.Node) []byte {
 }
 
 // restore rebuilds a node from a snapshot (nil for none) and WAL
-// records: push the snapshot's insertions at now, replay each record
-// under min(its clock, now), then Rederive to close the local
-// derivations. A snapshot holding a retraction is refused: an export
-// never makes one. It returns every outbound delta the rebuild produced:
-// crash recovery discards them (the fleet is re-synced by the respawn
-// sweeps), adoption dispatches them. Caller holds the node's lock.
+// records: push the snapshot's insertions at now, then replay each
+// record under min(its clock, now). Replay alone rebuilds the node's
+// derived state: PSN's drain reaches SN's fixpoint in any arrival order
+// (the paper's Theorem 1). A snapshot holding a retraction is refused:
+// an export never makes one. It returns every outbound delta the
+// rebuild produced: crash recovery discards them (the fleet is
+// re-synced by the respawn sweeps), adoption dispatches them. Caller
+// holds the node's lock.
 func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engine.OutDelta, error) {
 	var outs []engine.OutDelta
 	n.SetNow(now)
@@ -155,8 +158,7 @@ func restore(n *engine.Node, snap []byte, records [][]byte, now float64) ([]engi
 		outs = n.DrainInto(outs)
 	}
 	n.SetNow(now)
-	n.Rederive()
-	return n.DrainInto(outs), nil
+	return outs, nil
 }
 
 // commitDurable folds the deltas journaled during one drain into a

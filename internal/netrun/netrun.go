@@ -391,9 +391,6 @@ func (r *Runner) SetEpoch(e uint64) {
 	}
 }
 
-// Epoch returns the current membership epoch.
-func (r *Runner) Epoch() uint64 { return r.epoch.Load() }
-
 // linkEpochLocked returns the epoch nn's links belong to, first
 // dropping them (and releasing their credit) if the runner has moved to
 // a new one since. Caller holds nn.sendMu.

@@ -78,11 +78,6 @@ func (p *parser) advance() error {
 	return nil
 }
 
-func (p *parser) take() (token, error) {
-	t := p.buf[0]
-	return t, p.advance()
-}
-
 func (p *parser) expect(k tokKind) (token, error) {
 	t := p.buf[0]
 	if t.kind != k {

@@ -1,7 +1,9 @@
-// Package planner performs semantic analysis and the query rewrites of
-// the paper: NDlog validity checking (Definition 6), rule localization
-// (Algorithm 2), magic-sets rewriting and predicate reordering
-// (Section 5.1.2), and aggregate-selection detection (Section 5.1.1).
+// Package planner performs the query rewrites of the paper: rule
+// localization (Algorithm 2), magic-sets rewriting and predicate
+// reordering (Section 5.1.2), and aggregate-selection detection
+// (Section 5.1.1). Its CheckError is the error both a failed
+// localization and a Definition 6 violation (analysis.Definition6, which
+// engine.Compile reports) carry.
 //
 // Rewrites are pure with respect to their input: Localize and MagicSets
 // clone the program and return a new one (unmodified rules are shared
@@ -11,10 +13,8 @@
 package planner
 
 import (
-	"errors"
 	"fmt"
 
-	"ndlog/internal/analysis"
 	"ndlog/internal/ast"
 )
 
@@ -64,24 +64,4 @@ func IDBPredicates(p *ast.Program) map[string]bool {
 		idb[r.Head.Pred] = true
 	}
 	return idb
-}
-
-// Check validates the four NDlog constraints of Definition 6 plus the
-// planner's well-formedness rules (bound variables, fresh assignments,
-// at most one aggregate per head). It is a compatibility shim over
-// analysis.Definition6: every violation in the program is collected and
-// the result is an errors.Join of one *CheckError per violation, so
-// errors.As still surfaces a *CheckError and error strings still
-// contain each individual message. Callers wanting positions, warnings,
-// or the stricter whole-program passes should use analysis.Analyze.
-func Check(p *ast.Program) error {
-	diags := analysis.Definition6(p)
-	var errs []error
-	for _, d := range diags {
-		if d.Severity != analysis.Error {
-			continue
-		}
-		errs = append(errs, &CheckError{Rule: d.Rule, Msg: d.Msg})
-	}
-	return errors.Join(errs...)
 }

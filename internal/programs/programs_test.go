@@ -32,8 +32,8 @@ func TestAllProgramsParseAndCheck(t *testing.T) {
 			t.Errorf("%s: parse: %v", name, err)
 			continue
 		}
-		if err := planner.Check(prog); err != nil {
-			t.Errorf("%s: check: %v", name, err)
+		if diags := analysis.Definition6(prog); len(diags) != 0 {
+			t.Errorf("%s: check: %v", name, diags)
 		}
 		if prog.Query == nil {
 			t.Errorf("%s: no query", name)

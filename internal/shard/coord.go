@@ -30,7 +30,10 @@ type Coordinator struct {
 	shards map[int]*shardState
 	conns  map[*ctlConn]bool // every accepted connection, bound or not
 	closed bool
-	reqSeq uint64
+	// stopping is set once Shutdown has begun: a hello is then answered
+	// with stop, so a worker that dials late is still told to exit.
+	stopping bool
+	reqSeq   uint64
 	// epoch is the current membership view; it starts at 1 (the
 	// manifest's partition) and bumps on every rebalance.
 	epoch uint64
@@ -258,6 +261,10 @@ func (c *Coordinator) apply(f frame, cc *ctlConn) {
 			st.conn.conn.Close()
 		}
 		st.conn, st.gone, st.book = cc, false, f.Book
+		if c.stopping {
+			cc.send(frame{Kind: kindStop})
+			return
+		}
 		// The last hello pushes the merged book to every shard; a later
 		// one (a respawn) gets it alone.
 		if book := c.mergedBookLocked(); book != nil {
@@ -625,8 +632,8 @@ func (c *Coordinator) Owner(node string) int {
 //     and holds the state;
 //  4. cutover — every worker installs the new epoch's book and fences
 //     the old epoch's datagrams;
-//  5. resume — workers import the held state (re-deriving the local
-//     closure via the Node.Rederive sweep) and run the neighbor-side
+//  5. resume — workers import the held state (the import's drain
+//     re-derives the local closure) and run the neighbor-side
 //     rederivation sweep (RederiveFor), which rebuilds the derived
 //     state flowing into the moved nodes.
 //
@@ -951,14 +958,19 @@ func (c *Coordinator) TotalStats() Stats {
 }
 
 // Shutdown stops the fleet: a stop frame goes to every connected
-// shard, the coordinator waits for each bye (or the connection's close)
-// within the timeout, spawned processes are waited on within the same
-// deadline, and the control listener is closed. It returns an error if
-// a shard never said bye or a process failed or had to be killed.
+// shard, and to every shard whose hello arrives from then on; the
+// coordinator waits for each bye (or the connection's close) within the
+// timeout, spawned processes are waited on within the same deadline,
+// and the control listener is closed. It returns an error if a shard
+// never said bye or a process failed or had to be killed.
 func (c *Coordinator) Shutdown(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
+	c.mu.Lock()
+	c.stopping = true
+	c.mu.Unlock()
 	// A timeout here is reported below, as the shards that never said bye.
-	_ = c.await(frame{Kind: kindStop}, deadline, func(s *shardState) bool { return s.bye || s.conn == nil })
+	stopped := func(s *shardState) bool { return s.bye || s.conn == nil }
+	_ = c.await(frame{Kind: kindStop}, deadline, stopped)
 	// Reap the spawned processes against the shared deadline.
 	c.mu.Lock()
 	procs := c.procs
@@ -970,6 +982,9 @@ func (c *Coordinator) Shutdown(timeout time.Duration) error {
 			firstErr = err
 		}
 	}
+	// A shard whose hello came after the stops went out was answered
+	// with stop: wait for its bye or its connection's close too.
+	_ = c.await(frame{Kind: kindStop}, deadline, stopped)
 	c.mu.Lock()
 	for _, s := range c.shards {
 		if !s.bye && firstErr == nil {

@@ -108,16 +108,6 @@ type ShardSpec struct {
 	Host string `json:"host,omitempty"`
 }
 
-// NodeIDs returns the shard's node IDs, sorted.
-func (s *ShardSpec) NodeIDs() []string {
-	out := make([]string, 0, len(s.Nodes))
-	for id := range s.Nodes {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Manifest describes one sharded deployment: the program, the engine
 // options, and the shard → node → address book.
 type Manifest struct {

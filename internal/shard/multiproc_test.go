@@ -276,6 +276,52 @@ func TestShutdownHungWorker(t *testing.T) {
 	}
 }
 
+// TestShutdownStopsLateWorker: a worker whose hello arrives after
+// Shutdown sent its stop frames is answered with stop, says bye and
+// exits, so Shutdown returns nil long before its deadline instead of
+// killing the worker there.
+func TestShutdownStopsLateWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-spawning test skipped in -short mode")
+	}
+	if _, err := exec.LookPath("sh"); err != nil {
+		t.Skip("no sh to delay a worker's start")
+	}
+	m := &Manifest{
+		Source:  figure2Source(),
+		Options: Options{AggSel: true},
+		Shards:  Partition([]string{"a", "b", "c", "d", "e"}, 2),
+	}
+	manifestPath := filepath.Join(t.TempDir(), "manifest.json")
+	if err := m.Save(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	err = coord.Spawn(func(shardID int) *exec.Cmd {
+		cmd := exec.Command(os.Args[0])
+		if shardID == 1 {
+			cmd = exec.Command("sh", "-c", `sleep 0.5; exec "$0"`, os.Args[0])
+		}
+		cmd.Env = append(os.Environ(), WorkerEnv(manifestPath, shardID, coord.ControlAddr())...)
+		cmd.Stderr = os.Stderr
+		return cmd
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := coord.Shutdown(10 * time.Second); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	if took := time.Since(start); took > 3*time.Second {
+		t.Errorf("Shutdown took %v, want < 3s", took)
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -267,9 +267,6 @@ func New(name string, keys []int, ttl float64, maxSize int) *Table {
 // Name returns the relation name.
 func (t *Table) Name() string { return t.name }
 
-// Keys returns the primary-key columns (nil = whole row).
-func (t *Table) Keys() []int { return t.keys }
-
 // TTL returns the soft-state lifetime (<0 = hard state).
 func (t *Table) TTL() float64 { return t.ttl }
 

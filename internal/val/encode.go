@@ -182,15 +182,6 @@ func decodeStringIn(b []byte, in *Interner) (string, int, error) {
 	return string(bs), m + int(l), nil
 }
 
-// AppendString appends the length-prefixed wire encoding of s to dst.
-// It is the string primitive of the tuple encoding, exported so that
-// other encodings (the engine's node state) write strings the same way.
-func AppendString(dst []byte, s string) []byte { return appendString(dst, s) }
-
-// DecodeString decodes one length-prefixed string from b, returning it
-// and the bytes consumed. The result never aliases b.
-func DecodeString(b []byte) (string, int, error) { return decodeStringIn(b, nil) }
-
 // AppendTuple appends the wire encoding of t to dst.
 func AppendTuple(dst []byte, t Tuple) []byte {
 	dst = appendString(dst, t.Pred)
