@@ -41,6 +41,8 @@ type Cluster struct {
 	opts  Options
 	cfg   ClusterConfig
 	nodes map[string]*Node
+	// seeded marks the nodes Seed has pushed their base facts to.
+	seeded map[string]bool
 
 	// timer arming state, per node
 	aggselArmed map[string]bool
@@ -85,6 +87,7 @@ func NewCluster(sim *simnet.Sim, prog *ast.Program, opts Options, cfg ClusterCon
 		opts:         opts,
 		cfg:          cfg,
 		nodes:        map[string]*Node{},
+		seeded:       map[string]bool{},
 		aggselArmed:  map[string]bool{},
 		shareArmed:   map[string]bool{},
 		shareBuf:     map[string]map[string][]Delta{},
@@ -131,12 +134,19 @@ func (c *Cluster) Netting() Netting {
 }
 
 // Seed inserts the program's base facts at their home nodes. Call before
-// running the simulator.
+// running the simulator. A node is seeded at most once: a later call
+// seeds only nodes added since, because a fact pushed twice would count
+// twice, and one deletion would no longer remove it.
 func (c *Cluster) Seed() error {
 	for _, f := range c.prog.source.Facts {
-		if err := c.Inject(f.Loc(), Insert(f)); err != nil {
-			return err
+		if !c.seeded[f.Loc()] {
+			if err := c.Inject(f.Loc(), Insert(f)); err != nil {
+				return err
+			}
 		}
+	}
+	for id := range c.nodes {
+		c.seeded[id] = true
 	}
 	return nil
 }
@@ -155,8 +165,9 @@ func (c *Cluster) Inject(nodeID string, d Delta) error {
 	return nil
 }
 
-// Run seeds the program facts and drives the simulator to quiescence.
-// It returns false if maxEvents elapsed first.
+// Run seeds the program facts (Seed: at most once per node) and drives
+// the simulator to quiescence. It returns false if maxEvents elapsed
+// first.
 func (c *Cluster) Run(maxEvents int) (bool, error) {
 	if err := c.Seed(); err != nil {
 		return false, err

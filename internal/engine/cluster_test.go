@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ndlog/internal/ast"
 	"ndlog/internal/programs"
 	"ndlog/internal/simnet"
 	"ndlog/internal/val"
@@ -15,13 +16,7 @@ import (
 func figure2Cluster(t *testing.T, opts Options, cfg ClusterConfig) (*simnet.Sim, *Cluster) {
 	t.Helper()
 	sim := simnet.New(1)
-	prog := mustParse(t, programs.ShortestPath(""))
-	for _, l := range figure2 {
-		prog.Facts = append(prog.Facts,
-			programs.LinkFact("link", l.a, l.b, l.cost),
-			programs.LinkFact("link", l.b, l.a, l.cost))
-	}
-	cl, err := NewCluster(sim, prog, opts, cfg)
+	cl, err := NewCluster(sim, figure2Program(t), opts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,6 +29,48 @@ func figure2Cluster(t *testing.T, opts Options, cfg ClusterConfig) (*simnet.Sim,
 		}
 	}
 	return sim, cl
+}
+
+// figure2Program is the shortest-path program with Figure 2's links as
+// facts, one in each direction.
+func figure2Program(t *testing.T) *ast.Program {
+	t.Helper()
+	prog := mustParse(t, programs.ShortestPath(""))
+	for _, l := range figure2 {
+		prog.Facts = append(prog.Facts,
+			programs.LinkFact("link", l.a, l.b, l.cost),
+			programs.LinkFact("link", l.b, l.a, l.cost))
+	}
+	return prog
+}
+
+// TestClusterSeedsOnce: a second Run seeds no fact again, so deleting
+// links a↔c and c↔b afterwards leaves the cluster at Central's 12
+// shortestPath rows — not at a fixpoint where each link still counts
+// once more and survives its deletion.
+func TestClusterSeedsOnce(t *testing.T) {
+	sim, cl := figure2Cluster(t, Options{AggSel: true}, ClusterConfig{ProcDelay: 0.001})
+	runCluster(t, cl)
+	runCluster(t, cl)
+	c, err := NewCentral(figure2Program(t), Options{AggSel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadFacts()
+	for _, l := range [][2]string{{"a", "c"}, {"c", "a"}, {"c", "b"}, {"b", "c"}} {
+		link := programs.LinkFact("link", l[0], l[1], 1)
+		if err := cl.Inject(l[0], Deletion(link)); err != nil {
+			t.Fatal(err)
+		}
+		c.Delete(link)
+	}
+	if !sim.RunToQuiescence(5_000_000) {
+		t.Fatal("cluster did not quiesce")
+	}
+	got, want := cl.QueryResults(), c.QueryResults()
+	if len(want) != 12 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("after deleting a↔c and c↔b the cluster holds %d shortestPath rows %v, want Central's %d %v", len(got), got, len(want), want)
+	}
 }
 
 func runCluster(t *testing.T, cl *Cluster) {

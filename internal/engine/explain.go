@@ -12,7 +12,9 @@ import (
 // Explain compiles prog and renders its access-path plan: per localized
 // rule and trigger, the path through which the join reaches each other
 // body atom, and per predicate the secondary indexes every node
-// maintains. Columns are 0-based. The text is what the nodes execute —
+// maintains, then the predicates whose insertions a node orders in its
+// best-first lane (under PSN with aggregate selections). Columns are
+// 0-based. The text is what the nodes execute —
 // the strands and index list printed here are the ones Program.NewNode
 // instantiates — and is stable for a given program, so it can be diffed.
 func Explain(prog *ast.Program) (string, error) {
@@ -77,6 +79,19 @@ func Explain(prog *ast.Program) (string, error) {
 			ixs = []string{"-"}
 		}
 		fmt.Fprintf(&b, "  %s %s: %s\n", name, key, strings.Join(ixs, " "))
+	}
+	// The predicates a PSN node with aggregate selections orders in its
+	// best-first lane, each by the column its selection aggregates.
+	b.WriteString("lane (psn, aggsel)\n")
+	for _, o := range p.lanes {
+		dir := "ascending (min)"
+		if o.desc {
+			dir = "descending (max)"
+		}
+		fmt.Fprintf(&b, "  %s: col %d %s\n", o.pred, o.col, dir)
+	}
+	if len(p.lanes) == 0 {
+		b.WriteString("  -\n")
 	}
 	return b.String(), nil
 }

@@ -1,7 +1,7 @@
 package engine
 
 // Netting counts what "a key replacement is one delta" (DESIGN.md §15)
-// saved at a node. Plain owner-written counters, like the rest of a
+// saved at a node, and how its best-first lane ran. Plain owner-written counters, like the rest of a
 // node's state: read them once the node is quiescent.
 type Netting struct {
 	// ReplaceWindows is the number of replacements whose two halves ran
@@ -17,6 +17,12 @@ type Netting struct {
 	// PairedWalks is the number of strand runs that walked both tuples of
 	// a key replacement at once (Node.runPair).
 	PairedWalks uint64
+	// LaneOrdered is the number of insertions that waited in the node's
+	// best-first lane (Node.toLane).
+	LaneOrdered uint64
+	// LaneFlushes is the number of times a delta on a key the lane held
+	// moved the whole lane into the FIFO first.
+	LaneFlushes uint64
 }
 
 // Add accumulates b into a, counter by counter.
@@ -25,6 +31,8 @@ func (a *Netting) Add(b Netting) {
 	a.ReplaceSilent += b.ReplaceSilent
 	a.QueueFolded += b.QueueFolded
 	a.PairedWalks += b.PairedWalks
+	a.LaneOrdered += b.LaneOrdered
+	a.LaneFlushes += b.LaneFlushes
 }
 
 // Netting returns the node's replacement-netting counters.

@@ -236,6 +236,9 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 		in:   val.NewInterner(),
 	}
 	n.stored = n.storedOne[:0]
+	if opts.Mode == PSN && opts.AggSel {
+		n.queue.orders = prog.lanes
+	}
 	for name, d := range prog.decls {
 		n.cat.Declare(name, d.Keys, d.Lifetime, d.MaxSize)
 	}
@@ -330,8 +333,14 @@ func (n *Node) SetNow(now float64) { n.now = now }
 // Now returns the node's virtual clock.
 func (n *Node) Now() float64 { return n.now }
 
-// Push enqueues a delta for processing.
-func (n *Node) Push(d Delta) { n.queue.push(d) }
+// Push enqueues a delta an executor delivers: under PSN with aggregate
+// selections an insertion of an ordered predicate waits in the queue's
+// best-first lane (toLane), anything else in its FIFO.
+func (n *Node) Push(d Delta) {
+	if !n.toLane(d) {
+		n.queue.push(d)
+	}
+}
 
 // push enqueues a delta a strand routed to this node, under PSN folding a
 // retraction and the insertion that replaces it into one replacement
@@ -343,6 +352,9 @@ func (n *Node) Push(d Delta) { n.queue.push(d) }
 // predicate behind it pay a lookup — 267 k of the 343 k pushes of the
 // dv100 cold start, for no fold.
 func (n *Node) push(d Delta) {
+	if n.toLane(d) {
+		return
+	}
 	if n.opts.Mode == PSN && (d.Sign < 0 || n.queue.folds(d.Tuple.Pred)) {
 		if cols := n.prog.foldKeys[d.Tuple.Pred]; cols != nil {
 			if n.queue.pushFold(d, cols) {
@@ -352,6 +364,38 @@ func (n *Node) push(d Delta) {
 		}
 	}
 	n.queue.push(d)
+}
+
+// toLane puts d, a delta of an ordered predicate, in the queue's
+// best-first lane when it is an insertion no open retraction of its
+// predicate could fold, and reports whether it did (DESIGN.md §15, "In
+// the queue: best value first"). Deltas on one key keep their push
+// order: before any delta of an ordered predicate is queued, a lane
+// holding its key moves to the FIFO whole.
+func (n *Node) toLane(d Delta) bool {
+	q := &n.queue
+	ord := q.orderOf(d.Tuple.Pred)
+	if ord < 0 {
+		return false
+	}
+	enter := d.Sign > 0 && q.orders[ord].col < len(d.Tuple.Fields) && !q.folds(d.Tuple.Pred)
+	if !enter && len(q.lane) == 0 {
+		return false
+	}
+	var h uint32
+	if q.keys != nil {
+		h = q.laneHash(d.Tuple.Fields, ord)
+	}
+	if len(q.lane) > 0 && q.inLane(d.Tuple, ord, h) {
+		q.flushLane()
+		n.netting.LaneFlushes++
+	}
+	if !enter {
+		return false
+	}
+	q.pushLane(d, ord, h)
+	n.netting.LaneOrdered++
+	return true
 }
 
 // SetJournal installs fn as the node's durability tap: every delta the

@@ -419,7 +419,13 @@ type Program struct {
 	// aggSels holds the aggregate selections the planner proved safe to
 	// prune (planner.AggSelection.Prunable); Options.AggSel applies them.
 	aggSels []planner.AggSelection
-	decls   map[string]*ast.TableDecl
+	// lanes orders the insertions of each predicate a prunable selection
+	// reads, by the first such selection's value, in a PSN node's
+	// best-first lane (deltaQueue.lane) when Options.AggSel is set; the
+	// first 256 such predicates are ordered. A bounded table is left out:
+	// it evicts in arrival order, which the lane would change.
+	lanes []laneOrder
+	decls map[string]*ast.TableDecl
 	// indexes is the access-path plan's storage side: the secondary
 	// indexes every node maintains per predicate — the group index of each
 	// prunable aggregate selection first, then one index per distinct
@@ -504,6 +510,14 @@ func Compile(prog *ast.Program) (*Program, error) {
 	for _, s := range planner.DetectAggSelections(local) {
 		if s.Prunable() {
 			p.aggSels = append(p.aggSels, s)
+			if d := p.decls[s.SrcPred]; (d == nil || d.MaxSize <= 0) && len(p.lanes) <= math.MaxUint8 &&
+				!slices.ContainsFunc(p.lanes, func(o laneOrder) bool { return o.pred == s.SrcPred }) {
+				o := laneOrder{pred: s.SrcPred, col: s.ValueCol, desc: s.Func == ast.AggMax}
+				if d != nil {
+					o.key = d.Keys
+				}
+				p.lanes = append(p.lanes, o)
+			}
 			p.ensureIndex(s.SrcPred, indexSpec{cols: s.GroupCols, group: true})
 		}
 	}

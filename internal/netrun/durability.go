@@ -95,6 +95,7 @@ func (r *Runner) attachStore(nn *netNode, discard bool) (bool, error) {
 			store.Close()
 			return false, err
 		}
+		nn.seeded = true
 	}
 	// Fold the recovered (or deliberately empty) state into a compact
 	// snapshot generation before journaling resumes.

@@ -166,7 +166,10 @@ type netNode struct {
 	id   string
 	node *engine.Node
 	conn *net.UDPConn
-	mu   sync.Mutex // guards node (engine nodes are single-threaded)
+	mu   sync.Mutex // guards node (engine nodes are single-threaded) and seeded
+	// seeded marks a node that holds its home base facts: pushed by Seed,
+	// recovered from durable state, or imported.
+	seeded bool
 	// sendMu orders this node's outbound datagrams: whoever drained the
 	// node takes it while still holding mu and releases it after
 	// dispatching, so sends happen in drain order while the next drain
@@ -349,7 +352,11 @@ func (r *Runner) ImportNode(id string, state []byte) error {
 		return fmt.Errorf("netrun: node %q not hosted", id)
 	}
 	return r.turn(nn, func() ([]engine.OutDelta, error) {
-		return restore(nn.node, state, nil, nn.node.Now())
+		outs, err := restore(nn.node, state, nil, nn.node.Now())
+		if err == nil {
+			nn.seeded = true
+		}
+		return outs, err
 	})
 }
 
@@ -555,10 +562,19 @@ func (r *Runner) Start() {
 }
 
 // Seed pushes each local node's home base facts and drains, one node
-// after another. Calling it again re-advertises the facts — the
-// soft-state refresh story.
+// after another. A node is seeded at most once: a later call seeds only
+// nodes adopted since (AddNode), and a node that recovered durable state
+// or imported an export already holds its facts. Facts pushed twice
+// would count twice, and one deletion would no longer remove them.
 func (r *Runner) Seed() {
 	for _, nn := range r.localNodes() {
+		nn.mu.Lock()
+		seeded := nn.seeded
+		nn.seeded = true
+		nn.mu.Unlock()
+		if seeded {
+			continue
+		}
 		r.turn(nn, func() ([]engine.OutDelta, error) {
 			for _, f := range engine.HomeFacts(r.prog, nn.id) {
 				nn.node.Push(engine.Insert(f))

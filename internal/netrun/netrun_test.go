@@ -3,6 +3,7 @@ package netrun
 import (
 	"net"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -69,6 +70,53 @@ func TestUDPShortestPath(t *testing.T) {
 	}
 	if got := r.NodeTuples("zzz", "shortestPath"); got != nil {
 		t.Error("unknown node should return nil")
+	}
+}
+
+// TestSeedTwiceCountsOnce: a second Seed pushes no fact again, so
+// deleting links a↔c and c↔b afterwards leaves the runner at Central's
+// 12 shortestPath rows. Facts pushed twice would count twice, and the
+// deleted links, with every path through them, would stay.
+func TestSeedTwiceCountsOnce(t *testing.T) {
+	r := buildRunner(t)
+	defer r.Close()
+	r.Start()
+	if !r.WaitQuiescent(300*time.Millisecond, 15*time.Second) {
+		t.Fatal("cluster did not go idle")
+	}
+	r.Seed()
+	prog, err := parser.Parse(programs.ShortestPath(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range figure2 {
+		prog.Facts = append(prog.Facts,
+			programs.LinkFact("link", l.a, l.b, l.cost),
+			programs.LinkFact("link", l.b, l.a, l.cost))
+	}
+	c, err := engine.NewCentral(prog, engine.Options{AggSel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadFacts()
+	for _, l := range [][2]string{{"a", "c"}, {"c", "a"}, {"c", "b"}, {"b", "c"}} {
+		link := programs.LinkFact("link", l[0], l[1], 1)
+		if err := r.Inject(l[0], engine.Deletion(link)); err != nil {
+			t.Fatal(err)
+		}
+		c.Delete(link)
+	}
+	if !r.WaitQuiescent(300*time.Millisecond, 15*time.Second) {
+		t.Fatal("deletions did not settle")
+	}
+	var want []string
+	for _, tp := range c.QueryResults() {
+		want = append(want, tp.String())
+	}
+	got := r.Tuples("shortestPath")
+	sort.Strings(got)
+	if len(want) != 12 || !reflect.DeepEqual(got, want) {
+		t.Errorf("after deleting a↔c and c↔b the runner holds %d shortestPath rows %v, want Central's %d %v", len(got), got, len(want), want)
 	}
 }
 

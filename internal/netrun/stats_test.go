@@ -69,8 +69,9 @@ func TestStatsHammer(t *testing.T) {
 			}
 		}()
 	}
-	// Writers: re-seed, inject link updates, and sweep
-	// rederivations while the readers spin.
+	// Writers: call Seed (which finds every node seeded and pushes
+	// nothing), inject link updates, and sweep rederivations while the
+	// readers spin.
 	for i := 0; i < 3; i++ {
 		r.Seed()
 		r.Inject("a", engine.Insert(programs.LinkFact("link", "a", "b", float64(2+i))))
