@@ -125,7 +125,7 @@ func cacheFilter(n *engine.Node, rule string, d engine.Delta) bool {
 	}
 	qd := d.Tuple.Fields[2]
 	probe := val.NewTuple("cache", val.NewAddr(n.ID()), qd, val.Nil)
-	if e, ok := n.Catalog().Get("cache").Get(probe); ok && e.Tuple.Fields[1].Equal(qd) {
+	if e, ok := n.Catalog().Get("cache").Get(probe); ok && e.Fields[1].Equal(qd) {
 		return false
 	}
 	return true

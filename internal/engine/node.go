@@ -161,7 +161,7 @@ type Node struct {
 // primary key, the tuple it displaced (else the zero Tuple).
 type storedRow struct {
 	t   val.Tuple
-	e   *table.Entry
+	row table.Row
 	dl  float64
 	old val.Tuple
 }
@@ -185,7 +185,8 @@ type aggState struct {
 type selControl struct {
 	sel   planner.AggSelection
 	state *aggState
-	idx   *table.Index
+	src   *table.Table // the pruned predicate's table
+	idx   *table.Index // src's index on the group columns
 	// pending holds the groups awaiting a periodic flush, keyed by the
 	// hash of their group-column values with collision chains of the
 	// values themselves.
@@ -293,10 +294,12 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 			if state == nil {
 				continue
 			}
+			src := n.cat.Get(sel.SrcPred)
 			ctrl := &selControl{
 				sel:     sel,
 				state:   state,
-				idx:     n.cat.Get(sel.SrcPred).EnsureIndex(sel.GroupCols),
+				src:     src,
+				idx:     src.EnsureIndex(sel.GroupCols),
 				pending: map[uint64][][]val.Value{},
 			}
 			n.sels[sel.SrcPred] = append(n.sels[sel.SrcPred], ctrl)
@@ -590,10 +593,10 @@ func (n *Node) storeInsert(d Delta, stamp uint64) (storedRow, bool) {
 	t := d.Tuple
 	tbl := n.cat.Get(t.Pred)
 	res := tbl.InsertUntil(t, stamp, n.deadline(tbl, d))
-	dl := deadlineOf(res.Entry)
+	dl := deadlineOf(res.Row.Entry())
 	switch res.Status {
 	case table.StatusReplaced:
-		return storedRow{t: t, e: res.Entry, dl: dl, old: res.Replaced}, true
+		return storedRow{t: t, row: res.Row, dl: dl, old: res.Replaced}, true
 	case table.StatusDuplicate:
 		// Soft-state refresh semantics (Section 4.2): a duplicate that
 		// moves its row's deadline later re-runs the trigger strands, so
@@ -604,7 +607,7 @@ func (n *Node) storeInsert(d Delta, stamp uint64) (storedRow, bool) {
 		// cycle of soft rules stops (DESIGN.md "Soft state by deadline").
 		// Hard-state duplicates only bump the count.
 		if res.Extended {
-			markAdv(res.Entry, t)
+			markAdv(res.Row, t)
 			n.runNormalStrands(+1, t, dl, int64(stamp), int64(stamp))
 		}
 		return storedRow{}, false
@@ -614,7 +617,7 @@ func (n *Node) storeInsert(d Delta, stamp uint64) (storedRow, bool) {
 				n.afterDelete(ev)
 			}
 		}
-		return storedRow{t: t, e: res.Entry, dl: dl}, true
+		return storedRow{t: t, row: res.Row, dl: dl}, true
 	}
 	return storedRow{}, false
 }
@@ -672,7 +675,7 @@ func (n *Node) advertises(r storedRow, improving, contributed bool) bool {
 			return false
 		}
 	}
-	markAdv(r.e, r.t)
+	markAdv(r.row, r.t)
 	return true
 }
 
@@ -764,10 +767,13 @@ func (n *Node) emitPair(old, w derived, hasOld, hasNew bool) {
 // markAdv records that t's trigger strands have run, on the row t was
 // stored in — the table hashed the tuple once, at Insert, and handed the
 // row back. A row since reused by a key replacement holds another tuple,
-// whose own advertisement decision sets the flag; a row since deleted
-// is out of every index and the write is moot.
-func markAdv(e *table.Entry, t val.Tuple) {
-	if e.Tuple.Equal(t) {
+// whose own advertisement decision sets the flag. A row since deleted
+// resolves to nil, even when its slot has been refilled with t: that is
+// a new row, whose strands this run did not cover (a delete and a
+// re-insert of t between t's store and its afterStore, as one SN round
+// can hold), so it must not inherit the flag.
+func markAdv(r table.Row, t val.Tuple) {
+	if e := r.Entry(); e != nil && val.ValuesEqual(e.Fields, t.Fields) {
 		e.Adv = true
 	}
 }
@@ -829,16 +835,18 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 		return
 	}
 	var pick *table.Entry
-	b := c.idx.Bucket(val.HashValues(groupKey))
-	for i, m := 0, b.Len(); i < m; i++ {
-		e := b.At(i)
-		if !c.idx.Matches(e, groupKey) || !e.Tuple.Fields[c.sel.ValueCol].Equal(best) {
+	for b := c.idx.Bucket(val.HashValues(groupKey)); ; {
+		e := b.Next()
+		if e == nil {
+			break
+		}
+		if !c.idx.Matches(e, groupKey) || !e.Fields[c.sel.ValueCol].Equal(best) {
 			continue
 		}
 		if e.Adv {
 			return // a best-valued tuple is already advertised
 		}
-		if pick == nil || e.Stamp < pick.Stamp || e.Stamp == pick.Stamp && e.Tuple.Compare(pick.Tuple) < 0 {
+		if pick == nil || e.Stamp < pick.Stamp || e.Stamp == pick.Stamp && c.src.Tuple(e).Compare(c.src.Tuple(pick)) < 0 {
 			pick = e
 		}
 	}
@@ -849,7 +857,7 @@ func (n *Node) readvertiseBest(c *selControl, groupKey []val.Value) {
 	// Original stamp bounds: later-arriving partners already joined this
 	// tuple when they were deltas, so replaying with the old bounds derives
 	// each pair exactly once.
-	n.runNormalStrands(+1, pick.Tuple, deadlineOf(pick), int64(pick.Stamp), int64(pick.Stamp))
+	n.runNormalStrands(+1, c.src.Tuple(pick), deadlineOf(pick), int64(pick.Stamp), int64(pick.Stamp))
 }
 
 // FlushPending advertises the current best of every pending group
@@ -1172,11 +1180,10 @@ func (n *Node) route(d derived, sign int8, ruleLabel string) {
 func (n *Node) ExpireSoftState() {
 	for _, tbl := range n.cat.Tables() {
 		due := tbl.Expired(n.now)
-		for _, e := range due {
-			tbl.DeleteByKey(e.Tuple)
+		for _, t := range due {
+			tbl.DeleteByKey(t)
 		}
-		for _, e := range due {
-			t := e.Tuple
+		for _, t := range due {
 			if n.opts.OnStore != nil {
 				n.opts.OnStore(n.id, Deletion(t), n.now)
 			}

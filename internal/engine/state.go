@@ -15,6 +15,7 @@ import (
 	"slices"
 
 	"ndlog/internal/table"
+	"ndlog/internal/val"
 )
 
 // Export appends the node's recoverable state to dst as insert deltas,
@@ -34,20 +35,21 @@ import (
 // programs keep EDB and IDB predicates disjoint, which is what this
 // relies on.
 func (n *Node) Export(dst []Delta) []Delta {
-	var rows []*table.Entry
+	var rows []storedTuple
 	for _, name := range n.cat.Names() {
 		tbl := n.cat.Get(name)
 		if tbl.TTL() < 0 && n.prog.derived[name] {
 			continue // derived hard state: rederived at the destination
 		}
 		tbl.Scan(func(e *table.Entry) bool {
-			rows = append(rows, e)
+			rows = append(rows, storedTuple{tbl.Tuple(e), e})
 			return true
 		})
 	}
-	slices.SortFunc(rows, func(a, b *table.Entry) int { return a.Tuple.Compare(b.Tuple) })
-	for _, e := range rows {
-		d := Insert(e.Tuple)
+	sortStored(rows)
+	for _, r := range rows {
+		e := r.e
+		d := Insert(r.t)
 		if e.Expires < 0 {
 			for range e.Count {
 				dst = append(dst, d)
@@ -70,19 +72,31 @@ func (n *Node) Export(dst []Delta) []Delta {
 // would. fn must not mutate the node's tables; queueing deltas is fine.
 func (n *Node) sweepDerivable(fn func(d derived)) {
 	ctx := &joinCtx{ltBefore: noLimit, leAfter: noLimit, res: n.res, now: n.now}
-	var rows []*table.Entry
+	var rows []storedTuple
 	for _, st := range n.prog.sweep {
 		rows = rows[:0]
-		n.cat.Get(st.atoms[0].Pred).Scan(func(e *table.Entry) bool {
-			rows = append(rows, e)
+		tbl := n.cat.Get(st.atoms[0].Pred)
+		tbl.Scan(func(e *table.Entry) bool {
+			rows = append(rows, storedTuple{tbl.Tuple(e), e})
 			return true
 		})
-		slices.SortFunc(rows, func(a, b *table.Entry) int { return a.Tuple.Compare(b.Tuple) })
-		for _, e := range rows {
-			ctx.deadline = deadlineOf(e)
-			_ = st.run(ctx, e.Tuple, fn)
+		sortStored(rows)
+		for _, r := range rows {
+			ctx.deadline = deadlineOf(r.e)
+			_ = st.run(ctx, r.t, fn)
 		}
 	}
+}
+
+// storedTuple is a stored row with its tuple, as a scan collects them.
+type storedTuple struct {
+	t val.Tuple
+	e *table.Entry
+}
+
+// sortStored puts rows in Tuple order.
+func sortStored(rows []storedTuple) {
+	slices.SortFunc(rows, func(a, b storedTuple) int { return a.t.Compare(b.t) })
 }
 
 // RederiveFor sweeps the node's stored state (a full evaluation of

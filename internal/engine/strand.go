@@ -875,10 +875,11 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, dl float64, emit func(derived))
 	}
 
 	path := &s.paths[idx]
+	tbl := ctx.cur.tbl[idx]
 	if path.kind == accessScan {
 		var scanErr error
-		ctx.cur.tbl[idx].Scan(func(e *table.Entry) bool {
-			if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
+		tbl.Scan(func(e *table.Entry) bool {
+			if err := tryEntry(tbl.Tuple(e), int64(e.Stamp), deadlineOf(e)); err != nil {
 				scanErr = err
 				return false
 			}
@@ -902,16 +903,18 @@ func (s *strand) joinFrom(ctx *joinCtx, idx int, dl float64, emit func(derived))
 			}
 		}
 		if path.kind == accessPK {
-			for e := ctx.cur.tbl[idx].KeyChain(h.Sum()); e != nil; e = e.Next() {
-				if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
+			for e := tbl.KeyChain(h.Sum()); e != nil; e = tbl.Next(e) {
+				if err := tryEntry(tbl.Tuple(e), int64(e.Stamp), deadlineOf(e)); err != nil {
 					return err
 				}
 			}
 		} else {
-			b := ctx.cur.idx[idx].Bucket(h.Sum())
-			for i, n := 0, b.Len(); i < n; i++ {
-				e := b.At(i)
-				if err := tryEntry(e.Tuple, int64(e.Stamp), deadlineOf(e)); err != nil {
+			for b := ctx.cur.idx[idx].Bucket(h.Sum()); ; {
+				e := b.Next()
+				if e == nil {
+					break
+				}
+				if err := tryEntry(tbl.Tuple(e), int64(e.Stamp), deadlineOf(e)); err != nil {
 					return err
 				}
 			}

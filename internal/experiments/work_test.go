@@ -675,7 +675,7 @@ func cachePrune(n *engine.Node, rule string, d engine.Delta) bool {
 	qd := d.Tuple.Fields[2]
 	probe := val.NewTuple("cache", val.NewAddr(n.ID()), qd, val.Nil)
 	e, ok := n.Catalog().Get("cache").Get(probe)
-	return !ok || !e.Tuple.Fields[1].Equal(qd)
+	return !ok || !e.Fields[1].Equal(qd)
 }
 
 // fresh is Fig 11's MS: each query on a fresh deployment, counts summed.

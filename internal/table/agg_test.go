@@ -144,7 +144,11 @@ func TestGroupAggRemoveAbsent(t *testing.T) {
 // flat multiset at both ends — a few distinct values, and groups that
 // grow to ~100 distinct values and drain back to empty — and several
 // groups whose key hashes are truncated into one collision chain
-// (including the empty-shell sweep when most of them drain).
+// (including the empty-shell sweep when most of them drain). The churn
+// variants spread over 300 groups, so the group and value slabs cross
+// many chunk boundaries, drained groups are swept, and their slots —
+// values and key storage — are taken by groups made after the sweep;
+// each checks that a sweep freed slots.
 func TestGroupAggMatchesRecompute(t *testing.T) {
 	variants := []struct {
 		name    string
@@ -156,6 +160,8 @@ func TestGroupAggMatchesRecompute(t *testing.T) {
 		{"wide", 400, 1, false},
 		{"chained", 40, 6, true},
 		{"chained-wide", 400, 80, true},
+		{"churn", 40, 300, false},
+		{"churn-chained", 40, 300, true},
 	}
 	for _, vr := range variants {
 		for _, fn := range []ast.AggFunc{ast.AggMin, ast.AggMax, ast.AggCount, ast.AggSum} {
@@ -168,12 +174,18 @@ func TestGroupAggMatchesRecompute(t *testing.T) {
 			for i := range live {
 				live[i] = map[int64]int{}
 			}
+			swept := false
 			for step := 0; step < 6000; step++ {
+				swept = swept || g.slab.free != noSlot
 				gi := r.Intn(vr.groups)
 				key, lv := gkey(fmt.Sprintf("k%d", gi)), live[gi]
 				// Alternate growing and draining phases.
 				grow := (step/1500)%2 == 0
-				if (r.Intn(10) < 8) == grow || len(lv) == 0 {
+				add := (r.Intn(10) < 8) == grow || len(lv) == 0
+				if vr.groups >= 300 && !grow {
+					add = false // let groups drain to empty shells
+				}
+				if add {
 					v := int64(r.Intn(vr.values))
 					g.Add(key, val.NewInt(v))
 					lv[v]++
@@ -200,6 +212,9 @@ func TestGroupAggMatchesRecompute(t *testing.T) {
 			}
 			if g.Groups() != nonEmpty {
 				t.Fatalf("%s/%v: Groups() = %d, model has %d", vr.name, fn, g.Groups(), nonEmpty)
+			}
+			if vr.groups >= 300 && !swept {
+				t.Errorf("%s/%v: no sweep freed a group slot", vr.name, fn)
 			}
 		}
 	}

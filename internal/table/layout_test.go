@@ -10,12 +10,14 @@ import (
 	"ndlog/internal/val"
 )
 
-// TestLayoutSizes pins Entry to the 96-byte allocation class with the
-// row chain link included (DESIGN.md §12): one more word moves every
-// stored row into the 112-byte class.
+// TestLayoutSizes pins Entry, one slot of a table's slab, at 56 bytes
+// (DESIGN.md §12): the tuple's fields without its predicate, the stamp,
+// the deadline, and one word each for the count with the chain link and
+// for the slot's generation with the advertisement flag. Every word more
+// is a seventh more slab per stored row.
 func TestLayoutSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(Entry{}); sz > 96 {
-		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want <= 96", sz)
+	if sz := unsafe.Sizeof(Entry{}); sz > 56 {
+		t.Fatalf("unsafe.Sizeof(Entry{}) = %d, want <= 56", sz)
 	}
 }
 
@@ -72,7 +74,7 @@ func TestIndexOrderMatchesSliceModel(t *testing.T) {
 		tb := New("p", nil, -1, 0)
 		tb.post = post
 		idx := tb.EnsureIndex([]int{1})
-		slot := func(v val.Value) uint64 { return idx.slot(val.HashValues([]val.Value{v})) }
+		slot := func(v val.Value) uint64 { return idx.mapKey(val.HashValues([]val.Value{v})) }
 
 		model := map[uint64][]*Entry{} // index slot -> bucket, the old layout
 		var live []val.Tuple
@@ -113,20 +115,27 @@ func TestIndexOrderMatchesSliceModel(t *testing.T) {
 			for k := 0; k < 5; k++ {
 				key := val.NewAddr(fmt.Sprintf("k%d", k))
 				want := model[slot(key)]
-				b := idx.Bucket(val.HashValues([]val.Value{key}))
-				if b.Len() != len(want) {
-					t.Fatalf("step %d key %v: bucket len %d, model %d", step, key, b.Len(), len(want))
+				var got []*Entry
+				for b := idx.Bucket(val.HashValues([]val.Value{key})); ; {
+					e := b.Next()
+					if e == nil {
+						break
+					}
+					got = append(got, e)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("step %d key %v: bucket len %d, model %d", step, key, len(got), len(want))
 				}
 				var wantMatch []*Entry
 				for i, e := range want {
-					if b.At(i) != e {
-						t.Fatalf("step %d key %v: bucket[%d] = %v, model has %v", step, key, i, b.At(i).Tuple, e.Tuple)
+					if got[i] != e {
+						t.Fatalf("step %d key %v: bucket[%d] = %v, model has %v", step, key, i, got[i].Fields, e.Fields)
 					}
-					if e.Tuple.Fields[1].Equal(key) {
+					if e.Fields[1].Equal(key) {
 						wantMatch = append(wantMatch, e)
 					}
 				}
-				got := idx.Match([]val.Value{key})
+				got = idx.Match([]val.Value{key})
 				if len(got) != len(wantMatch) {
 					t.Fatalf("step %d key %v: Match len %d, model %d", step, key, len(got), len(wantMatch))
 				}

@@ -53,7 +53,7 @@ func TestMandatoryPathEquivalenceRandomized(t *testing.T) {
 					for _, e := range cands {
 						ok := true
 						for i, c := range cols {
-							ok = ok && e.Tuple.Fields[c].Equal(vals[i])
+							ok = ok && e.Fields[c].Equal(vals[i])
 						}
 						if ok {
 							out = append(out, e)
@@ -116,7 +116,7 @@ func TestMandatoryPathEquivalenceRandomized(t *testing.T) {
 							pkHash = pkHash.AddValue(at.Fields[c])
 						}
 						var chain []*Entry
-						for e := tb.KeyChain(pkHash.Sum()); e != nil; e = e.Next() {
+						for e := tb.KeyChain(pkHash.Sum()); e != nil; e = tb.Next(e) {
 							chain = append(chain, e)
 						}
 						got := walk(chain, probe, vals)
@@ -131,10 +131,13 @@ func TestMandatoryPathEquivalenceRandomized(t *testing.T) {
 						for _, c := range group {
 							h = h.AddValue(at.Fields[c])
 						}
-						b := groupIx.Bucket(h.Sum())
 						var bucket []*Entry
-						for i := 0; i < b.Len(); i++ {
-							bucket = append(bucket, b.At(i))
+						for b := groupIx.Bucket(h.Sum()); ; {
+							e := b.Next()
+							if e == nil {
+								break
+							}
+							bucket = append(bucket, e)
 						}
 						if got := walk(bucket, probe, vals); !sameRows(got, oracle) {
 							t.Fatalf("step %d: group%v walk for probe %v=%v visits %d rows, dedicated index %d",

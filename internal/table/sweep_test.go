@@ -15,9 +15,9 @@ func beacon(id string) val.Tuple { return val.NewTuple("b", val.NewAddr(id)) }
 // for each row it reports. It returns the removed tuples.
 func sweep(tb *Table, now float64) []val.Tuple {
 	var out []val.Tuple
-	for _, e := range tb.Expired(now) {
-		tb.DeleteByKey(e.Tuple)
-		out = append(out, e.Tuple)
+	for _, tp := range tb.Expired(now) {
+		tb.DeleteByKey(tp)
+		out = append(out, tp)
 	}
 	return out
 }
@@ -31,12 +31,12 @@ func TestSweepSkipsTableWithNothingDue(t *testing.T) {
 	if tb.ExpiryDue(1e18) {
 		t.Fatal("an empty table has nothing due, ever")
 	}
-	e := tb.Insert(beacon("a"), 1, 0).Entry // expires at 10
-	e.Expires = 1                           // behind the table's back: the bound stays at 10
+	e := tb.Insert(beacon("a"), 1, 0).Row.Entry() // expires at 10
+	e.Expires = 1                                 // behind the table's back: the bound stays at 10
 	if tb.ExpiryDue(5) || tb.Expired(5) != nil {
 		t.Fatal("sweep at t=5 scanned a table whose bound is t=10")
 	}
-	if got := tb.Expired(10); len(got) != 1 || got[0] != e {
+	if got := tb.Expired(10); len(got) != 1 || !got[0].Equal(beacon("a")) {
 		t.Fatalf("sweep at the bound must scan: got %v", got)
 	}
 	if hard := New("h", nil, -1, 0); hard.ExpiryDue(1e18) {
@@ -96,9 +96,10 @@ func TestSweepOrderIsStampOrder(t *testing.T) {
 			t.Fatalf("expired %d rows, want %d", len(got), len(ids))
 		}
 		for i := 1; i < len(got); i++ {
-			a, b := got[i-1], got[i]
-			if a.Stamp > b.Stamp || (a.Stamp == b.Stamp && a.Tuple.Compare(b.Tuple) >= 0) {
-				t.Fatalf("rows %d,%d out of order: %v@%d before %v@%d", i-1, i, a.Tuple, a.Stamp, b.Tuple, b.Stamp)
+			a, _ := tb.Get(got[i-1])
+			b, _ := tb.Get(got[i])
+			if a.Stamp > b.Stamp || (a.Stamp == b.Stamp && got[i-1].Compare(got[i]) >= 0) {
+				t.Fatalf("rows %d,%d out of order: %v@%d before %v@%d", i-1, i, got[i-1], a.Stamp, got[i], b.Stamp)
 			}
 		}
 	}
@@ -110,12 +111,12 @@ func TestSweepOrderIsStampOrder(t *testing.T) {
 // nothing.
 func TestInsertUntilRefresh(t *testing.T) {
 	tb := New("b", []int{0}, -1, 0)
-	e := tb.InsertUntil(beacon("a"), 1, 10).Entry
+	e := tb.InsertUntil(beacon("a"), 1, 10).Row.Entry()
 	for _, step := range []struct {
 		expires  float64
 		extended bool
 		want     float64
-		count    int
+		count    int32
 	}{
 		{8, false, 10, 1},  // earlier: nothing moves
 		{12, true, 12, 1},  // later: extended, still one derivation

@@ -46,13 +46,13 @@ func TestInsertStatuses(t *testing.T) {
 func TestReplaceResetsRowBookkeeping(t *testing.T) {
 	tb := New("link", []int{0, 1}, -1, 0)
 	tb.Insert(link("a", "b", 5), 1, 0)
-	first := tb.Insert(link("a", "b", 5), 2, 0).Entry // count 2
+	first := tb.Insert(link("a", "b", 5), 2, 0).Row.Entry() // count 2
 	first.Adv = true
 	r := tb.Insert(link("a", "b", 9), 7, 0)
-	if r.Status != StatusReplaced || r.Entry != first {
-		t.Fatalf("replace: status %v, row reused %v", r.Status, r.Entry == first)
+	if r.Status != StatusReplaced || r.Row.Entry() != first {
+		t.Fatalf("replace: status %v, row reused %v", r.Status, r.Row.Entry() == first)
 	}
-	if e := r.Entry; e.Adv || e.Count != 1 || e.Stamp != 7 {
+	if e := r.Row.Entry(); e.Adv || e.Count != 1 || e.Stamp != 7 {
 		t.Errorf("replaced row: Adv=%v Count=%d Stamp=%d, want false 1 7", e.Adv, e.Count, e.Stamp)
 	}
 }
@@ -68,7 +68,7 @@ func TestStatusString(t *testing.T) {
 }
 
 func TestDeleteCountAlgorithm(t *testing.T) {
-	tb := New("p", nil, -1, 0)
+	tb := New("link", nil, -1, 0)
 	tp := link("a", "b", 1)
 	tb.Insert(tp, 1, 0)
 	tb.Insert(tp, 2, 0) // count = 2
@@ -138,7 +138,7 @@ func TestSecondaryIndex(t *testing.T) {
 	// Index must follow replacement.
 	tb.Insert(link("c", "b", 9), 4, 0)
 	hits = idx.Match(b)
-	if len(hits) != 1 || hits[0].Tuple.Fields[2].Int() != 9 {
+	if len(hits) != 1 || hits[0].Fields[2].Int() != 9 {
 		t.Errorf("Match(b) after replace = %v", hits)
 	}
 	// Building the index after rows exist must backfill.
@@ -166,8 +166,8 @@ func TestIndexMatchVerifies(t *testing.T) {
 	if got := idx.Match([]val.Value{val.NewString("b")}); len(got) != 0 {
 		t.Errorf("Match(string b) = %v", got)
 	}
-	if got := idx.Bucket(val.HashValues([]val.Value{val.NewAddr("zzz")})); got.Len() != 0 {
-		t.Errorf("Bucket(zzz) = %v", got)
+	if b := idx.Bucket(val.HashValues([]val.Value{val.NewAddr("zzz")})); b.Next() != nil {
+		t.Error("Bucket(zzz) is not empty")
 	}
 	// A probe of the wrong width matches nothing.
 	if got := idx.Match([]val.Value{val.NewAddr("b"), val.NewInt(1)}); len(got) != 0 {
@@ -199,7 +199,7 @@ func TestTTLExpiry(t *testing.T) {
 		t.Errorf("refreshed tuple should expire at 124: %v", got)
 	}
 	// Hard state never expires.
-	hard := New("p", nil, -1, 0)
+	hard := New("link", nil, -1, 0)
 	hard.Insert(link("a", "b", 1), 1, 0)
 	if got := sweep(hard, 1e18); got != nil {
 		t.Errorf("hard state expired: %v", got)
@@ -207,7 +207,7 @@ func TestTTLExpiry(t *testing.T) {
 }
 
 func TestMaxSizeEviction(t *testing.T) {
-	tb := New("cache", []int{0, 1}, -1, 2)
+	tb := New("link", []int{0, 1}, -1, 2)
 	tb.Insert(link("a", "b", 1), 1, 0)
 	tb.Insert(link("a", "c", 2), 2, 0)
 	r := tb.Insert(link("a", "d", 3), 3, 0)
@@ -245,7 +245,7 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 func TestStampStored(t *testing.T) {
-	tb := New("p", nil, -1, 0)
+	tb := New("link", nil, -1, 0)
 	tb.Insert(link("a", "b", 1), 42, 0)
 	e, ok := tb.Get(link("a", "b", 1))
 	if !ok || e.Stamp != 42 {
@@ -286,7 +286,7 @@ func TestCatalog(t *testing.T) {
 }
 
 func TestWholeRowKeyTable(t *testing.T) {
-	tb := New("p", nil, -1, 0)
+	tb := New("link", nil, -1, 0)
 	tb.Insert(link("a", "b", 1), 1, 0)
 	tb.Insert(link("a", "b", 2), 2, 0) // different row, both live
 	if tb.Len() != 2 {
