@@ -199,6 +199,10 @@ type clusterHandler struct {
 	n *Node
 }
 
+// batchKeep is the largest decode batch, in deltas, a cluster keeps for
+// its next message.
+const batchKeep = 128
+
 func (h *clusterHandler) HandleMessage(now float64, from simnet.NodeID, payload []byte) {
 	h.n.SetNow(now)
 	// Decode into the cluster's scratch, strings resolved through the
@@ -212,7 +216,7 @@ func (h *clusterHandler) HandleMessage(now float64, from simnet.NodeID, payload 
 		h.n.Push(d)
 	}
 	clear(deltas)
-	if cap(deltas) <= keepCap {
+	if cap(deltas) <= batchKeep {
 		h.c.decodeBuf = deltas[:0]
 	}
 	h.c.recyclePayload(payload)

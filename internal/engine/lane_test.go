@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -197,8 +198,8 @@ func TestLaneSNNeverReorders(t *testing.T) {
 
 // TestLaneDropsLongArrays: a lane of 10 000 insertions pops in cost
 // order, and once it has drained the queue keeps no more than laneKeep
-// entries for it — no key counts, no parked array — and no FIFO array
-// beyond keepCap.
+// heap entries and side rows for it — no key counts, no parked array —
+// and no FIFO array beyond idleKeep.
 func TestLaneDropsLongArrays(t *testing.T) {
 	var stores []Delta
 	n := laneNode(t, PSN, &stores)
@@ -216,9 +217,9 @@ func TestLaneDropsLongArrays(t *testing.T) {
 		t.Errorf("%d stores, not in cost order", len(stores))
 	}
 	q := &n.queue
-	if cap(q.lane) > laneKeep || q.kept != nil || q.keys != nil || cap(q.buf) > keepCap {
-		t.Errorf("drained queue retains lane cap %d, parked %d, %d keys, FIFO cap %d; want <= %d, 0, 0, <= %d",
-			cap(q.lane), cap(q.kept), len(q.keys), cap(q.buf), laneKeep, keepCap)
+	if cap(q.lane) > laneKeep || cap(q.side) > laneKeep || q.kept != nil || q.keptRows != nil || q.keys != nil || cap(q.buf) > idleKeep {
+		t.Errorf("drained queue retains lane cap %d, side rows %d, parked %d and %d, %d keys, FIFO cap %d; want <= %d, <= %d, 0, 0, 0, <= %d",
+			cap(q.lane), cap(q.side), cap(q.kept), cap(q.keptRows), len(q.keys), cap(q.buf), laneKeep, laneKeep, idleKeep)
 	}
 }
 
@@ -244,5 +245,177 @@ func TestLaneSmallDrainAllocBudget(t *testing.T) {
 	cycle()
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("a small drain allocates %v objects for the lane, want 0", got)
+	}
+}
+
+// laneValues covers what a lane order's column may hold: ints beyond
+// 2^53 beside the floats they round to, NaN, ±0 and ±Inf, and the kinds
+// Compare ranks below and above the numbers.
+var laneValues = []val.Value{
+	val.Nil, val.NewAddr("a"), val.NewAddr("b"),
+	val.NewInt(0), val.NewInt(1), val.NewInt(-1), val.NewInt(2), val.NewInt(1 << 53), val.NewInt(1<<53 + 1),
+	val.NewInt(1<<53 - 1), val.NewInt(-1<<53 - 1), val.NewInt(-1 << 53), val.NewInt(math.MaxInt64), val.NewInt(math.MinInt64),
+	val.NewFloat(0), val.NewFloat(math.Copysign(0, -1)), val.NewFloat(1), val.NewFloat(0.5), val.NewFloat(-2.5),
+	val.NewFloat(1 << 53), val.NewFloat(1<<53 + 2), val.NewFloat(9.2233720368547758e18), val.NewFloat(math.NaN()),
+	val.NewFloat(math.Inf(1)), val.NewFloat(math.Inf(-1)), val.NewFloat(math.SmallestNonzeroFloat64), val.NewFloat(-math.MaxFloat64),
+	val.NewString(""), val.NewString("x"), val.NewString("y"), val.NewBool(false), val.NewBool(true),
+	val.NewList(), val.NewList(val.NewInt(1)), val.NewList(val.NewInt(1), val.NewFloat(0.5)), val.NewList(val.NewString("x")),
+}
+
+// TestLaneRankMatchesCompare: ranks never order two values against
+// Compare — ascending ranks follow it, descending ones reverse it — and
+// two values of one rank and one nonzero tag are equal to Compare.
+func TestLaneRankMatchesCompare(t *testing.T) {
+	for _, a := range laneValues {
+		for _, b := range laneValues {
+			c := a.Compare(b)
+			for _, desc := range []bool{false, true} {
+				ra, ta := laneRank(a, desc)
+				rb, tb := laneRank(b, desc)
+				want := c
+				if desc {
+					want = -c
+				}
+				if want < 0 && ra > rb || want > 0 && ra < rb {
+					t.Errorf("desc=%v: %v vs %v compares %d but ranks %#x, %#x", desc, a, b, c, ra, rb)
+				}
+				if ra == rb && ta == tb && ta != 0 && c != 0 {
+					t.Errorf("desc=%v: %v and %v share rank %#x and tag %#x but compare %d", desc, a, b, ra, ta, c)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLaneOrder pushes insertions of an ascending and a descending order
+// and pops them, interleaved as the input says, and checks every pop
+// against a reference that ranks pending insertions by the lane's rule
+// as Compare states it: ascending orders first, then the better value,
+// then the earlier push.
+func FuzzLaneOrder(f *testing.F) {
+	f.Add([]byte{1, 2, 4, 5, 0, 7, 8, 0, 0, 0})
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{40, 200, 1000} {
+		in := make([]byte, n)
+		for i := range in {
+			if in[i] = byte(rng.Intn(256)); i > n/2 && in[i]%3 != 0 && rng.Intn(2) == 0 {
+				in[i] -= in[i] % 3 // pop more in the second half
+			}
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		q := &deltaQueue{orders: []laneOrder{{pred: "up", col: 1}, {pred: "dn", col: 1, desc: true}}}
+		type pending struct {
+			id   int64
+			v    val.Value
+			desc bool
+		}
+		var ref []pending // in push order
+		refBefore := func(a, b pending) bool {
+			if a.desc != b.desc {
+				return b.desc
+			}
+			if c := a.v.Compare(b.v); c != 0 {
+				return (c < 0) != a.desc
+			}
+			return false // push order decides
+		}
+		pop := func() {
+			best := 0
+			for i := range ref {
+				if refBefore(ref[i], ref[best]) {
+					best = i
+				}
+			}
+			want := ref[best]
+			ref = slices.Delete(ref, best, best+1)
+			d := q.popLane()
+			if got := d.Tuple.Fields[0].Int(); got != want.id {
+				t.Fatalf("popped #%d %v, want #%d (%v, desc=%v)", got, d.Tuple, want.id, want.v, want.desc)
+			}
+		}
+		for i, b := range in {
+			if b%3 == 0 {
+				if len(ref) > 0 {
+					pop()
+				}
+				continue
+			}
+			ord := int(b%3) - 1
+			v := laneValues[int(b/3)%len(laneValues)]
+			tp := val.NewTuple(q.orders[ord].pred, val.NewInt(int64(i)), v)
+			var h uint32
+			if q.keys != nil {
+				h = q.laneHash(tp.Fields, ord)
+			}
+			q.pushLane(Insert(tp), ord, h)
+			ref = append(ref, pending{id: int64(i), v: v, desc: ord == 1})
+		}
+		for len(ref) > 0 {
+			pop()
+		}
+		if len(q.lane) != 0 || len(q.side) != 0 || q.free != 0 {
+			t.Fatalf("emptied lane keeps %d entries, %d side rows, free list %d", len(q.lane), len(q.side), q.free)
+		}
+	})
+}
+
+// dominatedPath is a path row of Figure 2's a to b through c, at cost c
+// and with the path vector [a, via..., b].
+func dominatedPath(c float64, via ...string) val.Tuple {
+	p := []val.Value{val.NewAddr("a")}
+	for _, v := range via {
+		p = append(p, val.NewAddr(v))
+	}
+	p = append(p, val.NewAddr("b"))
+	return val.NewTuple("path", val.NewAddr("a"), val.NewAddr("b"), p[1], val.NewList(p...), val.NewFloat(c))
+}
+
+// TestDominatedSkipsLane: on Figure 2 under PSN with aggregate
+// selections, spCost(a,b) is 2 once the network has converged. An
+// insertion of a path from a to b that costs more takes the FIFO, since
+// the selection will not advertise it; one that ties stays in the lane;
+// and a dominated insertion on a key the lane holds still moves the lane
+// to the FIFO first, so the key's push order holds.
+func TestDominatedSkipsLane(t *testing.T) {
+	c, err := NewCentral(figure2Program(t), Options{AggSel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadFacts()
+	n := c.Node()
+	if cur, ok := n.laneSels[0].state.agg.Current([]val.Value{val.NewAddr("a"), val.NewAddr("b")}); !ok || cur.Float() != 2 {
+		t.Fatalf("spCost(a,b) = %v, %v; want 2", cur, ok)
+	}
+	q := &n.queue
+	base := n.Netting()
+
+	worse := dominatedPath(7, "d")
+	n.Push(Insert(worse))
+	if nt := n.Netting(); nt.LaneSkipped != base.LaneSkipped+1 || len(q.lane) != 0 || q.len() != 1 {
+		t.Fatalf("cost 7 against 2: %d skipped, lane %d, queue %d; want it in the FIFO", nt.LaneSkipped-base.LaneSkipped, len(q.lane), q.len())
+	}
+
+	tie := dominatedPath(2, "e")
+	n.Push(Insert(tie))
+	if nt := n.Netting(); nt.LaneOrdered != base.LaneOrdered+1 || len(q.lane) != 1 {
+		t.Fatalf("cost 2 against 2: %d ordered, lane %d; want it in the lane", nt.LaneOrdered-base.LaneOrdered, len(q.lane))
+	}
+
+	// The same key as the tie, dearer: the lane goes to the FIFO first.
+	n.Push(Insert(dominatedPath(9, "e")))
+	nt := n.Netting()
+	if nt.LaneFlushes != base.LaneFlushes+1 || nt.LaneSkipped != base.LaneSkipped+2 || len(q.lane) != 0 {
+		t.Fatalf("cost 9 on the tie's key: %d flushes, %d skipped, lane %d; want 1, 2, 0",
+			nt.LaneFlushes-base.LaneFlushes, nt.LaneSkipped-base.LaneSkipped, len(q.lane))
+	}
+	var got []string
+	for q.len() > 0 {
+		got = append(got, q.pop().String())
+	}
+	want := []string{Insert(worse).String(), Insert(tie).String(), Insert(dominatedPath(9, "e")).String()}
+	if !slices.Equal(got, want) {
+		t.Errorf("queue pops %v, want %v", got, want)
 	}
 }

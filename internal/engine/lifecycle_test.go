@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"ndlog/internal/ast"
@@ -181,7 +183,7 @@ r1 out(@S,I) :- trig(@S,K), item(@S,I).
 // TestDrainIntoCallerBuffer: DrainInto appends into the array its caller
 // hands it — deltas routed between drains included — and keeps no
 // reference to it; reuseOut hands a driver back a cleared array, never
-// one above keepCap.
+// one above outKeep.
 func TestDrainIntoCallerBuffer(t *testing.T) {
 	prog := mustParse(t, `
 materialize(link, infinity, infinity, keys(1,2)).
@@ -231,8 +233,8 @@ r1 out(@Y,@X) :- #link(@X,@Y).
 	// cleared in full, because the drain filled it before outgrowing it.
 	small := make([]OutDelta, 2)
 	small[1] = OutDelta{Dst: "x", Delta: Insert(link("x"))}
-	reused = reuseOut(small[:0], make([]OutDelta, keepCap+1))
-	if cap(reused) > keepCap || &reused[:1][0] != &small[0] || small[1].Dst != "" {
+	reused = reuseOut(small[:0], make([]OutDelta, outKeep+1))
+	if cap(reused) > outKeep || &reused[:1][0] != &small[0] || small[1].Dst != "" {
 		t.Errorf("reuseOut after a burst kept a %d-delta array, want the driver's cleared %d-delta one", cap(reused), cap(small))
 	}
 }
@@ -434,9 +436,19 @@ func TestQueueRetentionBounded(t *testing.T) {
 	if got := n.Catalog().Get("p").Len(); got != 100_000 {
 		t.Fatalf("stored %d rows, want 100000", got)
 	}
-	if n.QueueLen() != 0 || n.queue.head != 0 || cap(n.queue.buf) > keepCap {
+	if n.QueueLen() != 0 || n.queue.head != 0 || cap(n.queue.buf) > idleKeep {
 		t.Errorf("after the burst the queue keeps a %d-delta array (head %d), bound is %d",
-			cap(n.queue.buf), n.queue.head, keepCap)
+			cap(n.queue.buf), n.queue.head, idleKeep)
+	}
+
+	// Once a drain is done, an idle node keeps no more than idleKeep
+	// deltas of FIFO array, however long it was.
+	for i := 0; i < 2*idleKeep; i++ {
+		n.Push(Insert(val.NewTuple("p", val.NewAddr("b"), val.NewInt(int64(i)))))
+	}
+	c.Fixpoint()
+	if cap(n.queue.buf) > idleKeep {
+		t.Errorf("an idle node keeps a %d-delta FIFO array, bound is %d", cap(n.queue.buf), idleKeep)
 	}
 }
 
@@ -609,6 +621,48 @@ link(@a,c).
 			if !slices.ContainsFunc(got, w.Equal) {
 				t.Errorf("%s = %v, lacks %v", pred, got, w)
 			}
+		}
+	}
+}
+
+// TestDrainGroupsByDestination: a drain's output for other nodes comes
+// out exactly as a stable sort by destination would leave it — ascending
+// destinations, each one's deltas in the order they were derived — and a
+// drain of mixed destinations into a caller's buffer allocates nothing.
+func TestDrainGroupsByDestination(t *testing.T) {
+	n := laneNode(t, PSN, nil)
+	rng := rand.New(rand.NewSource(1))
+	dsts := []string{"n7", "a", "n10", "b", "zz", "n1", "c", "a2"}
+	outs := func(m, k int) []OutDelta {
+		o := make([]OutDelta, m)
+		for i := range o {
+			o[i] = OutDelta{Dst: dsts[rng.Intn(k)], Delta: Insert(val.NewTuple("p", val.NewInt(int64(i))))}
+		}
+		return o
+	}
+	for _, m := range []int{0, 1, 2, 3, 17, 100, 300, 1000} {
+		for _, k := range []int{1, 2, len(dsts)} {
+			in := outs(m, k)
+			want := slices.Clone(in)
+			slices.SortStableFunc(want, func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
+			n.out = slices.Clone(in)
+			got := n.DrainInto(nil)
+			if !slices.EqualFunc(got, want, func(a, b OutDelta) bool { return a.Dst == b.Dst && a.Delta.Tuple.Equal(b.Delta.Tuple) }) {
+				t.Fatalf("%d deltas to %d destinations: grouped %v, want %v", m, k, got, want)
+			}
+		}
+	}
+	for _, m := range []int{40, 200} {
+		in := outs(m, len(dsts))
+		pending := make([]OutDelta, 0, len(in))
+		buf := make([]OutDelta, 0, len(in))
+		drain := func() {
+			n.out = append(pending[:0], in...)
+			buf = n.DrainInto(buf[:0])
+		}
+		drain()
+		if got := testing.AllocsPerRun(50, drain); got != 0 {
+			t.Errorf("a drain grouping %d deltas for %d destinations allocates %v objects, want 0", len(in), len(dsts), got)
 		}
 	}
 }

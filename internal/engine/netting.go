@@ -23,6 +23,10 @@ type Netting struct {
 	// LaneFlushes is the number of times a delta on a key the lane held
 	// moved the whole lane into the FIFO first.
 	LaneFlushes uint64
+	// LaneSkipped is the number of insertions of an ordered predicate
+	// that took the FIFO because their group's value already dominated
+	// them (Node.dominated).
+	LaneSkipped uint64
 }
 
 // Add accumulates b into a, counter by counter.
@@ -33,6 +37,7 @@ func (a *Netting) Add(b Netting) {
 	a.PairedWalks += b.PairedWalks
 	a.LaneOrdered += b.LaneOrdered
 	a.LaneFlushes += b.LaneFlushes
+	a.LaneSkipped += b.LaneSkipped
 }
 
 // Netting returns the node's replacement-netting counters.

@@ -137,12 +137,12 @@ func TestFoldReplacements(t *testing.T) {
 }
 
 // TestFoldScratchRetentionBounded: a queue that opened more than
-// keepCap/8 retractions before running empty leaves its scratch map to
+// openKeep retractions before running empty leaves its scratch map to
 // the collector.
 func TestFoldScratchRetentionBounded(t *testing.T) {
 	n := foldNode(t)
 	var big []Delta
-	for i := 0; i <= keepCap/8; i++ {
+	for i := 0; i <= openKeep; i++ {
 		big = append(big, op(fmt.Sprintf("-kv@d:k%d=1", i)))
 	}
 	pushAll(n, []Delta{op("-kv@d:k=1"), op("+kv@d:k=2")})

@@ -124,6 +124,10 @@ type Node struct {
 	// sels maps a source predicate to the aggregate-selection controls
 	// that prune it.
 	sels map[string][]*selControl
+	// laneSels holds, for each of the queue's lane orders, the selection
+	// control that orders it (nil if the node has none): an insertion its
+	// group's value dominates skips the lane (dominated).
+	laneSels []*selControl
 
 	// res holds the per-strand table and secondary-index handles for
 	// this node, resolved once at construction so the join path never
@@ -304,6 +308,16 @@ func (prog *Program) NewNode(id string, opts Options) *Node {
 			}
 			n.sels[sel.SrcPred] = append(n.sels[sel.SrcPred], ctrl)
 		}
+		for _, o := range n.queue.orders {
+			var sel *selControl
+			for _, c := range n.sels[o.pred] {
+				if c.sel.AggPred == o.agg && c.sel.ValueCol == o.col {
+					sel = c
+					break
+				}
+			}
+			n.laneSels = append(n.laneSels, sel)
+		}
 	}
 	return n
 }
@@ -371,17 +385,18 @@ func (n *Node) push(d Delta) {
 
 // toLane puts d, a delta of an ordered predicate, in the queue's
 // best-first lane when it is an insertion no open retraction of its
-// predicate could fold, and reports whether it did (DESIGN.md §15, "In
-// the queue: best value first"). Deltas on one key keep their push
-// order: before any delta of an ordered predicate is queued, a lane
-// holding its key moves to the FIFO whole.
+// predicate could fold and its group's value does not dominate, and
+// reports whether it did (DESIGN.md §15, "In the queue: best value
+// first"). Deltas on one key keep their push order: before any delta of
+// an ordered predicate is queued, a lane holding its key moves to the
+// FIFO whole.
 func (n *Node) toLane(d Delta) bool {
 	q := &n.queue
 	ord := q.orderOf(d.Tuple.Pred)
 	if ord < 0 {
 		return false
 	}
-	enter := d.Sign > 0 && q.orders[ord].col < len(d.Tuple.Fields) && !q.folds(d.Tuple.Pred)
+	enter := d.Sign > 0 && q.orders[ord].col < len(d.Tuple.Fields) && !q.folds(d.Tuple.Pred) && len(q.lane) < laneSlot
 	if !enter && len(q.lane) == 0 {
 		return false
 	}
@@ -396,9 +411,32 @@ func (n *Node) toLane(d Delta) bool {
 	if !enter {
 		return false
 	}
+	if n.dominated(d.Tuple, ord) {
+		n.netting.LaneSkipped++
+		return false
+	}
 	q.pushLane(d, ord, h)
 	n.netting.LaneOrdered++
 	return true
+}
+
+// dominated reports whether t, an insertion of the predicate
+// orders[ord] ranks, is strictly worse than its group's value under the
+// selection that orders the lane. That selection will not advertise it,
+// so its place in the lane buys nothing. A tie may yet be advertised (a
+// group's representative is its earliest best), so it stays in the lane.
+func (n *Node) dominated(t val.Tuple, ord int) bool {
+	c := n.laneSels[ord]
+	if c == nil {
+		return false
+	}
+	cur, ok := c.state.agg.Current(n.groupKey(c, t))
+	if !ok {
+		return false
+	}
+	o := &n.queue.orders[ord]
+	cmp := t.Fields[o.col].Compare(cur)
+	return cmp > 0 && !o.desc || cmp < 0 && o.desc
 }
 
 // SetJournal installs fn as the node's durability tap: every delta the
@@ -461,16 +499,23 @@ func (n *Node) DrainInto(dst []OutDelta) []OutDelta {
 	if len(out)-base > 1 {
 		slices.SortStableFunc(out[base:], func(a, b OutDelta) int { return strings.Compare(a.Dst, b.Dst) })
 	}
+	if cap(n.queue.buf) > idleKeep {
+		n.queue.buf = nil
+	}
 	return out
 }
+
+// outKeep is the largest drain result, in deltas, a driver keeps for
+// its next drain (reuseOut).
+const outKeep = 128
 
 // reuseOut returns the buffer a driver hands its next DrainInto, given
 // the one it handed this one (buf) and the result (outs), whose deltas
 // it has encoded or copied by now. It keeps outs's array, cleared of its
-// tuples, unless a burst grew it beyond keepCap; then it keeps buf's,
+// tuples, unless a burst grew it beyond outKeep; then it keeps buf's,
 // which the drain filled before it outgrew it, cleared in full.
 func reuseOut(buf, outs []OutDelta) []OutDelta {
-	if cap(outs) > keepCap {
+	if cap(outs) > outKeep {
 		outs = buf[:cap(buf)]
 	}
 	clear(outs)

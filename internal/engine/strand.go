@@ -512,7 +512,7 @@ func Compile(prog *ast.Program) (*Program, error) {
 			p.aggSels = append(p.aggSels, s)
 			if d := p.decls[s.SrcPred]; (d == nil || d.MaxSize <= 0) && len(p.lanes) <= math.MaxUint8 &&
 				!slices.ContainsFunc(p.lanes, func(o laneOrder) bool { return o.pred == s.SrcPred }) {
-				o := laneOrder{pred: s.SrcPred, col: s.ValueCol, desc: s.Func == ast.AggMax}
+				o := laneOrder{pred: s.SrcPred, agg: s.AggPred, col: s.ValueCol, desc: s.Func == ast.AggMax}
 				if d != nil {
 					o.key = d.Keys
 				}

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ndlog/internal/ast"
@@ -277,7 +278,7 @@ func TestGroupAggSweepKeepsLiveGroups(t *testing.T) {
 			g.Remove(key(i), val.NewInt(int64(i+1000)))
 		}
 	}
-	if g.empties > 64 && g.empties > g.n {
+	if g.empties > shellKeep && g.empties > g.n {
 		t.Fatalf("sweep did not run: %d empty shells beside %d live groups", g.empties, g.n)
 	}
 	if g.Groups() != groups/4 {
@@ -291,5 +292,59 @@ func TestGroupAggSweepKeepsLiveGroups(t *testing.T) {
 	}
 	if ch := g.Add(key(1), val.NewInt(7)); ch.HadOld || !ch.HasNew || ch.New.Int() != 7 {
 		t.Fatalf("re-adding to a swept group: %+v", ch)
+	}
+}
+
+// TestGroupAggRetentionBounded: an aggregate that held 10 000 groups and
+// lost them all keeps no slab, group map or key chunk — at most a few
+// hundred bytes of its own bookkeeping, where the groups took about a
+// megabyte — and trims the free end of its slab while groups remain.
+func TestGroupAggRetentionBounded(t *testing.T) {
+	const groups, bound = 10000, 4 << 10
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	key := func(i int) []val.Value { return []val.Value{val.NewInt(int64(i))} }
+	g := NewGroupAgg(ast.AggMin)
+	before := heap()
+	for i := range groups {
+		g.Add(key(i), val.NewInt(int64(i%97)))
+	}
+	full := heap()
+	slots := g.slab.n
+	// Empty the later three quarters, last group first: the sweeps it
+	// sets off, once shells outnumber live groups, trim the slab's end.
+	for i := groups - 1; i >= groups/4; i-- {
+		g.Remove(key(i), val.NewInt(int64(i%97)))
+	}
+	if g.slab.n > groups/2 {
+		t.Errorf("%d of %d groups live in a slab of %d slots (was %d), want at most %d", g.Groups(), groups, g.slab.n, slots, groups/2)
+	}
+	for i := range groups / 4 {
+		g.Remove(key(i), val.NewInt(int64(i%97)))
+	}
+	after := heap()
+	if g.Groups() != 0 || g.slab.chunks != nil || g.groups != nil || g.keys != nil {
+		t.Fatalf("emptied aggregate keeps storage: %d groups, %d chunks, group map %v, key chunk %d",
+			g.Groups(), len(g.slab.chunks), g.groups != nil, cap(g.keys))
+	}
+	if kept := int64(after) - int64(before); kept > bound {
+		t.Errorf("emptied aggregate keeps %d bytes (it held %d), want at most %d", kept, full-before, bound)
+	}
+	runtime.KeepAlive(g)
+	// A small aggregate whose keys churn — one live group, a new key each
+	// round, as a soft aggregate keyed by a request id — keeps a slab of
+	// a few shells, not one per key it has seen.
+	for i := range groups {
+		g.Add(key(i), val.NewInt(1))
+		if i > 0 {
+			g.Remove(key(i-1), val.NewInt(1))
+		}
+	}
+	if g.slab.n > 16 {
+		t.Errorf("one live group among %d churned keys keeps a slab of %d slots, want at most 16", groups, g.slab.n)
 	}
 }
